@@ -13,7 +13,7 @@ import sys
 
 from .groupoid_core import (DEFAULT_BISECTION_BOUND,
                             is_topologically_principal, validate_groupoid)
-from .inverse_semigroups import bisection_semigroup, validate_inverse_semigroup
+from .inverse_semigroups import validate_inverse_semigroup
 from .isomorphisms import (DEFAULT_ISO_BOUND, DEFAULT_ORBIT_BOUND, psi,
                            rho, rho_inverse, search_groupoid_isomorphism,
                            search_orbit_equivalence, steinberg_transport,
@@ -53,6 +53,15 @@ def _image_listing(algebra_map):
         rows.append(f"{stable(label)}->"
                     f"{_function_repr(codomain.from_vector(image))}")
     return "; ".join(rows)
+
+
+def positive_int(text):
+    """A size bound given on the command line: an integer >= 1, like the
+    bounds in spec files."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _bounds(doc, args):
@@ -179,12 +188,12 @@ def cmd_theorem5(doc, ring, bounds, report):
     if not result.ok:
         return report
 
-    semigroup = bisection_semigroup(groupoid, bounds["bisection"])
+    realization = psi(groupoid, ring, bisection_bound=bounds["bisection"])
+    semigroup = realization.semigroup
     sres = validate_inverse_semigroup(semigroup)
     report.add("bisection_semigroup_axioms", _flag_status(sres.ok),
                f"{semigroup.order} bisections" if sres.ok else sres.summary())
 
-    realization = psi(groupoid, ring, bisection_bound=bounds["bisection"])
     ares = validate_isg_partial_action(realization.action)
     report.add("bisection_action_axioms", _flag_status(ares.ok),
                "" if ares.ok else ares.summary())
@@ -355,9 +364,9 @@ def build_parser():
         p.add_argument("--ring", default=None,
                        help="scalar ring tag: Q, Z, or Z/n "
                             "(default: file setting, else Q)")
-        p.add_argument("--bisection-bound", type=int, default=None)
-        p.add_argument("--iso-bound", type=int, default=None)
-        p.add_argument("--orbit-bound", type=int, default=None)
+        p.add_argument("--bisection-bound", type=positive_int, default=None)
+        p.add_argument("--iso-bound", type=positive_int, default=None)
+        p.add_argument("--orbit-bound", type=positive_int, default=None)
         p.add_argument("--report", choices=("text", "machine"),
                        default="text")
         p.add_argument("--timings", action="store_true",

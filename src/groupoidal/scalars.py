@@ -1,4 +1,5 @@
-"""Exact coefficient rings (Q, Z, Z/n) and exact linear algebra over fields.
+"""Exact coefficient rings (Q, Z, Z/n), coordinate vectors and product
+tables of based algebras, and exact linear algebra over fields.
 
 All arithmetic is arbitrary precision; no value is ever rounded.  Rationals
 are stored as ``fractions.Fraction`` (lowest terms, positive denominator),
@@ -192,12 +193,57 @@ class Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over a field.  Vectors are plain lists of Scalar.
+# Coordinate vectors (plain lists of Scalar) over any ring, and exact
+# linear algebra over a field.
 # ---------------------------------------------------------------------------
 
 def zero_vector(ring, length):
     z = ring.zero()
     return [z] * length
+
+
+# Based algebras whose basis products are single basis elements or zero
+# (0/1 monomial structure constants) are given by a product table:
+# table[i][j] is the index k with e_i e_j = e_k, or -1 when e_i e_j = 0.
+
+def table_mul_basis(table, ring, i, j):
+    vec = zero_vector(ring, len(table))
+    k = table[i][j]
+    if k >= 0:
+        vec[k] = ring.one()
+    return vec
+
+
+def table_mul_vectors(table, ring, u, v):
+    out = zero_vector(ring, len(table))
+    right = [(j, b) for j, b in enumerate(v) if b]
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        row = table[i]
+        for j, b in right:
+            k = row[j]
+            if k >= 0:
+                out[k] = out[k] + a * b
+    return out
+
+
+def table_associativity_counterexample(table):
+    """The first basis triple (i, j, k), in lexicographic order, with
+    (e_i e_j) e_k != e_i (e_j e_k), or None."""
+    n = len(table)
+    zero_row = [-1] * n
+    for i, row in enumerate(table):
+        # Index -1 (a zero product) reads the appended -1.
+        row_i = row + [-1]
+        for j in range(n):
+            ij = row[j]
+            left = table[ij] if ij >= 0 else zero_row
+            right = [row_i[jk] for jk in table[j]]
+            if left != right:
+                k = next(k for k in range(n) if left[k] != right[k])
+                return (i, j, k)
+    return None
 
 
 def is_zero_vector(vec):
@@ -319,11 +365,3 @@ def solve_linear_span(vectors, target, ring):
     if is_zero_vector(front):
         return SpanSolution(True, combo, dimension, basis, None)
     return SpanSolution(False, None, dimension, basis, front)
-
-
-def span_dimension(vectors, ring):
-    if not vectors:
-        return 0
-    tracker = SpanTracker(ring, len(vectors[0]))
-    tracker.extend(vectors)
-    return tracker.dimension

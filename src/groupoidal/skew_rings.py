@@ -1,7 +1,11 @@
 """Formal sums a_s delta_s over a partial action: the covariance module L
-with its twisted product, the partial skew group ring, the ideal
-identifying a delta_s with a delta_t for s <= t, and the quotient algebra
-realized by exact echelon linear algebra over a field.
+with its twisted product, the partial skew group ring, the ideal I
+identifying a delta_s with a delta_t for s <= t, and the quotient L/I.
+
+L and L/I are based algebras with 0/1 structure constants: each is given
+by a product table of basis indices.  I is spanned by differences of
+basis vectors, so it is a congruence on the basis, found by union-find
+over any scalar ring; L/I has one basis element per class.
 
 The empty-domain convention: an index element with empty domain
 contributes no basis vectors (D_s = {0}), which covers the zero bisection
@@ -12,7 +16,8 @@ from __future__ import annotations
 
 from .inverse_semigroups import natural_order
 from .partial_actions import SpaceFunction
-from .scalars import SpanTracker, zero_vector
+from .scalars import (SpanTracker, table_associativity_counterexample,
+                      table_mul_basis, table_mul_vectors, zero_vector)
 from .validation import ValidationReport, stable
 
 
@@ -101,72 +106,39 @@ class CovarianceModule:
     """Coordinate view of L in the basis of point masses: one basis vector
     (s, x) for each index element s and each point x of X_s.
 
-    Products of basis vectors are single basis vectors or zero, so the
-    multiplication table is materialized sparsely and on demand.
+    The product of basis vectors is (s, x)(t, y) = (st, x) when
+    y = theta_{s*}(x) and zero otherwise, so L is given by its product
+    table, built once here.
     """
 
     def __init__(self, algebra_action):
         self.algebra_action = algebra_action
         self.ring = algebra_action.ring
-        self.basis_labels = [(s, x) for s in algebra_action.index.elements
+        index = algebra_action.index
+        self.basis_labels = [(s, x) for s in index.elements
                              for x in algebra_action.domain_points(s)]
         self.dim = len(self.basis_labels)
         self._idx = {lbl: i for i, lbl in enumerate(self.basis_labels)}
-        self._table = {}
+        at_point = {}
+        for j, (t, y) in enumerate(self.basis_labels):
+            at_point.setdefault(y, []).append((j, t))
+        theta = algebra_action.action.theta
+        self.table = []
+        for s, x in self.basis_labels:
+            row = [-1] * self.dim
+            for j, t in at_point.get(theta(index.star(s), x), ()):
+                row[j] = self._idx[(index.mul(s, t), x)]
+            self.table.append(row)
         self.associativity_counterexample = None
 
     def label_index(self, s, x):
         return self._idx[(s, x)]
 
-    def mul_sparse(self, i, j):
-        entry = self._table.get((i, j))
-        if entry is None:
-            s, x = self.basis_labels[i]
-            t, y = self.basis_labels[j]
-            product = skew_multiply(SkewElement.basis(self.algebra_action, s, x),
-                                    SkewElement.basis(self.algebra_action, t, y))
-            entry = {}
-            for u, f in product.terms.items():
-                for z, c in f.values.items():
-                    entry[self._idx[(u, z)]] = c
-            self._table[(i, j)] = entry
-        return entry
-
     def mul_basis(self, i, j):
-        vec = zero_vector(self.ring, self.dim)
-        for k, c in self.mul_sparse(i, j).items():
-            vec[k] = c
-        return vec
+        return table_mul_basis(self.table, self.ring, i, j)
 
     def mul_vectors(self, u, v):
-        out = zero_vector(self.ring, self.dim)
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                for k, c in self.mul_sparse(i, j).items():
-                    out[k] = out[k] + a * b * c
-        return out
-
-    def basis_mul_vector(self, k, v):
-        out = zero_vector(self.ring, self.dim)
-        for j, b in enumerate(v):
-            if not b:
-                continue
-            for m, c in self.mul_sparse(k, j).items():
-                out[m] = out[m] + b * c
-        return out
-
-    def vector_mul_basis(self, v, k):
-        out = zero_vector(self.ring, self.dim)
-        for i, a in enumerate(v):
-            if not a:
-                continue
-            for m, c in self.mul_sparse(i, k).items():
-                out[m] = out[m] + a * c
-        return out
+        return table_mul_vectors(self.table, self.ring, u, v)
 
     def to_vector(self, elem):
         if elem.algebra_action is not self.algebra_action:
@@ -198,24 +170,9 @@ class CovarianceModule:
     def verify_associativity(self):
         """Check (e_i e_j) e_k = e_i (e_j e_k) on all basis triples; stores
         and returns the first counterexample triple, or None."""
-        zero = self.ring.zero()
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.mul_sparse(i, j)
-                for k in range(self.dim):
-                    left = {}
-                    for l, c in ij.items():
-                        for m, d in self.mul_sparse(l, k).items():
-                            left[m] = left.get(m, zero) + c * d
-                    right = {}
-                    for l, c in self.mul_sparse(j, k).items():
-                        for m, d in self.mul_sparse(i, l).items():
-                            right[m] = right.get(m, zero) + c * d
-                    if {m: c for m, c in left.items() if c} != \
-                            {m: c for m, c in right.items() if c}:
-                        self.associativity_counterexample = (i, j, k)
-                        return self.associativity_counterexample
-        return None
+        self.associativity_counterexample = \
+            table_associativity_counterexample(self.table)
+        return self.associativity_counterexample
 
 
 def build_skew_group_ring(algebra_action):
@@ -229,94 +186,94 @@ def build_skew_group_ring(algebra_action):
 
 
 def ideal_generators(module):
-    """Coordinate vectors of the generators 1_x delta_s - 1_x delta_t for
-    s < t in the natural order and x ranging over X_s.  Works over any
-    ring; closure and dimension queries additionally need a field."""
+    """The generators 1_x delta_s - 1_x delta_t of the ideal, for s < t in
+    the natural order and x ranging over X_s, as basis index pairs (a, b)
+    standing for e_a - e_b."""
     alg = module.algebra_action
     order = natural_order(alg.index)
-    gens = []
-    for t in alg.index.elements:
-        for s in order.strictly_below(t):
-            for x in alg.domain_points(s):
-                vec = zero_vector(module.ring, module.dim)
-                vec[module.label_index(s, x)] = module.ring.one()
-                vec[module.label_index(t, x)] = -module.ring.one()
-                gens.append(vec)
-    return gens
+    return [(module.label_index(s, x), module.label_index(t, x))
+            for t in alg.index.elements
+            for s in order.strictly_below(t)
+            for x in alg.domain_points(s)]
 
 
-class IdealBasis:
-    """Reduced echelon basis of the two-sided ideal generated by the
-    order-identification vectors, closed under multiplication by L."""
+class IdealCongruence:
+    """The ideal I as a congruence on the basis of L.  I is spanned by the
+    differences e_a - e_b of basis vectors in one class; rep[a] is the
+    largest index in the class of a."""
 
-    def __init__(self, module, tracker, generator_count):
+    def __init__(self, module, edges, rep):
         self.module = module
-        self.tracker = tracker
-        self.generator_count = generator_count
-
-    @property
-    def dimension(self):
-        return self.tracker.dimension
+        self.edges = edges
+        self.rep = rep
+        self.generator_count = len(edges)
+        self.dimension = sum(1 for a, r in enumerate(rep) if a != r)
 
     @property
     def rows(self):
-        return self.tracker.rows
-
-    def contains(self, vec):
-        return self.tracker.contains(vec)
-
-    def reduce(self, vec):
-        return self.tracker.reduce(vec)
+        """The reduced echelon basis of I: e_a - e_rep(a) for each a that
+        does not represent its class, in increasing order of a."""
+        ring, dim = self.module.ring, self.module.dim
+        rows = []
+        for a, r in enumerate(self.rep):
+            if a != r:
+                row = zero_vector(ring, dim)
+                row[a] = ring.one()
+                row[r] = -ring.one()
+                rows.append(row)
+        return rows
 
 
 def build_ideal(module):
-    """Span the ideal: start from the order generators and close under
-    one-sided multiplication by every basis element until the rank stops
-    growing.  Field scalars only."""
-    if not module.ring.is_field:
-        raise ValueError(f"ideal closure needs a field, got {module.ring.tag()}")
-    gens = ideal_generators(module)
-    tracker = SpanTracker(module.ring, module.dim)
-    pending = []
-    for g in gens:
-        if tracker.add(g):
-            pending.append(g)
-    while pending:
-        vec = pending.pop()
-        for k in range(module.dim):
-            for product in (module.basis_mul_vector(k, vec),
-                            module.vector_mul_basis(vec, k)):
-                if tracker.add(product):
-                    pending.append(product)
-    return IdealBasis(module, tracker, len(gens))
+    """The span of the generators, by union-find over their index pairs:
+    dim I is dim L minus the number of classes.  Works over any ring.
+    That this span is a two-sided ideal is checked by build_quotient."""
+    edges = ideal_generators(module)
+    parent = list(range(module.dim))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            # The larger root stays, so each root is the largest index of
+            # its class.
+            parent[min(ra, rb)] = max(ra, rb)
+    return IdealCongruence(module, edges, [find(a) for a in range(module.dim)])
 
 
 class QuotientAlgebra:
-    """L/I with canonical representatives: reducing a coordinate vector by
-    the ideal's echelon basis kills every pivot coordinate, so classes are
-    identified with vectors supported on the non-pivot coordinates."""
+    """L/I with one basis element per class of the congruence, labelled by
+    its representative, in increasing order.  The class of a vector sums
+    its coefficients over each class; a representative is the vector
+    supported on the representatives."""
 
     def __init__(self, module, ideal):
         self.module = module
         self.ideal = ideal
         self.ring = module.ring
-        pivots = set(ideal.tracker.pivots)
-        self._free = [i for i in range(module.dim) if i not in pivots]
-        self.basis_labels = [module.basis_labels[i] for i in self._free]
+        self._free = [a for a, r in enumerate(ideal.rep) if a == r]
+        position = {a: q for q, a in enumerate(self._free)}
+        # _class[a] is the quotient index of e_a; the trailing -1 sends a
+        # zero product (index -1) to zero.
+        self._class = [position[r] for r in ideal.rep] + [-1]
+        self.basis_labels = [module.basis_labels[a] for a in self._free]
         self.dim = len(self._free)
-        self._table = {}
+        self.table = [[self._class[module.table[a][b]] for b in self._free]
+                      for a in self._free]
         self.representative_independence_verified = False
 
-    def reduce(self, vec):
-        """Canonical representative of the class of vec, inside L."""
-        return self.ideal.reduce(vec)
-
-    def project(self, vec):
-        """Quotient coordinates of a canonical representative."""
-        return [vec[i] for i in self._free]
-
     def class_of(self, vec):
-        return self.project(self.reduce(vec))
+        out = zero_vector(self.ring, self.dim)
+        for a, c in enumerate(vec):
+            if c:
+                q = self._class[a]
+                out[q] = out[q] + c
+        return out
 
     def lift(self, qvec):
         out = zero_vector(self.ring, self.module.dim)
@@ -324,31 +281,11 @@ class QuotientAlgebra:
             out[pos] = c
         return out
 
-    def mul_sparse(self, i, j):
-        entry = self._table.get((i, j))
-        if entry is None:
-            product = self.module.mul_basis(self._free[i], self._free[j])
-            entry = {k: c for k, c in enumerate(self.class_of(product)) if c}
-            self._table[(i, j)] = entry
-        return entry
-
     def mul_basis(self, i, j):
-        vec = zero_vector(self.ring, self.dim)
-        for k, c in self.mul_sparse(i, j).items():
-            vec[k] = c
-        return vec
+        return table_mul_basis(self.table, self.ring, i, j)
 
     def mul_vectors(self, u, v):
-        out = zero_vector(self.ring, self.dim)
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                for k, c in self.mul_sparse(i, j).items():
-                    out[k] = out[k] + a * b * c
-        return out
+        return table_mul_vectors(self.table, self.ring, u, v)
 
     def diagonal_indices(self):
         unit = self.module.algebra_action.unit_element()
@@ -358,23 +295,25 @@ class QuotientAlgebra:
         return self.class_of(self.module.to_vector(elem))
 
     def verify_representative_independence(self):
-        """The induced product is well defined iff multiplying any ideal
-        basis vector by any module basis element stays in the ideal; checks
-        this exhaustively and returns the first violation, or None."""
-        for r, row in enumerate(self.ideal.rows):
-            for k in range(self.module.dim):
-                if not self.ideal.contains(self.module.basis_mul_vector(k, row)):
-                    return f"e_{k} * ideal row {r} leaves the ideal"
-                if not self.ideal.contains(self.module.vector_mul_basis(row, k)):
-                    return f"ideal row {r} * e_{k} leaves the ideal"
+        """The induced product is well defined iff I is a two-sided ideal,
+        that is iff e_k (e_a - e_b) and (e_a - e_b) e_k lie in I for every
+        generator (a, b) and every basis element e_k: the two products are
+        both zero or basis vectors of one class.  Checks this exhaustively
+        and returns the first violation, or None."""
+        table, cls = self.module.table, self._class
+        for a, b in self.ideal.edges:
+            row_a, row_b = table[a], table[b]
+            for k, row_k in enumerate(table):
+                if cls[row_k[a]] != cls[row_k[b]]:
+                    return f"e_{k} * (e_{a} - e_{b}) leaves the ideal"
+                if cls[row_a[k]] != cls[row_b[k]]:
+                    return f"(e_{a} - e_{b}) * e_{k} leaves the ideal"
         return None
 
 
 def build_quotient(module, ideal):
-    """The partial skew inverse semigroup ring L/I.  Field scalars only;
-    well-definedness of the product is verified, not assumed."""
-    if not module.ring.is_field:
-        raise ValueError(f"quotient needs a field, got {module.ring.tag()}")
+    """The partial skew inverse semigroup ring L/I; well-definedness of
+    the product is verified, not assumed."""
     quotient = QuotientAlgebra(module, ideal)
     violation = quotient.verify_representative_independence()
     if violation is not None:

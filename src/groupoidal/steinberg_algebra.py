@@ -5,7 +5,8 @@ function into disjoint bisection indicators."""
 from __future__ import annotations
 
 from .groupoid_core import is_bisection
-from .scalars import zero_vector
+from .scalars import (table_associativity_counterexample, table_mul_basis,
+                      table_mul_vectors, zero_vector)
 
 
 class GroupoidFunction:
@@ -90,13 +91,6 @@ class GroupoidFunction:
         return GroupoidFunction(self.parent, self.ring,
                                 {a: c for a, c in self.values.items() if a in keep})
 
-    def serialize(self):
-        """Wire form: a list of (arrow id, scalar string) pairs in canonical
-        arrow order."""
-        g = self.parent
-        return [(str(a), str(c)) for a, c in
-                sorted(self.values.items(), key=lambda kv: g.index(kv[0]))]
-
     def __repr__(self):
         g = self.parent
         items = ", ".join(f"{a}:{c}" for a, c in
@@ -164,34 +158,12 @@ def disjoint_decomposition(f):
     return pieces
 
 
-def has_unit_check(g, ring):
-    """Verify that the indicator of the unit space is a two-sided identity
-    on the point-mass spanning set.  Always true for a finite groupoid."""
-    unit_fn = GroupoidFunction.indicator(g, ring, g.units)
-    for a in g.arrows:
-        mass = GroupoidFunction.point_mass(g, ring, a)
-        if convolve(unit_fn, mass) != mass or convolve(mass, unit_fn) != mass:
-            return False
-    return True
-
-
-def has_local_units_check(g, ring):
-    """Verify that diagonal idempotents act as local units: for each arrow,
-    the indicator of {r(a), s(a)} fixes the point mass at a on both sides."""
-    for a in g.arrows:
-        mass = GroupoidFunction.point_mass(g, ring, a)
-        e = GroupoidFunction.indicator(g, ring, {g.range(a), g.source(a)})
-        if convolve(e, mass) != mass or convolve(mass, e) != mass:
-            return False
-    return True
-
-
 class SteinbergAlgebra:
     """Coordinate view of the convolution algebra in the point-mass basis.
 
     The basis is the canonical arrow order, so the dimension equals the
-    arrow count.  mul_sparse is cached; products of point masses are single
-    point masses or zero.
+    arrow count.  A product of point masses is a point mass or zero, so
+    the algebra is its product table, read off the composition table.
     """
 
     def __init__(self, groupoid, ring):
@@ -199,37 +171,16 @@ class SteinbergAlgebra:
         self.ring = ring
         self.basis_labels = list(groupoid.arrows)
         self.dim = len(self.basis_labels)
-        self._table = {}
-
-    def mul_sparse(self, i, j):
-        entry = self._table.get((i, j))
-        if entry is None:
-            b, c = self.basis_labels[i], self.basis_labels[j]
-            if self.groupoid.composable(b, c):
-                k = self.groupoid.index(self.groupoid.compose(b, c))
-                entry = {k: self.ring.one()}
-            else:
-                entry = {}
-            self._table[(i, j)] = entry
-        return entry
+        idx = groupoid.index
+        self.table = [[-1] * self.dim for _ in range(self.dim)]
+        for (b, c), d in groupoid.compose_table.items():
+            self.table[idx(b)][idx(c)] = idx(d)
 
     def mul_basis(self, i, j):
-        vec = zero_vector(self.ring, self.dim)
-        for k, c in self.mul_sparse(i, j).items():
-            vec[k] = c
-        return vec
+        return table_mul_basis(self.table, self.ring, i, j)
 
     def mul_vectors(self, u, v):
-        out = zero_vector(self.ring, self.dim)
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                for k, c in self.mul_sparse(i, j).items():
-                    out[k] = out[k] + a * b * c
-        return out
+        return table_mul_vectors(self.table, self.ring, u, v)
 
     def to_vector(self, f):
         if f.parent is not self.groupoid or f.ring != self.ring:
@@ -250,20 +201,4 @@ class SteinbergAlgebra:
     def verify_associativity(self):
         """Check (e_i e_j) e_k = e_i (e_j e_k) on all basis triples; returns
         the first failing triple or None."""
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.mul_sparse(i, j)
-                for k in range(self.dim):
-                    jk = self.mul_sparse(j, k)
-                    left = {}
-                    for l, c in ij.items():
-                        for m, d in self.mul_sparse(l, k).items():
-                            left[m] = left.get(m, self.ring.zero()) + c * d
-                    right = {}
-                    for l, c in jk.items():
-                        for m, d in self.mul_sparse(i, l).items():
-                            right[m] = right.get(m, self.ring.zero()) + c * d
-                    if {m: c for m, c in left.items() if c} != \
-                            {m: c for m, c in right.items() if c}:
-                        return (i, j, k)
-        return None
+        return table_associativity_counterexample(self.table)

@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from groupoidal import catalog
+import pytest
+
+from groupoidal import catalog, isomorphisms
 from groupoidal.cli import main
 
 
@@ -61,6 +63,35 @@ def test_theorem5_bound_exceeded(capsys):
     assert code == 3
     assert "inconclusive" in out
     assert "bisection bound" in out
+
+
+def test_theorem5_builds_bisection_semigroup_once(monkeypatch, capsys):
+    calls = []
+    build = isomorphisms.bisection_semigroup
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(isomorphisms, "bisection_semigroup", counted)
+    code, out, _ = run_cli(capsys, "theorem5", "two_z2")
+    assert code == 0
+    assert len(calls) == 1
+    rows = [line.split(":")[0] for line in out.splitlines()
+            if line.startswith("check ")]
+    assert rows[:3] == ["check groupoid_axioms",
+                        "check bisection_semigroup_axioms",
+                        "check bisection_action_axioms"]
+
+
+@pytest.mark.parametrize("flag", ["--bisection-bound", "--iso-bound",
+                                  "--orbit-bound"])
+def test_non_positive_bound_flag_is_an_input_error(flag, capsys):
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["theorem5", "two_z2", flag, value])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
 
 def test_theorem5_needs_field(capsys):

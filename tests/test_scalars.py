@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from groupoidal.scalars import (ring_from_tag, solve_linear_span,
-                                span_dimension, SpanTracker)
+from groupoidal.scalars import (ring_from_tag, solve_linear_span, SpanTracker,
+                                table_associativity_counterexample,
+                                table_mul_vectors)
 
 
 def vec(ring, *values):
@@ -142,12 +144,13 @@ def test_span_dimension_shuffle_invariant(Q):
     rng = random.Random(99)
     vectors = [vec(Q, 1, 0, 2), vec(Q, 0, 1, 1), vec(Q, 1, 1, 3),
                vec(Q, 2, 0, 4)]
-    baseline = span_dimension(vectors, Q)
-    assert baseline == 2
+    baseline = SpanTracker(Q, 3).extend(vectors)
+    assert baseline.dimension == 2
     for _ in range(10):
         shuffled = vectors[:]
         rng.shuffle(shuffled)
-        assert span_dimension(shuffled, Q) == baseline
+        # The reduced echelon basis is canonical, not only its size.
+        assert SpanTracker(Q, 3).extend(shuffled).rows == baseline.rows
 
 
 def test_span_needs_field(Z):
@@ -165,3 +168,36 @@ def test_tracker_reduce_and_contains(Q):
     assert tracker.dimension == 2
     assert tracker.contains(vec(Q, 2, 5, 1))
     assert not tracker.contains(vec(Q, 0, 0, 1))
+
+
+def cube_oracle(table):
+    """The associativity cube as a plain triple loop."""
+    def mul(a, b):
+        return -1 if a < 0 or b < 0 else table[a][b]
+    for i, j, k in product(range(len(table)), repeat=3):
+        if mul(mul(i, j), k) != mul(i, mul(j, k)):
+            return (i, j, k)
+    return None
+
+
+def test_associativity_cube_matches_triple_loop():
+    rng = random.Random(4)
+    # Z/3 under addition, and the 2 x 2 matrix units, are associative.
+    tables = [[[(i + j) % 3 for j in range(3)] for i in range(3)],
+              [[2 * (i // 2) + j % 2 if i % 2 == j // 2 else -1
+                for j in range(4)]
+               for i in range(4)]]
+    tables += [[[rng.randrange(-1, n) for _ in range(n)] for _ in range(n)]
+               for n in (1, 2, 3, 4) for _ in range(25)]
+    found = [table_associativity_counterexample(t) for t in tables]
+    assert found == [cube_oracle(t) for t in tables]
+    assert found[:2] == [None, None]
+    assert any(found)
+
+
+def test_table_product_is_bilinear(Z):
+    # e_0 is an identity and e_1 e_1 = 0 in this 2-dimensional algebra.
+    table = [[0, 1], [1, -1]]
+    u, v = vec(Z, 2, 3), vec(Z, 5, -1)
+    # (2 e_0 + 3 e_1)(5 e_0 - e_1) = 10 e_0 + (15 - 2) e_1
+    assert table_mul_vectors(table, Z, u, v) == vec(Z, 10, 13)

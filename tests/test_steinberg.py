@@ -6,9 +6,7 @@ from groupoidal import catalog
 from groupoidal.groupoid_core import enumerate_bisections, bisection_product
 from groupoidal.steinberg_algebra import (GroupoidFunction, SteinbergAlgebra,
                                           convolve, diagonal_embed,
-                                          disjoint_decomposition,
-                                          has_local_units_check,
-                                          has_unit_check, is_diagonal)
+                                          disjoint_decomposition, is_diagonal)
 
 SMALL = ["trivial_groupoid", "two_isolated_units", "z2_one_unit",
          "z3_one_unit", "pair_groupoid_2", "two_z2", "pair_plus_unit"]
@@ -168,12 +166,11 @@ def test_disjoint_decomposition_deterministic(Q):
 @pytest.mark.parametrize("name", SMALL)
 def test_unit_checks(name, Q):
     g = catalog.load_groupoid(name)
-    assert has_unit_check(g, Q)
-    assert has_local_units_check(g, Q)
     unit_fn = GroupoidFunction.indicator(g, Q, g.units)
     for b in enumerate_bisections(g):
         fb = GroupoidFunction.indicator(g, Q, b)
         assert convolve(unit_fn, fb) == fb
+        assert convolve(fb, unit_fn) == fb
 
 
 def test_diagonal_idempotents_restrict(Q):
