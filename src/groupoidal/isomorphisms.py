@@ -3,8 +3,13 @@ and Steinberg algebras, orbit-equivalence and groupoid-isomorphism search,
 the realization of a Steinberg algebra as a partial skew inverse semigroup
 ring, and brute-force group-ring probes.
 
-Every structural flag on an AlgebraMap is backed by an exhaustively
-computed certificate; a flag is never asserted without one.
+Every map built here (rho, psi, psi~, and the transported Gamma and Phi)
+sends point masses to point masses with coefficient 1, so an AlgebraMap
+is given by target indices: targets[i] is the codomain basis index of the
+image of e_i.  Every structural flag on an AlgebraMap is backed by an
+exhaustive integer certificate on those indices and the product tables of
+the two algebras, the same over every scalar ring; a flag is never
+asserted without one.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from .groupoid_core import range_set, DEFAULT_BISECTION_BOUND
 from .inverse_semigroups import bisection_semigroup
 from .partial_actions import (SemigroupPartialAction, SpaceFunction,
                               induce_algebra_action)
-from .scalars import SpanTracker, zero_vector
+from .scalars import zero_vector
 from .skew_rings import (CovarianceModule, SkewElement, build_ideal,
                          build_quotient, build_skew_group_ring)
 from .steinberg_algebra import (GroupoidFunction, SteinbergAlgebra,
@@ -28,28 +33,32 @@ DEFAULT_ORBIT_BOUND = 6
 
 
 class AlgebraMap:
-    """A scalar-linear map between two based algebras, given by the images
-    of the domain basis.  Certificates (homomorphism, injective,
-    surjective, diagonal-preserving) are computed exhaustively on demand
-    and cached with their witness or counterexample."""
+    """A map between two based algebras sending each domain basis element
+    e_i to the codomain basis element e_{targets[i]}, extended linearly.
+    Every map of the paper (rho, psi, psi~, Gamma, Phi) has this form, so
+    the certificates (homomorphism, injective, surjective,
+    diagonal-preserving) are exhaustive integer checks on the targets and
+    the product tables, the same over every ring.  They are computed on
+    demand and cached with their counterexample."""
 
-    def __init__(self, domain, codomain, images, name="map"):
+    def __init__(self, domain, codomain, targets, name="map"):
         self.domain = domain
         self.codomain = codomain
-        self.images = [list(v) for v in images]
+        self.targets = list(targets)
         self.name = name
         self.certificates = {}
-        if len(self.images) != domain.dim:
-            raise ValueError("one image per domain basis element required")
-        for v in self.images:
-            if len(v) != codomain.dim:
-                raise ValueError("image has the wrong length")
+        if len(self.targets) != domain.dim:
+            raise ValueError("one target per domain basis element required")
+        if not all(0 <= t < codomain.dim for t in self.targets):
+            raise ValueError(f"{self.name} has a target outside the "
+                             f"codomain basis of {codomain.dim}")
 
     def apply(self, vec):
-        out = zero_vector(self.codomain.ring, self.codomain.dim)
-        for i, c in enumerate(vec):
+        ring = self.codomain.ring
+        out = [ring.zero()] * self.codomain.dim
+        for t, c in zip(self.targets, vec):
             if c:
-                out = [o + c * w for o, w in zip(out, self.images[i])]
+                out[t] = out[t] + c
         return out
 
     def _store(self, kind, flag, detail):
@@ -77,121 +86,67 @@ class AlgebraMap:
     def preserves_diagonal(self):
         return self._flag("diagonal")
 
-    def counterexample(self, kind):
-        return self.certificates[kind][1]
-
     def certify_homomorphism(self):
-        """Exhaustive multiplicativity on all domain basis pairs."""
-        for i in range(self.domain.dim):
-            for j in range(self.domain.dim):
-                lhs = self.apply(self.domain.mul_basis(i, j))
-                rhs = self.codomain.mul_vectors(self.images[i], self.images[j])
-                if lhs != rhs:
-                    return self._store(
-                        "homomorphism", False,
-                        f"fails on basis pair ({self.domain.basis_labels[i]}, "
-                        f"{self.domain.basis_labels[j]})")
+        """Exhaustive multiplicativity on all domain basis pairs:
+        e_{t(i)} e_{t(j)} must be e_{t(k)} where e_i e_j = e_k, and zero
+        where e_i e_j = 0."""
+        targets = self.targets
+        # Index -1 (a zero product) reads the appended -1.
+        image = targets + [-1]
+        for i, row in enumerate(self.domain.table):
+            cod_row = self.codomain.table[targets[i]]
+            lhs = [image[k] for k in row]
+            rhs = [cod_row[t] for t in targets]
+            if lhs != rhs:
+                j = next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                return self._store(
+                    "homomorphism", False,
+                    f"fails on basis pair ({self.domain.basis_labels[i]}, "
+                    f"{self.domain.basis_labels[j]})")
         return self._store("homomorphism", True, None)
 
-    def _monomial(self):
-        """(coordinate, coefficient) per basis image when every image is a
-        single coordinate with a unit coefficient; None otherwise."""
-        hits = []
-        for v in self.images:
-            nonzero = [(k, c) for k, c in enumerate(v) if c]
-            if len(nonzero) != 1 or not nonzero[0][1].is_unit():
-                return None
-            hits.append(nonzero[0])
-        return hits
-
-    def _augmented_tracker(self):
-        ring = self.codomain.ring
-        n, m = self.codomain.dim, self.domain.dim
-        aug = SpanTracker(ring, n + m)
-        for i, img in enumerate(self.images):
-            tail = zero_vector(ring, m)
-            tail[i] = ring.one()
-            aug.add(img + tail)
-        return aug
-
     def certify_injective(self):
-        hits = self._monomial()
-        if hits is not None:
-            coords = [k for k, _ in hits]
-            if len(set(coords)) == len(coords):
-                return self._store("injective", True, None)
-        if not self.codomain.ring.is_field:
-            raise ValueError(f"injectivity certificate for {self.name} "
-                             "needs a field")
-        aug = self._augmented_tracker()
-        n = self.codomain.dim
-        for row, piv in zip(aug.rows, aug.pivots):
-            if piv >= n:
-                kernel = row[n:]
+        """Distinct targets.  Otherwise the kernel vector reported is
+        e_a - e_m, for the smallest a whose target a later index shares
+        and the largest m with that target: the first row of the reduced
+        echelon basis of the kernel."""
+        last = {t: i for i, t in enumerate(self.targets)}
+        for a, t in enumerate(self.targets):
+            m = last[t]
+            if m != a:
+                one = self.domain.ring.one()
+                labels = self.domain.basis_labels
                 return self._store("injective", False,
-                                   f"kernel vector {_vector_repr(self.domain, kernel)}")
+                                   f"kernel vector {one}*{labels[a]} + "
+                                   f"{-one}*{labels[m]}")
         return self._store("injective", True, None)
 
     def certify_surjective(self):
-        hits = self._monomial()
-        if hits is not None:
-            coords = {k for k, _ in hits}
-            if coords == set(range(self.codomain.dim)):
-                return self._store("surjective", True, None)
-            if not self.codomain.ring.is_field:
-                missing = min(set(range(self.codomain.dim)) - coords)
-                return self._store(
-                    "surjective", False,
-                    f"basis coordinate {self.codomain.basis_labels[missing]} "
-                    "is not hit")
-        if not self.codomain.ring.is_field:
-            raise ValueError(f"surjectivity certificate for {self.name} "
-                             "needs a field")
-        tracker = SpanTracker(self.codomain.ring, self.codomain.dim)
-        tracker.extend(self.images)
-        if tracker.dimension == self.codomain.dim:
+        rank = len(set(self.targets))
+        if rank == self.codomain.dim:
             return self._store("surjective", True, None)
         return self._store("surjective", False,
-                           f"image has rank {tracker.dimension} "
-                           f"< {self.codomain.dim}")
+                           f"image has rank {rank} < {self.codomain.dim}")
 
     def certify_diagonal(self):
-        """Image of the domain diagonal equals the codomain diagonal, as
-        exact spans."""
-        dom_diag = self.domain.diagonal_indices()
-        cod_diag = self.codomain.diagonal_indices()
-        cod_set = set(cod_diag)
-        diag_images = []
-        for i in dom_diag:
-            img = self.images[i]
-            bad = next((k for k, c in enumerate(img) if c and k not in cod_set),
-                       None)
-            if bad is not None:
+        """The image of the domain diagonal equals the codomain diagonal:
+        every diagonal basis element lands on the diagonal, and the
+        diagonal is covered."""
+        cod_diag = set(self.codomain.diagonal_indices())
+        covered = set()
+        for i in self.domain.diagonal_indices():
+            t = self.targets[i]
+            if t not in cod_diag:
                 return self._store(
                     "diagonal", False,
                     f"image of diagonal basis {self.domain.basis_labels[i]} "
-                    f"leaks to {self.codomain.basis_labels[bad]}")
-            diag_images.append(img)
-        # containment holds; spans are equal iff the ranks agree
-        if self.codomain.ring.is_field:
-            tracker = SpanTracker(self.codomain.ring, self.codomain.dim)
-            tracker.extend(diag_images)
-            if tracker.dimension != len(cod_diag):
-                return self._store(
-                    "diagonal", False,
-                    f"diagonal image has rank {tracker.dimension} "
-                    f"< {len(cod_diag)}")
-            return self._store("diagonal", True, None)
-        covered = set()
-        for img in diag_images:
-            nonzero = [(k, c) for k, c in enumerate(img) if c]
-            if len(nonzero) != 1 or not nonzero[0][1].is_unit():
-                raise ValueError(f"diagonal certificate for {self.name} "
-                                 "needs a field")
-            covered.add(nonzero[0][0])
-        flag = covered == cod_set
-        return self._store("diagonal", flag,
-                           None if flag else "diagonal not covered")
+                    f"leaks to {self.codomain.basis_labels[t]}")
+            covered.add(t)
+        if len(covered) != len(cod_diag):
+            return self._store(
+                "diagonal", False,
+                f"diagonal image has rank {len(covered)} < {len(cod_diag)}")
+        return self._store("diagonal", True, None)
 
     def certify_all(self):
         self.certify_homomorphism()
@@ -205,41 +160,19 @@ class AlgebraMap:
         return self.is_homomorphism and self.is_injective and self.is_surjective
 
     def inverse(self, name=None):
-        """The inverse map; requires a bijective map (monomial case works
-        over any ring, otherwise exact solving over a field)."""
-        name = name or f"{self.name}^-1"
+        """The inverse map, the inverse permutation of the targets;
+        requires a bijective map."""
         n, m = self.codomain.dim, self.domain.dim
         if n != m:
             raise ValueError(f"{self.name} maps dimension {m} to {n}; "
                              "not invertible")
-        hits = self._monomial()
-        if hits is not None and len({k for k, _ in hits}) == m == n:
-            images = [None] * n
-            for i, (k, c) in enumerate(hits):
-                vec = zero_vector(self.domain.ring, m)
-                vec[i] = _ring_unit_inverse(c)
-                images[k] = vec
-            return AlgebraMap(self.codomain, self.domain, images, name=name)
-        if not self.codomain.ring.is_field:
-            raise ValueError(f"inverse of {self.name} needs a field")
-        aug = self._augmented_tracker()
-        images = []
-        for k in range(n):
-            target = zero_vector(self.codomain.ring, n)
-            target[k] = self.codomain.ring.one()
-            residual = list(target) + zero_vector(self.codomain.ring, m)
-            combo = zero_vector(self.codomain.ring, m)
-            for row, piv in zip(aug.rows, aug.pivots):
-                if piv >= n:
-                    continue
-                c = residual[piv]
-                if c:
-                    residual = [a - c * b for a, b in zip(residual, row)]
-                    combo = [a + c * b for a, b in zip(combo, row[n:])]
-            if any(residual[:n]):
-                raise ValueError(f"{self.name} is not surjective; no inverse")
-            images.append(combo)
-        return AlgebraMap(self.codomain, self.domain, images, name=name)
+        if len(set(self.targets)) != n:
+            raise ValueError(f"{self.name} is not surjective; no inverse")
+        targets = [0] * n
+        for i, t in enumerate(self.targets):
+            targets[t] = i
+        return AlgebraMap(self.codomain, self.domain, targets,
+                          name=name or f"{self.name}^-1")
 
     def compose(self, inner, name=None):
         """self o inner.  The middle algebras must agree structurally
@@ -247,33 +180,17 @@ class AlgebraMap:
         if (inner.codomain.ring != self.domain.ring
                 or inner.codomain.basis_labels != self.domain.basis_labels):
             raise ValueError("composition domains do not match")
-        images = [self.apply(v) for v in inner.images]
-        return AlgebraMap(inner.domain, self.codomain, images,
+        return AlgebraMap(inner.domain, self.codomain,
+                          [self.targets[t] for t in inner.targets],
                           name=name or f"{self.name}o{inner.name}")
 
     def is_identity(self):
-        if self.domain.dim != self.codomain.dim:
-            return False
-        ring = self.codomain.ring
-        for i, img in enumerate(self.images):
-            expected = zero_vector(ring, self.codomain.dim)
-            expected[i] = ring.one()
-            if img != expected:
-                return False
-        return True
+        return (self.domain.dim == self.codomain.dim
+                and self.targets == list(range(self.domain.dim)))
 
     def __repr__(self):
         return (f"AlgebraMap({self.name}: {self.domain.dim} -> "
                 f"{self.codomain.dim})")
-
-
-def _ring_unit_inverse(c):
-    ring = c.ring
-    if ring.kind == "Z":
-        return c
-    if ring.kind == "Zn":
-        return ring.scalar(pow(c.value, -1, ring.modulus))
-    return c.inverse()
 
 
 def _vector_repr(algebra, vec):
@@ -296,12 +213,8 @@ def rho(action, ring, module=None, groupoid=None):
     if groupoid is None:
         groupoid = build_transformation_groupoid(action)
     algebra = SteinbergAlgebra(groupoid, ring)
-    images = []
-    for (g, x) in module.basis_labels:
-        vec = zero_vector(ring, algebra.dim)
-        vec[groupoid.index((g, x))] = ring.one()
-        images.append(vec)
-    return AlgebraMap(module, algebra, images, name="rho").certify_all()
+    targets = [groupoid.index(label) for label in module.basis_labels]
+    return AlgebraMap(module, algebra, targets, name="rho").certify_all()
 
 
 def rho_inverse(f, module):
@@ -373,16 +286,6 @@ def verify_orbit_equivalence(theta, gamma, data):
                 return (False, f"phi^-1(gamma_{h}({y})) != "
                                f"theta_{g}(phi^-1({y}))")
     return (True, None)
-
-
-def identity_orbit_equivalence(action):
-    """The equivalence of an action with itself: phi = id, cocycles the
-    acting elements themselves."""
-    g_grp = action.group
-    phi = {x: x for x in action.space}
-    a = {(g, x): g for g in g_grp.elements
-         for x in action.domain_points(g_grp.inv(g))}
-    return OrbitEquivalenceData(phi, a, dict(a))
 
 
 def search_orbit_equivalence(theta, gamma, bound=DEFAULT_ORBIT_BOUND):
@@ -550,12 +453,8 @@ def steinberg_transport(iso, algebra1, algebra2, name="Gamma"):
     """Pull a groupoid isomorphism back to a diagonal-preserving algebra
     isomorphism of the Steinberg algebras (point masses map to point
     masses)."""
-    images = []
-    for a in algebra1.basis_labels:
-        vec = zero_vector(algebra2.ring, algebra2.dim)
-        vec[algebra2.groupoid.index(iso(a))] = algebra2.ring.one()
-        images.append(vec)
-    return AlgebraMap(algebra1, algebra2, images, name=name).certify_all()
+    targets = [algebra2.groupoid.index(iso(a)) for a in algebra1.basis_labels]
+    return AlgebraMap(algebra1, algebra2, targets, name=name).certify_all()
 
 
 def transported_skew_isomorphism(rho1, rho2, gamma, name="Phi"):
@@ -615,8 +514,11 @@ class SkewRealization:
                 self.quotient.dim, self.steinberg.dim)
 
     def psi_vanishes_on_ideal(self):
-        """Check psi = 0 on the full echelon basis of the ideal."""
-        return all(not any(self.psi_map.apply(row)) for row in self.ideal.rows)
+        """Check psi = 0 on the full echelon basis of the ideal: psi sends
+        each row e_a - e_rep(a) to zero iff a and rep(a) share a target."""
+        targets = self.psi_map.targets
+        return all(targets[a] == targets[r]
+                   for a, r in enumerate(self.ideal.rep) if a != r)
 
 
 def psi(groupoid, ring, bisection_bound=DEFAULT_BISECTION_BOUND):
@@ -626,12 +528,9 @@ def psi(groupoid, ring, bisection_bound=DEFAULT_BISECTION_BOUND):
     The map psi sends the basis element (point mass at u) delta_B to the
     point mass at the unique arrow of B with range u; it is certified
     multiplicative and surjective, vanishes on the ideal, and descends to
-    the certified isomorphism psi_tilde on the quotient.  Field scalars
-    only.
+    the certified isomorphism psi_tilde on the quotient.  Works over any
+    scalar ring.
     """
-    if not ring.is_field:
-        raise ValueError(f"the quotient construction needs a field, "
-                         f"got {ring.tag()}")
     semigroup = bisection_semigroup(groupoid, bisection_bound)
     action = bisection_action(groupoid, semigroup)
     algebra_action = induce_algebra_action(action, ring)
@@ -639,22 +538,19 @@ def psi(groupoid, ring, bisection_bound=DEFAULT_BISECTION_BOUND):
     module.verify_associativity()
     steinberg = SteinbergAlgebra(groupoid, ring)
 
-    images = []
-    for (bis, u) in module.basis_labels:
-        arrow = next(b for b in bis if groupoid.range(b) == u)
-        vec = zero_vector(ring, steinberg.dim)
-        vec[groupoid.index(arrow)] = ring.one()
-        images.append(vec)
-    psi_map = AlgebraMap(module, steinberg, images, name="psi")
+    targets = [groupoid.index(next(b for b in bis if groupoid.range(b) == u))
+               for (bis, u) in module.basis_labels]
+    psi_map = AlgebraMap(module, steinberg, targets, name="psi")
     psi_map.certify_homomorphism()
     psi_map.certify_injective()
     psi_map.certify_surjective()
 
     ideal = build_ideal(module)
     quotient = build_quotient(module, ideal)
-    tilde_images = [psi_map.apply(quotient.lift(_unit(ring, quotient.dim, q)))
-                    for q in range(quotient.dim)]
-    psi_tilde = AlgebraMap(quotient, steinberg, tilde_images, name="psi~")
+    # The class of a basis element goes where its representative goes.
+    psi_tilde = AlgebraMap(quotient, steinberg,
+                           [targets[a] for a in quotient.representatives],
+                           name="psi~")
     psi_tilde.certify_homomorphism()
     psi_tilde.certify_injective()
     psi_tilde.certify_surjective()
@@ -662,12 +558,6 @@ def psi(groupoid, ring, bisection_bound=DEFAULT_BISECTION_BOUND):
     return SkewRealization(groupoid, ring, semigroup, action, algebra_action,
                            module, ideal, quotient, steinberg, psi_map,
                            psi_tilde)
-
-
-def _unit(ring, dim, k):
-    vec = zero_vector(ring, dim)
-    vec[k] = ring.one()
-    return vec
 
 
 def phi(f, realization):
@@ -689,10 +579,13 @@ def phi(f, realization):
 def verify_phi_left_inverse(realization):
     """phi o psi_tilde must fix every quotient basis class."""
     quotient = realization.quotient
-    for q in range(quotient.dim):
-        f = realization.steinberg.from_vector(realization.psi_tilde.images[q])
+    steinberg = realization.steinberg
+    for q, t in enumerate(realization.psi_tilde.targets):
+        f = GroupoidFunction.point_mass(realization.groupoid, realization.ring,
+                                        steinberg.basis_labels[t])
         got = phi(f, realization)
-        expected = _unit(realization.ring, quotient.dim, q)
+        expected = zero_vector(realization.ring, quotient.dim)
+        expected[q] = realization.ring.one()
         if got != expected:
             return (False, f"phi(psi~(e_{q})) = "
                            f"{_vector_repr(quotient, got)}")

@@ -250,14 +250,6 @@ def is_zero_vector(vec):
     return not any(vec)
 
 
-def add_vectors(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def scale_vector(c, v):
-    return [c * a for a in v]
-
-
 class SpanTracker:
     """Reduced row-echelon basis of a growing span, over a field.
 

@@ -248,23 +248,25 @@ def build_ideal(module):
 
 class QuotientAlgebra:
     """L/I with one basis element per class of the congruence, labelled by
-    its representative, in increasing order.  The class of a vector sums
-    its coefficients over each class; a representative is the vector
-    supported on the representatives."""
+    its representative, in increasing order: the class of e_a is basis
+    element q when representatives[q] = rep(a).  The class of a vector
+    sums its coefficients over each class."""
 
     def __init__(self, module, ideal):
         self.module = module
         self.ideal = ideal
         self.ring = module.ring
-        self._free = [a for a, r in enumerate(ideal.rep) if a == r]
-        position = {a: q for q, a in enumerate(self._free)}
+        self.representatives = [a for a, r in enumerate(ideal.rep) if a == r]
+        position = {a: q for q, a in enumerate(self.representatives)}
         # _class[a] is the quotient index of e_a; the trailing -1 sends a
         # zero product (index -1) to zero.
         self._class = [position[r] for r in ideal.rep] + [-1]
-        self.basis_labels = [module.basis_labels[a] for a in self._free]
-        self.dim = len(self._free)
-        self.table = [[self._class[module.table[a][b]] for b in self._free]
-                      for a in self._free]
+        self.basis_labels = [module.basis_labels[a]
+                             for a in self.representatives]
+        self.dim = len(self.representatives)
+        self.table = [[self._class[module.table[a][b]]
+                       for b in self.representatives]
+                      for a in self.representatives]
         self.representative_independence_verified = False
 
     def class_of(self, vec):
@@ -273,12 +275,6 @@ class QuotientAlgebra:
             if c:
                 q = self._class[a]
                 out[q] = out[q] + c
-        return out
-
-    def lift(self, qvec):
-        out = zero_vector(self.ring, self.module.dim)
-        for pos, c in zip(self._free, qvec):
-            out[pos] = c
         return out
 
     def mul_basis(self, i, j):
@@ -290,9 +286,6 @@ class QuotientAlgebra:
     def diagonal_indices(self):
         unit = self.module.algebra_action.unit_element()
         return [i for i, (s, _) in enumerate(self.basis_labels) if s == unit]
-
-    def class_of_element(self, elem):
-        return self.class_of(self.module.to_vector(elem))
 
     def verify_representative_independence(self):
         """The induced product is well defined iff I is a two-sided ideal,
@@ -331,83 +324,45 @@ def check_pregrading(algebra):
     algebra: B_s B_t inside B_{st}, monotone along the natural order, and
     jointly spanning.
 
-    Accepts a CovarianceModule (where each B_s is a coordinate block) or a
-    QuotientAlgebra (where membership is decided by exact span reduction).
+    Accepts a CovarianceModule or a QuotientAlgebra.  In both, B_s is
+    spanned by basis elements, e_(s,x) or the class of e_(s,x), so B_s is
+    its set of basis indices and membership is a test of support.
     """
     if isinstance(algebra, QuotientAlgebra):
-        module = algebra.module
-        quotient = algebra
+        module, cls = algebra.module, algebra._class
     else:
-        module = algebra
-        quotient = None
+        module, cls = algebra, range(algebra.dim)
     alg = module.algebra_action
     index = alg.index
     order = natural_order(index)
+    table = algebra.table
     report = PregradingReport(f"pre-grading over {getattr(index, 'name', 'index')}")
 
-    if quotient is None:
-        blocks = {s: [_unit_vec(module, module.label_index(s, x))
-                      for x in alg.domain_points(s)]
-                  for s in index.elements}
-        def member(vec, s):
-            block = {module.label_index(s, x) for x in alg.domain_points(s)}
-            return all(not c or i in block for i, c in enumerate(vec))
-        def product(u, v):
-            return module.mul_vectors(u, v)
-        total_dim = module.dim
-    else:
-        trackers = {}
-        blocks = {}
-        for s in index.elements:
-            vectors = [quotient.class_of(_unit_vec(module, module.label_index(s, x)))
-                       for x in alg.domain_points(s)]
-            blocks[s] = vectors
-            tracker = SpanTracker(quotient.ring, quotient.dim)
-            tracker.extend(vectors)
-            trackers[s] = tracker
-        def member(vec, s):
-            return trackers[s].contains(vec)
-        def product(u, v):
-            return quotient.mul_vectors(u, v)
-        total_dim = quotient.dim
-
+    blocks = {s: {cls[module.label_index(s, x)] for x in alg.domain_points(s)}
+              for s in index.elements}
     for s in index.elements:
         for t in index.elements:
             st = index.mul(s, t)
-            for u in blocks[s]:
-                for v in blocks[t]:
-                    w = product(u, v)
-                    if any(w) and not member(w, st):
-                        report.add(f"B_{{{stable(s)}}} B_{{{stable(t)}}} is "
-                                   f"not contained in B_{{{stable(st)}}}")
-                        break
-                else:
-                    continue
-                break
+            if any(table[i][j] >= 0 and table[i][j] not in blocks[st]
+                   for i in blocks[s] for j in blocks[t]):
+                report.add(f"B_{{{stable(s)}}} B_{{{stable(t)}}} is "
+                           f"not contained in B_{{{stable(st)}}}")
     for t in index.elements:
         for s in order.strictly_below(t):
-            for u in blocks[s]:
-                if any(u) and not member(u, t):
-                    report.add(f"{stable(s)} <= {stable(t)} but B_{{{stable(s)}}} "
-                               f"is not contained in B_{{{stable(t)}}}")
-                    break
-    ring = module.ring
+            if not blocks[s] <= blocks[t]:
+                report.add(f"{stable(s)} <= {stable(t)} but B_{{{stable(s)}}} "
+                           f"is not contained in B_{{{stable(t)}}}")
+    ring = algebra.ring
+    covered = set().union(*blocks.values())
     if ring.is_field:
-        span = SpanTracker(ring, total_dim)
-        for vectors in blocks.values():
-            span.extend(vectors)
-        if span.dimension != total_dim:
+        span = SpanTracker(ring, algebra.dim)
+        for i in sorted(covered):
+            vec = zero_vector(ring, algebra.dim)
+            vec[i] = ring.one()
+            span.add(vec)
+        if span.dimension != algebra.dim:
             report.add(f"the union of the B_s spans only {span.dimension} "
-                       f"of {total_dim} dimensions")
-    else:
-        covered = {i for vectors in blocks.values()
-                   for v in vectors for i, c in enumerate(v) if c}
-        if len(covered) != total_dim:
-            report.add("the union of the B_s does not cover the basis")
+                       f"of {algebra.dim} dimensions")
+    elif len(covered) != algebra.dim:
+        report.add("the union of the B_s does not cover the basis")
     return report
-
-
-def _unit_vec(module, i):
-    vec = zero_vector(module.ring, module.dim)
-    vec[i] = module.ring.one()
-    return vec

@@ -12,7 +12,8 @@ import hashlib
 import json
 import os
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .groupoid_core import FiniteGroupoid
 from .groups import FiniteGroup, validate_group_table
@@ -130,6 +131,11 @@ SCHEMAS = {
         },
     },
 }
+
+# Compiled once; the schemas are checked against their metaschema by the
+# test suite.
+_VALIDATORS = {kind: validator_for(schema)(schema)
+               for kind, schema in SCHEMAS.items()}
 
 _PRESETS = {
     "trivial": lambda: FiniteGroup.trivial(),
@@ -275,12 +281,13 @@ def parse_document(raw_bytes, source="<input>", catalog_dir=None):
     if kind not in SCHEMAS:
         raise SpecFileError(f"{source}: kind must be one of "
                             f"{sorted(SCHEMAS)}, got {kind!r}")
-    try:
-        jsonschema.validate(data, SCHEMAS[kind])
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "document"
+    # The error jsonschema.validate would raise, without re-checking the
+    # schema against its metaschema on every document.
+    error = best_match(_VALIDATORS[kind].iter_errors(data))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "document"
         raise SpecFileError(f"{source}: schema violation at {path}: "
-                            f"{exc.message}") from None
+                            f"{error.message}")
 
     name = data.get("name", os.path.splitext(os.path.basename(source))[0])
     if kind == "groupoid":

@@ -59,8 +59,8 @@ def test_criterion_1_skew_ring_isomorphism_per_action():
             sum(len(action.domains[t]) for t in action.group.elements), name
         algebra = rho_map.codomain
         for i in range(module.dim):
-            f = algebra.from_vector(rho_map.images[i])
             vec = [Q.one() if k == i else Q.zero() for k in range(module.dim)]
+            f = algebra.from_vector(rho_map.apply(vec))
             assert module.to_vector(rho_inverse(f, module)) == vec, name
         for k, arrow in enumerate(algebra.basis_labels):
             mass = GroupoidFunction.point_mass(groupoid, Q, arrow)

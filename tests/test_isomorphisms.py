@@ -1,14 +1,14 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
 from groupoidal import catalog
 from groupoidal.groupoid_core import FiniteGroupoid, range_set
 from groupoidal.groups import FiniteGroup
-from groupoidal.isomorphisms import (OrbitEquivalenceData,
+from groupoidal.isomorphisms import (AlgebraMap, OrbitEquivalenceData,
                                      check_diagonal_correspondence,
-                                     group_ring_probe,
-                                     identity_orbit_equivalence, phi, psi,
+                                     group_ring_probe, phi, psi,
                                      rho, rho_inverse,
                                      search_groupoid_isomorphism,
                                      search_orbit_equivalence,
@@ -19,11 +19,11 @@ from groupoidal.isomorphisms import (OrbitEquivalenceData,
                                      verify_phi_additive,
                                      verify_phi_left_inverse)
 from groupoidal.partial_actions import induce_algebra_action
+from groupoidal.scalars import SpanTracker, ring_from_tag, zero_vector
 from groupoidal.skew_rings import SkewElement, build_skew_group_ring
 from groupoidal.steinberg_algebra import GroupoidFunction, SteinbergAlgebra
 from groupoidal.transformation_groupoid import build_transformation_groupoid
 from groupoidal.validation import BoundExceeded
-from groupoidal.scalars import ring_from_tag
 
 
 def rho_formula(skew, tg):
@@ -35,6 +35,63 @@ def rho_formula(skew, tg):
         if c:
             values[(t, x)] = c
     return GroupoidFunction(tg, skew.algebra_action.ring, values)
+
+
+def unit(ring, dim, k):
+    vec = zero_vector(ring, dim)
+    vec[k] = ring.one()
+    return vec
+
+
+def reference_certificates(m):
+    """The four certificates of m by the dense vector computation that the
+    integer certificates replaced: multiplicativity as apply(mul_basis)
+    against mul_vectors of the basis images, and kernels and ranks by
+    exact echelon reduction over a field."""
+    dom, cod = m.domain, m.codomain
+    ring, n = cod.ring, cod.dim
+    images = [m.apply(unit(ring, dom.dim, i)) for i in range(dom.dim)]
+    certs = {"homomorphism": (True, None)}
+    for i, j in product(range(dom.dim), repeat=2):
+        if m.apply(dom.mul_basis(i, j)) != \
+                cod.mul_vectors(images[i], images[j]):
+            certs["homomorphism"] = (
+                False, f"fails on basis pair ({dom.basis_labels[i]}, "
+                       f"{dom.basis_labels[j]})")
+            break
+    aug = SpanTracker(ring, n + dom.dim)
+    for i, img in enumerate(images):
+        aug.add(img + unit(ring, dom.dim, i))
+    kernel = next((row[n:] for row, piv in zip(aug.rows, aug.pivots)
+                   if piv >= n), None)
+    certs["injective"] = (True, None) if kernel is None else (
+        False, "kernel vector " + " + ".join(
+            f"{c}*{dom.basis_labels[i]}" for i, c in enumerate(kernel) if c))
+    rank = SpanTracker(ring, n).extend(images).dimension
+    certs["surjective"] = (rank == n, None if rank == n else
+                           f"image has rank {rank} < {n}")
+    dom_diag, cod_diag = dom.diagonal_indices(), cod.diagonal_indices()
+    leak = next(((i, k) for i in dom_diag
+                 for k, c in enumerate(images[i]) if c and k not in cod_diag),
+                None)
+    if leak is not None:
+        certs["diagonal"] = (
+            False, f"image of diagonal basis {dom.basis_labels[leak[0]]} "
+                   f"leaks to {cod.basis_labels[leak[1]]}")
+    else:
+        rank = SpanTracker(ring, n).extend(
+            images[i] for i in dom_diag).dimension
+        certs["diagonal"] = (rank == len(cod_diag),
+                             None if rank == len(cod_diag) else
+                             f"diagonal image has rank {rank} "
+                             f"< {len(cod_diag)}")
+    return certs
+
+
+def assert_certificates_agree(m):
+    reference = reference_certificates(m)
+    m.certify_all()
+    assert m.certificates == reference, m.name
 
 
 def test_rho_trivial_group_is_identity(Q):
@@ -50,9 +107,10 @@ def test_rho_z2_swap_sends_basis_to_arrow_masses(Q):
     assert m.domain.dim == 4 and m.codomain.dim == 4
     tg = m.codomain.groupoid
     for i, (g, x) in enumerate(m.domain.basis_labels):
+        assert m.targets[i] == tg.index((g, x))
         expected = [Q.one() if k == tg.index((g, x)) else Q.zero()
                     for k in range(4)]
-        assert m.images[i] == expected
+        assert m.apply(unit(Q, 4, i)) == expected
 
 
 @pytest.mark.parametrize("name", catalog.action_names())
@@ -119,7 +177,8 @@ def test_non_diagonal_basis_image_not_diagonal(Q):
     algebra = m.codomain
     from groupoidal.steinberg_algebra import is_diagonal
     i = m.domain.basis_labels.index(("g", "1"))
-    assert not is_diagonal(algebra.from_vector(m.images[i]))
+    assert not is_diagonal(algebra.from_vector(
+        m.apply(unit(Q, m.domain.dim, i))))
 
 
 def test_trivial_group_image_is_whole_diagonal(Q):
@@ -132,7 +191,8 @@ def test_trivial_group_image_is_whole_diagonal(Q):
 
 def test_identity_orbit_equivalence_verifies():
     action = catalog.load_action("z2_partial_3pt")
-    data = identity_orbit_equivalence(action)
+    data = search_orbit_equivalence(action, action)
+    assert data.phi == {x: x for x in action.space}
     ok, why = verify_orbit_equivalence(action, action, data)
     assert ok, why
 
@@ -152,7 +212,8 @@ def test_relabeled_orbit_equivalence_verifies():
 
 def test_corrupted_cocycle_rejected():
     action = catalog.load_action("z2_global_swap")
-    data = identity_orbit_equivalence(action)
+    data = search_orbit_equivalence(action, action)
+    assert data.phi == {x: x for x in action.space}
     data.a[("g", "1")] = "e"  # wrong: gamma_e(1) = 1 != theta_g(1) = 2
     ok, why = verify_orbit_equivalence(action, action, data)
     assert not ok
@@ -273,9 +334,17 @@ def test_psi_over_prime_field(Z5):
     assert r.psi_tilde.is_isomorphism
 
 
-def test_psi_needs_field(Z):
-    with pytest.raises(ValueError):
-        psi(catalog.load_groupoid("trivial_groupoid"), Z)
+def test_psi_over_non_fields_matches_q(Q):
+    for name in catalog.groupoid_names():
+        g = catalog.load_groupoid(name)
+        over_q = psi(g, Q)
+        for tag in ("Z", "Z/4"):
+            over_ring = psi(g, ring_from_tag(tag))
+            assert over_ring.dimension_ledger == over_q.dimension_ledger, name
+            assert over_ring.quotient.basis_labels == \
+                over_q.quotient.basis_labels, name
+            assert over_ring.psi_tilde.is_isomorphism == \
+                over_q.psi_tilde.is_isomorphism, name
 
 
 def test_quotient_necessity_witnesses(Q):
@@ -393,8 +462,7 @@ def test_flags_require_certificates(Q):
     action = catalog.load_action("trivial_1pt")
     module = build_skew_group_ring(induce_algebra_action(action, Q))
     tg = build_transformation_groupoid(action)
-    from groupoidal.isomorphisms import AlgebraMap
-    m = AlgebraMap(module, SteinbergAlgebra(tg, Q), [[Q.one()]])
+    m = AlgebraMap(module, SteinbergAlgebra(tg, Q), [0])
     with pytest.raises(RuntimeError):
         m.is_homomorphism
     m.certify_homomorphism()
@@ -405,3 +473,126 @@ def test_inverse_requires_square(Q):
     r = psi(catalog.load_groupoid("two_isolated_units"), Q)
     with pytest.raises(ValueError):
         r.psi_map.inverse()
+
+
+# --- integer certificates against the vector computation --------------------
+
+@pytest.mark.parametrize("name", catalog.action_names())
+def test_rho_certificates_agree_with_vector_computation(name, Q):
+    assert_certificates_agree(rho(catalog.load_action(name), Q))
+
+
+@pytest.mark.parametrize("tag", ["Q", "Z/5"])
+@pytest.mark.parametrize("name", catalog.groupoid_names())
+def test_psi_certificates_agree_with_vector_computation(name, tag):
+    r = psi(catalog.load_groupoid(name), ring_from_tag(tag))
+    for m in (r.psi_map, r.psi_tilde):
+        assert_certificates_agree(m)
+    # psi~ is psi on the class representatives, and vanishing on I is
+    # psi(row) = 0 on every row of the echelon basis of I.
+    for q, a in enumerate(r.quotient.representatives):
+        assert r.psi_tilde.apply(unit(r.ring, r.quotient.dim, q)) == \
+            r.psi_map.apply(unit(r.ring, r.module.dim, a))
+    assert r.psi_vanishes_on_ideal() == \
+        all(not any(r.psi_map.apply(row)) for row in r.ideal.rows)
+
+
+def test_transport_certificates_agree_with_vector_computation(Q):
+    transported = 0
+    for name in catalog.pair_names():
+        left, right = catalog.load_pair(name)
+        gl = build_transformation_groupoid(left)
+        gr = build_transformation_groupoid(right)
+        iso = search_groupoid_isomorphism(gl, gr)
+        if iso is None:
+            continue
+        transported += 1
+        gamma = steinberg_transport(iso, SteinbergAlgebra(gl, Q),
+                                    SteinbergAlgebra(gr, Q))
+        rho_l = rho(left, Q, groupoid=gl)
+        rho_r = rho(right, Q, groupoid=gr)
+        skew_map = transported_skew_isomorphism(rho_l, rho_r, gamma)
+        for m in (gamma, skew_map):
+            assert_certificates_agree(m)
+        # Phi is rho_r^-1 o Gamma o rho_l as linear maps.
+        inverse = rho_r.inverse()
+        assert inverse.compose(rho_r).is_identity()
+        for i in range(skew_map.domain.dim):
+            vec = unit(Q, skew_map.domain.dim, i)
+            assert skew_map.apply(vec) == \
+                inverse.apply(gamma.apply(rho_l.apply(vec))), name
+    assert transported >= 2
+
+
+def test_swapped_targets_fail_the_homomorphism_certificate(Q):
+    m = rho(catalog.load_action("z2_global_swap"), Q)
+    swapped = list(m.targets)
+    swapped[0], swapped[-1] = swapped[-1], swapped[0]
+    bad = AlgebraMap(m.domain, m.codomain, swapped, name="rho'")
+    assert not bad.certify_homomorphism()
+    assert "fails on basis pair" in bad.certificates["homomorphism"][1]
+
+
+def test_every_transposition_of_rho_agrees_with_vector_computation(Q):
+    m = rho(catalog.load_action("z2_partial_3pt"), Q)
+    failures = 0
+    for a, b in combinations(range(m.domain.dim), 2):
+        swapped = list(m.targets)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        mutant = AlgebraMap(m.domain, m.codomain, swapped, name="rho'")
+        assert_certificates_agree(mutant)
+        failures += not mutant.is_homomorphism
+    assert failures > 0
+
+
+def test_repeated_target_fails_injectivity(Q):
+    m = rho(catalog.load_action("z2_partial_3pt"), Q)
+    labels = m.domain.basis_labels
+    for a, b in combinations(range(m.domain.dim), 2):
+        repeated = list(m.targets)
+        repeated[b] = repeated[a]
+        mutant = AlgebraMap(m.domain, m.codomain, repeated, name="rho'")
+        assert_certificates_agree(mutant)
+        assert not mutant.is_injective and not mutant.is_surjective
+        assert mutant.certificates["injective"][1] == \
+            f"kernel vector 1*{labels[a]} + -1*{labels[b]}"
+        with pytest.raises(ValueError):
+            mutant.inverse()
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_out_of_range_target_is_refused(bad, Q):
+    m = rho(catalog.load_action("z2_global_swap"), Q)
+    with pytest.raises(ValueError):
+        AlgebraMap(m.domain, m.codomain, m.targets[:-1] + [bad])
+    with pytest.raises(ValueError):
+        AlgebraMap(m.domain, m.codomain, m.targets[:-1])
+
+
+def test_inverse_and_compose_are_permutation_arithmetic(Q):
+    algebra = rho(catalog.load_action("z2_partial_3pt"), Q).codomain
+    n = algebra.dim
+    # A rotation, which is not its own inverse, and a transposition; the
+    # two do not commute.
+    outer = AlgebraMap(algebra, algebra, list(range(1, n)) + [0], name="p")
+    inner = AlgebraMap(algebra, algebra, [1, 0] + list(range(2, n)),
+                       name="q")
+    assert outer.compose(inner).targets != inner.compose(outer).targets
+    assert outer.inverse().compose(outer).is_identity()
+    assert outer.compose(outer.inverse()).is_identity()
+    rng = random.Random(5)
+    for _ in range(20):
+        vec = [Q.random(rng) for _ in range(n)]
+        assert outer.compose(inner).apply(vec) == \
+            outer.apply(inner.apply(vec))
+        assert outer.inverse().apply(outer.apply(vec)) == vec
+
+
+def test_psi_not_vanishing_on_the_ideal_is_detected(Q):
+    r = psi(catalog.load_groupoid("two_isolated_units"), Q)
+    a = next(a for a, rep in enumerate(r.ideal.rep) if a != rep)
+    targets = list(r.psi_map.targets)
+    targets[a] = next(t for t in range(r.steinberg.dim) if t != targets[a])
+    r.psi_map = AlgebraMap(r.module, r.steinberg, targets, name="psi'")
+    assert not r.psi_vanishes_on_ideal()
+    assert any(any(r.psi_map.apply(row)) for row in r.ideal.rows)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from groupoidal import catalog
+from groupoidal.inverse_semigroups import natural_order
 from groupoidal.isomorphisms import bisection_action
 from groupoidal.partial_actions import SpaceFunction, induce_algebra_action
 from groupoidal.scalars import SpanTracker, ring_from_tag, zero_vector
@@ -11,6 +12,7 @@ from groupoidal.skew_rings import (CovarianceModule, IdealCongruence,
                                    build_quotient, build_skew_group_ring,
                                    check_pregrading, ideal_generators,
                                    skew_multiply)
+from groupoidal.validation import stable
 
 
 def module_for_action(name, ring):
@@ -282,6 +284,72 @@ def test_pregrading_quotient_case(Q):
             module.to_vector(SkewElement.basis(alg, big, x))))
     assert big_tracker.contains(vec_small)
     assert any(vec_small)
+
+
+def reference_pregrading(algebra):
+    """The pre-grading violations by exact span membership over a field,
+    with each B_s spanned by the (classes of the) vectors e_(s,x): the
+    computation that check_pregrading's index sets replaced."""
+    quotient = algebra if isinstance(algebra, QuotientAlgebra) else None
+    module = algebra.module if quotient else algebra
+    alg = module.algebra_action
+    index = alg.index
+    blocks = {}
+    for s in index.elements:
+        vectors = [unit_vector(module.ring, module.dim,
+                               module.label_index(s, x))
+                   for x in alg.domain_points(s)]
+        blocks[s] = [quotient.class_of(v) for v in vectors] \
+            if quotient else vectors
+    spans = {s: SpanTracker(algebra.ring, algebra.dim).extend(vectors)
+             for s, vectors in blocks.items()}
+    violations = []
+    for s in index.elements:
+        for t in index.elements:
+            st = index.mul(s, t)
+            if not all(spans[st].contains(algebra.mul_vectors(u, v))
+                       for u in blocks[s] for v in blocks[t]):
+                violations.append(f"B_{{{stable(s)}}} B_{{{stable(t)}}} is "
+                                  f"not contained in B_{{{stable(st)}}}")
+    order = natural_order(index)
+    for t in index.elements:
+        for s in order.strictly_below(t):
+            if not all(spans[t].contains(u) for u in blocks[s]):
+                violations.append(f"{stable(s)} <= {stable(t)} but "
+                                  f"B_{{{stable(s)}}} is not contained in "
+                                  f"B_{{{stable(t)}}}")
+    rank = SpanTracker(algebra.ring, algebra.dim).extend(
+        v for vectors in blocks.values() for v in vectors).dimension
+    if rank != algebra.dim:
+        violations.append(f"the union of the B_s spans only {rank} of "
+                          f"{algebra.dim} dimensions")
+    return violations
+
+
+def test_pregrading_agrees_with_span_membership(Q):
+    algebras = [module_for_action(name, Q) for name in catalog.action_names()]
+    for name in catalog.groupoid_names():
+        module = module_for_groupoid(name, Q)
+        algebras += [module, build_quotient(module, build_ideal(module))]
+    failing = 0
+    for algebra in algebras:
+        violations = check_pregrading(algebra).violations
+        assert violations == reference_pregrading(algebra)
+        failing += bool(violations)
+    assert failing > 0
+
+
+@pytest.mark.parametrize("tag", ["Z", "Z/4"])
+def test_quotient_pregrading_over_non_fields_matches_q(tag, Q):
+    ring = ring_from_tag(tag)
+    for name in catalog.groupoid_names():
+        reports = []
+        for r in (Q, ring):
+            module = module_for_groupoid(name, r)
+            quotient = build_quotient(module, build_ideal(module))
+            reports.append(check_pregrading(quotient))
+        assert reports[1].ok == reports[0].ok, name
+        assert reports[1].violations == reports[0].violations, name
 
 
 def test_empty_bisection_block_is_zero(Q):

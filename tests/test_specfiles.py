@@ -1,10 +1,12 @@
 import hashlib
 import json
 
+import jsonschema
 import pytest
+from jsonschema.validators import validator_for
 
 from groupoidal import catalog
-from groupoidal.specfiles import (SpecContentError, SpecFileError,
+from groupoidal.specfiles import (SCHEMAS, SpecContentError, SpecFileError,
                                   default_catalog_dir, load_document,
                                   parse_document, resolve_input)
 
@@ -33,6 +35,47 @@ def test_catalog_documents_parse():
         doc = catalog.load(name)
         assert doc.name == name
         assert doc.kind in ("action", "groupoid", "semigroup", "pair")
+
+
+def test_schemas_are_valid_against_their_metaschema():
+    for schema in SCHEMAS.values():
+        validator_for(schema).check_schema(schema)
+
+
+def malformed_documents():
+    """For one catalog document of each kind: an unknown field, a missing
+    required field, each top-level field replaced by a wrong type, and two
+    fields broken at once at different depths, where the best match is
+    not the first error found."""
+    for name in ("pair_groupoid_2", "z2_partial_3pt", "sym_inv_2",
+                 "pair_partial_relabeled"):
+        with open(resolve_input(name), "rb") as fh:
+            data = json.load(fh)
+        yield dict(data, extra=1)
+        keys = [k for k in data if k not in ("format", "kind")]
+        for key in keys:
+            yield {k: v for k, v in data.items() if k != key}
+            yield dict(data, **{key: 5})
+            yield dict(data, **{key: [None]})
+        for first, second in zip(keys, keys[1:]):
+            yield dict(data, **{first: [None], second: 5})
+
+
+def test_schema_messages_equal_those_of_jsonschema_validate():
+    checked = 0
+    for data in malformed_documents():
+        try:
+            jsonschema.validate(data, SCHEMAS[data["kind"]])
+        except jsonschema.ValidationError as exc:
+            path = "/".join(str(p) for p in exc.absolute_path) or "document"
+            expected = f"<input>: schema violation at {path}: {exc.message}"
+        else:
+            continue
+        with pytest.raises(SpecFileError) as err:
+            parse_document(doc_bytes(data))
+        assert str(err.value) == expected
+        checked += 1
+    assert checked >= 20
 
 
 def test_digest_is_sha256_of_bytes():
