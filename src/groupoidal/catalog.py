@@ -2,26 +2,31 @@
 semigroups and action pairs, loaded through the same parser the CLI uses.
 
 The catalog directory can be overridden with the GROUPOIDAL_CATALOG
-environment variable.
+environment variable.  Each directory is scanned once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 from .specfiles import default_catalog_dir, load_document
 
 
-def _scan(kind):
-    directory = default_catalog_dir()
-    names = []
+@functools.cache
+def _entries(directory):
+    """(kind, name) of every catalog document in the directory, in file
+    name order."""
+    entries = []
     for entry in sorted(os.listdir(directory)):
-        if not entry.endswith(".json"):
-            continue
-        doc = load_document(os.path.join(directory, entry))
-        if doc.kind == kind:
-            names.append(doc.name)
-    return names
+        if entry.endswith(".json"):
+            doc = load_document(os.path.join(directory, entry))
+            entries.append((doc.kind, doc.name))
+    return tuple(entries)
+
+
+def _scan(kind):
+    return [name for k, name in _entries(default_catalog_dir()) if k == kind]
 
 
 def action_names():

@@ -14,7 +14,8 @@ asserted without one.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from collections import Counter
+from itertools import product
 
 from .groupoid_core import range_set, DEFAULT_BISECTION_BOUND
 from .inverse_semigroups import bisection_semigroup
@@ -288,19 +289,61 @@ def verify_orbit_equivalence(theta, gamma, data):
     return (True, None)
 
 
+def _orbit_sizes(action):
+    """Point -> size of its orbit {theta_g(x) : g in G, x in X_{g^-1}}."""
+    group = action.group
+    orbits = {x: {x} for x in action.space}
+    for g in group.elements:
+        for x in action.domain_points(group.inv(g)):
+            orbits[x].add(action.theta(g, x))
+    return {x: len(orbit) for x, orbit in orbits.items()}
+
+
+def _bijections(xs, ys, allowed):
+    """The bijections xs -> ys, as dicts, that send each x to a y with
+    allowed(x, y), in the lexicographic order of permutations(ys)."""
+    image, used = [], set()
+
+    def extend(i):
+        if i == len(xs):
+            yield dict(zip(xs, image))
+            return
+        for y in ys:
+            if y not in used and allowed(xs[i], y):
+                image.append(y)
+                used.add(y)
+                yield from extend(i + 1)
+                image.pop()
+                used.discard(y)
+
+    return extend(0)
+
+
 def search_orbit_equivalence(theta, gamma, bound=DEFAULT_ORBIT_BOUND):
-    """Brute-force search over space bijections with pointwise cocycle
-    choices; sound and complete within the bound.  Returns the
-    lexicographically first witness, or None when exhausted."""
-    nx, ny = len(theta.space), len(gamma.space)
-    if max(nx, ny) > bound:
-        raise BoundExceeded(f"spaces too large: {max(nx, ny)} points "
-                            f"exceeds orbit bound {bound}")
-    if nx != ny:
+    """Search over space bijections with pointwise cocycle choices; sound
+    and complete within the bound.  Returns the lexicographically first
+    witness (in the order of permutations of gamma's space), or None when
+    exhausted.
+
+    The cocycles a and b make phi x phi a bijection from the pairs
+    (x, theta_g(x)) onto the pairs (y, gamma_h(y)), so phi maps the orbit
+    of each point x onto the orbit of phi(x).  Hence the point counts and
+    the sorted orbit-size lists must agree, and are compared before the
+    bound applies; and the search only sends a point to a point of equal
+    orbit size.  That removes only bijections that admit no cocycles, so
+    the verdict and the first witness are those of the unpruned search."""
+    n = len(theta.space)
+    if n != len(gamma.space):
         return None
+    size_x, size_y = _orbit_sizes(theta), _orbit_sizes(gamma)
+    if sorted(size_x.values()) != sorted(size_y.values()):
+        return None
+    if n > bound:
+        raise BoundExceeded(f"spaces too large: {n} points "
+                            f"exceeds orbit bound {bound}")
     g_grp, h_grp = theta.group, gamma.group
-    for image in permutations(gamma.space):
-        phi = dict(zip(theta.space, image))
+    for phi in _bijections(theta.space, gamma.space,
+                           lambda x, y: size_x[x] == size_y[y]):
         a = {}
         feasible = True
         for g in g_grp.elements:
@@ -375,20 +418,41 @@ def verify_groupoid_isomorphism(g1, g2, iso):
     return (True, None)
 
 
+def _unit_profiles(g):
+    """Unit -> (isotropy group order, number of arrows with that range)."""
+    fibre = Counter(g.range(b) for b in g.arrows)
+    isotropy = Counter(g.range(b) for b in g.arrows
+                       if g.range(b) == g.source(b))
+    return {u: (isotropy[u], fibre[u]) for u in g.units}
+
+
 def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
     """Backtracking over arrow bijections, units first, pruned by the
     unit/range/source/inverse/composition constraints; sound and complete
-    within the bound.  Returns the lexicographically first witness or None."""
-    if max(g1.n_arrows, g2.n_arrows) > bound:
-        raise BoundExceeded(f"groupoids too large: "
-                            f"{max(g1.n_arrows, g2.n_arrows)} arrows exceeds "
-                            f"iso bound {bound}")
+    within the bound.  Returns the lexicographically first witness or None.
+
+    An isomorphism preserves range and source, so it maps the isotropy
+    group and the range fibre of each unit u bijectively onto those of its
+    image: units keep their profile (isotropy order, range fibre size).
+    Hence the arrow and unit counts and the sorted profile lists must
+    agree, and are compared before the bound applies; and the search only
+    sends a unit to a unit with the same profile.  That removes only
+    choices that extend to no isomorphism, so the verdict and the first
+    witness are those of the unpruned search."""
     if g1.n_arrows != g2.n_arrows or len(g1.units) != len(g2.units):
         return None
+    profile1, profile2 = _unit_profiles(g1), _unit_profiles(g2)
+    if sorted(profile1.values()) != sorted(profile2.values()):
+        return None
+    if g1.n_arrows > bound:
+        raise BoundExceeded(f"groupoids too large: {g1.n_arrows} arrows "
+                            f"exceeds iso bound {bound}")
 
     order1 = g1.sort_arrows(g1.units) + \
         [a for a in g1.arrows if not g1.is_unit(a)]
-    units2 = [a for a in g2.arrows if g2.is_unit(a)]
+    units2 = {u: [b for b in g2.arrows
+                  if g2.is_unit(b) and profile2[b] == profile1[u]]
+              for u in g1.units}
     nonunits2 = [a for a in g2.arrows if not g2.is_unit(a)]
 
     mapping = {}
@@ -424,7 +488,7 @@ def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
         if pos == len(order1):
             return True
         a = order1[pos]
-        candidates = units2 if g1.is_unit(a) else nonunits2
+        candidates = units2[a] if g1.is_unit(a) else nonunits2
         for b in candidates:
             if b in used or not consistent(a, b):
                 continue

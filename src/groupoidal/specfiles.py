@@ -278,7 +278,7 @@ def parse_document(raw_bytes, source="<input>", catalog_dir=None):
     if data.get("format") != FORMAT_TAG:
         raise SpecFileError(f"{source}: format must be {FORMAT_TAG!r}")
     kind = data.get("kind")
-    if kind not in SCHEMAS:
+    if not isinstance(kind, str) or kind not in SCHEMAS:
         raise SpecFileError(f"{source}: kind must be one of "
                             f"{sorted(SCHEMAS)}, got {kind!r}")
     # The error jsonschema.validate would raise, without re-checking the

@@ -139,6 +139,36 @@ def test_equivalence_orbit_bound(capsys):
     assert "inconclusive" in out
 
 
+def z8_action(step, name):
+    """Z8 acting on 8 points by r.x = x + step*r (step 0: trivially)."""
+    elements = [f"g{r}" for r in range(8)]
+    space = [f"x{x}" for x in range(8)]
+    return {"format": "groupoidal/1", "kind": "action", "name": name,
+            "group": {"elements": elements,
+                      "table": {f"g{a} g{b}": f"g{(a + b) % 8}"
+                                for a in range(8) for b in range(8)}},
+            "space": space,
+            "domains": {g: space for g in elements},
+            "maps": {f"g{r}": {f"x{x}": f"x{(x + step * r) % 8}"
+                               for x in range(8)} for r in range(8)}}
+
+
+def test_equivalence_invariant_mismatch_is_decided_inside_default_bounds(
+        tmp_path, capsys):
+    # 64 arrows and 8 points exceed the default iso and orbit bounds, but
+    # isotropy orders (1 against 8) and orbit sizes (8 against 1) already
+    # rule out an isomorphism and an orbit equivalence.
+    path = tmp_path / "z8_vs_trivial.json"
+    path.write_text(json.dumps({
+        "format": "groupoidal/1", "kind": "pair", "name": "z8_vs_trivial",
+        "left": z8_action(1, "regular"), "right": z8_action(0, "trivial")}))
+    code, out, _ = run_cli(capsys, "equivalence", str(path))
+    assert code == 0
+    assert "bounds: bisection=16 iso=10 orbit=6" in out
+    assert "check groupoid_isomorphism: pass  [exhausted]" in out
+    assert "check orbit_equivalence: pass  [exhausted]" in out
+
+
 def test_validate_exit_one_on_broken_groupoid(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -106,6 +106,12 @@ def test_unknown_kind_rejected():
         parse_document(doc_bytes(groupoid_doc(kind="module")))
 
 
+@pytest.mark.parametrize("kind", [{}, [], None, 3])
+def test_non_string_kind_rejected(kind):
+    with pytest.raises(SpecFileError, match="kind must be one of"):
+        parse_document(doc_bytes(groupoid_doc(kind=kind)))
+
+
 def test_malformed_compose_key_rejected():
     with pytest.raises(SpecFileError) as err:
         parse_document(doc_bytes(groupoid_doc(compose={"u": "u"})))
