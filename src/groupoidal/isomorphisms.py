@@ -15,7 +15,7 @@ asserted without one.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 from .groupoid_core import range_set, DEFAULT_BISECTION_BOUND
 from .inverse_semigroups import bisection_semigroup
@@ -299,51 +299,30 @@ def _orbit_sizes(action):
     return {x: len(orbit) for x, orbit in orbits.items()}
 
 
-def _bijections(xs, ys, allowed):
-    """The bijections xs -> ys, as dicts, that send each x to a y with
-    allowed(x, y), in the lexicographic order of permutations(ys)."""
-    image, used = [], set()
-
-    def extend(i):
-        if i == len(xs):
-            yield dict(zip(xs, image))
-            return
-        for y in ys:
-            if y not in used and allowed(xs[i], y):
-                image.append(y)
-                used.add(y)
-                yield from extend(i + 1)
-                image.pop()
-                used.discard(y)
-
-    return extend(0)
-
-
 def search_orbit_equivalence(theta, gamma, bound=DEFAULT_ORBIT_BOUND):
-    """Search over space bijections with pointwise cocycle choices; sound
-    and complete within the bound.  Returns the lexicographically first
-    witness (in the order of permutations of gamma's space), or None when
-    exhausted.
+    """Brute-force search over space bijections with pointwise cocycle
+    choices; sound and complete within the bound.  Returns the
+    lexicographically first witness, or None when exhausted.
 
     The cocycles a and b make phi x phi a bijection from the pairs
     (x, theta_g(x)) onto the pairs (y, gamma_h(y)), so phi maps the orbit
     of each point x onto the orbit of phi(x).  Hence the point counts and
-    the sorted orbit-size lists must agree, and are compared before the
-    bound applies; and the search only sends a point to a point of equal
-    orbit size.  That removes only bijections that admit no cocycles, so
-    the verdict and the first witness are those of the unpruned search."""
+    the sorted orbit-size lists of equivalent actions agree; they are
+    compared before the bound applies, and a mismatch returns None without
+    searching.  These checks only reject pairs that have no witness, so the
+    verdict and the first witness are those of the search alone."""
     n = len(theta.space)
     if n != len(gamma.space):
         return None
-    size_x, size_y = _orbit_sizes(theta), _orbit_sizes(gamma)
-    if sorted(size_x.values()) != sorted(size_y.values()):
+    if sorted(_orbit_sizes(theta).values()) != \
+            sorted(_orbit_sizes(gamma).values()):
         return None
     if n > bound:
         raise BoundExceeded(f"spaces too large: {n} points "
                             f"exceeds orbit bound {bound}")
     g_grp, h_grp = theta.group, gamma.group
-    for phi in _bijections(theta.space, gamma.space,
-                           lambda x, y: size_x[x] == size_y[y]):
+    for image in permutations(gamma.space):
+        phi = dict(zip(theta.space, image))
         a = {}
         feasible = True
         for g in g_grp.elements:
@@ -434,15 +413,15 @@ def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
     An isomorphism preserves range and source, so it maps the isotropy
     group and the range fibre of each unit u bijectively onto those of its
     image: units keep their profile (isotropy order, range fibre size).
-    Hence the arrow and unit counts and the sorted profile lists must
-    agree, and are compared before the bound applies; and the search only
-    sends a unit to a unit with the same profile.  That removes only
-    choices that extend to no isomorphism, so the verdict and the first
-    witness are those of the unpruned search."""
+    Hence the arrow and unit counts and the sorted profile lists of
+    isomorphic groupoids agree; they are compared before the bound
+    applies, and a mismatch returns None without searching.  These checks
+    only reject pairs that have no witness, so the verdict and the first
+    witness are those of the search alone."""
     if g1.n_arrows != g2.n_arrows or len(g1.units) != len(g2.units):
         return None
-    profile1, profile2 = _unit_profiles(g1), _unit_profiles(g2)
-    if sorted(profile1.values()) != sorted(profile2.values()):
+    if sorted(_unit_profiles(g1).values()) != \
+            sorted(_unit_profiles(g2).values()):
         return None
     if g1.n_arrows > bound:
         raise BoundExceeded(f"groupoids too large: {g1.n_arrows} arrows "
@@ -450,9 +429,7 @@ def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
 
     order1 = g1.sort_arrows(g1.units) + \
         [a for a in g1.arrows if not g1.is_unit(a)]
-    units2 = {u: [b for b in g2.arrows
-                  if g2.is_unit(b) and profile2[b] == profile1[u]]
-              for u in g1.units}
+    units2 = [a for a in g2.arrows if g2.is_unit(a)]
     nonunits2 = [a for a in g2.arrows if not g2.is_unit(a)]
 
     mapping = {}
@@ -488,7 +465,7 @@ def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
         if pos == len(order1):
             return True
         a = order1[pos]
-        candidates = units2[a] if g1.is_unit(a) else nonunits2
+        candidates = units2 if g1.is_unit(a) else nonunits2
         for b in candidates:
             if b in used or not consistent(a, b):
                 continue

@@ -1,10 +1,10 @@
-"""The invariant-pruned searches against the unpruned ones they replaced.
+"""The searches with invariant checks against the plain ones.
 
-The two reference searches below are the blind brute-force versions,
-kept verbatim apart from their names.  The pruned searches must give the
-same verdict and the same (lexicographically first) witness on every
-input: on the catalog, on relabeled copies, and on generated partial
-Z_n actions.
+The two reference searches below are the brute-force versions without
+the invariant checks, kept verbatim apart from their names.  The
+searches must give the same verdict and the same (lexicographically
+first) witness on every input: on the catalog, on relabeled copies, and
+on generated partial Z_n actions.
 """
 
 from itertools import permutations
@@ -28,7 +28,7 @@ from groupoidal.validation import BoundExceeded
 NO_BOUND = 10 ** 6
 
 
-# --- the unpruned searches --------------------------------------------------
+# --- the plain searches -----------------------------------------------------
 
 def reference_orbit_equivalence(theta, gamma, bound=DEFAULT_ORBIT_BOUND):
     """Brute-force search over space bijections with pointwise cocycle
@@ -277,7 +277,7 @@ def test_profile_mismatch_returns_without_backtracking(monkeypatch):
 def test_orbit_size_mismatch_returns_without_backtracking(monkeypatch):
     swap = catalog.load_action("z2_global_swap")
     trivial = catalog.load_action("z2_trivial_2pt")
-    monkeypatch.setattr(isomorphisms, "_bijections", refuse)
+    monkeypatch.setattr(isomorphisms, "permutations", refuse)
     # One orbit of 2 against two of 1; decided before the bound.
     assert search_orbit_equivalence(swap, trivial, bound=1) is None
     assert search_orbit_equivalence(trivial, swap) is None
