@@ -7,7 +7,7 @@ rounds.  See the README for the CLI and the catalog of worked examples.
 
 __version__ = "1.0.0"
 
-from .scalars import Scalar, ScalarRing, ring_from_tag, solve_linear_span
+from .scalars import Scalar, ScalarRing, ring_from_tag
 from .groups import FiniteGroup
 from .groupoid_core import (FiniteGroupoid, bisection_inverse,
                             bisection_product, enumerate_bisections,

@@ -201,10 +201,6 @@ class PartialBijection:
     def inverse(self):
         return PartialBijection({y: x for x, y in self.mapping.items()})
 
-    def extends(self, other):
-        return all(x in self.mapping and self.mapping[x] == y
-                   for x, y in other.mapping.items())
-
     def __eq__(self, other):
         return isinstance(other, PartialBijection) and self._key == other._key
 
@@ -249,13 +245,6 @@ class WagnerPrestonEmbedding:
     @property
     def ok(self):
         return self.certificate.ok
-
-    def image_semigroup(self):
-        elems = [self.images[s] for s in self.semigroup.elements]
-        table = {(f, g): f.compose(g) for f in elems for g in elems}
-        star = {f: f.inverse() for f in elems}
-        return FiniteInverseSemigroup(elems, table, star,
-                                      name=f"WP({self.semigroup.name})")
 
 
 def wagner_preston_embed(s):

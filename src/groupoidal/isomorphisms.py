@@ -397,12 +397,30 @@ def verify_groupoid_isomorphism(g1, g2, iso):
     return (True, None)
 
 
+def _element_order(g, u, b, limit):
+    """The least k >= 1 with b^k = u, read off the composition table; 0 if
+    there is none up to ``limit``."""
+    power = b
+    for k in range(1, limit + 1):
+        if power == u:
+            return k
+        power = g.compose_table.get((power, b))
+    return 0
+
+
 def _unit_profiles(g):
-    """Unit -> (isotropy group order, number of arrows with that range)."""
+    """Unit -> (isotropy group order, number of arrows with that range,
+    sorted element orders of the isotropy group)."""
     fibre = Counter(g.range(b) for b in g.arrows)
-    isotropy = Counter(g.range(b) for b in g.arrows
-                       if g.range(b) == g.source(b))
-    return {u: (isotropy[u], fibre[u]) for u in g.units}
+    isotropy = {u: [] for u in g.units}
+    for b in g.arrows:
+        u = g.range(b)
+        if u == g.source(b) and u in isotropy:
+            isotropy[u].append(b)
+    return {u: (len(group), fibre[u],
+                tuple(sorted(_element_order(g, u, b, len(group))
+                             for b in group)))
+            for u, group in isotropy.items()}
 
 
 def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
@@ -412,7 +430,8 @@ def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
 
     An isomorphism preserves range and source, so it maps the isotropy
     group and the range fibre of each unit u bijectively onto those of its
-    image: units keep their profile (isotropy order, range fibre size).
+    image, the group isomorphically: units keep their profile (isotropy
+    order, range fibre size, element orders of the isotropy group).
     Hence the arrow and unit counts and the sorted profile lists of
     isomorphic groupoids agree; they are compared before the bound
     applies, and a mismatch returns None without searching.  These checks

@@ -166,15 +166,6 @@ class Scalar:
     def inverse(self):
         return self.ring.one() / self
 
-    def is_unit(self):
-        """True iff this scalar is invertible in its ring."""
-        if self.ring.kind == "Q":
-            return bool(self)
-        if self.ring.kind == "Z":
-            return self.value in (1, -1)
-        from math import gcd
-        return gcd(self.value, self.ring.modulus) == 1
-
     def __eq__(self, other):
         return (isinstance(other, Scalar) and self.ring == other.ring
                 and self.value == other.value)
@@ -305,55 +296,3 @@ class SpanTracker:
         for v in vectors:
             self.add(v)
         return self
-
-
-class SpanSolution:
-    """Outcome of a span-membership query.
-
-    When ``member`` is true, ``coefficients`` expresses the target over the
-    input vectors exactly.  Otherwise ``basis`` (the reduced echelon basis
-    of the span) together with the nonzero ``residual`` certifies
-    non-membership.  ``dimension`` is the rank of the input span either way.
-    """
-
-    def __init__(self, member, coefficients, dimension, basis, residual):
-        self.member = member
-        self.coefficients = coefficients
-        self.dimension = dimension
-        self.basis = basis
-        self.residual = residual
-
-
-def solve_linear_span(vectors, target, ring):
-    """Express target in span(vectors) over a field, or refuse with a witness."""
-    if not ring.is_field:
-        raise ValueError(f"span solving needs a field, got {ring.tag()}")
-    vectors = [list(v) for v in vectors]
-    length = len(target)
-    for v in vectors:
-        if len(v) != length:
-            raise ValueError("vector length mismatch")
-    n = len(vectors)
-    zero, one = ring.zero(), ring.one()
-    # Augment each vector with provenance coordinates over the input list,
-    # then run the same reduction on the combined rows.
-    aug = SpanTracker(ring, length + n)
-    for i, v in enumerate(vectors):
-        tail = [zero] * n
-        tail[i] = one
-        aug.add(v + tail)
-    residual = list(target) + [zero] * n
-    combo = [zero] * n
-    for row, piv in zip(aug.rows, aug.pivots):
-        if piv >= length:
-            continue
-        c = residual[piv]
-        if c:
-            residual = [a - c * b for a, b in zip(residual, row)]
-            combo = [a + c * b for a, b in zip(combo, row[length:])]
-    front = residual[:length]
-    basis = [row[:length] for row, piv in zip(aug.rows, aug.pivots) if piv < length]
-    dimension = len(basis)
-    if is_zero_vector(front):
-        return SpanSolution(True, combo, dimension, basis, None)
-    return SpanSolution(False, None, dimension, basis, front)

@@ -1,9 +1,13 @@
-"""Input documents: versioned, schema-checked JSON describing groupoids,
+"""Input documents: versioned, shape-checked JSON describing groupoids,
 partial group actions, inverse semigroups, and pairs of actions.
 
-Malformed documents (bad JSON, schema violations, unresolved names) raise
-SpecFileError and map to exit code 2; mathematically broken but
-well-formed content is left for the validators (exit code 1).
+Before any table is read, one shape check walks the whole document: the
+required and allowed fields of each kind (unknown fields are rejected),
+strings where names go, non-empty name lists, objects of strings for
+tables, and integer bounds >= 1.  Its faults read ``schema violation at
+<json/path>``.  Malformed documents (bad JSON, shape faults, unresolved
+names) raise SpecFileError and map to exit code 2; mathematically broken
+but well-formed content is left for the validators (exit code 1).
 """
 
 from __future__ import annotations
@@ -11,9 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .groupoid_core import FiniteGroupoid
 from .groups import FiniteGroup, validate_group_table
@@ -32,110 +33,100 @@ class SpecContentError(Exception):
     (e.g. the group table of an action is not a group)."""
 
 
-_BOUNDS_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "bisection": {"type": "integer", "minimum": 1},
-        "iso": {"type": "integer", "minimum": 1},
-        "orbit": {"type": "integer", "minimum": 1},
-    },
+# The shape check: each check below raises _ShapeFault with the JSON path
+# (a tuple of keys and indices) of the first value out of shape.
+
+class _ShapeFault(Exception):
+    """A value does not have the shape its place in the document needs."""
+
+
+def _expect(ok, path, expected, value):
+    if not ok:
+        got = json.dumps(value)
+        got = got if len(got) <= 40 else got[:37] + "..."
+        raise _ShapeFault(path, f"expected {expected}, got {got}")
+
+
+def _string(value, path):
+    _expect(isinstance(value, str), path, "a string", value)
+
+
+def _bound(value, path):
+    # The exact type: neither true nor 4.0 is a bound.
+    _expect(type(value) is int and value >= 1, path, "an integer >= 1", value)
+
+
+def _equal(expected):
+    return lambda value, path: _expect(value == expected, path,
+                                       json.dumps(expected), value)
+
+
+def _array(item, nonempty=False):
+    def check(value, path):
+        _expect(isinstance(value, list) and (value or not nonempty), path,
+                "a non-empty array" if nonempty else "an array", value)
+        for i, entry in enumerate(value):
+            item(entry, path + (i,))
+    return check
+
+
+def _object(required=(), values=None, **fields):
+    """An object with the given fields, or, given ``values``, an object
+    whose every value passes that check."""
+    def check(value, path):
+        _expect(isinstance(value, dict), path, "an object", value)
+        for key in required:
+            if key not in value:
+                raise _ShapeFault(path, f"missing required field {key!r}")
+        for key, entry in value.items():
+            item = values or fields.get(key)
+            if item is None:
+                raise _ShapeFault(path, f"unknown field {key!r}")
+            item(entry, path + (key,))
+    return check
+
+
+_NAMES = _array(_string, nonempty=True)  # units and domain lists may be empty
+_TABLE = _object(values=_string)
+_GROUP_FIELDS = _object(preset=_string, elements=_NAMES, table=_TABLE)
+
+
+def _group(value, path):
+    _GROUP_FIELDS(value, path)
+    if ("preset" in value) == ("elements" in value and "table" in value):
+        raise _ShapeFault(path, "expected a preset, or elements and a table")
+
+
+def _document(kind, required, **fields):
+    return _object(("format", "kind") + required, format=_equal(FORMAT_TAG),
+                   kind=_equal(kind), name=_string, ring=_string,
+                   bounds=_object(bisection=_bound, iso=_bound, orbit=_bound),
+                   **fields)
+
+
+_ACTION = _document("action", ("group", "space", "domains", "maps"),
+                    group=_group, space=_NAMES,
+                    domains=_object(values=_array(_string)),
+                    maps=_object(values=_TABLE))
+
+
+def _side(value, path):
+    _expect(isinstance(value, (str, dict)), path,
+            "a catalog name or an action", value)
+    if isinstance(value, dict):
+        _ACTION(value, path)
+
+
+_SHAPES = {
+    "groupoid": _document("groupoid", ("arrows", "units", "inverse",
+                                       "compose"),
+                          arrows=_NAMES, units=_array(_string),
+                          inverse=_TABLE, compose=_TABLE),
+    "action": _ACTION,
+    "semigroup": _document("semigroup", ("elements", "table", "star"),
+                           elements=_NAMES, table=_TABLE, star=_TABLE),
+    "pair": _document("pair", ("left", "right"), left=_side, right=_side),
 }
-
-_NAME_TABLE = {"type": "object", "additionalProperties": {"type": "string"}}
-
-_GROUP_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "oneOf": [
-        {"required": ["preset"]},
-        {"required": ["elements", "table"]},
-    ],
-    "properties": {
-        "preset": {"type": "string"},
-        "elements": {"type": "array", "items": {"type": "string"},
-                     "minItems": 1},
-        "table": _NAME_TABLE,
-    },
-}
-
-_ACTION_PROPERTIES = {
-    "format": {"const": FORMAT_TAG},
-    "kind": {"const": "action"},
-    "name": {"type": "string"},
-    "ring": {"type": "string"},
-    "bounds": _BOUNDS_SCHEMA,
-    "group": _GROUP_SCHEMA,
-    "space": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-    "domains": {"type": "object",
-                "additionalProperties": {"type": "array",
-                                         "items": {"type": "string"}}},
-    "maps": {"type": "object", "additionalProperties": _NAME_TABLE},
-}
-
-_ACTION_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["format", "kind", "group", "space", "domains", "maps"],
-    "properties": _ACTION_PROPERTIES,
-}
-
-SCHEMAS = {
-    "groupoid": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["format", "kind", "arrows", "units", "inverse",
-                     "compose"],
-        "properties": {
-            "format": {"const": FORMAT_TAG},
-            "kind": {"const": "groupoid"},
-            "name": {"type": "string"},
-            "ring": {"type": "string"},
-            "bounds": _BOUNDS_SCHEMA,
-            "arrows": {"type": "array", "items": {"type": "string"},
-                       "minItems": 1},
-            "units": {"type": "array", "items": {"type": "string"}},
-            "inverse": _NAME_TABLE,
-            "compose": _NAME_TABLE,
-        },
-    },
-    "action": _ACTION_SCHEMA,
-    "semigroup": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["format", "kind", "elements", "table", "star"],
-        "properties": {
-            "format": {"const": FORMAT_TAG},
-            "kind": {"const": "semigroup"},
-            "name": {"type": "string"},
-            "ring": {"type": "string"},
-            "bounds": _BOUNDS_SCHEMA,
-            "elements": {"type": "array", "items": {"type": "string"},
-                         "minItems": 1},
-            "table": _NAME_TABLE,
-            "star": _NAME_TABLE,
-        },
-    },
-    "pair": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["format", "kind", "left", "right"],
-        "properties": {
-            "format": {"const": FORMAT_TAG},
-            "kind": {"const": "pair"},
-            "name": {"type": "string"},
-            "ring": {"type": "string"},
-            "bounds": _BOUNDS_SCHEMA,
-            "left": {"oneOf": [{"type": "string"}, _ACTION_SCHEMA]},
-            "right": {"oneOf": [{"type": "string"}, _ACTION_SCHEMA]},
-        },
-    },
-}
-
-# Compiled once; the schemas are checked against their metaschema by the
-# test suite.
-_VALIDATORS = {kind: validator_for(schema)(schema)
-               for kind, schema in SCHEMAS.items()}
 
 _PRESETS = {
     "trivial": lambda: FiniteGroup.trivial(),
@@ -278,16 +269,16 @@ def parse_document(raw_bytes, source="<input>", catalog_dir=None):
     if data.get("format") != FORMAT_TAG:
         raise SpecFileError(f"{source}: format must be {FORMAT_TAG!r}")
     kind = data.get("kind")
-    if not isinstance(kind, str) or kind not in SCHEMAS:
+    if not isinstance(kind, str) or kind not in _SHAPES:
         raise SpecFileError(f"{source}: kind must be one of "
-                            f"{sorted(SCHEMAS)}, got {kind!r}")
-    # The error jsonschema.validate would raise, without re-checking the
-    # schema against its metaschema on every document.
-    error = best_match(_VALIDATORS[kind].iter_errors(data))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "document"
-        raise SpecFileError(f"{source}: schema violation at {path}: "
-                            f"{error.message}")
+                            f"{sorted(_SHAPES)}, got {kind!r}")
+    try:
+        _SHAPES[kind](data, ())
+    except _ShapeFault as fault:
+        path, what = fault.args
+        raise SpecFileError(f"{source}: schema violation at "
+                            f"{'/'.join(map(str, path)) or 'document'}: "
+                            f"{what}") from None
 
     name = data.get("name", os.path.splitext(os.path.basename(source))[0])
     if kind == "groupoid":

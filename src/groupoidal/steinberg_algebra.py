@@ -86,11 +86,6 @@ class GroupoidFunction:
     def __bool__(self):
         return bool(self.values)
 
-    def restrict(self, arrows):
-        keep = set(arrows)
-        return GroupoidFunction(self.parent, self.ring,
-                                {a: c for a, c in self.values.items() if a in keep})
-
     def __repr__(self):
         g = self.parent
         items = ", ".join(f"{a}:{c}" for a, c in

@@ -274,6 +274,30 @@ def test_profile_mismatch_returns_without_backtracking(monkeypatch):
         search_groupoid_isomorphism(swap, swap)
 
 
+def trivial_action(group, n):
+    space = [f"p{x}" for x in range(n)]
+    return GroupPartialAction(
+        group, space, {g: set(space) for g in group.elements},
+        {g: {x: x for x in space} for g in group.elements},
+        name=f"{group.name} trivial on {n}")
+
+
+def test_isotropy_element_orders_decide_without_backtracking(monkeypatch):
+    klein = FiniteGroup([f"g{a}" for a in range(4)],
+                        {(f"g{a}", f"g{b}"): f"g{a ^ b}"
+                         for a in range(4) for b in range(4)}, name="Z2xZ2")
+    g1 = build_transformation_groupoid(trivial_action(cyclic_group(4), 5))
+    g2 = build_transformation_groupoid(trivial_action(klein, 5))
+    # 20 arrows and five units of profile (4, 4) on both sides: only the
+    # element orders (1, 2, 4, 4) against (1, 2, 2, 2) tell them apart.
+    assert (g1.n_arrows, len(g1.units)) == (g2.n_arrows, len(g2.units))
+    for g in (g1, g2):
+        monkeypatch.setattr(g, "composable", refuse)
+        monkeypatch.setattr(g, "compose", refuse)
+    assert search_groupoid_isomorphism(g1, g2, bound=100) is None
+    assert search_groupoid_isomorphism(g2, g1, bound=1) is None
+
+
 def test_orbit_size_mismatch_returns_without_backtracking(monkeypatch):
     swap = catalog.load_action("z2_global_swap")
     trivial = catalog.load_action("z2_trivial_2pt")

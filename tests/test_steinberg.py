@@ -181,10 +181,14 @@ def test_diagonal_idempotents_restrict(Q):
         subset = {u for i, u in enumerate(units) if k >> i & 1}
         e = GroupoidFunction.indicator(g, Q, subset)
         f = random_function(g, Q, rng)
-        left = convolve(e, f)
-        assert left == f.restrict([a for a in g.arrows if g.range(a) in subset])
-        right = convolve(f, e)
-        assert right == f.restrict([a for a in g.arrows if g.source(a) in subset])
+        # 1_U * f and f * 1_U restrict f to the arrows with range, or
+        # source, in U.
+        left = GroupoidFunction(g, Q, {a: c for a, c in f.values.items()
+                                       if g.range(a) in subset})
+        assert convolve(e, f) == left
+        right = GroupoidFunction(g, Q, {a: c for a, c in f.values.items()
+                                        if g.source(a) in subset})
+        assert convolve(f, e) == right
 
 
 @pytest.mark.parametrize("name", SMALL)
