@@ -212,19 +212,32 @@ def enumerate_bisections(g, bound=DEFAULT_BISECTION_BOUND):
     """All bisections of g, in ascending bitmask order over the canonical
     arrow order (so the empty set comes first and the result is stable).
 
-    Refuses with BoundExceeded when the arrow count makes the subset scan
-    too large.
+    Backtracks over the arrows in canonical order, taking an arrow only
+    while its range and its source are unused, so every branch ends in a
+    bisection.  Refuses with BoundExceeded when the arrow count exceeds
+    the bound.
     """
     n = g.n_arrows
     if n > bound:
         raise BoundExceeded(
             f"groupoid too large: {n} arrows exceeds bisection bound {bound}")
-    out = []
-    for mask in range(1 << n):
-        subset = frozenset(g.arrows[i] for i in range(n) if mask >> i & 1)
-        if is_bisection(g, subset):
-            out.append(subset)
-    return out
+    bit = {}
+    ranges = [1 << bit.setdefault(g.range(a), len(bit)) for a in g.arrows]
+    sources = [1 << bit.setdefault(g.source(a), len(bit)) for a in g.arrows]
+    masks = []
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        i, mask, used_r, used_s = stack.pop()
+        if i == n:
+            masks.append(mask)
+            continue
+        stack.append((i + 1, mask, used_r, used_s))
+        if not (used_r & ranges[i] or used_s & sources[i]):
+            stack.append((i + 1, mask | 1 << i, used_r | ranges[i],
+                          used_s | sources[i]))
+    masks.sort()
+    return [frozenset(g.arrows[i] for i in range(n) if mask >> i & 1)
+            for mask in masks]
 
 
 def bisection_product(g, bis_b, bis_c):

@@ -5,6 +5,24 @@ from __future__ import annotations
 from .validation import ValidationReport
 
 
+class NaturalOrder:
+    """The natural partial order s <= t  iff  s = t s* s (equivalently
+    s = s s* t) of a group or an inverse semigroup, as a set of pairs."""
+
+    def __init__(self, semigroup, pairs):
+        self.semigroup = semigroup
+        self.pairs = frozenset(pairs)
+
+    def le(self, s, t):
+        return (s, t) in self.pairs
+
+    def below(self, t):
+        return [s for s in self.semigroup.elements if self.le(s, t)]
+
+    def strictly_below(self, t):
+        return [s for s in self.below(t) if s != t]
+
+
 class FiniteGroup:
     """A finite group: an element list (fixing the canonical order) and a
     total multiplication table.  Identity and inverses are derived, so the
@@ -31,11 +49,17 @@ class FiniteGroup:
     def order(self):
         return len(self.elements)
 
-    # .unit / .star mirror the inverse-semigroup protocol, so code indexed
-    # by "a group or an inverse semigroup" can treat both uniformly.
+    # .unit / .star / .natural_order mirror the inverse-semigroup protocol,
+    # so code indexed by "a group or an inverse semigroup" can treat both
+    # uniformly.
     @property
     def unit(self):
         return self.identity
+
+    def natural_order(self):
+        """The natural partial order of a group, which is equality:
+        s = t s* s = t."""
+        return NaturalOrder(self, ((a, a) for a in self.elements))
 
     def mul(self, a, b):
         return self._table[(a, b)]

@@ -7,129 +7,157 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .groupoid_core import (bisection_inverse, bisection_product,
-                            enumerate_bisections, DEFAULT_BISECTION_BOUND)
+from .groupoid_core import enumerate_bisections, DEFAULT_BISECTION_BOUND
+from .groups import NaturalOrder
+from .scalars import index_row, table_associativity_counterexample
 from .validation import ValidationReport
 
 
 class FiniteInverseSemigroup:
-    """An inverse semigroup given by a full multiplication table and a
-    pseudo-inverse table.  The element list fixes the canonical order."""
+    """An inverse semigroup given by index tables over its element list,
+    which fixes the canonical order: table[i][j] is the index of the
+    product of elements i and j, star_table[i] the index of the
+    pseudo-inverse of element i, and -1 marks an entry the input left out.
+    Elements serve only as labels."""
 
-    def __init__(self, elements, table, star, name="semigroup"):
+    def __init__(self, elements, table, star_table, name="semigroup"):
         self.name = name
         self.elements = list(elements)
-        if len(set(self.elements)) != len(self.elements):
+        self._index = {e: i for i, e in enumerate(self.elements)}
+        if len(self._index) != len(self.elements):
             raise ValueError("duplicate semigroup elements")
-        self._table = dict(table)
-        self._star = dict(star)
+        self.table = table
+        self.star_table = star_table
         self._unit_cached = False
         self._unit = None
+        self._natural_order = None
+
+    @classmethod
+    def from_products(cls, elements, products, star, name="semigroup"):
+        """Build the index tables from a dict of products keyed by element
+        pairs and a dict of pseudo-inverses.  An absent key becomes -1; a
+        value that is not an element is refused."""
+        elements = list(elements)
+        index = {e: i for i, e in enumerate(elements)}
+
+        def at(value, where):
+            if value is None:
+                return -1
+            if value not in index:
+                raise ValueError(f"{where} is {value}, not an element")
+            return index[value]
+
+        n = len(elements)
+        table = [index_row(n, [at(products.get((a, b)), f"product of ({a}, {b})")
+                               for b in elements])
+                 for a in elements]
+        star_table = [at(star.get(a), f"star of {a}") for a in elements]
+        return cls(elements, table, star_table, name=name)
 
     @property
     def order(self):
         return len(self.elements)
 
     def mul(self, s, t):
-        return self._table[(s, t)]
+        k = self.table[self._index[s]][self._index[t]]
+        if k < 0:
+            raise KeyError((s, t))
+        return self.elements[k]
 
     def star(self, s):
-        return self._star[s]
+        k = self.star_table[self._index[s]]
+        if k < 0:
+            raise KeyError(s)
+        return self.elements[k]
 
     def index(self, s):
-        return self.elements.index(s)
+        return self._index[s]
 
     @property
     def unit(self):
         """The two-sided identity, or None when the semigroup has none."""
         if not self._unit_cached:
+            table, n = self.table, self.order
             self._unit = next(
-                (e for e in self.elements
-                 if all(self.mul(e, s) == s == self.mul(s, e)
-                        for s in self.elements)), None)
+                (self.elements[e] for e in range(n)
+                 if all(table[e][x] == x == table[x][e] for x in range(n))),
+                None)
             self._unit_cached = True
         return self._unit
 
+    def natural_order(self):
+        """The natural partial order, computed on first use and kept."""
+        if self._natural_order is None:
+            self._natural_order = natural_order(self)
+        return self._natural_order
+
     def idempotents(self):
-        return [s for s in self.elements if self.mul(s, s) == s]
+        return [self.elements[i] for i in _idempotent_indices(self.table)]
 
     def __repr__(self):
         return f"FiniteInverseSemigroup({self.name}, order={self.order})"
+
+
+def _idempotent_indices(table):
+    return [i for i, row in enumerate(table) if row[i] == i]
 
 
 def from_group(group):
     """View a finite group as an inverse semigroup (star = group inverse)."""
     table = {(a, b): group.mul(a, b) for a in group.elements for b in group.elements}
     star = {a: group.inv(a) for a in group.elements}
-    return FiniteInverseSemigroup(group.elements, table, star, name=group.name)
+    return FiniteInverseSemigroup.from_products(group.elements, table, star,
+                                                name=group.name)
 
 
 def validate_inverse_semigroup(s):
-    """Check associativity, existence and uniqueness of pseudo-inverses
-    (the star table must name the unique witness), and commutativity of
-    the idempotents."""
+    """Check associativity (by Light's test, see
+    table_associativity_counterexample), existence and uniqueness of
+    pseudo-inverses (the star table must name the unique witness), and
+    commutativity of the idempotents, all on the index tables."""
     report = ValidationReport(f"inverse semigroup {s.name}")
-    elems = s.elements
-    eset = set(elems)
-    for a in elems:
-        for b in elems:
-            c = s._table.get((a, b))
-            if c is None:
-                report.add(f"multiplication missing entry ({a}, {b})")
-            elif c not in eset:
-                report.add(f"product {c} of ({a}, {b}) is not an element")
-    for a in elems:
-        if s._star.get(a) not in eset:
-            report.add(f"star missing or not an element for {a}")
+    elems, table, star = s.elements, s.table, s.star_table
+    n = len(elems)
+    for i, row in enumerate(table):
+        if -1 in row:
+            for j, k in enumerate(row):
+                if k < 0:
+                    report.add(f"multiplication missing entry "
+                               f"({elems[i]}, {elems[j]})")
+    for i, t in enumerate(star):
+        if t < 0:
+            report.add(f"star missing or not an element for {elems[i]}")
     if not report.ok:
         return report
 
-    for a in elems:
-        for b in elems:
-            ab = s.mul(a, b)
-            for c in elems:
-                if s.mul(ab, c) != s.mul(a, s.mul(b, c)):
-                    report.add(f"associativity fails on ({a}, {b}, {c})")
-                    return report
+    counter = table_associativity_counterexample(table)
+    if counter is not None:
+        a, b, c = (elems[i] for i in counter)
+        report.add(f"associativity fails on ({a}, {b}, {c})")
+        return report
 
-    for a in elems:
-        witnesses = [t for t in elems
-                     if s.mul(s.mul(a, t), a) == a and s.mul(s.mul(t, a), t) == t]
+    for i, row in enumerate(table):
+        witnesses = [t for t in range(n)
+                     if table[row[t]][i] == i and table[table[t][i]][t] == t]
+        a = elems[i]
         if not witnesses:
             report.add(f"{a} has no pseudo-inverse")
         elif len(witnesses) > 1:
             report.add(f"{a} has {len(witnesses)} pseudo-inverses: "
-                       f"{sorted(map(str, witnesses))}")
-        elif witnesses != [s.star(a)]:
-            report.add(f"star table names {s.star(a)} for {a}, "
-                       f"but the pseudo-inverse is {witnesses[0]}")
+                       f"{sorted(str(elems[t]) for t in witnesses)}")
+        elif witnesses != [star[i]]:
+            report.add(f"star table names {elems[star[i]]} for {a}, "
+                       f"but the pseudo-inverse is {elems[witnesses[0]]}")
     if not report.ok:
         return report
 
-    idem = s.idempotents()
+    idem = _idempotent_indices(table)
     for e in idem:
         for f in idem:
-            if s.mul(e, f) != s.mul(f, e):
-                report.add(f"idempotents {e} and {f} do not commute")
+            if table[e][f] != table[f][e]:
+                report.add(f"idempotents {elems[e]} and {elems[f]} "
+                           f"do not commute")
     return report
-
-
-class NaturalOrder:
-    """The natural partial order s <= t  iff  s = t s* s (equivalently
-    s = s s* t)."""
-
-    def __init__(self, semigroup, pairs):
-        self.semigroup = semigroup
-        self.pairs = frozenset(pairs)
-
-    def le(self, s, t):
-        return (s, t) in self.pairs
-
-    def below(self, t):
-        return [s for s in self.semigroup.elements if self.le(s, t)]
-
-    def strictly_below(self, t):
-        return [s for s in self.below(t) if s != t]
 
 
 def natural_order(s):
@@ -228,8 +256,8 @@ def symmetric_inverse_monoid(points, name=None):
                                         for x, y in p.mapping.items())))
     table = {(f, g): f.compose(g) for f in elements for g in elements}
     star = {f: f.inverse() for f in elements}
-    return FiniteInverseSemigroup(elements, table, star,
-                                  name=name or f"I({len(points)} points)")
+    return FiniteInverseSemigroup.from_products(
+        elements, table, star, name=name or f"I({len(points)} points)")
 
 
 class WagnerPrestonEmbedding:
@@ -274,10 +302,37 @@ def wagner_preston_embed(s):
 def bisection_semigroup(g, bound=DEFAULT_BISECTION_BOUND):
     """The inverse semigroup of all bisections of a finite groupoid, with
     the set product and setwise inverse.  The empty bisection is its zero;
-    the unit space is its unit."""
+    the unit space is its unit.  g must satisfy the groupoid axioms.
+
+    Products are computed on arrow bitmasks: BC is the union, over the
+    arrows c of C, of bc for the one arrow b of B with s(b) = r(c), if
+    any.  The frozensets of arrows serve only as element labels."""
     bisections = enumerate_bisections(g, bound)
-    table = {(b, c): bisection_product(g, b, c)
-             for b in bisections for c in bisections}
-    star = {b: bisection_inverse(g, b) for b in bisections}
-    return FiniteInverseSemigroup(bisections, table, star,
+    idx = g.index
+    masks = [sum(1 << idx(a) for a in bis) for bis in bisections]
+    position = {mask: i for i, mask in enumerate(masks)}
+    # For each bisection: its arrows keyed by source, and its arrows with
+    # their ranges.
+    by_source = [{g.source(a): idx(a) for a in bis} for bis in bisections]
+    by_range = [[(g.range(a), idx(a)) for a in bis] for bis in bisections]
+    composite = {(idx(b), idx(c)): 1 << idx(d)
+                 for (b, c), d in g.compose_table.items()}
+    table = []
+    for sources in by_source:
+        row = []
+        for arrows in by_range:
+            mask = 0
+            for r, c in arrows:
+                b = sources.get(r)
+                if b is not None:
+                    mask |= composite[(b, c)]
+            k = position.get(mask)
+            if k is None:
+                raise ValueError("product of bisections is not a bisection; "
+                                 "the groupoid is invalid")
+            row.append(k)
+        table.append(index_row(len(bisections), row))
+    star_table = [position[sum(1 << idx(g.inverse(a)) for a in bis)]
+                  for bis in bisections]
+    return FiniteInverseSemigroup(bisections, table, star_table,
                                   name=f"{g.name}^a")

@@ -92,12 +92,13 @@ class AlgebraMap:
         e_{t(i)} e_{t(j)} must be e_{t(k)} where e_i e_j = e_k, and zero
         where e_i e_j = 0."""
         targets = self.targets
-        # Index -1 (a zero product) reads the appended -1.
+        # Index -1 (a zero product) reads the appended -1.  Rows may be
+        # arrays, so both sides are gathered into lists.
         image = targets + [-1]
         for i, row in enumerate(self.domain.table):
             cod_row = self.codomain.table[targets[i]]
-            lhs = [image[k] for k in row]
-            rhs = [cod_row[t] for t in targets]
+            lhs = list(map(image.__getitem__, row))
+            rhs = list(map(cod_row.__getitem__, targets))
             if lhs != rhs:
                 j = next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
                 return self._store(

@@ -10,7 +10,6 @@ freeness on each domain.
 
 from __future__ import annotations
 
-from .inverse_semigroups import natural_order
 from .validation import ValidationReport, stable
 
 
@@ -232,7 +231,7 @@ def validate_isg_partial_action(action):
     _validate_maps(action, report)
     if not report.ok:
         return report
-    order = natural_order(s)
+    order = s.natural_order()
     for (a, b) in sorted(((a, b) for a in s.elements for b in s.elements
                           if order.le(a, b) and a != b),
                          key=lambda ab: (s.index(ab[0]), s.index(ab[1]))):

@@ -8,7 +8,9 @@ integers as Python ints, and residues mod n as ints in [0, n).
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
+from operator import itemgetter
 
 
 def _is_prime(n):
@@ -196,6 +198,22 @@ def zero_vector(ring, length):
 # Based algebras whose basis products are single basis elements or zero
 # (0/1 monomial structure constants) are given by a product table:
 # table[i][j] is the index k with e_i e_j = e_k, or -1 when e_i e_j = 0.
+# Its rows are arrays built by index_row.
+
+def index_typecode(n):
+    """The array typecode for the indices below n and -1: 16-bit while n
+    fits, wider above.  'l' and 'q' are at least 32 and 64 bits wide."""
+    if n <= 0x7FFF:
+        return "h"
+    if n <= 0x7FFFFFFF:
+        return "l"
+    return "q"
+
+
+def index_row(n, entries):
+    """A product-table row for dimension n holding the given entries."""
+    return array(index_typecode(n), entries)
+
 
 def table_mul_basis(table, ring, i, j):
     vec = zero_vector(ring, len(table))
@@ -219,21 +237,102 @@ def table_mul_vectors(table, ring, u, v):
     return out
 
 
-def table_associativity_counterexample(table):
-    """The first basis triple (i, j, k), in lexicographic order, with
-    (e_i e_j) e_k != e_i (e_j e_k), or None."""
+def light_generators(table):
+    """A generating set G of the magma on the basis indices, read off the
+    table: the indices that are no product, then, while the magma closure
+    of G misses an index, the smallest missing index.  A zero product (-1)
+    is not an index and is never added."""
     n = len(table)
-    zero_row = [-1] * n
+    produced = set()
+    for row in table:
+        produced.update(row)
+    generators = [i for i in range(n) if i not in produced]
+    inside = set(generators)
+    members = list(generators)
+    done = 0
+    missing = 0
+    while True:
+        # Each pair of members is multiplied, both ways, once the later of
+        # the two is reached.
+        while done < len(members):
+            z = members[done]
+            head = members[:done + 1]
+            fresh = set(map(table[z].__getitem__, head))
+            fresh.update(table[x][z] for x in head)
+            fresh.discard(-1)
+            fresh -= inside
+            inside |= fresh
+            members.extend(fresh)
+            done += 1
+        while missing < n and missing in inside:
+            missing += 1
+        if missing == n:
+            return generators
+        generators.append(missing)
+        inside.add(missing)
+        members.append(missing)
+
+
+def _row_maker(table):
+    """Builds rows of the same kind as the table's, so rows compare equal
+    exactly when their entries do."""
+    first = table[0]
+    if isinstance(first, array):
+        return lambda entries: array(first.typecode, entries)
+    return list
+
+
+def _first_counterexample(table):
+    """The full cube: the first triple in lexicographic order."""
+    n = len(table)
+    make_row = _row_maker(table)
+    zero_row = make_row([-1] * n)
     for i, row in enumerate(table):
         # Index -1 (a zero product) reads the appended -1.
-        row_i = row + [-1]
+        row_i = list(row) + [-1]
         for j in range(n):
             ij = row[j]
             left = table[ij] if ij >= 0 else zero_row
-            right = [row_i[jk] for jk in table[j]]
+            right = make_row(map(row_i.__getitem__, table[j]))
             if left != right:
                 k = next(k for k in range(n) if left[k] != right[k])
                 return (i, j, k)
+    return None
+
+
+def table_associativity_counterexample(table):
+    """The first basis triple (i, j, k), in lexicographic order, with
+    (e_i e_j) e_k != e_i (e_j e_k), or None.
+
+    Light's associativity test (Clifford and Preston, The Algebraic Theory
+    of Semigroups I, 1961, section 1.2) decides the verdict.  Let M be the
+    basis with a zero 0 adjoined (the -1 entries), and let A be the set of
+    b in M with (x b) y = x (b y) for all x, y in M.  Then 0 is in A, both
+    sides being 0, and A is closed under products: for b, c in A,
+    (x (bc)) y = ((x b) c) y = (x b)(c y) = x (b (c y)) = x ((b c) y).
+    So if a set G that generates M as a magma lies in A, then A = M and M
+    is associative.  As products with 0 are 0, x and y need only range
+    over the basis.  This check costs n^2 |G| lookups instead of n^3; G is
+    light_generators(table), valid for any table.  Only when it fails does
+    the full cube run, to name the first triple.
+    """
+    n = len(table)
+    if n < 2:
+        # itemgetter returns a tuple only for two or more indices; one
+        # triple is the whole cube anyway.
+        return _first_counterexample(table)
+    make_row = _row_maker(table)
+    zero_row = make_row([-1] * n)
+    # gather(row_i) is (e_i (e_g e_k))_k, read through row_i.
+    gathers = [(g, itemgetter(*table[g])) for g in light_generators(table)]
+    for row in table:
+        # Index -1 (a zero product) reads the appended -1.
+        row_i = list(row) + [-1]
+        for g, gather in gathers:
+            ig = row[g]
+            left = table[ig] if ig >= 0 else zero_row
+            if left != make_row(gather(row_i)):
+                return _first_counterexample(table)
     return None
 
 
@@ -292,7 +391,3 @@ class SpanTracker:
         self.pivots.insert(at, piv)
         return True
 
-    def extend(self, vectors):
-        for v in vectors:
-            self.add(v)
-        return self

@@ -14,10 +14,10 @@ of a bisection semigroup.
 
 from __future__ import annotations
 
-from .inverse_semigroups import natural_order
 from .partial_actions import SpaceFunction
-from .scalars import (SpanTracker, table_associativity_counterexample,
-                      table_mul_basis, table_mul_vectors, zero_vector)
+from .scalars import (SpanTracker, index_row,
+                      table_associativity_counterexample, table_mul_basis,
+                      table_mul_vectors, zero_vector)
 from .validation import ValidationReport, stable
 
 
@@ -123,9 +123,10 @@ class CovarianceModule:
         for j, (t, y) in enumerate(self.basis_labels):
             at_point.setdefault(y, []).append((j, t))
         theta = algebra_action.action.theta
+        blank = index_row(self.dim, [-1]) * self.dim
         self.table = []
         for s, x in self.basis_labels:
-            row = [-1] * self.dim
+            row = blank[:]
             for j, t in at_point.get(theta(index.star(s), x), ()):
                 row[j] = self._idx[(index.mul(s, t), x)]
             self.table.append(row)
@@ -190,7 +191,7 @@ def ideal_generators(module):
     the natural order and x ranging over X_s, as basis index pairs (a, b)
     standing for e_a - e_b."""
     alg = module.algebra_action
-    order = natural_order(alg.index)
+    order = alg.index.natural_order()
     return [(module.label_index(s, x), module.label_index(t, x))
             for t in alg.index.elements
             for s in order.strictly_below(t)
@@ -264,8 +265,8 @@ class QuotientAlgebra:
         self.basis_labels = [module.basis_labels[a]
                              for a in self.representatives]
         self.dim = len(self.representatives)
-        self.table = [[self._class[module.table[a][b]]
-                       for b in self.representatives]
+        self.table = [index_row(self.dim, [self._class[module.table[a][b]]
+                                           for b in self.representatives])
                       for a in self.representatives]
         self.representative_independence_verified = False
 
@@ -334,7 +335,7 @@ def check_pregrading(algebra):
         module, cls = algebra, range(algebra.dim)
     alg = module.algebra_action
     index = alg.index
-    order = natural_order(index)
+    order = index.natural_order()
     table = algebra.table
     report = PregradingReport(f"pre-grading over {getattr(index, 'name', 'index')}")
 

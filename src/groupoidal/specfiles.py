@@ -253,8 +253,8 @@ def _parse_semigroup(data):
         if key not in eset or value not in eset:
             raise SpecFileError(f"star[{key!r}]: unknown element")
         star[key] = value
-    return FiniteInverseSemigroup(elements, table, star,
-                                  name=data.get("name", "semigroup"))
+    return FiniteInverseSemigroup.from_products(
+        elements, table, star, name=data.get("name", "semigroup"))
 
 
 def parse_document(raw_bytes, source="<input>", catalog_dir=None):

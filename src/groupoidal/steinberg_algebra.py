@@ -5,8 +5,8 @@ function into disjoint bisection indicators."""
 from __future__ import annotations
 
 from .groupoid_core import is_bisection
-from .scalars import (table_associativity_counterexample, table_mul_basis,
-                      table_mul_vectors, zero_vector)
+from .scalars import (index_row, table_associativity_counterexample,
+                      table_mul_basis, table_mul_vectors, zero_vector)
 
 
 class GroupoidFunction:
@@ -167,7 +167,8 @@ class SteinbergAlgebra:
         self.basis_labels = list(groupoid.arrows)
         self.dim = len(self.basis_labels)
         idx = groupoid.index
-        self.table = [[-1] * self.dim for _ in range(self.dim)]
+        blank = index_row(self.dim, [-1]) * self.dim
+        self.table = [blank[:] for _ in range(self.dim)]
         for (b, c), d in groupoid.compose_table.items():
             self.table[idx(b)][idx(c)] = idx(d)
 

@@ -3,8 +3,9 @@ import subprocess
 import sys
 
 import pytest
+from families import pair_groupoid_spec
 
-from groupoidal import catalog, isomorphisms
+from groupoidal import catalog, inverse_semigroups, isomorphisms
 from groupoidal.cli import main
 
 
@@ -82,6 +83,31 @@ def test_theorem5_builds_bisection_semigroup_once(monkeypatch, capsys):
     assert rows[:3] == ["check groupoid_axioms",
                         "check bisection_semigroup_axioms",
                         "check bisection_action_axioms"]
+
+
+def test_theorem5_computes_the_natural_order_once(monkeypatch, capsys):
+    calls = []
+    compute = inverse_semigroups.natural_order
+
+    def counted(*args):
+        calls.append(args)
+        return compute(*args)
+
+    monkeypatch.setattr(inverse_semigroups, "natural_order", counted)
+    code, _, _ = run_cli(capsys, "theorem5", "two_z2")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_theorem5_pair_groupoid_on_four_points(tmp_path, capsys):
+    path = tmp_path / "pair_groupoid_4.json"
+    path.write_text(json.dumps(pair_groupoid_spec(4)))
+    code, out, _ = run_cli(capsys, "theorem5", str(path))
+    assert code == 0
+    assert "check bisection_semigroup_axioms: pass  [209 bisections]" in out
+    assert ("check dimension_ledger: pass  "
+            "[dim L=544 dim I=528 dim L/I=16 dim A=16]") in out
+    assert out.endswith("result: pass\n")
 
 
 @pytest.mark.parametrize("flag", ["--bisection-bound", "--iso-bound",

@@ -1,4 +1,5 @@
 import pytest
+from families import family_groupoids
 
 from groupoidal import catalog
 from groupoidal.groupoid_core import (FiniteGroupoid, bisection_inverse,
@@ -104,6 +105,29 @@ def test_enumerate_bisections_counts():
     # as many bisections as there are partial bijections of the unit set
     assert len(enumerate_bisections(pair_2())) == 7
     assert len(enumerate_bisections(catalog.load_groupoid("pair_groupoid_3"))) == 34
+
+
+def subset_scan(g):
+    """Every arrow subset in ascending bitmask order, kept when it is a
+    bisection: the enumeration that backtracking replaced."""
+    n = g.n_arrows
+    out = []
+    for mask in range(1 << n):
+        subset = frozenset(g.arrows[i] for i in range(n) if mask >> i & 1)
+        if is_bisection(g, subset):
+            out.append(subset)
+    return out
+
+
+def test_enumeration_equals_the_subset_scan():
+    groupoids = [catalog.load_groupoid(name)
+                 for name in catalog.groupoid_names()] + family_groupoids()
+    counts = {}
+    for g in groupoids:
+        bisections = enumerate_bisections(g)
+        assert bisections == subset_scan(g), g.name
+        counts[g.name] = len(bisections)
+    assert counts["pair_groupoid_4"] == 209
 
 
 def test_enumeration_bound_refusal():

@@ -1,4 +1,5 @@
 import pytest
+from families import family_groupoids
 
 from groupoidal import catalog
 from groupoidal.groupoid_core import bisection_inverse, bisection_product
@@ -30,17 +31,27 @@ def test_left_zero_band_has_non_unique_pseudo_inverses():
     # in a left-zero band every element is a pseudo-inverse of every other
     elements = ["a", "b"]
     table = {(x, y): x for x in elements for y in elements}
-    s = FiniteInverseSemigroup(elements, table, {"a": "a", "b": "b"})
+    s = FiniteInverseSemigroup.from_products(elements, table,
+                                             {"a": "a", "b": "b"})
     report = validate_inverse_semigroup(s)
     assert not report.ok
     assert "pseudo-inverse" in report.first
+
+
+def test_values_outside_the_elements_are_refused():
+    with pytest.raises(ValueError, match="not an element"):
+        FiniteInverseSemigroup.from_products(["a"], {("a", "a"): "b"},
+                                             {"a": "a"})
+    with pytest.raises(ValueError, match="not an element"):
+        FiniteInverseSemigroup.from_products(["a"], {("a", "a"): "a"},
+                                             {"a": "b"})
 
 
 def test_wrong_star_table_rejected():
     g = FiniteGroup.cyclic(3)
     table = {(a, b): g.mul(a, b) for a in g.elements for b in g.elements}
     star = {a: a for a in g.elements}  # wrong: g* should be g2
-    s = FiniteInverseSemigroup(g.elements, table, star)
+    s = FiniteInverseSemigroup.from_products(g.elements, table, star)
     report = validate_inverse_semigroup(s)
     assert not report.ok
 
@@ -176,6 +187,16 @@ def test_bisection_semigroup_structure(name):
         assert s.star(b) == bisection_inverse(g, b)
         for c in s.elements:
             assert s.mul(b, c) == bisection_product(g, b, c)
+
+
+def test_bisection_semigroup_of_families_matches_set_products():
+    # The catalog groupoids are covered by test_bisection_semigroup_structure.
+    for g in family_groupoids(max_pair=3):
+        s = bisection_semigroup(g)
+        for b in s.elements:
+            assert s.star(b) == bisection_inverse(g, b), g.name
+            for c in s.elements:
+                assert s.mul(b, c) == bisection_product(g, b, c), g.name
 
 
 def test_pair_groupoid_bisections_match_symmetric_inverse_monoid():

@@ -43,6 +43,13 @@ def unit(ring, dim, k):
     return vec
 
 
+def span_rank(ring, n, vectors):
+    span = SpanTracker(ring, n)
+    for v in vectors:
+        span.add(v)
+    return span.dimension
+
+
 def reference_certificates(m):
     """The four certificates of m by the dense vector computation that the
     integer certificates replaced: multiplicativity as apply(mul_basis)
@@ -67,7 +74,7 @@ def reference_certificates(m):
     certs["injective"] = (True, None) if kernel is None else (
         False, "kernel vector " + " + ".join(
             f"{c}*{dom.basis_labels[i]}" for i, c in enumerate(kernel) if c))
-    rank = SpanTracker(ring, n).extend(images).dimension
+    rank = span_rank(ring, n, images)
     certs["surjective"] = (rank == n, None if rank == n else
                            f"image has rank {rank} < {n}")
     dom_diag, cod_diag = dom.diagonal_indices(), cod.diagonal_indices()
@@ -79,8 +86,7 @@ def reference_certificates(m):
             False, f"image of diagonal basis {dom.basis_labels[leak[0]]} "
                    f"leaks to {cod.basis_labels[leak[1]]}")
     else:
-        rank = SpanTracker(ring, n).extend(
-            images[i] for i in dom_diag).dimension
+        rank = span_rank(ring, n, [images[i] for i in dom_diag])
         certs["diagonal"] = (rank == len(cod_diag),
                              None if rank == len(cod_diag) else
                              f"diagonal image has rank {rank} "

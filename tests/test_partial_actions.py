@@ -88,7 +88,8 @@ def test_monotonicity_violation_detected():
     for a in elements:
         for b in elements:
             table[(a, b)] = a if a == b else "0"
-    s = FiniteInverseSemigroup(elements, table, {a: a for a in elements})
+    s = FiniteInverseSemigroup.from_products(elements, table,
+                                             {a: a for a in elements})
     action = SemigroupPartialAction(
         s, ["p", "q"],
         {"0": ["p"], "x": ["p"], "y": ["q"]},

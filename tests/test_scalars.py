@@ -96,17 +96,24 @@ def test_ring_axioms_on_random_triples(tag):
         assert a + (-a) == zero
 
 
+def span_of(ring, vectors):
+    span = SpanTracker(ring, 3)
+    for v in vectors:
+        span.add(v)
+    return span
+
+
 def test_span_dimension_shuffle_invariant(Q):
     rng = random.Random(99)
     vectors = [vec(Q, 1, 0, 2), vec(Q, 0, 1, 1), vec(Q, 1, 1, 3),
                vec(Q, 2, 0, 4)]
-    baseline = SpanTracker(Q, 3).extend(vectors)
+    baseline = span_of(Q, vectors)
     assert baseline.dimension == 2
     for _ in range(10):
         shuffled = vectors[:]
         rng.shuffle(shuffled)
         # The reduced echelon basis is canonical, not only its size.
-        assert SpanTracker(Q, 3).extend(shuffled).rows == baseline.rows
+        assert span_of(Q, shuffled).rows == baseline.rows
 
 
 def test_span_needs_field(Z):

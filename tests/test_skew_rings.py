@@ -286,6 +286,13 @@ def test_pregrading_quotient_case(Q):
     assert any(vec_small)
 
 
+def span_of(algebra, vectors):
+    span = SpanTracker(algebra.ring, algebra.dim)
+    for v in vectors:
+        span.add(v)
+    return span
+
+
 def reference_pregrading(algebra):
     """The pre-grading violations by exact span membership over a field,
     with each B_s spanned by the (classes of the) vectors e_(s,x): the
@@ -301,8 +308,7 @@ def reference_pregrading(algebra):
                    for x in alg.domain_points(s)]
         blocks[s] = [quotient.class_of(v) for v in vectors] \
             if quotient else vectors
-    spans = {s: SpanTracker(algebra.ring, algebra.dim).extend(vectors)
-             for s, vectors in blocks.items()}
+    spans = {s: span_of(algebra, vectors) for s, vectors in blocks.items()}
     violations = []
     for s in index.elements:
         for t in index.elements:
@@ -318,8 +324,8 @@ def reference_pregrading(algebra):
                 violations.append(f"{stable(s)} <= {stable(t)} but "
                                   f"B_{{{stable(s)}}} is not contained in "
                                   f"B_{{{stable(t)}}}")
-    rank = SpanTracker(algebra.ring, algebra.dim).extend(
-        v for vectors in blocks.values() for v in vectors).dimension
+    rank = span_of(algebra, [v for vectors in blocks.values()
+                             for v in vectors]).dimension
     if rank != algebra.dim:
         violations.append(f"the union of the B_s spans only {rank} of "
                           f"{algebra.dim} dimensions")
