@@ -44,14 +44,19 @@ class FiniteGroup:
         for a in self.elements:
             self._inv[a] = next(b for b in self.elements
                                 if self._table[(a, b)] == self.identity)
+        # Index tables over the element list, as an inverse semigroup has.
+        position = {a: i for i, a in enumerate(self.elements)}
+        self.table = [[position[self._table[(a, b)]] for b in self.elements]
+                      for a in self.elements]
+        self.star_table = [position[self._inv[a]] for a in self.elements]
 
     @property
     def order(self):
         return len(self.elements)
 
-    # .unit / .star / .natural_order mirror the inverse-semigroup protocol,
-    # so code indexed by "a group or an inverse semigroup" can treat both
-    # uniformly.
+    # .unit / .star / .natural_order and the index tables mirror the
+    # inverse-semigroup protocol, so code indexed by "a group or an inverse
+    # semigroup" can treat both uniformly.
     @property
     def unit(self):
         return self.identity

@@ -162,27 +162,55 @@ def validate_inverse_semigroup(s):
 
 def natural_order(s):
     """Compute the natural partial order, verifying that the two defining
-    characterizations agree and that the relation is a partial order."""
+    characterizations agree and that the relation is a partial order.
+
+    Runs on the index tables.  A product or pseudo-inverse the tables
+    leave out raises KeyError, as mul and star do, at the same lookup."""
+    elems, table, star = s.elements, s.table, s.star_table
+    n = len(elems)
+    above = []
     pairs = set()
-    for a in s.elements:
-        for b in s.elements:
-            left = a == s.mul(b, s.mul(s.star(a), a))
-            right = a == s.mul(s.mul(a, s.star(a)), b)
-            if left != right:
+    for i, a in enumerate(elems):
+        sa = star[i]
+        if sa < 0:
+            raise KeyError(a)
+        e = table[sa][i]
+        if e < 0:
+            raise KeyError((elems[sa], a))
+        f = table[i][sa]
+        row_f = table[f]
+        mine = set()
+        for j in range(n):
+            # a <= b by either characterization: a = b (a* a) = (a a*) b.
+            left = table[j][e]
+            if left < 0:
+                raise KeyError((elems[j], elems[e]))
+            if f < 0:
+                raise KeyError((a, elems[sa]))
+            right = row_f[j]
+            if right < 0:
+                raise KeyError((elems[f], elems[j]))
+            if (left == i) != (right == i):
                 raise ValueError(
-                    f"order characterizations disagree on ({a}, {b}); "
+                    f"order characterizations disagree on ({a}, {elems[j]}); "
                     "not an inverse semigroup")
-            if left:
-                pairs.add((a, b))
-    for a in s.elements:
-        if (a, a) not in pairs:
+            if left == i:
+                mine.add(j)
+                pairs.add((a, elems[j]))
+        above.append(mine)
+    for i, a in enumerate(elems):
+        if i not in above[i]:
             raise ValueError(f"natural order is not reflexive at {a}")
+    position = {a: i for i, a in enumerate(elems)}
+    # The pairs are visited in the order of the set of labels, as the
+    # relation is checked pair by pair.
     for (a, b) in pairs:
-        if a != b and (b, a) in pairs:
+        i, j = position[a], position[b]
+        if i != j and i in above[j]:
             raise ValueError(f"natural order is not antisymmetric on ({a}, {b})")
-        for c in s.elements:
-            if (b, c) in pairs and (a, c) not in pairs:
-                raise ValueError(f"natural order is not transitive on ({a}, {b}, {c})")
+        if not above[j] <= above[i]:
+            c = elems[min(above[j] - above[i])]
+            raise ValueError(f"natural order is not transitive on ({a}, {b}, {c})")
     return NaturalOrder(s, pairs)
 
 

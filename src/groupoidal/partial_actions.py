@@ -165,38 +165,55 @@ def _validate_maps(action, report):
                        f"of the map of {stable(s)}")
 
 
-def _validate_composition(action, mul, star, report):
+def _validate_composition(action, report):
     """The equality form of the intertwining law, and the composition law.
 
     For all s, t:  theta_s(X_{s*} & X_t) = X_s & X_{st},  and
     theta_s(theta_t(x)) = theta_{st}(x) on X_{t*} & X_{(st)*}.
+
+    Runs on the index tables of the group or inverse semigroup; elements
+    are looked up only for the domains, the maps and the messages.  A
+    product the table leaves out raises KeyError, as the index's mul does.
     """
-    idx_elements = action.index.elements
-    for s in idx_elements:
-        for t in idx_elements:
-            st = mul(s, t)
-            lhs = {action.theta(s, x)
-                   for x in action.domains[star(s)] & action.domains[t]}
-            rhs = action.domains[s] & action.domains[st]
+    index = action.index
+    elements, table, star = index.elements, index.table, index.star_table
+    domains = [action.domains[s] for s in elements]
+    maps = [action.maps[s] for s in elements]
+    for i, s in enumerate(elements):
+        row, theta_s, source = table[i], maps[i], domains[star[i]]
+        for j, t in enumerate(elements):
+            st = row[j]
+            if st < 0:
+                raise KeyError((s, t))
+            lhs = set(map(theta_s.__getitem__, source & domains[j]))
+            rhs = domains[i] & domains[st]
             if lhs != rhs:
                 report.add(
-                    f"theta_{stable(s)}(X_{{{stable(star(s))}}} & "
+                    f"theta_{stable(s)}(X_{{{stable(elements[star[i]])}}} & "
                     f"X_{{{stable(t)}}}) = {stable(lhs)} but "
-                    f"X_{{{stable(s)}}} & X_{{{stable(st)}}} = {stable(rhs)}")
-    for s in idx_elements:
-        for t in idx_elements:
-            st = mul(s, t)
-            for x in action.domain_points(star(t)):
-                if x not in action.domains[mul(star(t), star(s))]:
+                    f"X_{{{stable(s)}}} & X_{{{stable(elements[st])}}} = "
+                    f"{stable(rhs)}")
+    points = [action.domain_points(s) for s in elements]
+    for i, s in enumerate(elements):
+        row, theta_s, source = table[i], maps[i], domains[star[i]]
+        for j, t in enumerate(elements):
+            st = row[j]
+            theta_t, theta_st = maps[j], maps[st]
+            inside = domains[table[star[j]][star[i]]]
+            for x in points[star[j]]:
+                if x not in inside:
                     continue
-                y = action.theta(t, x)
-                if y not in action.domains[star(s)]:
+                y = theta_t[x]
+                if y not in source:
                     report.add(f"theta_{stable(t)}({stable(x)}) = {stable(y)} "
                                f"escapes the domain of theta_{stable(s)}")
                     continue
-                if action.theta(s, y) != action.theta(st, x):
+                if x not in theta_st:
+                    # Raises the ValueError that names the missing point.
+                    action.theta(elements[st], x)
+                if theta_s[y] != theta_st[x]:
                     report.add(f"theta_{stable(s)}(theta_{stable(t)}({stable(x)})) "
-                               f"!= theta_{{{stable(st)}}}({stable(x)})")
+                               f"!= theta_{{{stable(elements[st])}}}({stable(x)})")
 
 
 def validate_group_partial_action(action):
@@ -212,7 +229,7 @@ def validate_group_partial_action(action):
     _validate_maps(action, report)
     if not report.ok:
         return report
-    _validate_composition(action, g.mul, g.inv, report)
+    _validate_composition(action, report)
     return report
 
 
@@ -231,14 +248,14 @@ def validate_isg_partial_action(action):
     _validate_maps(action, report)
     if not report.ok:
         return report
-    order = s.natural_order()
-    for (a, b) in sorted(((a, b) for a in s.elements for b in s.elements
-                          if order.le(a, b) and a != b),
-                         key=lambda ab: (s.index(ab[0]), s.index(ab[1]))):
-        if not action.domains[a] <= action.domains[b]:
+    elements, domains = s.elements, action.domains
+    for i, j in sorted((s.index(a), s.index(b))
+                       for a, b in s.natural_order().pairs if a != b):
+        a, b = elements[i], elements[j]
+        if not domains[a] <= domains[b]:
             report.add(f"monotonicity fails: {stable(a)} <= {stable(b)} but "
                        f"X_{{{stable(a)}}} is not contained in X_{{{stable(b)}}}")
-    _validate_composition(action, s.mul, s.star, report)
+    _validate_composition(action, report)
     return report
 
 

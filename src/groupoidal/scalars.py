@@ -239,61 +239,57 @@ def table_mul_vectors(table, ring, u, v):
 
 def light_generators(table):
     """A generating set G of the magma on the basis indices, read off the
-    table: the indices that are no product, then, while the magma closure
-    of G misses an index, the smallest missing index.  A zero product (-1)
-    is not an index and is never added."""
+    table.  Candidates are taken in ascending order of how often they occur
+    as a product, ties by index, so the indices that are no product come
+    first; a candidate already inside the magma closure of G is skipped.
+    Rarely produced indices are the ones few products reach, and once they
+    are in, their products tend to cover the common ones.  A zero product
+    (-1) is not an index and is never added."""
     n = len(table)
-    produced = set()
+    # The last slot tallies the zero products (-1).
+    counts = [0] * (n + 1)
     for row in table:
-        produced.update(row)
-    generators = [i for i in range(n) if i not in produced]
-    inside = set(generators)
-    members = list(generators)
+        for k in row:
+            counts[k] += 1
+    candidates = sorted(range(n), key=counts.__getitem__)
+    generators = []
+    inside = set()
+    members = []
     done = 0
-    missing = 0
-    while True:
+    for candidate in candidates:
+        if len(inside) == n:
+            break
+        if candidate in inside:
+            continue
+        generators.append(candidate)
+        inside.add(candidate)
+        members.append(candidate)
         # Each pair of members is multiplied, both ways, once the later of
-        # the two is reached.
-        while done < len(members):
+        # the two is reached, until every index is inside.
+        while done < len(members) and len(inside) < n:
             z = members[done]
             head = members[:done + 1]
             fresh = set(map(table[z].__getitem__, head))
-            fresh.update(table[x][z] for x in head)
+            fresh.update(map(itemgetter(z), map(table.__getitem__, head)))
             fresh.discard(-1)
             fresh -= inside
             inside |= fresh
             members.extend(fresh)
             done += 1
-        while missing < n and missing in inside:
-            missing += 1
-        if missing == n:
-            return generators
-        generators.append(missing)
-        inside.add(missing)
-        members.append(missing)
-
-
-def _row_maker(table):
-    """Builds rows of the same kind as the table's, so rows compare equal
-    exactly when their entries do."""
-    first = table[0]
-    if isinstance(first, array):
-        return lambda entries: array(first.typecode, entries)
-    return list
+    return generators
 
 
 def _first_counterexample(table):
     """The full cube: the first triple in lexicographic order."""
     n = len(table)
-    make_row = _row_maker(table)
-    zero_row = make_row([-1] * n)
+    zero_row = (-1,) * n
     for i, row in enumerate(table):
         # Index -1 (a zero product) reads the appended -1.
         row_i = list(row) + [-1]
         for j in range(n):
             ij = row[j]
-            left = table[ij] if ij >= 0 else zero_row
-            right = make_row(map(row_i.__getitem__, table[j]))
+            left = tuple(table[ij]) if ij >= 0 else zero_row
+            right = tuple(map(row_i.__getitem__, table[j]))
             if left != right:
                 k = next(k for k in range(n) if left[k] != right[k])
                 return (i, j, k)
@@ -321,17 +317,17 @@ def table_associativity_counterexample(table):
         # itemgetter returns a tuple only for two or more indices; one
         # triple is the whole cube anyway.
         return _first_counterexample(table)
-    make_row = _row_maker(table)
-    zero_row = make_row([-1] * n)
-    # gather(row_i) is (e_i (e_g e_k))_k, read through row_i.
+    zero_row = (-1,) * n
+    # gather(row_i) is (e_i (e_g e_k))_k, read through row_i.  Rows are
+    # compared as tuples, made one at a time.
     gathers = [(g, itemgetter(*table[g])) for g in light_generators(table)]
     for row in table:
         # Index -1 (a zero product) reads the appended -1.
         row_i = list(row) + [-1]
         for g, gather in gathers:
             ig = row[g]
-            left = table[ig] if ig >= 0 else zero_row
-            if left != make_row(gather(row_i)):
+            left = tuple(table[ig]) if ig >= 0 else zero_row
+            if left != gather(row_i):
                 return _first_counterexample(table)
     return None
 

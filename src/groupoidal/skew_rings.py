@@ -291,9 +291,34 @@ class QuotientAlgebra:
     def verify_representative_independence(self):
         """The induced product is well defined iff I is a two-sided ideal,
         that is iff e_k (e_a - e_b) and (e_a - e_b) e_k lie in I for every
-        generator (a, b) and every basis element e_k: the two products are
-        both zero or basis vectors of one class.  Checks this exhaustively
-        and returns the first violation, or None."""
+        (a, b) in a spanning set of I and every basis element e_k: the two
+        products are both zero or basis vectors of one class.  Checks this
+        exhaustively and returns the first violation, or None.
+
+        The check runs over the dim I spanning rows e_a - e_rep(a).  Let
+        the class row of a be the classes of e_a e_k, over all k.  Then
+        (e_a - e_rep(a)) e_k lies in I for all k iff class rows a and
+        rep(a) are equal, and e_k (e_a - e_rep(a)) lies in I for all a iff
+        class row k is unchanged when read through rep.  Once every class
+        row equals that of its representative, the second test need only
+        run on the representatives' rows.  Only on a failure does the scan
+        over the generators run, to name the first violation."""
+        if not self._spanning_rows_close():
+            return self._first_generator_violation()
+        return None
+
+    def _spanning_rows_close(self):
+        table, cls, rep = self.module.table, self._class, self.ideal.rep
+        # The rows are transient tuples; only the representatives' are kept.
+        kept = {r: tuple(map(cls.__getitem__, table[r]))
+                for r in self.representatives}
+        for a, r in enumerate(rep):
+            if a != r and tuple(map(cls.__getitem__, table[a])) != kept[r]:
+                return False
+        return all(tuple(map(row.__getitem__, rep)) == row
+                   for row in kept.values())
+
+    def _first_generator_violation(self):
         table, cls = self.module.table, self._class
         for a, b in self.ideal.edges:
             row_a, row_b = table[a], table[b]
@@ -339,22 +364,39 @@ def check_pregrading(algebra):
     table = algebra.table
     report = PregradingReport(f"pre-grading over {getattr(index, 'name', 'index')}")
 
-    blocks = {s: {cls[module.label_index(s, x)] for x in alg.domain_points(s)}
-              for s in index.elements}
-    for s in index.elements:
-        for t in index.elements:
-            st = index.mul(s, t)
-            if any(table[i][j] >= 0 and table[i][j] not in blocks[st]
-                   for i in blocks[s] for j in blocks[t]):
+    # blocks[i] is B_s for the element s of index i; products of elements
+    # are read off the index table.
+    elements = index.elements
+    blocks = [{cls[module.label_index(s, x)] for x in alg.domain_points(s)}
+              for s in elements]
+    # B_s B_t lies in B_st iff every product e_a e_b with a in B_s and b in
+    # B_t does.  Sets of basis indices are bitmasks here: reach[b] holds
+    # the products e_a e_b over a in B_s, a zero product (-1) adding none.
+    bit = [1 << k for k in range(algebra.dim)] + [0]
+    masks = [sum(bit[k] for k in block) for block in blocks]
+    for i, s in enumerate(elements):
+        reach = [0] * algebra.dim
+        for a in blocks[i]:
+            for b, k in enumerate(table[a]):
+                reach[b] |= bit[k]
+        products = index.table[i]
+        for j, t in enumerate(elements):
+            st = products[j]
+            if st < 0:
+                raise KeyError((s, t))
+            got = 0
+            for b in blocks[j]:
+                got |= reach[b]
+            if got & ~masks[st]:
                 report.add(f"B_{{{stable(s)}}} B_{{{stable(t)}}} is "
-                           f"not contained in B_{{{stable(st)}}}")
-    for t in index.elements:
+                           f"not contained in B_{{{stable(elements[st])}}}")
+    for j, t in enumerate(elements):
         for s in order.strictly_below(t):
-            if not blocks[s] <= blocks[t]:
+            if not blocks[index.index(s)] <= blocks[j]:
                 report.add(f"{stable(s)} <= {stable(t)} but B_{{{stable(s)}}} "
                            f"is not contained in B_{{{stable(t)}}}")
     ring = algebra.ring
-    covered = set().union(*blocks.values())
+    covered = set().union(*blocks)
     if ring.is_field:
         span = SpanTracker(ring, algebra.dim)
         for i in sorted(covered):

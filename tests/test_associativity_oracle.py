@@ -2,15 +2,20 @@
 
 `reference_cube` is the n^3 cube that decided associativity before Light's
 test, kept verbatim over list rows; `reference_validator` is the inverse
-semigroup validator that ran on product dicts, kept verbatim.  The fast
+semigroup validator that ran on product dicts, kept verbatim.
+`reference_generators` states the generator rule of `light_generators`
+with the closure recomputed in full, and `smallest_missing_generators` the
+rule it replaced, which bounds the size of G.  The fast
 paths must give the same verdict, the same first failing triple and the
 same report text, on every catalog table and on seeded corruptions.
 """
 
 import random
 from array import array
+from collections import Counter
 
 import pytest
+from families import pair_groupoid_spec, parse
 
 from groupoidal import catalog
 from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
@@ -46,10 +51,39 @@ def reference_cube(table):
     return None
 
 
+def magma_closure(table, generators):
+    """Every index reached by products of the generators; -1 (a zero
+    product) is not an index."""
+    closure = set(generators)
+    while True:
+        new = {table[x][y] for x in closure for y in closure} - closure
+        new.discard(-1)
+        if not new:
+            return closure
+        closure |= new
+
+
 def reference_generators(table):
-    """The non-products, then the smallest index outside the magma
-    closure, until the closure is everything; the closure is recomputed
-    in full each time."""
+    """Candidates in ascending order of how often they occur as a product,
+    ties by index; a candidate inside the closure is skipped, and the
+    search stops once the closure is everything.  The closure is
+    recomputed in full after each generator."""
+    n = len(table)
+    counts = Counter(k for row in table for k in row)
+    generators, closure = [], set()
+    for candidate in sorted(range(n), key=lambda i: (counts[i], i)):
+        if len(closure) == n:
+            break
+        if candidate not in closure:
+            generators.append(candidate)
+            closure = magma_closure(table, generators)
+    return generators
+
+
+def smallest_missing_generators(table):
+    """The rule Light's test used first: the non-products, then the
+    smallest index outside the magma closure, until the closure is
+    everything; the closure is recomputed in full each time."""
     n = len(table)
     produced = {k for row in table for k in row}
     generators = [i for i in range(n) if i not in produced]
@@ -153,19 +187,23 @@ def bisection_module(g, ring):
     return semigroup, CovarianceModule(alg)
 
 
+def groupoid_tables(name, g, ring):
+    """(name, table) for A_R(G), L, L/I and the bisection semigroup."""
+    semigroup, module = bisection_module(g, ring)
+    quotient = build_quotient(module, build_ideal(module))
+    return [(f"{name} A", SteinbergAlgebra(g, ring).table),
+            (f"{name} L", module.table),
+            (f"{name} L/I", quotient.table),
+            (f"{name} S", semigroup.table)]
+
+
 def catalog_tables(ring):
     """(name, table) for A_R(G), L, L/I and the bisection semigroup of
     every catalog groupoid, A_R(G) and L of every catalog action, and
     every catalog semigroup."""
     tables = []
     for name in catalog.groupoid_names():
-        g = catalog.load_groupoid(name)
-        semigroup, module = bisection_module(g, ring)
-        quotient = build_quotient(module, build_ideal(module))
-        tables += [(f"{name} A", SteinbergAlgebra(g, ring).table),
-                   (f"{name} L", module.table),
-                   (f"{name} L/I", quotient.table),
-                   (f"{name} S", semigroup.table)]
+        tables += groupoid_tables(name, catalog.load_groupoid(name), ring)
     for name in catalog.action_names():
         action = catalog.load_action(name)
         g = build_transformation_groupoid(action)
@@ -184,6 +222,29 @@ def test_catalog_tables_agree_with_the_cube(Q):
         assert all(isinstance(row, array) for row in table), name
         assert assert_agrees(table) is None, name
         assert light_generators(table) == reference_generators(table), name
+
+
+def test_generators_generate_and_are_no_more_than_before(Q):
+    tables = catalog_tables(Q)
+    for n in range(1, 5):
+        tables += groupoid_tables(f"pair_groupoid_{n}",
+                                  parse(pair_groupoid_spec(n)), Q)
+    for name, table in tables:
+        generators = light_generators(table)
+        assert magma_closure(table, generators) == set(range(len(table))), name
+        assert len(generators) <= len(smallest_missing_generators(table)), name
+
+
+def test_generator_counts_on_the_rung(Q):
+    semigroup, module = bisection_module(parse(pair_groupoid_spec(4)), Q)
+    assert (semigroup.order, module.dim) == (209, 544)
+    # 99 and 46 under smallest_missing_generators.
+    assert len(light_generators(module.table)) <= 16
+    assert len(light_generators(semigroup.table)) <= 5
+    # 33 under smallest_missing_generators.
+    i4 = symmetric_inverse_monoid(range(4))
+    assert i4.order == 209
+    assert len(light_generators(i4.table)) <= 5
 
 
 def corrupt(table, rng):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -99,6 +101,10 @@ def test_theorem5_computes_the_natural_order_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+RUNG_REPORT_SHA256 = \
+    "024b9540117977258bde9eb14a3958f20061cdf55c66fa48c9d8032be3141131"
+
+
 def test_theorem5_pair_groupoid_on_four_points(tmp_path, capsys):
     path = tmp_path / "pair_groupoid_4.json"
     path.write_text(json.dumps(pair_groupoid_spec(4)))
@@ -108,6 +114,11 @@ def test_theorem5_pair_groupoid_on_four_points(tmp_path, capsys):
     assert ("check dimension_ledger: pass  "
             "[dim L=544 dim I=528 dim L/I=16 dim A=16]") in out
     assert out.endswith("result: pass\n")
+    # The input digest is blanked as perfbench blanks it; the digest of the
+    # rest was recorded before the certificates moved to index tables.
+    text = re.sub(r"^(input: \S+ sha256=)([0-9a-f]{64})$", r"\1-", out,
+                  flags=re.M)
+    assert hashlib.sha256(text.encode()).hexdigest() == RUNG_REPORT_SHA256
 
 
 @pytest.mark.parametrize("flag", ["--bisection-bound", "--iso-bound",
