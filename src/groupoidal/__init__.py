@@ -33,7 +33,7 @@ from .transformation_groupoid import (build_transformation_groupoid,
                                       isotropy_of_transformation)
 from .isomorphisms import (AlgebraMap, OrbitEquivalenceData, bisection_action,
                            check_diagonal_correspondence, group_ring_probe,
-                           phi, psi, rho, rho_inverse,
+                           phi, phi_classes, psi, rho, rho_inverse,
                            search_groupoid_isomorphism,
                            search_orbit_equivalence, steinberg_transport,
                            transported_skew_isomorphism,

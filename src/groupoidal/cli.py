@@ -25,8 +25,8 @@ from .partial_actions import (induce_algebra_action, is_topologically_free,
                               validate_isg_partial_action)
 from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport
 from .scalars import ring_from_tag
-from .skew_rings import build_skew_group_ring, check_pregrading
-from .steinberg_algebra import SteinbergAlgebra
+from .skew_rings import SkewElement, build_skew_group_ring, check_pregrading
+from .steinberg_algebra import GroupoidFunction, SteinbergAlgebra
 from .transformation_groupoid import build_transformation_groupoid
 from .specfiles import SpecContentError, SpecFileError, load_document
 from .validation import BoundExceeded, stable
@@ -137,12 +137,12 @@ def cmd_theorem3(doc, ring, bounds, report):
 
     algebra = rho_map.codomain
     ok = True
-    for i in range(module.dim):
-        vec = [ring.zero()] * module.dim
-        vec[i] = ring.one()
-        image = algebra.from_vector(rho_map.apply(vec))
-        back = module.to_vector(rho_inverse(image, module))
-        if back != vec:
+    for i, (g, x) in enumerate(module.basis_labels):
+        # rho sends the basis element e_i to the point mass at targets[i].
+        image = GroupoidFunction.point_mass(
+            algebra.groupoid, ring, algebra.basis_labels[rho_map.targets[i]])
+        if rho_inverse(image, module) != SkewElement.basis(
+                module.algebra_action, g, x):
             ok = False
             break
     report.add("round_trip_skew_to_steinberg", _flag_status(ok),
@@ -150,9 +150,8 @@ def cmd_theorem3(doc, ring, bounds, report):
                f"round trip fails on basis {module.basis_labels[i]}")
 
     ok = True
-    for k, arrow in enumerate(algebra.basis_labels):
-        mass = algebra.from_vector(
-            [ring.one() if i == k else ring.zero() for i in range(algebra.dim)])
+    for arrow in algebra.basis_labels:
+        mass = GroupoidFunction.point_mass(algebra.groupoid, ring, arrow)
         vec = rho_map.apply(module.to_vector(rho_inverse(mass, module)))
         if algebra.from_vector(vec) != mass:
             ok = False

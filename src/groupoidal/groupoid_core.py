@@ -72,10 +72,6 @@ class FiniteGroupoid:
         except KeyError:
             raise ValueError(f"arrows {b} and {c} are not composable") from None
 
-    def arrow_key(self, subset):
-        """Canonical sort key for an arrow subset."""
-        return tuple(sorted(self._index[a] for a in subset))
-
     def sort_arrows(self, subset):
         return sorted(subset, key=self._index.__getitem__)
 

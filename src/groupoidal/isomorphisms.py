@@ -195,11 +195,6 @@ class AlgebraMap:
                 f"{self.codomain.dim})")
 
 
-def _vector_repr(algebra, vec):
-    parts = [f"{c}*{algebra.basis_labels[i]}" for i, c in enumerate(vec) if c]
-    return " + ".join(parts) if parts else "0"
-
-
 # ---------------------------------------------------------------------------
 # The skew group ring <-> Steinberg algebra isomorphism for a partial
 # group action.
@@ -575,8 +570,9 @@ class SkewRealization:
                 self.quotient.dim, self.steinberg.dim)
 
     def psi_vanishes_on_ideal(self):
-        """Check psi = 0 on the full echelon basis of the ideal: psi sends
-        each row e_a - e_rep(a) to zero iff a and rep(a) share a target."""
+        """Check psi = 0 on the ideal.  I is a congruence on the basis of
+        L, spanned by the rows e_a - e_rep(a); psi sends each row to zero
+        iff a and rep(a) share a target."""
         targets = self.psi_map.targets
         return all(targets[a] == targets[r]
                    for a, r in enumerate(self.ideal.rep) if a != r)
@@ -621,49 +617,58 @@ def psi(groupoid, ring, bisection_bound=DEFAULT_BISECTION_BOUND):
                            psi_tilde)
 
 
-def phi(f, realization):
+def phi_classes(f, realization):
     """The left inverse of psi_tilde: decompose f canonically into disjoint
     bisection indicators sum r_i 1_{B_i} and map it to the class of
-    sum r_i (indicator of r(B_i)) delta_{B_i}.  Returns quotient
-    coordinates."""
+    sum r_i (indicator of r(B_i)) delta_{B_i}, as {quotient index:
+    coefficient} with zeros dropped."""
     if f.parent is not realization.groupoid or f.ring != realization.ring:
         raise ValueError("function does not live on the realized groupoid")
-    module = realization.module
-    vec = zero_vector(realization.ring, module.dim)
+    range_of = realization.groupoid.range
+    label_index = realization.module.label_index
+    cls = realization.quotient._class
+    out = {}
     for coeff, bis in disjoint_decomposition(f):
-        for u in range_set(realization.groupoid, bis):
-            k = module.label_index(bis, u)
-            vec[k] = vec[k] + coeff
-    return realization.quotient.class_of(vec)
+        for b in bis:
+            q = cls[label_index(bis, range_of(b))]
+            out[q] = out[q] + coeff if q in out else coeff
+    return {q: c for q, c in out.items() if c}
+
+
+def phi(f, realization):
+    """phi_classes as quotient coordinates."""
+    vec = zero_vector(realization.ring, realization.quotient.dim)
+    for q, c in phi_classes(f, realization).items():
+        vec[q] = c
+    return vec
 
 
 def verify_phi_left_inverse(realization):
     """phi o psi_tilde must fix every quotient basis class."""
-    quotient = realization.quotient
-    steinberg = realization.steinberg
+    labels = realization.quotient.basis_labels
+    one = realization.ring.one()
     for q, t in enumerate(realization.psi_tilde.targets):
         f = GroupoidFunction.point_mass(realization.groupoid, realization.ring,
-                                        steinberg.basis_labels[t])
-        got = phi(f, realization)
-        expected = zero_vector(realization.ring, quotient.dim)
-        expected[q] = realization.ring.one()
-        if got != expected:
-            return (False, f"phi(psi~(e_{q})) = "
-                           f"{_vector_repr(quotient, got)}")
+                                        realization.steinberg.basis_labels[t])
+        got = phi_classes(f, realization)
+        if got != {q: one}:
+            image = " + ".join(f"{c}*{labels[i]}"
+                               for i, c in sorted(got.items()))
+            return (False, f"phi(psi~(e_{q})) = {image or 0}")
     return (True, None)
 
 
 def verify_phi_additive(realization, rng, trials=200):
     """phi(f + g) = phi(f) + phi(g) as classes, on random pairs."""
     steinberg = realization.steinberg
-    ring = realization.ring
     for trial in range(trials):
         f = _random_function(steinberg, rng)
         g = _random_function(steinberg, rng)
-        lhs = phi(f + g, realization)
-        rhs = [a + b for a, b in zip(phi(f, realization),
-                                     phi(g, realization))]
-        if lhs != rhs:
+        lhs = phi_classes(f + g, realization)
+        rhs = phi_classes(f, realization)
+        for q, c in phi_classes(g, realization).items():
+            rhs[q] = rhs[q] + c if q in rhs else c
+        if lhs != {q: c for q, c in rhs.items() if c}:
             return (False, f"additivity fails at trial {trial}")
     return (True, None)
 

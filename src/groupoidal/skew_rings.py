@@ -212,8 +212,8 @@ class IdealCongruence:
 
     @property
     def rows(self):
-        """The reduced echelon basis of I: e_a - e_rep(a) for each a that
-        does not represent its class, in increasing order of a."""
+        """The spanning rows of the congruence I: e_a - e_rep(a) for each
+        a that does not represent its class, in increasing order of a."""
         ring, dim = self.module.ring, self.module.dim
         rows = []
         for a, r in enumerate(self.rep):
@@ -250,8 +250,7 @@ def build_ideal(module):
 class QuotientAlgebra:
     """L/I with one basis element per class of the congruence, labelled by
     its representative, in increasing order: the class of e_a is basis
-    element q when representatives[q] = rep(a).  The class of a vector
-    sums its coefficients over each class."""
+    element q when representatives[q] = rep(a)."""
 
     def __init__(self, module, ideal):
         self.module = module
@@ -269,14 +268,6 @@ class QuotientAlgebra:
                                            for b in self.representatives])
                       for a in self.representatives]
         self.representative_independence_verified = False
-
-    def class_of(self, vec):
-        out = zero_vector(self.ring, self.dim)
-        for a, c in enumerate(vec):
-            if c:
-                q = self._class[a]
-                out[q] = out[q] + c
-        return out
 
     def mul_basis(self, i, j):
         return table_mul_basis(self.table, self.ring, i, j)

@@ -61,7 +61,7 @@ class GroupoidFunction:
         self._compatible(other)
         out = dict(self.values)
         for a, c in other.values.items():
-            out[a] = out.get(a, self.ring.zero()) + c
+            out[a] = out[a] + c if a in out else c
         return GroupoidFunction(self.parent, self.ring, out)
 
     def __neg__(self):
@@ -128,26 +128,32 @@ def disjoint_decomposition(f):
     the same function always yields the same list.
     """
     g = f.parent
+    index, range_of, source_of = g._index, g._range, g._source
     levels = {}
     for arrow, value in f.values.items():
-        levels.setdefault(value, []).append(arrow)
-    pieces = []
-    for value, arrows in levels.items():
-        remaining = g.sort_arrows(arrows)
+        # f has one ring, so the raw values key the level sets.
+        levels.setdefault(value.value, (value, []))[1].append(
+            (index[arrow], range_of[arrow], source_of[arrow]))
+    blocks = []
+    for value, remaining in levels.values():
+        remaining.sort()
         while remaining:
-            block = []
-            ranges, sources = set(), set()
-            rest = []
-            for a in remaining:
-                if g.range(a) not in ranges and g.source(a) not in sources:
-                    block.append(a)
-                    ranges.add(g.range(a))
-                    sources.add(g.source(a))
+            block, rest, ranges, sources = [], [], set(), set()
+            for item in remaining:
+                i, r, s = item
+                if r in ranges or s in sources:
+                    rest.append(item)
                 else:
-                    rest.append(a)
-            pieces.append((value, frozenset(block)))
+                    block.append(i)
+                    ranges.add(r)
+                    sources.add(s)
+            blocks.append((block, value))
             remaining = rest
-    pieces.sort(key=lambda rv: g.arrow_key(rv[1]))
+    # A block's key is its ascending index list; blocks are disjoint, so
+    # their first indices order them as their keys do.
+    blocks.sort(key=lambda bv: bv[0][0])
+    pieces = [(value, frozenset([g.arrows[i] for i in block]))
+              for block, value in blocks]
     for _, block in pieces:
         assert is_bisection(g, block)
     return pieces

@@ -3,6 +3,8 @@ from itertools import combinations, product
 
 import pytest
 
+from test_phi_oracle import class_of
+
 from groupoidal import catalog
 from groupoidal.groupoid_core import FiniteGroupoid, range_set
 from groupoidal.groups import FiniteGroup
@@ -386,7 +388,7 @@ def test_phi_examples(Q):
         expected_elem = SkewElement(
             r.algebra_action,
             {bis: SpaceFunction.indicator(Q, range_set(g, bis))})
-        expected = r.quotient.class_of(r.module.to_vector(expected_elem))
+        expected = class_of(r.quotient, r.module.to_vector(expected_elem))
         assert phi(f, r) == expected
 
 
