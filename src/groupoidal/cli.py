@@ -26,7 +26,7 @@ from .partial_actions import (induce_algebra_action, is_topologically_free,
 from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport
 from .scalars import ring_from_tag
 from .skew_rings import SkewElement, build_skew_group_ring, check_pregrading
-from .steinberg_algebra import GroupoidFunction, SteinbergAlgebra
+from .steinberg_algebra import GroupoidFunction
 from .transformation_groupoid import build_transformation_groupoid
 from .specfiles import SpecContentError, SpecFileError, load_document
 from .validation import BoundExceeded, stable
@@ -152,8 +152,15 @@ def cmd_theorem3(doc, ring, bounds, report):
     ok = True
     for arrow in algebra.basis_labels:
         mass = GroupoidFunction.point_mass(algebra.groupoid, ring, arrow)
-        vec = rho_map.apply(module.to_vector(rho_inverse(mass, module)))
-        if algebra.from_vector(vec) != mass:
+        # rho maps each term c e_(g, x) to c times the point mass at
+        # targets[label_index(g, x)].
+        image = {}
+        for g, f in rho_inverse(mass, module).terms.items():
+            for x, c in f.values.items():
+                target = algebra.basis_labels[
+                    rho_map.targets[module.label_index(g, x)]]
+                image[target] = image[target] + c if target in image else c
+        if GroupoidFunction(algebra.groupoid, ring, image) != mass:
             ok = False
             break
     report.add("round_trip_steinberg_to_skew", _flag_status(ok),
@@ -171,9 +178,6 @@ def cmd_theorem5(doc, ring, bounds, report):
     inverse semigroup ring, with the full dimension ledger."""
     if doc.kind != "groupoid":
         raise SpecFileError(f"theorem5 needs a groupoid spec, got {doc.kind}")
-    if not ring.is_field:
-        raise SpecFileError(
-            f"theorem5 needs a field ring (Q or Z/p), got {ring.tag()}")
     groupoid = doc.payload
     result = validate_groupoid(groupoid)
     report.add("groupoid_axioms", _flag_status(result.ok),
@@ -292,11 +296,10 @@ def cmd_equivalence(doc, ring, bounds, report):
 
     transported = None
     if iso is not None:
-        alg_left = SteinbergAlgebra(groupoids["left"], ring)
-        alg_right = SteinbergAlgebra(groupoids["right"], ring)
-        gamma = steinberg_transport(iso, alg_left, alg_right)
         rho_left = rho(left, ring, groupoid=groupoids["left"])
         rho_right = rho(right, ring, groupoid=groupoids["right"])
+        gamma = steinberg_transport(iso, rho_left.codomain,
+                                    rho_right.codomain)
         skew_phi = transported_skew_isomorphism(rho_left, rho_right, gamma)
         certified = (gamma.is_isomorphism and gamma.preserves_diagonal
                      and skew_phi.is_isomorphism

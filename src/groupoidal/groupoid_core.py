@@ -8,7 +8,6 @@ model every subset is compact open, so "compact open bisection" reduces to
 
 from __future__ import annotations
 
-from .groups import FiniteGroup
 from .validation import BoundExceeded, ValidationReport
 
 DEFAULT_BISECTION_BOUND = 16
@@ -171,16 +170,20 @@ def validate_groupoid(g):
 
 def isotropy_group(g, u):
     """The isotropy group at a unit: all arrows with range = source = u,
-    as a FiniteGroup with identity u."""
+    as a FiniteGroup with identity u, read off the composition table."""
+    # groups imports this module, through inverse_semigroups.
+    from .groups import FiniteGroup
     if u not in g.units:
         raise ValueError(f"{u} is not a unit")
     members = [b for b in g.arrows if g.range(b) == u and g.source(b) == u]
+    inside = set(members)
     table = {}
     for a in members:
         for b in members:
-            if not g.composable(a, b) or g.compose(a, b) not in set(members):
+            c = g.compose_table.get((a, b))
+            if c not in inside:
                 raise ValueError(f"isotropy at {u} is not closed on ({a}, {b})")
-            table[(a, b)] = g.compose(a, b)
+            table[(a, b)] = c
     return FiniteGroup(members, table, name=f"isotropy@{u}")
 
 

@@ -1,82 +1,35 @@
-"""Finite groups given by explicit Cayley tables."""
+"""Finite groups given by explicit Cayley tables, as the inverse semigroups
+whose table is total and which have one idempotent, the identity."""
 
 from __future__ import annotations
 
+# NaturalOrder is re-exported for callers that import it from here.
+from .inverse_semigroups import FiniteInverseSemigroup, NaturalOrder
+from .scalars import index_row, table_associativity_counterexample
 from .validation import ValidationReport
 
 
-class NaturalOrder:
-    """The natural partial order s <= t  iff  s = t s* s (equivalently
-    s = s s* t) of a group or an inverse semigroup, as a set of pairs."""
-
-    def __init__(self, semigroup, pairs):
-        self.semigroup = semigroup
-        self.pairs = frozenset(pairs)
-
-    def le(self, s, t):
-        return (s, t) in self.pairs
-
-    def below(self, t):
-        return [s for s in self.semigroup.elements if self.le(s, t)]
-
-    def strictly_below(self, t):
-        return [s for s in self.below(t) if s != t]
-
-
-class FiniteGroup:
+class FiniteGroup(FiniteInverseSemigroup):
     """A finite group: an element list (fixing the canonical order) and a
-    total multiplication table.  Identity and inverses are derived, so the
-    constructor rejects tables that are not groups."""
+    total multiplication table, a dict keyed by element pairs.  Identity
+    and inverses are derived, so the constructor rejects tables that are
+    not groups."""
 
     def __init__(self, elements, table, name="group"):
-        self.name = name
-        self.elements = list(elements)
-        if len(set(self.elements)) != len(self.elements):
+        elements = list(elements)
+        if len(set(elements)) != len(elements):
             raise ValueError("duplicate group elements")
-        self._table = dict(table)
-        report = validate_group_table(self.elements, self._table)
+        report = validate_group_table(elements, table)
         if not report.ok:
             raise ValueError(f"not a group: {report.first}")
-        self.identity = next(
-            e for e in self.elements
-            if all(self._table[(e, x)] == x == self._table[(x, e)] for x in self.elements))
-        self._inv = {}
-        for a in self.elements:
-            self._inv[a] = next(b for b in self.elements
-                                if self._table[(a, b)] == self.identity)
-        # Index tables over the element list, as an inverse semigroup has.
-        position = {a: i for i, a in enumerate(self.elements)}
-        self.table = [[position[self._table[(a, b)]] for b in self.elements]
-                      for a in self.elements]
-        self.star_table = [position[self._inv[a]] for a in self.elements]
+        rows = _index_table(elements, table)
+        # The identity is the one idempotent; a* is the b with a b = 1.
+        e = next(i for i, row in enumerate(rows) if row[i] == i)
+        super().__init__(elements, rows, [row.index(e) for row in rows],
+                         name=name)
+        self.identity = elements[e]
 
-    @property
-    def order(self):
-        return len(self.elements)
-
-    # .unit / .star / .natural_order and the index tables mirror the
-    # inverse-semigroup protocol, so code indexed by "a group or an inverse
-    # semigroup" can treat both uniformly.
-    @property
-    def unit(self):
-        return self.identity
-
-    def natural_order(self):
-        """The natural partial order of a group, which is equality:
-        s = t s* s = t."""
-        return NaturalOrder(self, ((a, a) for a in self.elements))
-
-    def mul(self, a, b):
-        return self._table[(a, b)]
-
-    def inv(self, a):
-        return self._inv[a]
-
-    def star(self, a):
-        return self._inv[a]
-
-    def index(self, a):
-        return self.elements.index(a)
+    inv = FiniteInverseSemigroup.star
 
     def is_subgroup(self, subset):
         subset = set(subset)
@@ -91,9 +44,6 @@ class FiniteGroup:
             raise ValueError(f"{sorted(map(str, subset))} is not a subgroup")
         table = {(a, b): self.mul(a, b) for a in members for b in members}
         return FiniteGroup(members, table, name=name)
-
-    def __repr__(self):
-        return f"FiniteGroup({self.name}, order={self.order})"
 
     @classmethod
     def trivial(cls, element="e"):
@@ -110,8 +60,19 @@ class FiniteGroup:
         return cls(names, table, name=f"Z{n}")
 
 
+def _index_table(elements, table):
+    """The index table of a complete dict table whose values are elements."""
+    index = {a: i for i, a in enumerate(elements)}
+    return [index_row(len(elements), [index[table[(a, b)]] for b in elements])
+            for a in elements]
+
+
 def validate_group_table(elements, table):
-    """Exhaustively check that (elements, table) is a finite group."""
+    """Exhaustively check that (elements, table) is a finite group, given
+    distinct element names: every entry present and an element, then, on
+    the index table, associativity (by Light's test, see
+    table_associativity_counterexample), one two-sided identity, and an
+    inverse for every element."""
     report = ValidationReport("group table")
     elems = list(elements)
     eset = set(elems)
@@ -124,21 +85,20 @@ def validate_group_table(elements, table):
                 report.add(f"table value {c} for ({a}, {b}) is not an element")
     if not report.ok:
         return report
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                left = table[(table[(a, b)], c)]
-                right = table[(a, table[(b, c)])]
-                if left != right:
-                    report.add(f"associativity fails on ({a}, {b}, {c})")
-                    return report
-    identities = [e for e in elems
-                  if all(table[(e, x)] == x == table[(x, e)] for x in elems)]
+    rows = _index_table(elems, table)
+    counter = table_associativity_counterexample(rows)
+    if counter is not None:
+        a, b, c = (elems[i] for i in counter)
+        report.add(f"associativity fails on ({a}, {b}, {c})")
+        return report
+    n = len(elems)
+    identities = [e for e in range(n)
+                  if all(rows[e][x] == x == rows[x][e] for x in range(n))]
     if len(identities) != 1:
         report.add(f"expected exactly one identity, found {len(identities)}")
         return report
     e = identities[0]
-    for a in elems:
-        if not any(table[(a, b)] == e and table[(b, a)] == e for b in elems):
-            report.add(f"element {a} has no inverse")
+    for i, row in enumerate(rows):
+        if not any(row[j] == e and rows[j][i] == e for j in range(n)):
+            report.add(f"element {elems[i]} has no inverse")
     return report

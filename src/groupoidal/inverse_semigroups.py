@@ -8,9 +8,26 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .groupoid_core import enumerate_bisections, DEFAULT_BISECTION_BOUND
-from .groups import NaturalOrder
 from .scalars import index_row, table_associativity_counterexample
 from .validation import ValidationReport
+
+
+class NaturalOrder:
+    """The natural partial order s <= t  iff  s = t s* s (equivalently
+    s = s s* t) of an inverse semigroup, as a set of pairs."""
+
+    def __init__(self, semigroup, pairs):
+        self.semigroup = semigroup
+        self.pairs = frozenset(pairs)
+
+    def le(self, s, t):
+        return (s, t) in self.pairs
+
+    def below(self, t):
+        return [s for s in self.semigroup.elements if self.le(s, t)]
+
+    def strictly_below(self, t):
+        return [s for s in self.below(t) if s != t]
 
 
 class FiniteInverseSemigroup:
@@ -95,7 +112,7 @@ class FiniteInverseSemigroup:
         return [self.elements[i] for i in _idempotent_indices(self.table)]
 
     def __repr__(self):
-        return f"FiniteInverseSemigroup({self.name}, order={self.order})"
+        return f"{type(self).__name__}({self.name}, order={self.order})"
 
 
 def _idempotent_indices(table):
@@ -103,11 +120,10 @@ def _idempotent_indices(table):
 
 
 def from_group(group):
-    """View a finite group as an inverse semigroup (star = group inverse)."""
-    table = {(a, b): group.mul(a, b) for a in group.elements for b in group.elements}
-    star = {a: group.inv(a) for a in group.elements}
-    return FiniteInverseSemigroup.from_products(group.elements, table, star,
-                                                name=group.name)
+    """View a finite group as a plain inverse semigroup (star = group
+    inverse), sharing the group's tables."""
+    return FiniteInverseSemigroup(group.elements, group.table,
+                                  group.star_table, name=group.name)
 
 
 def validate_inverse_semigroup(s):

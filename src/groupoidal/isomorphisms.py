@@ -17,7 +17,8 @@ from __future__ import annotations
 from collections import Counter
 from itertools import permutations, product
 
-from .groupoid_core import range_set, DEFAULT_BISECTION_BOUND
+from .groupoid_core import (DEFAULT_BISECTION_BOUND, isotropy_group,
+                            range_set)
 from .inverse_semigroups import bisection_semigroup
 from .partial_actions import (SemigroupPartialAction, SpaceFunction,
                               induce_algebra_action)
@@ -393,30 +394,23 @@ def verify_groupoid_isomorphism(g1, g2, iso):
     return (True, None)
 
 
-def _element_order(g, u, b, limit):
-    """The least k >= 1 with b^k = u, read off the composition table; 0 if
-    there is none up to ``limit``."""
-    power = b
-    for k in range(1, limit + 1):
-        if power == u:
-            return k
-        power = g.compose_table.get((power, b))
-    return 0
-
-
 def _unit_profiles(g):
     """Unit -> (isotropy group order, number of arrows with that range,
-    sorted element orders of the isotropy group)."""
+    sorted element orders of the isotropy group).  The order of b is the
+    least k >= 1 with b^k = 1, read off the group's index table."""
     fibre = Counter(g.range(b) for b in g.arrows)
-    isotropy = {u: [] for u in g.units}
-    for b in g.arrows:
-        u = g.range(b)
-        if u == g.source(b) and u in isotropy:
-            isotropy[u].append(b)
-    return {u: (len(group), fibre[u],
-                tuple(sorted(_element_order(g, u, b, len(group))
-                             for b in group)))
-            for u, group in isotropy.items()}
+    profiles = {}
+    for u in g.units:
+        group = isotropy_group(g, u)
+        table, e = group.table, group.index(group.identity)
+        orders = []
+        for b in range(group.order):
+            power, k = b, 1
+            while power != e:
+                power, k = table[power][b], k + 1
+            orders.append(k)
+        profiles[u] = (group.order, fibre[u], tuple(sorted(orders)))
+    return profiles
 
 
 def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
@@ -731,7 +725,7 @@ def group_ring_probe(group, ring, bound=1024):
 
     mod = ring.modulus
     elems = group.elements
-    mul_idx = [[elems.index(group.mul(a, b)) for b in elems] for a in elems]
+    mul_idx = group.table
 
     def conv(x, y):
         out = [0] * n

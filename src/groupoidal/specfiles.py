@@ -17,7 +17,7 @@ import json
 import os
 
 from .groupoid_core import FiniteGroupoid
-from .groups import FiniteGroup, validate_group_table
+from .groups import FiniteGroup
 from .inverse_semigroups import FiniteInverseSemigroup
 from .partial_actions import GroupPartialAction
 
@@ -176,10 +176,12 @@ def _parse_group(spec):
         if a not in eset or b not in eset or value not in eset:
             raise SpecFileError(f"group.table[{key!r}]: unknown element")
         table[(a, b)] = value
-    report = validate_group_table(elements, table)
-    if not report.ok:
-        raise SpecContentError(f"group table is not a group: {report.first}")
-    return FiniteGroup(elements, table, name="group")
+    try:
+        return FiniteGroup(elements, table, name="group")
+    except ValueError as exc:
+        # Duplicate names are refused above, so the one ValueError left
+        # reads "not a group: <first violation>".
+        raise SpecContentError(f"group table is {exc}") from None
 
 
 def _parse_groupoid(data):
@@ -257,7 +259,7 @@ def _parse_semigroup(data):
         elements, table, star, name=data.get("name", "semigroup"))
 
 
-def parse_document(raw_bytes, source="<input>", catalog_dir=None):
+def parse_document(raw_bytes, source="<input>"):
     digest = hashlib.sha256(raw_bytes).hexdigest()
     try:
         data = json.loads(raw_bytes)
@@ -292,7 +294,7 @@ def parse_document(raw_bytes, source="<input>", catalog_dir=None):
         for side in ("left", "right"):
             spec = data[side]
             if isinstance(spec, str):
-                doc = load_document(spec, catalog_dir=catalog_dir)
+                doc = load_document(spec)
                 if doc.kind != "action":
                     raise SpecFileError(f"{source}: {side} names a "
                                         f"{doc.kind}, expected an action")
@@ -311,12 +313,12 @@ def default_catalog_dir():
     return os.path.join(os.path.dirname(__file__), "data", "catalog")
 
 
-def resolve_input(token, catalog_dir=None):
+def resolve_input(token):
     """A path to an existing file is used as-is; otherwise the token is
     looked up as a catalog name."""
     if os.path.exists(token):
         return token
-    catalog_dir = catalog_dir or default_catalog_dir()
+    catalog_dir = default_catalog_dir()
     candidate = os.path.join(catalog_dir, token + ".json")
     if os.path.exists(candidate):
         return candidate
@@ -324,9 +326,8 @@ def resolve_input(token, catalog_dir=None):
                         f"{token!r} in {catalog_dir}")
 
 
-def load_document(token, catalog_dir=None):
-    path = resolve_input(token, catalog_dir)
+def load_document(token):
+    path = resolve_input(token)
     with open(path, "rb") as handle:
         raw = handle.read()
-    return parse_document(raw, source=os.path.basename(path),
-                          catalog_dir=catalog_dir)
+    return parse_document(raw, source=os.path.basename(path))

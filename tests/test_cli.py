@@ -131,11 +131,17 @@ def test_non_positive_bound_flag_is_an_input_error(flag, capsys):
         assert "must be at least 1" in capsys.readouterr().err
 
 
-def test_theorem5_needs_field(capsys):
-    code, _, err = run_cli(capsys, "theorem5", "two_isolated_units",
-                           "--ring", "Z")
-    assert code == 2
-    assert "field" in err
+def test_theorem5_over_any_commutative_ring(capsys):
+    # Theorem 5 holds over a commutative unital ring: over Z and Z/4 every
+    # catalog groupoid passes with the report it has over Q, the ring
+    # line aside.
+    for name in catalog.groupoid_names():
+        code, over_q, _ = run_cli(capsys, "theorem5", name)
+        assert code == 0
+        for tag in ("Z", "Z/4"):
+            code, out, _ = run_cli(capsys, "theorem5", name, "--ring", tag)
+            assert code == 0, (name, tag)
+            assert out == over_q.replace("ring: Q\n", f"ring: {tag}\n")
 
 
 def test_theorem5_over_prime_field(capsys):
