@@ -38,6 +38,13 @@ def _flag_status(ok):
     return PASS if ok else FAIL
 
 
+def _validation_row(report, name, result, detail=""):
+    """One row for a validator's result: the detail on a pass, the
+    violation summary on a failure."""
+    report.add(name, _flag_status(result.ok),
+               detail if result.ok else result.summary())
+
+
 def _image_listing(algebra_map):
     """The images of the domain basis, each a point mass with coefficient
     1, so every certificate in the report can be recomputed from the
@@ -83,23 +90,19 @@ def _new_report(command, doc, ring, bounds):
 
 def cmd_validate(doc, ring, bounds, report):
     if doc.kind == "groupoid":
-        result = validate_groupoid(doc.payload)
-        report.add("groupoid_axioms", _flag_status(result.ok),
-                   "" if result.ok else result.summary())
+        _validation_row(report, "groupoid_axioms",
+                        validate_groupoid(doc.payload))
     elif doc.kind == "action":
-        result = validate_group_partial_action(doc.payload)
-        report.add("partial_action_axioms", _flag_status(result.ok),
-                   "" if result.ok else result.summary())
+        _validation_row(report, "partial_action_axioms",
+                        validate_group_partial_action(doc.payload))
     elif doc.kind == "semigroup":
-        result = validate_inverse_semigroup(doc.payload)
-        report.add("inverse_semigroup_axioms", _flag_status(result.ok),
-                   "" if result.ok else result.summary())
+        _validation_row(report, "inverse_semigroup_axioms",
+                        validate_inverse_semigroup(doc.payload))
     else:
         left, right = doc.payload
         for side, action in (("left", left), ("right", right)):
-            result = validate_group_partial_action(action)
-            report.add(f"{side}_action_axioms", _flag_status(result.ok),
-                       "" if result.ok else result.summary())
+            _validation_row(report, f"{side}_action_axioms",
+                            validate_group_partial_action(action))
     return report
 
 
@@ -111,15 +114,13 @@ def cmd_theorem3(doc, ring, bounds, report):
         raise SpecFileError(f"theorem3 needs an action spec, got {doc.kind}")
     action = doc.payload
     result = validate_group_partial_action(action)
-    report.add("action_axioms", _flag_status(result.ok),
-               "" if result.ok else result.summary())
+    _validation_row(report, "action_axioms", result)
     if not result.ok:
         return report
 
     groupoid = build_transformation_groupoid(action)
-    gres = validate_groupoid(groupoid)
-    report.add("transformation_groupoid_axioms", _flag_status(gres.ok),
-               f"{groupoid.n_arrows} arrows" if gres.ok else gres.summary())
+    _validation_row(report, "transformation_groupoid_axioms",
+                    validate_groupoid(groupoid), f"{groupoid.n_arrows} arrows")
 
     module = build_skew_group_ring(induce_algebra_action(action, ring))
     report.add("dimension_match",
@@ -180,20 +181,17 @@ def cmd_theorem5(doc, ring, bounds, report):
         raise SpecFileError(f"theorem5 needs a groupoid spec, got {doc.kind}")
     groupoid = doc.payload
     result = validate_groupoid(groupoid)
-    report.add("groupoid_axioms", _flag_status(result.ok),
-               "" if result.ok else result.summary())
+    _validation_row(report, "groupoid_axioms", result)
     if not result.ok:
         return report
 
     realization = psi(groupoid, ring, bisection_bound=bounds["bisection"])
     semigroup = realization.semigroup
-    sres = validate_inverse_semigroup(semigroup)
-    report.add("bisection_semigroup_axioms", _flag_status(sres.ok),
-               f"{semigroup.order} bisections" if sres.ok else sres.summary())
-
-    ares = validate_isg_partial_action(realization.action)
-    report.add("bisection_action_axioms", _flag_status(ares.ok),
-               "" if ares.ok else ares.summary())
+    _validation_row(report, "bisection_semigroup_axioms",
+                    validate_inverse_semigroup(semigroup),
+                    f"{semigroup.order} bisections")
+    _validation_row(report, "bisection_action_axioms",
+                    validate_isg_partial_action(realization.action))
 
     counter = realization.module.associativity_counterexample
     report.add("skew_associativity", _flag_status(counter is None),
@@ -233,9 +231,8 @@ def cmd_theorem5(doc, ring, bounds, report):
                _flag_status(realization.quotient.representative_independence_verified),
                "verified during quotient construction")
 
-    grading = check_pregrading(realization.quotient)
-    report.add("pregrading", _flag_status(grading.ok),
-               "" if grading.ok else grading.summary())
+    _validation_row(report, "pregrading",
+                    check_pregrading(realization.quotient))
     return report
 
 
@@ -253,8 +250,7 @@ def cmd_equivalence(doc, ring, bounds, report):
     free = {}
     for side, action in actions.items():
         result = validate_group_partial_action(action)
-        report.add(f"{side}_action_axioms", _flag_status(result.ok),
-                   "" if result.ok else result.summary())
+        _validation_row(report, f"{side}_action_axioms", result)
         if not result.ok:
             return report
         free[side], _ = is_topologically_free(action)

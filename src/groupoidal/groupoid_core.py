@@ -18,12 +18,11 @@ class FiniteGroupoid:
 
     arrows fixes the canonical order; compose is an explicit partial table
     keyed by composable pairs.  Range and source are derived from the
-    tables (r(b) = b b^{-1}, s(b) = b^{-1} b) unless given explicitly, so a
-    raw candidate can be constructed and then judged by validate_groupoid.
+    tables (r(b) = b b^{-1}, s(b) = b^{-1} b), so a raw candidate can be
+    constructed and then judged by validate_groupoid.
     """
 
-    def __init__(self, arrows, units, inverse, compose,
-                 source=None, range_=None, name="groupoid"):
+    def __init__(self, arrows, units, inverse, compose, name="groupoid"):
         self.name = name
         self.arrows = list(arrows)
         if len(set(self.arrows)) != len(self.arrows):
@@ -32,16 +31,12 @@ class FiniteGroupoid:
         self.units = frozenset(units)
         self.inverse_table = dict(inverse)
         self.compose_table = dict(compose)
-        if source is None or range_ is None:
-            self._range = {}
-            self._source = {}
-            for a in self.arrows:
-                ainv = self.inverse_table.get(a)
-                self._range[a] = self.compose_table.get((a, ainv))
-                self._source[a] = self.compose_table.get((ainv, a))
-        else:
-            self._source = dict(source)
-            self._range = dict(range_)
+        self._range = {}
+        self._source = {}
+        for a in self.arrows:
+            ainv = self.inverse_table.get(a)
+            self._range[a] = self.compose_table.get((a, ainv))
+            self._source[a] = self.compose_table.get((ainv, a))
 
     @property
     def n_arrows(self):

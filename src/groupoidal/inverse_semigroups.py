@@ -19,12 +19,17 @@ class NaturalOrder:
     def __init__(self, semigroup, pairs):
         self.semigroup = semigroup
         self.pairs = frozenset(pairs)
+        # The down-set of each element, in element order.
+        position = {s: i for i, s in enumerate(semigroup.elements)}
+        self._below = {t: [] for t in semigroup.elements}
+        for s, t in sorted(self.pairs, key=lambda pair: position[pair[0]]):
+            self._below[t].append(s)
 
     def le(self, s, t):
         return (s, t) in self.pairs
 
     def below(self, t):
-        return [s for s in self.semigroup.elements if self.le(s, t)]
+        return list(self._below[t])
 
     def strictly_below(self, t):
         return [s for s in self.below(t) if s != t]

@@ -1,7 +1,7 @@
 """Executable, certified algebra isomorphisms between partial skew rings
-and Steinberg algebras, orbit-equivalence and groupoid-isomorphism search,
-the realization of a Steinberg algebra as a partial skew inverse semigroup
-ring, and brute-force group-ring probes.
+and Steinberg algebras, orbit equivalence by matching orbits,
+groupoid-isomorphism search, the realization of a Steinberg algebra as a
+partial skew inverse semigroup ring, and brute-force group-ring probes.
 
 Every map built here (rho, psi, psi~, and the transported Gamma and Phi)
 sends point masses to point masses with coefficient 1, so an AlgebraMap
@@ -15,7 +15,7 @@ asserted without one.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import permutations, product
+from itertools import product
 
 from .groupoid_core import (DEFAULT_BISECTION_BOUND, isotropy_group,
                             range_set)
@@ -286,73 +286,85 @@ def verify_orbit_equivalence(theta, gamma, data):
     return (True, None)
 
 
-def _orbit_sizes(action):
-    """Point -> size of its orbit {theta_g(x) : g in G, x in X_{g^-1}}."""
+def _orbits(action):
+    """Point -> its orbit {theta_g(x) : g in G, x in X_{g^-1}}, as a
+    frozenset."""
     group = action.group
     orbits = {x: {x} for x in action.space}
     for g in group.elements:
         for x in action.domain_points(group.inv(g)):
             orbits[x].add(action.theta(g, x))
-    return {x: len(orbit) for x, orbit in orbits.items()}
+    return {x: frozenset(orbit) for x, orbit in orbits.items()}
+
+
+def _cocycle(theta, gamma, phi):
+    """(g, x) -> the first h with gamma_h(phi(x)) = phi(theta_g(x)), for
+    every g and x in X_{g^-1}; None when some pair has no such h."""
+    g_grp, h_grp = theta.group, gamma.group
+    cocycle = {}
+    for g in g_grp.elements:
+        for x in theta.domain_points(g_grp.inv(g)):
+            target = phi[theta.theta(g, x)]
+            h = next((h for h in h_grp.elements
+                      if phi[x] in gamma.domains[h_grp.inv(h)]
+                      and gamma.theta(h, phi[x]) == target), None)
+            if h is None:
+                return None
+            cocycle[(g, x)] = h
+    return cocycle
 
 
 def search_orbit_equivalence(theta, gamma, bound=DEFAULT_ORBIT_BOUND):
-    """Brute-force search over space bijections with pointwise cocycle
-    choices; sound and complete within the bound.  Returns the
-    lexicographically first witness, or None when exhausted.
+    """The lexicographically first orbit equivalence, in the order of
+    permutations(gamma.space), with its pointwise cocycles; None when
+    there is none.
 
-    The cocycles a and b make phi x phi a bijection from the pairs
-    (x, theta_g(x)) onto the pairs (y, gamma_h(y)), so phi maps the orbit
-    of each point x onto the orbit of phi(x).  Hence the point counts and
-    the sorted orbit-size lists of equivalent actions agree; they are
-    compared before the bound applies, and a mismatch returns None without
-    searching.  These checks only reject pairs that have no witness, so the
-    verdict and the first witness are those of the search alone."""
+    For a partial action, R = {(x, theta_g(x)) : x in X_{g^-1}} is an
+    equivalence relation whose classes are the orbits.  The cocycles a
+    and b make phi x phi carry R_theta onto R_gamma, so a witness phi
+    maps each orbit onto an orbit.  Conversely, every bijection that maps
+    orbits onto orbits has both cocycles, chosen pointwise.  So a witness
+    exists exactly when the point counts and the sorted orbit-size lists
+    agree.  They are compared before the bound applies, and a mismatch
+    returns None at once.
+
+    phi is built point by point, in the order of theta.space.  Each x
+    takes the first unused y in the orbit already matched to the orbit of
+    x; when that orbit is not matched yet, x takes the first y whose
+    orbit is unmatched and of the same size.  Each choice leaves the rest
+    completable, as the unmatched orbits on the two sides keep equal
+    size lists, so phi is the first orbit-preserving bijection in
+    permutations order.  On input that is not a partial action the
+    construction can fail; then the result is None."""
     n = len(theta.space)
     if n != len(gamma.space):
         return None
-    if sorted(_orbit_sizes(theta).values()) != \
-            sorted(_orbit_sizes(gamma).values()):
+    x_orbits, y_orbits = _orbits(theta), _orbits(gamma)
+    if sorted(map(len, x_orbits.values())) != \
+            sorted(map(len, y_orbits.values())):
         return None
     if n > bound:
         raise BoundExceeded(f"spaces too large: {n} points "
                             f"exceeds orbit bound {bound}")
-    g_grp, h_grp = theta.group, gamma.group
-    for image in permutations(gamma.space):
-        phi = dict(zip(theta.space, image))
-        a = {}
-        feasible = True
-        for g in g_grp.elements:
-            if not feasible:
-                break
-            for x in theta.domain_points(g_grp.inv(g)):
-                target = phi[theta.theta(g, x)]
-                h = next((h for h in h_grp.elements
-                          if phi[x] in gamma.domains[h_grp.inv(h)]
-                          and gamma.theta(h, phi[x]) == target), None)
-                if h is None:
-                    feasible = False
-                    break
-                a[(g, x)] = h
-        if not feasible:
-            continue
-        phi_inv = {y: x for x, y in phi.items()}
-        b = {}
-        for h in h_grp.elements:
-            if not feasible:
-                break
-            for y in gamma.domain_points(h_grp.inv(h)):
-                target = phi_inv[gamma.theta(h, y)]
-                g = next((g for g in g_grp.elements
-                          if phi_inv[y] in theta.domains[g_grp.inv(g)]
-                          and theta.theta(g, phi_inv[y]) == target), None)
-                if g is None:
-                    feasible = False
-                    break
-                b[(h, y)] = g
-        if feasible:
-            return OrbitEquivalenceData(phi, a, b)
-    return None
+    phi, phi_inv, matched, images = {}, {}, {}, set()
+    for x in theta.space:
+        orbit = x_orbits[x]
+        if orbit in matched:
+            fits = (y for y in gamma.space if y_orbits[y] == matched[orbit])
+        else:
+            fits = (y for y in gamma.space if y_orbits[y] not in images
+                    and len(y_orbits[y]) == len(orbit))
+        y = next((y for y in fits if y not in phi_inv), None)
+        if y is None:
+            return None
+        phi[x], phi_inv[y] = y, x
+        matched.setdefault(orbit, y_orbits[y])
+        images.add(y_orbits[y])
+    a = _cocycle(theta, gamma, phi)
+    b = _cocycle(gamma, theta, phi_inv)
+    if a is None or b is None:
+        return None
+    return OrbitEquivalenceData(phi, a, b)
 
 
 # ---------------------------------------------------------------------------

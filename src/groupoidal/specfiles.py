@@ -151,12 +151,20 @@ class SpecDocument:
         self.bounds = bounds
 
 
-def _split_pair_key(key, what):
-    parts = key.split()
-    if len(parts) != 2:
-        raise SpecFileError(f"{what}[{key!r}]: key must be two "
-                            "space-separated names")
-    return parts
+def _pair_table(table, what, names, noun):
+    """A table keyed by "a b" strings as a dict keyed by (a, b); every
+    name in a key and every value must be one of `names`."""
+    pairs = {}
+    for key, value in table.items():
+        parts = key.split()
+        if len(parts) != 2:
+            raise SpecFileError(f"{what}[{key!r}]: key must be two "
+                                "space-separated names")
+        a, b = parts
+        if a not in names or b not in names or value not in names:
+            raise SpecFileError(f"{what}[{key!r}]: unknown {noun}")
+        pairs[(a, b)] = value
+    return pairs
 
 
 def _parse_group(spec):
@@ -169,13 +177,8 @@ def _parse_group(spec):
     elements = spec["elements"]
     if len(set(elements)) != len(elements):
         raise SpecFileError("group.elements: duplicate names")
-    eset = set(elements)
-    table = {}
-    for key, value in spec["table"].items():
-        a, b = _split_pair_key(key, "group.table")
-        if a not in eset or b not in eset or value not in eset:
-            raise SpecFileError(f"group.table[{key!r}]: unknown element")
-        table[(a, b)] = value
+    table = _pair_table(spec["table"], "group.table", set(elements),
+                        "element")
     try:
         return FiniteGroup(elements, table, name="group")
     except ValueError as exc:
@@ -197,12 +200,7 @@ def _parse_groupoid(data):
         if key not in aset or value not in aset:
             raise SpecFileError(f"inverse[{key!r}]: unknown arrow")
         inverse[key] = value
-    compose = {}
-    for key, value in data["compose"].items():
-        a, b = _split_pair_key(key, "compose")
-        if a not in aset or b not in aset or value not in aset:
-            raise SpecFileError(f"compose[{key!r}]: unknown arrow")
-        compose[(a, b)] = value
+    compose = _pair_table(data["compose"], "compose", aset, "arrow")
     return FiniteGroupoid(arrows, data["units"], inverse, compose,
                           name=data.get("name", "groupoid"))
 
@@ -244,12 +242,7 @@ def _parse_semigroup(data):
     if len(set(elements)) != len(elements):
         raise SpecFileError("elements: duplicate names")
     eset = set(elements)
-    table = {}
-    for key, value in data["table"].items():
-        a, b = _split_pair_key(key, "table")
-        if a not in eset or b not in eset or value not in eset:
-            raise SpecFileError(f"table[{key!r}]: unknown element")
-        table[(a, b)] = value
+    table = _pair_table(data["table"], "table", eset, "element")
     star = {}
     for key, value in data["star"].items():
         if key not in eset or value not in eset:

@@ -24,8 +24,6 @@ class TransformationGroupoid(FiniteGroupoid):
         units = [(e, x) for x in action.space]
         inverse = {(t, x): (group.inv(t), action.theta(group.inv(t), x))
                    for (t, x) in arrows}
-        source = {(t, x): (e, action.theta(group.inv(t), x)) for (t, x) in arrows}
-        range_ = {(t, x): (e, x) for (t, x) in arrows}
         compose = {}
         for (s, y) in arrows:
             for (t, x) in arrows:
@@ -38,7 +36,6 @@ class TransformationGroupoid(FiniteGroupoid):
                             "action is not a partial action")
                     compose[((s, y), (t, x))] = target
         super().__init__(arrows, units, inverse, compose,
-                         source=source, range_=range_,
                          name=name or f"{group.name}@{action.name}")
         self.action = action
 

@@ -1,10 +1,12 @@
-"""The searches with invariant checks against the plain ones.
+"""The engine's orbit-equivalence construction and groupoid search
+against the plain searches.
 
 The two reference searches below are the brute-force versions without
-the invariant checks, kept verbatim apart from their names.  The
-searches must give the same verdict and the same (lexicographically
-first) witness on every input: on the catalog, on relabeled copies, and
-on generated partial Z_n actions.
+the invariant checks, kept verbatim apart from their names.  The engine
+must give the same verdict and the same (lexicographically first)
+witness on every input: on the catalog, on relabeled copies, on
+generated partial Z_n actions, and, for orbit equivalence, on
+restrictions of permutation-group actions.
 """
 
 from itertools import permutations
@@ -19,7 +21,8 @@ from groupoidal.isomorphisms import (DEFAULT_ISO_BOUND, DEFAULT_ORBIT_BOUND,
                                      OrbitEquivalenceData,
                                      search_groupoid_isomorphism,
                                      search_orbit_equivalence,
-                                     verify_groupoid_isomorphism)
+                                     verify_groupoid_isomorphism,
+                                     verify_orbit_equivalence)
 from groupoidal.partial_actions import GroupPartialAction
 from groupoidal.transformation_groupoid import build_transformation_groupoid
 from groupoidal.validation import BoundExceeded
@@ -195,6 +198,53 @@ def partial_actions(draw):
     return restricted_rotation(n, step, frozenset(range(n)) - removed)
 
 
+def permutation_group(generators):
+    """The permutations of range(n) generated by the given tuples: the
+    closure of the identity under composition with the generators, which
+    in a finite group needs no inverses."""
+    elements = [tuple(range(len(generators[0])))]
+    for p in elements:
+        for q in generators:
+            r = tuple(q[i] for i in p)
+            if r not in elements:
+                elements.append(r)
+    return elements
+
+
+def permutation_action(generators, points):
+    """The group generated by the permutations, acting on range(n) by
+    g.x = g[x] and restricted to the subset `points`: the partial action
+    with X_g = Y & g(Y)."""
+    perms = permutation_group(generators)
+    names = [f"s{i}" for i in range(len(perms))]
+    position = {p: i for i, p in enumerate(perms)}
+    group = FiniteGroup(names, {
+        (names[i], names[j]): names[position[tuple(p[x] for x in q)]]
+        for i, p in enumerate(perms) for j, q in enumerate(perms)},
+        name=f"<{generators}>")
+    ys = sorted(points)
+    maps = {name: {f"p{x}": f"p{p[x]}" for x in ys if p[x] in points}
+            for name, p in zip(names, perms)}
+    return GroupPartialAction(group, [f"p{x}" for x in ys],
+                              {g: set(m.values()) for g, m in maps.items()},
+                              maps, name=f"{group.name}|{ys}")
+
+
+@st.composite
+def restricted_permutation_actions(draw):
+    """Groups generated by one or two permutations of at most 6 points,
+    non-abelian ones included; a pair generating more than 24 elements
+    is cut to its first permutation."""
+    n = draw(st.integers(1, 6))
+    generators = draw(st.lists(st.permutations(range(n)), min_size=1,
+                               max_size=2).map(lambda gs: [tuple(g)
+                                                           for g in gs]))
+    if len(permutation_group(generators)) > 24:
+        generators = generators[:1]
+    removed = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    return permutation_action(generators, frozenset(range(n)) - removed)
+
+
 # --- comparison ---------------------------------------------------------------
 
 def orbit_witness(data):
@@ -205,10 +255,14 @@ def iso_witness(iso):
     return None if iso is None else iso.mapping
 
 
-def assert_searches_agree(left, right):
+def assert_orbit_searches_agree(left, right):
     assert (orbit_witness(search_orbit_equivalence(left, right, NO_BOUND))
             == orbit_witness(reference_orbit_equivalence(left, right,
                                                          NO_BOUND)))
+
+
+def assert_searches_agree(left, right):
+    assert_orbit_searches_agree(left, right)
     g1 = build_transformation_groupoid(left)
     g2 = build_transformation_groupoid(right)
     assert (iso_witness(search_groupoid_isomorphism(g1, g2, NO_BOUND))
@@ -250,6 +304,30 @@ def test_pruned_searches_agree_on_partial_cyclic_actions(actions, data):
     for left in actions:
         for right in actions:
             assert_searches_agree(left, right)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(restricted_permutation_actions(), min_size=1, max_size=2),
+       st.data())
+def test_orbit_witnesses_agree_on_restricted_permutation_actions(actions,
+                                                                data):
+    for action in actions:
+        order = data.draw(st.permutations(range(len(action.space))))
+        assert_orbit_searches_agree(action, relabeled(action, order))
+    for left in actions:
+        for right in actions:
+            assert_orbit_searches_agree(left, right)
+
+
+def test_twelve_point_swap_matches_its_relabeled_copy():
+    # Z2 swapping p0 and p1 and fixing ten points, against a copy that
+    # lists the 2-orbit last: the first witness is far down the order of
+    # all 12! bijections.
+    swap = permutation_action([(1, 0) + tuple(range(2, 12))], range(12))
+    copy = relabeled(swap, list(range(2, 12)) + [0, 1])
+    data = search_orbit_equivalence(swap, copy, bound=12)
+    assert data is not None
+    assert verify_orbit_equivalence(swap, copy, data) == (True, None)
 
 
 # --- invariant mismatches are decided before any search ---------------------
@@ -301,8 +379,9 @@ def test_isotropy_element_orders_decide_without_backtracking(monkeypatch):
 def test_orbit_size_mismatch_returns_without_backtracking(monkeypatch):
     swap = catalog.load_action("z2_global_swap")
     trivial = catalog.load_action("z2_trivial_2pt")
-    monkeypatch.setattr(isomorphisms, "permutations", refuse)
-    # One orbit of 2 against two of 1; decided before the bound.
+    monkeypatch.setattr(isomorphisms, "_cocycle", refuse)
+    # One orbit of 2 against two of 1; decided before the bound and
+    # before any witness is built.
     assert search_orbit_equivalence(swap, trivial, bound=1) is None
     assert search_orbit_equivalence(trivial, swap) is None
     with pytest.raises(AssertionError, match="the search ran"):

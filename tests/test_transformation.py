@@ -40,13 +40,21 @@ def test_arrow_count_is_sum_of_domains():
 
 
 def test_structure_formulas():
+    # Range and source are read off the tables as b b^-1 and b^-1 b; on
+    # every catalog action they are the pair formulas.
+    for name in catalog.action_names():
+        action = catalog.load_action(name)
+        group = action.group
+        e = group.identity
+        tg = build_transformation_groupoid(action)
+        for (t, x) in tg.arrows:
+            back = action.theta(group.inv(t), x)
+            assert tg.range((t, x)) == (e, x), name
+            assert tg.source((t, x)) == (e, back), name
+            assert tg.inverse((t, x)) == (group.inv(t), back), name
     action = catalog.load_action("z2_partial_3pt")
     tg = build_transformation_groupoid(action)
-    g_inv = action.group.inv("g")
-    for (t, x) in tg.arrows:
-        assert tg.range((t, x)) == ("e", x)
-        assert tg.source((t, x)) == ("e", action.theta(action.group.inv(t), x))
-    assert tg.inverse(("g", "1")) == (g_inv, "2")
+    assert tg.inverse(("g", "1")) == (action.group.inv("g"), "2")
     assert tg.compose(("g", "1"), ("g", "2")) == ("e", "1")
 
 
