@@ -21,8 +21,7 @@ from .isomorphisms import (DEFAULT_ISO_BOUND, DEFAULT_ORBIT_BOUND, psi,
                            verify_orbit_equivalence, verify_phi_additive,
                            verify_phi_left_inverse)
 from .partial_actions import (induce_algebra_action, is_topologically_free,
-                              validate_group_partial_action,
-                              validate_isg_partial_action)
+                              validate_group_partial_action)
 from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport
 from .scalars import ring_from_tag
 from .skew_rings import SkewElement, build_skew_group_ring, check_pregrading
@@ -122,7 +121,8 @@ def cmd_theorem3(doc, ring, bounds, report):
     _validation_row(report, "transformation_groupoid_axioms",
                     validate_groupoid(groupoid), f"{groupoid.n_arrows} arrows")
 
-    module = build_skew_group_ring(induce_algebra_action(action, ring))
+    module = build_skew_group_ring(induce_algebra_action(action, ring),
+                                   (action.group.table_report, result))
     report.add("dimension_match",
                _flag_status(module.dim == groupoid.n_arrows),
                f"dim L={module.dim} arrows={groupoid.n_arrows}")
@@ -186,12 +186,10 @@ def cmd_theorem5(doc, ring, bounds, report):
         return report
 
     realization = psi(groupoid, ring, bisection_bound=bounds["bisection"])
-    semigroup = realization.semigroup
-    _validation_row(report, "bisection_semigroup_axioms",
-                    validate_inverse_semigroup(semigroup),
-                    f"{semigroup.order} bisections")
-    _validation_row(report, "bisection_action_axioms",
-                    validate_isg_partial_action(realization.action))
+    semigroup_report, action_report = realization.module.premises
+    _validation_row(report, "bisection_semigroup_axioms", semigroup_report,
+                    f"{realization.semigroup.order} bisections")
+    _validation_row(report, "bisection_action_axioms", action_report)
 
     counter = realization.module.associativity_counterexample
     report.add("skew_associativity", _flag_status(counter is None),

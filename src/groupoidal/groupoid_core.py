@@ -8,6 +8,9 @@ model every subset is compact open, so "compact open bisection" reduces to
 
 from __future__ import annotations
 
+from collections import Counter
+
+from .scalars import index_row, light_generators, points_at
 from .validation import BoundExceeded, ValidationReport
 
 DEFAULT_BISECTION_BOUND = 16
@@ -115,41 +118,47 @@ def validate_groupoid(g):
     if not report.ok:
         return report
 
-    for b in arrows:
-        for c in arrows:
-            defined = g.composable(b, c)
-            matched = g.source(b) == g.range(c)
-            if defined and not matched:
-                report.add(f"({b}, {c}) composed but s({b}) != r({c})")
-            elif matched and not defined:
-                report.add(f"({b}, {c}) has s({b}) = r({c}) but no composite")
-    if not report.ok:
-        return report
+    # Decided on the contracted table; the label scans run only on a
+    # failure, to name every violation in their order.
+    if not composable_iff_matched(g):
+        for b in arrows:
+            for c in arrows:
+                defined = g.composable(b, c)
+                matched = g.source(b) == g.range(c)
+                if defined and not matched:
+                    report.add(f"({b}, {c}) composed but s({b}) != r({c})")
+                elif matched and not defined:
+                    report.add(f"({b}, {c}) has s({b}) = r({c}) but no "
+                               "composite")
+        if not report.ok:
+            return report
 
-    pairs = list(g.compose_table.items())
-    for (b, c), bc in pairs:
-        # cancellation: b^{-1}(bc) = c and (bc)c^{-1} = b
-        left = g.compose_table.get((g.inverse(b), bc))
-        if left != c:
-            report.add(f"cancellation fails: {b}^-1 ({b}{c}) != {c}")
-        right = g.compose_table.get((bc, g.inverse(c)))
-        if right != b:
-            report.add(f"cancellation fails: ({b}{c}) {c}^-1 != {b}")
-    for b in arrows:
-        for c in arrows:
-            if not g.composable(b, c):
-                continue
-            bc = g.compose(b, c)
-            for d in arrows:
-                if not g.composable(c, d):
+    if not _associative(g):
+        pairs = list(g.compose_table.items())
+        for (b, c), bc in pairs:
+            # cancellation: b^{-1}(bc) = c and (bc)c^{-1} = b
+            left = g.compose_table.get((g.inverse(b), bc))
+            if left != c:
+                report.add(f"cancellation fails: {b}^-1 ({b}{c}) != {c}")
+            right = g.compose_table.get((bc, g.inverse(c)))
+            if right != b:
+                report.add(f"cancellation fails: ({b}{c}) {c}^-1 != {b}")
+        for b in arrows:
+            for c in arrows:
+                if not g.composable(b, c):
                     continue
-                cd = g.compose(c, d)
-                if not g.composable(bc, d) or not g.composable(b, cd):
-                    report.add(f"composability not closed on ({b}, {c}, {d})")
-                elif g.compose(bc, d) != g.compose(b, cd):
-                    report.add(f"associativity fails on ({b}, {c}, {d})")
-    if not report.ok:
-        return report
+                bc = g.compose(b, c)
+                for d in arrows:
+                    if not g.composable(c, d):
+                        continue
+                    cd = g.compose(c, d)
+                    if not g.composable(bc, d) or not g.composable(b, cd):
+                        report.add("composability not closed on "
+                                   f"({b}, {c}, {d})")
+                    elif g.compose(bc, d) != g.compose(b, cd):
+                        report.add(f"associativity fails on ({b}, {c}, {d})")
+        if not report.ok:
+            return report
 
     # Unit laws follow from the axioms; checking them gives sharper reports.
     for u in g.units:
@@ -161,6 +170,58 @@ def validate_groupoid(g):
         if g.compose_table.get((b, g.source(b))) != b:
             report.add(f"s({b}) does not act as a right unit on {b}")
     return report
+
+
+def composable_iff_matched(g):
+    """True when (b, c) is composable exactly when s(b) = r(c): every key
+    of the composition table is such a pair, and there are as many keys
+    as such pairs."""
+    source, range_ = g._source, g._range
+    if None in source.values() or None in range_.values() or any(
+            source[b] != range_[c] for b, c in g.compose_table):
+        return False
+    ends, starts = Counter(source.values()), Counter(range_.values())
+    return len(g.compose_table) == sum(ends[u] * starts[u] for u in ends)
+
+
+def composition_table(g):
+    """The contracted semigroup G u {0} on arrow indices: row b holds the
+    index of bc at c, and -1 where (b, c) is not composable."""
+    idx = g._index
+    blank = index_row(g.n_arrows, [-1]) * g.n_arrows
+    table = [blank[:] for _ in g.arrows]
+    for (b, c), d in g.compose_table.items():
+        table[idx[b]][idx[c]] = idx[d]
+    return table
+
+
+def _associative(g):
+    """Cancellation, closure and associativity, for composability
+    s(b) = r(c).  Cancellation makes b^-1 (bc) and (bc) c^-1 defined, so
+    r(bc) = r(b) and s(bc) = s(c), and closure follows.  Associativity is
+    Light's test (see table_associativity_counterexample) on the
+    contracted table, where a generator z needs only the x with
+    s(x) = r(z) and the y with r(y) = s(z): otherwise (xz)y and x(zy) are
+    both 0."""
+    idx = g._index
+    table = composition_table(g)
+    inverse = [idx[g.inverse_table[a]] for a in g.arrows]
+    for (b, c), d in g.compose_table.items():
+        i, j, k = idx[b], idx[c], idx[d]
+        if table[inverse[i]][k] != j or table[k][inverse[j]] != i:
+            return False
+    source = [g._source[a] for a in g.arrows]
+    range_ = [g._range[a] for a in g.arrows]
+    rows_at, columns_at = points_at(source), points_at(range_)
+    for z in light_generators(table):
+        ys = columns_at[source[z]]
+        zys = list(map(table[z].__getitem__, ys))
+        for x in rows_at[range_[z]]:
+            row_x = table[x]
+            if list(map(table[row_x[z]].__getitem__, ys)) != \
+                    list(map(row_x.__getitem__, zys)):
+                return False
+    return True
 
 
 def isotropy_group(g, u):

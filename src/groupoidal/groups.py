@@ -13,7 +13,7 @@ class FiniteGroup(FiniteInverseSemigroup):
     """A finite group: an element list (fixing the canonical order) and a
     total multiplication table, a dict keyed by element pairs.  Identity
     and inverses are derived, so the constructor rejects tables that are
-    not groups."""
+    not groups; table_report is the passing validate_group_table report."""
 
     def __init__(self, elements, table, name="group"):
         elements = list(elements)
@@ -28,6 +28,7 @@ class FiniteGroup(FiniteInverseSemigroup):
         super().__init__(elements, rows, [row.index(e) for row in rows],
                          name=name)
         self.identity = elements[e]
+        self.table_report = report
 
     inv = FiniteInverseSemigroup.star
 

@@ -19,12 +19,14 @@ from itertools import product
 
 from .groupoid_core import (DEFAULT_BISECTION_BOUND, isotropy_group,
                             range_set)
-from .inverse_semigroups import bisection_semigroup
+from .inverse_semigroups import (bisection_semigroup,
+                                 validate_inverse_semigroup)
 from .partial_actions import (SemigroupPartialAction, SpaceFunction,
-                              induce_algebra_action)
+                              induce_algebra_action,
+                              validate_isg_partial_action)
 from .scalars import zero_vector
 from .skew_rings import (CovarianceModule, SkewElement, build_ideal,
-                         build_quotient, build_skew_group_ring)
+                         build_quotient)
 from .steinberg_algebra import (GroupoidFunction, SteinbergAlgebra,
                                 disjoint_decomposition)
 from .transformation_groupoid import build_transformation_groupoid
@@ -91,14 +93,24 @@ class AlgebraMap:
     def certify_homomorphism(self):
         """Exhaustive multiplicativity on all domain basis pairs:
         e_{t(i)} e_{t(j)} must be e_{t(k)} where e_i e_j = e_k, and zero
-        where e_i e_j = 0."""
+        where e_i e_j = 0.
+
+        In each algebra here e_i e_j is nonzero exactly when the row point
+        of e_i is the column point of e_j.  So the nonzero products are
+        checked one by one, and the zero products at once: they map to
+        zero when one injective point map carries the row and column
+        points of every e_i to those of its image, as distinct points then
+        stay distinct.  When either check fails, the scan over all pairs in
+        row-major order runs, to name the first failing pair."""
+        if self._keeps_zero_products() and self._keeps_nonzero_products():
+            return self._store("homomorphism", True, None)
         targets = self.targets
         # Index -1 (a zero product) reads the appended -1.  Rows may be
         # arrays, so both sides are gathered into lists.
         image = targets + [-1]
-        for i, row in enumerate(self.domain.table):
-            cod_row = self.codomain.table[targets[i]]
-            lhs = list(map(image.__getitem__, row))
+        for i in range(self.domain.dim):
+            cod_row = self.codomain.row(targets[i])
+            lhs = list(map(image.__getitem__, self.domain.row(i)))
             rhs = list(map(cod_row.__getitem__, targets))
             if lhs != rhs:
                 j = next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
@@ -107,6 +119,29 @@ class AlgebraMap:
                     f"fails on basis pair ({self.domain.basis_labels[i]}, "
                     f"{self.domain.basis_labels[j]})")
         return self._store("homomorphism", True, None)
+
+    def _keeps_zero_products(self):
+        dom, cod = self.domain, self.codomain
+        if dom.row_points is None or cod.row_points is None:
+            return False
+        point_map = {}
+        for points, images in ((dom.row_points, cod.row_points),
+                               (dom.col_points, cod.col_points)):
+            for p, q in zip(points, map(images.__getitem__, self.targets)):
+                if point_map.setdefault(p, q) != q:
+                    return False
+        return len(set(point_map.values())) == len(point_map)
+
+    def _keeps_nonzero_products(self):
+        dom, cod, targets = self.domain, self.codomain, self.targets
+        # The images of the columns at each point of the domain.
+        images = {p: [targets[j] for j in columns]
+                  for p, columns in dom.at_point.items()}
+        for i, t in enumerate(targets):
+            lhs = list(map(targets.__getitem__, dom.row_products(i)))
+            if lhs != cod.products(t, images.get(dom.row_points[i], ())):
+                return False
+        return True
 
     def certify_injective(self):
         """Distinct targets.  Otherwise the kernel vector reported is
@@ -207,7 +242,7 @@ def rho(action, ring, module=None, groupoid=None):
     point mass at x in D_g (times delta_g) to the point mass at the arrow
     (g, x).  All four certificates are computed exhaustively."""
     if module is None:
-        module = build_skew_group_ring(induce_algebra_action(action, ring))
+        module = CovarianceModule(induce_algebra_action(action, ring))
     if groupoid is None:
         groupoid = build_transformation_groupoid(action)
     algebra = SteinbergAlgebra(groupoid, ring)
@@ -591,14 +626,17 @@ def psi(groupoid, ring, bisection_bound=DEFAULT_BISECTION_BOUND):
     The map psi sends the basis element (point mass at u) delta_B to the
     point mass at the unique arrow of B with range u; it is certified
     multiplicative and surjective, vanishes on the ideal, and descends to
-    the certified isomorphism psi_tilde on the quotient.  Works over any
-    scalar ring.
+    the certified isomorphism psi_tilde on the quotient.  The semigroup
+    and action validators run here, once, as the premises of L's
+    associativity (module.premises).  Works over any scalar ring.
     """
     semigroup = bisection_semigroup(groupoid, bisection_bound)
+    semigroup_report = validate_inverse_semigroup(semigroup)
     action = bisection_action(groupoid, semigroup)
+    action_report = validate_isg_partial_action(action)
     algebra_action = induce_algebra_action(action, ring)
     module = CovarianceModule(algebra_action)
-    module.verify_associativity()
+    module.verify_associativity((semigroup_report, action_report))
     steinberg = SteinbergAlgebra(groupoid, ring)
 
     targets = [groupoid.index(next(b for b in bis if groupoid.range(b) == u))

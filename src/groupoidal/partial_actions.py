@@ -179,8 +179,20 @@ def _validate_composition(action, report):
     elements, table, star = index.elements, index.table, index.star_table
     domains = [action.domains[s] for s in elements]
     maps = [action.maps[s] for s in elements]
+    # The intertwining law for (s, t) reads only s, X_t and X_{st}, so a
+    # row is checked once per distinct pair of domains, and scanned pair by
+    # pair only on a failure.
+    ids = {}
+    domain_id = [ids.setdefault(d, len(ids)) for d in domains]
+    distinct = list(ids)
     for i, s in enumerate(elements):
         row, theta_s, source = table[i], maps[i], domains[star[i]]
+        if -1 not in row and all(
+                set(map(theta_s.__getitem__, source & distinct[a]))
+                == domains[i] & distinct[b]
+                for a, b in set(zip(domain_id,
+                                    map(domain_id.__getitem__, row)))):
+            continue
         for j, t in enumerate(elements):
             st = row[j]
             if st < 0:

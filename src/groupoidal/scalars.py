@@ -215,6 +215,32 @@ def index_row(n, entries):
     return array(index_typecode(n), entries)
 
 
+def points_at(points):
+    """Point -> the indices carrying it, in increasing order."""
+    at = {}
+    for j, p in enumerate(points):
+        at.setdefault(p, []).append(j)
+    return at
+
+
+class TableAlgebra:
+    """Products read off a dense product table.  Every based algebra here
+    also has a point structure: e_i e_j is nonzero exactly when
+    row_points[i] equals col_points[j], and at_point maps a point to the
+    columns carrying it.  The points are None when the table has no such
+    structure."""
+
+    def row(self, i):
+        return self.table[i]
+
+    def products(self, i, columns):
+        return list(map(self.table[i].__getitem__, columns))
+
+    def row_products(self, i):
+        """The nonzero products of e_i, over at_point[row_points[i]]."""
+        return self.products(i, self.at_point.get(self.row_points[i], ()))
+
+
 def table_mul_basis(table, ring, i, j):
     vec = zero_vector(ring, len(table))
     k = table[i][j]

@@ -2,10 +2,11 @@
 with its twisted product, the partial skew group ring, the ideal I
 identifying a delta_s with a delta_t for s <= t, and the quotient L/I.
 
-L and L/I are based algebras with 0/1 structure constants: each is given
-by a product table of basis indices.  I is spanned by differences of
-basis vectors, so it is a congruence on the basis, found by union-find
-over any scalar ring; L/I has one basis element per class.
+L and L/I are based algebras with 0/1 structure constants.  L is kept
+factored, by the row and column point of each basis element, and L/I by
+a product table of basis indices.  I is spanned by differences of basis
+vectors, so it is a congruence on the basis, found by union-find over any
+scalar ring; L/I has one basis element per class.
 
 The empty-domain convention: an index element with empty domain
 contributes no basis vectors (D_s = {0}), which covers the zero bisection
@@ -14,8 +15,11 @@ of a bisection semigroup.
 
 from __future__ import annotations
 
-from .partial_actions import SpaceFunction
-from .scalars import (SpanTracker, index_row,
+from .inverse_semigroups import validate_inverse_semigroup
+from .partial_actions import (GroupPartialAction, SpaceFunction,
+                              validate_group_partial_action,
+                              validate_isg_partial_action)
+from .scalars import (SpanTracker, TableAlgebra, index_row, points_at,
                       table_associativity_counterexample, table_mul_basis,
                       table_mul_vectors, zero_vector)
 from .validation import ValidationReport, stable
@@ -107,39 +111,67 @@ class CovarianceModule:
     (s, x) for each index element s and each point x of X_s.
 
     The product of basis vectors is (s, x)(t, y) = (st, x) when
-    y = theta_{s*}(x) and zero otherwise, so L is given by its product
-    table, built once here.
+    y = theta_{s*}(x) and zero otherwise.  So L is kept factored, with no
+    product table: basis index i = (s, x) has the row point
+    row_points[i] = theta_{s*}(x) and the column point col_points[i] = x,
+    as positions in the space.  e_i e_j is nonzero exactly when
+    row_points[i] == col_points[j], at the columns at_point[p] of the
+    point, and is read off the index table and the basis index of (st, x).
     """
 
     def __init__(self, algebra_action):
         self.algebra_action = algebra_action
         self.ring = algebra_action.ring
-        index = algebra_action.index
-        self.basis_labels = [(s, x) for s in index.elements
-                             for x in algebra_action.domain_points(s)]
+        index, action = algebra_action.index, algebra_action.action
+        self._index_table = index.table
+        point = {x: p for p, x in enumerate(action.space)}
+        self.basis_labels, self._element = [], []
+        self.row_points, self.col_points = [], []
+        # _basis_at[p][e] is the basis index of (element e, point p), or
+        # -1; the last slot answers a product the index table leaves out.
+        self._basis_at = [[-1] * (len(index.elements) + 1) for _ in point]
+        for e, s in enumerate(index.elements):
+            s_star = index.star(s)
+            for x in algebra_action.domain_points(s):
+                self._basis_at[point[x]][e] = len(self.basis_labels)
+                self.basis_labels.append((s, x))
+                self._element.append(e)
+                self.col_points.append(point[x])
+                self.row_points.append(point[action.theta(s_star, x)])
         self.dim = len(self.basis_labels)
         self._idx = {lbl: i for i, lbl in enumerate(self.basis_labels)}
-        at_point = {}
-        for j, (t, y) in enumerate(self.basis_labels):
-            at_point.setdefault(y, []).append((j, t))
-        theta = algebra_action.action.theta
-        blank = index_row(self.dim, [-1]) * self.dim
-        self.table = []
-        for s, x in self.basis_labels:
-            row = blank[:]
-            for j, t in at_point.get(theta(index.star(s), x), ()):
-                row[j] = self._idx[(index.mul(s, t), x)]
-            self.table.append(row)
-        self.associativity_counterexample = None
+        self.at_point = points_at(self.col_points)
+        self._column_elements = {p: [self._element[j] for j in columns]
+                                 for p, columns in self.at_point.items()}
+        self.premises = self.associativity_counterexample = None
 
     def label_index(self, s, x):
         return self._idx[(s, x)]
 
-    def mul_basis(self, i, j):
-        return table_mul_basis(self.table, self.ring, i, j)
+    def row_products(self, i):
+        """The nonzero products of e_i, over at_point[row_points[i]]."""
+        by_point = self._basis_at[self.col_points[i]]
+        products = list(map(by_point.__getitem__, map(
+            self._index_table[self._element[i]].__getitem__,
+            self._column_elements.get(self.row_points[i], ()))))
+        if -1 in products:
+            raise KeyError(f"{self.basis_labels[i]} has a product outside L")
+        return products
 
-    def mul_vectors(self, u, v):
-        return table_mul_vectors(self.table, self.ring, u, v)
+    def product(self, i, j):
+        if self.row_points[i] != self.col_points[j]:
+            return -1
+        st = self._index_table[self._element[i]][self._element[j]]
+        k = self._basis_at[self.col_points[i]][st]
+        if k < 0:
+            raise KeyError(f"{self.basis_labels[i]} has a product outside L")
+        return k
+
+    def products(self, i, columns):
+        return [self.product(i, j) for j in columns]
+
+    def row(self, i):
+        return self.products(i, range(self.dim))
 
     def to_vector(self, elem):
         if elem.algebra_action is not self.algebra_action:
@@ -168,21 +200,51 @@ class CovarianceModule:
             return []
         return [i for i, (s, _) in enumerate(self.basis_labels) if s == unit]
 
-    def verify_associativity(self):
-        """Check (e_i e_j) e_k = e_i (e_j e_k) on all basis triples; stores
-        and returns the first counterexample triple, or None."""
-        self.associativity_counterexample = \
-            table_associativity_counterexample(self.table)
-        return self.associativity_counterexample
+    def verify_associativity(self, premises=None):
+        """Decide (e_i e_j) e_k = e_i (e_j e_k) on all basis triples;
+        stores and returns the first failing triple, in lexicographic
+        order, or None.
+
+        premises are the reports of the validators of the index
+        (validate_inverse_semigroup, or a group's table_report) and of the
+        action (validate_isg_partial_action or
+        validate_group_partial_action), computed here when not given.
+        When all pass, L is associative.  (s, x)(t, y) is nonzero iff
+        y = theta_{s*}(x), and then it is (st, x): x = theta_s(y) lies in
+        theta_s(X_{s*} & X_t) = X_s & X_{st} by the intertwining law.  So
+        with y = theta_{s*}(x) (otherwise both sides are 0),
+        ((s, x)(t, y))(u, z) is nonzero iff z = theta_{(st)*}(x), and
+        (s, x)((t, y)(u, z)) iff z = theta_{t*}(y).  On X_s & X_{st} the
+        composition law gives theta_{t*} theta_{s*} = theta_{t*s*}, and
+        t*s* = (st)* in an inverse semigroup, so both sides are nonzero
+        together, as ((st)u, x) and (s(tu), x), equal as S is associative.
+        A group is an inverse semigroup, so this covers the partial skew
+        group ring too.  When a premise fails, the test runs on the
+        factored product, to name the first triple.  The premises are kept
+        on the module."""
+        if premises is None:
+            alg = self.algebra_action
+            check = (validate_group_partial_action
+                     if isinstance(alg.action, GroupPartialAction)
+                     else validate_isg_partial_action)
+            premises = (validate_inverse_semigroup(alg.index),
+                        check(alg.action))
+        self.premises = premises
+        counter = None
+        if not all(report.ok for report in premises):
+            counter = table_associativity_counterexample(
+                [self.row(i) for i in range(self.dim)])
+        self.associativity_counterexample = counter
+        return counter
 
 
-def build_skew_group_ring(algebra_action):
+def build_skew_group_ring(algebra_action, premises=None):
     """The partial skew group ring as a based algebra: dimension is the sum
-    of the domain sizes, the multiplication table is materialized, and
-    associativity is checked exhaustively on basis triples (a failure is
-    recorded as a counterexample on the module, not raised)."""
+    of the domain sizes, the product is factored, and associativity is
+    certified (a failure is recorded as a counterexample on the module,
+    not raised); premises as in verify_associativity."""
     module = CovarianceModule(algebra_action)
-    module.verify_associativity()
+    module.verify_associativity(premises)
     return module
 
 
@@ -247,10 +309,11 @@ def build_ideal(module):
     return IdealCongruence(module, edges, [find(a) for a in range(module.dim)])
 
 
-class QuotientAlgebra:
+class QuotientAlgebra(TableAlgebra):
     """L/I with one basis element per class of the congruence, labelled by
     its representative, in increasing order: the class of e_a is basis
-    element q when representatives[q] = rep(a)."""
+    element q when representatives[q] = rep(a).  Its table and points are
+    those of the representatives in L."""
 
     def __init__(self, module, ideal):
         self.module = module
@@ -264,9 +327,12 @@ class QuotientAlgebra:
         self.basis_labels = [module.basis_labels[a]
                              for a in self.representatives]
         self.dim = len(self.representatives)
-        self.table = [index_row(self.dim, [self._class[module.table[a][b]]
-                                           for b in self.representatives])
-                      for a in self.representatives]
+        self.row_points = [module.row_points[a] for a in self.representatives]
+        self.col_points = [module.col_points[a] for a in self.representatives]
+        self.at_point = points_at(self.col_points)
+        self.table = [index_row(self.dim, [
+            self._class[module.product(a, b)] for b in self.representatives])
+            for a in self.representatives]
         self.representative_independence_verified = False
 
     def mul_basis(self, i, j):
@@ -292,29 +358,43 @@ class QuotientAlgebra:
         rep(a) are equal, and e_k (e_a - e_rep(a)) lies in I for all a iff
         class row k is unchanged when read through rep.  Once every class
         row equals that of its representative, the second test need only
-        run on the representatives' rows.  Only on a failure does the scan
-        over the generators run, to name the first violation."""
+        run on the representatives' rows.  A class row is zero off the
+        columns at the row point of a, so it is compared there.  Only on a
+        failure does the scan over the generators run, to name the first
+        violation."""
         if not self._spanning_rows_close():
             return self._first_generator_violation()
         return None
 
     def _spanning_rows_close(self):
-        table, cls, rep = self.module.table, self._class, self.ideal.rep
-        # The rows are transient tuples; only the representatives' are kept.
-        kept = {r: tuple(map(cls.__getitem__, table[r]))
-                for r in self.representatives}
+        module, cls, rep = self.module, self._class, self.ideal.rep
+        at_point = module.at_point
+
+        def class_row(a):
+            # The row point and the classes there; None for a zero row.
+            p = module.row_points[a]
+            if p not in at_point:
+                return None
+            return p, tuple(map(cls.__getitem__, module.row_products(a)))
+
+        kept = {r: class_row(r) for r in self.representatives}
         for a, r in enumerate(rep):
-            if a != r and tuple(map(cls.__getitem__, table[a])) != kept[r]:
+            if a != r and class_row(a) != kept[r]:
                 return False
-        return all(tuple(map(row.__getitem__, rep)) == row
-                   for row in kept.values())
+        for p, classes in filter(None, kept.values()):
+            # Column -> class, None where the product is zero.
+            class_at = dict(zip(at_point[p], classes))
+            if list(map(class_at.get, rep)) != \
+                    list(map(class_at.get, range(len(rep)))):
+                return False
+        return True
 
     def _first_generator_violation(self):
-        table, cls = self.module.table, self._class
+        module, cls = self.module, self._class
         for a, b in self.ideal.edges:
-            row_a, row_b = table[a], table[b]
-            for k, row_k in enumerate(table):
-                if cls[row_k[a]] != cls[row_k[b]]:
+            row_a, row_b = module.row(a), module.row(b)
+            for k in range(module.dim):
+                if cls[module.product(k, a)] != cls[module.product(k, b)]:
                     return f"e_{k} * (e_{a} - e_{b}) leaves the ideal"
                 if cls[row_a[k]] != cls[row_b[k]]:
                     return f"(e_{a} - e_{b}) * e_{k} leaves the ideal"
@@ -352,7 +432,7 @@ def check_pregrading(algebra):
     alg = module.algebra_action
     index = alg.index
     order = index.natural_order()
-    table = algebra.table
+    at_point, row_points = algebra.at_point, algebra.row_points
     report = PregradingReport(f"pre-grading over {getattr(index, 'name', 'index')}")
 
     # blocks[i] is B_s for the element s of index i; products of elements
@@ -362,13 +442,14 @@ def check_pregrading(algebra):
               for s in elements]
     # B_s B_t lies in B_st iff every product e_a e_b with a in B_s and b in
     # B_t does.  Sets of basis indices are bitmasks here: reach[b] holds
-    # the products e_a e_b over a in B_s, a zero product (-1) adding none.
-    bit = [1 << k for k in range(algebra.dim)] + [0]
+    # the nonzero products e_a e_b over a in B_s.
+    bit = [1 << k for k in range(algebra.dim)]
     masks = [sum(bit[k] for k in block) for block in blocks]
     for i, s in enumerate(elements):
         reach = [0] * algebra.dim
         for a in blocks[i]:
-            for b, k in enumerate(table[a]):
+            for b, k in zip(at_point.get(row_points[a], ()),
+                            algebra.row_products(a)):
                 reach[b] |= bit[k]
         products = index.table[i]
         for j, t in enumerate(elements):

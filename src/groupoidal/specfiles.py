@@ -20,6 +20,7 @@ from .groupoid_core import FiniteGroupoid
 from .groups import FiniteGroup
 from .inverse_semigroups import FiniteInverseSemigroup
 from .partial_actions import GroupPartialAction
+from .scalars import index_row
 
 FORMAT_TAG = "groupoidal/1"
 
@@ -151,10 +152,9 @@ class SpecDocument:
         self.bounds = bounds
 
 
-def _pair_table(table, what, names, noun):
-    """A table keyed by "a b" strings as a dict keyed by (a, b); every
+def _pair_entries(table, what, names, noun):
+    """The entries (a, b, value) of a table keyed by "a b" strings; every
     name in a key and every value must be one of `names`."""
-    pairs = {}
     for key, value in table.items():
         parts = key.split()
         if len(parts) != 2:
@@ -163,8 +163,7 @@ def _pair_table(table, what, names, noun):
         a, b = parts
         if a not in names or b not in names or value not in names:
             raise SpecFileError(f"{what}[{key!r}]: unknown {noun}")
-        pairs[(a, b)] = value
-    return pairs
+        yield a, b, value
 
 
 def _parse_group(spec):
@@ -177,8 +176,8 @@ def _parse_group(spec):
     elements = spec["elements"]
     if len(set(elements)) != len(elements):
         raise SpecFileError("group.elements: duplicate names")
-    table = _pair_table(spec["table"], "group.table", set(elements),
-                        "element")
+    table = {(a, b): c for a, b, c in _pair_entries(
+        spec["table"], "group.table", set(elements), "element")}
     try:
         return FiniteGroup(elements, table, name="group")
     except ValueError as exc:
@@ -200,7 +199,8 @@ def _parse_groupoid(data):
         if key not in aset or value not in aset:
             raise SpecFileError(f"inverse[{key!r}]: unknown arrow")
         inverse[key] = value
-    compose = _pair_table(data["compose"], "compose", aset, "arrow")
+    compose = {(a, b): c for a, b, c in _pair_entries(
+        data["compose"], "compose", aset, "arrow")}
     return FiniteGroupoid(arrows, data["units"], inverse, compose,
                           name=data.get("name", "groupoid"))
 
@@ -238,18 +238,24 @@ def _parse_action(data):
 
 
 def _parse_semigroup(data):
+    """The index tables, written while the "a b" keys are read; an entry
+    the document leaves out is -1."""
     elements = data["elements"]
     if len(set(elements)) != len(elements):
         raise SpecFileError("elements: duplicate names")
-    eset = set(elements)
-    table = _pair_table(data["table"], "table", eset, "element")
-    star = {}
+    index = {e: i for i, e in enumerate(elements)}
+    blank = index_row(len(elements), [-1]) * len(elements)
+    table = [blank[:] for _ in elements]
+    for a, b, value in _pair_entries(data["table"], "table", index,
+                                     "element"):
+        table[index[a]][index[b]] = index[value]
+    star = [-1] * len(elements)
     for key, value in data["star"].items():
-        if key not in eset or value not in eset:
+        if key not in index or value not in index:
             raise SpecFileError(f"star[{key!r}]: unknown element")
-        star[key] = value
-    return FiniteInverseSemigroup.from_products(
-        elements, table, star, name=data.get("name", "semigroup"))
+        star[index[key]] = index[value]
+    return FiniteInverseSemigroup(elements, table, star,
+                                  name=data.get("name", "semigroup"))
 
 
 def parse_document(raw_bytes, source="<input>"):

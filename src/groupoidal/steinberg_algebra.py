@@ -4,9 +4,11 @@ function into disjoint bisection indicators."""
 
 from __future__ import annotations
 
-from .groupoid_core import is_bisection
-from .scalars import (index_row, table_associativity_counterexample,
-                      table_mul_basis, table_mul_vectors, zero_vector)
+from .groupoid_core import (composable_iff_matched, composition_table,
+                            is_bisection)
+from .scalars import (TableAlgebra, points_at,
+                      table_associativity_counterexample, table_mul_basis,
+                      table_mul_vectors, zero_vector)
 
 
 class GroupoidFunction:
@@ -159,12 +161,14 @@ def disjoint_decomposition(f):
     return pieces
 
 
-class SteinbergAlgebra:
+class SteinbergAlgebra(TableAlgebra):
     """Coordinate view of the convolution algebra in the point-mass basis.
 
     The basis is the canonical arrow order, so the dimension equals the
     arrow count.  A product of point masses is a point mass or zero, so
-    the algebra is its product table, read off the composition table.
+    the algebra is its product table, the contracted composition table.
+    Its points are s(b) for the row of b and r(c) for the column of c,
+    when composability is s(b) = r(c).
     """
 
     def __init__(self, groupoid, ring):
@@ -172,11 +176,12 @@ class SteinbergAlgebra:
         self.ring = ring
         self.basis_labels = list(groupoid.arrows)
         self.dim = len(self.basis_labels)
-        idx = groupoid.index
-        blank = index_row(self.dim, [-1]) * self.dim
-        self.table = [blank[:] for _ in range(self.dim)]
-        for (b, c), d in groupoid.compose_table.items():
-            self.table[idx(b)][idx(c)] = idx(d)
+        self.table = composition_table(groupoid)
+        self.row_points = self.col_points = None
+        if composable_iff_matched(groupoid):
+            self.row_points = [groupoid.source(a) for a in groupoid.arrows]
+            self.col_points = [groupoid.range(a) for a in groupoid.arrows]
+            self.at_point = points_at(self.col_points)
 
     def mul_basis(self, i, j):
         return table_mul_basis(self.table, self.ring, i, j)

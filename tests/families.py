@@ -1,8 +1,11 @@
 """Groupoid families beyond the catalog, as spec documents and as parsed
-groupoids: pair groupoids and bundles of cyclic groups."""
+groupoids: pair groupoids and bundles of cyclic groups; and the regular
+actions of cyclic groups."""
 
 import json
 
+from groupoidal.groups import FiniteGroup
+from groupoidal.partial_actions import GroupPartialAction
 from groupoidal.specfiles import FORMAT_TAG, parse_document
 
 
@@ -47,3 +50,13 @@ def family_groupoids(max_pair=4):
     """Pair groupoids on 1 to max_pair points and the cyclic bundles."""
     return ([parse(pair_groupoid_spec(n)) for n in range(1, max_pair + 1)]
             + [parse(cyclic_bundle_spec(ks)) for ks in CYCLIC_BUNDLES])
+
+
+def regular_action(n):
+    """Z_n acting on itself by rotation: g^k sends point i to i + k."""
+    group = FiniteGroup.cyclic(n)
+    space = [str(i) for i in range(n)]
+    maps = {g: {str(i): str((i + k) % n) for i in range(n)}
+            for k, g in enumerate(group.elements)}
+    return GroupPartialAction(group, space, {g: space for g in maps}, maps,
+                              name=f"regular_z{n}")

@@ -15,6 +15,7 @@ from array import array
 from collections import Counter
 
 import pytest
+from dense_oracle import dense_table
 from families import pair_groupoid_spec, parse
 
 from groupoidal import catalog
@@ -192,7 +193,7 @@ def groupoid_tables(name, g, ring):
     semigroup, module = bisection_module(g, ring)
     quotient = build_quotient(module, build_ideal(module))
     return [(f"{name} A", SteinbergAlgebra(g, ring).table),
-            (f"{name} L", module.table),
+            (f"{name} L", dense_table(module)),
             (f"{name} L/I", quotient.table),
             (f"{name} S", semigroup.table)]
 
@@ -209,7 +210,7 @@ def catalog_tables(ring):
         g = build_transformation_groupoid(action)
         module = CovarianceModule(induce_algebra_action(action, ring))
         tables += [(f"{name} A", SteinbergAlgebra(g, ring).table),
-                   (f"{name} L", module.table)]
+                   (f"{name} L", dense_table(module))]
     for name in catalog.semigroup_names():
         tables.append((name, catalog.load_semigroup(name).table))
     return tables
@@ -239,7 +240,7 @@ def test_generator_counts_on_the_rung(Q):
     semigroup, module = bisection_module(parse(pair_groupoid_spec(4)), Q)
     assert (semigroup.order, module.dim) == (209, 544)
     # 99 and 46 under smallest_missing_generators.
-    assert len(light_generators(module.table)) <= 16
+    assert len(light_generators(dense_table(module))) <= 16
     assert len(light_generators(semigroup.table)) <= 5
     # 33 under smallest_missing_generators.
     i4 = symmetric_inverse_monoid(range(4))
@@ -263,8 +264,9 @@ def test_corrupted_l_tables_agree_with_the_cube(Q):
     assert module.dim == 63
     rng = random.Random(6)
     verdicts = []
+    table_l = dense_table(module)
     for trial in range(300):
-        table = corrupt(module.table, rng)
+        table = corrupt(table_l, rng)
         verdicts.append(assert_agrees(table))
         if trial < 20:
             assert light_generators(table) == reference_generators(table)

@@ -1,10 +1,11 @@
 """The certificates that run on index tables against the label-based code
 they replaced.
 
-`reference_generator_scan` is the two-sidedness scan over the ideal's
-generators, `reference_composition`, `reference_monotonicity` and
-`reference_natural_order` are the composition law, the monotonicity loop
-and the natural order over element labels, all kept verbatim.  The index
+`reference_generator_scan` (in dense_oracle) is the two-sidedness scan
+over the ideal's generators, on dense rows; `reference_composition`,
+`reference_monotonicity` and `reference_natural_order` are the
+composition law, the monotonicity loop and the natural order over
+element labels, all kept verbatim.  The index
 versions must give the same verdict and byte-equal reports or exception
 texts, on the catalog, on the 16-arrow pair groupoid and on seeded
 corruptions.
@@ -13,6 +14,7 @@ corruptions.
 import copy
 import random
 
+from dense_oracle import reference_generator_scan
 from families import pair_groupoid_spec, parse
 
 from groupoidal import catalog
@@ -27,22 +29,10 @@ from groupoidal.partial_actions import (SemigroupPartialAction,
                                         induce_algebra_action,
                                         validate_group_partial_action,
                                         validate_isg_partial_action)
-from groupoidal.scalars import index_row
-from groupoidal.skew_rings import (CovarianceModule, QuotientAlgebra,
-                                   build_ideal)
+from groupoidal.scalars import index_row, points_at
+from groupoidal.skew_rings import (CovarianceModule, IdealCongruence,
+                                   QuotientAlgebra, build_ideal)
 from groupoidal.validation import ValidationReport, stable
-
-
-def reference_generator_scan(quotient):
-    table, cls = quotient.module.table, quotient._class
-    for a, b in quotient.ideal.edges:
-        row_a, row_b = table[a], table[b]
-        for k, row_k in enumerate(table):
-            if cls[row_k[a]] != cls[row_k[b]]:
-                return f"e_{k} * (e_{a} - e_{b}) leaves the ideal"
-            if cls[row_a[k]] != cls[row_b[k]]:
-                return f"(e_{a} - e_{b}) * e_{k} leaves the ideal"
-    return None
 
 
 def reference_composition(action, mul, star, report):
@@ -183,27 +173,37 @@ def test_two_sidedness_equals_the_generator_scan_on_the_rung(Q):
     assert reference_generator_scan(quotient) is None
 
 
-def corrupted_quotient(module, ideal, rows):
+def corrupted_module(module, rng):
+    """A copy of the module whose product sends 1 to 3 basis elements
+    (u, p), as products, to another basis index."""
     corrupted = copy.copy(module)
-    corrupted.table = [index_row(module.dim, row) for row in rows]
-    return QuotientAlgebra(corrupted, ideal)
+    corrupted._basis_at = [list(at) for at in module._basis_at]
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(module.dim)
+        (u, x), p = module.basis_labels[k], module.col_points[k]
+        e = module.algebra_action.index.index(u)
+        corrupted._basis_at[p][e] = rng.choice(
+            [v for v in range(module.dim) if v != k])
+    return corrupted
+
+
+def rows_of(module):
+    """The dense table of the module's product, read row by row."""
+    return [module.row(i) for i in range(module.dim)]
 
 
 def test_corrupted_l_tables_give_the_generator_scan_violation(Q):
+    # L has no table; its product is corrupted where it is stored.
     module = bisection_module(catalog.load_groupoid("pair_groupoid_3"), Q)
     ideal = build_ideal(module)
-    n = module.dim
-    assert n == 63
+    assert module.dim == 63
     rng = random.Random(17)
     texts = []
     for _ in range(240):
-        rows = [list(row) for row in module.table]
-        for _ in range(rng.randint(1, 3)):
-            i, j = rng.randrange(n), rng.randrange(n)
-            rows[i][j] = rng.choice([v for v in range(-1, n) if v != rows[i][j]])
-        quotient = corrupted_quotient(module, ideal, rows)
+        corrupted = corrupted_module(module, rng)
+        quotient = QuotientAlgebra(corrupted, ideal)
         text = quotient.verify_representative_independence()
-        assert text == reference_generator_scan(quotient)
+        assert text == reference_generator_scan(quotient, rows_of(corrupted))
         texts.append(text)
     failing = [t for t in texts if t is not None]
     assert len(failing) > 180
@@ -211,31 +211,63 @@ def test_corrupted_l_tables_give_the_generator_scan_violation(Q):
     assert any(t.startswith("e_") for t in failing)
 
 
-def test_class_consistent_corruptions_give_the_generator_scan_violation(Q):
-    # One column changed alike in every row of a class: the class rows
-    # stay equal to their representative's, so only the left products can
-    # leave the ideal.
+def congruence(module, edges):
+    """The union-find congruence of build_ideal over the given edges."""
+    parent = list(range(module.dim))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[min(ra, rb)] = max(ra, rb)
+    return IdealCongruence(module, edges,
+                           [find(a) for a in range(module.dim)])
+
+
+def test_corrupted_ideals_give_the_generator_scan_violation(Q):
+    # Extra generators merge classes: the class rows of a merged class
+    # can differ, and a row read through rep can change.
     module = bisection_module(catalog.load_groupoid("pair_groupoid_3"), Q)
-    ideal = build_ideal(module)
-    n = module.dim
-    classes = {}
-    for a, r in enumerate(ideal.rep):
-        classes.setdefault(r, []).append(a)
+    edges = build_ideal(module).edges
+    table = rows_of(module)
     rng = random.Random(22)
-    failing = 0
+    texts = []
     for _ in range(100):
-        rows = [list(row) for row in module.table]
-        members, column = rng.choice(list(classes.values())), rng.randrange(n)
-        value = rng.randrange(-1, n)
-        for k in members:
-            rows[k][column] = value
-        quotient = corrupted_quotient(module, ideal, rows)
+        extra = [tuple(rng.sample(range(module.dim), 2))
+                 for _ in range(rng.randint(1, 2))]
+        position = rng.randrange(len(edges) + 1)
+        quotient = QuotientAlgebra(
+            module, congruence(module, edges[:position] + extra
+                               + edges[position:]))
         text = quotient.verify_representative_independence()
-        assert text == reference_generator_scan(quotient)
-        if text is not None:
-            assert text.startswith("e_")
-            failing += 1
-    assert failing > 50
+        assert text == reference_generator_scan(quotient, table)
+        texts.append(text)
+    failing = [t for t in texts if t is not None]
+    assert len(failing) > 50
+    assert any(t.startswith("(") for t in failing)
+    assert any(t.startswith("e_") for t in failing)
+
+
+def test_right_congruences_give_the_generator_scan_violation(Q):
+    # Elements with one row point have their products at one row point,
+    # so joining I with "same row point" keeps every class row equal to
+    # its representative's; only the left products can leave the ideal.
+    texts = []
+    for module in catalog_modules(Q):
+        edges = list(build_ideal(module).edges)
+        for columns in points_at(module.row_points).values():
+            edges += zip(columns, columns[1:])
+        quotient = QuotientAlgebra(module, congruence(module, edges))
+        text = quotient.verify_representative_independence()
+        assert text == reference_generator_scan(quotient, rows_of(module))
+        texts.append(text)
+    failing = [t for t in texts if t is not None]
+    assert len(failing) > 5
+    assert all(t.startswith("e_") for t in failing)
 
 
 def catalog_actions():

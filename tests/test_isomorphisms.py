@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from dense_oracle import mul_basis, mul_vectors
 from test_phi_oracle import class_of
 
 from groupoidal import catalog
@@ -55,15 +56,15 @@ def span_rank(ring, n, vectors):
 def reference_certificates(m):
     """The four certificates of m by the dense vector computation that the
     integer certificates replaced: multiplicativity as apply(mul_basis)
-    against mul_vectors of the basis images, and kernels and ranks by
-    exact echelon reduction over a field."""
+    against mul_vectors of the basis images (on dense tables), and kernels
+    and ranks by exact echelon reduction over a field."""
     dom, cod = m.domain, m.codomain
     ring, n = cod.ring, cod.dim
     images = [m.apply(unit(ring, dom.dim, i)) for i in range(dom.dim)]
     certs = {"homomorphism": (True, None)}
     for i, j in product(range(dom.dim), repeat=2):
-        if m.apply(dom.mul_basis(i, j)) != \
-                cod.mul_vectors(images[i], images[j]):
+        if m.apply(mul_basis(dom, i, j)) != \
+                mul_vectors(cod, images[i], images[j]):
             certs["homomorphism"] = (
                 False, f"fails on basis pair ({dom.basis_labels[i]}, "
                        f"{dom.basis_labels[j]})")

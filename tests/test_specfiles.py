@@ -10,6 +10,7 @@ import copy
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -22,9 +23,12 @@ from jsonschema.validators import validator_for
 import groupoidal
 from groupoidal import catalog
 from groupoidal.cli import main
+from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
+                                           symmetric_inverse_monoid)
 from groupoidal.specfiles import (FORMAT_TAG, SpecContentError, SpecFileError,
-                                  default_catalog_dir, load_document,
-                                  parse_document, resolve_input)
+                                  _parse_semigroup, default_catalog_dir,
+                                  load_document, parse_document,
+                                  resolve_input)
 
 
 # --- the reference schemas ----------------------------------------------------
@@ -605,3 +609,82 @@ def test_catalog_env_override(tmp_path, monkeypatch):
     with pytest.raises(SpecFileError):
         load_document("trivial_groupoid")
 
+
+
+# --- semigroup documents straight into index tables -------------------------
+
+def reference_semigroup(data):
+    """The semigroup parser that read the table into a dict keyed by
+    element pairs and handed it to from_products, kept verbatim."""
+    elements = data["elements"]
+    if len(set(elements)) != len(elements):
+        raise SpecFileError("elements: duplicate names")
+    eset = set(elements)
+    table = {}
+    for key, value in data["table"].items():
+        parts = key.split()
+        if len(parts) != 2:
+            raise SpecFileError(f"table[{key!r}]: key must be two "
+                                "space-separated names")
+        a, b = parts
+        if a not in eset or b not in eset or value not in eset:
+            raise SpecFileError(f"table[{key!r}]: unknown element")
+        table[(a, b)] = value
+    star = {}
+    for key, value in data["star"].items():
+        if key not in eset or value not in eset:
+            raise SpecFileError(f"star[{key!r}]: unknown element")
+        star[key] = value
+    return FiniteInverseSemigroup.from_products(
+        elements, table, star, name=data.get("name", "semigroup"))
+
+
+def semigroup_outcome(parse, data):
+    try:
+        s = parse(data)
+    except SpecFileError as exc:
+        return str(exc)
+    return (s.name, s.elements, [list(row) for row in s.table],
+            list(s.star_table))
+
+
+def symmetric_inverse_monoid_doc(n):
+    s = symmetric_inverse_monoid(range(n))
+    names = [str(a) for a in s.elements]
+    return {"format": FORMAT_TAG, "kind": "semigroup", "name": f"I{n}",
+            "elements": names,
+            "table": {f"{names[i]} {names[j]}": names[k]
+                      for i, row in enumerate(s.table)
+                      for j, k in enumerate(row)},
+            "star": {names[i]: names[k] for i, k in enumerate(s.star_table)}}
+
+
+def test_semigroup_tables_equal_the_dict_parser():
+    docs = [catalog_json(name) for name in catalog.semigroup_names()]
+    docs += [symmetric_inverse_monoid_doc(n) for n in (2, 3, 4)]
+    rng = random.Random(61)
+    corrupted = []
+    for _ in range(200):
+        data = copy.deepcopy(rng.choice(docs[:-1]))
+        for _ in range(rng.randint(1, 3)):
+            section = rng.choice([k for k in ("table", "star") if data[k]])
+            key = rng.choice(sorted(data[section]))
+            change = rng.randrange(4)
+            if change == 0:
+                del data[section][key]
+            elif change == 1:
+                data[section][key] = rng.choice(data["elements"] + ["nope"])
+            elif change == 2:
+                data[section][key.replace(" ", "  ") + " x"] = \
+                    data[section].pop(key)
+            else:
+                data[section][key + "?"] = data[section].pop(key)
+        corrupted.append(data)
+    texts = set()
+    for data in docs + corrupted:
+        expected = semigroup_outcome(reference_semigroup, data)
+        assert semigroup_outcome(_parse_semigroup, data) == expected
+        if isinstance(expected, str):
+            texts.add(expected.split(": ")[1])
+    assert texts == {"unknown element", "key must be two space-separated "
+                     "names"}
