@@ -295,23 +295,5 @@ def enumerate_bisections(g, bound=DEFAULT_BISECTION_BOUND):
             for mask in masks]
 
 
-def bisection_product(g, bis_b, bis_c):
-    """BC = {bc : b in B, c in C, s(b) = r(c)}; a bisection, possibly empty."""
-    out = {g.compose(b, c) for b in bis_b for c in bis_c if g.composable(b, c)}
-    out = frozenset(out)
-    if not is_bisection(g, out):
-        raise ValueError("product of bisections is not a bisection; "
-                         "the groupoid is invalid")
-    return out
-
-
-def bisection_inverse(g, bis):
-    return frozenset(g.inverse(b) for b in bis)
-
-
 def range_set(g, bis):
     return frozenset(g.range(b) for b in bis)
-
-
-def source_set(g, bis):
-    return frozenset(g.source(b) for b in bis)

@@ -3,8 +3,7 @@ whose table is total and which have one idempotent, the identity."""
 
 from __future__ import annotations
 
-# NaturalOrder is re-exported for callers that import it from here.
-from .inverse_semigroups import FiniteInverseSemigroup, NaturalOrder
+from .inverse_semigroups import FiniteInverseSemigroup
 from .scalars import index_row, table_associativity_counterexample
 from .validation import ValidationReport
 
@@ -31,20 +30,6 @@ class FiniteGroup(FiniteInverseSemigroup):
         self.table_report = report
 
     inv = FiniteInverseSemigroup.star
-
-    def is_subgroup(self, subset):
-        subset = set(subset)
-        if self.identity not in subset:
-            return False
-        return all(self.mul(a, b) in subset for a in subset for b in subset) and \
-            all(self.inv(a) in subset for a in subset)
-
-    def subgroup(self, subset, name="subgroup"):
-        members = [a for a in self.elements if a in set(subset)]
-        if not self.is_subgroup(members):
-            raise ValueError(f"{sorted(map(str, subset))} is not a subgroup")
-        table = {(a, b): self.mul(a, b) for a in members for b in members}
-        return FiniteGroup(members, table, name=name)
 
     @classmethod
     def trivial(cls, element="e"):

@@ -1,11 +1,8 @@
 """Finite inverse semigroups as first-class objects: exhaustive axiom
-validation, the natural partial order, idempotent semilattices, the
-symmetric inverse monoid I(X), the Wagner-Preston embedding, and the
-inverse semigroup of bisections of a finite groupoid."""
+validation, the natural partial order, idempotents, and the inverse
+semigroup of bisections of a finite groupoid."""
 
 from __future__ import annotations
-
-from itertools import combinations, permutations
 
 from .groupoid_core import enumerate_bisections, DEFAULT_BISECTION_BOUND
 from .scalars import index_row, table_associativity_counterexample
@@ -124,13 +121,6 @@ def _idempotent_indices(table):
     return [i for i, row in enumerate(table) if row[i] == i]
 
 
-def from_group(group):
-    """View a finite group as a plain inverse semigroup (star = group
-    inverse), sharing the group's tables."""
-    return FiniteInverseSemigroup(group.elements, group.table,
-                                  group.star_table, name=group.name)
-
-
 def validate_inverse_semigroup(s):
     """Check associativity (by Light's test, see
     table_associativity_counterexample), existence and uniqueness of
@@ -233,119 +223,6 @@ def natural_order(s):
             c = elems[min(above[j] - above[i])]
             raise ValueError(f"natural order is not transitive on ({a}, {b}, {c})")
     return NaturalOrder(s, pairs)
-
-
-def idempotents(s):
-    """The idempotent semilattice, in canonical element order.  The meet
-    of two idempotents is their product."""
-    return s.idempotents()
-
-
-class PartialBijection:
-    """A bijection between two subsets of a fixed finite set, the element
-    type of the symmetric inverse monoid I(X)."""
-
-    __slots__ = ("mapping", "_key")
-
-    def __init__(self, mapping):
-        mapping = dict(mapping)
-        if len(set(mapping.values())) != len(mapping):
-            raise ValueError("mapping is not injective")
-        self.mapping = mapping
-        self._key = frozenset(mapping.items())
-
-    @classmethod
-    def identity(cls, points):
-        return cls({x: x for x in points})
-
-    @property
-    def domain(self):
-        return frozenset(self.mapping)
-
-    @property
-    def image(self):
-        return frozenset(self.mapping.values())
-
-    def __call__(self, x):
-        return self.mapping[x]
-
-    def compose(self, other):
-        """self after other, defined where the composite makes sense."""
-        return PartialBijection({x: self.mapping[y]
-                                 for x, y in other.mapping.items()
-                                 if y in self.mapping})
-
-    def inverse(self):
-        return PartialBijection({y: x for x, y in self.mapping.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, PartialBijection) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        pairs = ",".join(f"{x}>{y}" for x, y in sorted(self.mapping.items(),
-                                                       key=lambda xy: str(xy[0])))
-        return f"[{pairs}]"
-
-
-def symmetric_inverse_monoid(points, name=None):
-    """The inverse semigroup I(X) of all partial bijections of a finite
-    set, under composition-where-defined and inversion."""
-    points = list(points)
-    order = {x: i for i, x in enumerate(points)}
-    elements = []
-    for k in range(len(points) + 1):
-        for domain in combinations(points, k):
-            for image in permutations(points, k):
-                elements.append(PartialBijection(dict(zip(domain, image))))
-    elements.sort(key=lambda p: (len(p.mapping),
-                                 sorted((order[x], order[y])
-                                        for x, y in p.mapping.items())))
-    table = {(f, g): f.compose(g) for f in elements for g in elements}
-    star = {f: f.inverse() for f in elements}
-    return FiniteInverseSemigroup.from_products(
-        elements, table, star, name=name or f"I({len(points)} points)")
-
-
-class WagnerPrestonEmbedding:
-    """s -> the partial bijection x -> sx from s*sS onto ss*S, together
-    with an exhaustively computed certificate (multiplicative, preserves
-    star, injective)."""
-
-    def __init__(self, semigroup, images, certificate):
-        self.semigroup = semigroup
-        self.images = images
-        self.certificate = certificate
-
-    @property
-    def ok(self):
-        return self.certificate.ok
-
-
-def wagner_preston_embed(s):
-    """Realize an inverse semigroup inside I(S)."""
-    images = {}
-    for a in s.elements:
-        e = s.mul(s.star(a), a)
-        domain = [x for x in s.elements if s.mul(e, x) == x]
-        images[a] = PartialBijection({x: s.mul(a, x) for x in domain})
-
-    cert = ValidationReport(f"Wagner-Preston for {s.name}")
-    for a in s.elements:
-        for b in s.elements:
-            if images[a].compose(images[b]) != images[s.mul(a, b)]:
-                cert.add(f"not multiplicative on ({a}, {b})")
-    for a in s.elements:
-        if images[a].inverse() != images[s.star(a)]:
-            cert.add(f"star not preserved on {a}")
-    seen = {}
-    for a in s.elements:
-        if images[a] in seen:
-            cert.add(f"not injective: {seen[images[a]]} and {a} collide")
-        seen[images[a]] = a
-    return WagnerPrestonEmbedding(s, images, cert)
 
 
 def bisection_semigroup(g, bound=DEFAULT_BISECTION_BOUND):

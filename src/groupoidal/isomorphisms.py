@@ -1,7 +1,7 @@
 """Executable, certified algebra isomorphisms between partial skew rings
 and Steinberg algebras, orbit equivalence by matching orbits,
-groupoid-isomorphism search, the realization of a Steinberg algebra as a
-partial skew inverse semigroup ring, and brute-force group-ring probes.
+groupoid-isomorphism search, and the realization of a Steinberg algebra
+as a partial skew inverse semigroup ring.
 
 Every map built here (rho, psi, psi~, and the transported Gamma and Phi)
 sends point masses to point masses with coefficient 1, so an AlgebraMap
@@ -15,18 +15,14 @@ asserted without one.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
 
 from .groupoid_core import (DEFAULT_BISECTION_BOUND, isotropy_group,
                             range_set)
 from .inverse_semigroups import (bisection_semigroup,
                                  validate_inverse_semigroup)
-from .partial_actions import (SemigroupPartialAction, SpaceFunction,
-                              induce_algebra_action,
+from .partial_actions import (SemigroupPartialAction, induce_algebra_action,
                               validate_isg_partial_action)
-from .scalars import zero_vector
-from .skew_rings import (CovarianceModule, SkewElement, build_ideal,
-                         build_quotient)
+from .skew_rings import CovarianceModule, build_ideal, build_quotient
 from .steinberg_algebra import (GroupoidFunction, SteinbergAlgebra,
                                 disjoint_decomposition)
 from .transformation_groupoid import build_transformation_groupoid
@@ -56,14 +52,6 @@ class AlgebraMap:
         if not all(0 <= t < codomain.dim for t in self.targets):
             raise ValueError(f"{self.name} has a target outside the "
                              f"codomain basis of {codomain.dim}")
-
-    def apply(self, vec):
-        ring = self.codomain.ring
-        out = [ring.zero()] * self.codomain.dim
-        for t, c in zip(self.targets, vec):
-            if c:
-                out[t] = out[t] + c
-        return out
 
     def _store(self, kind, flag, detail):
         self.certificates[kind] = (flag, detail)
@@ -222,10 +210,6 @@ class AlgebraMap:
                           [self.targets[t] for t in inner.targets],
                           name=name or f"{self.name}o{inner.name}")
 
-    def is_identity(self):
-        return (self.domain.dim == self.codomain.dim
-                and self.targets == list(range(self.domain.dim)))
-
     def __repr__(self):
         return (f"AlgebraMap({self.name}: {self.domain.dim} -> "
                 f"{self.codomain.dim})")
@@ -248,26 +232,6 @@ def rho(action, ring, module=None, groupoid=None):
     algebra = SteinbergAlgebra(groupoid, ring)
     targets = [groupoid.index(label) for label in module.basis_labels]
     return AlgebraMap(module, algebra, targets, name="rho").certify_all()
-
-
-def rho_inverse(f, module):
-    """Recover the formal sum from a function on the transformation
-    groupoid: the delta_g coefficient at x is the value at the arrow
-    (g, x)."""
-    terms = {}
-    for (g, x), c in f.values.items():
-        terms.setdefault(g, {})[x] = c
-    return SkewElement(module.algebra_action,
-                       {g: SpaceFunction(module.ring, vals)
-                        for g, vals in terms.items()})
-
-
-def check_diagonal_correspondence(rho_map):
-    """The image of the coefficient algebra (the delta_e block) must equal
-    the diagonal of the Steinberg algebra, as exact spans."""
-    if "diagonal" not in rho_map.certificates:
-        rho_map.certify_diagonal()
-    return rho_map.preserves_diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +643,6 @@ def phi_classes(f, realization):
     return {q: c for q, c in out.items() if c}
 
 
-def phi(f, realization):
-    """phi_classes as quotient coordinates."""
-    vec = zero_vector(realization.ring, realization.quotient.dim)
-    for q, c in phi_classes(f, realization).items():
-        vec[q] = c
-    return vec
-
-
 def verify_phi_left_inverse(realization):
     """phi o psi_tilde must fix every quotient basis class."""
     labels = realization.quotient.basis_labels
@@ -726,97 +682,3 @@ def _random_function(steinberg, rng):
             if c:
                 values[a] = c
     return GroupoidFunction(g, steinberg.ring, values)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force probes of finite group rings.
-# ---------------------------------------------------------------------------
-
-class GroupRingProbe:
-    """Outcome of an exhaustive scan of the group ring of a finite group
-    over a finite ring (or of the ring-flag shortcut for the trivial
-    group)."""
-
-    def __init__(self, group, ring, method, has_zero_divisors,
-                 zero_divisor_pair, has_nontrivial_units, nontrivial_unit):
-        self.group = group
-        self.ring = ring
-        self.method = method
-        self.has_zero_divisors = has_zero_divisors
-        self.zero_divisor_pair = zero_divisor_pair
-        self.has_nontrivial_units = has_nontrivial_units
-        self.nontrivial_unit = nontrivial_unit
-
-
-def group_ring_probe(group, ring, bound=1024):
-    """Scan R[G] for zero divisors and nontrivial units by enumeration.
-
-    The trivial group is answered from the ring flags (R[G] is R, and every
-    unit r e is trivial).  Otherwise the ring must be finite with
-    |R|^|G| <= bound.
-    """
-    n = group.order
-    if n == 1:
-        e = group.identity
-        pair = None
-        if not ring.is_integral_domain:
-            d = next(d for d in range(2, ring.modulus)
-                     if ring.modulus % d == 0)
-            pair = ({e: d}, {e: ring.modulus // d})
-        return GroupRingProbe(group, ring, "ring-flags",
-                              not ring.is_integral_domain, pair, False, None)
-    if ring.size is None:
-        raise BoundExceeded(f"cannot enumerate {ring.tag()}[{group.name}]: "
-                            "infinite ring")
-    total = ring.size ** n
-    if total > bound:
-        raise BoundExceeded(f"|{ring.tag()}[{group.name}]| = {total} "
-                            f"exceeds probe bound {bound}")
-
-    mod = ring.modulus
-    elems = group.elements
-    mul_idx = group.table
-
-    def conv(x, y):
-        out = [0] * n
-        for i in range(n):
-            if x[i]:
-                for j in range(n):
-                    if y[j]:
-                        k = mul_idx[i][j]
-                        out[k] = (out[k] + x[i] * y[j]) % mod
-        return tuple(out)
-
-    all_elems = list(product(range(mod), repeat=n))
-    zero = tuple([0] * n)
-    one = tuple(1 if g == group.identity else 0 for g in elems)
-
-    def as_dict(x):
-        return {elems[i]: x[i] for i in range(n) if x[i]}
-
-    zero_pair = None
-    for x in all_elems:
-        if x == zero:
-            continue
-        for y in all_elems:
-            if y == zero:
-                continue
-            if conv(x, y) == zero:
-                zero_pair = (as_dict(x), as_dict(y))
-                break
-        if zero_pair:
-            break
-
-    nontrivial_unit = None
-    for x in all_elems:
-        if sum(1 for v in x if v) < 2:
-            continue
-        inv = next((y for y in all_elems
-                    if conv(x, y) == one and conv(y, x) == one), None)
-        if inv is not None:
-            nontrivial_unit = as_dict(x)
-            break
-
-    return GroupRingProbe(group, ring, "enumeration",
-                          zero_pair is not None, zero_pair,
-                          nontrivial_unit is not None, nontrivial_unit)

@@ -13,81 +13,6 @@ from __future__ import annotations
 from .validation import ValidationReport, stable
 
 
-class SpaceFunction:
-    """A finitely supported scalar-valued function on a finite set, with
-    pointwise operations.  Zero values are never stored."""
-
-    __slots__ = ("ring", "values")
-
-    def __init__(self, ring, values):
-        self.ring = ring
-        self.values = {x: c for x, c in values.items() if c}
-
-    @classmethod
-    def zero(cls, ring):
-        return cls(ring, {})
-
-    @classmethod
-    def indicator(cls, ring, points, coeff=None):
-        coeff = ring.one() if coeff is None else coeff
-        return cls(ring, {x: coeff for x in points})
-
-    @classmethod
-    def point_mass(cls, ring, point, coeff=None):
-        return cls.indicator(ring, [point], coeff)
-
-    @property
-    def support(self):
-        return frozenset(self.values)
-
-    def __call__(self, x):
-        return self.values.get(x, self.ring.zero())
-
-    def _compatible(self, other):
-        if self.ring != other.ring:
-            raise ValueError("functions have different scalar rings")
-
-    def __add__(self, other):
-        self._compatible(other)
-        out = dict(self.values)
-        for x, c in other.values.items():
-            out[x] = out.get(x, self.ring.zero()) + c
-        return SpaceFunction(self.ring, out)
-
-    def __neg__(self):
-        return SpaceFunction(self.ring, {x: -c for x, c in self.values.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._compatible(other)
-        out = {x: c * other.values[x]
-               for x, c in self.values.items() if x in other.values}
-        return SpaceFunction(self.ring, out)
-
-    def scale(self, coeff):
-        return SpaceFunction(self.ring, {x: coeff * c for x, c in self.values.items()})
-
-    def vanishes_off(self, subset):
-        return self.support <= frozenset(subset)
-
-    def __eq__(self, other):
-        return (isinstance(other, SpaceFunction)
-                and self.ring == other.ring and self.values == other.values)
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.values.items())))
-
-    def __bool__(self):
-        return bool(self.values)
-
-    def __repr__(self):
-        items = ", ".join(f"{x}:{c}" for x, c in
-                          sorted(self.values.items(), key=lambda kv: str(kv[0])))
-        return f"SpaceFunction({{{items}}})"
-
-
 class _PartialActionBase:
     def __init__(self, index, space, domains, maps):
         self.index = index
@@ -291,7 +216,8 @@ def is_topologically_free(action):
 class AlgebraPartialAction:
     """The induced partial action on the function algebra of the space:
     D_s is the ideal of functions vanishing off X_s, and the isomorphism
-    D_{s*} -> D_s is f -> f o theta_{s*} on X_s, zero elsewhere."""
+    alpha_s: D_{s*} -> D_s is f -> f o theta_{s*} on X_s, zero elsewhere.
+    induce_algebra_action checks each alpha_s as a point map."""
 
     def __init__(self, action, ring):
         self.action = action
@@ -308,15 +234,6 @@ class AlgebraPartialAction:
 
     def domain_points(self, s):
         return self.action.domain_points(s)
-
-    def alpha(self, s, f):
-        if f.ring != self.ring:
-            raise ValueError("function has the wrong scalar ring")
-        if not f.vanishes_off(self.domains[self.star(s)]):
-            raise ValueError(f"function is not in D_{{{self.star(s)}}}")
-        theta_star = self.action.maps[self.star(s)]
-        return SpaceFunction(self.ring,
-                             {x: f(theta_star[x]) for x in self.domains[s]})
 
 
 def induce_algebra_action(action, ring):

@@ -66,11 +66,6 @@ class ScalarRing:
             return f"Z/{self.modulus}"
         return self.kind
 
-    @property
-    def size(self):
-        """Number of elements, or None when infinite."""
-        return self.modulus if self.kind == "Zn" else None
-
     def _normalize(self, raw):
         if self.kind == "Q":
             return raw if isinstance(raw, Fraction) else Fraction(raw)

@@ -1,6 +1,7 @@
-"""Formal sums a_s delta_s over a partial action: the covariance module L
-with its twisted product, the partial skew group ring, the ideal I
-identifying a delta_s with a delta_t for s <= t, and the quotient L/I.
+"""The covariance module L of a partial action, spanned by the terms
+a_s delta_s, with its twisted product; the partial skew group ring; the
+ideal I identifying a delta_s with a delta_t for s <= t; and the quotient
+L/I.
 
 L and L/I are based algebras with 0/1 structure constants.  L is kept
 factored, by the row and column point of each basis element, and L/I by
@@ -16,94 +17,12 @@ of a bisection semigroup.
 from __future__ import annotations
 
 from .inverse_semigroups import validate_inverse_semigroup
-from .partial_actions import (GroupPartialAction, SpaceFunction,
+from .partial_actions import (GroupPartialAction,
                               validate_group_partial_action,
                               validate_isg_partial_action)
 from .scalars import (SpanTracker, TableAlgebra, index_row, points_at,
-                      table_associativity_counterexample, table_mul_basis,
-                      table_mul_vectors, zero_vector)
+                      table_associativity_counterexample, zero_vector)
 from .validation import ValidationReport, stable
-
-
-class SkewElement:
-    """A finite formal sum of terms a_s delta_s with a_s supported in X_s."""
-
-    __slots__ = ("algebra_action", "terms")
-
-    def __init__(self, algebra_action, terms):
-        self.algebra_action = algebra_action
-        pruned = {}
-        for s, f in terms.items():
-            if f.ring != algebra_action.ring:
-                raise ValueError("coefficient has the wrong scalar ring")
-            if not f.vanishes_off(algebra_action.domains[s]):
-                raise ValueError(f"coefficient of delta_{stable(s)} does not "
-                                 f"vanish off X_{{{stable(s)}}}")
-            if f:
-                pruned[s] = f
-        self.terms = pruned
-
-    @classmethod
-    def zero(cls, algebra_action):
-        return cls(algebra_action, {})
-
-    @classmethod
-    def basis(cls, algebra_action, s, x, coeff=None):
-        mass = SpaceFunction.point_mass(algebra_action.ring, x, coeff)
-        return cls(algebra_action, {s: mass})
-
-    def _compatible(self, other):
-        if self.algebra_action is not other.algebra_action:
-            raise ValueError("skew elements over different actions")
-
-    def __add__(self, other):
-        self._compatible(other)
-        out = dict(self.terms)
-        for s, f in other.terms.items():
-            out[s] = out[s] + f if s in out else f
-        return SkewElement(self.algebra_action, out)
-
-    def __neg__(self):
-        return SkewElement(self.algebra_action,
-                           {s: -f for s, f in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        return SkewElement(self.algebra_action,
-                           {s: f.scale(coeff) for s, f in self.terms.items()})
-
-    def __mul__(self, other):
-        return skew_multiply(self, other)
-
-    def __eq__(self, other):
-        return (isinstance(other, SkewElement)
-                and self.algebra_action is other.algebra_action
-                and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        parts = " + ".join(f"{f!r}d[{s}]" for s, f in self.terms.items())
-        return f"SkewElement({parts or '0'})"
-
-
-def skew_multiply(x, y):
-    """The linear extension of
-    (a_s delta_s)(a_t delta_t) = alpha_s(alpha_{s*}(a_s) a_t) delta_{st}."""
-    x._compatible(y)
-    alg = x.algebra_action
-    index = alg.index
-    acc = {}
-    for s, a_s in x.terms.items():
-        for t, a_t in y.terms.items():
-            st = index.mul(s, t)
-            coeff = alg.alpha(s, alg.alpha(alg.star(s), a_s) * a_t)
-            if coeff:
-                acc[st] = acc[st] + coeff if st in acc else coeff
-    return SkewElement(alg, acc)
 
 
 class CovarianceModule:
@@ -172,25 +91,6 @@ class CovarianceModule:
 
     def row(self, i):
         return self.products(i, range(self.dim))
-
-    def to_vector(self, elem):
-        if elem.algebra_action is not self.algebra_action:
-            raise ValueError("element does not belong to this module")
-        vec = zero_vector(self.ring, self.dim)
-        for s, f in elem.terms.items():
-            for x, c in f.values.items():
-                vec[self._idx[(s, x)]] = c
-        return vec
-
-    def from_vector(self, vec):
-        terms = {}
-        for i, c in enumerate(vec):
-            if c:
-                s, x = self.basis_labels[i]
-                terms.setdefault(s, {})[x] = c
-        return SkewElement(self.algebra_action,
-                           {s: SpaceFunction(self.ring, vals)
-                            for s, vals in terms.items()})
 
     def diagonal_indices(self):
         """Basis indices of the copy of the coefficient algebra sitting
@@ -272,20 +172,6 @@ class IdealCongruence:
         self.generator_count = len(edges)
         self.dimension = sum(1 for a, r in enumerate(rep) if a != r)
 
-    @property
-    def rows(self):
-        """The spanning rows of the congruence I: e_a - e_rep(a) for each
-        a that does not represent its class, in increasing order of a."""
-        ring, dim = self.module.ring, self.module.dim
-        rows = []
-        for a, r in enumerate(self.rep):
-            if a != r:
-                row = zero_vector(ring, dim)
-                row[a] = ring.one()
-                row[r] = -ring.one()
-                rows.append(row)
-        return rows
-
 
 def build_ideal(module):
     """The span of the generators, by union-find over their index pairs:
@@ -334,12 +220,6 @@ class QuotientAlgebra(TableAlgebra):
             self._class[module.product(a, b)] for b in self.representatives])
             for a in self.representatives]
         self.representative_independence_verified = False
-
-    def mul_basis(self, i, j):
-        return table_mul_basis(self.table, self.ring, i, j)
-
-    def mul_vectors(self, u, v):
-        return table_mul_vectors(self.table, self.ring, u, v)
 
     def diagonal_indices(self):
         unit = self.module.algebra_action.unit_element()

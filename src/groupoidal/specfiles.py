@@ -258,13 +258,20 @@ def _parse_semigroup(data):
                                   name=data.get("name", "semigroup"))
 
 
-def parse_document(raw_bytes, source="<input>"):
-    digest = hashlib.sha256(raw_bytes).hexdigest()
+def _checked(raw_bytes, source):
+    """The JSON object of a document whose format, kind and shape pass."""
     try:
         data = json.loads(raw_bytes)
+        _check_shape(data, source)
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{source}: invalid JSON at line {exc.lineno} "
                             f"column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise SpecFileError(f"{source}: document nested too deeply") from None
+    return data
+
+
+def _check_shape(data, source):
     if not isinstance(data, dict):
         raise SpecFileError(f"{source}: document must be a JSON object")
     if data.get("format") != FORMAT_TAG:
@@ -281,6 +288,11 @@ def parse_document(raw_bytes, source="<input>"):
                             f"{'/'.join(map(str, path)) or 'document'}: "
                             f"{what}") from None
 
+
+def parse_document(raw_bytes, source="<input>"):
+    digest = hashlib.sha256(raw_bytes).hexdigest()
+    data = _checked(raw_bytes, source)
+    kind = data["kind"]
     name = data.get("name", os.path.splitext(os.path.basename(source))[0])
     if kind == "groupoid":
         payload = _parse_groupoid(data)
@@ -293,13 +305,14 @@ def parse_document(raw_bytes, source="<input>"):
         for side in ("left", "right"):
             spec = data[side]
             if isinstance(spec, str):
-                doc = load_document(spec)
-                if doc.kind != "action":
+                # The named document's kind is checked before any of it
+                # is parsed, so a pair naming a pair cannot recurse.
+                path = resolve_input(spec)
+                spec = _checked(_read(path), os.path.basename(path))
+                if spec["kind"] != "action":
                     raise SpecFileError(f"{source}: {side} names a "
-                                        f"{doc.kind}, expected an action")
-                sides.append(doc.payload)
-            else:
-                sides.append(_parse_action(spec))
+                                        f"{spec['kind']}, expected an action")
+            sides.append(_parse_action(spec))
         payload = tuple(sides)
     return SpecDocument(kind, name, payload, digest,
                         data.get("ring"), data.get("bounds", {}))
@@ -325,8 +338,14 @@ def resolve_input(token):
                         f"{token!r} in {catalog_dir}")
 
 
+def _read(path):
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise SpecFileError(f"{path}: {exc.strerror or exc}") from None
+
+
 def load_document(token):
     path = resolve_input(token)
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    return parse_document(raw, source=os.path.basename(path))
+    return parse_document(_read(path), source=os.path.basename(path))

@@ -8,7 +8,7 @@ from .groupoid_core import (composable_iff_matched, composition_table,
                             is_bisection)
 from .scalars import (TableAlgebra, points_at,
                       table_associativity_counterexample, table_mul_basis,
-                      table_mul_vectors, zero_vector)
+                      table_mul_vectors)
 
 
 class GroupoidFunction:
@@ -108,18 +108,6 @@ def convolve(f, g):
     return GroupoidFunction(parent, ring, acc)
 
 
-def is_diagonal(f):
-    return f.support <= f.parent.units
-
-
-def diagonal_embed(parent, ring, unit_values):
-    """Extend a function on the unit space by zero off the units."""
-    for u in unit_values:
-        if u not in parent.units:
-            raise ValueError(f"{u} is not a unit of {parent.name}")
-    return GroupoidFunction(parent, ring, dict(unit_values))
-
-
 def disjoint_decomposition(f):
     """Write f as a sum of scalar multiples of indicators of pairwise
     disjoint bisections, canonically.
@@ -188,18 +176,6 @@ class SteinbergAlgebra(TableAlgebra):
 
     def mul_vectors(self, u, v):
         return table_mul_vectors(self.table, self.ring, u, v)
-
-    def to_vector(self, f):
-        if f.parent is not self.groupoid or f.ring != self.ring:
-            raise ValueError("function does not belong to this algebra")
-        vec = zero_vector(self.ring, self.dim)
-        for a, c in f.values.items():
-            vec[self.groupoid.index(a)] = c
-        return vec
-
-    def from_vector(self, vec):
-        values = {self.basis_labels[i]: c for i, c in enumerate(vec) if c}
-        return GroupoidFunction(self.groupoid, self.ring, values)
 
     def diagonal_indices(self):
         return [i for i, a in enumerate(self.basis_labels)

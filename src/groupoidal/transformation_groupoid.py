@@ -45,15 +45,3 @@ def build_transformation_groupoid(action, name=None):
     action.  The arrow count is the sum of the domain sizes and the unit
     space is a copy of the acted-on space via x -> (e, x)."""
     return TransformationGroupoid(action, name=name)
-
-
-def isotropy_of_transformation(action, x):
-    """The stabilizer {t : x in X_t and theta_{t^-1}(x) = x} as a subgroup
-    of the acting group; matches the groupoid isotropy at (e, x)."""
-    if x not in set(action.space):
-        raise ValueError(f"{x} is not a point of the space")
-    group = action.group
-    members = [t for t in group.elements
-               if x in action.domains[t]
-               and action.theta(group.inv(t), x) == x]
-    return group.subgroup(members, name=f"stab@{x}")

@@ -6,14 +6,21 @@ dense rows.  The factored product must agree with these.
 
 `mul_basis` and `mul_vectors` multiply vectors of any of the algebras
 through its dense table, so that references in the tests do not read the
-product they check.
+product they check.  The dense vectors of the algebras are here too: the
+coordinates of a formal sum or of a groupoid function, the image of a
+vector under an AlgebraMap, the spanning rows of the ideal I, and phi as
+quotient coordinates.
 """
 
 import weakref
 
+from formula_oracle import SkewElement, SpaceFunction
+from groupoidal.isomorphisms import phi_classes
 from groupoidal.scalars import (index_row, table_associativity_counterexample,
-                                table_mul_basis, table_mul_vectors)
+                                table_mul_basis, table_mul_vectors,
+                                zero_vector)
 from groupoidal.skew_rings import CovarianceModule
+from groupoidal.steinberg_algebra import GroupoidFunction
 
 
 def dense_table(module):
@@ -105,3 +112,68 @@ def mul_basis(algebra, i, j):
 
 def mul_vectors(algebra, u, v):
     return table_mul_vectors(_table(algebra), algebra.ring, u, v)
+
+
+def apply(algebra_map, vec):
+    """The image of a coordinate vector: e_i goes to e_{targets[i]}."""
+    ring = algebra_map.codomain.ring
+    out = [ring.zero()] * algebra_map.codomain.dim
+    for t, c in zip(algebra_map.targets, vec):
+        if c:
+            out[t] = out[t] + c
+    return out
+
+
+def to_vector(algebra, element):
+    """Coordinates of a SkewElement in L, or of a GroupoidFunction in
+    A_R(G)."""
+    vec = zero_vector(algebra.ring, algebra.dim)
+    if isinstance(algebra, CovarianceModule):
+        if element.algebra_action is not algebra.algebra_action:
+            raise ValueError("element does not belong to this module")
+        for s, f in element.terms.items():
+            for x, c in f.values.items():
+                vec[algebra.label_index(s, x)] = c
+        return vec
+    if element.parent is not algebra.groupoid or element.ring != algebra.ring:
+        raise ValueError("function does not belong to this algebra")
+    for a, c in element.values.items():
+        vec[algebra.groupoid.index(a)] = c
+    return vec
+
+
+def from_vector(algebra, vec):
+    """The SkewElement or GroupoidFunction with the given coordinates."""
+    if isinstance(algebra, CovarianceModule):
+        terms = {}
+        for i, c in enumerate(vec):
+            if c:
+                s, x = algebra.basis_labels[i]
+                terms.setdefault(s, {})[x] = c
+        return SkewElement(algebra.algebra_action,
+                           {s: SpaceFunction(algebra.ring, vals)
+                            for s, vals in terms.items()})
+    values = {algebra.basis_labels[i]: c for i, c in enumerate(vec) if c}
+    return GroupoidFunction(algebra.groupoid, algebra.ring, values)
+
+
+def ideal_rows(ideal):
+    """The spanning rows of the congruence I: e_a - e_rep(a) for each a
+    that does not represent its class, in increasing order of a."""
+    ring, dim = ideal.module.ring, ideal.module.dim
+    rows = []
+    for a, r in enumerate(ideal.rep):
+        if a != r:
+            row = zero_vector(ring, dim)
+            row[a] = ring.one()
+            row[r] = -ring.one()
+            rows.append(row)
+    return rows
+
+
+def phi(f, realization):
+    """phi_classes as quotient coordinates."""
+    vec = zero_vector(realization.ring, realization.quotient.dim)
+    for q, c in phi_classes(f, realization).items():
+        vec[q] = c
+    return vec

@@ -1,10 +1,13 @@
 """Groupoid families beyond the catalog, as spec documents and as parsed
-groupoids: pair groupoids and bundles of cyclic groups; and the regular
-actions of cyclic groups."""
+groupoids: pair groupoids and bundles of cyclic groups; the regular
+actions of cyclic groups; and the symmetric inverse monoids I(X) of
+partial bijections."""
 
 import json
+from itertools import combinations, permutations
 
 from groupoidal.groups import FiniteGroup
+from groupoidal.inverse_semigroups import FiniteInverseSemigroup
 from groupoidal.partial_actions import GroupPartialAction
 from groupoidal.specfiles import FORMAT_TAG, parse_document
 
@@ -60,3 +63,71 @@ def regular_action(n):
             for k, g in enumerate(group.elements)}
     return GroupPartialAction(group, space, {g: space for g in maps}, maps,
                               name=f"regular_z{n}")
+
+
+class PartialBijection:
+    """A bijection between two subsets of a fixed finite set, the element
+    type of the symmetric inverse monoid I(X)."""
+
+    __slots__ = ("mapping", "_key")
+
+    def __init__(self, mapping):
+        mapping = dict(mapping)
+        if len(set(mapping.values())) != len(mapping):
+            raise ValueError("mapping is not injective")
+        self.mapping = mapping
+        self._key = frozenset(mapping.items())
+
+    @classmethod
+    def identity(cls, points):
+        return cls({x: x for x in points})
+
+    @property
+    def domain(self):
+        return frozenset(self.mapping)
+
+    @property
+    def image(self):
+        return frozenset(self.mapping.values())
+
+    def __call__(self, x):
+        return self.mapping[x]
+
+    def compose(self, other):
+        """self after other, defined where the composite makes sense."""
+        return PartialBijection({x: self.mapping[y]
+                                 for x, y in other.mapping.items()
+                                 if y in self.mapping})
+
+    def inverse(self):
+        return PartialBijection({y: x for x, y in self.mapping.items()})
+
+    def __eq__(self, other):
+        return isinstance(other, PartialBijection) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        pairs = ",".join(f"{x}>{y}" for x, y in sorted(self.mapping.items(),
+                                                       key=lambda xy: str(xy[0])))
+        return f"[{pairs}]"
+
+
+def symmetric_inverse_monoid(points, name=None):
+    """The inverse semigroup I(X) of all partial bijections of a finite
+    set, under composition-where-defined and inversion."""
+    points = list(points)
+    order = {x: i for i, x in enumerate(points)}
+    elements = []
+    for k in range(len(points) + 1):
+        for domain in combinations(points, k):
+            for image in permutations(points, k):
+                elements.append(PartialBijection(dict(zip(domain, image))))
+    elements.sort(key=lambda p: (len(p.mapping),
+                                 sorted((order[x], order[y])
+                                        for x, y in p.mapping.items())))
+    table = {(f, g): f.compose(g) for f in elements for g in elements}
+    star = {f: f.inverse() for f in elements}
+    return FiniteInverseSemigroup.from_products(
+        elements, table, star, name=name or f"I({len(points)} points)")

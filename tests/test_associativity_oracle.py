@@ -16,12 +16,11 @@ from collections import Counter
 
 import pytest
 from dense_oracle import dense_table
-from families import pair_groupoid_spec, parse
+from families import pair_groupoid_spec, parse, symmetric_inverse_monoid
 
 from groupoidal import catalog
 from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
                                            bisection_semigroup,
-                                           symmetric_inverse_monoid,
                                            validate_inverse_semigroup)
 from groupoidal.isomorphisms import bisection_action
 from groupoidal.partial_actions import induce_algebra_action

@@ -235,6 +235,62 @@ def test_exit_two_on_malformed_file(tmp_path, capsys):
     assert "input error" in err
 
 
+def pair_document(left):
+    return json.dumps({"format": "groupoidal/1", "kind": "pair",
+                       "left": left, "right": "z2_global_swap"})
+
+
+def test_pair_naming_itself_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "selfpair.json"
+    path.write_text(pair_document(str(path)))
+    code, out, err = run_cli(capsys, "equivalence", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("groupoidal: input error: selfpair.json: left names a "
+                   "pair, expected an action\n")
+
+
+def test_two_pairs_naming_each_other_are_an_input_error(tmp_path, capsys):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(pair_document(str(second)))
+    second.write_text(pair_document(str(first)))
+    for path in (first, second):
+        code, _, err = run_cli(capsys, "equivalence", str(path))
+        assert code == 2
+        assert err == (f"groupoidal: input error: {path.name}: left names a "
+                       "pair, expected an action\n")
+
+
+def test_directory_input_is_an_input_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "validate", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"groupoidal: input error: {tmp_path}: Is a directory\n"
+
+
+def test_unreadable_input_is_an_input_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "locked.json"
+    path.write_text(pair_document("z2_global_swap"))
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    # specfiles reads through the builtin open, found before the builtins.
+    monkeypatch.setattr("groupoidal.specfiles.open", refuse, raising=False)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"groupoidal: input error: {path}: Permission denied\n"
+
+
+@pytest.mark.parametrize("depth", [990, 100_000])
+def test_deeply_nested_document_is_an_input_error(depth, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"format": "groupoidal/1", "kind": "groupoid", '
+                    '"arrows": ' + "[" * depth + "]" * depth + "}")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("groupoidal: input error: deep.json: ")
+    assert err.count("\n") == 1
+
+
 def test_reports_byte_identical(capsys):
     _, first, _ = run_cli(capsys, "theorem5", "two_isolated_units")
     _, second, _ = run_cli(capsys, "theorem5", "two_isolated_units")

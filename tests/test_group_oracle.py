@@ -21,8 +21,9 @@ from test_search_oracle import partial_actions
 
 from groupoidal import catalog, groups, specfiles
 from groupoidal.groupoid_core import isotropy_group
-from groupoidal.groups import FiniteGroup, NaturalOrder, validate_group_table
-from groupoidal.inverse_semigroups import (FiniteInverseSemigroup, from_group,
+from groupoidal.groups import FiniteGroup, validate_group_table
+from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
+                                           NaturalOrder,
                                            validate_inverse_semigroup)
 from groupoidal.isomorphisms import _unit_profiles
 from groupoidal.transformation_groupoid import build_transformation_groupoid
@@ -85,20 +86,6 @@ class ReferenceGroup:
 
     def index(self, a):
         return self.elements.index(a)
-
-    def is_subgroup(self, subset):
-        subset = set(subset)
-        if self.identity not in subset:
-            return False
-        return all(self.mul(a, b) in subset for a in subset for b in subset) and \
-            all(self.inv(a) in subset for a in subset)
-
-    def subgroup(self, subset, name="subgroup"):
-        members = [a for a in self.elements if a in set(subset)]
-        if not self.is_subgroup(members):
-            raise ValueError(f"{sorted(map(str, subset))} is not a subgroup")
-        table = {(a, b): self.mul(a, b) for a in members for b in members}
-        return ReferenceGroup(members, table, name=name)
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -305,9 +292,6 @@ def test_a_group_is_an_inverse_semigroup():
         assert isinstance(group, FiniteInverseSemigroup)
         assert validate_inverse_semigroup(group).ok
         assert group.idempotents() == [group.identity] == [group.unit]
-        view = from_group(group)
-        assert view.table is group.table
-        assert view.star_table is group.star_table
     for elements, table in TABLES.values():
         assert validate_inverse_semigroup(FiniteGroup(elements, table)).ok
 

@@ -15,14 +15,12 @@ import copy
 import random
 
 from dense_oracle import reference_generator_scan
-from families import pair_groupoid_spec, parse
+from families import pair_groupoid_spec, parse, symmetric_inverse_monoid
 
 from groupoidal import catalog
-from groupoidal.groups import NaturalOrder
 from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
-                                           bisection_semigroup,
-                                           natural_order,
-                                           symmetric_inverse_monoid)
+                                           NaturalOrder, bisection_semigroup,
+                                           natural_order)
 from groupoidal.isomorphisms import bisection_action
 from groupoidal.partial_actions import (SemigroupPartialAction,
                                         _validate_maps,

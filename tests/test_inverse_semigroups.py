@@ -1,16 +1,13 @@
 import pytest
-from families import family_groupoids
+from families import (PartialBijection, family_groupoids,
+                      symmetric_inverse_monoid)
+from formula_oracle import bisection_inverse, bisection_product
 
 from groupoidal import catalog
-from groupoidal.groupoid_core import bisection_inverse, bisection_product
 from groupoidal.groups import FiniteGroup
 from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
-                                           PartialBijection, bisection_semigroup,
-                                           from_group, idempotents,
-                                           natural_order,
-                                           symmetric_inverse_monoid,
-                                           validate_inverse_semigroup,
-                                           wagner_preston_embed)
+                                           bisection_semigroup, natural_order,
+                                           validate_inverse_semigroup)
 
 CATALOG_SEMIGROUPS = ["trivial_semigroup", "z2_semigroup", "semilattice_2",
                       "sym_inv_2"]
@@ -18,8 +15,7 @@ CATALOG_SEMIGROUPS = ["trivial_semigroup", "z2_semigroup", "semilattice_2",
 
 def test_groups_are_inverse_semigroups():
     for n in (1, 2, 3, 4):
-        s = from_group(FiniteGroup.cyclic(n))
-        assert validate_inverse_semigroup(s).ok
+        assert validate_inverse_semigroup(FiniteGroup.cyclic(n)).ok
 
 
 def test_catalog_semigroups_valid():
@@ -57,7 +53,7 @@ def test_wrong_star_table_rejected():
 
 
 def test_natural_order_in_group_is_equality():
-    s = from_group(FiniteGroup.cyclic(4))
+    s = FiniteGroup.cyclic(4)
     order = natural_order(s)
     for a in s.elements:
         for b in s.elements:
@@ -77,7 +73,7 @@ def test_natural_order_on_partial_bijections_is_extension():
 def test_idempotent_order_via_products():
     monoid = symmetric_inverse_monoid(["1", "2"])
     order = natural_order(monoid)
-    idem = idempotents(monoid)
+    idem = monoid.idempotents()
     for e in idem:
         assert monoid.mul(e, e) == e
         for f in idem:
@@ -115,40 +111,6 @@ def test_partial_bijection_basics():
         PartialBijection({"1": "3", "2": "3"})
 
 
-def test_wagner_preston_trivial_group():
-    emb = wagner_preston_embed(catalog.load_semigroup("trivial_semigroup"))
-    assert emb.ok
-    assert emb.images["e"] == PartialBijection.identity(["e"])
-
-
-def test_wagner_preston_z2_total_bijections():
-    s = catalog.load_semigroup("z2_semigroup")
-    emb = wagner_preston_embed(s)
-    assert emb.ok
-    for a in s.elements:
-        assert emb.images[a].domain == frozenset(s.elements)
-        assert emb.images[a].image == frozenset(s.elements)
-
-
-def test_wagner_preston_semilattice_nested_identities():
-    s = catalog.load_semigroup("semilattice_2")
-    emb = wagner_preston_embed(s)
-    assert emb.ok
-    assert emb.images["1"] == PartialBijection.identity(["0", "1"])
-    assert emb.images["0"] == PartialBijection.identity(["0"])
-
-
-@pytest.mark.parametrize("name", CATALOG_SEMIGROUPS)
-def test_wagner_preston_certificates_and_image(name):
-    s = catalog.load_semigroup(name)
-    emb = wagner_preston_embed(s)
-    assert emb.ok, emb.certificate.summary()
-    # The image is closed under composition and inverse.
-    image = set(emb.images.values())
-    assert all(f.compose(g) in image for f in image for g in image)
-    assert all(f.inverse() in image for f in image)
-
-
 def test_bisection_semigroup_two_isolated_units():
     g = catalog.load_groupoid("two_isolated_units")
     s = bisection_semigroup(g)
@@ -181,7 +143,7 @@ def test_bisection_semigroup_structure(name):
     for b in s.elements:
         for c in s.elements:
             assert order.le(b, c) == (b <= c)
-    assert set(idempotents(s)) == {b for b in s.elements if b <= g.units}
+    assert set(s.idempotents()) == {b for b in s.elements if b <= g.units}
     assert s.unit == frozenset(g.units)
     for b in s.elements:
         assert s.star(b) == bisection_inverse(g, b)

@@ -3,17 +3,15 @@ from itertools import combinations, product
 
 import pytest
 
-from dense_oracle import mul_basis, mul_vectors
+from dense_oracle import (apply, from_vector, ideal_rows, mul_basis,
+                          mul_vectors, phi, to_vector)
+from formula_oracle import SkewElement, SpaceFunction, rho_inverse
 from test_phi_oracle import class_of
 
 from groupoidal import catalog
 from groupoidal.groupoid_core import FiniteGroupoid, range_set
-from groupoidal.groups import FiniteGroup
-from groupoidal.isomorphisms import (AlgebraMap, OrbitEquivalenceData,
-                                     check_diagonal_correspondence,
-                                     group_ring_probe, phi, psi,
-                                     rho, rho_inverse,
-                                     search_groupoid_isomorphism,
+from groupoidal.isomorphisms import (AlgebraMap, OrbitEquivalenceData, psi,
+                                     rho, search_groupoid_isomorphism,
                                      search_orbit_equivalence,
                                      steinberg_transport,
                                      transported_skew_isomorphism,
@@ -23,7 +21,7 @@ from groupoidal.isomorphisms import (AlgebraMap, OrbitEquivalenceData,
                                      verify_phi_left_inverse)
 from groupoidal.partial_actions import induce_algebra_action
 from groupoidal.scalars import SpanTracker, ring_from_tag, zero_vector
-from groupoidal.skew_rings import SkewElement, build_skew_group_ring
+from groupoidal.skew_rings import build_skew_group_ring
 from groupoidal.steinberg_algebra import GroupoidFunction, SteinbergAlgebra
 from groupoidal.transformation_groupoid import build_transformation_groupoid
 from groupoidal.validation import BoundExceeded
@@ -60,10 +58,10 @@ def reference_certificates(m):
     and ranks by exact echelon reduction over a field."""
     dom, cod = m.domain, m.codomain
     ring, n = cod.ring, cod.dim
-    images = [m.apply(unit(ring, dom.dim, i)) for i in range(dom.dim)]
+    images = [apply(m, unit(ring, dom.dim, i)) for i in range(dom.dim)]
     certs = {"homomorphism": (True, None)}
     for i, j in product(range(dom.dim), repeat=2):
-        if m.apply(mul_basis(dom, i, j)) != \
+        if apply(m, mul_basis(dom, i, j)) != \
                 mul_vectors(cod, images[i], images[j]):
             certs["homomorphism"] = (
                 False, f"fails on basis pair ({dom.basis_labels[i]}, "
@@ -97,6 +95,11 @@ def reference_certificates(m):
     return certs
 
 
+def is_identity(m):
+    return m.domain.dim == m.codomain.dim and \
+        m.targets == list(range(m.domain.dim))
+
+
 def assert_certificates_agree(m):
     reference = reference_certificates(m)
     m.certify_all()
@@ -106,7 +109,7 @@ def assert_certificates_agree(m):
 def test_rho_trivial_group_is_identity(Q):
     action = catalog.load_action("trivial_3pt")
     m = rho(action, Q)
-    assert m.is_identity()
+    assert is_identity(m)
     assert m.is_homomorphism and m.is_injective and m.is_surjective
 
 
@@ -119,7 +122,7 @@ def test_rho_z2_swap_sends_basis_to_arrow_masses(Q):
         assert m.targets[i] == tg.index((g, x))
         expected = [Q.one() if k == tg.index((g, x)) else Q.zero()
                     for k in range(4)]
-        assert m.apply(unit(Q, 4, i)) == expected
+        assert apply(m, unit(Q, 4, i)) == expected
 
 
 @pytest.mark.parametrize("name", catalog.action_names())
@@ -137,7 +140,6 @@ def test_rho_multiplicative_by_independent_paths(Q):
     module = build_skew_group_ring(induce_algebra_action(action, Q))
     tg = build_transformation_groupoid(action)
     alg = module.algebra_action
-    from groupoidal.partial_actions import SpaceFunction
     x = SkewElement(alg, {"g": SpaceFunction.indicator(Q, alg.space)})
     lhs = rho_formula(x * x, tg)
     rhs = rho_formula(x, tg) * rho_formula(x, tg)
@@ -154,13 +156,13 @@ def test_rho_round_trips_random(name, Q):
     rng = random.Random(13)
     for _ in range(100):
         vec = [Q.random(rng) for _ in range(module.dim)]
-        f = algebra.from_vector(m.apply(vec))
-        assert module.to_vector(rho_inverse(f, module)) == vec
+        f = from_vector(algebra, apply(m, vec))
+        assert to_vector(module, rho_inverse(f, module)) == vec
     for _ in range(100):
         values = {a: Q.random(rng) for a in tg.arrows if rng.random() < 0.5}
         f = GroupoidFunction(tg, Q, values)
-        back = m.apply(module.to_vector(rho_inverse(f, module)))
-        assert algebra.from_vector(back) == f
+        back = apply(m, to_vector(module, rho_inverse(f, module)))
+        assert from_vector(algebra, back) == f
 
 
 def test_rho_inverse_examples(Q):
@@ -177,17 +179,16 @@ def test_rho_inverse_examples(Q):
 @pytest.mark.parametrize("name", catalog.action_names())
 def test_diagonal_correspondence(name, Q):
     m = rho(catalog.load_action(name), Q)
-    assert check_diagonal_correspondence(m)
+    assert m.certificates["diagonal"] == (True, None)
 
 
 def test_non_diagonal_basis_image_not_diagonal(Q):
     action = catalog.load_action("z2_global_swap")
     m = rho(action, Q)
     algebra = m.codomain
-    from groupoidal.steinberg_algebra import is_diagonal
     i = m.domain.basis_labels.index(("g", "1"))
-    assert not is_diagonal(algebra.from_vector(
-        m.apply(unit(Q, m.domain.dim, i))))
+    image = from_vector(algebra, apply(m, unit(Q, m.domain.dim, i)))
+    assert not image.support <= algebra.groupoid.units
 
 
 def test_trivial_group_image_is_whole_diagonal(Q):
@@ -329,11 +330,10 @@ def test_psi_on_indicator_of_range(Q):
         r = psi(g, Q)
         alg = r.algebra_action
         for bis in r.semigroup.elements:
-            from groupoidal.partial_actions import SpaceFunction
             f = SpaceFunction.indicator(Q, range_set(g, bis))
             elem = SkewElement(alg, {bis: f}) if f else SkewElement.zero(alg)
-            image = r.steinberg.from_vector(
-                r.psi_map.apply(r.module.to_vector(elem)))
+            image = from_vector(r.steinberg,
+                                apply(r.psi_map, to_vector(r.module, elem)))
             assert image == GroupoidFunction.indicator(g, Q, bis)
 
 
@@ -385,11 +385,10 @@ def test_phi_examples(Q):
         if not bis:
             continue
         f = GroupoidFunction.indicator(g, Q, bis)
-        from groupoidal.partial_actions import SpaceFunction
         expected_elem = SkewElement(
             r.algebra_action,
             {bis: SpaceFunction.indicator(Q, range_set(g, bis))})
-        expected = class_of(r.quotient, r.module.to_vector(expected_elem))
+        expected = class_of(r.quotient, to_vector(r.module, expected_elem))
         assert phi(f, r) == expected
 
 
@@ -421,48 +420,6 @@ def test_transport_full_pipeline(Q):
     skew_map = transported_skew_isomorphism(rho_l, rho_r, gamma)
     assert skew_map.is_isomorphism and skew_map.preserves_diagonal
     assert skew_map.domain.dim == rho_l.domain.dim
-
-
-# --- group ring probes ------------------------------------------------------
-
-def test_probe_trivial_group_mirrors_ring():
-    trivial = FiniteGroup.trivial()
-    for tag in ("Q", "Z", "Z/5"):
-        probe = group_ring_probe(trivial, ring_from_tag(tag))
-        assert probe.method == "ring-flags"
-        assert not probe.has_zero_divisors
-        assert not probe.has_nontrivial_units
-    probe = group_ring_probe(trivial, ring_from_tag("Z/4"))
-    assert probe.has_zero_divisors
-    assert probe.zero_divisor_pair == ({"e": 2}, {"e": 2})
-    assert not probe.has_nontrivial_units
-
-
-def test_probe_z2_over_f2_finds_zero_divisor():
-    probe = group_ring_probe(FiniteGroup.cyclic(2), ring_from_tag("Z/2"))
-    assert probe.method == "enumeration"
-    assert probe.has_zero_divisors
-    # independent check: (1 + g)^2 = 1 + 2g + g^2 = 2 + 2g = 0 mod 2
-    x, y = probe.zero_divisor_pair
-    assert x and y
-    # the canonical witness is (1 + g) with itself
-    assert x == {"e": 1, "g": 1} and y == {"e": 1, "g": 1}
-    assert not probe.has_nontrivial_units
-
-
-def test_probe_z2_over_f3_golden():
-    # frozen after an exhaustive scan: (1+g)(1-g) = 0, and the only units
-    # are the four trivial ones (+-1, +-g)
-    probe = group_ring_probe(FiniteGroup.cyclic(2), ring_from_tag("Z/3"))
-    assert probe.has_zero_divisors
-    assert not probe.has_nontrivial_units
-
-
-def test_probe_bounds():
-    with pytest.raises(BoundExceeded):
-        group_ring_probe(FiniteGroup.cyclic(3), ring_from_tag("Z/3"), bound=10)
-    with pytest.raises(BoundExceeded):
-        group_ring_probe(FiniteGroup.cyclic(2), ring_from_tag("Q"))
 
 
 # --- AlgebraMap hygiene ------------------------------------------------------
@@ -500,10 +457,10 @@ def test_psi_certificates_agree_with_vector_computation(name, tag):
     # psi~ is psi on the class representatives, and vanishing on I is
     # psi(row) = 0 on every row of the echelon basis of I.
     for q, a in enumerate(r.quotient.representatives):
-        assert r.psi_tilde.apply(unit(r.ring, r.quotient.dim, q)) == \
-            r.psi_map.apply(unit(r.ring, r.module.dim, a))
+        assert apply(r.psi_tilde, unit(r.ring, r.quotient.dim, q)) == \
+            apply(r.psi_map, unit(r.ring, r.module.dim, a))
     assert r.psi_vanishes_on_ideal() == \
-        all(not any(r.psi_map.apply(row)) for row in r.ideal.rows)
+        all(not any(apply(r.psi_map, row)) for row in ideal_rows(r.ideal))
 
 
 def test_transport_certificates_agree_with_vector_computation(Q):
@@ -525,11 +482,11 @@ def test_transport_certificates_agree_with_vector_computation(Q):
             assert_certificates_agree(m)
         # Phi is rho_r^-1 o Gamma o rho_l as linear maps.
         inverse = rho_r.inverse()
-        assert inverse.compose(rho_r).is_identity()
+        assert is_identity(inverse.compose(rho_r))
         for i in range(skew_map.domain.dim):
             vec = unit(Q, skew_map.domain.dim, i)
-            assert skew_map.apply(vec) == \
-                inverse.apply(gamma.apply(rho_l.apply(vec))), name
+            assert apply(skew_map, vec) == \
+                apply(inverse, apply(gamma, apply(rho_l, vec))), name
     assert transported >= 2
 
 
@@ -587,14 +544,14 @@ def test_inverse_and_compose_are_permutation_arithmetic(Q):
     inner = AlgebraMap(algebra, algebra, [1, 0] + list(range(2, n)),
                        name="q")
     assert outer.compose(inner).targets != inner.compose(outer).targets
-    assert outer.inverse().compose(outer).is_identity()
-    assert outer.compose(outer.inverse()).is_identity()
+    assert is_identity(outer.inverse().compose(outer))
+    assert is_identity(outer.compose(outer.inverse()))
     rng = random.Random(5)
     for _ in range(20):
         vec = [Q.random(rng) for _ in range(n)]
-        assert outer.compose(inner).apply(vec) == \
-            outer.apply(inner.apply(vec))
-        assert outer.inverse().apply(outer.apply(vec)) == vec
+        assert apply(outer.compose(inner), vec) == \
+            apply(outer, apply(inner, vec))
+        assert apply(outer.inverse(), apply(outer, vec)) == vec
 
 
 def test_psi_not_vanishing_on_the_ideal_is_detected(Q):
@@ -604,4 +561,4 @@ def test_psi_not_vanishing_on_the_ideal_is_detected(Q):
     targets[a] = next(t for t in range(r.steinberg.dim) if t != targets[a])
     r.psi_map = AlgebraMap(r.module, r.steinberg, targets, name="psi'")
     assert not r.psi_vanishes_on_ideal()
-    assert any(any(r.psi_map.apply(row)) for row in r.ideal.rows)
+    assert any(any(apply(r.psi_map, row)) for row in ideal_rows(r.ideal))

@@ -19,12 +19,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
+from families import symmetric_inverse_monoid
 
 import groupoidal
 from groupoidal import catalog
 from groupoidal.cli import main
-from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
-                                           symmetric_inverse_monoid)
+from groupoidal.inverse_semigroups import FiniteInverseSemigroup
 from groupoidal.specfiles import (FORMAT_TAG, SpecContentError, SpecFileError,
                                   _parse_semigroup, default_catalog_dir,
                                   load_document, parse_document,

@@ -5,8 +5,15 @@ from groupoidal.groupoid_core import (is_topologically_principal,
                                       isotropy_group, validate_groupoid)
 from groupoidal.isomorphisms import search_groupoid_isomorphism
 from groupoidal.partial_actions import is_topologically_free
-from groupoidal.transformation_groupoid import (build_transformation_groupoid,
-                                                isotropy_of_transformation)
+from groupoidal.transformation_groupoid import build_transformation_groupoid
+
+
+def unit_isotropy_orders(action):
+    """Point -> order of the isotropy group of the transformation groupoid
+    at the unit (e, x)."""
+    tg = build_transformation_groupoid(action)
+    e = action.group.identity
+    return {x: isotropy_group(tg, (e, x)).order for x in action.space}
 
 
 def test_trivial_action_gives_isolated_units():
@@ -59,34 +66,34 @@ def test_structure_formulas():
 
 
 def test_isotropy_free_global_action():
-    action = catalog.load_action("z3_cycle_3pt")
-    for x in action.space:
-        assert isotropy_of_transformation(action, x).order == 1
+    orders = unit_isotropy_orders(catalog.load_action("z3_cycle_3pt"))
+    assert set(orders.values()) == {1}
 
 
 def test_isotropy_trivial_action_is_whole_group():
-    action = catalog.load_action("z2_trivial_2pt")
-    for x in action.space:
-        assert isotropy_of_transformation(action, x).order == 2
+    orders = unit_isotropy_orders(catalog.load_action("z2_trivial_2pt"))
+    assert set(orders.values()) == {2}
 
 
 def test_isotropy_outside_partial_domain():
     action = catalog.load_action("z2_partial_3pt")
-    assert isotropy_of_transformation(action, "3").order == 1
+    assert unit_isotropy_orders(action)["3"] == 1
     with pytest.raises(ValueError):
-        isotropy_of_transformation(action, "9")
+        isotropy_group(build_transformation_groupoid(action), ("e", "9"))
 
 
 def test_isotropy_matches_groupoid_isotropy():
     for name in catalog.action_names():
         action = catalog.load_action(name)
         tg = build_transformation_groupoid(action)
-        e = action.group.identity
+        group = action.group
         for x in action.space:
-            stab = isotropy_of_transformation(action, x)
-            iso = isotropy_group(tg, (e, x))
-            assert iso.order == stab.order
-            assert {t for (t, _) in iso.elements} == set(stab.elements)
+            # The stabilizer {t : x in X_t and theta_{t^-1}(x) = x}.
+            stab = {t for t in group.elements if x in action.domains[t]
+                    and action.theta(group.inv(t), x) == x}
+            iso = isotropy_group(tg, (group.identity, x))
+            assert iso.order == len(stab)
+            assert {t for (t, _) in iso.elements} == stab
 
 
 def test_freeness_iff_principal_on_catalog():
