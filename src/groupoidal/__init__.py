@@ -21,7 +21,7 @@ from .partial_actions import (GroupPartialAction, SemigroupPartialAction,
                               validate_group_partial_action,
                               validate_isg_partial_action)
 from .skew_rings import (CovarianceModule, build_ideal, build_quotient,
-                         build_skew_group_ring, check_pregrading)
+                         check_pregrading)
 from .transformation_groupoid import build_transformation_groupoid
 from .isomorphisms import (AlgebraMap, OrbitEquivalenceData, bisection_action,
                            phi_classes, psi, rho, search_groupoid_isomorphism,

@@ -24,7 +24,7 @@ from .partial_actions import (induce_algebra_action, is_topologically_free,
                               validate_group_partial_action)
 from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport
 from .scalars import ring_from_tag
-from .skew_rings import build_skew_group_ring, check_pregrading
+from .skew_rings import CovarianceModule, check_pregrading
 from .transformation_groupoid import build_transformation_groupoid
 from .specfiles import SpecContentError, SpecFileError, load_document
 from .validation import BoundExceeded, stable
@@ -117,11 +117,17 @@ def cmd_theorem3(doc, ring, bounds, report):
         return report
 
     groupoid = build_transformation_groupoid(action)
-    _validation_row(report, "transformation_groupoid_axioms",
-                    validate_groupoid(groupoid), f"{groupoid.n_arrows} arrows")
+    groupoid_result = validate_groupoid(groupoid)
+    _validation_row(report, "transformation_groupoid_axioms", groupoid_result,
+                    f"{groupoid.n_arrows} arrows")
+    # For a valid action s((s, y)) = (e, theta_{s^-1}(y)) and
+    # r((t, x)) = (e, x), so this row passes; the algebras below are
+    # built only on a valid groupoid.
+    if not groupoid_result.ok:
+        return report
 
-    module = build_skew_group_ring(induce_algebra_action(action, ring),
-                                   (action.group.table_report, result))
+    module = CovarianceModule(induce_algebra_action(action, ring))
+    module.verify_associativity((action.group.table_report, result))
     report.add("dimension_match",
                _flag_status(module.dim == groupoid.n_arrows),
                f"dim L={module.dim} arrows={groupoid.n_arrows}")

@@ -22,9 +22,6 @@ class NaturalOrder:
         for s, t in sorted(self.pairs, key=lambda pair: position[pair[0]]):
             self._below[t].append(s)
 
-    def le(self, s, t):
-        return (s, t) in self.pairs
-
     def below(self, t):
         return list(self._below[t])
 
@@ -50,28 +47,6 @@ class FiniteInverseSemigroup:
         self._unit_cached = False
         self._unit = None
         self._natural_order = None
-
-    @classmethod
-    def from_products(cls, elements, products, star, name="semigroup"):
-        """Build the index tables from a dict of products keyed by element
-        pairs and a dict of pseudo-inverses.  An absent key becomes -1; a
-        value that is not an element is refused."""
-        elements = list(elements)
-        index = {e: i for i, e in enumerate(elements)}
-
-        def at(value, where):
-            if value is None:
-                return -1
-            if value not in index:
-                raise ValueError(f"{where} is {value}, not an element")
-            return index[value]
-
-        n = len(elements)
-        table = [index_row(n, [at(products.get((a, b)), f"product of ({a}, {b})")
-                               for b in elements])
-                 for a in elements]
-        star_table = [at(star.get(a), f"star of {a}") for a in elements]
-        return cls(elements, table, star_table, name=name)
 
     @property
     def order(self):
@@ -109,9 +84,6 @@ class FiniteInverseSemigroup:
         if self._natural_order is None:
             self._natural_order = natural_order(self)
         return self._natural_order
-
-    def idempotents(self):
-        return [self.elements[i] for i in _idempotent_indices(self.table)]
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name}, order={self.order})"

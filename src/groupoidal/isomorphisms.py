@@ -7,8 +7,8 @@ Every map built here (rho, psi, psi~, and the transported Gamma and Phi)
 sends point masses to point masses with coefficient 1, so an AlgebraMap
 is given by target indices: targets[i] is the codomain basis index of the
 image of e_i.  Every structural flag on an AlgebraMap is backed by an
-exhaustive integer certificate on those indices and the product tables of
-the two algebras, the same over every scalar ring; a flag is never
+exhaustive integer certificate on those indices and the factored products
+of the two algebras, the same over every scalar ring; a flag is never
 asserted without one.
 """
 
@@ -22,6 +22,7 @@ from .inverse_semigroups import (bisection_semigroup,
                                  validate_inverse_semigroup)
 from .partial_actions import (SemigroupPartialAction, induce_algebra_action,
                               validate_isg_partial_action)
+from .scalars import points_at
 from .skew_rings import CovarianceModule, build_ideal, build_quotient
 from .steinberg_algebra import (GroupoidFunction, SteinbergAlgebra,
                                 disjoint_decomposition)
@@ -38,7 +39,7 @@ class AlgebraMap:
     Every map of the paper (rho, psi, psi~, Gamma, Phi) has this form, so
     the certificates (homomorphism, injective, surjective,
     diagonal-preserving) are exhaustive integer checks on the targets and
-    the product tables, the same over every ring.  They are computed on
+    the factored products, the same over every ring.  They are computed on
     demand and cached with their counterexample."""
 
     def __init__(self, domain, codomain, targets, name="map"):
@@ -81,55 +82,40 @@ class AlgebraMap:
     def certify_homomorphism(self):
         """Exhaustive multiplicativity on all domain basis pairs:
         e_{t(i)} e_{t(j)} must be e_{t(k)} where e_i e_j = e_k, and zero
-        where e_i e_j = 0.
+        where e_i e_j = 0.  On a failure the detail names the first
+        failing pair (i, j) in row-major order.
 
         In each algebra here e_i e_j is nonzero exactly when the row point
-        of e_i is the column point of e_j.  So the nonzero products are
-        checked one by one, and the zero products at once: they map to
-        zero when one injective point map carries the row and column
-        points of every e_i to those of its image, as distinct points then
-        stay distinct.  When either check fails, the scan over all pairs in
-        row-major order runs, to name the first failing pair."""
-        if self._keeps_zero_products() and self._keeps_nonzero_products():
-            return self._store("homomorphism", True, None)
-        targets = self.targets
-        # Index -1 (a zero product) reads the appended -1.  Rows may be
-        # arrays, so both sides are gathered into lists.
-        image = targets + [-1]
-        for i in range(self.domain.dim):
-            cod_row = self.codomain.row(targets[i])
-            lhs = list(map(image.__getitem__, self.domain.row(i)))
-            rhs = list(map(cod_row.__getitem__, targets))
-            if lhs != rhs:
-                j = next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+        of e_i is the column point of e_j.  So in row i, with t the target
+        of i, the left side is nonzero exactly at the columns j at the row
+        point of e_i, and the right side exactly at the j whose image has
+        the row point of e_t as its column point.  Off the union of these
+        two increasing lists both sides are zero.  The row holds when the
+        two lists are equal and so are the values read along them; the
+        least j of the union where the sides differ is the pair the scan
+        over all columns would name first."""
+        dom, cod, targets = self.domain, self.codomain, self.targets
+        # The domain indices whose image has column point q, and their
+        # images, by q.
+        image_at = points_at([cod.col_points[t] for t in targets])
+        images = {q: [targets[j] for j in columns]
+                  for q, columns in image_at.items()}
+        for i, t in enumerate(targets):
+            columns = dom.at_point.get(dom.row_points[i], ())
+            lhs = list(map(targets.__getitem__, dom.row_products(i)))
+            p = cod.row_points[t]
+            products = dict(zip(cod.at_point.get(p, ()), cod.row_products(t)))
+            rhs = list(map(products.__getitem__, images.get(p, ())))
+            if columns != image_at.get(p, ()) or lhs != rhs:
+                left = dict(zip(columns, lhs))
+                right = dict(zip(image_at.get(p, ()), rhs))
+                j = min(j for j in left.keys() | right.keys()
+                        if left.get(j) != right.get(j))
                 return self._store(
                     "homomorphism", False,
-                    f"fails on basis pair ({self.domain.basis_labels[i]}, "
-                    f"{self.domain.basis_labels[j]})")
+                    f"fails on basis pair ({dom.basis_labels[i]}, "
+                    f"{dom.basis_labels[j]})")
         return self._store("homomorphism", True, None)
-
-    def _keeps_zero_products(self):
-        dom, cod = self.domain, self.codomain
-        if dom.row_points is None or cod.row_points is None:
-            return False
-        point_map = {}
-        for points, images in ((dom.row_points, cod.row_points),
-                               (dom.col_points, cod.col_points)):
-            for p, q in zip(points, map(images.__getitem__, self.targets)):
-                if point_map.setdefault(p, q) != q:
-                    return False
-        return len(set(point_map.values())) == len(point_map)
-
-    def _keeps_nonzero_products(self):
-        dom, cod, targets = self.domain, self.codomain, self.targets
-        # The images of the columns at each point of the domain.
-        images = {p: [targets[j] for j in columns]
-                  for p, columns in dom.at_point.items()}
-        for i, t in enumerate(targets):
-            lhs = list(map(targets.__getitem__, dom.row_products(i)))
-            if lhs != cod.products(t, images.get(dom.row_points[i], ())):
-                return False
-        return True
 
     def certify_injective(self):
         """Distinct targets.  Otherwise the kernel vector reported is

@@ -1,5 +1,6 @@
-"""Exact coefficient rings (Q, Z, Z/n), coordinate vectors and product
-tables of based algebras, and exact linear algebra over fields.
+"""Exact coefficient rings (Q, Z, Z/n), coordinate vectors, based
+algebras with 0/1 structure constants and their associativity check, and
+exact linear algebra over fields.
 
 All arithmetic is arbitrary precision; no value is ever rounded.  Rationals
 are stored as ``fractions.Fraction`` (lowest terms, positive denominator),
@@ -13,14 +14,37 @@ from fractions import Fraction
 from operator import itemgetter
 
 
+# Miller-Rabin with the first 12 primes as bases decides primality for
+# every n below _MR_EXACT_BELOW (Sorenson and Webster, Strong
+# pseudoprimes to twelve prime bases, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Whether n is prime, by Miller-Rabin on _MR_BASES.  A witness proves
+    n composite at any size; a prime n at or above _MR_EXACT_BELOW, where
+    the bases no longer decide, is refused with ValueError."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"cannot decide whether the modulus {n} is prime")
     return True
 
 
@@ -82,16 +106,6 @@ class ScalarRing:
 
     def one(self):
         return self.scalar(1)
-
-    def parse(self, text):
-        """Parse a scalar from its string form, e.g. "-3", "5/6"."""
-        text = text.strip()
-        if "/" in text:
-            if self.kind != "Q":
-                raise ValueError(f"{text!r} is not a valid {self.tag()} scalar")
-            num, den = text.split("/", 1)
-            return self.scalar(Fraction(int(num), int(den)))
-        return self.scalar(int(text))
 
     def elements(self):
         """All ring elements; only defined for finite rings."""
@@ -191,9 +205,9 @@ def zero_vector(ring, length):
 
 
 # Based algebras whose basis products are single basis elements or zero
-# (0/1 monomial structure constants) are given by a product table:
-# table[i][j] is the index k with e_i e_j = e_k, or -1 when e_i e_j = 0.
-# Its rows are arrays built by index_row.
+# (0/1 monomial structure constants).  A dense product table, where one is
+# built, has table[i][j] the index k with e_i e_j = e_k, or -1 when
+# e_i e_j = 0; its rows are arrays built by index_row.
 
 def index_typecode(n):
     """The array typecode for the indices below n and -1: 16-bit while n
@@ -218,44 +232,37 @@ def points_at(points):
     return at
 
 
-class TableAlgebra:
-    """Products read off a dense product table.  Every based algebra here
-    also has a point structure: e_i e_j is nonzero exactly when
-    row_points[i] equals col_points[j], and at_point maps a point to the
-    columns carrying it.  The points are None when the table has no such
-    structure."""
+class BasedAlgebra:
+    """A based algebra with 0/1 structure constants, factored by points:
+    e_i e_j is nonzero exactly when row_points[i] equals col_points[j],
+    and then it is e_k for k = _composite(i, j).  at_point maps a point to
+    the columns carrying it, in increasing order.  A subclass sets the
+    points with _set_points, the dimension dim, and defines _composite,
+    which is read only where the points match."""
 
-    def row(self, i):
-        return self.table[i]
+    def _set_points(self, row_points, col_points):
+        self.row_points = row_points
+        self.col_points = col_points
+        self.at_point = points_at(col_points)
 
-    def products(self, i, columns):
-        return list(map(self.table[i].__getitem__, columns))
+    def product(self, i, j):
+        """The index of e_i e_j, or -1 when it is zero."""
+        if self.row_points[i] != self.col_points[j]:
+            return -1
+        return self._composite(i, j)
 
     def row_products(self, i):
         """The nonzero products of e_i, over at_point[row_points[i]]."""
-        return self.products(i, self.at_point.get(self.row_points[i], ()))
+        return [self._composite(i, j)
+                for j in self.at_point.get(self.row_points[i], ())]
 
-
-def table_mul_basis(table, ring, i, j):
-    vec = zero_vector(ring, len(table))
-    k = table[i][j]
-    if k >= 0:
-        vec[k] = ring.one()
-    return vec
-
-
-def table_mul_vectors(table, ring, u, v):
-    out = zero_vector(ring, len(table))
-    right = [(j, b) for j, b in enumerate(v) if b]
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        row = table[i]
-        for j, b in right:
-            k = row[j]
-            if k >= 0:
-                out[k] = out[k] + a * b
-    return out
+    def row(self, i):
+        """The products e_i e_j over all j, -1 where zero."""
+        row = [-1] * self.dim
+        for j, k in zip(self.at_point.get(self.row_points[i], ()),
+                        self.row_products(i)):
+            row[j] = k
+        return row
 
 
 def light_generators(table):

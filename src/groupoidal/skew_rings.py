@@ -3,11 +3,11 @@ a_s delta_s, with its twisted product; the partial skew group ring; the
 ideal I identifying a delta_s with a delta_t for s <= t; and the quotient
 L/I.
 
-L and L/I are based algebras with 0/1 structure constants.  L is kept
-factored, by the row and column point of each basis element, and L/I by
-a product table of basis indices.  I is spanned by differences of basis
-vectors, so it is a congruence on the basis, found by union-find over any
-scalar ring; L/I has one basis element per class.
+L and L/I are based algebras with 0/1 structure constants, both kept
+factored by the row and column point of each basis element, with no
+product table.  I is spanned by differences of basis vectors, so it is a
+congruence on the basis, found by union-find over any scalar ring; L/I
+has one basis element per class.
 
 The empty-domain convention: an index element with empty domain
 contributes no basis vectors (D_s = {0}), which covers the zero bisection
@@ -16,26 +16,20 @@ of a bisection semigroup.
 
 from __future__ import annotations
 
-from .inverse_semigroups import validate_inverse_semigroup
-from .partial_actions import (GroupPartialAction,
-                              validate_group_partial_action,
-                              validate_isg_partial_action)
-from .scalars import (SpanTracker, TableAlgebra, index_row, points_at,
+from .scalars import (BasedAlgebra, SpanTracker,
                       table_associativity_counterexample, zero_vector)
 from .validation import ValidationReport, stable
 
 
-class CovarianceModule:
+class CovarianceModule(BasedAlgebra):
     """Coordinate view of L in the basis of point masses: one basis vector
     (s, x) for each index element s and each point x of X_s.
 
     The product of basis vectors is (s, x)(t, y) = (st, x) when
-    y = theta_{s*}(x) and zero otherwise.  So L is kept factored, with no
-    product table: basis index i = (s, x) has the row point
-    row_points[i] = theta_{s*}(x) and the column point col_points[i] = x,
-    as positions in the space.  e_i e_j is nonzero exactly when
-    row_points[i] == col_points[j], at the columns at_point[p] of the
-    point, and is read off the index table and the basis index of (st, x).
+    y = theta_{s*}(x) and zero otherwise.  So basis index i = (s, x) has
+    the row point theta_{s*}(x) and the column point x, as positions in
+    the space, and a nonzero product is read off the index table and the
+    basis index of (st, x).
     """
 
     def __init__(self, algebra_action):
@@ -45,7 +39,7 @@ class CovarianceModule:
         self._index_table = index.table
         point = {x: p for p, x in enumerate(action.space)}
         self.basis_labels, self._element = [], []
-        self.row_points, self.col_points = [], []
+        row_points, col_points = [], []
         # _basis_at[p][e] is the basis index of (element e, point p), or
         # -1; the last slot answers a product the index table leaves out.
         self._basis_at = [[-1] * (len(index.elements) + 1) for _ in point]
@@ -55,11 +49,11 @@ class CovarianceModule:
                 self._basis_at[point[x]][e] = len(self.basis_labels)
                 self.basis_labels.append((s, x))
                 self._element.append(e)
-                self.col_points.append(point[x])
-                self.row_points.append(point[action.theta(s_star, x)])
+                col_points.append(point[x])
+                row_points.append(point[action.theta(s_star, x)])
         self.dim = len(self.basis_labels)
         self._idx = {lbl: i for i, lbl in enumerate(self.basis_labels)}
-        self.at_point = points_at(self.col_points)
+        self._set_points(row_points, col_points)
         self._column_elements = {p: [self._element[j] for j in columns]
                                  for p, columns in self.at_point.items()}
         self.premises = self.associativity_counterexample = None
@@ -68,7 +62,6 @@ class CovarianceModule:
         return self._idx[(s, x)]
 
     def row_products(self, i):
-        """The nonzero products of e_i, over at_point[row_points[i]]."""
         by_point = self._basis_at[self.col_points[i]]
         products = list(map(by_point.__getitem__, map(
             self._index_table[self._element[i]].__getitem__,
@@ -77,20 +70,12 @@ class CovarianceModule:
             raise KeyError(f"{self.basis_labels[i]} has a product outside L")
         return products
 
-    def product(self, i, j):
-        if self.row_points[i] != self.col_points[j]:
-            return -1
+    def _composite(self, i, j):
         st = self._index_table[self._element[i]][self._element[j]]
         k = self._basis_at[self.col_points[i]][st]
         if k < 0:
             raise KeyError(f"{self.basis_labels[i]} has a product outside L")
         return k
-
-    def products(self, i, columns):
-        return [self.product(i, j) for j in columns]
-
-    def row(self, i):
-        return self.products(i, range(self.dim))
 
     def diagonal_indices(self):
         """Basis indices of the copy of the coefficient algebra sitting
@@ -100,7 +85,7 @@ class CovarianceModule:
             return []
         return [i for i, (s, _) in enumerate(self.basis_labels) if s == unit]
 
-    def verify_associativity(self, premises=None):
+    def verify_associativity(self, premises):
         """Decide (e_i e_j) e_k = e_i (e_j e_k) on all basis triples;
         stores and returns the first failing triple, in lexicographic
         order, or None.
@@ -108,27 +93,19 @@ class CovarianceModule:
         premises are the reports of the validators of the index
         (validate_inverse_semigroup, or a group's table_report) and of the
         action (validate_isg_partial_action or
-        validate_group_partial_action), computed here when not given.
-        When all pass, L is associative.  (s, x)(t, y) is nonzero iff
-        y = theta_{s*}(x), and then it is (st, x): x = theta_s(y) lies in
-        theta_s(X_{s*} & X_t) = X_s & X_{st} by the intertwining law.  So
-        with y = theta_{s*}(x) (otherwise both sides are 0),
-        ((s, x)(t, y))(u, z) is nonzero iff z = theta_{(st)*}(x), and
-        (s, x)((t, y)(u, z)) iff z = theta_{t*}(y).  On X_s & X_{st} the
-        composition law gives theta_{t*} theta_{s*} = theta_{t*s*}, and
-        t*s* = (st)* in an inverse semigroup, so both sides are nonzero
-        together, as ((st)u, x) and (s(tu), x), equal as S is associative.
-        A group is an inverse semigroup, so this covers the partial skew
-        group ring too.  When a premise fails, the test runs on the
-        factored product, to name the first triple.  The premises are kept
-        on the module."""
-        if premises is None:
-            alg = self.algebra_action
-            check = (validate_group_partial_action
-                     if isinstance(alg.action, GroupPartialAction)
-                     else validate_isg_partial_action)
-            premises = (validate_inverse_semigroup(alg.index),
-                        check(alg.action))
+        validate_group_partial_action).  When all pass, L is associative.
+        (s, x)(t, y) is nonzero iff y = theta_{s*}(x), and then it is
+        (st, x): x = theta_s(y) lies in theta_s(X_{s*} & X_t) =
+        X_s & X_{st} by the intertwining law.  So with y = theta_{s*}(x)
+        (otherwise both sides are 0), ((s, x)(t, y))(u, z) is nonzero iff
+        z = theta_{(st)*}(x), and (s, x)((t, y)(u, z)) iff
+        z = theta_{t*}(y).  On X_s & X_{st} the composition law gives
+        theta_{t*} theta_{s*} = theta_{t*s*}, and t*s* = (st)* in an
+        inverse semigroup, so both sides are nonzero together, as
+        ((st)u, x) and (s(tu), x), equal as S is associative.  A group is
+        an inverse semigroup, so this covers the partial skew group ring
+        too.  When a premise fails, the test runs on the factored product,
+        to name the first triple.  The premises are kept on the module."""
         self.premises = premises
         counter = None
         if not all(report.ok for report in premises):
@@ -136,16 +113,6 @@ class CovarianceModule:
                 [self.row(i) for i in range(self.dim)])
         self.associativity_counterexample = counter
         return counter
-
-
-def build_skew_group_ring(algebra_action, premises=None):
-    """The partial skew group ring as a based algebra: dimension is the sum
-    of the domain sizes, the product is factored, and associativity is
-    certified (a failure is recorded as a counterexample on the module,
-    not raised); premises as in verify_associativity."""
-    module = CovarianceModule(algebra_action)
-    module.verify_associativity(premises)
-    return module
 
 
 def ideal_generators(module):
@@ -195,11 +162,12 @@ def build_ideal(module):
     return IdealCongruence(module, edges, [find(a) for a in range(module.dim)])
 
 
-class QuotientAlgebra(TableAlgebra):
+class QuotientAlgebra(BasedAlgebra):
     """L/I with one basis element per class of the congruence, labelled by
     its representative, in increasing order: the class of e_a is basis
-    element q when representatives[q] = rep(a).  Its table and points are
-    those of the representatives in L."""
+    element q when representatives[q] = rep(a).  Its points are those of
+    the representatives in L, and the product of two classes is the
+    class of the product of their representatives."""
 
     def __init__(self, module, ideal):
         self.module = module
@@ -213,13 +181,14 @@ class QuotientAlgebra(TableAlgebra):
         self.basis_labels = [module.basis_labels[a]
                              for a in self.representatives]
         self.dim = len(self.representatives)
-        self.row_points = [module.row_points[a] for a in self.representatives]
-        self.col_points = [module.col_points[a] for a in self.representatives]
-        self.at_point = points_at(self.col_points)
-        self.table = [index_row(self.dim, [
-            self._class[module.product(a, b)] for b in self.representatives])
-            for a in self.representatives]
+        self._set_points(
+            [module.row_points[a] for a in self.representatives],
+            [module.col_points[a] for a in self.representatives])
         self.representative_independence_verified = False
+
+    def _composite(self, q, r):
+        reps = self.representatives
+        return self._class[self.module._composite(reps[q], reps[r])]
 
     def diagonal_indices(self):
         unit = self.module.algebra_action.unit_element()

@@ -4,11 +4,8 @@ function into disjoint bisection indicators."""
 
 from __future__ import annotations
 
-from .groupoid_core import (composable_iff_matched, composition_table,
-                            is_bisection)
-from .scalars import (TableAlgebra, points_at,
-                      table_associativity_counterexample, table_mul_basis,
-                      table_mul_vectors)
+from .groupoid_core import composable_iff_matched, is_bisection
+from .scalars import BasedAlgebra, zero_vector
 
 
 class GroupoidFunction:
@@ -44,10 +41,6 @@ class GroupoidFunction:
     def point_mass(cls, parent, ring, arrow, coeff=None):
         return cls.indicator(parent, ring, [arrow], coeff)
 
-    @property
-    def support(self):
-        return frozenset(self.values)
-
     def __call__(self, arrow):
         if arrow not in self.parent._index:
             raise ValueError(f"{arrow} is not an arrow of {self.parent.name}")
@@ -72,10 +65,6 @@ class GroupoidFunction:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, coeff):
-        return GroupoidFunction(self.parent, self.ring,
-                                {a: coeff * c for a, c in self.values.items()})
 
     def __mul__(self, other):
         return convolve(self, other)
@@ -149,39 +138,64 @@ def disjoint_decomposition(f):
     return pieces
 
 
-class SteinbergAlgebra(TableAlgebra):
+class SteinbergAlgebra(BasedAlgebra):
     """Coordinate view of the convolution algebra in the point-mass basis.
 
     The basis is the canonical arrow order, so the dimension equals the
-    arrow count.  A product of point masses is a point mass or zero, so
-    the algebra is its product table, the contracted composition table.
-    Its points are s(b) for the row of b and r(c) for the column of c,
-    when composability is s(b) = r(c).
+    arrow count.  A product of point masses is a point mass or zero:
+    e_b e_c = e_{bc} when s(b) = r(c), and 0 otherwise.  So the row point
+    of b is s(b) and the column point of c is r(c), and each row keeps
+    only its nonzero composites, |compose| entries in all.  A groupoid
+    whose composable pairs are not exactly those with s(b) = r(c) has no
+    such factoring and is refused with ValueError.
     """
 
     def __init__(self, groupoid, ring):
+        if not composable_iff_matched(groupoid):
+            raise ValueError(f"{groupoid.name}: the composable pairs are not "
+                             "the pairs (b, c) with s(b) = r(c)")
         self.groupoid = groupoid
         self.ring = ring
-        self.basis_labels = list(groupoid.arrows)
-        self.dim = len(self.basis_labels)
-        self.table = composition_table(groupoid)
-        self.row_points = self.col_points = None
-        if composable_iff_matched(groupoid):
-            self.row_points = [groupoid.source(a) for a in groupoid.arrows]
-            self.col_points = [groupoid.range(a) for a in groupoid.arrows]
-            self.at_point = points_at(self.col_points)
+        arrows = self.basis_labels = list(groupoid.arrows)
+        self.dim = len(arrows)
+        self._set_points([groupoid.source(a) for a in arrows],
+                         [groupoid.range(a) for a in arrows])
+        # _position[c] is the place of column c among the columns at its
+        # point, so _rows[b][_position[c]] is the index of bc.
+        self._position = [0] * self.dim
+        for columns in self.at_point.values():
+            for place, c in enumerate(columns):
+                self._position[c] = place
+        index, compose = groupoid._index, groupoid.compose_table
+        self._rows = [[index[compose[(b, arrows[c])]]
+                       for c in self.at_point.get(p, ())]
+                      for b, p in zip(arrows, self.row_points)]
+
+    def _composite(self, i, j):
+        return self._rows[i][self._position[j]]
+
+    def row_products(self, i):
+        return self._rows[i]
 
     def mul_basis(self, i, j):
-        return table_mul_basis(self.table, self.ring, i, j)
+        vec = zero_vector(self.ring, self.dim)
+        k = self.product(i, j)
+        if k >= 0:
+            vec[k] = self.ring.one()
+        return vec
 
     def mul_vectors(self, u, v):
-        return table_mul_vectors(self.table, self.ring, u, v)
+        out = zero_vector(self.ring, self.dim)
+        for i, a in enumerate(u):
+            if not a:
+                continue
+            for j, k in zip(self.at_point.get(self.row_points[i], ()),
+                            self._rows[i]):
+                b = v[j]
+                if b:
+                    out[k] = out[k] + a * b
+        return out
 
     def diagonal_indices(self):
         return [i for i, a in enumerate(self.basis_labels)
                 if self.groupoid.is_unit(a)]
-
-    def verify_associativity(self):
-        """Check (e_i e_j) e_k = e_i (e_j e_k) on all basis triples; returns
-        the first failing triple or None."""
-        return table_associativity_counterexample(self.table)

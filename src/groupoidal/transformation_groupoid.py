@@ -24,17 +24,21 @@ class TransformationGroupoid(FiniteGroupoid):
         units = [(e, x) for x in action.space]
         inverse = {(t, x): (group.inv(t), action.theta(group.inv(t), x))
                    for (t, x) in arrows}
+        # The arrows (t, x) at each point x, in arrow order: t in group
+        # order.  (s, y) composes with exactly those at theta_{s^-1}(y).
+        arrows_at = {}
+        for t, x in arrows:
+            arrows_at.setdefault(x, []).append((t, x))
         compose = {}
         for (s, y) in arrows:
-            for (t, x) in arrows:
-                if action.theta(group.inv(s), y) == x:
-                    st = group.mul(s, t)
-                    target = (st, y)
-                    if target not in arrow_set:
-                        raise ValueError(
-                            f"composite ({st}, {y}) escapes the arrow set; "
-                            "action is not a partial action")
-                    compose[((s, y), (t, x))] = target
+            for (t, x) in arrows_at.get(action.theta(group.inv(s), y), ()):
+                st = group.mul(s, t)
+                target = (st, y)
+                if target not in arrow_set:
+                    raise ValueError(
+                        f"composite ({st}, {y}) escapes the arrow set; "
+                        "action is not a partial action")
+                compose[((s, y), (t, x))] = target
         super().__init__(arrows, units, inverse, compose,
                          name=name or f"{group.name}@{action.name}")
         self.action = action

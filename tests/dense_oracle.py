@@ -1,8 +1,11 @@
-"""The dense product table of L, built from the basis labels as
-`CovarianceModule` built it before L was kept factored, and the checks
-that ran on it: Light's test on the whole table, the row-major
-homomorphism scan, and the quotient table and two-sidedness scan read off
-dense rows.  The factored product must agree with these.
+"""Dense product tables of the three algebras, built without reading the
+factored product they check: L's from the basis labels as
+`CovarianceModule` built it before L was kept factored, A_R(G)'s from the
+groupoid's composition table, and L/I's from L's dense table.  On top of
+them, the checks that ran on dense rows: Light's test on the whole table,
+the row-major homomorphism scan, and the two-sidedness scan.  The
+factored product must agree with these.  `premises` gives the validator
+reports that `CovarianceModule.verify_associativity` takes.
 
 `mul_basis` and `mul_vectors` multiply vectors of any of the algebras
 through its dense table, so that references in the tests do not read the
@@ -15,12 +18,17 @@ quotient coordinates.
 import weakref
 
 from formula_oracle import SkewElement, SpaceFunction
+from groupoidal.groupoid_core import composition_table
+from groupoidal.inverse_semigroups import validate_inverse_semigroup
 from groupoidal.isomorphisms import phi_classes
+from groupoidal.partial_actions import (GroupPartialAction,
+                                        validate_group_partial_action,
+                                        validate_isg_partial_action)
 from groupoidal.scalars import (index_row, table_associativity_counterexample,
-                                table_mul_basis, table_mul_vectors,
                                 zero_vector)
-from groupoidal.skew_rings import CovarianceModule
+from groupoidal.skew_rings import CovarianceModule, QuotientAlgebra
 from groupoidal.steinberg_algebra import GroupoidFunction
+from groupoidal.validation import ValidationReport
 
 
 def dense_table(module):
@@ -44,16 +52,45 @@ def dense_table(module):
 
 
 def table_of(algebra):
-    """The dense table of any algebra: built for L, stored for the rest."""
+    """The dense table of any of the three algebras."""
     if isinstance(algebra, CovarianceModule):
         return dense_table(algebra)
-    return algebra.table
+    if isinstance(algebra, QuotientAlgebra):
+        return [index_row(algebra.dim, row)
+                for row in dense_quotient_table(algebra)]
+    return composition_table(algebra.groupoid)
 
 
 def dense_associativity(module):
     """The first failing basis triple of L, or None, by Light's test on
     the dense table."""
     return table_associativity_counterexample(dense_table(module))
+
+
+def premises(action):
+    """The validator reports verify_associativity takes as premises, for
+    the index of the action and for the action; a validator that raises
+    gives a failing report."""
+    check = (validate_group_partial_action
+             if isinstance(action, GroupPartialAction)
+             else validate_isg_partial_action)
+    reports = []
+    for validator, subject in ((validate_inverse_semigroup, action.index),
+                               (check, action)):
+        try:
+            reports.append(validator(subject))
+        except (KeyError, ValueError) as exc:
+            report = ValidationReport("premise")
+            report.add(str(exc))
+            reports.append(report)
+    return reports
+
+
+def skew_ring(algebra_action):
+    """L with its associativity decided from the premises."""
+    module = CovarianceModule(algebra_action)
+    module.verify_associativity(premises(algebra_action.action))
+    return module
 
 
 def dense_homomorphism(m):
@@ -104,6 +141,28 @@ def _table(algebra):
     if algebra not in _TABLES:
         _TABLES[algebra] = table_of(algebra)
     return _TABLES[algebra]
+
+
+def table_mul_basis(table, ring, i, j):
+    vec = zero_vector(ring, len(table))
+    k = table[i][j]
+    if k >= 0:
+        vec[k] = ring.one()
+    return vec
+
+
+def table_mul_vectors(table, ring, u, v):
+    out = zero_vector(ring, len(table))
+    right = [(j, b) for j, b in enumerate(v) if b]
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        row = table[i]
+        for j, b in right:
+            k = row[j]
+            if k >= 0:
+                out[k] = out[k] + a * b
+    return out
 
 
 def mul_basis(algebra, i, j):

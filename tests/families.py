@@ -1,7 +1,7 @@
 """Groupoid families beyond the catalog, as spec documents and as parsed
 groupoids: pair groupoids and bundles of cyclic groups; the regular
-actions of cyclic groups; and the symmetric inverse monoids I(X) of
-partial bijections."""
+actions of cyclic groups; the symmetric inverse monoids I(X) of
+partial bijections; and inverse semigroups built from dict tables."""
 
 import json
 from itertools import combinations, permutations
@@ -9,6 +9,7 @@ from itertools import combinations, permutations
 from groupoidal.groups import FiniteGroup
 from groupoidal.inverse_semigroups import FiniteInverseSemigroup
 from groupoidal.partial_actions import GroupPartialAction
+from groupoidal.scalars import index_row
 from groupoidal.specfiles import FORMAT_TAG, parse_document
 
 
@@ -129,5 +130,32 @@ def symmetric_inverse_monoid(points, name=None):
                                         for x, y in p.mapping.items())))
     table = {(f, g): f.compose(g) for f in elements for g in elements}
     star = {f: f.inverse() for f in elements}
-    return FiniteInverseSemigroup.from_products(
+    return semigroup_from_products(
         elements, table, star, name=name or f"I({len(points)} points)")
+
+
+def idempotents(s):
+    """The elements e of an inverse semigroup with e e = e."""
+    return [e for e in s.elements if s.mul(e, e) == e]
+
+
+def semigroup_from_products(elements, products, star, name="semigroup"):
+    """A FiniteInverseSemigroup with its index tables built from a dict of
+    products keyed by element pairs and a dict of pseudo-inverses.  An
+    absent key becomes -1; a value that is not an element is refused."""
+    elements = list(elements)
+    index = {e: i for i, e in enumerate(elements)}
+
+    def at(value, where):
+        if value is None:
+            return -1
+        if value not in index:
+            raise ValueError(f"{where} is {value}, not an element")
+        return index[value]
+
+    n = len(elements)
+    table = [index_row(n, [at(products.get((a, b)), f"product of ({a}, {b})")
+                           for b in elements])
+             for a in elements]
+    star_table = [at(star.get(a), f"star of {a}") for a in elements]
+    return FiniteInverseSemigroup(elements, table, star_table, name=name)

@@ -7,7 +7,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import random
 import time
 
-from dense_oracle import apply, from_vector, to_vector
+from dense_oracle import (apply, from_vector, skew_ring, table_of,
+                          to_vector)
+from families import idempotents
 from formula_oracle import bisection_inverse, bisection_product, rho_inverse
 
 from groupoidal import catalog
@@ -25,8 +27,8 @@ from groupoidal.isomorphisms import (psi, rho, search_groupoid_isomorphism,
 from groupoidal.partial_actions import (induce_algebra_action,
                                         is_topologically_free,
                                         validate_isg_partial_action)
-from groupoidal.scalars import ring_from_tag
-from groupoidal.skew_rings import build_skew_group_ring
+from groupoidal.scalars import (ring_from_tag,
+                                table_associativity_counterexample)
 from groupoidal.steinberg_algebra import (GroupoidFunction, SteinbergAlgebra,
                                           convolve)
 from groupoidal.transformation_groupoid import build_transformation_groupoid
@@ -47,7 +49,7 @@ def test_criterion_1_skew_ring_isomorphism_per_action():
     for name in names:
         action = catalog.load_action(name)
         start = time.perf_counter()
-        module = build_skew_group_ring(induce_algebra_action(action, Q))
+        module = skew_ring(induce_algebra_action(action, Q))
         groupoid = build_transformation_groupoid(action)
         rho_map = rho(action, Q, module=module, groupoid=groupoid)
         assert rho_map.is_homomorphism, name
@@ -191,13 +193,15 @@ def test_criterion_6_structural_suites():
         order = natural_order(semigroup)
         for b in semigroup.elements:
             for c in semigroup.elements:
-                assert order.le(b, c) == (b <= c), name
-        assert set(semigroup.idempotents()) == \
+                assert ((b, c) in order.pairs) == (b <= c), name
+        assert set(idempotents(semigroup)) == \
             {b for b in semigroup.elements if b <= g.units}, name
         from groupoidal.isomorphisms import bisection_action
         assert validate_isg_partial_action(bisection_action(g, semigroup)).ok, name
 
         algebra = SteinbergAlgebra(g, Q)
-        assert algebra.verify_associativity() is None, name
+        rows = [algebra.row(i) for i in range(algebra.dim)]
+        assert rows == [list(row) for row in table_of(algebra)], name
+        assert table_associativity_counterexample(rows) is None, name
     report(6, "structural suites: bisection semigroups, orders, "
               "bisection action, convolution")

@@ -15,12 +15,12 @@ from array import array
 from collections import Counter
 
 import pytest
-from dense_oracle import dense_table
-from families import pair_groupoid_spec, parse, symmetric_inverse_monoid
+from dense_oracle import dense_table, table_of
+from families import (pair_groupoid_spec, parse, semigroup_from_products,
+                      symmetric_inverse_monoid)
 
 from groupoidal import catalog
-from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
-                                           bisection_semigroup,
+from groupoidal.inverse_semigroups import (bisection_semigroup,
                                            validate_inverse_semigroup)
 from groupoidal.isomorphisms import bisection_action
 from groupoidal.partial_actions import induce_algebra_action
@@ -191,9 +191,9 @@ def groupoid_tables(name, g, ring):
     """(name, table) for A_R(G), L, L/I and the bisection semigroup."""
     semigroup, module = bisection_module(g, ring)
     quotient = build_quotient(module, build_ideal(module))
-    return [(f"{name} A", SteinbergAlgebra(g, ring).table),
+    return [(f"{name} A", table_of(SteinbergAlgebra(g, ring))),
             (f"{name} L", dense_table(module)),
-            (f"{name} L/I", quotient.table),
+            (f"{name} L/I", table_of(quotient)),
             (f"{name} S", semigroup.table)]
 
 
@@ -208,7 +208,7 @@ def catalog_tables(ring):
         action = catalog.load_action(name)
         g = build_transformation_groupoid(action)
         module = CovarianceModule(induce_algebra_action(action, ring))
-        tables += [(f"{name} A", SteinbergAlgebra(g, ring).table),
+        tables += [(f"{name} A", table_of(SteinbergAlgebra(g, ring))),
                    (f"{name} L", dense_table(module))]
     for name in catalog.semigroup_names():
         tables.append((name, catalog.load_semigroup(name).table))
@@ -306,8 +306,7 @@ def test_corrupted_i3_reports_equal_the_reference():
             else:
                 products[key] = rng.choice(
                     [e for e in elements if e != products.get(key)])
-        s = FiniteInverseSemigroup.from_products(elements, products, star,
-                                                 name="I3")
+        s = semigroup_from_products(elements, products, star, name="I3")
         report = validate_inverse_semigroup(s)
         expected = reference_validator(
             DictSemigroup("I3", elements, products, star))
@@ -325,7 +324,7 @@ def test_pseudo_inverse_reports_equal_the_reference(star_of):
         star = {a: a for a in elements}
     else:
         star = dict(list(star.items())[:-2])
-    s = FiniteInverseSemigroup.from_products(elements, table, star, name="I3")
+    s = semigroup_from_products(elements, table, star, name="I3")
     expected = reference_validator(DictSemigroup("I3", elements, table, star))
     assert not expected.ok
     assert validate_inverse_semigroup(s).violations == expected.violations

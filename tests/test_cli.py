@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -233,6 +234,31 @@ def test_exit_two_on_malformed_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "validate", str(bad))
     assert code == 2
     assert "input error" in err
+
+
+def test_large_prime_modulus_is_decided_at_once(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "validate", "trivial_groupoid",
+                           "--ring", "Z/2305843009213693951")
+    assert code == 0
+    assert "ring: Z/2305843009213693951" in out
+    with open(os.path.join(catalog.default_catalog_dir(),
+                           "trivial_groupoid.json")) as f:
+        spec = json.load(f)
+    spec["ring"] = "Z/2305843009213693951"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0
+    assert "ring: Z/2305843009213693951" in out
+
+
+def test_undecidable_modulus_is_an_input_error(tmp_path, capsys):
+    prime = str(2 ** 89 - 1)
+    code, out, err = run_cli(capsys, "validate", "trivial_groupoid",
+                             "--ring", f"Z/{prime}")
+    assert (code, out) == (2, "")
+    assert err == ("groupoidal: input error: cannot decide whether the "
+                   f"modulus {prime} is prime\n")
 
 
 def pair_document(left):

@@ -16,26 +16,23 @@ import random
 
 import pytest
 from dense_oracle import (dense_associativity, dense_homomorphism,
-                          dense_quotient_table, dense_table,
+                          dense_quotient_table, dense_table, premises,
                           reference_generator_scan)
 from families import family_groupoids, regular_action
 
 from groupoidal import catalog
-from groupoidal.groupoid_core import FiniteGroupoid
+from groupoidal.groupoid_core import FiniteGroupoid, composable_iff_matched
 from groupoidal.groups import FiniteGroup
-from groupoidal.inverse_semigroups import validate_inverse_semigroup
 from groupoidal.isomorphisms import (AlgebraMap, bisection_action, psi, rho,
                                      search_groupoid_isomorphism,
                                      steinberg_transport,
                                      transported_skew_isomorphism)
 from groupoidal.partial_actions import (GroupPartialAction,
                                         induce_algebra_action,
-                                        validate_group_partial_action,
-                                        validate_isg_partial_action)
+                                        validate_group_partial_action)
 from groupoidal.skew_rings import CovarianceModule
 from groupoidal.steinberg_algebra import SteinbergAlgebra
 from groupoidal.transformation_groupoid import build_transformation_groupoid
-from groupoidal.validation import ValidationReport
 
 REGULAR = (2, 3, 5, 8)
 
@@ -71,12 +68,14 @@ def test_factored_rows_equal_the_dense_table(ladder):
             columns = module.at_point.get(module.row_points[i], ())
             assert [j for j, k in enumerate(row) if k >= 0] == columns, name
             assert module.row_products(i) == [row[j] for j in columns]
-            assert module.products(i, range(module.dim)) == list(row)
+            assert [module.product(i, j) for j in range(module.dim)] == \
+                list(row)
 
 
 def test_associativity_verdicts_equal_the_dense_oracle(ladder):
     for name, module in ladder:
-        assert module.verify_associativity() is None, name
+        reports = premises(module.algebra_action.action)
+        assert module.verify_associativity(reports) is None, name
         assert dense_associativity(module) is None, name
 
 
@@ -109,7 +108,7 @@ def ladder_maps(ring):
 def test_quotient_tables_equal_the_dense_oracle(Q):
     for g in ladder_groupoids():
         quotient = psi(g, Q).quotient
-        assert [list(row) for row in quotient.table] == \
+        assert [quotient.row(q) for q in range(quotient.dim)] == \
             dense_quotient_table(quotient), g.name
         assert quotient.verify_representative_independence() is None
         assert reference_generator_scan(quotient) is None
@@ -165,28 +164,6 @@ def test_mutated_maps_give_the_dense_scan_text(Q):
             point_preserving += mutant.name == "swap" and not expected[0]
     assert failing > 150
     assert point_preserving > 20
-
-
-def failed(error):
-    """A failing report, for a validator that raised."""
-    report = ValidationReport("premise")
-    report.add(error)
-    return report
-
-
-def premises(action):
-    """The validator reports verify_associativity takes as premises."""
-    check = (validate_group_partial_action
-             if isinstance(action, GroupPartialAction)
-             else validate_isg_partial_action)
-    reports = []
-    for validator, subject in ((validate_inverse_semigroup, action.index),
-                               (check, action)):
-        try:
-            reports.append(validator(subject))
-        except (KeyError, ValueError) as exc:
-            reports.append(failed(str(exc)))
-    return reports
 
 
 def outcome(fn, *args):
@@ -277,22 +254,32 @@ def test_corrupted_actions_give_the_dense_verdicts(Q):
     assert any(f == "KeyError" for _, f, _ in results)
 
 
-def test_a_table_off_its_points_gets_the_dense_scan(Q):
-    # One composite too many: e_b e_b is nonzero in the codomain although
-    # s(b) != r(b), so A_R of that table has no point structure, and the
-    # certificate must not read zero products off the points.
+def test_steinberg_algebra_refuses_composites_off_the_points(Q):
+    # One composite too many: e_b e_b is defined although s(b) != r(b),
+    # so A_R of that table has no point structure.
     g = catalog.load_groupoid("pair_groupoid_2")
     b = next(a for a in g.arrows if g.source(a) != g.range(a))
     compose = dict(g.compose_table)
     compose[(b, b)] = g.range(b)
     bad = FiniteGroupoid(g.arrows, g.units, g.inverse_table, compose)
-    codomain = SteinbergAlgebra(bad, Q)
-    assert codomain.row_points is None
-    m = AlgebraMap(SteinbergAlgebra(g, Q), codomain, range(g.n_arrows))
-    assert not m.certify_homomorphism()
-    assert m.certificates["homomorphism"] == dense_homomorphism(m)
-    assert m.certificates["homomorphism"][1] == \
-        f"fails on basis pair ({b}, {b})"
+    assert not composable_iff_matched(bad)
+    with pytest.raises(ValueError, match="composable pairs"):
+        SteinbergAlgebra(bad, Q)
+
+
+def test_transformation_groupoids_compose_on_matched_points():
+    # SteinbergAlgebra is built on the transformation groupoid of every
+    # action that passes action_axioms, so none may be refused.
+    rng = random.Random(41)
+    actions = ([catalog.load_action(name) for name in catalog.action_names()]
+               + [regular_action(n) for n in REGULAR])
+    actions += [a for a in itertools.chain(z4_actions(rng, 60),
+                                           partial_corruptions(rng, 300))
+                if isinstance(a, GroupPartialAction)
+                and validate_group_partial_action(a).ok]
+    assert len(actions) > 100
+    for action in actions:
+        assert composable_iff_matched(build_transformation_groupoid(action))
 
 
 def test_products_outside_l_raise_as_in_the_dense_table(Q):

@@ -17,6 +17,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 
+from families import idempotents
 from test_search_oracle import partial_actions
 
 from groupoidal import catalog, groups, specfiles
@@ -291,7 +292,7 @@ def test_a_group_is_an_inverse_semigroup():
         group = FiniteGroup.cyclic(n)
         assert isinstance(group, FiniteInverseSemigroup)
         assert validate_inverse_semigroup(group).ok
-        assert group.idempotents() == [group.identity] == [group.unit]
+        assert idempotents(group) == [group.identity] == [group.unit]
     for elements, table in TABLES.values():
         assert validate_inverse_semigroup(FiniteGroup(elements, table)).ok
 

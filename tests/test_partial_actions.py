@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
+from families import semigroup_from_products
 from formula_oracle import SpaceFunction, alpha
 
 from groupoidal import catalog
 from groupoidal.groups import FiniteGroup
-from groupoidal.inverse_semigroups import FiniteInverseSemigroup
 from groupoidal.isomorphisms import bisection_action
 from groupoidal.partial_actions import (GroupPartialAction,
                                         SemigroupPartialAction,
@@ -88,8 +89,7 @@ def test_monotonicity_violation_detected():
     for a in elements:
         for b in elements:
             table[(a, b)] = a if a == b else "0"
-    s = FiniteInverseSemigroup.from_products(elements, table,
-                                             {a: a for a in elements})
+    s = semigroup_from_products(elements, table, {a: a for a in elements})
     action = SemigroupPartialAction(
         s, ["p", "q"],
         {"0": ["p"], "x": ["p"], "y": ["q"]},
@@ -114,7 +114,7 @@ def test_induced_action_identity_component(Q):
     action = catalog.load_action("z2_partial_3pt")
     alg = induce_algebra_action(action, Q)
     e = action.group.identity
-    f = SpaceFunction(Q, {"1": Q.scalar(3), "3": Q.parse("1/2")})
+    f = SpaceFunction(Q, {"1": Q.scalar(3), "3": Q.scalar(Fraction(1, 2))})
     assert alpha(alg, e, f) == f
 
 

@@ -1,15 +1,21 @@
-"""Every public module-level function and class of the package has a
-caller in the package.  A name that only the tests reach is library
-surface no command uses: it belongs in `tests/`, or it goes.
+"""Every public module-level function and class of the package, and every
+public method of its classes, has a caller in the package.  A name that
+only the tests reach is library surface no command uses: it belongs in
+`tests/`, or it goes.
 
-A reference is any use of the name as an identifier, an attribute or an
-imported name, in any module of `src/groupoidal` except `__init__.py`,
-outside the top-level statement that defines it.  Exempt are the names
-the benchmark's tracer wraps (LAYERS in perfbench/layers.py, read as
-source so that nothing here imports the benchmark), the console entry
-point `cli.main`, and the documented entry points in ALLOWED."""
+A reference to a module-level name is any use of it as an identifier, an
+attribute or an imported name, in any module of `src/groupoidal` except
+`__init__.py`, outside the top-level statement that defines it.  A
+reference to a method is any attribute of its name there, outside the
+method itself; the receiver is not resolved, so one call of a name
+covers every method with that name.  Exempt are the names the
+benchmark's tracer wraps (LAYERS in perfbench/layers.py, read as source
+so that nothing here imports the benchmark), the console entry point
+`cli.main`, the documented entry points in ALLOWED, and dunder methods,
+which Python calls."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,15 +31,20 @@ ALLOWED = {("catalog", name): "lists or loads the shipped catalog"
                         "load_semigroup", "load_pair")}
 
 
-def layer_names():
-    """(module, name) of every LAYERS entry; for Class.method, the class."""
+def layer_entries():
+    """(module, function or Class.method) of every LAYERS entry."""
     tree = ast.parse(LAYERS_PATH.read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 getattr(t, "id", None) == "LAYERS" for t in node.targets):
-            return {(entry.elts[0].value, entry.elts[1].value.split(".")[0])
+            return {(entry.elts[0].value, entry.elts[1].value)
                     for entry in node.value.elts}
     raise AssertionError("no LAYERS table in perfbench/layers.py")
+
+
+def layer_names():
+    """(module, name) of every LAYERS entry; for Class.method, the class."""
+    return {(module, name.split(".")[0]) for module, name in layer_entries()}
 
 
 def _bound_names(function):
@@ -92,4 +103,36 @@ def test_every_public_name_has_a_caller_in_the_package():
     orphans = [f"{module}.{name}" for module, name in definitions
                if name not in uses and (module, name) not in exempt]
     assert orphans == [], ("public names with no caller in src/groupoidal: "
+                           + ", ".join(orphans))
+
+
+def methods_without_callers(package=PACKAGE):
+    """(module, Class.method) of each public method of a module-level
+    class of the package whose name no attribute in the package uses
+    outside the method itself."""
+    attributes, methods = Counter(), []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        attributes.update(node.attr for node in ast.walk(tree)
+                          if isinstance(node, ast.Attribute))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if isinstance(method, ast.FunctionDef) and \
+                        not method.name.startswith("_"):
+                    own = sum(isinstance(node, ast.Attribute)
+                              and node.attr == method.name
+                              for node in ast.walk(method))
+                    methods.append((path.stem, cls.name, method.name, own))
+    return [(module, f"{cls}.{name}") for module, cls, name, own in methods
+            if attributes[name] == own]
+
+
+def test_every_public_method_has_a_caller_in_the_package():
+    orphans = [f"{module}.{name}" for module, name in methods_without_callers()
+               if (module, name) not in layer_entries()]
+    assert orphans == [], ("public methods with no caller in src/groupoidal: "
                            + ", ".join(orphans))

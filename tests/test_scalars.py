@@ -1,12 +1,14 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from dense_oracle import table_mul_vectors
 
-from groupoidal.scalars import (ring_from_tag, SpanTracker,
-                                table_associativity_counterexample,
-                                table_mul_vectors)
+from groupoidal.scalars import (_MR_EXACT_BELOW, _is_prime, ring_from_tag,
+                                SpanTracker,
+                                table_associativity_counterexample)
 
 
 def vec(ring, *values):
@@ -35,9 +37,37 @@ def test_field_flags():
         assert not ring.is_field or ring.is_integral_domain
 
 
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_primality_equals_trial_division_below_10_5():
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+        [n for n in range(10 ** 5) if trial_division(n)]
+
+
+def test_primality_of_large_moduli():
+    # 2^61 - 1 is prime; 561 is a Carmichael number; 3215031751 is a
+    # strong pseudoprime to the bases 2, 3, 5 and 7.
+    assert ring_from_tag("Z/2305843009213693951").is_field
+    assert not ring_from_tag("Z/561").is_field
+    assert not ring_from_tag("Z/3215031751").is_field
+    mersenne_89 = 2 ** 89 - 1
+    assert mersenne_89 > _MR_EXACT_BELOW
+    # Above the bound a witness still proves a modulus composite.
+    assert not _is_prime(mersenne_89 * (2 ** 61 - 1))
+    assert not ring_from_tag(f"Z/{mersenne_89 + 2}").is_field
+    # With no witness the modulus is refused: a prime, and the least
+    # strong pseudoprime to all twelve bases, the bound itself.
+    for n in (mersenne_89, _MR_EXACT_BELOW):
+        with pytest.raises(ValueError, match="cannot decide"):
+            ring_from_tag(f"Z/{n}")
+
+
 def test_rational_arithmetic():
     Q = ring_from_tag("Q")
-    assert Q.parse("1/2") + Q.parse("1/3") == Q.parse("5/6")
+    assert Q.scalar(Fraction(1, 2)) + Q.scalar(Fraction(1, 3)) == \
+        Q.scalar(Fraction(5, 6))
     third = Q.scalar(Fraction(2, 6))
     assert third.value == Fraction(1, 3)
     assert third.value.denominator == 3
@@ -61,7 +91,8 @@ def test_integer_arithmetic():
 
 def test_division():
     Q = ring_from_tag("Q")
-    assert Q.parse("1/2") / Q.parse("1/3") == Q.parse("3/2")
+    assert Q.scalar(Fraction(1, 2)) / Q.scalar(Fraction(1, 3)) == \
+        Q.scalar(Fraction(3, 2))
     Z7 = ring_from_tag("Z/7")
     assert Z7.scalar(3) / Z7.scalar(5) == Z7.scalar(2)  # 5*2 = 3 mod 7
     with pytest.raises(ZeroDivisionError):

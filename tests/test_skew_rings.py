@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dense_oracle import (dense_table, ideal_rows, mul_basis, mul_vectors,
-                          to_vector)
+                          skew_ring, to_vector)
 from formula_oracle import SkewElement, SpaceFunction, skew_multiply
 from test_phi_oracle import class_of
 
@@ -14,22 +14,19 @@ from groupoidal.partial_actions import induce_algebra_action
 from groupoidal.scalars import SpanTracker, ring_from_tag, zero_vector
 from groupoidal.skew_rings import (CovarianceModule, IdealCongruence,
                                    QuotientAlgebra, build_ideal,
-                                   build_quotient, build_skew_group_ring,
+                                   build_quotient,
                                    check_pregrading, ideal_generators)
 from groupoidal.validation import stable
 
 
 def module_for_action(name, ring):
     action = catalog.load_action(name)
-    return build_skew_group_ring(induce_algebra_action(action, ring))
+    return skew_ring(induce_algebra_action(action, ring))
 
 
 def module_for_groupoid(name, ring):
     g = catalog.load_groupoid(name)
-    alg = induce_algebra_action(bisection_action(g), ring)
-    module = CovarianceModule(alg)
-    module.verify_associativity()
-    return module
+    return skew_ring(induce_algebra_action(bisection_action(g), ring))
 
 
 def unit_vector(ring, dim, k):

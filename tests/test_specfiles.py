@@ -19,12 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
-from families import symmetric_inverse_monoid
+from families import semigroup_from_products, symmetric_inverse_monoid
 
 import groupoidal
 from groupoidal import catalog
 from groupoidal.cli import main
-from groupoidal.inverse_semigroups import FiniteInverseSemigroup
 from groupoidal.specfiles import (FORMAT_TAG, SpecContentError, SpecFileError,
                                   _parse_semigroup, default_catalog_dir,
                                   load_document, parse_document,
@@ -615,7 +614,7 @@ def test_catalog_env_override(tmp_path, monkeypatch):
 
 def reference_semigroup(data):
     """The semigroup parser that read the table into a dict keyed by
-    element pairs and handed it to from_products, kept verbatim."""
+    element pairs and handed it to `semigroup_from_products`, kept verbatim."""
     elements = data["elements"]
     if len(set(elements)) != len(elements):
         raise SpecFileError("elements: duplicate names")
@@ -635,7 +634,7 @@ def reference_semigroup(data):
         if key not in eset or value not in eset:
             raise SpecFileError(f"star[{key!r}]: unknown element")
         star[key] = value
-    return FiniteInverseSemigroup.from_products(
+    return semigroup_from_products(
         elements, table, star, name=data.get("name", "semigroup"))
 
 

@@ -1,10 +1,14 @@
+import random
+
 import pytest
+from families import regular_action
+from test_factored_oracle import partial_corruptions, z4_actions
 
 from groupoidal import catalog
 from groupoidal.groupoid_core import (is_topologically_principal,
                                       isotropy_group, validate_groupoid)
 from groupoidal.isomorphisms import search_groupoid_isomorphism
-from groupoidal.partial_actions import is_topologically_free
+from groupoidal.partial_actions import GroupPartialAction, is_topologically_free
 from groupoidal.transformation_groupoid import build_transformation_groupoid
 
 
@@ -103,3 +107,72 @@ def test_freeness_iff_principal_on_catalog():
         principal, _ = is_topologically_principal(
             build_transformation_groupoid(action))
         assert free == principal, name
+
+
+def all_pairs_compose_table(action):
+    """The composition table as the constructor built it by trying every
+    pair of arrows, in its insertion order, with the inverse table built
+    first, as there."""
+    group = action.group
+    arrows = [(t, x) for t in group.elements
+              for x in action.domain_points(t)]
+    arrow_set = set(arrows)
+    for t, x in arrows:
+        action.theta(group.inv(t), x)
+    compose = {}
+    for (s, y) in arrows:
+        for (t, x) in arrows:
+            if action.theta(group.inv(s), y) == x:
+                st = group.mul(s, t)
+                target = (st, y)
+                if target not in arrow_set:
+                    raise ValueError(
+                        f"composite ({st}, {y}) escapes the arrow set; "
+                        "action is not a partial action")
+                compose[((s, y), (t, x))] = target
+    return list(compose.items())
+
+
+def outcome(build, action):
+    try:
+        return build(action)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def misdirected(rng, count):
+    """Catalog actions and regular Z_n with one image of one map moved to
+    a random point, so that composites escape, or dropped, so that a
+    point of a domain is outside the map."""
+    sources = ([lambda name=name: catalog.load_action(name)
+                for name in catalog.action_names()]
+               + [lambda n=n: regular_action(n) for n in (3, 4, 5)])
+    for _ in range(count):
+        action = rng.choice(sources)()
+        s = rng.choice([g for g in action.group.elements if action.maps[g]])
+        x = rng.choice(sorted(action.maps[s]))
+        if rng.random() < 0.5:
+            action.maps[s][x] = rng.choice(action.space)
+        else:
+            del action.maps[s][x]
+        yield action
+
+
+def test_compose_table_equals_the_all_pairs_construction():
+    rng = random.Random(47)
+    actions = ([catalog.load_action(name) for name in catalog.action_names()]
+               + [regular_action(n) for n in range(1, 13)]
+               + list(z4_actions(rng, 40))
+               + [a for a in partial_corruptions(rng, 200)
+                  if isinstance(a, GroupPartialAction)]
+               + list(misdirected(rng, 200)))
+    outcomes = []
+    for action in actions:
+        expected = outcome(all_pairs_compose_table, action)
+        assert outcome(lambda a: list(build_transformation_groupoid(
+            a).compose_table.items()), action) == expected, action.name
+        outcomes.append(expected)
+    errors = [o[1] for o in outcomes if isinstance(o, tuple)]
+    assert sum("escapes" in text for text in errors) > 10
+    assert sum("not in the domain" in text for text in errors) > 10
+    assert len(outcomes) - len(errors) > 200
