@@ -120,9 +120,7 @@ def cmd_theorem3(doc, ring, bounds, report):
     groupoid_result = validate_groupoid(groupoid)
     _validation_row(report, "transformation_groupoid_axioms", groupoid_result,
                     f"{groupoid.n_arrows} arrows")
-    # For a valid action s((s, y)) = (e, theta_{s^-1}(y)) and
-    # r((t, x)) = (e, x), so this row passes; the algebras below are
-    # built only on a valid groupoid.
+    # Unreachable for a valid action: s((s, y)) and r((t, x)) match there.
     if not groupoid_result.ok:
         return report
 

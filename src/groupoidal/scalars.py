@@ -14,10 +14,11 @@ from fractions import Fraction
 from operator import itemgetter
 
 
-# Miller-Rabin with the first 12 primes as bases decides primality for
-# every n below _MR_EXACT_BELOW (Sorenson and Webster, Strong
-# pseudoprimes to twelve prime bases, Math. Comp. 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 primes as bases decides primality for
+# every n below _MR_EXACT_BELOW, the least strong pseudoprime to all 13
+# (Sorenson and Webster, Strong pseudoprimes to twelve prime bases, Math.
+# Comp. 2017).  The first 12 primes alone stop at 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
 

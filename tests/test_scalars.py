@@ -48,17 +48,19 @@ def test_primality_equals_trial_division_below_10_5():
 
 def test_primality_of_large_moduli():
     # 2^61 - 1 is prime; 561 is a Carmichael number; 3215031751 is a
-    # strong pseudoprime to the bases 2, 3, 5 and 7.
+    # strong pseudoprime to the bases 2, 3, 5 and 7, and
+    # 318665857834031151167461 to the first twelve primes 2, ..., 37.
     assert ring_from_tag("Z/2305843009213693951").is_field
-    assert not ring_from_tag("Z/561").is_field
-    assert not ring_from_tag("Z/3215031751").is_field
+    for n in (561, 3215031751, 318665857834031151167461):
+        ring = ring_from_tag(f"Z/{n}")
+        assert not ring.is_field and not ring.is_integral_domain
     mersenne_89 = 2 ** 89 - 1
     assert mersenne_89 > _MR_EXACT_BELOW
     # Above the bound a witness still proves a modulus composite.
     assert not _is_prime(mersenne_89 * (2 ** 61 - 1))
     assert not ring_from_tag(f"Z/{mersenne_89 + 2}").is_field
     # With no witness the modulus is refused: a prime, and the least
-    # strong pseudoprime to all twelve bases, the bound itself.
+    # strong pseudoprime to all thirteen bases, the bound itself.
     for n in (mersenne_89, _MR_EXACT_BELOW):
         with pytest.raises(ValueError, match="cannot decide"):
             ring_from_tag(f"Z/{n}")
