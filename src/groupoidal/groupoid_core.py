@@ -77,8 +77,10 @@ class FiniteGroupoid:
 
 
 def validate_groupoid(g):
-    """Exhaustively check the groupoid axioms; the report names every
-    failing pair/triple."""
+    """Exhaustively check the groupoid axioms.  The checks on units,
+    inverses, range, source and the table's entries, and the unit laws,
+    report every violation; composability, cancellation and associativity
+    each report one, where their check failed."""
     report = ValidationReport(f"groupoid {g.name}")
     arrows = g.arrows
     aset = set(arrows)
@@ -118,47 +120,12 @@ def validate_groupoid(g):
     if not report.ok:
         return report
 
-    # Decided on the contracted table; the label scans run only on a
-    # failure, to name every violation in their order.
-    if not composable_iff_matched(g):
-        for b in arrows:
-            for c in arrows:
-                defined = g.composable(b, c)
-                matched = g.source(b) == g.range(c)
-                if defined and not matched:
-                    report.add(f"({b}, {c}) composed but s({b}) != r({c})")
-                elif matched and not defined:
-                    report.add(f"({b}, {c}) has s({b}) = r({c}) but no "
-                               "composite")
-        if not report.ok:
-            return report
-
-    if not _associative(g):
-        pairs = list(g.compose_table.items())
-        for (b, c), bc in pairs:
-            # cancellation: b^{-1}(bc) = c and (bc)c^{-1} = b
-            left = g.compose_table.get((g.inverse(b), bc))
-            if left != c:
-                report.add(f"cancellation fails: {b}^-1 ({b}{c}) != {c}")
-            right = g.compose_table.get((bc, g.inverse(c)))
-            if right != b:
-                report.add(f"cancellation fails: ({b}{c}) {c}^-1 != {b}")
-        for b in arrows:
-            for c in arrows:
-                if not g.composable(b, c):
-                    continue
-                bc = g.compose(b, c)
-                for d in arrows:
-                    if not g.composable(c, d):
-                        continue
-                    cd = g.compose(c, d)
-                    if not g.composable(bc, d) or not g.composable(b, cd):
-                        report.add("composability not closed on "
-                                   f"({b}, {c}, {d})")
-                    elif g.compose(bc, d) != g.compose(b, cd):
-                        report.add(f"associativity fails on ({b}, {c}, {d})")
-        if not report.ok:
-            return report
+    # Decided on the contracted table; each check names the violation
+    # at which it failed.
+    violation = composability_violation(g) or _associativity_violation(g)
+    if violation is not None:
+        report.add(violation)
+        return report
 
     # Unit laws follow from the axioms; checking them gives sharper reports.
     for u in g.units:
@@ -172,16 +139,26 @@ def validate_groupoid(g):
     return report
 
 
-def composable_iff_matched(g):
-    """True when (b, c) is composable exactly when s(b) = r(c): every key
+def composability_violation(g):
+    """None when (b, c) is composable exactly when s(b) = r(c): every key
     of the composition table is such a pair, and there are as many keys
-    as such pairs."""
-    source, range_ = g._source, g._range
-    if None in source.values() or None in range_.values() or any(
-            source[b] != range_[c] for b, c in g.compose_table):
-        return False
+    as such pairs.  Otherwise a violation: a key off the points, or a
+    matched pair with no composite."""
+    source, range_, compose = g._source, g._range, g.compose_table
+    off = next(((b, c) for b, c in compose if source[b] != range_[c]), None)
+    if off is not None:
+        b, c = off
+        return f"({b}, {c}) composed but s({b}) != r({c})"
     ends, starts = Counter(source.values()), Counter(range_.values())
-    return len(g.compose_table) == sum(ends[u] * starts[u] for u in ends)
+    if len(compose) == sum(ends[u] * starts[u] for u in ends):
+        return None
+    # Every key is a matched pair, so some unit has fewer keys than
+    # matched pairs.
+    keys = Counter(source[b] for b, _ in compose)
+    u = next(u for u in ends if keys[u] != ends[u] * starts[u])
+    b, c = next((b, c) for b in g.arrows if source[b] == u
+                for c in g.arrows if range_[c] == u and (b, c) not in compose)
+    return f"({b}, {c}) has s({b}) = r({c}) but no composite"
 
 
 def composition_table(g):
@@ -195,33 +172,40 @@ def composition_table(g):
     return table
 
 
-def _associative(g):
+def _associativity_violation(g):
     """Cancellation, closure and associativity, for composability
-    s(b) = r(c).  Cancellation makes b^-1 (bc) and (bc) c^-1 defined, so
-    r(bc) = r(b) and s(bc) = s(c), and closure follows.  Associativity is
-    Light's test (see table_associativity_counterexample) on the
-    contracted table, where a generator z needs only the x with
-    s(x) = r(z) and the y with r(y) = s(z): otherwise (xz)y and x(zy) are
-    both 0."""
-    idx = g._index
+    s(b) = r(c): None when they hold, else the first cancellation failure
+    or the triple (x, z, y) at which Light's test failed.  Cancellation
+    makes b^-1 (bc) and (bc) c^-1 defined, so r(bc) = r(b) and
+    s(bc) = s(c), and closure follows.  Associativity is Light's test
+    (see table_associativity_counterexample) on the contracted table,
+    where a generator z needs only the x with s(x) = r(z) and the y with
+    r(y) = s(z): otherwise (xz)y and x(zy) are both 0.  With closure,
+    both are defined for those x and y."""
+    idx, arrows = g._index, g.arrows
     table = composition_table(g)
-    inverse = [idx[g.inverse_table[a]] for a in g.arrows]
+    inverse = [idx[g.inverse_table[a]] for a in arrows]
     for (b, c), d in g.compose_table.items():
         i, j, k = idx[b], idx[c], idx[d]
-        if table[inverse[i]][k] != j or table[k][inverse[j]] != i:
-            return False
-    source = [g._source[a] for a in g.arrows]
-    range_ = [g._range[a] for a in g.arrows]
+        if table[inverse[i]][k] != j:
+            return f"cancellation fails: {b}^-1 ({b}{c}) != {c}"
+        if table[k][inverse[j]] != i:
+            return f"cancellation fails: ({b}{c}) {c}^-1 != {b}"
+    source = [g._source[a] for a in arrows]
+    range_ = [g._range[a] for a in arrows]
     rows_at, columns_at = points_at(source), points_at(range_)
     for z in light_generators(table):
         ys = columns_at[source[z]]
         zys = list(map(table[z].__getitem__, ys))
         for x in rows_at[range_[z]]:
             row_x = table[x]
-            if list(map(table[row_x[z]].__getitem__, ys)) != \
-                    list(map(row_x.__getitem__, zys)):
-                return False
-    return True
+            left = list(map(table[row_x[z]].__getitem__, ys))
+            right = list(map(row_x.__getitem__, zys))
+            if left != right:
+                y = next(y for y, a, b in zip(ys, left, right) if a != b)
+                return (f"associativity fails on "
+                        f"({arrows[x]}, {arrows[z]}, {arrows[y]})")
+    return None
 
 
 def isotropy_group(g, u):

@@ -245,10 +245,11 @@ def verify_orbit_equivalence(theta, gamma, data):
             or len(set(phi.values())) != len(phi):
         return (False, "phi is not a bijection between the spaces")
     g_grp, h_grp = theta.group, gamma.group
+    g_set, h_set = set(g_grp.elements), set(h_grp.elements)
     for g in g_grp.elements:
         for x in theta.domain_points(g_grp.inv(g)):
             h = data.a.get((g, x))
-            if h is None or h not in set(h_grp.elements):
+            if h is None or h not in h_set:
                 return (False, f"cocycle a undefined on ({g}, {x})")
             if phi[x] not in gamma.domains[h_grp.inv(h)]:
                 return (False, f"a({g}, {x}) = {h} but phi({x}) is outside "
@@ -260,7 +261,7 @@ def verify_orbit_equivalence(theta, gamma, data):
     for h in h_grp.elements:
         for y in gamma.domain_points(h_grp.inv(h)):
             g = data.b.get((h, y))
-            if g is None or g not in set(g_grp.elements):
+            if g is None or g not in g_set:
                 return (False, f"cocycle b undefined on ({h}, {y})")
             if phi_inv[y] not in theta.domains[g_grp.inv(g)]:
                 return (False, f"b({h}, {y}) = {g} but phi^-1({y}) is outside "

@@ -96,6 +96,10 @@ def _validate_composition(action, report):
     For all s, t:  theta_s(X_{s*} & X_t) = X_s & X_{st},  and
     theta_s(theta_t(x)) = theta_{st}(x) on X_{t*} & X_{(st)*}.
 
+    The intertwining law names one t for each failing pair of domains
+    (X_t, X_{st}) in the row of s; the composition law names every
+    failing point.
+
     Runs on the index tables of the group or inverse semigroup; elements
     are looked up only for the domains, the maps and the messages.  A
     product the table leaves out raises KeyError, as the index's mul does.
@@ -105,30 +109,25 @@ def _validate_composition(action, report):
     domains = [action.domains[s] for s in elements]
     maps = [action.maps[s] for s in elements]
     # The intertwining law for (s, t) reads only s, X_t and X_{st}, so a
-    # row is checked once per distinct pair of domains, and scanned pair by
-    # pair only on a failure.
+    # row is checked once per distinct pair of domains; a failing pair
+    # names the first t giving it.
     ids = {}
     domain_id = [ids.setdefault(d, len(ids)) for d in domains]
     distinct = list(ids)
     for i, s in enumerate(elements):
         row, theta_s, source = table[i], maps[i], domains[star[i]]
-        if -1 not in row and all(
-                set(map(theta_s.__getitem__, source & distinct[a]))
-                == domains[i] & distinct[b]
-                for a, b in set(zip(domain_id,
-                                    map(domain_id.__getitem__, row)))):
-            continue
-        for j, t in enumerate(elements):
-            st = row[j]
-            if st < 0:
-                raise KeyError((s, t))
-            lhs = set(map(theta_s.__getitem__, source & domains[j]))
-            rhs = domains[i] & domains[st]
+        if -1 in row:
+            raise KeyError((s, elements[row.index(-1)]))
+        for a, b in set(zip(domain_id, map(domain_id.__getitem__, row))):
+            lhs = set(map(theta_s.__getitem__, source & distinct[a]))
+            rhs = domains[i] & distinct[b]
             if lhs != rhs:
+                j = next(j for j, st in enumerate(row)
+                         if domain_id[j] == a and domain_id[st] == b)
                 report.add(
                     f"theta_{stable(s)}(X_{{{stable(elements[star[i]])}}} & "
-                    f"X_{{{stable(t)}}}) = {stable(lhs)} but "
-                    f"X_{{{stable(s)}}} & X_{{{stable(elements[st])}}} = "
+                    f"X_{{{stable(elements[j])}}}) = {stable(lhs)} but "
+                    f"X_{{{stable(s)}}} & X_{{{stable(elements[row[j]])}}} = "
                     f"{stable(rhs)}")
     points = [action.domain_points(s) for s in elements]
     for i, s in enumerate(elements):

@@ -308,26 +308,9 @@ def light_generators(table):
     return generators
 
 
-def _first_counterexample(table):
-    """The full cube: the first triple in lexicographic order."""
-    n = len(table)
-    zero_row = (-1,) * n
-    for i, row in enumerate(table):
-        # Index -1 (a zero product) reads the appended -1.
-        row_i = list(row) + [-1]
-        for j in range(n):
-            ij = row[j]
-            left = tuple(table[ij]) if ij >= 0 else zero_row
-            right = tuple(map(row_i.__getitem__, table[j]))
-            if left != right:
-                k = next(k for k in range(n) if left[k] != right[k])
-                return (i, j, k)
-    return None
-
-
 def table_associativity_counterexample(table):
-    """The first basis triple (i, j, k), in lexicographic order, with
-    (e_i e_j) e_k != e_i (e_j e_k), or None.
+    """A basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), or
+    None when the table is associative.
 
     Light's associativity test (Clifford and Preston, The Algebraic Theory
     of Semigroups I, 1961, section 1.2) decides the verdict.  Let M be the
@@ -338,26 +321,30 @@ def table_associativity_counterexample(table):
     So if a set G that generates M as a magma lies in A, then A = M and M
     is associative.  As products with 0 are 0, x and y need only range
     over the basis.  This check costs n^2 |G| lookups instead of n^3; G is
-    light_generators(table), valid for any table.  Only when it fails does
-    the full cube run, to name the first triple.
+    light_generators(table), valid for any table.  Where it fails, at row
+    i and generator g, the triple is (i, g, k) for the first column k
+    where the two sides differ: a true counterexample, not always the
+    lexicographically first.
     """
     n = len(table)
     if n < 2:
-        # itemgetter returns a tuple only for two or more indices; one
-        # triple is the whole cube anyway.
-        return _first_counterexample(table)
+        # e_0 e_0 is 0 or e_0, and either way the one triple associates.
+        return None
     zero_row = (-1,) * n
     # gather(row_i) is (e_i (e_g e_k))_k, read through row_i.  Rows are
-    # compared as tuples, made one at a time.
+    # compared as tuples, made one at a time; itemgetter gives a tuple
+    # only for two or more indices.
     gathers = [(g, itemgetter(*table[g])) for g in light_generators(table)]
-    for row in table:
+    for i, row in enumerate(table):
         # Index -1 (a zero product) reads the appended -1.
         row_i = list(row) + [-1]
         for g, gather in gathers:
             ig = row[g]
             left = tuple(table[ig]) if ig >= 0 else zero_row
-            if left != gather(row_i):
-                return _first_counterexample(table)
+            right = gather(row_i)
+            if left != right:
+                return (i, g, next(k for k in range(n)
+                                   if left[k] != right[k]))
     return None
 
 

@@ -87,8 +87,7 @@ class CovarianceModule(BasedAlgebra):
 
     def verify_associativity(self, premises):
         """Decide (e_i e_j) e_k = e_i (e_j e_k) on all basis triples;
-        stores and returns the first failing triple, in lexicographic
-        order, or None.
+        stores and returns a failing triple, or None.
 
         premises are the reports of the validators of the index
         (validate_inverse_semigroup, or a group's table_report) and of the
@@ -104,8 +103,9 @@ class CovarianceModule(BasedAlgebra):
         inverse semigroup, so both sides are nonzero together, as
         ((st)u, x) and (s(tu), x), equal as S is associative.  A group is
         an inverse semigroup, so this covers the partial skew group ring
-        too.  When a premise fails, the test runs on the factored product,
-        to name the first triple.  The premises are kept on the module."""
+        too.  When a premise fails, the certificate is Light's test on the
+        factored product, which names the triple where it failed.  The
+        premises are kept on the module."""
         self.premises = premises
         counter = None
         if not all(report.ok for report in premises):
@@ -130,13 +130,13 @@ def ideal_generators(module):
 class IdealCongruence:
     """The ideal I as a congruence on the basis of L.  I is spanned by the
     differences e_a - e_b of basis vectors in one class; rep[a] is the
-    largest index in the class of a."""
+    largest index in the class of a; generator_count is the number of
+    generators the classes were built from."""
 
-    def __init__(self, module, edges, rep):
+    def __init__(self, module, generator_count, rep):
         self.module = module
-        self.edges = edges
         self.rep = rep
-        self.generator_count = len(edges)
+        self.generator_count = generator_count
         self.dimension = sum(1 for a, r in enumerate(rep) if a != r)
 
 
@@ -159,7 +159,8 @@ def build_ideal(module):
             # The larger root stays, so each root is the largest index of
             # its class.
             parent[min(ra, rb)] = max(ra, rb)
-    return IdealCongruence(module, edges, [find(a) for a in range(module.dim)])
+    return IdealCongruence(module, len(edges),
+                           [find(a) for a in range(module.dim)])
 
 
 class QuotientAlgebra(BasedAlgebra):
@@ -199,7 +200,7 @@ class QuotientAlgebra(BasedAlgebra):
         that is iff e_k (e_a - e_b) and (e_a - e_b) e_k lie in I for every
         (a, b) in a spanning set of I and every basis element e_k: the two
         products are both zero or basis vectors of one class.  Checks this
-        exhaustively and returns the first violation, or None.
+        exhaustively and returns a violation, or None.
 
         The check runs over the dim I spanning rows e_a - e_rep(a).  Let
         the class row of a be the classes of e_a e_k, over all k.  Then
@@ -208,14 +209,9 @@ class QuotientAlgebra(BasedAlgebra):
         class row k is unchanged when read through rep.  Once every class
         row equals that of its representative, the second test need only
         run on the representatives' rows.  A class row is zero off the
-        columns at the row point of a, so it is compared there.  Only on a
-        failure does the scan over the generators run, to name the first
-        violation."""
-        if not self._spanning_rows_close():
-            return self._first_generator_violation()
-        return None
-
-    def _spanning_rows_close(self):
+        columns at the row point of a, so it is compared there.  A
+        violation names the spanning row and the e_k where the rows
+        compared first differ."""
         module, cls, rep = self.module, self._class, self.ideal.rep
         at_point = module.at_point
 
@@ -229,24 +225,22 @@ class QuotientAlgebra(BasedAlgebra):
         kept = {r: class_row(r) for r in self.representatives}
         for a, r in enumerate(rep):
             if a != r and class_row(a) != kept[r]:
-                return False
-        for p, classes in filter(None, kept.values()):
+                row_a, row_r = module.row(a), module.row(r)
+                k = next(k for k in range(module.dim)
+                         if cls[row_a[k]] != cls[row_r[k]])
+                return f"(e_{a} - e_{r}) * e_{k} leaves the ideal"
+        for k, kept_row in kept.items():
+            if kept_row is None:
+                continue
+            p, classes = kept_row
             # Column -> class, None where the product is zero.
             class_at = dict(zip(at_point[p], classes))
-            if list(map(class_at.get, rep)) != \
-                    list(map(class_at.get, range(len(rep)))):
-                return False
-        return True
-
-    def _first_generator_violation(self):
-        module, cls = self.module, self._class
-        for a, b in self.ideal.edges:
-            row_a, row_b = module.row(a), module.row(b)
-            for k in range(module.dim):
-                if cls[module.product(k, a)] != cls[module.product(k, b)]:
-                    return f"e_{k} * (e_{a} - e_{b}) leaves the ideal"
-                if cls[row_a[k]] != cls[row_b[k]]:
-                    return f"(e_{a} - e_{b}) * e_{k} leaves the ideal"
+            through_rep = list(map(class_at.get, rep))
+            direct = list(map(class_at.get, range(len(rep))))
+            if through_rep != direct:
+                a = next(a for a, (c, d) in enumerate(zip(through_rep, direct))
+                         if c != d)
+                return f"e_{k} * (e_{a} - e_{rep[a]}) leaves the ideal"
         return None
 
 
@@ -259,10 +253,6 @@ def build_quotient(module, ideal):
         raise ValueError(f"ideal is not two-sided: {violation}")
     quotient.representative_independence_verified = True
     return quotient
-
-
-class PregradingReport(ValidationReport):
-    pass
 
 
 def check_pregrading(algebra):
@@ -282,7 +272,7 @@ def check_pregrading(algebra):
     index = alg.index
     order = index.natural_order()
     at_point, row_points = algebra.at_point, algebra.row_points
-    report = PregradingReport(f"pre-grading over {getattr(index, 'name', 'index')}")
+    report = ValidationReport(f"pre-grading over {getattr(index, 'name', 'index')}")
 
     # blocks[i] is B_s for the element s of index i; products of elements
     # are read off the index table.

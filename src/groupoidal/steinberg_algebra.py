@@ -4,7 +4,7 @@ function into disjoint bisection indicators."""
 
 from __future__ import annotations
 
-from .groupoid_core import composable_iff_matched, is_bisection
+from .groupoid_core import composability_violation, is_bisection
 from .scalars import BasedAlgebra, zero_vector
 
 
@@ -151,9 +151,10 @@ class SteinbergAlgebra(BasedAlgebra):
     """
 
     def __init__(self, groupoid, ring):
-        if not composable_iff_matched(groupoid):
+        violation = composability_violation(groupoid)
+        if violation is not None:
             raise ValueError(f"{groupoid.name}: the composable pairs are not "
-                             "the pairs (b, c) with s(b) = r(c)")
+                             f"the pairs (b, c) with s(b) = r(c): {violation}")
         self.groupoid = groupoid
         self.ring = ring
         arrows = self.basis_labels = list(groupoid.arrows)

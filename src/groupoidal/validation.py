@@ -6,8 +6,10 @@ from __future__ import annotations
 class ValidationReport:
     """Collects named violations; the subject is valid iff none were recorded.
 
-    Violations are appended in the (deterministic) order the checks run, so
-    ``first`` names the earliest failing pair/triple.
+    Violations are appended in the (deterministic) order the checks run.
+    A check that stops at its first failure records the violation it
+    found there, so ``first`` names a true violation, not always the
+    lexicographically earliest one.
     """
 
     def __init__(self, subject):

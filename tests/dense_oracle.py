@@ -3,7 +3,9 @@ factored product they check: L's from the basis labels as
 `CovarianceModule` built it before L was kept factored, A_R(G)'s from the
 groupoid's composition table, and L/I's from L's dense table.  On top of
 them, the checks that ran on dense rows: Light's test on the whole table,
-the row-major homomorphism scan, and the two-sidedness scan.  The
+the row-major homomorphism scan, and the two-sidedness scan, and the
+tests that a named witness fails there: `triple_fails` for a basis
+triple, `leaves_ideal` for a product of a difference in I.  The
 factored product must agree with these.  `premises` gives the validator
 reports that `CovarianceModule.verify_associativity` takes.
 
@@ -15,6 +17,7 @@ vector under an AlgebraMap, the spanning rows of the ideal I, and phi as
 quotient coordinates.
 """
 
+import re
 import weakref
 
 from formula_oracle import SkewElement, SpaceFunction
@@ -26,7 +29,8 @@ from groupoidal.partial_actions import (GroupPartialAction,
                                         validate_isg_partial_action)
 from groupoidal.scalars import (index_row, table_associativity_counterexample,
                                 zero_vector)
-from groupoidal.skew_rings import CovarianceModule, QuotientAlgebra
+from groupoidal.skew_rings import (CovarianceModule, QuotientAlgebra,
+                                   ideal_generators)
 from groupoidal.steinberg_algebra import GroupoidFunction
 from groupoidal.validation import ValidationReport
 
@@ -62,9 +66,19 @@ def table_of(algebra):
 
 
 def dense_associativity(module):
-    """The first failing basis triple of L, or None, by Light's test on
-    the dense table."""
+    """A failing basis triple of L, or None, by Light's test on the dense
+    table."""
     return table_associativity_counterexample(dense_table(module))
+
+
+def triple_fails(table, triple):
+    """Whether (e_i e_j) e_k != e_i (e_j e_k) in a dense table, for the
+    triple (i, j, k); -1 stands for a zero product."""
+    def mul(a, b):
+        return -1 if a < 0 or b < 0 else table[a][b]
+
+    i, j, k = triple
+    return mul(mul(i, j), k) != mul(i, mul(j, k))
 
 
 def premises(action):
@@ -117,13 +131,16 @@ def dense_quotient_table(quotient):
     return [[cls[table[a][b]] for b in reps] for a in reps]
 
 
-def reference_generator_scan(quotient, table=None):
+def reference_generator_scan(quotient, table=None, edges=None):
     """The first generator e_a - e_b and basis element e_k whose product
-    leaves the ideal, scanning the dense table of L."""
+    leaves the ideal, scanning the dense table of L.  The generators are
+    ideal_generators(module) unless given."""
     if table is None:
         table = dense_table(quotient.module)
+    if edges is None:
+        edges = ideal_generators(quotient.module)
     cls = quotient._class
-    for a, b in quotient.ideal.edges:
+    for a, b in edges:
         row_a, row_b = table[a], table[b]
         for k, row_k in enumerate(table):
             if cls[row_k[a]] != cls[row_k[b]]:
@@ -131,6 +148,27 @@ def reference_generator_scan(quotient, table=None):
             if cls[row_a[k]] != cls[row_b[k]]:
                 return f"(e_{a} - e_{b}) * e_{k} leaves the ideal"
     return None
+
+
+_LEFT = re.compile(r"e_(\d+) \* \(e_(\d+) - e_(\d+)\) leaves the ideal")
+_RIGHT = re.compile(r"\(e_(\d+) - e_(\d+)\) \* e_(\d+) leaves the ideal")
+
+
+def leaves_ideal(quotient, text, table=None):
+    """Whether the violation text names a difference e_a - e_b that lies
+    in I and a basis element e_k whose product with it, on the side
+    named, does not, on the dense table of L."""
+    if table is None:
+        table = dense_table(quotient.module)
+    cls = quotient._class
+    left, right = _LEFT.fullmatch(text), _RIGHT.fullmatch(text)
+    if left:
+        k, a, b = map(int, left.groups())
+        ka, kb = table[k][a], table[k][b]
+    else:
+        a, b, k = map(int, right.groups())
+        ka, kb = table[a][k], table[b][k]
+    return cls[a] == cls[b] and cls[ka] != cls[kb]
 
 
 _TABLES = weakref.WeakKeyDictionary()

@@ -4,11 +4,12 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from families import pair_groupoid_spec
 
-from groupoidal import catalog, inverse_semigroups, isomorphisms
+from groupoidal import catalog
 from groupoidal.cli import main
 
 
@@ -69,37 +70,39 @@ def test_theorem5_bound_exceeded(capsys):
     assert "bisection bound" in out
 
 
-def test_theorem5_builds_bisection_semigroup_once(monkeypatch, capsys):
-    calls = []
-    build = isomorphisms.bisection_semigroup
+ONCE_PER_THEOREM5 = [("inverse_semigroups", "bisection_semigroup"),
+                     ("inverse_semigroups", "natural_order"),
+                     ("inverse_semigroups", "validate_inverse_semigroup"),
+                     ("partial_actions", "validate_isg_partial_action")]
 
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
 
-    monkeypatch.setattr(isomorphisms, "bisection_semigroup", counted)
-    code, out, _ = run_cli(capsys, "theorem5", "two_z2")
+@pytest.mark.parametrize("name", ["two_z2", "pair_groupoid_3"])
+def test_theorem5_builds_each_structure_once(name, monkeypatch, capsys):
+    # Each function is counted at every module that imported it by name.
+    calls = Counter()
+    modules = [m for n, m in sys.modules.items()
+               if n == "groupoidal" or n.startswith("groupoidal.")]
+    for module_name, function in ONCE_PER_THEOREM5:
+        original = getattr(sys.modules[f"groupoidal.{module_name}"],
+                           function)
+
+        def counted(*args, original=original, function=function):
+            calls[function] += 1
+            return original(*args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    code, out, _ = run_cli(capsys, "theorem5", name)
     assert code == 0
-    assert len(calls) == 1
+    assert calls == Counter(dict.fromkeys(
+        (function for _, function in ONCE_PER_THEOREM5), 1))
     rows = [line.split(":")[0] for line in out.splitlines()
             if line.startswith("check ")]
     assert rows[:3] == ["check groupoid_axioms",
                         "check bisection_semigroup_axioms",
                         "check bisection_action_axioms"]
-
-
-def test_theorem5_computes_the_natural_order_once(monkeypatch, capsys):
-    calls = []
-    compute = inverse_semigroups.natural_order
-
-    def counted(*args):
-        calls.append(args)
-        return compute(*args)
-
-    monkeypatch.setattr(inverse_semigroups, "natural_order", counted)
-    code, _, _ = run_cli(capsys, "theorem5", "two_z2")
-    assert code == 0
-    assert len(calls) == 1
 
 
 RUNG_REPORT_SHA256 = \

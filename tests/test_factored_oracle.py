@@ -5,7 +5,7 @@ L is kept as row and column points plus the index table of the semigroup
 labels, as the module did before, with Light's test and the row-major
 homomorphism scan on top.  On the catalog, on the ladder (pair groupoids
 on up to 4 points, cyclic bundles, regular Z_n) and on seeded corruptions,
-the two must give the same products, verdicts, first triples and
+the two must give the same products, verdicts, named triples and
 certificate texts.  The corruptions include actions that break the
 composition law, where L fails to be associative: the premises of the
 associativity certificate are needed.
@@ -13,6 +13,7 @@ associativity certificate are needed.
 
 import itertools
 import random
+import re
 
 import pytest
 from dense_oracle import (dense_associativity, dense_homomorphism,
@@ -21,7 +22,7 @@ from dense_oracle import (dense_associativity, dense_homomorphism,
 from families import family_groupoids, regular_action
 
 from groupoidal import catalog
-from groupoidal.groupoid_core import FiniteGroupoid, composable_iff_matched
+from groupoidal.groupoid_core import FiniteGroupoid, composability_violation
 from groupoidal.groups import FiniteGroup
 from groupoidal.isomorphisms import (AlgebraMap, bisection_action, psi, rho,
                                      search_groupoid_isomorphism,
@@ -247,7 +248,7 @@ def test_corrupted_actions_give_the_dense_verdicts(Q):
     triples = [f for holds, f, _ in results
                if not holds and isinstance(f, tuple)]
     # The premises are needed: with the composition law broken, L is
-    # not associative, at many different first triples.
+    # not associative, at many different triples.
     assert len(triples) > 60
     assert len(set(triples)) > 10
     assert any(not holds and f is None for holds, f, _ in results)
@@ -262,8 +263,9 @@ def test_steinberg_algebra_refuses_composites_off_the_points(Q):
     compose = dict(g.compose_table)
     compose[(b, b)] = g.range(b)
     bad = FiniteGroupoid(g.arrows, g.units, g.inverse_table, compose)
-    assert not composable_iff_matched(bad)
-    with pytest.raises(ValueError, match="composable pairs"):
+    violation = f"({b}, {b}) composed but s({b}) != r({b})"
+    assert composability_violation(bad) == violation
+    with pytest.raises(ValueError, match=re.escape(violation)):
         SteinbergAlgebra(bad, Q)
 
 
@@ -279,7 +281,8 @@ def test_transformation_groupoids_compose_on_matched_points():
                 and validate_group_partial_action(a).ok]
     assert len(actions) > 100
     for action in actions:
-        assert composable_iff_matched(build_transformation_groupoid(action))
+        assert composability_violation(
+            build_transformation_groupoid(action)) is None
 
 
 def test_products_outside_l_raise_as_in_the_dense_table(Q):

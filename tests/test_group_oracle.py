@@ -4,10 +4,11 @@ the dict-table group it replaced.
 Kept verbatim as references, apart from their names: the dict-table
 `FiniteGroup`, whose validator runs the label-level associativity cube,
 `validate_group_table`, and the label-level `_element_order` and
-`_unit_profiles`.  The new code must give the same violation lists (so
-the same first failing triple), the same identity, inverses and index
-tables, and the same unit profiles, on the presets, the catalog, seeded
-corruptions, random small tables and generated partial actions.
+`_unit_profiles`.  The new code must give the same verdicts and the same
+violation lists, except that an associativity violation may name another
+triple that fails, the same identity, inverses and index tables, and the
+same unit profiles, on the presets, the catalog, seeded corruptions,
+random small tables and generated partial actions.
 """
 
 import random
@@ -253,13 +254,28 @@ def outcome(cls, elements, table):
         return str(exc)
 
 
+def assert_same_violations(violations, expected, table):
+    """The same violations, except that an associativity violation, the
+    only one, may name another triple that fails in the table."""
+    if expected and expected[0].startswith("associativity fails on"):
+        [violation] = violations
+        a, b, c = violation[len("associativity fails on ("):-1].split(", ")
+        assert table[(table[(a, b)], c)] != table[(a, table[(b, c)])]
+    else:
+        assert violations == expected
+
+
 def assert_same_group(elements, table):
-    assert (validate_group_table(elements, table).violations
-            == reference_validate_group_table(elements, table).violations)
+    assert_same_violations(
+        validate_group_table(elements, table).violations,
+        reference_validate_group_table(elements, table).violations, table)
     new, old = outcome(FiniteGroup, elements, table), \
         outcome(ReferenceGroup, elements, table)
     if isinstance(old, str):
-        assert new == old
+        prefix = "not a group: "
+        assert new.startswith(prefix) and old.startswith(prefix)
+        assert_same_violations([new[len(prefix):]], [old[len(prefix):]],
+                               table)
         return False
     assert new.identity == old.identity
     assert [new.inv(a) for a in elements] == [old.inv(a) for a in elements]
@@ -320,8 +336,11 @@ def test_parse_group_validates_once(monkeypatch):
     assert len(calls) == 1
     broken = {(a, b): c for (a, b), c in table.items()}
     broken[(elements[1], elements[2])] = elements[1]
-    first = reference_validate_group_table(elements, broken).first
-    assert str(exc.value) == f"group table is not a group: {first}"
+    prefix = "group table is not a group: "
+    assert str(exc.value).startswith(prefix)
+    assert_same_violations(
+        [str(exc.value)[len(prefix):]],
+        reference_validate_group_table(elements, broken).violations, broken)
 
 
 def test_unit_profiles_agree_on_the_catalog():

@@ -2,10 +2,12 @@
 
 `reference_validate_groupoid` is the validator that ran every check on
 arrow labels, kept verbatim.  The index version decides composability,
-cancellation, closure and associativity on the contracted table and
-reruns the label scans only on a failure, so its reports must be
-byte-equal: on the catalog, the transformation groupoids, the ladder,
-groupoids over a non-associative loop, and seeded corruptions.
+cancellation, closure and associativity on the contracted table, and a
+failing check names one violation where it failed.  So its reports must
+give the same verdict, and every violation it names must be in the
+reference's full list: on the catalog, the transformation groupoids, the
+ladder, groupoids over a non-associative loop, and seeded corruptions.
+Passing reports are byte-equal.
 """
 
 import itertools
@@ -166,6 +168,13 @@ def assert_equal_reports(g):
     return report
 
 
+def assert_reference_violations(report, expected):
+    """The same verdict, and every violation named is in the reference's
+    full list."""
+    assert report.ok == expected.ok
+    assert set(report.violations) <= set(expected.violations)
+
+
 def test_reports_equal_the_reference_on_the_ladder():
     for g in ladder():
         assert assert_equal_reports(g).ok, g.name
@@ -173,7 +182,9 @@ def test_reports_equal_the_reference_on_the_ladder():
 
 def test_non_associative_loops_give_the_reference_report():
     for units in (1, 2):
-        report = assert_equal_reports(steiner_loop_groupoid(units))
+        g = steiner_loop_groupoid(units)
+        report = validate_groupoid(g)
+        assert_reference_violations(report, reference_validate_groupoid(g))
         assert report.first.startswith("associativity fails on")
 
 
@@ -207,7 +218,7 @@ def test_corrupted_groupoids_give_the_reference_report():
     rng = random.Random(51)
     bases = [g for g in ladder() if g.compose_table]
     bases = bases[:40] + [steiner_loop_groupoid(1)]
-    seen = set()
+    seen, reached = set(), set()
     for _ in range(600):
         g = corrupted(rng.choice(bases), rng)
         try:
@@ -220,9 +231,15 @@ def test_corrupted_groupoids_give_the_reference_report():
                 continue
             raise AssertionError("the index validator did not raise")
         report = validate_groupoid(g)
-        assert report.violations == expected.violations
+        assert_reference_violations(report, expected)
+        if any(v.startswith("composability") for v in expected.violations):
+            # Cancellation gives closure, so where closure fails
+            # cancellation fails too, and is named first.
+            assert report.first.startswith("cancellation")
         seen.update(v.split(" ")[0] for v in report.violations)
-    assert {"cancellation", "associativity", "composability", "units",
-            "range", "inverse"} <= seen
+        reached.update(v.split(" ")[0] for v in expected.violations)
+    assert {"cancellation", "associativity", "units", "range",
+            "inverse"} <= seen
+    assert "composability" in reached
     # "(b, c) composed but s(b) != r(c)" and "... but no composite".
     assert any(word.startswith("(") for word in seen)

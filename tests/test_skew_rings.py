@@ -211,7 +211,7 @@ def test_one_sided_congruence_is_refused(Q):
     # Identify ({u},u) with ({v},v): e_0 e_0 = e_0 but e_0 e_1 = 0.
     assert module.basis_labels[:2] == [(frozenset({"u"}), "u"),
                                        (frozenset({"v"}), "v")]
-    fake = IdealCongruence(module, [(0, 1)], [1, 1, 2, 3])
+    fake = IdealCongruence(module, 1, [1, 1, 2, 3])
     with pytest.raises(ValueError, match="not two-sided"):
         build_quotient(module, fake)
 
