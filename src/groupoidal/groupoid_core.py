@@ -240,13 +240,6 @@ def is_topologically_principal(g):
     return (not offenders, tuple(offenders))
 
 
-def is_bisection(g, arrow_set):
-    """True iff range and source are both injective on the subset."""
-    ranges = [g.range(a) for a in arrow_set]
-    sources = [g.source(a) for a in arrow_set]
-    return len(set(ranges)) == len(ranges) and len(set(sources)) == len(sources)
-
-
 def enumerate_bisections(g, bound=DEFAULT_BISECTION_BOUND):
     """All bisections of g, in ascending bitmask order over the canonical
     arrow order (so the empty set comes first and the result is stable).

@@ -1,9 +1,10 @@
 """The paper's formulas computed on labels, as references for the index
 arithmetic of the engine.
 
-- Bisections as sets of arrows: BC = {bc : b in B, c in C, s(b) = r(c)},
-  B^-1 and s(B).  `bisection_semigroup` computes its products on arrow
-  bitmasks and must agree.
+- Bisections as sets of arrows, on which range and source are injective
+  (`is_bisection`): BC = {bc : b in B, c in C, s(b) = r(c)}, B^-1 and
+  s(B).  `bisection_semigroup` computes its products on arrow bitmasks
+  and must agree.
 - Formal sums a_s delta_s over a partial action, with functions on the
   space as coefficients, and the twisted product
   (a_s delta_s)(a_t delta_t) = alpha_s(alpha_{s*}(a_s) a_t) delta_{st}.
@@ -14,9 +15,15 @@ arithmetic of the engine.
   rho's targets, and must give the same rows.
 """
 
-from groupoidal.groupoid_core import is_bisection
 from groupoidal.steinberg_algebra import GroupoidFunction
 from groupoidal.validation import stable
+
+
+def is_bisection(g, arrow_set):
+    """True iff range and source are both injective on the subset."""
+    ranges = [g.range(a) for a in arrow_set]
+    sources = [g.source(a) for a in arrow_set]
+    return len(set(ranges)) == len(ranges) and len(set(sources)) == len(sources)
 
 
 def bisection_product(g, bis_b, bis_c):

@@ -10,10 +10,11 @@ import time
 from dense_oracle import (apply, from_vector, skew_ring, table_of,
                           to_vector)
 from families import idempotents
-from formula_oracle import bisection_inverse, bisection_product, rho_inverse
+from formula_oracle import (bisection_inverse, bisection_product,
+                            is_bisection, rho_inverse)
 
 from groupoidal import catalog
-from groupoidal.groupoid_core import (enumerate_bisections, is_bisection,
+from groupoidal.groupoid_core import (enumerate_bisections,
                                       is_topologically_principal,
                                       validate_groupoid)
 from groupoidal.inverse_semigroups import (bisection_semigroup, natural_order,

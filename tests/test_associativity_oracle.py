@@ -2,7 +2,10 @@
 
 `reference_cube` is the n^3 cube that decided associativity before Light's
 test, kept verbatim over list rows; `reference_validator` is the inverse
-semigroup validator that ran on product dicts, kept verbatim.
+semigroup validator that ran on product dicts, kept verbatim; the fast
+one, which checks that a* is an inverse of a and that the idempotents
+commute, but not that inverses are unique, must give its verdict
+and name only faults the table has (`real_violations`).
 `reference_generators` states the generator rule of `light_generators`
 with the closure recomputed in full, and `smallest_missing_generators` the
 rule it replaced, which bounds the size of G.  The fast
@@ -169,6 +172,26 @@ def reference_validator(s):
             if s.mul(e, f) != s.mul(f, e):
                 report.add(f"idempotents {e} and {f} do not commute")
     return report
+
+
+def real_violations(s):
+    """Every text validate_inverse_semigroup may give past associativity,
+    for a fault the dict semigroup has: a star entry missing, a named a*
+    failing a a* a = a or a* a a* = a*, or two idempotents that do not
+    commute."""
+    eset = set(s.elements)
+    texts = set()
+    for a in s.elements:
+        t = s._star.get(a)
+        if t not in eset:
+            texts.add(f"star missing or not an element for {a}")
+        elif s.mul(s.mul(a, t), a) != a or s.mul(s.mul(t, a), t) != t:
+            texts.add(f"star table names {t} for {a}, "
+                      f"which is not an inverse of it")
+    idem = s.idempotents()
+    texts.update(f"idempotents {e} and {f} do not commute"
+                 for e in idem for f in idem if s.mul(e, f) != s.mul(f, e))
+    return texts
 
 
 def as_lists(table):
@@ -338,9 +361,10 @@ def test_pseudo_inverse_reports_equal_the_reference(star_of):
     else:
         star = dict(list(star.items())[:-2])
     s = semigroup_from_products(elements, table, star, name="I3")
-    expected = reference_validator(DictSemigroup("I3", elements, table, star))
-    assert not expected.ok
-    assert validate_inverse_semigroup(s).violations == expected.violations
+    reference = DictSemigroup("I3", elements, table, star)
+    assert not reference_validator(reference).ok
+    violations = validate_inverse_semigroup(s).violations
+    assert violations and set(violations) <= real_violations(reference)
 
 
 @pytest.mark.parametrize("n, code", [(0, "h"), (1, "h"), (32767, "h"),

@@ -79,7 +79,9 @@ ONCE_PER_THEOREM5 = [("inverse_semigroups", "bisection_semigroup"),
 @pytest.mark.parametrize("name", ["two_z2", "pair_groupoid_3"])
 def test_theorem5_builds_each_structure_once(name, monkeypatch, capsys):
     # Each function is counted at every module that imported it by name.
-    calls = Counter()
+    # natural_order needs a semigroup that passed the validator, so the
+    # validator runs first.
+    calls, order = Counter(), []
     modules = [m for n, m in sys.modules.items()
                if n == "groupoidal" or n.startswith("groupoidal.")]
     for module_name, function in ONCE_PER_THEOREM5:
@@ -88,6 +90,7 @@ def test_theorem5_builds_each_structure_once(name, monkeypatch, capsys):
 
         def counted(*args, original=original, function=function):
             calls[function] += 1
+            order.append(function)
             return original(*args)
 
         for module in modules:
@@ -98,6 +101,8 @@ def test_theorem5_builds_each_structure_once(name, monkeypatch, capsys):
     assert code == 0
     assert calls == Counter(dict.fromkeys(
         (function for _, function in ONCE_PER_THEOREM5), 1))
+    assert order.index("validate_inverse_semigroup") < \
+        order.index("natural_order")
     rows = [line.split(":")[0] for line in out.splitlines()
             if line.startswith("check ")]
     assert rows[:3] == ["check groupoid_axioms",

@@ -1,10 +1,11 @@
 import pytest
 from families import family_groupoids
-from formula_oracle import bisection_inverse, bisection_product, source_set
+from formula_oracle import (bisection_inverse, bisection_product,
+                            is_bisection, source_set)
 
 from groupoidal import catalog
 from groupoidal.groupoid_core import (FiniteGroupoid, enumerate_bisections,
-                                      is_bisection, is_topologically_principal,
+                                      is_topologically_principal,
                                       isotropy_group, range_set,
                                       validate_groupoid)
 from groupoidal.transformation_groupoid import build_transformation_groupoid

@@ -7,10 +7,13 @@ over the ideal's generators, on dense rows; `reference_composition`,
 composition law, the monotonicity loop and the natural order over
 element labels, all kept verbatim.  The index versions must give the
 same verdict, on the catalog, on the 16-arrow pair groupoid and on
-seeded corruptions.  The natural order and passing reports are
-byte-equal, and so are exception texts.  A failing two-sidedness check
-names a product that leaves the ideal on the dense rows; a failing
-action report names only violations in the reference's full list.
+seeded corruptions.  Passing reports are byte-equal, and so are
+exception texts.  The natural order needs a semigroup that passed
+`validate_inverse_semigroup`; on each one, among them random inverse
+subsemigroups of I(3) and I(4), it has the reference's pairs.  A failing
+two-sidedness check names a product that leaves the ideal on the dense
+rows; a failing action report names only violations in the reference's
+full list.
 """
 
 import copy
@@ -23,7 +26,8 @@ from families import (idempotents, pair_groupoid_spec, parse,
 from groupoidal import catalog
 from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
                                            NaturalOrder, bisection_semigroup,
-                                           natural_order)
+                                           natural_order,
+                                           validate_inverse_semigroup)
 from groupoidal.isomorphisms import bisection_action
 from groupoidal.partial_actions import (SemigroupPartialAction,
                                         _validate_maps,
@@ -101,14 +105,12 @@ def reference_natural_order(s):
 
 
 def outcome(fn, *args):
-    """The report's violations or the order's pairs, or the exception's
-    type and text."""
+    """The report's violations, or the exception's type and text."""
     try:
         result = fn(*args)
     except (KeyError, ValueError) as exc:
         return (type(exc).__name__, str(exc))
-    return result.pairs if isinstance(result, NaturalOrder) \
-        else result.violations
+    return result.violations
 
 
 def reference_isg(action):
@@ -322,8 +324,8 @@ def test_action_reports_equal_the_reference_on_the_catalog():
 def corrupt_action(action, rng):
     """A copy of a bisection action with 1 or 2 changes: an idempotent
     acting on one point fewer or more (its map stays the identity, so the
-    maps stay consistent), a permuted map with its inverse to match, or a
-    map value or domain changed outright."""
+    maps stay consistent), a map permuted on the values it takes, with its
+    inverse to match, or a map value or domain changed outright."""
     s, space = action.semigroup, action.space
     domains = {e: set(d) for e, d in action.domains.items()}
     maps = {e: dict(m) for e, m in action.maps.items()}
@@ -338,7 +340,7 @@ def corrupt_action(action, rng):
             maps[e] = {x: x for x in domains[e]}
         elif kind == 2:
             a = rng.choice(s.elements)
-            image = sorted(domains[a])
+            image = sorted(set(maps[a].values()))
             shuffled = rng.sample(image, len(image))
             swap = dict(zip(image, shuffled))
             maps[a] = {x: swap[y] for x, y in maps[a].items()}
@@ -398,11 +400,46 @@ def test_natural_order_equals_the_reference_on_the_catalog():
         assert natural_order(s).pairs == reference_natural_order(s).pairs
 
 
+I3, I4 = symmetric_inverse_monoid(range(3)), symmetric_inverse_monoid(range(4))
+
+
+def random_inverse_subsemigroup(rng):
+    """The inverse subsemigroup of I(3) or I(4) generated by 1 to 3 random
+    partial bijections: their closure, with their inverses, under
+    composition."""
+    monoid = rng.choice([I3, I4])
+    table, star = monoid.table, monoid.star_table
+    closure = set()
+    for i in rng.sample(range(monoid.order), rng.randint(1, 3)):
+        closure |= {i, star[i]}
+    grown = True
+    while grown:
+        products = {table[i][j] for i in closure for j in closure}
+        grown = not products <= closure
+        closure |= products
+    kept = sorted(closure)
+    position = {i: k for k, i in enumerate(kept)}
+    return FiniteInverseSemigroup(
+        [monoid.elements[i] for i in kept],
+        [index_row(len(kept), [position[table[i][j]] for j in kept])
+         for i in kept],
+        [position[star[i]] for i in kept], name="sub")
+
+
+def assert_orders_agree(s):
+    """On a semigroup that passes the validator, the reference finds a
+    partial order and natural_order gives its pairs.  Returns whether s
+    passed."""
+    valid = validate_inverse_semigroup(s).ok
+    if valid:
+        assert natural_order(s).pairs == reference_natural_order(s).pairs
+    return valid
+
+
 def test_corrupted_i3_natural_orders_equal_the_reference():
-    s = symmetric_inverse_monoid(range(3))
+    s = I3
     n = s.order
     rng = random.Random(20)
-    kinds = set()
     for trial in range(150):
         corrupted = copy.copy(s)
         corrupted.table = [row[:] for row in s.table]
@@ -419,23 +456,21 @@ def test_corrupted_i3_natural_orders_equal_the_reference():
                     corrupted.star_table[i] = rng.randrange(n)
                 else:
                     corrupted.table[i][rng.randrange(n)] = rng.randrange(n)
-        fast = outcome(natural_order, corrupted)
-        assert fast == outcome(reference_natural_order, corrupted)
-        kinds.add(fast[0] if isinstance(fast, tuple) else "order")
-        if isinstance(fast, tuple) and fast[0] == "ValueError":
-            kinds.add(fast[1].split(" on ")[0].split(" at ")[0])
-    assert kinds == {"KeyError", "ValueError", "order",
-                     "order characterizations disagree",
-                     "natural order is not reflexive"}
+        assert_orders_agree(corrupted)
+        assert assert_orders_agree(random_inverse_subsemigroup(rng))
 
 
 def test_random_small_natural_orders_equal_the_reference():
     rng = random.Random(21)
+    passed = 0
     for _ in range(500):
         n = rng.randint(1, 4)
         table = [index_row(n, [rng.randrange(n) for _ in range(n)])
                  for _ in range(n)]
         star = [rng.randrange(n) for _ in range(n)]
         s = FiniteInverseSemigroup([f"x{i}" for i in range(n)], table, star)
-        assert outcome(natural_order, s) == \
-            outcome(reference_natural_order, s)
+        passed += assert_orders_agree(s)
+    # The one-element tables pass, and a few larger ones.
+    assert passed > 100
+    for _ in range(50):
+        assert assert_orders_agree(random_inverse_subsemigroup(rng))

@@ -2,6 +2,8 @@ import pytest
 from families import (PartialBijection, family_groupoids, idempotents,
                       semigroup_from_products, symmetric_inverse_monoid)
 from formula_oracle import bisection_inverse, bisection_product
+from test_associativity_oracle import (DictSemigroup, real_violations,
+                                       reference_validator)
 
 from groupoidal import catalog
 from groupoidal.groups import FiniteGroup
@@ -23,13 +25,20 @@ def test_catalog_semigroups_valid():
 
 
 def test_left_zero_band_has_non_unique_pseudo_inverses():
-    # in a left-zero band every element is a pseudo-inverse of every other
-    elements = ["a", "b"]
+    # In a left-zero band every element is a pseudo-inverse of every other.
+    # Each star entry is one of them, so the fault is named where it shows
+    # in the table: the idempotents a and b do not commute.
+    elements, star = ["a", "b"], {"a": "a", "b": "b"}
     table = {(x, y): x for x in elements for y in elements}
-    s = semigroup_from_products(elements, table, {"a": "a", "b": "b"})
-    report = validate_inverse_semigroup(s)
-    assert not report.ok
-    assert "pseudo-inverse" in report.first
+    band = DictSemigroup("band", elements, table, star)
+    assert reference_validator(band).violations == [
+        "a has 2 pseudo-inverses: ['a', 'b']",
+        "b has 2 pseudo-inverses: ['a', 'b']"]
+    report = validate_inverse_semigroup(
+        semigroup_from_products(elements, table, star))
+    assert report.violations == ["idempotents a and b do not commute",
+                                 "idempotents b and a do not commute"]
+    assert set(report.violations) <= real_violations(band)
 
 
 def test_values_outside_the_elements_are_refused():

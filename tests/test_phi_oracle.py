@@ -1,12 +1,14 @@
-"""phi on class ids and the induced action as a point map, against the
-vector-based code they replaced.
+"""phi on class ids and the induced action, against the vector-based code
+they replaced.
 
 Kept verbatim as references: `class_of` (a vector of L summed over each
 class of L/I), the label-based `disjoint_decomposition`, the dense `phi`,
 `verify_phi_left_inverse`, `verify_phi_additive`, `_random_function` and
 the pairwise `induce_algebra_action`.  The new paths must give the same
 values, the same verdicts and texts, and draw the same random numbers, on
-the catalog, on the 16-arrow pair groupoid and on seeded corruptions.
+the catalog, on the 16-arrow pair groupoid and on seeded corruptions.  The
+induced action checks nothing, so it is compared on the actions that pass
+their validator.
 """
 
 import copy
@@ -16,15 +18,18 @@ import pytest
 
 from dense_oracle import phi
 from families import pair_groupoid_spec, parse
-from formula_oracle import SpaceFunction, alpha
+from formula_oracle import SpaceFunction, alpha, is_bisection
 
 from groupoidal import catalog, ring_from_tag
-from groupoidal.groupoid_core import is_bisection, range_set
+from groupoidal.groupoid_core import range_set
 from groupoidal.isomorphisms import (bisection_action, phi_classes, psi,
                                      verify_phi_additive,
                                      verify_phi_left_inverse)
 from groupoidal.partial_actions import (AlgebraPartialAction,
-                                        induce_algebra_action)
+                                        SemigroupPartialAction,
+                                        induce_algebra_action,
+                                        validate_group_partial_action,
+                                        validate_isg_partial_action)
 from groupoidal.scalars import zero_vector
 from groupoidal.steinberg_algebra import (GroupoidFunction,
                                           disjoint_decomposition)
@@ -281,18 +286,19 @@ def corrupt_maps(action, rng):
 
 
 def test_corrupted_actions_raise_the_reference_texts(Q):
-    """The corruptions reach every text the pairwise loop can raise, and
-    KeyError.  "is not multiplicative" is not among them: once each point
-    of X_{s*} has one preimage, distinct points have distinct images, in
-    both paths."""
+    """induce_algebra_action checks nothing: it needs an action that passed
+    its validator.  On every corruption that passes, the pairwise loop
+    builds the induced action too, so nothing it raises is lost."""
     base = [a for a in catalog_actions() if len(a.space) > 1]
     rng = random.Random(8)
-    kinds = ("ok", "KeyError", "does not permute point masses", "is not onto")
-    seen = set()
+    passed = 0
     for trial in range(400):
         action = corrupt_maps(base[trial % len(base)], rng)
-        fast = induced(induce_algebra_action, action, Q)
-        assert fast == induced(reference_induce, action, Q), trial
-        text = fast[1] if fast[0] == "ValueError" else fast[0]
-        seen.add(next((k for k in kinds if k in text), text))
-    assert seen == set(kinds)
+        validator = (validate_isg_partial_action
+                     if isinstance(action, SemigroupPartialAction)
+                     else validate_group_partial_action)
+        if validator(action).ok:
+            assert induced(induce_algebra_action, action, Q) == \
+                induced(reference_induce, action, Q) == ("ok",), trial
+            passed += 1
+    assert passed > 40

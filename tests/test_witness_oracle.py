@@ -104,11 +104,7 @@ def test_table_triples_fail_in_the_dense_table(tables, data, rng):
 @SETTINGS
 @given(st.data(), st.randoms(use_true_random=False))
 def test_action_violations_are_in_the_reference_list(actions, data, rng):
-    try:
-        action = corrupt_action(data.draw(st.sampled_from(actions)), rng)
-    except KeyError:
-        # A map permuted over a domain an earlier change altered.
-        return
+    action = corrupt_action(data.draw(st.sampled_from(actions)), rng)
     assert_reference_outcome(*validate(action))
 
 
