@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .scalars import index_row, light_generators, points_at
+from .scalars import BasedAlgebra
 from .validation import BoundExceeded, ValidationReport
 
 DEFAULT_BISECTION_BOUND = 16
@@ -78,9 +78,18 @@ class FiniteGroupoid:
 
 def validate_groupoid(g):
     """Exhaustively check the groupoid axioms.  The checks on units,
-    inverses, range, source and the table's entries, and the unit laws,
-    report every violation; composability, cancellation and associativity
-    each report one, where their check failed."""
+    inverses, range, source and the table's entries report every
+    violation; composability, cancellation and associativity each report
+    one, where their check failed.
+
+    The unit laws need no check of their own once composability and
+    cancellation hold.  Cancellation on (b, b^-1), whose composite is
+    r(b), gives r(b) b = b and b^-1 r(b) = b^-1; on (b^-1, b) it gives
+    b s(b) = b.  For a unit u = r(b), composability of (u, b) gives
+    s(u) = r(b) = u, and of (b^-1, u) gives r(u) = s(b^-1) = u.  Then
+    cancellation on (u, u^-1), whose composite is r(u) = u, gives
+    u^-1 u = u^-1, and u^-1 u = s(u) = u, so u^-1 = u.  Every unit is
+    some r(b), as the units are the image of range and source."""
     report = ValidationReport(f"groupoid {g.name}")
     arrows = g.arrows
     aset = set(arrows)
@@ -120,22 +129,16 @@ def validate_groupoid(g):
     if not report.ok:
         return report
 
-    # Decided on the contracted table; each check names the violation
-    # at which it failed.
-    violation = composability_violation(g) or _associativity_violation(g)
+    # Each check names the violation at which it failed; cancellation
+    # gives the closure that Light's test needs.
+    violation = composability_violation(g) or _cancellation_violation(g)
+    if violation is None:
+        triple = GroupoidProduct(g).associativity_counterexample()
+        if triple is not None:
+            x, z, y = (arrows[i] for i in triple)
+            violation = f"associativity fails on ({x}, {z}, {y})"
     if violation is not None:
         report.add(violation)
-        return report
-
-    # Unit laws follow from the axioms; checking them gives sharper reports.
-    for u in g.units:
-        if g.inverse(u) != u or g.range(u) != u or g.source(u) != u:
-            report.add(f"unit {u} is not idempotent under inverse/range/source")
-    for b in arrows:
-        if g.compose_table.get((g.range(b), b)) != b:
-            report.add(f"r({b}) does not act as a left unit on {b}")
-        if g.compose_table.get((b, g.source(b))) != b:
-            report.add(f"s({b}) does not act as a right unit on {b}")
     return report
 
 
@@ -161,51 +164,42 @@ def composability_violation(g):
     return f"({b}, {c}) has s({b}) = r({c}) but no composite"
 
 
-def composition_table(g):
-    """The contracted semigroup G u {0} on arrow indices: row b holds the
-    index of bc at c, and -1 where (b, c) is not composable."""
-    idx = g._index
-    blank = index_row(g.n_arrows, [-1]) * g.n_arrows
-    table = [blank[:] for _ in g.arrows]
-    for (b, c), d in g.compose_table.items():
-        table[idx[b]][idx[c]] = idx[d]
-    return table
-
-
-def _associativity_violation(g):
-    """Cancellation, closure and associativity, for composability
-    s(b) = r(c): None when they hold, else the first cancellation failure
-    or the triple (x, z, y) at which Light's test failed.  Cancellation
-    makes b^-1 (bc) and (bc) c^-1 defined, so r(bc) = r(b) and
-    s(bc) = s(c), and closure follows.  Associativity is Light's test
-    (see table_associativity_counterexample) on the contracted table,
-    where a generator z needs only the x with s(x) = r(z) and the y with
-    r(y) = s(z): otherwise (xz)y and x(zy) are both 0.  With closure,
-    both are defined for those x and y."""
-    idx, arrows = g._index, g.arrows
-    table = composition_table(g)
-    inverse = [idx[g.inverse_table[a]] for a in arrows]
-    for (b, c), d in g.compose_table.items():
-        i, j, k = idx[b], idx[c], idx[d]
-        if table[inverse[i]][k] != j:
+def _cancellation_violation(g):
+    """None when b^-1 (bc) = c and (bc) c^-1 = b for every composable
+    pair, else the first failure.  Then r(bc) = r(b) and s(bc) = s(c)."""
+    compose, inverse = g.compose_table, g.inverse_table
+    for (b, c), d in compose.items():
+        if compose.get((inverse[b], d)) != c:
             return f"cancellation fails: {b}^-1 ({b}{c}) != {c}"
-        if table[k][inverse[j]] != i:
+        if compose.get((d, inverse[c])) != b:
             return f"cancellation fails: ({b}{c}) {c}^-1 != {b}"
-    source = [g._source[a] for a in arrows]
-    range_ = [g._range[a] for a in arrows]
-    rows_at, columns_at = points_at(source), points_at(range_)
-    for z in light_generators(table):
-        ys = columns_at[source[z]]
-        zys = list(map(table[z].__getitem__, ys))
-        for x in rows_at[range_[z]]:
-            row_x = table[x]
-            left = list(map(table[row_x[z]].__getitem__, ys))
-            right = list(map(row_x.__getitem__, zys))
-            if left != right:
-                y = next(y for y, a, b in zip(ys, left, right) if a != b)
-                return (f"associativity fails on "
-                        f"({arrows[x]}, {arrows[z]}, {arrows[y]})")
     return None
+
+
+class GroupoidProduct(BasedAlgebra):
+    """The contracted semigroup G u {0} as a based algebra on the arrow
+    indices, in the canonical arrow order: e_b e_c = e_{bc} when
+    s(b) = r(c), and 0 otherwise.  So the row point of b is s(b) and the
+    column point of c is r(c), and each row keeps only its nonzero
+    composites, |compose| entries in all.  g must pass
+    composability_violation: every matched pair has a composite."""
+
+    def __init__(self, g):
+        self.groupoid = g
+        arrows = self.basis_labels = list(g.arrows)
+        self.dim = len(arrows)
+        self._set_points([g.source(a) for a in arrows],
+                         [g.range(a) for a in arrows])
+        index, compose = g._index, g.compose_table
+        self._rows = [[index[compose[(b, arrows[c])]]
+                       for c in self.at_point.get(p, ())]
+                      for b, p in zip(arrows, self.row_points)]
+
+    def _composite(self, i, j):
+        return self._rows[i][self.place[j]]
+
+    def row_products(self, i):
+        return self._rows[i]
 
 
 def isotropy_group(g, u):

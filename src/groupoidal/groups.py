@@ -4,7 +4,7 @@ whose table is total and which have one idempotent, the identity."""
 from __future__ import annotations
 
 from .inverse_semigroups import FiniteInverseSemigroup
-from .scalars import index_row, table_associativity_counterexample
+from .scalars import DenseTable, index_row
 from .validation import ValidationReport
 
 
@@ -56,9 +56,9 @@ def _index_table(elements, table):
 def validate_group_table(elements, table):
     """Exhaustively check that (elements, table) is a finite group, given
     distinct element names: every entry present and an element, then, on
-    the index table, associativity (by Light's test, see
-    table_associativity_counterexample), one two-sided identity, and an
-    inverse for every element."""
+    the index table, associativity (by Light's test on its one-point view,
+    see BasedAlgebra.associativity_counterexample), one two-sided
+    identity, and an inverse for every element."""
     report = ValidationReport("group table")
     elems = list(elements)
     eset = set(elems)
@@ -72,7 +72,7 @@ def validate_group_table(elements, table):
     if not report.ok:
         return report
     rows = _index_table(elems, table)
-    counter = table_associativity_counterexample(rows)
+    counter = DenseTable(rows).associativity_counterexample()
     if counter is not None:
         a, b, c = (elems[i] for i in counter)
         report.add(f"associativity fails on ({a}, {b}, {c})")

@@ -5,7 +5,7 @@ semigroup of bisections of a finite groupoid."""
 from __future__ import annotations
 
 from .groupoid_core import enumerate_bisections, DEFAULT_BISECTION_BOUND
-from .scalars import index_row, table_associativity_counterexample
+from .scalars import DenseTable, index_row
 from .validation import ValidationReport
 
 
@@ -94,10 +94,10 @@ def _idempotent_indices(table):
 
 
 def validate_inverse_semigroup(s):
-    """Check associativity (by Light's test, see
-    table_associativity_counterexample), that the star table names an
-    inverse of each element (a a* a = a and a* a a* = a*), and that the
-    idempotents commute, all on the index tables.
+    """Check associativity (by Light's test on the table's one-point view,
+    see BasedAlgebra.associativity_counterexample), that the star table
+    names an inverse of each element (a a* a = a and a* a a* = a*), and
+    that the idempotents commute, all on the index tables.
 
     A semigroup in which every element has an inverse and the idempotents
     commute is an inverse semigroup (Howie, Fundamentals of Semigroup
@@ -117,7 +117,7 @@ def validate_inverse_semigroup(s):
     if not report.ok:
         return report
 
-    counter = table_associativity_counterexample(table)
+    counter = DenseTable(table).associativity_counterexample()
     if counter is not None:
         a, b, c = (elems[i] for i in counter)
         report.add(f"associativity fails on ({a}, {b}, {c})")

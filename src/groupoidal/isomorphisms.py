@@ -579,7 +579,9 @@ def psi(groupoid, ring, bisection_bound=DEFAULT_BISECTION_BOUND):
     multiplicative and surjective, vanishes on the ideal, and descends to
     the certified isomorphism psi_tilde on the quotient.  The semigroup
     and action validators run here, once, as the premises of L's
-    associativity (module.premises).  Works over any scalar ring.
+    associativity (module.premises).  groupoid must pass
+    validate_groupoid; then both premises pass and module.associative
+    is True.  Works over any scalar ring.
     """
     semigroup = bisection_semigroup(groupoid, bisection_bound)
     semigroup_report = validate_inverse_semigroup(semigroup)

@@ -171,8 +171,16 @@ def validate_group_partial_action(action):
 
 def validate_isg_partial_action(action):
     """Exhaustively check the inverse semigroup partial action axioms,
-    including monotonicity along the natural order and, when the semigroup
-    has a unit, the convention that the unit acts globally as identity."""
+    and, when the semigroup has a unit, the convention that the unit acts
+    globally as identity.
+
+    Monotonicity along the natural order (s <= t gives X_s inside X_t)
+    follows from the laws checked.  For an idempotent e, the composition
+    law on (e, e) gives theta_e theta_e = theta_e on X_e, so theta_e,
+    being injective, is the identity on X_e.  The intertwining law on
+    (s, s*) gives X_s = theta_s(X_{s*}) = X_s & X_{ss*}, so X_s lies in
+    X_{ss*}.  For s <= t, s = ss* t, and the intertwining law on (ss*, t)
+    gives X_{ss*} & X_t = X_{ss*} & X_s = X_s, so X_s lies in X_t."""
     report = ValidationReport(f"partial action {action.name}")
     s = action.semigroup
     unit = s.unit
@@ -184,13 +192,6 @@ def validate_isg_partial_action(action):
     _validate_maps(action, report)
     if not report.ok:
         return report
-    elements, domains = s.elements, action.domains
-    for i, j in sorted((s.index(a), s.index(b))
-                       for a, b in s.natural_order().pairs if a != b):
-        a, b = elements[i], elements[j]
-        if not domains[a] <= domains[b]:
-            report.add(f"monotonicity fails: {stable(a)} <= {stable(b)} but "
-                       f"X_{{{stable(a)}}} is not contained in X_{{{stable(b)}}}")
     _validate_composition(action, report)
     return report
 

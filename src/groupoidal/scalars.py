@@ -10,6 +10,7 @@ integers as Python ints, and residues mod n as ints in [0, n).
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
 
@@ -207,8 +208,8 @@ def zero_vector(ring, length):
 
 # Based algebras whose basis products are single basis elements or zero
 # (0/1 monomial structure constants).  A dense product table, where one is
-# built, has table[i][j] the index k with e_i e_j = e_k, or -1 when
-# e_i e_j = 0; its rows are arrays built by index_row.
+# kept, has table[i][j] the index k with e_i e_j = e_k; its rows are arrays
+# built by index_row.
 
 def index_typecode(n):
     """The array typecode for the indices below n and -1: 16-bit while n
@@ -237,14 +238,20 @@ class BasedAlgebra:
     """A based algebra with 0/1 structure constants, factored by points:
     e_i e_j is nonzero exactly when row_points[i] equals col_points[j],
     and then it is e_k for k = _composite(i, j).  at_point maps a point to
-    the columns carrying it, in increasing order.  A subclass sets the
-    points with _set_points, the dimension dim, and defines _composite,
-    which is read only where the points match."""
+    the columns carrying it, in increasing order, and place[j] is the
+    position of column j there, so that e_i e_j is e_k for
+    k = row_products(i)[place[j]] where it is nonzero.  A subclass sets
+    the points with _set_points, the dimension dim, and defines
+    _composite, which is read only where the points match."""
 
     def _set_points(self, row_points, col_points):
         self.row_points = row_points
         self.col_points = col_points
         self.at_point = points_at(col_points)
+        self.place = [0] * len(col_points)
+        for columns in self.at_point.values():
+            for place, j in enumerate(columns):
+                self.place[j] = place
 
     def product(self, i, j):
         """The index of e_i e_j, or -1 when it is zero."""
@@ -257,33 +264,92 @@ class BasedAlgebra:
         return [self._composite(i, j)
                 for j in self.at_point.get(self.row_points[i], ())]
 
-    def row(self, i):
-        """The products e_i e_j over all j, -1 where zero."""
-        row = [-1] * self.dim
-        for j, k in zip(self.at_point.get(self.row_points[i], ()),
-                        self.row_products(i)):
-            row[j] = k
-        return row
+    def associativity_counterexample(self):
+        """A basis triple (x, g, y) with (e_x e_g) e_y != e_x (e_g e_y),
+        or None when the algebra is associative.  The precondition is
+        closure: a nonzero e_i e_j has the column point of e_i and the row
+        point of e_j.
+
+        Light's test (Clifford and Preston, The Algebraic Theory of
+        Semigroups I, 1961, section 1.2): let M be the basis with a zero 0
+        adjoined, and A the set of b in M with (x b) y = x (b y) for all
+        x, y in M.  0 is in A, and A is closed under products: for b, c
+        in A, (x (bc)) y = ((x b) c) y = (x b)(c y) = x (b (c y)) =
+        x ((b c) y).  So if the generators light_generators(self) of M
+        lie in A, M is associative; as products with 0 are 0, x and y
+        range over the basis.
+
+        With closure, (e_x e_g) e_y is nonzero iff the row point of x is
+        the column point of g and the column point of y is the row point
+        of e_x e_g, that of g; e_x (e_g e_y) is nonzero under the same two
+        conditions, as e_g e_y has the column point of g.  So g needs only
+        those x and y, for any other both sides being 0.  The left side
+        is then row_products(e_x e_g), and the right side reads row x at
+        the places of the products e_g e_y.  The loop runs over the
+        generators, then x, then y; the triple named is the first where
+        the sides differ, a true counterexample, not always the
+        lexicographically first.
+        """
+        rows_at = points_at(self.row_points)
+        place = self.place
+        for g in light_generators(self):
+            ys = self.at_point.get(self.row_points[g])
+            if ys is None:
+                continue
+            places = [place[k] for k in self.row_products(g)]
+            # gather(row_x) is the tuple (e_x (e_g e_y))_y.
+            gather = (itemgetter(*places) if len(places) > 1
+                      else lambda row, p=places[0]: (row[p],))
+            for x in rows_at.get(self.col_points[g], ()):
+                row_x = self.row_products(x)
+                left = tuple(self.row_products(row_x[place[g]]))
+                right = gather(row_x)
+                if left != right:
+                    return (x, g, next(y for y, a, b in zip(ys, left, right)
+                                       if a != b))
+        return None
 
 
-def light_generators(table):
-    """A generating set G of the magma on the basis indices, read off the
-    table.  Candidates are taken in ascending order of how often they occur
-    as a product, ties by index, so the indices that are no product come
-    first; a candidate already inside the magma closure of G is skipped.
-    Rarely produced indices are the ones few products reach, and once they
-    are in, their products tend to cover the common ones.  A zero product
-    (-1) is not an index and is never added."""
-    n = len(table)
-    # The last slot tallies the zero products (-1).
-    counts = [0] * (n + 1)
-    for row in table:
-        for k in row:
-            counts[k] += 1
+class DenseTable(BasedAlgebra):
+    """A total index table, table[i][j] the index of e_i e_j with no -1
+    entry (a group's or an inverse semigroup's), as the one-point based
+    algebra: every product is nonzero, so closure holds."""
+
+    def __init__(self, table):
+        self.table = table
+        self.dim = len(table)
+        self._set_points([0] * self.dim, [0] * self.dim)
+
+    def _composite(self, i, j):
+        return self.table[i][j]
+
+    def row_products(self, i):
+        return self.table[i]
+
+
+def light_generators(algebra):
+    """A generating set G of the magma on the basis indices of a based
+    algebra, read off its nonzero products.  Candidates are taken in
+    ascending order of how often they occur as a product, ties by index,
+    so the indices that are no product come first; a candidate already
+    inside the magma closure of G is skipped.  Rarely produced indices
+    are the ones few products reach, and once they are in, their products
+    tend to cover the common ones."""
+    n = algebra.dim
+    # The rows as the algebra keeps them, or built once each.
+    rows = list(map(algebra.row_products, range(n)))
+    counts = Counter()
+    for row in rows:
+        counts.update(row)
     candidates = sorted(range(n), key=counts.__getitem__)
+    row_points, col_points = algebra.row_points, algebra.col_points
+    place = algebra.place
     generators = []
     inside = set()
     members = []
+    # The members multiplied so far: places by column point, members by
+    # row point.
+    places_at, by_row = {}, {}
     done = 0
     for candidate in candidates:
         if len(inside) == n:
@@ -294,58 +360,22 @@ def light_generators(table):
         inside.add(candidate)
         members.append(candidate)
         # Each pair of members is multiplied, both ways, once the later of
-        # the two is reached, until every index is inside.
+        # the two is reached, until every index is inside: z h is nonzero
+        # when the row point of z is the column point of h, and h z when
+        # the row point of h is the column point of z.
         while done < len(members) and len(inside) < n:
             z = members[done]
-            head = members[:done + 1]
-            fresh = set(map(table[z].__getitem__, head))
-            fresh.update(map(itemgetter(z), map(table.__getitem__, head)))
-            fresh.discard(-1)
+            p, q = row_points[z], col_points[z]
+            places_at.setdefault(q, []).append(place[z])
+            by_row.setdefault(p, []).append(z)
+            fresh = set(map(rows[z].__getitem__, places_at.get(p, ())))
+            fresh.update(map(itemgetter(place[z]),
+                             map(rows.__getitem__, by_row.get(q, ()))))
             fresh -= inside
             inside |= fresh
             members.extend(fresh)
             done += 1
     return generators
-
-
-def table_associativity_counterexample(table):
-    """A basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), or
-    None when the table is associative.
-
-    Light's associativity test (Clifford and Preston, The Algebraic Theory
-    of Semigroups I, 1961, section 1.2) decides the verdict.  Let M be the
-    basis with a zero 0 adjoined (the -1 entries), and let A be the set of
-    b in M with (x b) y = x (b y) for all x, y in M.  Then 0 is in A, both
-    sides being 0, and A is closed under products: for b, c in A,
-    (x (bc)) y = ((x b) c) y = (x b)(c y) = x (b (c y)) = x ((b c) y).
-    So if a set G that generates M as a magma lies in A, then A = M and M
-    is associative.  As products with 0 are 0, x and y need only range
-    over the basis.  This check costs n^2 |G| lookups instead of n^3; G is
-    light_generators(table), valid for any table.  Where it fails, at row
-    i and generator g, the triple is (i, g, k) for the first column k
-    where the two sides differ: a true counterexample, not always the
-    lexicographically first.
-    """
-    n = len(table)
-    if n < 2:
-        # e_0 e_0 is 0 or e_0, and either way the one triple associates.
-        return None
-    zero_row = (-1,) * n
-    # gather(row_i) is (e_i (e_g e_k))_k, read through row_i.  Rows are
-    # compared as tuples, made one at a time; itemgetter gives a tuple
-    # only for two or more indices.
-    gathers = [(g, itemgetter(*table[g])) for g in light_generators(table)]
-    for i, row in enumerate(table):
-        # Index -1 (a zero product) reads the appended -1.
-        row_i = list(row) + [-1]
-        for g, gather in gathers:
-            ig = row[g]
-            left = tuple(table[ig]) if ig >= 0 else zero_row
-            right = gather(row_i)
-            if left != right:
-                return (i, g, next(k for k in range(n)
-                                   if left[k] != right[k]))
-    return None
 
 
 def is_zero_vector(vec):

@@ -16,8 +16,7 @@ of a bisection semigroup.
 
 from __future__ import annotations
 
-from .scalars import (BasedAlgebra, SpanTracker,
-                      table_associativity_counterexample, zero_vector)
+from .scalars import BasedAlgebra, SpanTracker, zero_vector
 from .validation import ValidationReport, stable
 
 
@@ -56,7 +55,7 @@ class CovarianceModule(BasedAlgebra):
         self._set_points(row_points, col_points)
         self._column_elements = {p: [self._element[j] for j in columns]
                                  for p, columns in self.at_point.items()}
-        self.premises = self.associativity_counterexample = None
+        self.premises = self.associative = None
 
     def label_index(self, s, x):
         return self._idx[(s, x)]
@@ -86,8 +85,8 @@ class CovarianceModule(BasedAlgebra):
         return [i for i, (s, _) in enumerate(self.basis_labels) if s == unit]
 
     def verify_associativity(self, premises):
-        """Decide (e_i e_j) e_k = e_i (e_j e_k) on all basis triples;
-        stores and returns a failing triple, or None.
+        """Certify (e_i e_j) e_k = e_i (e_j e_k) on all basis triples from
+        premises; stores and returns whether all of them passed.
 
         premises are the reports of the validators of the index
         (validate_inverse_semigroup, or a group's table_report) and of the
@@ -103,16 +102,12 @@ class CovarianceModule(BasedAlgebra):
         inverse semigroup, so both sides are nonzero together, as
         ((st)u, x) and (s(tu), x), equal as S is associative.  A group is
         an inverse semigroup, so this covers the partial skew group ring
-        too.  When a premise fails, the certificate is Light's test on the
-        factored product, which names the triple where it failed.  The
-        premises are kept on the module."""
+        too.  When a premise fails, L is not certified and nothing is
+        searched: without the premises its product need not even be
+        closed.  The premises are kept on the module."""
         self.premises = premises
-        counter = None
-        if not all(report.ok for report in premises):
-            counter = table_associativity_counterexample(
-                [self.row(i) for i in range(self.dim)])
-        self.associativity_counterexample = counter
-        return counter
+        self.associative = all(report.ok for report in premises)
+        return self.associative
 
 
 def ideal_generators(module):
@@ -225,9 +220,9 @@ class QuotientAlgebra(BasedAlgebra):
         kept = {r: class_row(r) for r in self.representatives}
         for a, r in enumerate(rep):
             if a != r and class_row(a) != kept[r]:
-                row_a, row_r = module.row(a), module.row(r)
                 k = next(k for k in range(module.dim)
-                         if cls[row_a[k]] != cls[row_r[k]])
+                         if cls[module.product(a, k)]
+                         != cls[module.product(r, k)])
                 return f"(e_{a} - e_{r}) * e_{k} leaves the ideal"
         for k, kept_row in kept.items():
             if kept_row is None:

@@ -4,8 +4,8 @@ function into disjoint bisection indicators."""
 
 from __future__ import annotations
 
-from .groupoid_core import composability_violation
-from .scalars import BasedAlgebra, zero_vector
+from .groupoid_core import GroupoidProduct, composability_violation
+from .scalars import zero_vector
 
 
 class GroupoidFunction:
@@ -137,45 +137,20 @@ def disjoint_decomposition(f):
             for block, value in blocks]
 
 
-class SteinbergAlgebra(BasedAlgebra):
-    """Coordinate view of the convolution algebra in the point-mass basis.
-
-    The basis is the canonical arrow order, so the dimension equals the
-    arrow count.  A product of point masses is a point mass or zero:
-    e_b e_c = e_{bc} when s(b) = r(c), and 0 otherwise.  So the row point
-    of b is s(b) and the column point of c is r(c), and each row keeps
-    only its nonzero composites, |compose| entries in all.  A groupoid
-    whose composable pairs are not exactly those with s(b) = r(c) has no
-    such factoring and is refused with ValueError.
-    """
+class SteinbergAlgebra(GroupoidProduct):
+    """Coordinate view of the convolution algebra in the point-mass basis,
+    the canonical arrow order: e_b e_c = e_{bc} when s(b) = r(c), and 0
+    otherwise, as in GroupoidProduct.  A groupoid whose composable pairs
+    are not exactly those with s(b) = r(c) has no such factoring and is
+    refused with ValueError."""
 
     def __init__(self, groupoid, ring):
         violation = composability_violation(groupoid)
         if violation is not None:
             raise ValueError(f"{groupoid.name}: the composable pairs are not "
                              f"the pairs (b, c) with s(b) = r(c): {violation}")
-        self.groupoid = groupoid
+        super().__init__(groupoid)
         self.ring = ring
-        arrows = self.basis_labels = list(groupoid.arrows)
-        self.dim = len(arrows)
-        self._set_points([groupoid.source(a) for a in arrows],
-                         [groupoid.range(a) for a in arrows])
-        # _position[c] is the place of column c among the columns at its
-        # point, so _rows[b][_position[c]] is the index of bc.
-        self._position = [0] * self.dim
-        for columns in self.at_point.values():
-            for place, c in enumerate(columns):
-                self._position[c] = place
-        index, compose = groupoid._index, groupoid.compose_table
-        self._rows = [[index[compose[(b, arrows[c])]]
-                       for c in self.at_point.get(p, ())]
-                      for b, p in zip(arrows, self.row_points)]
-
-    def _composite(self, i, j):
-        return self._rows[i][self._position[j]]
-
-    def row_products(self, i):
-        return self._rows[i]
 
     def mul_basis(self, i, j):
         vec = zero_vector(self.ring, self.dim)

@@ -1,13 +1,17 @@
 """Dense product tables of the three algebras, built without reading the
 factored product they check: L's from the basis labels as
 `CovarianceModule` built it before L was kept factored, A_R(G)'s from the
-groupoid's composition table, and L/I's from L's dense table.  On top of
-them, the checks that ran on dense rows: Light's test on the whole table,
-the row-major homomorphism scan, and the two-sidedness scan, and the
-tests that a named witness fails there: `triple_fails` for a basis
-triple, `leaves_ideal` for a product of a difference in I.  The
-factored product must agree with these.  `premises` gives the validator
-reports that `CovarianceModule.verify_associativity` takes.
+groupoid's composition table (`composition_table`, the contracted table
+the groupoid validator built before it read `GroupoidProduct`), and L/I's
+from L's dense table.  On top of them, the checks that ran on dense rows:
+Light's test on the whole table with its generator rule
+(`table_associativity_counterexample`, `table_light_generators`), the
+row-major homomorphism scan, and the two-sidedness scan, and the tests
+that a named witness fails there: `triple_fails` for a basis triple,
+`leaves_ideal` for a product of a difference in I.  The factored product
+must agree with these; `product_rows` reads it as dense rows, and
+`closed` is the precondition of its Light's test.  `premises` gives the
+validator reports that `CovarianceModule.verify_associativity` takes.
 
 `mul_basis` and `mul_vectors` multiply vectors of any of the algebras
 through its dense table, so that references in the tests do not read the
@@ -20,15 +24,15 @@ quotient coordinates.
 import re
 import weakref
 
+from operator import itemgetter
+
 from formula_oracle import SkewElement, SpaceFunction
-from groupoidal.groupoid_core import composition_table
 from groupoidal.inverse_semigroups import validate_inverse_semigroup
 from groupoidal.isomorphisms import phi_classes
 from groupoidal.partial_actions import (GroupPartialAction,
                                         validate_group_partial_action,
                                         validate_isg_partial_action)
-from groupoidal.scalars import (index_row, table_associativity_counterexample,
-                                zero_vector)
+from groupoidal.scalars import DenseTable, index_row, zero_vector
 from groupoidal.skew_rings import (CovarianceModule, QuotientAlgebra,
                                    ideal_generators)
 from groupoidal.steinberg_algebra import GroupoidFunction
@@ -55,13 +59,107 @@ def dense_table(module):
     return table
 
 
+def composition_table(g):
+    """The contracted semigroup G u {0} on arrow indices: row b holds the
+    index of bc at c, and -1 where (b, c) is not composable."""
+    idx = g._index
+    blank = index_row(g.n_arrows, [-1]) * g.n_arrows
+    table = [blank[:] for _ in g.arrows]
+    for (b, c), d in g.compose_table.items():
+        table[idx[b]][idx[c]] = idx[d]
+    return table
+
+
+def product_rows(algebra):
+    """The dense rows of a based algebra read through its factored
+    product: row i holds product(i, j) over all j, -1 where zero."""
+    return [[algebra.product(i, j) for j in range(algebra.dim)]
+            for i in range(algebra.dim)]
+
+
+def closed(algebra):
+    """Whether every nonzero product e_i e_j = e_k of a based algebra has
+    the column point of e_i and the row point of e_j, the precondition of
+    BasedAlgebra.associativity_counterexample."""
+    cols, rows = algebra.col_points, algebra.row_points
+    return all(cols[k] == cols[i] and rows[k] == rows[j]
+               for i in range(algebra.dim)
+               for j, k in zip(algebra.at_point.get(rows[i], ()),
+                               algebra.row_products(i)))
+
+
+def table_light_generators(table):
+    """light_generators on a dense table, as it ran before it read a
+    based algebra: the same candidates and closure, with -1 a zero
+    product that is never added."""
+    n = len(table)
+    # The last slot tallies the zero products (-1).
+    counts = [0] * (n + 1)
+    for row in table:
+        for k in row:
+            counts[k] += 1
+    candidates = sorted(range(n), key=counts.__getitem__)
+    generators = []
+    inside = set()
+    members = []
+    done = 0
+    for candidate in candidates:
+        if len(inside) == n:
+            break
+        if candidate in inside:
+            continue
+        generators.append(candidate)
+        inside.add(candidate)
+        members.append(candidate)
+        while done < len(members) and len(inside) < n:
+            z = members[done]
+            head = members[:done + 1]
+            fresh = set(map(table[z].__getitem__, head))
+            fresh.update(map(itemgetter(z), map(table.__getitem__, head)))
+            fresh.discard(-1)
+            fresh -= inside
+            inside |= fresh
+            members.extend(fresh)
+            done += 1
+    return generators
+
+
+def table_associativity_counterexample(table):
+    """Light's test on a whole dense table, any magma with zero (-1): a
+    triple (i, g, k) with (e_i e_g) e_k != e_i (e_g e_k), rows outer and
+    generators inner, k the first column where the sides differ; or
+    None when the table is associative."""
+    n = len(table)
+    if n < 2:
+        # e_0 e_0 is 0 or e_0, and either way the one triple associates.
+        return None
+    zero_row = (-1,) * n
+    # gather(row_i) is (e_i (e_g e_k))_k, read through row_i.
+    gathers = [(g, itemgetter(*table[g]))
+               for g in table_light_generators(table)]
+    for i, row in enumerate(table):
+        # Index -1 (a zero product) reads the appended -1.
+        row_i = list(row) + [-1]
+        for g, gather in gathers:
+            ig = row[g]
+            left = tuple(table[ig]) if ig >= 0 else zero_row
+            right = gather(row_i)
+            if left != right:
+                return (i, g, next(k for k in range(n)
+                                   if left[k] != right[k]))
+    return None
+
+
 def table_of(algebra):
-    """The dense table of any of the three algebras."""
+    """The dense table of any of the three algebras, and of a Cayley
+    table's one-point view."""
     if isinstance(algebra, CovarianceModule):
         return dense_table(algebra)
     if isinstance(algebra, QuotientAlgebra):
         return [index_row(algebra.dim, row)
                 for row in dense_quotient_table(algebra)]
+    if isinstance(algebra, DenseTable):
+        return algebra.table
     return composition_table(algebra.groupoid)
 
 

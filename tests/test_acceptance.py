@@ -7,8 +7,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import random
 import time
 
-from dense_oracle import (apply, from_vector, skew_ring, table_of,
-                          to_vector)
+from dense_oracle import (apply, from_vector, product_rows, skew_ring,
+                          table_of, to_vector)
 from families import idempotents
 from formula_oracle import (bisection_inverse, bisection_product,
                             is_bisection, rho_inverse)
@@ -28,8 +28,7 @@ from groupoidal.isomorphisms import (psi, rho, search_groupoid_isomorphism,
 from groupoidal.partial_actions import (induce_algebra_action,
                                         is_topologically_free,
                                         validate_isg_partial_action)
-from groupoidal.scalars import (ring_from_tag,
-                                table_associativity_counterexample)
+from groupoidal.scalars import ring_from_tag
 from groupoidal.steinberg_algebra import (GroupoidFunction, SteinbergAlgebra,
                                           convolve)
 from groupoidal.transformation_groupoid import build_transformation_groupoid
@@ -201,8 +200,8 @@ def test_criterion_6_structural_suites():
         assert validate_isg_partial_action(bisection_action(g, semigroup)).ok, name
 
         algebra = SteinbergAlgebra(g, Q)
-        rows = [algebra.row(i) for i in range(algebra.dim)]
-        assert rows == [list(row) for row in table_of(algebra)], name
-        assert table_associativity_counterexample(rows) is None, name
+        assert product_rows(algebra) == \
+            [list(row) for row in table_of(algebra)], name
+        assert algebra.associativity_counterexample() is None, name
     report(6, "structural suites: bisection semigroups, orders, "
               "bisection action, convolution")

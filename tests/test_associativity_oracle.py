@@ -8,9 +8,17 @@ commute, but not that inverses are unique, must give its verdict
 and name only faults the table has (`real_violations`).
 `reference_generators` states the generator rule of `light_generators`
 with the closure recomputed in full, and `smallest_missing_generators` the
-rule it replaced, which bounds the size of G.  The fast
-paths must give the same verdict, the same first failing triple and the
-same report text, on every catalog table and on seeded corruptions.
+rule it replaced, which bounds the size of G.
+
+Light's test runs on the factored product of a based algebra: A_R(G) and
+the contracted groupoid table through `GroupoidProduct`, L and L/I, and
+the Cayley tables of semigroups through the one-point `DenseTable`.  It
+must give the verdict of the cube and of the dense Light's test in
+`dense_oracle`, name a triple that fails in the cube, and pick the
+reference generators, on every catalog algebra, the ladder and seeded
+corruptions of total tables.  The dense Light's test, which runs on any
+table with zero products, is checked against the cube on corrupted dense
+tables of L and on small random tables.
 """
 
 import random
@@ -18,7 +26,8 @@ from array import array
 from collections import Counter
 
 import pytest
-from dense_oracle import dense_table, table_of, triple_fails
+from dense_oracle import (table_associativity_counterexample, table_of,
+                          table_light_generators, triple_fails)
 from families import (pair_groupoid_spec, parse, semigroup_from_products,
                       symmetric_inverse_monoid)
 
@@ -27,8 +36,7 @@ from groupoidal.inverse_semigroups import (bisection_semigroup,
                                            validate_inverse_semigroup)
 from groupoidal.isomorphisms import bisection_action
 from groupoidal.partial_actions import induce_algebra_action
-from groupoidal.scalars import (index_typecode, light_generators,
-                                table_associativity_counterexample)
+from groupoidal.scalars import DenseTable, index_typecode, light_generators
 from groupoidal.skew_rings import (CovarianceModule, build_ideal,
                                    build_quotient)
 from groupoidal.steinberg_algebra import SteinbergAlgebra
@@ -199,12 +207,25 @@ def as_lists(table):
 
 
 def assert_agrees(table):
-    """Light's test and the cube give the same verdict, and the triple
-    Light's test names fails in the cube."""
+    """The dense Light's test and the cube give the same verdict, and the
+    triple the dense test names fails in the cube."""
     found = table_associativity_counterexample(table)
     assert (found is None) == (reference_cube(as_lists(table)) is None)
     if found is not None:
         assert triple_fails(as_lists(table), found)
+    return found
+
+
+def assert_algebra_agrees(algebra):
+    """Light's test on the factored product gives the verdict of the cube
+    and of the dense Light's test on the algebra's dense table, names a
+    triple that fails there, and picks the reference generators."""
+    table = table_of(algebra)
+    found = algebra.associativity_counterexample()
+    assert (found is None) == (assert_agrees(table) is None)
+    if found is not None:
+        assert triple_fails(as_lists(table), found)
+    assert light_generators(algebra) == reference_generators(table)
     return found
 
 
@@ -214,50 +235,59 @@ def bisection_module(g, ring):
     return semigroup, CovarianceModule(alg)
 
 
-def groupoid_tables(name, g, ring):
-    """(name, table) for A_R(G), L, L/I and the bisection semigroup."""
+def groupoid_algebras(name, g, ring):
+    """(name, algebra) for A_R(G), L, L/I and the bisection semigroup."""
     semigroup, module = bisection_module(g, ring)
     quotient = build_quotient(module, build_ideal(module))
-    return [(f"{name} A", table_of(SteinbergAlgebra(g, ring))),
-            (f"{name} L", dense_table(module)),
-            (f"{name} L/I", table_of(quotient)),
-            (f"{name} S", semigroup.table)]
+    return [(f"{name} A", SteinbergAlgebra(g, ring)),
+            (f"{name} L", module),
+            (f"{name} L/I", quotient),
+            (f"{name} S", DenseTable(semigroup.table))]
 
 
-def catalog_tables(ring):
-    """(name, table) for A_R(G), L, L/I and the bisection semigroup of
+def groupoid_tables(name, g, ring):
+    """(name, dense table) for A_R(G), L, L/I and the bisection
+    semigroup."""
+    return [(label, table_of(algebra))
+            for label, algebra in groupoid_algebras(name, g, ring)]
+
+
+def catalog_algebras(ring):
+    """(name, algebra) for A_R(G), L, L/I and the bisection semigroup of
     every catalog groupoid, A_R(G) and L of every catalog action, and
     every catalog semigroup."""
-    tables = []
+    algebras = []
     for name in catalog.groupoid_names():
-        tables += groupoid_tables(name, catalog.load_groupoid(name), ring)
+        algebras += groupoid_algebras(name, catalog.load_groupoid(name),
+                                      ring)
     for name in catalog.action_names():
         action = catalog.load_action(name)
         g = build_transformation_groupoid(action)
-        module = CovarianceModule(induce_algebra_action(action, ring))
-        tables += [(f"{name} A", table_of(SteinbergAlgebra(g, ring))),
-                   (f"{name} L", dense_table(module))]
+        algebras += [(f"{name} A", SteinbergAlgebra(g, ring)),
+                     (f"{name} L", CovarianceModule(
+                         induce_algebra_action(action, ring)))]
     for name in catalog.semigroup_names():
-        tables.append((name, catalog.load_semigroup(name).table))
-    return tables
+        algebras.append((name, DenseTable(catalog.load_semigroup(name).table)))
+    return algebras
 
 
 def test_catalog_tables_agree_with_the_cube(Q):
-    tables = catalog_tables(Q)
-    assert len(tables) > 50
-    for name, table in tables:
-        assert all(isinstance(row, array) for row in table), name
-        assert assert_agrees(table) is None, name
-        assert light_generators(table) == reference_generators(table), name
+    algebras = catalog_algebras(Q)
+    assert len(algebras) > 50
+    for name, algebra in algebras:
+        assert all(isinstance(row, array) for row in table_of(algebra)), name
+        assert assert_algebra_agrees(algebra) is None, name
 
 
 def test_generators_generate_and_are_no_more_than_before(Q):
-    tables = catalog_tables(Q)
+    algebras = catalog_algebras(Q)
     for n in range(1, 5):
-        tables += groupoid_tables(f"pair_groupoid_{n}",
-                                  parse(pair_groupoid_spec(n)), Q)
-    for name, table in tables:
-        generators = light_generators(table)
+        algebras += groupoid_algebras(f"pair_groupoid_{n}",
+                                      parse(pair_groupoid_spec(n)), Q)
+    for name, algebra in algebras:
+        table = table_of(algebra)
+        generators = light_generators(algebra)
+        assert generators == table_light_generators(table), name
         assert magma_closure(table, generators) == set(range(len(table))), name
         assert len(generators) <= len(smallest_missing_generators(table)), name
 
@@ -266,12 +296,12 @@ def test_generator_counts_on_the_rung(Q):
     semigroup, module = bisection_module(parse(pair_groupoid_spec(4)), Q)
     assert (semigroup.order, module.dim) == (209, 544)
     # 99 and 46 under smallest_missing_generators.
-    assert len(light_generators(dense_table(module))) <= 16
-    assert len(light_generators(semigroup.table)) <= 5
+    assert len(light_generators(module)) <= 16
+    assert len(light_generators(DenseTable(semigroup.table))) <= 5
     # 33 under smallest_missing_generators.
     i4 = symmetric_inverse_monoid(range(4))
     assert i4.order == 209
-    assert len(light_generators(i4.table)) <= 5
+    assert len(light_generators(DenseTable(i4.table))) <= 5
 
 
 def corrupt(table, rng):
@@ -290,26 +320,62 @@ def test_corrupted_l_tables_agree_with_the_cube(Q):
     assert module.dim == 63
     rng = random.Random(6)
     verdicts = []
-    table_l = dense_table(module)
+    table_l = table_of(module)
     for trial in range(300):
         table = corrupt(table_l, rng)
         verdicts.append(assert_agrees(table))
         if trial < 20:
-            assert light_generators(table) == reference_generators(table)
+            assert table_light_generators(table) == \
+                reference_generators(table)
     # Most corruptions break associativity, named at many triples.
     assert sum(v is not None for v in verdicts) > 250
     assert len(set(verdicts)) > 100
 
 
+def corrupt_total(table, rng):
+    """A copy of a total table with 1 to 3 entries changed to another
+    index, so that it stays total."""
+    n = len(table)
+    rows = [row[:] for row in table]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i][j] = rng.choice([v for v in range(n) if v != rows[i][j]])
+    return rows
+
+
+def test_corrupted_cayley_tables_agree_with_the_cube(Q):
+    # A one-element table has no other index to corrupt to.
+    semigroups = [s for s in map(catalog.load_semigroup,
+                                 catalog.semigroup_names()) if s.order > 1]
+    semigroups += [bisection_semigroup(catalog.load_groupoid(name))
+                   for name in ("pair_groupoid_2", "two_z2", "z3_one_unit")]
+    semigroups.append(symmetric_inverse_monoid(range(3)))
+    rng = random.Random(9)
+    verdicts = []
+    for trial in range(300):
+        table = corrupt_total(semigroups[trial % len(semigroups)].table, rng)
+        verdicts.append(assert_algebra_agrees(DenseTable(table)))
+    assert sum(v is not None for v in verdicts) > 200
+    assert len(set(verdicts)) > 50
+
+
 def test_small_random_tables_agree_with_the_cube():
     rng = random.Random(7)
+    failing = 0
     for n in (1, 2, 3, 4, 5):
         for _ in range(200):
             table = [array(index_typecode(n),
                            [rng.randrange(-1, n) for _ in range(n)])
                      for _ in range(n)]
             assert_agrees(table)
-            assert light_generators(table) == reference_generators(table)
+            assert table_light_generators(table) == \
+                reference_generators(table)
+            # A total table is the one-point case of the factored test.
+            total = [array(index_typecode(n),
+                           [rng.randrange(n) for _ in range(n)])
+                     for _ in range(n)]
+            failing += assert_algebra_agrees(DenseTable(total)) is not None
+    assert failing > 500
 
 
 def i3_products():
@@ -340,7 +406,7 @@ def test_corrupted_i3_reports_equal_the_reference():
         if expected.first and expected.first.startswith("associativity"):
             # One violation, at a triple that fails in the label cube.
             a, b, c = (elements[i] for i in
-                       table_associativity_counterexample(s.table))
+                       DenseTable(s.table).associativity_counterexample())
             assert report.violations == \
                 [f"associativity fails on ({a}, {b}, {c})"]
             assert reference.mul(reference.mul(a, b), c) != \

@@ -6,9 +6,11 @@ labels, as the module did before, with Light's test and the row-major
 homomorphism scan on top.  On the catalog, on the ladder (pair groupoids
 on up to 4 points, cyclic bundles, regular Z_n) and on seeded corruptions,
 the two must give the same products, verdicts, named triples and
-certificate texts.  The corruptions include actions that break the
-composition law, where L fails to be associative: the premises of the
-associativity certificate are needed.
+certificate texts.  L's associativity is certified from its premises
+alone; the corruptions include actions that break the composition law,
+where L fails to be associative in the dense table: the premises are
+needed.  Where a corrupted L still has closed products, Light's test on
+its factored product gives the dense verdict.
 """
 
 import itertools
@@ -16,9 +18,10 @@ import random
 import re
 
 import pytest
-from dense_oracle import (dense_associativity, dense_homomorphism,
+from dense_oracle import (closed, dense_associativity, dense_homomorphism,
                           dense_quotient_table, dense_table, premises,
-                          reference_generator_scan)
+                          product_rows, reference_generator_scan,
+                          triple_fails)
 from families import family_groupoids, regular_action
 
 from groupoidal import catalog
@@ -63,21 +66,21 @@ def test_factored_rows_equal_the_dense_table(ladder):
     assert max(module.dim for _, module in ladder) == 544
     for name, module in ladder:
         table = dense_table(module)
-        assert [module.row(i) for i in range(module.dim)] == \
-            [list(row) for row in table], name
+        assert product_rows(module) == [list(row) for row in table], name
         for i, row in enumerate(table):
             columns = module.at_point.get(module.row_points[i], ())
             assert [j for j, k in enumerate(row) if k >= 0] == columns, name
             assert module.row_products(i) == [row[j] for j in columns]
-            assert [module.product(i, j) for j in range(module.dim)] == \
-                list(row)
+            assert [module.place[j] for j in columns] == \
+                list(range(len(columns)))
 
 
 def test_associativity_verdicts_equal_the_dense_oracle(ladder):
     for name, module in ladder:
         reports = premises(module.algebra_action.action)
-        assert module.verify_associativity(reports) is None, name
+        assert module.verify_associativity(reports) is True, name
         assert dense_associativity(module) is None, name
+        assert module.associativity_counterexample() is None, name
 
 
 def transported_maps(ring):
@@ -109,8 +112,8 @@ def ladder_maps(ring):
 def test_quotient_tables_equal_the_dense_oracle(Q):
     for g in ladder_groupoids():
         quotient = psi(g, Q).quotient
-        assert [quotient.row(q) for q in range(quotient.dim)] == \
-            dense_quotient_table(quotient), g.name
+        assert product_rows(quotient) == dense_quotient_table(quotient), \
+            g.name
         assert quotient.verify_representative_independence() is None
         assert reference_generator_scan(quotient) is None
 
@@ -176,16 +179,24 @@ def outcome(fn, *args):
 
 
 def compare(action, ring):
-    """(premises hold, factored verdict, dense verdict), or None when L
-    cannot be built at all."""
+    """(premises hold, certified, dense verdict, factored verdict), or
+    None when L cannot be built at all.  The factored verdict is Light's
+    test on L's factored product where L's products are closed, and None
+    where they are not."""
     try:
         module = CovarianceModule(induce_algebra_action(action, ring))
     except (KeyError, ValueError):
         return None
     reports = premises(action)
+    dense = outcome(dense_associativity, module)
+    factored = None
+    if dense != "KeyError" and closed(module):
+        factored = module.associativity_counterexample()
+        assert (factored is None) == (dense is None)
+        assert factored is None or triple_fails(dense_table(module),
+                                                factored)
     return (all(r.ok for r in reports),
-            outcome(module.verify_associativity, reports),
-            outcome(dense_associativity, module))
+            module.verify_associativity(reports), dense, factored)
 
 
 def z4_actions(rng, count):
@@ -241,18 +252,22 @@ def test_corrupted_actions_give_the_dense_verdicts(Q):
     results = [compare(a, Q) for a in z4_actions(rng, 60)]
     results += [compare(a, Q) for a in partial_corruptions(rng, 300)]
     results = [r for r in results if r is not None]
-    for holds, factored, dense in results:
-        assert factored == dense
+    for holds, certified, dense, _ in results:
+        # L is certified exactly when the premises hold, and then the
+        # dense table has no failing triple.
+        assert certified == holds
         if holds:
-            assert factored is None
-    triples = [f for holds, f, _ in results
-               if not holds and isinstance(f, tuple)]
+            assert dense is None
+    triples = [d for holds, _, d, _ in results
+               if not holds and isinstance(d, tuple)]
     # The premises are needed: with the composition law broken, L is
     # not associative, at many different triples.
     assert len(triples) > 60
     assert len(set(triples)) > 10
-    assert any(not holds and f is None for holds, f, _ in results)
-    assert any(f == "KeyError" for _, f, _ in results)
+    assert any(not holds and d is None for holds, _, d, _ in results)
+    assert any(d == "KeyError" for _, _, d, _ in results)
+    # Light's test ran on the factored product of some corrupted L.
+    assert any(f is not None for *_, f in results)
 
 
 def test_steinberg_algebra_refuses_composites_off_the_points(Q):

@@ -1,5 +1,7 @@
+import tracemalloc
+
 import pytest
-from families import family_groupoids
+from families import family_groupoids, regular_action
 from formula_oracle import (bisection_inverse, bisection_product,
                             is_bisection, source_set)
 
@@ -185,3 +187,19 @@ def test_unique_pseudo_inverse_among_bisections():
                      if bisection_product(g, bisection_product(g, b, c), b) == b
                      and bisection_product(g, bisection_product(g, c, b), c) == c]
         assert witnesses == [bisection_inverse(g, b)]
+
+
+def test_validator_keeps_no_dense_table():
+    # The regular Z40 action has 1,600 arrows and 64,000 composable pairs.
+    # A dense table of the contracted semigroup, 1,600^2 16-bit entries,
+    # alone takes 4.9 MiB; the factored rows take about one MiB.
+    g = build_transformation_groupoid(regular_action(40))
+    assert g.n_arrows == 1600
+    tracemalloc.start()
+    try:
+        report = validate_groupoid(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 2 * 2 ** 20

@@ -83,7 +83,9 @@ def test_bisection_action_satisfies_axioms(name):
 
 def test_monotonicity_violation_detected():
     # two incomparable idempotents over a common zero; the zero's domain
-    # must sit inside both others, and here it does not
+    # must sit inside both others, and here it does not.  Monotonicity
+    # follows from the intertwining law, which fails on (0, y):
+    # theta_0(X_0 & X_y) is empty, but X_0 & X_{0y} = X_0.
     elements = ["0", "x", "y"]
     table = {}
     for a in elements:
@@ -96,7 +98,8 @@ def test_monotonicity_violation_detected():
         {"0": {"p": "p"}, "x": {"p": "p"}, "y": {"q": "q"}})
     report = validate_isg_partial_action(action)
     assert not report.ok
-    assert "monotonicity" in report.first
+    assert report.first == \
+        "theta_0(X_{0} & X_{y}) = {} but X_{0} & X_{0} = {p}"
 
 
 def test_unit_convention_for_semigroup_actions():

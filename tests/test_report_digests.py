@@ -17,7 +17,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import dense_oracle
 from groupoidal import catalog
 from groupoidal.cli import main
-from groupoidal.skew_rings import CovarianceModule
+from groupoidal.skew_rings import CovarianceModule, QuotientAlgebra
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DIGESTS = os.path.join(HERE, "report_digests.json")
@@ -62,13 +62,15 @@ def test_reports_match_recorded_digests():
 
 
 def test_commands_never_build_a_dense_l(monkeypatch):
-    """With every function that builds whole rows of L made to raise,
-    theorem3, theorem5 and equivalence on the catalog give the recorded
-    reports."""
+    """With every function that builds whole rows of L made to raise, and
+    Light's test, which reads every row, refused on L and L/I, theorem3,
+    theorem5 and equivalence on the catalog give the recorded reports."""
     def refuse(*args):
         raise AssertionError("a dense row of L was built")
 
-    monkeypatch.setattr(CovarianceModule, "row", refuse)
+    for algebra in (CovarianceModule, QuotientAlgebra):
+        monkeypatch.setattr(algebra, "associativity_counterexample", refuse)
+    monkeypatch.setattr(dense_oracle, "product_rows", refuse)
     monkeypatch.setattr(dense_oracle, "dense_table", refuse)
     with open(DIGESTS) as handle:
         recorded = json.load(handle)

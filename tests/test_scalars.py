@@ -4,11 +4,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from dense_oracle import table_mul_vectors, triple_fails
+from dense_oracle import (table_associativity_counterexample,
+                          table_mul_vectors, triple_fails)
 
 from groupoidal.scalars import (_MR_EXACT_BELOW, _is_prime, ring_from_tag,
-                                SpanTracker,
-                                table_associativity_counterexample)
+                                SpanTracker)
 
 
 def vec(ring, *values):

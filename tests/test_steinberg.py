@@ -1,12 +1,11 @@
 import random
 
 import pytest
-from dense_oracle import table_of
+from dense_oracle import product_rows, table_of
 from formula_oracle import bisection_product
 
 from groupoidal import catalog
 from groupoidal.groupoid_core import enumerate_bisections
-from groupoidal.scalars import table_associativity_counterexample
 from groupoidal.steinberg_algebra import (GroupoidFunction, SteinbergAlgebra,
                                           convolve, disjoint_decomposition)
 
@@ -188,8 +187,7 @@ def test_algebra_dimension_and_point_mass_products(name, Q):
     g = catalog.load_groupoid(name)
     algebra = SteinbergAlgebra(g, Q)
     assert algebra.dim == g.n_arrows
-    rows = [algebra.row(i) for i in range(algebra.dim)]
-    assert rows == [list(row) for row in table_of(algebra)]
-    assert table_associativity_counterexample(rows) is None
+    assert product_rows(algebra) == [list(row) for row in table_of(algebra)]
+    assert algebra.associativity_counterexample() is None
     assert set(algebra.diagonal_indices()) == \
         {g.index(u) for u in g.units}

@@ -4,19 +4,22 @@ of the catalog and ladder inputs.
 The fast checks stop where they fail and name the violation found there,
 not always the lexicographically first.  Hypothesis draws a base input
 and a random source for its corruption: a groupoid (`validate_groupoid`),
-a dense product table (Light's test), a bisection action (its
-validator), an action with a map permuted or a Z4 action that breaks the
-composition law (L's associativity certificate) and an ideal with extra
-generators (two-sidedness).  The verdict must equal the reference's, and
-each violation named must fail in the dense oracle: it is in the
-reference validator's full list, its triple fails in the dense table, or
-its product leaves the ideal on the dense rows of L.
+a dense product table (the dense Light's test, and Light's test on the
+one-point view where the table stays total), a bisection action (its
+validator), an action with a map permuted or a Z4 action that breaks
+the composition law (L's associativity certificate, and Light's test on
+L where its products stay closed) and an ideal with extra generators
+(two-sidedness).  The verdict must equal the reference's, and each
+violation named must fail in the dense oracle: it is in the reference
+validator's full list, its triple fails in the dense table, or its
+product leaves the ideal on the dense rows of L.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_oracle import dense_table, premises, triple_fails
+from dense_oracle import (closed, dense_table, premises, product_rows,
+                          table_associativity_counterexample, triple_fails)
 from test_associativity_oracle import (corrupt, groupoid_tables,
                                        reference_cube)
 from test_factored_oracle import partial_corruptions, z4_actions
@@ -25,13 +28,13 @@ from test_groupoid_oracle import (assert_reference_violations, corrupted,
                                   steiner_loop_groupoid)
 from test_index_oracle import (assert_reference_outcome, assert_scan_verdict,
                                catalog_modules, congruence, corrupt_action,
-                               rows_of, validate)
+                               validate)
 
 from groupoidal import catalog
 from groupoidal.groupoid_core import validate_groupoid
 from groupoidal.isomorphisms import bisection_action
 from groupoidal.partial_actions import induce_algebra_action
-from groupoidal.scalars import table_associativity_counterexample
+from groupoidal.scalars import DenseTable
 from groupoidal.skew_rings import (CovarianceModule, QuotientAlgebra,
                                    ideal_generators)
 
@@ -75,7 +78,7 @@ def actions():
 
 @pytest.fixture(scope="module")
 def modules(Q):
-    return [(module, rows_of(module), ideal_generators(module))
+    return [(module, product_rows(module), ideal_generators(module))
             for module in catalog_modules(Q) if module.dim > 1]
 
 
@@ -99,6 +102,11 @@ def test_table_triples_fail_in_the_dense_table(tables, data, rng):
     assert (found is None) == (reference_cube(
         [list(row) for row in table]) is None)
     assert found is None or triple_fails(table, found)
+    if all(-1 not in row for row in table):
+        # A total table is the one-point case of Light's test.
+        one_point = DenseTable(table).associativity_counterexample()
+        assert (one_point is None) == (found is None)
+        assert one_point is None or triple_fails(table, one_point)
 
 
 @SETTINGS
@@ -118,16 +126,20 @@ def test_l_triples_fail_in_the_dense_table(Q, corruptions, rng):
     except (KeyError, ValueError):
         return
     reports = premises(action)
-    found = outcome(module.verify_associativity, reports)
+    certified = module.verify_associativity(reports)
+    assert certified == all(r.ok for r in reports)
     table = outcome(dense_table, module)
     if isinstance(table, tuple):
-        # A product outside L: only a failed premise reads the rows.
-        assert not all(r.ok for r in reports) and found[0] == "KeyError"
+        # A product outside L: some premise fails.
+        assert not certified and table[0] == "KeyError"
         return
+    cube = reference_cube([list(row) for row in table])
     # With the premises holding, L is associative without a look at it.
-    assert (found is None) == (reference_cube(
-        [list(row) for row in table]) is None)
-    assert found is None or triple_fails(table, found)
+    assert not certified or cube is None
+    if closed(module):
+        found = module.associativity_counterexample()
+        assert (found is None) == (cube is None)
+        assert found is None or triple_fails(table, found)
 
 
 @SETTINGS
