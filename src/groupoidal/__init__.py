@@ -10,8 +10,7 @@ __version__ = "1.0.0"
 from .scalars import Scalar, ScalarRing, ring_from_tag
 from .groups import FiniteGroup
 from .groupoid_core import (FiniteGroupoid, enumerate_bisections,
-                            is_topologically_principal, isotropy_group,
-                            validate_groupoid)
+                            is_topologically_principal, validate_groupoid)
 from .steinberg_algebra import (GroupoidFunction, SteinbergAlgebra, convolve,
                                 disjoint_decomposition)
 from .inverse_semigroups import (FiniteInverseSemigroup, bisection_semigroup,

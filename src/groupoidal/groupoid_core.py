@@ -1,4 +1,4 @@
-"""Finite groupoids: validated axioms, isotropy, and bisection machinery.
+"""Finite groupoids: validated axioms, principality, and bisections.
 
 A finite groupoid is a finite arrow set with a partial composition table,
 an inverse table, and a distinguished unit subset.  In this finite-discrete
@@ -200,25 +200,6 @@ class GroupoidProduct(BasedAlgebra):
 
     def row_products(self, i):
         return self._rows[i]
-
-
-def isotropy_group(g, u):
-    """The isotropy group at a unit: all arrows with range = source = u,
-    as a FiniteGroup with identity u, read off the composition table."""
-    # groups imports this module, through inverse_semigroups.
-    from .groups import FiniteGroup
-    if u not in g.units:
-        raise ValueError(f"{u} is not a unit")
-    members = [b for b in g.arrows if g.range(b) == u and g.source(b) == u]
-    inside = set(members)
-    table = {}
-    for a in members:
-        for b in members:
-            c = g.compose_table.get((a, b))
-            if c not in inside:
-                raise ValueError(f"isotropy at {u} is not closed on ({a}, {b})")
-            table[(a, b)] = c
-    return FiniteGroup(members, table, name=f"isotropy@{u}")
 
 
 def is_topologically_principal(g):

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .groupoid_core import (DEFAULT_BISECTION_BOUND, isotropy_group,
-                            range_set)
+from .groupoid_core import DEFAULT_BISECTION_BOUND, range_set
 from .inverse_semigroups import (bisection_semigroup,
                                  validate_inverse_semigroup)
 from .partial_actions import (SemigroupPartialAction, induce_algebra_action,
@@ -371,43 +370,27 @@ class GroupoidIsomorphism:
         return f"GroupoidIsomorphism({len(self.mapping)} arrows)"
 
 
-def verify_groupoid_isomorphism(g1, g2, iso):
-    m = iso.mapping
-    if set(m) != set(g1.arrows) or set(m.values()) != set(g2.arrows) \
-            or len(set(m.values())) != len(m):
-        return (False, "not an arrow bijection")
-    for a in g1.arrows:
-        if g1.is_unit(a) != g2.is_unit(m[a]):
-            return (False, f"unit flag not preserved on {a}")
-        if m[g1.range(a)] != g2.range(m[a]) or m[g1.source(a)] != g2.source(m[a]):
-            return (False, f"range/source not preserved on {a}")
-        if m[g1.inverse(a)] != g2.inverse(m[a]):
-            return (False, f"inverse not preserved on {a}")
-    for a in g1.arrows:
-        for b in g1.arrows:
-            if g1.composable(a, b) != g2.composable(m[a], m[b]):
-                return (False, f"composability not preserved on ({a}, {b})")
-            if g1.composable(a, b) and m[g1.compose(a, b)] != g2.compose(m[a], m[b]):
-                return (False, f"composition not preserved on ({a}, {b})")
-    return (True, None)
-
-
 def _unit_profiles(g):
     """Unit -> (isotropy group order, number of arrows with that range,
-    sorted element orders of the isotropy group).  The order of b is the
-    least k >= 1 with b^k = 1, read off the group's index table."""
+    sorted element orders of the isotropy group).  g must pass
+    validate_groupoid, so the isotropy at u, the arrows b with
+    r(b) = s(b) = u, is a group with identity u, and the order of b is
+    the least k <= |H| with b^k = u, read off the composition table."""
     fibre = Counter(g.range(b) for b in g.arrows)
+    isotropy = {u: [] for u in g.units}
+    for b in g.arrows:
+        if g.range(b) == g.source(b):
+            isotropy[g.range(b)].append(b)
+    compose = g.compose_table
     profiles = {}
-    for u in g.units:
-        group = isotropy_group(g, u)
-        table, e = group.table, group.index(group.identity)
+    for u, members in isotropy.items():
         orders = []
-        for b in range(group.order):
+        for b in members:
             power, k = b, 1
-            while power != e:
-                power, k = table[power][b], k + 1
+            while power != u:
+                power, k = compose[(power, b)], k + 1
             orders.append(k)
-        profiles[u] = (group.order, fibre[u], tuple(sorted(orders)))
+        profiles[u] = (len(members), fibre[u], tuple(sorted(orders)))
     return profiles
 
 
@@ -424,7 +407,12 @@ def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
     isomorphic groupoids agree; they are compared before the bound
     applies, and a mismatch returns None without searching.  These checks
     only reject pairs that have no witness, so the verdict and the first
-    witness are those of the search alone."""
+    witness are those of the search alone.
+
+    The witness is not verified here.  On point masses, a map that is a
+    homomorphism, injective, surjective and diagonal-preserving is
+    exactly a groupoid isomorphism, so steinberg_transport's certificates
+    are the witness's."""
     if g1.n_arrows != g2.n_arrows or len(g1.units) != len(g2.units):
         return None
     if sorted(_unit_profiles(g1).values()) != \
@@ -485,11 +473,7 @@ def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
         return False
 
     if backtrack(0):
-        iso = GroupoidIsomorphism(mapping)
-        ok, why = verify_groupoid_isomorphism(g1, g2, iso)
-        if not ok:
-            raise AssertionError(f"search produced a non-isomorphism: {why}")
-        return iso
+        return GroupoidIsomorphism(mapping)
     return None
 
 

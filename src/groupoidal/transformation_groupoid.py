@@ -47,5 +47,30 @@ class TransformationGroupoid(FiniteGroupoid):
 def build_transformation_groupoid(action, name=None):
     """Construct the transformation groupoid of a validated partial group
     action.  The arrow count is the sum of the domain sizes and the unit
-    space is a copy of the acted-on space via x -> (e, x)."""
+    space is a copy of the acted-on space via x -> (e, x).
+
+    When the action passes validate_group_partial_action and its group's
+    table_report passes, the result passes validate_groupoid, so no
+    caller validates it again.  Write b = (s, y), c = (t, x).
+    - Closure: (s, y)(t, x) is built when x = theta_{s^-1}(y) and x is in
+      X_t, so x lies in X_{s^-1} & X_t and y = theta_s(x) in
+      theta_s(X_{s^-1} & X_t) = X_s & X_{st} by the intertwining law:
+      (st, y) is an arrow.
+    - Inverse and units: theta_{s^-1} is a bijection X_s -> X_{s^-1} with
+      inverse theta_s, so b^-1 = (s^-1, theta_{s^-1}(y)) is an arrow and
+      (b^-1)^-1 = b.  Then r(b) = b b^-1 = (e, y) and
+      s(b) = b^-1 b = (e, theta_{s^-1}(y)), and r((e, y)) = (e, y) as
+      theta_e is the identity on X_e = X, so the units are the image of
+      range and source.
+    - Composability: s(b) = r(c) exactly when x = theta_{s^-1}(y), which
+      is the rule above.
+    - Cancellation: b^-1 (bc) = (s^-1, x)(st, y) is composable as
+      theta_s(x) = y, and equals (s^-1 st, x) = c.  (bc) c^-1 =
+      (st, y)(t^-1, theta_{t^-1}(x)) is composable as
+      theta_{(st)^-1}(y) = theta_{t^-1}(theta_{s^-1}(y)) by the
+      composition law on X_s & X_{st}, and equals (st t^-1, y) = b.
+    - Associativity: cancellation gives s(ab) = s(b) and r(bc) = r(b),
+      so the two sides of (ab)c = a(bc) are defined together, and then
+      both are (rst, z) for a = (r, z), by the group's associativity.
+    """
     return TransformationGroupoid(action, name=name)

@@ -5,6 +5,10 @@ arithmetic of the engine.
   (`is_bisection`): BC = {bc : b in B, c in C, s(b) = r(c)}, B^-1 and
   s(B).  `bisection_semigroup` computes its products on arrow bitmasks
   and must agree.
+- The isotropy group at a unit, as a validated `FiniteGroup` read off the
+  composition table (`isotropy_group`).  The groupoid search reads the
+  element orders of each isotropy group straight off the table, and
+  must agree.
 - Formal sums a_s delta_s over a partial action, with functions on the
   space as coefficients, and the twisted product
   (a_s delta_s)(a_t delta_t) = alpha_s(alpha_{s*}(a_s) a_t) delta_{st}.
@@ -15,6 +19,7 @@ arithmetic of the engine.
   rho's targets, and must give the same rows.
 """
 
+from groupoidal.groups import FiniteGroup
 from groupoidal.steinberg_algebra import GroupoidFunction
 from groupoidal.validation import stable
 
@@ -42,6 +47,23 @@ def bisection_inverse(g, bis):
 
 def source_set(g, bis):
     return frozenset(g.source(b) for b in bis)
+
+
+def isotropy_group(g, u):
+    """The isotropy group at a unit: all arrows with range = source = u,
+    as a FiniteGroup with identity u, read off the composition table."""
+    if u not in g.units:
+        raise ValueError(f"{u} is not a unit")
+    members = [b for b in g.arrows if g.range(b) == u and g.source(b) == u]
+    inside = set(members)
+    table = {}
+    for a in members:
+        for b in members:
+            c = g.compose_table.get((a, b))
+            if c not in inside:
+                raise ValueError(f"isotropy at {u} is not closed on ({a}, {b})")
+            table[(a, b)] = c
+    return FiniteGroup(members, table, name=f"isotropy@{u}")
 
 
 class SpaceFunction:

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 from families import pair_groupoid_spec
 
-from groupoidal import catalog
+from groupoidal import catalog, cli, groups
 from groupoidal.cli import main
 
 
@@ -76,15 +76,13 @@ ONCE_PER_THEOREM5 = [("inverse_semigroups", "bisection_semigroup"),
                      ("partial_actions", "validate_isg_partial_action")]
 
 
-@pytest.mark.parametrize("name", ["two_z2", "pair_groupoid_3"])
-def test_theorem5_builds_each_structure_once(name, monkeypatch, capsys):
-    # Each function is counted at every module that imported it by name.
-    # natural_order needs a semigroup that passed the validator, so the
-    # validator runs first.
+def count_calls(monkeypatch, functions):
+    """Count the calls of each (module, function), at every module that
+    imported it by name; returns the counts and the order of the calls."""
     calls, order = Counter(), []
     modules = [m for n, m in sys.modules.items()
                if n == "groupoidal" or n.startswith("groupoidal.")]
-    for module_name, function in ONCE_PER_THEOREM5:
+    for module_name, function in functions:
         original = getattr(sys.modules[f"groupoidal.{module_name}"],
                            function)
 
@@ -97,6 +95,14 @@ def test_theorem5_builds_each_structure_once(name, monkeypatch, capsys):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
+    return calls, order
+
+
+@pytest.mark.parametrize("name", ["two_z2", "pair_groupoid_3"])
+def test_theorem5_builds_each_structure_once(name, monkeypatch, capsys):
+    # natural_order needs a semigroup that passed the validator, so the
+    # validator runs first.
+    calls, order = count_calls(monkeypatch, ONCE_PER_THEOREM5)
     code, out, _ = run_cli(capsys, "theorem5", name)
     assert code == 0
     assert calls == Counter(dict.fromkeys(
@@ -108,6 +114,88 @@ def test_theorem5_builds_each_structure_once(name, monkeypatch, capsys):
     assert rows[:3] == ["check groupoid_axioms",
                         "check bisection_semigroup_axioms",
                         "check bisection_action_axioms"]
+
+
+@pytest.mark.parametrize("name", ["z2_partial_3pt", "regular_z10"])
+def test_theorem3_validates_the_action_only(name, tmp_path, monkeypatch,
+                                            capsys):
+    # The transformation groupoid of a valid action is a groupoid by
+    # construction, so theorem3 builds it once and does not validate it.
+    if name == "regular_z10":
+        path = tmp_path / "regular_z10.json"
+        path.write_text(json.dumps(cyclic_action(10, 1, name)))
+        name = str(path)
+    calls, _ = count_calls(monkeypatch, [
+        ("partial_actions", "validate_group_partial_action"),
+        ("transformation_groupoid", "build_transformation_groupoid"),
+        ("groupoid_core", "validate_groupoid")])
+    code, out, _ = run_cli(capsys, "theorem3", name)
+    assert code == 0
+    assert calls["validate_group_partial_action"] == 1
+    assert calls["build_transformation_groupoid"] == 1
+    assert calls["validate_groupoid"] == 0
+    assert "check transformation_groupoid_axioms: pass" in out
+
+
+def test_equivalence_builds_no_group_after_loading(monkeypatch, capsys):
+    # The search reads isotropy element orders off the composition table.
+    loaded, constructed = [], []
+    load, init = cli.load_document, groups.FiniteGroup.__init__
+
+    def load_then_count(*args):
+        loaded.append(load(*args))
+        return loaded[-1]
+
+    def counted(self, *args, **kwargs):
+        if loaded:
+            constructed.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_document", load_then_count)
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", counted)
+    code, _, _ = run_cli(capsys, "equivalence", "pair_swap_vs_relabeled")
+    assert code == 0
+    assert len(loaded) == 1
+    assert constructed == []
+
+
+def test_theorem3_reports_a_wrong_composite(monkeypatch, capsys):
+    # rho's homomorphism certificate compares every composite the builder
+    # made with L's product, so a wrong one fails there, with no
+    # traceback.
+    build = cli.build_transformation_groupoid
+
+    def wrong_composite(action):
+        groupoid = build(action)
+        key = next((b, c) for b, c in groupoid.compose_table
+                   if not groupoid.is_unit(b) and not groupoid.is_unit(c))
+        groupoid.compose_table[key] = key[0]
+        return groupoid
+
+    monkeypatch.setattr(cli, "build_transformation_groupoid",
+                        wrong_composite)
+    code, out, _ = run_cli(capsys, "theorem3", "z2_partial_3pt")
+    assert code == 1
+    failing = [line for line in out.splitlines()
+               if line.startswith("check ") and ": fail" in line]
+    assert failing[0].startswith("check rho_homomorphism: fail")
+
+
+def test_equivalence_reports_a_wrong_witness(monkeypatch, capsys):
+    # The search does not verify its witness: Gamma's certificates do.
+    search = cli.search_groupoid_isomorphism
+
+    def swapped(g1, g2, bound):
+        iso = search(g1, g2, bound)
+        a, b = [arrow for arrow in g1.arrows if not g1.is_unit(arrow)][:2]
+        iso.mapping[a], iso.mapping[b] = iso.mapping[b], iso.mapping[a]
+        return iso
+
+    monkeypatch.setattr(cli, "search_groupoid_isomorphism", swapped)
+    code, out, _ = run_cli(capsys, "equivalence", "pair_swap_vs_relabeled")
+    assert code == 1
+    assert ("check diagonal_preserving_isomorphism: fail  "
+            "[transport certification failed]") in out
 
 
 RUNG_REPORT_SHA256 = \
@@ -191,18 +279,18 @@ def test_equivalence_orbit_bound(capsys):
     assert "inconclusive" in out
 
 
-def z8_action(step, name):
-    """Z8 acting on 8 points by r.x = x + step*r (step 0: trivially)."""
-    elements = [f"g{r}" for r in range(8)]
-    space = [f"x{x}" for x in range(8)]
+def cyclic_action(n, step, name):
+    """Z_n acting on n points by r.x = x + step*r (step 0: trivially)."""
+    elements = [f"g{r}" for r in range(n)]
+    space = [f"x{x}" for x in range(n)]
     return {"format": "groupoidal/1", "kind": "action", "name": name,
             "group": {"elements": elements,
-                      "table": {f"g{a} g{b}": f"g{(a + b) % 8}"
-                                for a in range(8) for b in range(8)}},
+                      "table": {f"g{a} g{b}": f"g{(a + b) % n}"
+                                for a in range(n) for b in range(n)}},
             "space": space,
             "domains": {g: space for g in elements},
-            "maps": {f"g{r}": {f"x{x}": f"x{(x + step * r) % 8}"
-                               for x in range(8)} for r in range(8)}}
+            "maps": {f"g{r}": {f"x{x}": f"x{(x + step * r) % n}"
+                               for x in range(n)} for r in range(n)}}
 
 
 def test_equivalence_invariant_mismatch_is_decided_inside_default_bounds(
@@ -213,7 +301,8 @@ def test_equivalence_invariant_mismatch_is_decided_inside_default_bounds(
     path = tmp_path / "z8_vs_trivial.json"
     path.write_text(json.dumps({
         "format": "groupoidal/1", "kind": "pair", "name": "z8_vs_trivial",
-        "left": z8_action(1, "regular"), "right": z8_action(0, "trivial")}))
+        "left": cyclic_action(8, 1, "regular"),
+        "right": cyclic_action(8, 0, "trivial")}))
     code, out, _ = run_cli(capsys, "equivalence", str(path))
     assert code == 0
     assert "bounds: bisection=16 iso=10 orbit=6" in out

@@ -8,7 +8,11 @@ Kept verbatim as references, apart from their names: the dict-table
 violation lists, except that an associativity violation may name another
 triple that fails, the same identity, inverses and index tables, and the
 same unit profiles, on the presets, the catalog, seeded corruptions,
-random small tables and generated partial actions.
+random small tables and generated partial actions.  The unit profiles
+must also be those read off each isotropy group as a validated
+`FiniteGroup` (`isotropy_unit_profiles`, the engine's code before the
+search read element orders off the composition table), on the catalog,
+regular Z_n and the groupoid families.
 """
 
 import random
@@ -18,11 +22,11 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 
-from families import idempotents
+from families import family_groupoids, idempotents, regular_action
+from formula_oracle import isotropy_group
 from test_search_oracle import partial_actions
 
 from groupoidal import catalog, groups, specfiles
-from groupoidal.groupoid_core import isotropy_group
 from groupoidal.groups import FiniteGroup, validate_group_table
 from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
                                            NaturalOrder,
@@ -165,6 +169,25 @@ def reference_unit_profiles(g):
                 tuple(sorted(reference_element_order(g, u, b, len(group))
                              for b in group)))
             for u, group in isotropy.items()}
+
+
+def isotropy_unit_profiles(g):
+    """The unit profiles as the search computed them through the
+    isotropy group as a validated FiniteGroup: the order of b is the
+    least k >= 1 with b^k = 1, read off the group's index table."""
+    fibre = Counter(g.range(b) for b in g.arrows)
+    profiles = {}
+    for u in g.units:
+        group = isotropy_group(g, u)
+        table, e = group.table, group.index(group.identity)
+        orders = []
+        for b in range(group.order):
+            power, k = b, 1
+            while power != e:
+                power, k = table[power][b], k + 1
+            orders.append(k)
+        profiles[u] = (group.order, fibre[u], tuple(sorted(orders)))
+    return profiles
 
 
 # --- inputs ---------------------------------------------------------------------
@@ -344,12 +367,15 @@ def test_parse_group_validates_once(monkeypatch):
 
 
 def test_unit_profiles_agree_on_the_catalog():
-    groupoids = [catalog.load_groupoid(name)
-                 for name in catalog.groupoid_names()]
-    groupoids += [build_transformation_groupoid(catalog.load_action(name))
-                  for name in catalog.action_names()]
+    actions = ([catalog.load_action(name) for name in catalog.action_names()]
+               + [regular_action(n) for n in range(1, 13)])
+    groupoids = ([catalog.load_groupoid(name)
+                  for name in catalog.groupoid_names()]
+                 + [build_transformation_groupoid(a) for a in actions]
+                 + family_groupoids())
     for g in groupoids:
-        assert _unit_profiles(g) == reference_unit_profiles(g)
+        assert _unit_profiles(g) == reference_unit_profiles(g) \
+            == isotropy_unit_profiles(g), g.name
         for u in g.units:
             assert isotropy_group(g, u).identity == u
 

@@ -7,6 +7,7 @@ from dense_oracle import (apply, from_vector, ideal_rows, mul_basis,
                           mul_vectors, phi, skew_ring, to_vector)
 from formula_oracle import SkewElement, SpaceFunction, rho_inverse
 from test_phi_oracle import class_of
+from test_search_oracle import verify_groupoid_isomorphism
 
 from groupoidal import catalog
 from groupoidal.groupoid_core import FiniteGroupoid, range_set
@@ -15,7 +16,6 @@ from groupoidal.isomorphisms import (AlgebraMap, OrbitEquivalenceData, psi,
                                      search_orbit_equivalence,
                                      steinberg_transport,
                                      transported_skew_isomorphism,
-                                     verify_groupoid_isomorphism,
                                      verify_orbit_equivalence,
                                      verify_phi_additive,
                                      verify_phi_left_inverse)

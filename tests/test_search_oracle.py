@@ -6,7 +6,10 @@ the invariant checks, kept verbatim apart from their names.  The engine
 must give the same verdict and the same (lexicographically first)
 witness on every input: on the catalog, on relabeled copies, on
 generated partial Z_n actions, and, for orbit equivalence, on
-restrictions of permutation-group actions.
+restrictions of permutation-group actions.  The reference groupoid
+search checks its witness with `verify_groupoid_isomorphism`, the
+label-level check the engine's search ran on its own witness before it
+left that to the certificates of the transported map.
 """
 
 from itertools import permutations
@@ -21,7 +24,6 @@ from groupoidal.isomorphisms import (DEFAULT_ISO_BOUND, DEFAULT_ORBIT_BOUND,
                                      OrbitEquivalenceData,
                                      search_groupoid_isomorphism,
                                      search_orbit_equivalence,
-                                     verify_groupoid_isomorphism,
                                      verify_orbit_equivalence)
 from groupoidal.partial_actions import GroupPartialAction
 from groupoidal.transformation_groupoid import build_transformation_groupoid
@@ -79,6 +81,27 @@ def reference_orbit_equivalence(theta, gamma, bound=DEFAULT_ORBIT_BOUND):
         if feasible:
             return OrbitEquivalenceData(phi, a, b)
     return None
+
+
+def verify_groupoid_isomorphism(g1, g2, iso):
+    m = iso.mapping
+    if set(m) != set(g1.arrows) or set(m.values()) != set(g2.arrows) \
+            or len(set(m.values())) != len(m):
+        return (False, "not an arrow bijection")
+    for a in g1.arrows:
+        if g1.is_unit(a) != g2.is_unit(m[a]):
+            return (False, f"unit flag not preserved on {a}")
+        if m[g1.range(a)] != g2.range(m[a]) or m[g1.source(a)] != g2.source(m[a]):
+            return (False, f"range/source not preserved on {a}")
+        if m[g1.inverse(a)] != g2.inverse(m[a]):
+            return (False, f"inverse not preserved on {a}")
+    for a in g1.arrows:
+        for b in g1.arrows:
+            if g1.composable(a, b) != g2.composable(m[a], m[b]):
+                return (False, f"composability not preserved on ({a}, {b})")
+            if g1.composable(a, b) and m[g1.compose(a, b)] != g2.compose(m[a], m[b]):
+                return (False, f"composition not preserved on ({a}, {b})")
+    return (True, None)
 
 
 def reference_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):

@@ -2,11 +2,12 @@ import random
 
 import pytest
 from families import regular_action
+from formula_oracle import isotropy_group
 from test_factored_oracle import partial_corruptions, z4_actions
 
 from groupoidal import catalog
 from groupoidal.groupoid_core import (is_topologically_principal,
-                                      isotropy_group, validate_groupoid)
+                                      validate_groupoid)
 from groupoidal.isomorphisms import search_groupoid_isomorphism
 from groupoidal.partial_actions import GroupPartialAction, is_topologically_free
 from groupoidal.transformation_groupoid import build_transformation_groupoid
@@ -52,17 +53,20 @@ def test_arrow_count_is_sum_of_domains():
 
 def test_structure_formulas():
     # Range and source are read off the tables as b b^-1 and b^-1 b; on
-    # every catalog action they are the pair formulas.
-    for name in catalog.action_names():
-        action = catalog.load_action(name)
+    # every catalog action, regular Z_n and the Z4 actions, whose maps
+    # are inverse bijections, they and the inverse are the pair formulas.
+    actions = ([catalog.load_action(name) for name in catalog.action_names()]
+               + [regular_action(n) for n in range(1, 13)]
+               + list(z4_actions(random.Random(19), 40)))
+    for action in actions:
         group = action.group
         e = group.identity
         tg = build_transformation_groupoid(action)
         for (t, x) in tg.arrows:
             back = action.theta(group.inv(t), x)
-            assert tg.range((t, x)) == (e, x), name
-            assert tg.source((t, x)) == (e, back), name
-            assert tg.inverse((t, x)) == (group.inv(t), back), name
+            assert tg.range((t, x)) == (e, x), action.name
+            assert tg.source((t, x)) == (e, back), action.name
+            assert tg.inverse((t, x)) == (group.inv(t), back), action.name
     action = catalog.load_action("z2_partial_3pt")
     tg = build_transformation_groupoid(action)
     assert tg.inverse(("g", "1")) == (action.group.inv("g"), "2")
