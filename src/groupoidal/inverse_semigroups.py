@@ -140,8 +140,9 @@ def validate_inverse_semigroup(s):
 
 
 def natural_order(s):
-    """The natural partial order of s, which must have passed
-    validate_inverse_semigroup.
+    """The natural partial order of s, which must be validated
+    (validate_inverse_semigroup), or built from a validated groupoid
+    (bisection_semigroup).
 
     In an inverse semigroup s <= t iff s = t s* s, so s <= t iff s = t e
     for an idempotent e: take e = s* s, and conversely, as idempotents
@@ -158,6 +159,18 @@ def bisection_semigroup(g, bound=DEFAULT_BISECTION_BOUND):
     """The inverse semigroup of all bisections of a finite groupoid, with
     the set product and setwise inverse.  The empty bisection is its zero;
     the unit space is its unit.  g must satisfy the groupoid axioms.
+
+    For such g the result is an inverse semigroup (Paterson, Groupoids,
+    Inverse Semigroups, and their Operator Algebras, 1999), so
+    validate_inverse_semigroup would pass and is not run.  BC is a
+    bisection: the range r(bc) = r(b) of an arrow of BC fixes b, as r is
+    injective on B, and then c, as r(c) = s(b) and r is injective on C;
+    likewise its source fixes it.  The product is associative, as
+    (bc)d = b(cd) in g, with s(bc) = s(c) and r(cd) = r(c).
+    B B* = r(B), a set of units, so B B* B = B and B* B B* = B*.  In an
+    idempotent E = EE each e is some e'f with r(e') = r(e), so e' = e;
+    then f = s(e), and s(f) = s(e) gives f = e: the idempotents are the
+    subsets of the unit space, where UV = U & V = VU, so they commute.
 
     Products are computed on arrow bitmasks: BC is the union, over the
     arrows c of C, of bc for the one arrow b of B with s(b) = r(c), if

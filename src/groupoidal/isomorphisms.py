@@ -17,10 +17,8 @@ from __future__ import annotations
 from collections import Counter
 
 from .groupoid_core import DEFAULT_BISECTION_BOUND, range_set
-from .inverse_semigroups import (bisection_semigroup,
-                                 validate_inverse_semigroup)
-from .partial_actions import (SemigroupPartialAction, induce_algebra_action,
-                              validate_isg_partial_action)
+from .inverse_semigroups import bisection_semigroup
+from .partial_actions import SemigroupPartialAction, induce_algebra_action
 from .scalars import points_at
 from .skew_rings import CovarianceModule, build_ideal, build_quotient
 from .steinberg_algebra import (GroupoidFunction, SteinbergAlgebra,
@@ -506,7 +504,20 @@ def transported_skew_isomorphism(rho1, rho2, gamma, name="Phi"):
 def bisection_action(groupoid, semigroup=None, bound=DEFAULT_BISECTION_BOUND):
     """The partial action of the bisection semigroup on the unit space:
     a bisection B acts by source-fiber-to-range-fiber transport, sending
-    s(b) to r(b) for each arrow b in B.  The domain attached to B is r(B)."""
+    s(b) to r(b) for each arrow b in B.  The domain attached to B is r(B).
+
+    For a groupoid that passed validate_groupoid this is a partial action
+    of the inverse semigroup S that bisection_semigroup builds (Exel,
+    Inverse semigroups and combinatorial C*-algebras, 2008), so it is not
+    validated again.  theta_B is a bijection s(B) -> r(B), as r and s are
+    injective on B, with inverse theta_{B*}, as r(b*) = s(b).
+    X_{B*} & X_C = s(B) & r(C), and BC has an arrow bc exactly when
+    s(b) = r(c) lies there, with range r(b) = theta_B(s(b)); so
+    theta_B(X_{B*} & X_C) = r(BC) = X_B & X_{BC}, r(BC) lying in r(B).
+    For x in X_{C*} & X_{(BC)*} = s(BC), the arrow bc of BC with source x
+    has s(c) = x, so theta_B theta_C(x) = theta_B(r(c)) = r(b) = r(bc) =
+    theta_{BC}(x).  The unit of S is G0, with domain X = G0, and it
+    acts as the identity."""
     if semigroup is None:
         semigroup = bisection_semigroup(groupoid, bound)
     space = groupoid.sort_arrows(groupoid.units)
@@ -554,26 +565,28 @@ class SkewRealization:
                    for a, r in enumerate(self.ideal.rep) if a != r)
 
 
-def psi(groupoid, ring, bisection_bound=DEFAULT_BISECTION_BOUND):
+def psi(groupoid, ring, groupoid_report,
+        bisection_bound=DEFAULT_BISECTION_BOUND):
     """Realize the Steinberg algebra of a finite groupoid as a partial skew
     inverse semigroup ring over its bisection semigroup.
 
     The map psi sends the basis element (point mass at u) delta_B to the
     point mass at the unique arrow of B with range u; it is certified
     multiplicative and surjective, vanishes on the ideal, and descends to
-    the certified isomorphism psi_tilde on the quotient.  The semigroup
-    and action validators run here, once, as the premises of L's
-    associativity (module.premises).  groupoid must pass
-    validate_groupoid; then both premises pass and module.associative
-    is True.  Works over any scalar ring.
+    the certified isomorphism psi_tilde on the quotient.
+
+    groupoid_report is the report of validate_groupoid on groupoid, the
+    one premise of L's associativity (module.premises): the bisections
+    form an inverse semigroup and act partially on the unit space by
+    construction (see bisection_semigroup and bisection_action), so
+    neither is validated again.  When it passes, module.associative is
+    True.  Works over any scalar ring.
     """
     semigroup = bisection_semigroup(groupoid, bisection_bound)
-    semigroup_report = validate_inverse_semigroup(semigroup)
     action = bisection_action(groupoid, semigroup)
-    action_report = validate_isg_partial_action(action)
     algebra_action = induce_algebra_action(action, ring)
     module = CovarianceModule(algebra_action)
-    module.verify_associativity((semigroup_report, action_report))
+    module.verify_associativity((groupoid_report,))
     steinberg = SteinbergAlgebra(groupoid, ring)
 
     targets = [groupoid.index(next(b for b in bis if groupoid.range(b) == u))

@@ -236,11 +236,12 @@ class AlgebraPartialAction:
 
 
 def induce_algebra_action(action, ring):
-    """The algebra-level action of an action that passed its validator
-    (validate_isg_partial_action or validate_group_partial_action).
+    """The algebra-level action of an action that is validated
+    (validate_isg_partial_action or validate_group_partial_action), or
+    built from a validated groupoid (bisection_action).
 
-    There _validate_maps shows that theta_{s*} is a bijection from X_s onto
-    X_{s*} whose inverse is theta_s.  Composing with it is then a ring
-    isomorphism from the functions vanishing off X_{s*} onto those
-    vanishing off X_s, which is what alpha_s: D_{s*} -> D_s must be."""
+    Then theta_{s*} is a bijection from X_s onto X_{s*} whose inverse is
+    theta_s.  Composing with it is a ring isomorphism from the functions
+    vanishing off X_{s*} onto those vanishing off X_s, which is what
+    alpha_s: D_{s*} -> D_s must be."""
     return AlgebraPartialAction(action, ring)

@@ -17,7 +17,7 @@ of a bisection semigroup.
 from __future__ import annotations
 
 from .scalars import BasedAlgebra, SpanTracker, zero_vector
-from .validation import ValidationReport, stable
+from .validation import ValidationReport
 
 
 class CovarianceModule(BasedAlgebra):
@@ -88,10 +88,12 @@ class CovarianceModule(BasedAlgebra):
         """Certify (e_i e_j) e_k = e_i (e_j e_k) on all basis triples from
         premises; stores and returns whether all of them passed.
 
-        premises are the reports of the validators of the index
-        (validate_inverse_semigroup, or a group's table_report) and of the
-        action (validate_isg_partial_action or
-        validate_group_partial_action).  When all pass, L is associative.
+        premises are validator reports that, when all pass, make the
+        index an inverse semigroup and the action a partial action: for a
+        group action, the group's table_report and the report of
+        validate_group_partial_action; for the bisection action of a
+        groupoid, the report of validate_groupoid alone (see
+        bisection_semigroup and bisection_action).  Then L is associative.
         (s, x)(t, y) is nonzero iff y = theta_{s*}(x), and then it is
         (st, x): x = theta_s(y) lies in theta_s(X_{s*} & X_t) =
         X_s & X_{st} by the intertwining law.  So with y = theta_{s*}(x)
@@ -250,68 +252,35 @@ def build_quotient(module, ideal):
     return quotient
 
 
-def check_pregrading(algebra):
-    """Check that the family B_s (the images of D_s delta_s) pre-grades the
-    algebra: B_s B_t inside B_{st}, monotone along the natural order, and
-    jointly spanning.
+def check_pregrading(quotient):
+    """Check that the family B_s (the images of D_s delta_s) pre-grades
+    the quotient L/I: B_s B_t inside B_{st}, monotone along the natural
+    order, and jointly spanning.
 
-    Accepts a CovarianceModule or a QuotientAlgebra.  In both, B_s is
-    spanned by basis elements, e_(s,x) or the class of e_(s,x), so B_s is
-    its set of basis indices and membership is a test of support.
+    B_s is spanned by the classes of the e_(s,x), so B_s is a set of basis
+    indices, and only spanning is checked.  The rest holds once
+    build_quotient has certified representative independence: the class
+    of e_(s,x) times the class of e_(t,y) is the class of
+    (s,x)(t,y) = (st,x), or zero, so B_s B_t lies in B_st; and for s <= t
+    the generator e_(s,x) - e_(t,x) of I puts the class of e_(s,x) in
+    B_t.
     """
-    if isinstance(algebra, QuotientAlgebra):
-        module, cls = algebra.module, algebra._class
-    else:
-        module, cls = algebra, range(algebra.dim)
+    module, cls = quotient.module, quotient._class
     alg = module.algebra_action
     index = alg.index
-    order = index.natural_order()
-    at_point, row_points = algebra.at_point, algebra.row_points
     report = ValidationReport(f"pre-grading over {getattr(index, 'name', 'index')}")
-
-    # blocks[i] is B_s for the element s of index i; products of elements
-    # are read off the index table.
-    elements = index.elements
-    blocks = [{cls[module.label_index(s, x)] for x in alg.domain_points(s)}
-              for s in elements]
-    # B_s B_t lies in B_st iff every product e_a e_b with a in B_s and b in
-    # B_t does.  Sets of basis indices are bitmasks here: reach[b] holds
-    # the nonzero products e_a e_b over a in B_s.
-    bit = [1 << k for k in range(algebra.dim)]
-    masks = [sum(bit[k] for k in block) for block in blocks]
-    for i, s in enumerate(elements):
-        reach = [0] * algebra.dim
-        for a in blocks[i]:
-            for b, k in zip(at_point.get(row_points[a], ()),
-                            algebra.row_products(a)):
-                reach[b] |= bit[k]
-        products = index.table[i]
-        for j, t in enumerate(elements):
-            st = products[j]
-            if st < 0:
-                raise KeyError((s, t))
-            got = 0
-            for b in blocks[j]:
-                got |= reach[b]
-            if got & ~masks[st]:
-                report.add(f"B_{{{stable(s)}}} B_{{{stable(t)}}} is "
-                           f"not contained in B_{{{stable(elements[st])}}}")
-    for j, t in enumerate(elements):
-        for s in order.strictly_below(t):
-            if not blocks[index.index(s)] <= blocks[j]:
-                report.add(f"{stable(s)} <= {stable(t)} but B_{{{stable(s)}}} "
-                           f"is not contained in B_{{{stable(t)}}}")
-    ring = algebra.ring
-    covered = set().union(*blocks)
+    covered = {cls[module.label_index(s, x)]
+               for s in index.elements for x in alg.domain_points(s)}
+    ring = quotient.ring
     if ring.is_field:
-        span = SpanTracker(ring, algebra.dim)
+        span = SpanTracker(ring, quotient.dim)
         for i in sorted(covered):
-            vec = zero_vector(ring, algebra.dim)
+            vec = zero_vector(ring, quotient.dim)
             vec[i] = ring.one()
             span.add(vec)
-        if span.dimension != algebra.dim:
+        if span.dimension != quotient.dim:
             report.add(f"the union of the B_s spans only {span.dimension} "
-                       f"of {algebra.dim} dimensions")
-    elif len(covered) != algebra.dim:
+                       f"of {quotient.dim} dimensions")
+    elif len(covered) != quotient.dim:
         report.add("the union of the B_s does not cover the basis")
     return report

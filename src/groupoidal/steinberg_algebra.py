@@ -4,7 +4,7 @@ function into disjoint bisection indicators."""
 
 from __future__ import annotations
 
-from .groupoid_core import GroupoidProduct, composability_violation
+from .groupoid_core import GroupoidProduct
 from .scalars import zero_vector
 
 
@@ -140,15 +140,11 @@ def disjoint_decomposition(f):
 class SteinbergAlgebra(GroupoidProduct):
     """Coordinate view of the convolution algebra in the point-mass basis,
     the canonical arrow order: e_b e_c = e_{bc} when s(b) = r(c), and 0
-    otherwise, as in GroupoidProduct.  A groupoid whose composable pairs
-    are not exactly those with s(b) = r(c) has no such factoring and is
-    refused with ValueError."""
+    otherwise, as in GroupoidProduct.  groupoid must be validated
+    (validate_groupoid, which runs composability_violation), or built
+    from a validated action (build_transformation_groupoid)."""
 
     def __init__(self, groupoid, ring):
-        violation = composability_violation(groupoid)
-        if violation is not None:
-            raise ValueError(f"{groupoid.name}: the composable pairs are not "
-                             f"the pairs (b, c) with s(b) = r(c): {violation}")
         super().__init__(groupoid)
         self.ring = ring
 

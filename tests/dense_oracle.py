@@ -11,7 +11,8 @@ that a named witness fails there: `triple_fails` for a basis triple,
 `leaves_ideal` for a product of a difference in I.  The factored product
 must agree with these; `product_rows` reads it as dense rows, and
 `closed` is the precondition of its Light's test.  `premises` gives the
-validator reports that `CovarianceModule.verify_associativity` takes.
+validator reports that `CovarianceModule.verify_associativity` takes;
+`realize` runs psi with the groupoid validator's report as its premise.
 
 `mul_basis` and `mul_vectors` multiply vectors of any of the algebras
 through its dense table, so that references in the tests do not read the
@@ -27,8 +28,9 @@ import weakref
 from operator import itemgetter
 
 from formula_oracle import SkewElement, SpaceFunction
+from groupoidal.groupoid_core import validate_groupoid
 from groupoidal.inverse_semigroups import validate_inverse_semigroup
-from groupoidal.isomorphisms import phi_classes
+from groupoidal.isomorphisms import phi_classes, psi
 from groupoidal.partial_actions import (GroupPartialAction,
                                         validate_group_partial_action,
                                         validate_isg_partial_action)
@@ -203,6 +205,11 @@ def skew_ring(algebra_action):
     module = CovarianceModule(algebra_action)
     module.verify_associativity(premises(algebra_action.action))
     return module
+
+
+def realize(groupoid, ring):
+    """psi of a groupoid, with its validator's report as the premise."""
+    return psi(groupoid, ring, validate_groupoid(groupoid))
 
 
 def dense_homomorphism(m):

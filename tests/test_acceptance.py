@@ -7,9 +7,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import random
 import time
 
-from dense_oracle import (apply, from_vector, product_rows, skew_ring,
-                          table_of, to_vector)
-from families import idempotents
+from dense_oracle import (apply, from_vector, product_rows, realize,
+                          skew_ring, table_of, to_vector)
+from families import family_groupoids, idempotents
 from formula_oracle import (bisection_inverse, bisection_product,
                             is_bisection, rho_inverse)
 
@@ -19,7 +19,8 @@ from groupoidal.groupoid_core import (enumerate_bisections,
                                       validate_groupoid)
 from groupoidal.inverse_semigroups import (bisection_semigroup, natural_order,
                                            validate_inverse_semigroup)
-from groupoidal.isomorphisms import (psi, rho, search_groupoid_isomorphism,
+from groupoidal.isomorphisms import (bisection_action, rho,
+                                     search_groupoid_isomorphism,
                                      search_orbit_equivalence,
                                      steinberg_transport,
                                      transported_skew_isomorphism,
@@ -100,7 +101,7 @@ def test_criterion_3_skew_realization_per_groupoid():
         groupoid = catalog.load_groupoid(name)
         assert groupoid.n_arrows <= 12
         start = time.perf_counter()
-        realization = psi(groupoid, Q)
+        realization = realize(groupoid, Q)
         dim_l, dim_i, dim_q, dim_a = realization.dimension_ledger
         assert dim_l - dim_i == dim_q == dim_a == groupoid.n_arrows, name
         assert realization.psi_vanishes_on_ideal(), name
@@ -121,7 +122,7 @@ def test_criterion_3_skew_realization_per_groupoid():
 def test_criterion_4_quotient_necessity():
     witnesses = 0
     for name in catalog.groupoid_names():
-        realization = psi(catalog.load_groupoid(name), Q)
+        realization = realize(catalog.load_groupoid(name), Q)
         if realization.ideal.dimension > 0:
             witnesses += 1
             assert realization.module.dim > realization.steinberg.dim, name
@@ -196,12 +197,16 @@ def test_criterion_6_structural_suites():
                 assert ((b, c) in order.pairs) == (b <= c), name
         assert set(idempotents(semigroup)) == \
             {b for b in semigroup.elements if b <= g.units}, name
-        from groupoidal.isomorphisms import bisection_action
         assert validate_isg_partial_action(bisection_action(g, semigroup)).ok, name
 
         algebra = SteinbergAlgebra(g, Q)
         assert product_rows(algebra) == \
             [list(row) for row in table_of(algebra)], name
         assert algebra.associativity_counterexample() is None, name
+    for g in family_groupoids(4):
+        semigroup = bisection_semigroup(g)
+        assert validate_inverse_semigroup(semigroup).ok, g.name
+        assert validate_isg_partial_action(
+            bisection_action(g, semigroup)).ok, g.name
     report(6, "structural suites: bisection semigroups, orders, "
               "bisection action, convolution")

@@ -1,5 +1,5 @@
 import pytest
-from families import (PartialBijection, family_groupoids, idempotents,
+from families import (PartialBijection, idempotents,
                       semigroup_from_products, symmetric_inverse_monoid)
 from formula_oracle import bisection_inverse, bisection_product
 from test_associativity_oracle import (DictSemigroup, real_violations,
@@ -154,16 +154,6 @@ def test_bisection_semigroup_structure(name):
         assert s.star(b) == bisection_inverse(g, b)
         for c in s.elements:
             assert s.mul(b, c) == bisection_product(g, b, c)
-
-
-def test_bisection_semigroup_of_families_matches_set_products():
-    # The catalog groupoids are covered by test_bisection_semigroup_structure.
-    for g in family_groupoids(max_pair=3):
-        s = bisection_semigroup(g)
-        for b in s.elements:
-            assert s.star(b) == bisection_inverse(g, b), g.name
-            for c in s.elements:
-                assert s.mul(b, c) == bisection_product(g, b, c), g.name
 
 
 def test_pair_groupoid_bisections_match_symmetric_inverse_monoid():

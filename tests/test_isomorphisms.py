@@ -4,14 +4,14 @@ from itertools import combinations, product
 import pytest
 
 from dense_oracle import (apply, from_vector, ideal_rows, mul_basis,
-                          mul_vectors, phi, skew_ring, to_vector)
+                          mul_vectors, phi, realize, skew_ring, to_vector)
 from formula_oracle import SkewElement, SpaceFunction, rho_inverse
 from test_phi_oracle import class_of
 from test_search_oracle import verify_groupoid_isomorphism
 
 from groupoidal import catalog
 from groupoidal.groupoid_core import FiniteGroupoid, range_set
-from groupoidal.isomorphisms import (AlgebraMap, OrbitEquivalenceData, psi,
+from groupoidal.isomorphisms import (AlgebraMap, OrbitEquivalenceData,
                                      rho, search_groupoid_isomorphism,
                                      search_orbit_equivalence,
                                      steinberg_transport,
@@ -309,13 +309,13 @@ def test_distinct_isotropy_not_isomorphic():
 # --- the skew realization of a Steinberg algebra ----------------------------
 
 def test_psi_trivial_groupoid_ledger(Q):
-    r = psi(catalog.load_groupoid("trivial_groupoid"), Q)
+    r = realize(catalog.load_groupoid("trivial_groupoid"), Q)
     assert r.dimension_ledger == (1, 0, 1, 1)
     assert r.psi_tilde.is_isomorphism
 
 
 def test_psi_two_isolated_units_ledger(Q):
-    r = psi(catalog.load_groupoid("two_isolated_units"), Q)
+    r = realize(catalog.load_groupoid("two_isolated_units"), Q)
     assert r.dimension_ledger == (4, 2, 2, 2)
     assert r.psi_map.is_homomorphism and r.psi_map.is_surjective
     assert not r.psi_map.is_injective
@@ -326,7 +326,7 @@ def test_psi_two_isolated_units_ledger(Q):
 def test_psi_on_indicator_of_range(Q):
     for name in ("z2_one_unit", "pair_groupoid_2", "two_z2"):
         g = catalog.load_groupoid(name)
-        r = psi(g, Q)
+        r = realize(g, Q)
         alg = r.algebra_action
         for bis in r.semigroup.elements:
             f = SpaceFunction.indicator(Q, range_set(g, bis))
@@ -337,7 +337,7 @@ def test_psi_on_indicator_of_range(Q):
 
 
 def test_psi_over_prime_field(Z5):
-    r = psi(catalog.load_groupoid("two_isolated_units"), Z5)
+    r = realize(catalog.load_groupoid("two_isolated_units"), Z5)
     assert r.dimension_ledger == (4, 2, 2, 2)
     assert r.psi_tilde.is_isomorphism
 
@@ -345,9 +345,9 @@ def test_psi_over_prime_field(Z5):
 def test_psi_over_non_fields_matches_q(Q):
     for name in catalog.groupoid_names():
         g = catalog.load_groupoid(name)
-        over_q = psi(g, Q)
+        over_q = realize(g, Q)
         for tag in ("Z", "Z/4"):
-            over_ring = psi(g, ring_from_tag(tag))
+            over_ring = realize(g, ring_from_tag(tag))
             assert over_ring.dimension_ledger == over_q.dimension_ledger, name
             assert over_ring.quotient.basis_labels == \
                 over_q.quotient.basis_labels, name
@@ -360,7 +360,7 @@ def test_quotient_necessity_witnesses(Q):
     found = 0
     for name in catalog.groupoid_names():
         g = catalog.load_groupoid(name)
-        r = psi(g, Q)
+        r = realize(g, Q)
         order = natural_order(r.semigroup)
         comparable = any(
             s != t and s and (s, t) in order.pairs
@@ -377,7 +377,7 @@ def test_quotient_necessity_witnesses(Q):
 
 def test_phi_examples(Q):
     g = catalog.load_groupoid("pair_groupoid_2")
-    r = psi(g, Q)
+    r = realize(g, Q)
     zero_class = phi(GroupoidFunction.zero(g, Q), r)
     assert not any(zero_class)
     for bis in r.semigroup.elements:
@@ -396,7 +396,7 @@ def test_phi_examples(Q):
                                   "pair_groupoid_2", "two_z2",
                                   "pair_plus_unit"])
 def test_phi_left_inverse_and_additivity(name, Q):
-    r = psi(catalog.load_groupoid(name), Q)
+    r = realize(catalog.load_groupoid(name), Q)
     ok, why = verify_phi_left_inverse(r)
     assert ok, why
     ok, why = verify_phi_additive(r, random.Random(0), trials=200)
@@ -435,7 +435,7 @@ def test_flags_require_certificates(Q):
 
 
 def test_inverse_requires_square(Q):
-    r = psi(catalog.load_groupoid("two_isolated_units"), Q)
+    r = realize(catalog.load_groupoid("two_isolated_units"), Q)
     with pytest.raises(ValueError):
         r.psi_map.inverse()
 
@@ -450,7 +450,7 @@ def test_rho_certificates_agree_with_vector_computation(name, Q):
 @pytest.mark.parametrize("tag", ["Q", "Z/5"])
 @pytest.mark.parametrize("name", catalog.groupoid_names())
 def test_psi_certificates_agree_with_vector_computation(name, tag):
-    r = psi(catalog.load_groupoid(name), ring_from_tag(tag))
+    r = realize(catalog.load_groupoid(name), ring_from_tag(tag))
     for m in (r.psi_map, r.psi_tilde):
         assert_certificates_agree(m)
     # psi~ is psi on the class representatives, and vanishing on I is
@@ -554,7 +554,7 @@ def test_inverse_and_compose_are_permutation_arithmetic(Q):
 
 
 def test_psi_not_vanishing_on_the_ideal_is_detected(Q):
-    r = psi(catalog.load_groupoid("two_isolated_units"), Q)
+    r = realize(catalog.load_groupoid("two_isolated_units"), Q)
     a = next(a for a, rep in enumerate(r.ideal.rep) if a != rep)
     targets = list(r.psi_map.targets)
     targets[a] = next(t for t in range(r.steinberg.dim) if t != targets[a])

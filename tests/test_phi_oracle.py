@@ -16,13 +16,13 @@ import random
 
 import pytest
 
-from dense_oracle import phi
+from dense_oracle import phi, realize
 from families import pair_groupoid_spec, parse
 from formula_oracle import SpaceFunction, alpha, is_bisection
 
 from groupoidal import catalog, ring_from_tag
 from groupoidal.groupoid_core import range_set
-from groupoidal.isomorphisms import (bisection_action, phi_classes, psi,
+from groupoidal.isomorphisms import (bisection_action, phi_classes,
                                      verify_phi_additive,
                                      verify_phi_left_inverse)
 from groupoidal.partial_actions import (AlgebraPartialAction,
@@ -156,7 +156,7 @@ def build_realization(name, tag):
     """psi of a catalog groupoid, or of the pair groupoid on 4 points."""
     g = (parse(pair_groupoid_spec(4)) if name == "pair_groupoid_4"
          else catalog.load_groupoid(name))
-    return psi(g, ring_from_tag(tag))
+    return realize(g, ring_from_tag(tag))
 
 
 _REALIZATIONS = {}

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from dense_oracle import (dense_table, ideal_rows, mul_basis, mul_vectors,
-                          skew_ring, to_vector)
+                          realize, skew_ring, to_vector)
 from formula_oracle import SkewElement, SpaceFunction, skew_multiply
+from test_factored_oracle import ladder_groupoids
 from test_phi_oracle import class_of
 
 from groupoidal import catalog
@@ -255,8 +256,7 @@ def test_quotient_product_well_defined_on_representatives(Q):
 
 def test_pregrading_group_case_is_honest_grading(Q):
     module = module_for_action("z2_partial_3pt", Q)
-    report = check_pregrading(module)
-    assert report.ok
+    assert reference_pregrading(module) == []
     # blocks meet only in zero: distinct delta components never overlap
     seen = {}
     for i, (s, _) in enumerate(module.basis_labels):
@@ -269,8 +269,8 @@ def test_pregrading_group_case_is_honest_grading(Q):
 
 def test_pregrading_module_fails_for_strict_order(Q):
     module = module_for_groupoid("two_isolated_units", Q)
-    report = check_pregrading(module)
-    assert not report.ok  # B_s is not inside B_t before taking the quotient
+    # B_s is not inside B_t before taking the quotient.
+    assert reference_pregrading(module) != []
 
 
 def test_pregrading_quotient_case(Q):
@@ -292,46 +292,85 @@ def test_pregrading_quotient_case(Q):
     assert any(vec_small)
 
 
-def span_of(algebra, vectors):
-    span = SpanTracker(algebra.ring, algebra.dim)
+def span_of(ring, dim, vectors):
+    span = SpanTracker(ring, dim)
     for v in vectors:
         span.add(v)
     return span
 
 
 def reference_pregrading(algebra):
-    """The pre-grading violations by exact span membership over a field,
-    with each B_s spanned by the (classes of the) vectors e_(s,x): the
-    computation that check_pregrading's index sets replaced."""
+    """The pre-grading violations by exact span membership, with each B_s
+    spanned by the (classes of the) vectors e_(s,x): the computation that
+    check_pregrading's index sets replaced.
+
+    Over a ring that is not a field the vectors are lifted to Q.  Every
+    vector here has entries 0 and 1: the spanning vectors are basis
+    vectors and so are their nonzero products, as all structure constants
+    are 0 or 1.  Over any ring the span of a set of basis vectors is the
+    vectors supported on it, so membership and spanning are the same
+    over the ring and over Q.  A product or a membership is computed once
+    per distinct pair."""
     quotient = algebra if isinstance(algebra, QuotientAlgebra) else None
     module = algebra.module if quotient else algebra
     alg = module.algebra_action
     index = alg.index
+    field = algebra.ring if algebra.ring.is_field else ring_from_tag("Q")
+
+    def lift(vec):
+        assert all(c.value in (0, 1) for c in vec)
+        return [field.scalar(c.value) for c in vec]
+
+    # Each distinct vector gets a number, its position in vectors.
+    vectors, numbers = [], {}
+
+    def keyed(vec):
+        key = tuple(c.value for c in vec)
+        if key not in numbers:
+            numbers[key] = len(vectors)
+            vectors.append(vec)
+        return numbers[key]
+
     blocks = {}
     for s in index.elements:
-        vectors = [unit_vector(module.ring, module.dim,
-                               module.label_index(s, x))
-                   for x in alg.domain_points(s)]
-        blocks[s] = [class_of(quotient, v) for v in vectors] \
-            if quotient else vectors
-    spans = {s: span_of(algebra, vectors) for s, vectors in blocks.items()}
+        units = [unit_vector(module.ring, module.dim,
+                             module.label_index(s, x))
+                 for x in alg.domain_points(s)]
+        blocks[s] = [keyed(class_of(quotient, v) if quotient else v)
+                     for v in units]
+    spans = {s: span_of(field, algebra.dim, [lift(vectors[k]) for k in keys])
+             for s, keys in blocks.items()}
+    products, members = {}, {}
+
+    def product(a, b):
+        if (a, b) not in products:
+            products[(a, b)] = keyed(mul_vectors(algebra, vectors[a],
+                                                 vectors[b]))
+        return products[(a, b)]
+
+    def member(s, k):
+        if (s, k) not in members:
+            members[(s, k)] = spans[s].contains(lift(vectors[k]))
+        return members[(s, k)]
+
     violations = []
     for s in index.elements:
         for t in index.elements:
             st = index.mul(s, t)
-            if not all(spans[st].contains(mul_vectors(algebra, u, v))
-                       for u in blocks[s] for v in blocks[t]):
+            if not all(member(st, product(a, b))
+                       for a in blocks[s] for b in blocks[t]):
                 violations.append(f"B_{{{stable(s)}}} B_{{{stable(t)}}} is "
                                   f"not contained in B_{{{stable(st)}}}")
     order = natural_order(index)
     for t in index.elements:
         for s in order.strictly_below(t):
-            if not all(spans[t].contains(u) for u in blocks[s]):
+            if not all(member(t, a) for a in blocks[s]):
                 violations.append(f"{stable(s)} <= {stable(t)} but "
                                   f"B_{{{stable(s)}}} is not contained in "
                                   f"B_{{{stable(t)}}}")
-    rank = span_of(algebra, [v for vectors in blocks.values()
-                             for v in vectors]).dimension
+    rank = span_of(field, algebra.dim, [lift(vectors[k])
+                                        for keys in blocks.values()
+                                        for k in keys]).dimension
     if rank != algebra.dim:
         violations.append(f"the union of the B_s spans only {rank} of "
                           f"{algebra.dim} dimensions")
@@ -339,15 +378,17 @@ def reference_pregrading(algebra):
 
 
 def test_pregrading_agrees_with_span_membership(Q):
-    algebras = [module_for_action(name, Q) for name in catalog.action_names()]
+    # L itself is pre-graded for a group action, and not for some
+    # groupoids: there I is needed.
+    for name in catalog.action_names():
+        assert reference_pregrading(module_for_action(name, Q)) == [], name
+    failing = 0
     for name in catalog.groupoid_names():
         module = module_for_groupoid(name, Q)
-        algebras += [module, build_quotient(module, build_ideal(module))]
-    failing = 0
-    for algebra in algebras:
-        violations = check_pregrading(algebra).violations
-        assert violations == reference_pregrading(algebra)
-        failing += bool(violations)
+        failing += bool(reference_pregrading(module))
+        quotient = build_quotient(module, build_ideal(module))
+        assert check_pregrading(quotient).violations == \
+            reference_pregrading(quotient), name
     assert failing > 0
 
 
@@ -362,6 +403,15 @@ def test_quotient_pregrading_over_non_fields_matches_q(tag, Q):
             reports.append(check_pregrading(quotient))
         assert reports[1].ok == reports[0].ok, name
         assert reports[1].violations == reports[0].violations, name
+
+
+@pytest.mark.parametrize("tag", ["Q", "Z", "Z/4"])
+def test_every_ladder_quotient_is_pregraded(tag):
+    # check_pregrading tests only spanning; the products and the order
+    # are pre-graded on every quotient that build_quotient certifies.
+    ring = ring_from_tag(tag)
+    for g in ladder_groupoids():
+        assert reference_pregrading(realize(g, ring).quotient) == [], g.name
 
 
 def test_empty_bisection_block_is_zero(Q):
