@@ -5,7 +5,7 @@ semigroup of bisections of a finite groupoid."""
 from __future__ import annotations
 
 from .groupoid_core import enumerate_bisections, DEFAULT_BISECTION_BOUND
-from .scalars import DenseTable, index_row
+from .scalars import DenseTable
 from .validation import ValidationReport
 
 
@@ -29,34 +29,29 @@ class NaturalOrder:
         return [s for s in self.below(t) if s != t]
 
 
-class FiniteInverseSemigroup:
-    """An inverse semigroup given by index tables over its element list,
-    which fixes the canonical order: table[i][j] is the index of the
-    product of elements i and j, star_table[i] the index of the
-    pseudo-inverse of element i, and -1 marks an entry the input left out.
-    Elements serve only as labels."""
+class InverseSemigroup:
+    """What the inverse semigroups here share: the element list, which
+    fixes the canonical order, star_table[i], the index of the
+    pseudo-inverse of element i (-1 where the input left it out), and the
+    natural order, kept once computed.  Elements serve only as labels.
 
-    def __init__(self, elements, table, star_table, name="semigroup"):
+    A subclass gives product(i, j), the index of the product of elements i
+    and j (-1 where the input left it out), row(i), the sequence of
+    product(i, j) over j, down_sets(), unit and generators, a list of
+    indices that generates the semigroup."""
+
+    def __init__(self, elements, star_table, name):
         self.name = name
         self.elements = list(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate semigroup elements")
-        self.table = table
         self.star_table = star_table
-        self._unit_cached = False
-        self._unit = None
         self._natural_order = None
 
     @property
     def order(self):
         return len(self.elements)
-
-    def mul(self, s, t):
-        k = self.table[self._index[s]][self._index[t]]
-        if k < 0:
-            raise KeyError((s, t))
-        return self.elements[k]
 
     def star(self, s):
         k = self.star_table[self._index[s]]
@@ -66,6 +61,42 @@ class FiniteInverseSemigroup:
 
     def index(self, s):
         return self._index[s]
+
+    def natural_order(self):
+        """The natural partial order, computed on first use and kept."""
+        if self._natural_order is None:
+            self._natural_order = natural_order(self)
+        return self._natural_order
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.name}, order={self.order})"
+
+
+class FiniteInverseSemigroup(InverseSemigroup):
+    """An inverse semigroup given by index tables over its element list:
+    table[i][j] is the index of the product of elements i and j, and -1
+    marks an entry the input left out."""
+
+    def __init__(self, elements, table, star_table, name="semigroup"):
+        super().__init__(elements, star_table, name)
+        self.table = table
+        self._unit_cached = False
+        self._unit = None
+
+    def product(self, i, j):
+        return self.table[i][j]
+
+    def row(self, i):
+        return self.table[i]
+
+    def column(self, j):
+        return [row[j] for row in self.table]
+
+    @property
+    def generators(self):
+        """Every element: the table names no smaller generating set, so a
+        check on generator rows reads every row."""
+        return range(self.order)
 
     @property
     def unit(self):
@@ -79,14 +110,11 @@ class FiniteInverseSemigroup:
             self._unit_cached = True
         return self._unit
 
-    def natural_order(self):
-        """The natural partial order, computed on first use and kept."""
-        if self._natural_order is None:
-            self._natural_order = natural_order(self)
-        return self._natural_order
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.name}, order={self.order})"
+    def down_sets(self):
+        """For each element t, the indices of t e over the idempotents e,
+        read off the table."""
+        idem = _idempotent_indices(self.table)
+        return [[row[e] for e in idem] for row in self.table]
 
 
 def _idempotent_indices(table):
@@ -104,7 +132,8 @@ def validate_inverse_semigroup(s):
     Theory, Thm 5.1.1), so its inverses are unique and a* is the inverse
     of a."""
     report = ValidationReport(f"inverse semigroup {s.name}")
-    elems, table, star = s.elements, s.table, s.star_table
+    elems, star = s.elements, s.star_table
+    table = list(map(s.row, range(s.order)))
     for i, row in enumerate(table):
         if -1 in row:
             for j, k in enumerate(row):
@@ -147,12 +176,168 @@ def natural_order(s):
     In an inverse semigroup s <= t iff s = t s* s, so s <= t iff s = t e
     for an idempotent e: take e = s* s, and conversely, as idempotents
     commute, (t e)* (t e) = e t* t e = t* t e and so t (t e)* (t e) = t e.
-    The down-set of t is therefore {t e : e idempotent}, read off the
-    table in |S|·|E| lookups."""
-    elems, table = s.elements, s.table
-    idem = _idempotent_indices(table)
-    return NaturalOrder(s, {(elems[row[e]], elems[t])
-                            for t, row in enumerate(table) for e in idem})
+    The down-set of t is therefore {t e : e idempotent}, which
+    s.down_sets() gives."""
+    elems = s.elements
+    return NaturalOrder(s, {(elems[k], elems[t])
+                            for t, below in enumerate(s.down_sets())
+                            for k in below})
+
+
+class BisectionSemigroup(InverseSemigroup):
+    """The inverse semigroup of all bisections of a validated groupoid,
+    with no product table.  Its elements are the bisections as frozensets
+    of arrows, in ascending bitmask order over the canonical arrow order,
+    and masks[i] is the bitmask of element i.
+
+    A product is computed per entry on the bitmasks, only where it is
+    read.  BC is the union, over the arrows c of C, of bc for the one
+    arrow b of B with s(b) = r(c), if any; so with B fixed it is an OR of
+    one table entry per arrow of C, and likewise with C fixed.  The
+    generating set generators and its rows g t and columns t g are
+    computed at construction, 2 |generators| |S| products in all (the
+    search for the generators computes the columns); any other row is
+    computed when read."""
+
+    def __init__(self, g, bisections, name):
+        idx = g.index
+        unit_id = {u: k for k, u in enumerate(g.sort_arrows(g.units))}
+        self._range = [unit_id[g.range(a)] for a in g.arrows]
+        self._source = [unit_id[g.source(a)] for a in g.arrows]
+        self._composites = {(idx(b), idx(c)): 1 << idx(d)
+                            for (b, c), d in g.compose_table.items()}
+        self._arrows = [sorted(map(idx, bis)) for bis in bisections]
+        self.masks = [sum(1 << a for a in arrows) for arrows in self._arrows]
+        self._position = {mask: i for i, mask in enumerate(self.masks)}
+        inverse = [1 << idx(g.inverse(a)) for a in g.arrows]
+        super().__init__(bisections,
+                         [self._position[sum(map(inverse.__getitem__, arrows))]
+                          for arrows in self._arrows], name)
+        self.unit = self.elements[
+            self._position[sum(1 << idx(u) for u in g.units)]]
+        self._rows, self._columns = {}, {}
+        self.generators = self._generating_set()
+        for c in self.generators:
+            self.row(c)
+
+    def _products(self, lut, factors):
+        """The indices of the products read through lut, one per element
+        index in factors: the OR of lut over the arrows of the factor."""
+        position, arrows = self._position, self._arrows
+        out = []
+        for t in factors:
+            mask = 0
+            for a in arrows[t]:
+                mask |= lut[a]
+            k = position.get(mask)
+            if k is None:
+                raise ValueError("product of bisections is not a bisection; "
+                                 "the groupoid is invalid")
+            out.append(k)
+        return out
+
+    def _left_lut(self, i):
+        """Arrow c -> the bit of bc for the arrow b of element i with
+        s(b) = r(c), or 0: element i times any C is an OR over C."""
+        composite = self._composites
+        by_source = {self._source[b]: b for b in self._arrows[i]}
+        return [composite[by_source[r], c] if r in by_source else 0
+                for c, r in enumerate(self._range)]
+
+    def _right_lut(self, j):
+        """Arrow b -> the bit of bc for the arrow c of element j with
+        r(c) = s(b), or 0: any B times element j is an OR over B."""
+        composite = self._composites
+        by_range = {self._range[c]: c for c in self._arrows[j]}
+        return [composite[b, by_range[s]] if s in by_range else 0
+                for b, s in enumerate(self._source)]
+
+    def _generating_set(self):
+        """A generating set, found with no table: candidates are taken by
+        decreasing size, ties by index, as a product BC has at most
+        min(|B|, |C|) arrows, and a candidate already in the closure is
+        skipped.  The closure of the generators is their closure under
+        right multiplication by them, as a product g1 g2 ... gk is
+        ((g1 g2) ...) gk.  Each member is multiplied by each generator
+        once, so the products found are the columns t g."""
+        n = self.order
+        candidates = sorted(range(n), key=lambda i: -len(self._arrows[i]))
+        inside = bytearray(n)
+        members, generators, luts = [], [], []
+
+        def close(k, factors):
+            """The factors times generator k, kept in its column; returns
+            the products not inside before."""
+            column = self._columns[generators[k]]
+            new = []
+            for t, p in zip(factors, self._products(luts[k], factors)):
+                column[t] = p
+                if not inside[p]:
+                    inside[p] = 1
+                    new.append(p)
+            return new
+
+        for c in candidates:
+            if len(members) == n:
+                break
+            if inside[c]:
+                continue
+            generators.append(c)
+            luts.append(self._right_lut(c))
+            self._columns[c] = [-1] * n
+            inside[c] = 1
+            # The members so far times the new generator, then each new
+            # member times every generator, until none is new.
+            fresh = [c] + close(len(generators) - 1, members)
+            while fresh:
+                members += fresh
+                fresh = [p for k in range(len(generators))
+                         for p in close(k, fresh)]
+        return generators
+
+    def product(self, i, j):
+        row = self._rows.get(i)
+        if row is not None:
+            return row[j]
+        column = self._columns.get(j)
+        if column is not None:
+            return column[i]
+        return self.row(i)[j]
+
+    def row(self, i):
+        """The products of element i with every element, computed on the
+        first read and kept."""
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows[i] = self._products(self._left_lut(i),
+                                                 range(self.order))
+        return row
+
+    def column(self, j):
+        """The products of every element with element j, computed on the
+        first read and kept."""
+        column = self._columns.get(j)
+        if column is None:
+            column = self._columns[j] = self._products(self._right_lut(j),
+                                                       range(self.order))
+        return column
+
+    def down_sets(self):
+        """For each bisection t, the indices of t e over the idempotents e,
+        with no product.  The idempotents are the sets of units, and t e
+        keeps the arrows of t whose source lies in e, so the down-set of t
+        is every subset of t: its submasks."""
+        position = self._position
+        out = []
+        for mask in self.masks:
+            below, sub = [], mask
+            while True:
+                below.append(position[sub])
+                if not sub:
+                    break
+                sub = (sub - 1) & mask
+            out.append(below)
+        return out
 
 
 def bisection_semigroup(g, bound=DEFAULT_BISECTION_BOUND):
@@ -172,35 +357,6 @@ def bisection_semigroup(g, bound=DEFAULT_BISECTION_BOUND):
     then f = s(e), and s(f) = s(e) gives f = e: the idempotents are the
     subsets of the unit space, where UV = U & V = VU, so they commute.
 
-    Products are computed on arrow bitmasks: BC is the union, over the
-    arrows c of C, of bc for the one arrow b of B with s(b) = r(c), if
-    any.  The frozensets of arrows serve only as element labels."""
-    bisections = enumerate_bisections(g, bound)
-    idx = g.index
-    masks = [sum(1 << idx(a) for a in bis) for bis in bisections]
-    position = {mask: i for i, mask in enumerate(masks)}
-    # For each bisection: its arrows keyed by source, and its arrows with
-    # their ranges.
-    by_source = [{g.source(a): idx(a) for a in bis} for bis in bisections]
-    by_range = [[(g.range(a), idx(a)) for a in bis] for bis in bisections]
-    composite = {(idx(b), idx(c)): 1 << idx(d)
-                 for (b, c), d in g.compose_table.items()}
-    table = []
-    for sources in by_source:
-        row = []
-        for arrows in by_range:
-            mask = 0
-            for r, c in arrows:
-                b = sources.get(r)
-                if b is not None:
-                    mask |= composite[(b, c)]
-            k = position.get(mask)
-            if k is None:
-                raise ValueError("product of bisections is not a bisection; "
-                                 "the groupoid is invalid")
-            row.append(k)
-        table.append(index_row(len(bisections), row))
-    star_table = [position[sum(1 << idx(g.inverse(a)) for a in bis)]
-                  for bis in bisections]
-    return FiniteInverseSemigroup(bisections, table, star_table,
-                                  name=f"{g.name}^a")
+    No product table is built: see BisectionSemigroup."""
+    return BisectionSemigroup(g, enumerate_bisections(g, bound),
+                              name=f"{g.name}^a")

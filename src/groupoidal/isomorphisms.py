@@ -15,6 +15,7 @@ asserted without one.
 from __future__ import annotations
 
 from collections import Counter
+from math import lcm
 
 from .groupoid_core import DEFAULT_BISECTION_BOUND, range_set
 from .inverse_semigroups import bisection_semigroup
@@ -22,7 +23,7 @@ from .partial_actions import SemigroupPartialAction, induce_algebra_action
 from .scalars import points_at
 from .skew_rings import CovarianceModule, build_ideal, build_quotient
 from .steinberg_algebra import (GroupoidFunction, SteinbergAlgebra,
-                                disjoint_decomposition)
+                                split_levels)
 from .transformation_groupoid import build_transformation_groupoid
 from .validation import BoundExceeded
 
@@ -76,11 +77,17 @@ class AlgebraMap:
     def preserves_diagonal(self):
         return self._flag("diagonal")
 
-    def certify_homomorphism(self):
-        """Exhaustive multiplicativity on all domain basis pairs:
-        e_{t(i)} e_{t(j)} must be e_{t(k)} where e_i e_j = e_k, and zero
-        where e_i e_j = 0.  On a failure the detail names the first
-        failing pair (i, j) in row-major order.
+    def certify_homomorphism(self, rows=None):
+        """Multiplicativity on the domain basis pairs (i, j) with i in
+        rows, by default every index: e_{t(i)} e_{t(j)} must be e_{t(k)}
+        where e_i e_j = e_k, and zero where e_i e_j = 0.  On a failure the
+        detail names the first failing pair (i, j) in row-major order.
+
+        rows may index a generating set of the domain when both algebras
+        are associative: the x with m(x b) = m(x) m(b) for every b, m the
+        map, form a subspace closed under products, as for x and y in it
+        m((x y) b) = m(x (y b)) = m(x) m(y) m(b) = m(x y) m(b); so it is
+        the whole domain once it holds the generators.
 
         In each algebra here e_i e_j is nonzero exactly when the row point
         of e_i is the column point of e_j.  So in row i, with t the target
@@ -97,7 +104,8 @@ class AlgebraMap:
         image_at = points_at([cod.col_points[t] for t in targets])
         images = {q: [targets[j] for j in columns]
                   for q, columns in image_at.items()}
-        for i, t in enumerate(targets):
+        for i in range(dom.dim) if rows is None else rows:
+            t = targets[i]
             columns = dom.at_point.get(dom.row_points[i], ())
             lhs = list(map(targets.__getitem__, dom.row_products(i)))
             p = cod.row_points[t]
@@ -113,6 +121,15 @@ class AlgebraMap:
                     f"fails on basis pair ({dom.basis_labels[i]}, "
                     f"{dom.basis_labels[j]})")
         return self._store("homomorphism", True, None)
+
+    def derive_homomorphism(self, premises):
+        """Record the homomorphism certificate as derived, not computed:
+        premises are (name, flag) pairs from which the caller has shown
+        that the map is a homomorphism.  It passes when every premise
+        does; otherwise the detail names the first that failed."""
+        failed = next((name for name, flag in premises if not flag), None)
+        return self._store("homomorphism", failed is None, None if failed
+                           is None else f"not derived: {failed} failed")
 
     def certify_injective(self):
         """Distinct targets.  Otherwise the kernel vector reported is
@@ -549,6 +566,15 @@ class SkewRealization:
         self.steinberg = steinberg
         self.psi_map = psi_map
         self.psi_tilde = psi_tilde
+        # For phi, on arrow indices: the range and source of each arrow
+        # as points of the space, and (bisection bitmask, point) -> the
+        # basis index of L of that bisection at that point.
+        point = {x: p for p, x in enumerate(action.space)}
+        self._ranges = [point[groupoid.range(a)] for a in groupoid.arrows]
+        self._sources = [point[groupoid.source(a)] for a in groupoid.arrows]
+        masks = semigroup.masks
+        self._block_basis = {(masks[e], p): k for k, (e, p) in enumerate(
+            zip(module._element, module.col_points))}
 
     @property
     def dimension_ledger(self):
@@ -563,6 +589,24 @@ class SkewRealization:
         targets = self.psi_map.targets
         return all(targets[a] == targets[r]
                    for a, r in enumerate(self.ideal.rep) if a != r)
+
+    def phi_values(self, values):
+        """phi of the function with the given nonzero values on arrow
+        indices, as {quotient index: sum of values}, the sums not reduced
+        in the ring and zeros kept.  Each block B of split_levels, with
+        value r, adds r at the class of (B, r(b)) for each arrow b of B.
+        The classes are read from the quotient on each call."""
+        basis, cls, ranges = self._block_basis, self.quotient._class, \
+            self._ranges
+        out = {}
+        for block, value in split_levels(values, ranges, self._sources):
+            mask = 0
+            for i in block:
+                mask |= 1 << i
+            for i in block:
+                q = cls[basis[mask, ranges[i]]]
+                out[q] = out[q] + value if q in out else value
+        return out
 
 
 def psi(groupoid, ring, groupoid_report,
@@ -580,7 +624,9 @@ def psi(groupoid, ring, groupoid_report,
     form an inverse semigroup and act partially on the unit space by
     construction (see bisection_semigroup and bisection_action), so
     neither is validated again.  When it passes, module.associative is
-    True.  Works over any scalar ring.
+    True, and psi's certificate and the two-sidedness of I read only the
+    generator rows of L (CovarianceModule.generator_basis); psi_tilde's
+    homomorphism is derived from them.  Works over any scalar ring.
     """
     semigroup = bisection_semigroup(groupoid, bisection_bound)
     action = bisection_action(groupoid, semigroup)
@@ -592,7 +638,9 @@ def psi(groupoid, ring, groupoid_report,
     targets = [groupoid.index(next(b for b in bis if groupoid.range(b) == u))
                for (bis, u) in module.basis_labels]
     psi_map = AlgebraMap(module, steinberg, targets, name="psi")
-    psi_map.certify_homomorphism()
+    # A_R(G) is associative as the groupoid is, and L by its premise, so
+    # the generator rows of L suffice (module.generator_basis).
+    psi_map.certify_homomorphism(module.generator_basis())
     psi_map.certify_injective()
     psi_map.certify_surjective()
 
@@ -602,30 +650,32 @@ def psi(groupoid, ring, groupoid_report,
     psi_tilde = AlgebraMap(quotient, steinberg,
                            [targets[a] for a in quotient.representatives],
                            name="psi~")
-    psi_tilde.certify_homomorphism()
+    realization = SkewRealization(groupoid, ring, semigroup, action,
+                                  algebra_action, module, ideal, quotient,
+                                  steinberg, psi_map, psi_tilde)
+    # psi~(pi(a) pi(b)) = psi~(pi(ab)) = psi(ab) = psi(a) psi(b): the
+    # first step is representative independence, which build_quotient
+    # certified, the second is psi vanishing on I, the third psi's
+    # homomorphism.
+    psi_tilde.derive_homomorphism(
+        (("psi_homomorphism", psi_map.is_homomorphism),
+         ("psi_vanishes_on_ideal", realization.psi_vanishes_on_ideal())))
     psi_tilde.certify_injective()
     psi_tilde.certify_surjective()
-
-    return SkewRealization(groupoid, ring, semigroup, action, algebra_action,
-                           module, ideal, quotient, steinberg, psi_map,
-                           psi_tilde)
+    return realization
 
 
 def phi_classes(f, realization):
     """The left inverse of psi_tilde: decompose f canonically into disjoint
     bisection indicators sum r_i 1_{B_i} and map it to the class of
     sum r_i (indicator of r(B_i)) delta_{B_i}, as {quotient index:
-    coefficient} with zeros dropped."""
+    coefficient} with zeros dropped (see SkewRealization.phi_values)."""
     if f.parent is not realization.groupoid or f.ring != realization.ring:
         raise ValueError("function does not live on the realized groupoid")
-    range_of = realization.groupoid.range
-    label_index = realization.module.label_index
-    cls = realization.quotient._class
-    out = {}
-    for coeff, bis in disjoint_decomposition(f):
-        for b in bis:
-            q = cls[label_index(bis, range_of(b))]
-            out[q] = out[q] + coeff if q in out else coeff
+    index, ring = realization.groupoid._index, f.ring
+    sums = realization.phi_values({index[a]: c.value
+                                   for a, c in f.values.items()})
+    out = {q: ring.scalar(v) for q, v in sums.items()}
     return {q: c for q, c in out.items() if c}
 
 
@@ -645,26 +695,42 @@ def verify_phi_left_inverse(realization):
 
 
 def verify_phi_additive(realization, rng, trials=200):
-    """phi(f + g) = phi(f) + phi(g) as classes, on random pairs."""
-    steinberg = realization.steinberg
+    """phi(f + g) = phi(f) + phi(g) as classes, on random pairs.  Each
+    pair is drawn as values on arrow indices, by the calls of rng that
+    random GroupoidFunctions would make: for each arrow in order, a coin
+    and, on heads, ScalarRing.random's draw, kept when nonzero.  The
+    pair's values are then scaled by the least common multiple of their
+    denominators (1 outside Q), which keeps the answer of every sum,
+    equality and zero test, so the trial runs on integers."""
+    ring, n = realization.ring, realization.steinberg.dim
+    modulus = ring.modulus
+
+    def draw():
+        values = {}
+        for i in range(n):
+            if rng.random() < 0.5:
+                v = ring.random_value(rng)
+                if v:
+                    values[i] = v
+        return values
+
+    def nonzero(sums):
+        if modulus:
+            sums = {q: v % modulus for q, v in sums.items()}
+        return {q: v for q, v in sums.items() if v}
+
+    phi = realization.phi_values
     for trial in range(trials):
-        f = _random_function(steinberg, rng)
-        g = _random_function(steinberg, rng)
-        lhs = phi_classes(f + g, realization)
-        rhs = phi_classes(f, realization)
-        for q, c in phi_classes(g, realization).items():
-            rhs[q] = rhs[q] + c if q in rhs else c
-        if lhs != {q: c for q, c in rhs.items() if c}:
+        f, g = draw(), draw()
+        scale = lcm(*(v.denominator for v in (*f.values(), *g.values())))
+        f, g = ({i: v.numerator * (scale // v.denominator)
+                 for i, v in values.items()} for values in (f, g))
+        total = dict(f)
+        for i, v in g.items():
+            total[i] = total[i] + v if i in total else v
+        rhs = phi(f)
+        for q, v in phi(g).items():
+            rhs[q] = rhs[q] + v if q in rhs else v
+        if nonzero(phi(nonzero(total))) != nonzero(rhs):
             return (False, f"additivity fails at trial {trial}")
     return (True, None)
-
-
-def _random_function(steinberg, rng):
-    g = steinberg.groupoid
-    values = {}
-    for a in g.arrows:
-        if rng.random() < 0.5:
-            c = steinberg.ring.random(rng)
-            if c:
-                values[a] = c
-    return GroupoidFunction(g, steinberg.ring, values)

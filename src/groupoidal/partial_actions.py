@@ -100,12 +100,13 @@ def _validate_composition(action, report):
     (X_t, X_{st}) in the row of s; the composition law names every
     failing point.
 
-    Runs on the index tables of the group or inverse semigroup; elements
-    are looked up only for the domains, the maps and the messages.  A
-    product the table leaves out raises KeyError, as the index's mul does.
+    Runs on the rows of the index's product; elements are looked up only
+    for the domains, the maps and the messages.  A product the table
+    leaves out raises KeyError.
     """
     index = action.index
-    elements, table, star = index.elements, index.table, index.star_table
+    elements, star = index.elements, index.star_table
+    table = list(map(index.row, range(len(elements))))
     domains = [action.domains[s] for s in elements]
     maps = [action.maps[s] for s in elements]
     # The intertwining law for (s, t) reads only s, X_t and X_{st}, so a

@@ -117,11 +117,16 @@ class ScalarRing:
 
     def random(self, rng):
         """A pseudo-random scalar, for property tests."""
+        return Scalar(self, self.random_value(rng))
+
+    def random_value(self, rng):
+        """The value of random(rng), drawn by the same calls of rng,
+        without the Scalar."""
         if self.kind == "Q":
-            return self.scalar(Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
+            return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
         if self.kind == "Z":
-            return self.scalar(rng.randint(-50, 50))
-        return self.scalar(rng.randrange(self.modulus))
+            return rng.randint(-50, 50)
+        return rng.randrange(self.modulus)
 
 
 def ring_from_tag(tag):

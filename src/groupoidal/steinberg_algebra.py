@@ -97,43 +97,59 @@ def convolve(f, g):
     return GroupoidFunction(parent, ring, acc)
 
 
-def disjoint_decomposition(f):
-    """Write f as a sum of scalar multiples of indicators of pairwise
-    disjoint bisections, canonically.
+def split_levels(values, ranges, sources):
+    """The canonical split of a function into indicators of pairwise
+    disjoint bisections, on arrow indices.  values maps arrow indices to
+    nonzero values; ranges[i] and sources[i] are the range and source of
+    arrow i.
 
     The support is partitioned into level sets of equal value; each level
-    set is split greedily, in ascending canonical arrow order, into maximal
-    bisections: an arrow joins a block only while its range and its source
-    are unused there, so each block is a bisection.  The output is sorted
-    by the bisections' canonical keys, so the same function always yields
-    the same list.
-    """
-    g = f.parent
-    index, range_of, source_of = g._index, g._range, g._source
+    set is split greedily, in ascending arrow order, into maximal
+    bisections: an arrow joins a block only while its range and its
+    source are unused there, so each block is a bisection.  Returns
+    (block, value) pairs, each block an ascending list of indices."""
     levels = {}
-    for arrow, value in f.values.items():
-        # f has one ring, so the raw values key the level sets.
-        levels.setdefault(value.value, (value, []))[1].append(
-            (index[arrow], range_of[arrow], source_of[arrow]))
+    for i, value in values.items():
+        levels.setdefault(value, []).append(i)
     blocks = []
-    for value, remaining in levels.values():
+    for value, remaining in levels.items():
+        if len(remaining) == 1:
+            blocks.append((remaining, value))
+            continue
         remaining.sort()
         while remaining:
-            block, rest, ranges, sources = [], [], set(), set()
-            for item in remaining:
-                i, r, s = item
-                if r in ranges or s in sources:
-                    rest.append(item)
+            block, rest, used_ranges, used_sources = [], [], set(), set()
+            for i in remaining:
+                r, s = ranges[i], sources[i]
+                if r in used_ranges or s in used_sources:
+                    rest.append(i)
                 else:
                     block.append(i)
-                    ranges.add(r)
-                    sources.add(s)
+                    used_ranges.add(r)
+                    used_sources.add(s)
             blocks.append((block, value))
             remaining = rest
+    return blocks
+
+
+def disjoint_decomposition(f):
+    """Write f as a sum of scalar multiples of indicators of pairwise
+    disjoint bisections, canonically: the blocks of split_levels, sorted
+    by the bisections' canonical keys, so the same function always yields
+    the same list."""
+    g = f.parent
+    index = g._index
+    values, scalars = {}, {}
+    for arrow, value in f.values.items():
+        # f has one ring, so the raw values key the level sets.
+        values[index[arrow]] = value.value
+        scalars.setdefault(value.value, value)
+    blocks = split_levels(values, [g._range[a] for a in g.arrows],
+                          [g._source[a] for a in g.arrows])
     # A block's key is its ascending index list; blocks are disjoint, so
     # their first indices order them as their keys do.
     blocks.sort(key=lambda bv: bv[0][0])
-    return [(value, frozenset([g.arrows[i] for i in block]))
+    return [(scalars[value], frozenset([g.arrows[i] for i in block]))
             for block, value in blocks]
 
 

@@ -17,28 +17,33 @@ class TransformationGroupoid(FiniteGroupoid):
 
     def __init__(self, action, name=None):
         group = action.group
-        e = group.identity
-        arrows = [(t, x) for t in group.elements
-                  for x in action.domain_points(t)]
+        elements, table = group.elements, group.table
+        # Each arrow (t, x) with the index of t, and the inverse of t.
+        indexed = [(i, t, x, elements[group.star_table[i]])
+                   for i, t in enumerate(elements)
+                   for x in action.domain_points(t)]
+        arrows = [(t, x) for _, t, x, _ in indexed]
         arrow_set = set(arrows)
-        units = [(e, x) for x in action.space]
-        inverse = {(t, x): (group.inv(t), action.theta(group.inv(t), x))
-                   for (t, x) in arrows}
+        units = [(group.identity, x) for x in action.space]
+        inverse = {(t, x): (t_inv, action.theta(t_inv, x))
+                   for _, t, x, t_inv in indexed}
         # The arrows (t, x) at each point x, in arrow order: t in group
-        # order.  (s, y) composes with exactly those at theta_{s^-1}(y).
+        # order, with the index of t.  (s, y) composes with exactly those
+        # at theta_{s^-1}(y), and the composite (st, y) reads st off the
+        # group's index table.
         arrows_at = {}
-        for t, x in arrows:
-            arrows_at.setdefault(x, []).append((t, x))
+        for j, t, x, _ in indexed:
+            arrows_at.setdefault(x, []).append((j, (t, x)))
         compose = {}
-        for (s, y) in arrows:
-            for (t, x) in arrows_at.get(action.theta(group.inv(s), y), ()):
-                st = group.mul(s, t)
-                target = (st, y)
+        for i, s, y, s_inv in indexed:
+            row = table[i]
+            for j, c in arrows_at.get(action.theta(s_inv, y), ()):
+                target = (elements[row[j]], y)
                 if target not in arrow_set:
                     raise ValueError(
-                        f"composite ({st}, {y}) escapes the arrow set; "
-                        "action is not a partial action")
-                compose[((s, y), (t, x))] = target
+                        f"composite ({target[0]}, {y}) escapes the arrow "
+                        "set; action is not a partial action")
+                compose[((s, y), c)] = target
         super().__init__(arrows, units, inverse, compose,
                          name=name or f"{group.name}@{action.name}")
         self.action = action

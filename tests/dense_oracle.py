@@ -27,6 +27,7 @@ import weakref
 
 from operator import itemgetter
 
+from families import mul
 from formula_oracle import SkewElement, SpaceFunction
 from groupoidal.groupoid_core import validate_groupoid
 from groupoidal.inverse_semigroups import validate_inverse_semigroup
@@ -56,7 +57,7 @@ def dense_table(module):
     for s, x in module.basis_labels:
         row = blank[:]
         for j, t in at_point.get(theta(index.star(s), x), ()):
-            row[j] = module.label_index(index.mul(s, t), x)
+            row[j] = module.label_index(mul(index, s, t), x)
         table.append(row)
     return table
 
@@ -212,13 +213,15 @@ def realize(groupoid, ring):
     return psi(groupoid, ring, validate_groupoid(groupoid))
 
 
-def dense_homomorphism(m):
+def dense_homomorphism(m, rows=None):
     """The homomorphism certificate (flag, detail) of an AlgebraMap by the
-    row-major scan over the dense tables of its domain and codomain."""
+    row-major scan over the dense tables of its domain and codomain, on
+    the given domain rows, by default all."""
     targets = m.targets
     image = targets + [-1]
     dom, cod = table_of(m.domain), table_of(m.codomain)
-    for i, row in enumerate(dom):
+    for i in range(len(dom)) if rows is None else rows:
+        row = dom[i]
         cod_row = cod[targets[i]]
         lhs = [image[k] for k in row]
         rhs = [cod_row[t] for t in targets]

@@ -134,9 +134,27 @@ def symmetric_inverse_monoid(points, name=None):
         elements, table, star, name=name or f"I({len(points)} points)")
 
 
+def mul(s, a, b):
+    """The product of two elements of a semigroup, by label, read off its
+    index product; KeyError where the table leaves it out."""
+    k = s.product(s.index(a), s.index(b))
+    if k < 0:
+        raise KeyError((a, b))
+    return s.elements[k]
+
+
+def tabulated(s):
+    """An inverse semigroup with products on demand, such as a bisection
+    semigroup, as a FiniteInverseSemigroup with its whole table, so that
+    tests can read or corrupt entries."""
+    return FiniteInverseSemigroup(
+        s.elements, [index_row(s.order, s.row(i)) for i in range(s.order)],
+        list(s.star_table), name=s.name)
+
+
 def idempotents(s):
     """The elements e of an inverse semigroup with e e = e."""
-    return [e for e in s.elements if s.mul(e, e) == e]
+    return [e for e in s.elements if mul(s, e, e) == e]
 
 
 def semigroup_from_products(elements, products, star, name="semigroup"):

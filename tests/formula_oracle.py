@@ -19,6 +19,7 @@ arithmetic of the engine.
   rho's targets, and must give the same rows.
 """
 
+from families import mul
 from groupoidal.groups import FiniteGroup
 from groupoidal.steinberg_algebra import GroupoidFunction
 from groupoidal.validation import stable
@@ -227,7 +228,7 @@ def skew_multiply(x, y):
     acc = {}
     for s, a_s in x.terms.items():
         for t, a_t in y.terms.items():
-            st = index.mul(s, t)
+            st = mul(index, s, t)
             coeff = alpha(alg, s, alpha(alg, alg.star(s), a_s) * a_t)
             if coeff:
                 acc[st] = acc[st] + coeff if st in acc else coeff

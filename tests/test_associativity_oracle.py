@@ -28,8 +28,9 @@ from collections import Counter
 import pytest
 from dense_oracle import (table_associativity_counterexample, table_of,
                           table_light_generators, triple_fails)
-from families import (pair_groupoid_spec, parse, semigroup_from_products,
-                      symmetric_inverse_monoid)
+from families import (family_groupoids, mul, pair_groupoid_spec, parse,
+                      semigroup_from_products, symmetric_inverse_monoid,
+                      tabulated)
 
 from groupoidal import catalog
 from groupoidal.inverse_semigroups import (bisection_semigroup,
@@ -242,7 +243,7 @@ def groupoid_algebras(name, g, ring):
     return [(f"{name} A", SteinbergAlgebra(g, ring)),
             (f"{name} L", module),
             (f"{name} L/I", quotient),
-            (f"{name} S", DenseTable(semigroup.table))]
+            (f"{name} S", DenseTable(tabulated(semigroup).table))]
 
 
 def groupoid_tables(name, g, ring):
@@ -297,11 +298,29 @@ def test_generator_counts_on_the_rung(Q):
     assert (semigroup.order, module.dim) == (209, 544)
     # 99 and 46 under smallest_missing_generators.
     assert len(light_generators(module)) <= 16
-    assert len(light_generators(DenseTable(semigroup.table))) <= 5
+    assert len(light_generators(DenseTable(tabulated(semigroup).table))) <= 5
     # 33 under smallest_missing_generators.
     i4 = symmetric_inverse_monoid(range(4))
     assert i4.order == 209
     assert len(light_generators(DenseTable(i4.table))) <= 5
+
+
+def test_bisection_generators_generate_the_semigroup():
+    # theorem5 reads S only on the rows and columns of its generating
+    # set, found with no table: its closure is S, and each generator lies
+    # outside the closure of those found before it.
+    groupoids = [catalog.load_groupoid(name)
+                 for name in catalog.groupoid_names()]
+    groupoids += family_groupoids(4)
+    for g in groupoids:
+        s = bisection_semigroup(g)
+        table, generators = tabulated(s).table, s.generators
+        assert magma_closure(table, generators) == set(range(s.order)), g.name
+        for k in range(1, len(generators)):
+            assert generators[k] not in magma_closure(table, generators[:k])
+    # On 4 points: 5 generators of the 209 bisections.
+    assert len(bisection_semigroup(parse(pair_groupoid_spec(4))).generators) \
+        == 5
 
 
 def corrupt(table, rng):
@@ -347,7 +366,7 @@ def test_corrupted_cayley_tables_agree_with_the_cube(Q):
     # A one-element table has no other index to corrupt to.
     semigroups = [s for s in map(catalog.load_semigroup,
                                  catalog.semigroup_names()) if s.order > 1]
-    semigroups += [bisection_semigroup(catalog.load_groupoid(name))
+    semigroups += [tabulated(bisection_semigroup(catalog.load_groupoid(name)))
                    for name in ("pair_groupoid_2", "two_z2", "z3_one_unit")]
     semigroups.append(symmetric_inverse_monoid(range(3)))
     rng = random.Random(9)
@@ -380,7 +399,7 @@ def test_small_random_tables_agree_with_the_cube():
 
 def i3_products():
     s = symmetric_inverse_monoid(range(3))
-    table = {(a, b): s.mul(a, b) for a in s.elements for b in s.elements}
+    table = {(a, b): mul(s, a, b) for a in s.elements for b in s.elements}
     star = {a: s.star(a) for a in s.elements}
     return s.elements, table, star
 

@@ -11,6 +11,7 @@ from families import pair_groupoid_spec
 
 from groupoidal import catalog, cli, groups
 from groupoidal.cli import main
+from groupoidal.inverse_semigroups import BisectionSemigroup
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +116,30 @@ def test_theorem5_builds_each_structure_once(name, monkeypatch, capsys):
     assert rows[:3] == ["check groupoid_axioms",
                         "check bisection_semigroup_axioms",
                         "check bisection_action_axioms"]
+
+
+def test_theorem5_computes_products_only_on_generator_rows(
+        tmp_path, monkeypatch, capsys):
+    # S has no product table: the search for its generating set computes
+    # the columns t g, and the rows g t follow, so on 4 points theorem5
+    # computes 2 |generators| |S| products of the |S|^2 = 43,681.
+    path = tmp_path / "pair_groupoid_4.json"
+    path.write_text(json.dumps(pair_groupoid_spec(4)))
+    counts = Counter()
+    semigroups = {}
+    original = BisectionSemigroup._products
+
+    def counted(self, lut, factors):
+        semigroups[id(self)] = self
+        counts[id(self)] += len(factors)
+        return original(self, lut, factors)
+
+    monkeypatch.setattr(BisectionSemigroup, "_products", counted)
+    code, out, _ = run_cli(capsys, "theorem5", str(path))
+    assert code == 0
+    (key, s), = semigroups.items()
+    assert (s.order, len(s.generators)) == (209, 5)
+    assert counts[key] <= 2 * len(s.generators) * s.order == 2090
 
 
 @pytest.mark.parametrize("name", ["z2_partial_3pt", "regular_z10"])

@@ -21,7 +21,7 @@ from dense_oracle import (closed, dense_associativity, dense_homomorphism,
                           dense_quotient_table, dense_table, premises,
                           product_rows, realize, reference_generator_scan,
                           triple_fails)
-from families import family_groupoids, regular_action
+from families import family_groupoids, regular_action, tabulated
 from formula_oracle import bisection_inverse, bisection_product
 
 from groupoidal import catalog
@@ -87,13 +87,21 @@ def test_associativity_verdicts_equal_the_dense_oracle(ladder):
 def test_bisection_builders_follow_the_set_formulas():
     # theorem5 does not validate the bisection semigroup or its action:
     # both are derived from the groupoid axioms through these formulas
-    # (see bisection_semigroup and bisection_action).
+    # (see bisection_semigroup and bisection_action).  The rows and
+    # columns of the generators, which theorem5 reads, are checked as
+    # kept, then every other row.
     for g in ladder_groupoids():
         s = bisection_semigroup(g)
-        for i, b in enumerate(s.elements):
+        elements = s.elements
+        for k in s.generators:
+            assert s.row(k) == [s.index(bisection_product(
+                g, elements[k], c)) for c in elements], g.name
+            assert s.column(k) == [s.index(bisection_product(
+                g, b, elements[k])) for b in elements], g.name
+        for i, b in enumerate(elements):
             assert s.star_table[i] == s.index(bisection_inverse(g, b)), g.name
-            assert list(s.table[i]) == [s.index(bisection_product(g, b, c))
-                                        for c in s.elements], g.name
+            assert list(s.row(i)) == [s.index(bisection_product(g, b, c))
+                                      for c in elements], g.name
         action = bisection_action(g, s)
         assert set(action.space) == set(g.units), g.name
         for b in s.elements:
@@ -189,6 +197,30 @@ def test_mutated_maps_give_the_dense_scan_text(Q):
     assert point_preserving > 20
 
 
+def test_generator_rows_give_the_dense_homomorphism_verdict(Q):
+    # psi's certificate reads only the generator rows of L, which is
+    # certified associative, as A_R(G) is: on any map of the same
+    # algebras, such as the mutants of psi, that gives the verdict of the
+    # dense scan, and the first failing pair among those rows.
+    rng = random.Random(37)
+    bundle = family_groupoids(0)[3]
+    failing = 0
+    for g in (catalog.load_groupoid("pair_groupoid_3"),
+              catalog.load_groupoid("pair_plus_unit"), bundle):
+        r = realize(g, Q)
+        rows = r.module.generator_basis()
+        assert 0 < len(rows) < r.module.dim
+        assert r.psi_map.certificates["homomorphism"] == \
+            dense_homomorphism(r.psi_map, rows) == (True, None)
+        for mutant in mutants(r.psi_map, rng, 40):
+            verdict = mutant.certify_homomorphism(rows)
+            assert verdict == dense_homomorphism(mutant)[0]
+            assert mutant.certificates["homomorphism"] == \
+                dense_homomorphism(mutant, rows)
+            failing += not verdict
+    assert failing > 40
+
+
 def outcome(fn, *args):
     """The verdict, or "KeyError" for a product that is not in L."""
     try:
@@ -242,12 +274,15 @@ def partial_corruptions(rng, count):
     """Catalog actions, regular Z_n and bisection actions with the map of
     one element and of its inverse changed together, so that they stay
     inverse bijections, and bisection semigroups with one product
-    changed."""
+    changed, on a copy with its whole table."""
+    def tabulated_action(name):
+        g = catalog.load_groupoid(name)
+        return bisection_action(g, tabulated(bisection_semigroup(g)))
+
     sources = ([lambda name=name: catalog.load_action(name)
                 for name in catalog.action_names()]
                + [lambda n=n: regular_action(n) for n in (3, 4)]
-               + [lambda name=name: bisection_action(
-                   catalog.load_groupoid(name))
+               + [lambda name=name: tabulated_action(name)
                   for name in ("pair_groupoid_2", "two_z2", "z3_one_unit")])
     for _ in range(count):
         action = rng.choice(sources)()
@@ -289,11 +324,11 @@ def test_corrupted_actions_give_the_dense_verdicts(Q):
     assert any(f is not None for *_, f in results)
 
 
-def test_steinberg_algebra_refuses_composites_off_the_points():
+def test_composability_violation_names_a_composite_off_the_points():
     # One composite too many: e_b e_b is defined although s(b) != r(b),
     # so A_R of that table has no point structure.  composability_violation
     # names it; validate_groupoid runs it before any SteinbergAlgebra is
-    # built.
+    # built, which assumes the points.
     g = catalog.load_groupoid("pair_groupoid_2")
     b = next(a for a in g.arrows if g.source(a) != g.range(a))
     compose = dict(g.compose_table)

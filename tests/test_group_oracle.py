@@ -17,12 +17,13 @@ regular Z_n and the groupoid families.
 
 import random
 from collections import Counter
+from functools import partial
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 
-from families import family_groupoids, idempotents, regular_action
+from families import family_groupoids, idempotents, mul, regular_action
 from formula_oracle import isotropy_group
 from test_search_oracle import partial_actions
 
@@ -255,7 +256,7 @@ def group_tables():
         found.append(catalog.load_action(name).group)
     for name in catalog.pair_names():
         found += [action.group for action in catalog.load_pair(name)]
-    return [(g.elements, cayley(g.elements, g.mul)) for g in found]
+    return [(g.elements, cayley(g.elements, partial(mul, g))) for g in found]
 
 
 def seeded_tables():

@@ -20,13 +20,15 @@ violations in the reference's full list.
 
 import copy
 import random
+from functools import partial
 
 from dense_oracle import (leaves_ideal, product_rows,
                           reference_generator_scan)
-from families import (idempotents, pair_groupoid_spec, parse,
+from families import (idempotents, mul, pair_groupoid_spec, parse,
                       symmetric_inverse_monoid)
 
 from groupoidal import catalog
+from groupoidal.groupoid_core import validate_groupoid
 from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
                                            NaturalOrder, bisection_semigroup,
                                            natural_order,
@@ -87,8 +89,8 @@ def reference_natural_order(s):
     pairs = set()
     for a in s.elements:
         for b in s.elements:
-            left = a == s.mul(b, s.mul(s.star(a), a))
-            right = a == s.mul(s.mul(a, s.star(a)), b)
+            left = a == mul(s, b, mul(s, s.star(a), a))
+            right = a == mul(s, mul(s, a, s.star(a)), b)
             if left != right:
                 raise ValueError(
                     f"order characterizations disagree on ({a}, {b}); "
@@ -130,7 +132,7 @@ def reference_isg(action):
     if not report.ok:
         return report
     reference_monotonicity(action, reference_natural_order(s), report)
-    reference_composition(action, s.mul, s.star, report)
+    reference_composition(action, partial(mul, s), s.star, report)
     return report
 
 
@@ -145,7 +147,7 @@ def reference_group(action):
     _validate_maps(action, report)
     if not report.ok:
         return report
-    reference_composition(action, g.mul, g.inv, report)
+    reference_composition(action, partial(mul, g), g.inv, report)
     return report
 
 
@@ -228,6 +230,62 @@ def test_corrupted_l_tables_give_the_generator_scan_violation(Q):
         quotient = QuotientAlgebra(corrupted, ideal)
         texts.append(assert_scan_verdict(quotient, product_rows(corrupted)))
     assert assert_both_sides_reached(texts) > 180
+
+
+def premised_module(g, ring):
+    """The bisection module with L certified associative from the
+    groupoid's report, so that two-sidedness reads only the rows and
+    columns of the generators."""
+    module = bisection_module(g, ring)
+    module.verify_associativity((validate_groupoid(g),))
+    return module
+
+
+def test_without_the_premise_every_row_is_read(Q):
+    g = catalog.load_groupoid("pair_groupoid_3")
+    module = bisection_module(g, Q)
+    assert list(module.generator_basis()) == list(range(module.dim))
+    failing = ValidationReport("premise")
+    failing.add("not a groupoid")
+    module.verify_associativity((failing,))
+    assert list(module.generator_basis()) == list(range(module.dim))
+    generators = set(module.algebra_action.index.generators)
+    assert premised_module(g, Q).generator_basis() == \
+        [i for i, (s, _) in enumerate(module.basis_labels)
+         if module.algebra_action.index.index(s) in generators]
+
+
+def test_generator_rows_give_the_full_scan_verdict(Q):
+    # On an associative L, {x : x I in I} and {x : I x in I} are closed
+    # under products for any subspace I, so the generator rows and
+    # columns give the full scan's verdict on every congruence: the
+    # ideal, the ideal with extra generators, and the ideal joined with
+    # "same row point", where only left products can leave it.
+    rng = random.Random(23)
+    texts = []
+    groupoids = [catalog.load_groupoid(name)
+                 for name in catalog.groupoid_names()]
+    groupoids.append(parse(pair_groupoid_spec(4)))
+    fewer = 0
+    for g in groupoids:
+        module = premised_module(g, Q)
+        fewer += len(module.generator_basis()) < module.dim
+        edges = ideal_generators(module)
+        table = product_rows(module)
+        joined = edges + [pair for columns in points_at(
+            module.row_points).values() for pair in zip(columns, columns[1:])]
+        congruences = [edges, joined]
+        for _ in range(20 if module.dim > 1 else 0):
+            extra = [tuple(rng.sample(range(module.dim), 2))
+                     for _ in range(rng.randint(1, 2))]
+            position = rng.randrange(len(edges) + 1)
+            congruences.append(edges[:position] + extra + edges[position:])
+        for merged in congruences:
+            quotient = QuotientAlgebra(module, congruence(module, merged))
+            texts.append(assert_scan_verdict(quotient, table, merged))
+        assert texts[-len(congruences)] == (None, None), g.name
+    assert fewer > 4
+    assert assert_both_sides_reached(texts) > 60
 
 
 def congruence(module, edges):

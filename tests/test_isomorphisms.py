@@ -434,6 +434,18 @@ def test_flags_require_certificates(Q):
     assert m.is_homomorphism
 
 
+def test_psi_tilde_homomorphism_is_derived_from_its_premises(Q):
+    # psi~ is a homomorphism once psi is one, vanishes on I and I is
+    # two-sided; it gets no pass of its own.
+    r = realize(catalog.load_groupoid("pair_groupoid_2"), Q)
+    assert r.psi_tilde.certificates["homomorphism"] == (True, None)
+    m = AlgebraMap(r.quotient, r.steinberg, r.psi_tilde.targets)
+    assert not m.derive_homomorphism((("psi_homomorphism", True),
+                                      ("psi_vanishes_on_ideal", False)))
+    assert m.certificates["homomorphism"] == \
+        (False, "not derived: psi_vanishes_on_ideal failed")
+
+
 def test_inverse_requires_square(Q):
     r = realize(catalog.load_groupoid("two_isolated_units"), Q)
     with pytest.raises(ValueError):

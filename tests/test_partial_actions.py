@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from families import semigroup_from_products
+from families import mul, semigroup_from_products
 from formula_oracle import SpaceFunction, alpha
 
 from groupoidal import catalog
@@ -150,7 +150,7 @@ def test_intertwining_equality_exhaustive(Q):
             for h in grp.elements:
                 lhs = {action.theta(g, x)
                        for x in action.domains[grp.inv(g)] & action.domains[h]}
-                rhs = action.domains[g] & action.domains[grp.mul(g, h)]
+                rhs = action.domains[g] & action.domains[mul(grp, g, h)]
                 assert lhs == rhs, (name, g, h)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from dense_oracle import (dense_table, ideal_rows, mul_basis, mul_vectors,
                           realize, skew_ring, to_vector)
+from families import mul
 from formula_oracle import SkewElement, SpaceFunction, skew_multiply
 from test_factored_oracle import ladder_groupoids
 from test_phi_oracle import class_of
@@ -73,7 +74,7 @@ def test_coefficient_containment_on_basis_pairs(Q):
             for t, y in module.basis_labels:
                 product = skew_multiply(SkewElement.basis(alg, s, x),
                                         SkewElement.basis(alg, t, y))
-                st = alg.index.mul(s, t)
+                st = mul(alg.index, s, t)
                 for u, f in product.terms.items():
                     assert u == st
                     assert f.vanishes_off(alg.domains[st])
@@ -356,7 +357,7 @@ def reference_pregrading(algebra):
     violations = []
     for s in index.elements:
         for t in index.elements:
-            st = index.mul(s, t)
+            st = mul(index, s, t)
             if not all(member(st, product(a, b))
                        for a in blocks[s] for b in blocks[t]):
                 violations.append(f"B_{{{stable(s)}}} B_{{{stable(t)}}} is "

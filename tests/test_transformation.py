@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from families import regular_action
+from families import mul, regular_action
 from formula_oracle import isotropy_group
 from test_factored_oracle import partial_corruptions, z4_actions
 
@@ -127,7 +127,7 @@ def all_pairs_compose_table(action):
     for (s, y) in arrows:
         for (t, x) in arrows:
             if action.theta(group.inv(s), y) == x:
-                st = group.mul(s, t)
+                st = mul(group, s, t)
                 target = (st, y)
                 if target not in arrow_set:
                     raise ValueError(
