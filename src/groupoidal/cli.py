@@ -8,6 +8,7 @@ Exit codes: 0 all checks pass, 1 mathematical failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -46,12 +47,14 @@ def _validation_row(report, name, result, detail=""):
 def _image_listing(algebra_map):
     """The images of the domain basis, each a point mass with coefficient
     1, so every certificate in the report can be recomputed from the
-    report itself."""
+    report itself.  A domain label is a pair (s, x), and each distinct s,
+    x and image is rendered once."""
     arrows = algebra_map.codomain.basis_labels
     one = algebra_map.codomain.ring.one()
-    return "; ".join(f"{stable(label)}->{stable(arrows[t])}:{one}"
-                     for label, t in zip(algebra_map.domain.basis_labels,
-                                         algebra_map.targets))
+    render = functools.cache(stable)
+    return "; ".join(f"({render(s)},{render(x)})->{render(arrows[t])}:{one}"
+                     for (s, x), t in zip(algebra_map.domain.basis_labels,
+                                          algebra_map.targets))
 
 
 def positive_int(text):

@@ -9,36 +9,17 @@ from .scalars import DenseTable
 from .validation import ValidationReport
 
 
-class NaturalOrder:
-    """The natural partial order s <= t  iff  s = t s* s (equivalently
-    s = s s* t) of an inverse semigroup, as a set of pairs."""
-
-    def __init__(self, semigroup, pairs):
-        self.semigroup = semigroup
-        self.pairs = frozenset(pairs)
-        # The down-set of each element, in element order.
-        position = {s: i for i, s in enumerate(semigroup.elements)}
-        self._below = {t: [] for t in semigroup.elements}
-        for s, t in sorted(self.pairs, key=lambda pair: position[pair[0]]):
-            self._below[t].append(s)
-
-    def below(self, t):
-        return list(self._below[t])
-
-    def strictly_below(self, t):
-        return [s for s in self.below(t) if s != t]
-
-
 class InverseSemigroup:
     """What the inverse semigroups here share: the element list, which
     fixes the canonical order, star_table[i], the index of the
-    pseudo-inverse of element i (-1 where the input left it out), and the
-    natural order, kept once computed.  Elements serve only as labels.
+    pseudo-inverse of element i (-1 where the input left it out).
+    Elements serve only as labels.
 
     A subclass gives product(i, j), the index of the product of elements i
     and j (-1 where the input left it out), row(i), the sequence of
-    product(i, j) over j, down_sets(), unit and generators, a list of
-    indices that generates the semigroup."""
+    product(i, j) over j, down_sets(), the natural order's down-set of
+    each element index (see natural_order), unit and generators, a list
+    of indices that generates the semigroup."""
 
     def __init__(self, elements, star_table, name):
         self.name = name
@@ -47,7 +28,6 @@ class InverseSemigroup:
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate semigroup elements")
         self.star_table = star_table
-        self._natural_order = None
 
     @property
     def order(self):
@@ -61,12 +41,6 @@ class InverseSemigroup:
 
     def index(self, s):
         return self._index[s]
-
-    def natural_order(self):
-        """The natural partial order, computed on first use and kept."""
-        if self._natural_order is None:
-            self._natural_order = natural_order(self)
-        return self._natural_order
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name}, order={self.order})"
@@ -111,10 +85,10 @@ class FiniteInverseSemigroup(InverseSemigroup):
         return self._unit
 
     def down_sets(self):
-        """For each element t, the indices of t e over the idempotents e,
-        read off the table."""
+        """For each element t, the distinct indices of t e over the
+        idempotents e, in increasing order, read off the table."""
         idem = _idempotent_indices(self.table)
-        return [[row[e] for e in idem] for row in self.table]
+        return [sorted({row[e] for e in idem}) for row in self.table]
 
 
 def _idempotent_indices(table):
@@ -169,7 +143,8 @@ def validate_inverse_semigroup(s):
 
 
 def natural_order(s):
-    """The natural partial order of s, which must be validated
+    """The natural partial order of s as down-sets: for each element index
+    t, the indices of the s <= t, each once.  s must be validated
     (validate_inverse_semigroup), or built from a validated groupoid
     (bisection_semigroup).
 
@@ -177,11 +152,10 @@ def natural_order(s):
     for an idempotent e: take e = s* s, and conversely, as idempotents
     commute, (t e)* (t e) = e t* t e = t* t e and so t (t e)* (t e) = t e.
     The down-set of t is therefore {t e : e idempotent}, which
-    s.down_sets() gives."""
-    elems = s.elements
-    return NaturalOrder(s, {(elems[k], elems[t])
-                            for t, below in enumerate(s.down_sets())
-                            for k in below})
+    s.down_sets() gives.  In a partial action of s, s <= t gives
+    X_s <= X_t, which skew_rings.ideal_generators derives from s = t e
+    and relies on."""
+    return s.down_sets()
 
 
 class BisectionSemigroup(InverseSemigroup):

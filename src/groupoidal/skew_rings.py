@@ -16,6 +16,7 @@ of a bisection semigroup.
 
 from __future__ import annotations
 
+from .inverse_semigroups import natural_order
 from .scalars import BasedAlgebra, SpanTracker, points_at, zero_vector
 from .validation import ValidationReport
 
@@ -150,14 +151,24 @@ class CovarianceModule(BasedAlgebra):
 
 def ideal_generators(module):
     """The generators 1_x delta_s - 1_x delta_t of the ideal, for s < t in
-    the natural order and x ranging over X_s, as basis index pairs (a, b)
-    standing for e_a - e_b."""
-    alg = module.algebra_action
-    order = alg.index.natural_order()
-    return [(module.label_index(s, x), module.label_index(t, x))
-            for t in alg.index.elements
-            for s in order.strictly_below(t)
-            for x in alg.domain_points(s)]
+    the natural order and x in X_s, as basis index pairs (a, b) standing
+    for e_a - e_b.  L's basis is walked once: each (t, x) is paired with
+    the (s, x) for s != t in the down-set of t, read by element index at
+    the point of x in _basis_at, which is -1 exactly when x is not in X_s.
+
+    That finds every generator, as X_s lies in X_t for s <= t when the
+    action is validated or built from a validated groupoid
+    (bisection_action).  Write s = t e with e = s* s (see natural_order).
+    The intertwining law for (s*, s) reads theta_{s*}(X_s) = X_{s*} & X_e,
+    and theta_{s*} maps X_s onto X_{s*}, so X_{s*} lies in X_e.  On
+    X_{s*} = X_{e*} & X_{(te)*} the composition law gives
+    theta_s = theta_t theta_e, so X_s, the image of theta_s, lies in X_t,
+    the image of theta_t."""
+    below, basis_at = natural_order(module._index), module._basis_at
+    return [(a, b) for b, (t, p) in enumerate(zip(module._element,
+                                                  module.col_points))
+            for a in map(basis_at[p].__getitem__, below[t])
+            if a >= 0 and a != b]
 
 
 class IdealCongruence:
@@ -292,12 +303,11 @@ def check_pregrading(quotient):
     the generator e_(s,x) - e_(t,x) of I puts the class of e_(s,x) in
     B_t.
     """
-    module, cls = quotient.module, quotient._class
-    alg = module.algebra_action
-    index = alg.index
+    module = quotient.module
+    index = module.algebra_action.index
     report = ValidationReport(f"pre-grading over {getattr(index, 'name', 'index')}")
-    covered = {cls[module.label_index(s, x)]
-               for s in index.elements for x in alg.domain_points(s)}
+    # The e_(s,x) over every s and x in X_s are the basis of L.
+    covered = set(quotient._class[:module.dim])
     ring = quotient.ring
     if ring.is_field:
         span = SpanTracker(ring, quotient.dim)

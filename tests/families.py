@@ -7,7 +7,8 @@ import json
 from itertools import combinations, permutations
 
 from groupoidal.groups import FiniteGroup
-from groupoidal.inverse_semigroups import FiniteInverseSemigroup
+from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
+                                           natural_order)
 from groupoidal.partial_actions import GroupPartialAction
 from groupoidal.scalars import index_row
 from groupoidal.specfiles import FORMAT_TAG, parse_document
@@ -141,6 +142,15 @@ def mul(s, a, b):
     if k < 0:
         raise KeyError((a, b))
     return s.elements[k]
+
+
+def order_pairs(s):
+    """The natural order of s as the set of label pairs (a, b) with
+    a <= b, read off the index down-sets of natural_order."""
+    elems = s.elements
+    return frozenset((elems[a], elems[b])
+                     for b, below in enumerate(natural_order(s))
+                     for a in below)
 
 
 def tabulated(s):

@@ -9,7 +9,7 @@ import time
 
 from dense_oracle import (apply, from_vector, product_rows, realize,
                           skew_ring, table_of, to_vector)
-from families import family_groupoids, idempotents
+from families import family_groupoids, idempotents, order_pairs
 from formula_oracle import (bisection_inverse, bisection_product,
                             is_bisection, rho_inverse)
 
@@ -17,7 +17,7 @@ from groupoidal import catalog
 from groupoidal.groupoid_core import (enumerate_bisections,
                                       is_topologically_principal,
                                       validate_groupoid)
-from groupoidal.inverse_semigroups import (bisection_semigroup, natural_order,
+from groupoidal.inverse_semigroups import (bisection_semigroup,
                                            validate_inverse_semigroup)
 from groupoidal.isomorphisms import (bisection_action, rho,
                                      search_groupoid_isomorphism,
@@ -191,10 +191,10 @@ def test_criterion_6_structural_suites():
                     GroupoidFunction.indicator(g, Q, bc), name
         semigroup = bisection_semigroup(g)
         assert validate_inverse_semigroup(semigroup).ok, name
-        order = natural_order(semigroup)
+        order = order_pairs(semigroup)
         for b in semigroup.elements:
             for c in semigroup.elements:
-                assert ((b, c) in order.pairs) == (b <= c), name
+                assert ((b, c) in order) == (b <= c), name
         assert set(idempotents(semigroup)) == \
             {b for b in semigroup.elements if b <= g.units}, name
         assert validate_isg_partial_action(bisection_action(g, semigroup)).ok, name

@@ -489,3 +489,20 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "result: pass" in proc.stdout
+
+
+def test_cli_import_adds_only_the_package_and_the_standard_library():
+    # Start-up is a large share of every short CLI run; a third-party
+    # import would add to it.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys; before = set(sys.modules); import groupoidal.cli; "
+             "print('\\n'.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "groupoidal.cli" in added
+    assert [name for name in added
+            if name.partition(".")[0] not in sys.stdlib_module_names
+            and name.partition(".")[0] != "groupoidal"] == []

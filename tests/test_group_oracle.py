@@ -23,14 +23,14 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 
-from families import family_groupoids, idempotents, mul, regular_action
+from families import (family_groupoids, idempotents, mul, order_pairs,
+                      regular_action)
 from formula_oracle import isotropy_group
 from test_search_oracle import partial_actions
 
 from groupoidal import catalog, groups, specfiles
 from groupoidal.groups import FiniteGroup, validate_group_table
 from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
-                                           NaturalOrder,
                                            validate_inverse_semigroup)
 from groupoidal.isomorphisms import _unit_profiles
 from groupoidal.transformation_groupoid import build_transformation_groupoid
@@ -70,17 +70,12 @@ class ReferenceGroup:
     def order(self):
         return len(self.elements)
 
-    # .unit / .star / .natural_order and the index tables mirror the
-    # inverse-semigroup protocol, so code indexed by "a group or an inverse
-    # semigroup" can treat both uniformly.
+    # .unit / .star and the index tables mirror the inverse-semigroup
+    # protocol, so code indexed by "a group or an inverse semigroup" can
+    # treat both uniformly.
     @property
     def unit(self):
         return self.identity
-
-    def natural_order(self):
-        """The natural partial order of a group, which is equality:
-        s = t s* s = t."""
-        return NaturalOrder(self, ((a, a) for a in self.elements))
 
     def mul(self, a, b):
         return self._table[(a, b)]
@@ -305,7 +300,8 @@ def assert_same_group(elements, table):
     assert [new.inv(a) for a in elements] == [old.inv(a) for a in elements]
     assert [list(row) for row in new.table] == old.table
     assert new.star_table == old.star_table
-    assert new.natural_order().pairs == old.natural_order().pairs
+    # The natural order of a group is equality: s = t s* s = t.
+    assert order_pairs(new) == {(a, a) for a in old.elements}
     return True
 
 

@@ -13,9 +13,11 @@ index versions must give the same verdict, on the catalog, on the
 byte-equal, and so are exception texts.  The natural order needs a
 semigroup that passed `validate_inverse_semigroup`; on each one, among
 them random inverse subsemigroups of I(3) and I(4), it has the
-reference's pairs.  A failing two-sidedness check names a product that
-leaves the ideal on the dense rows; a failing action report names only
-violations in the reference's full list.
+reference's pairs, and `ideal_generators`, which reads its index
+down-sets, gives the generators built from the reference's label pairs
+(`reference_ideal_generators`).  A failing two-sidedness check names a
+product that leaves the ideal on the dense rows; a failing action report
+names only violations in the reference's full list.
 """
 
 import copy
@@ -24,14 +26,14 @@ from functools import partial
 
 from dense_oracle import (leaves_ideal, product_rows,
                           reference_generator_scan)
-from families import (idempotents, mul, pair_groupoid_spec, parse,
+from families import (CYCLIC_BUNDLES, cyclic_bundle_spec, idempotents, mul,
+                      order_pairs, pair_groupoid_spec, parse,
                       symmetric_inverse_monoid)
 
 from groupoidal import catalog
 from groupoidal.groupoid_core import validate_groupoid
 from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
-                                           NaturalOrder, bisection_semigroup,
-                                           natural_order,
+                                           bisection_semigroup,
                                            validate_inverse_semigroup)
 from groupoidal.isomorphisms import bisection_action
 from groupoidal.partial_actions import (SemigroupPartialAction,
@@ -78,7 +80,7 @@ def reference_composition(action, mul, star, report):
 def reference_monotonicity(action, order, report):
     s = action.semigroup
     for (a, b) in sorted(((a, b) for a in s.elements for b in s.elements
-                          if (a, b) in order.pairs and a != b),
+                          if (a, b) in order and a != b),
                          key=lambda ab: (s.index(ab[0]), s.index(ab[1]))):
         if not action.domains[a] <= action.domains[b]:
             report.add(f"monotonicity fails: {stable(a)} <= {stable(b)} but "
@@ -106,7 +108,7 @@ def reference_natural_order(s):
         for c in s.elements:
             if (b, c) in pairs and (a, c) not in pairs:
                 raise ValueError(f"natural order is not transitive on ({a}, {b}, {c})")
-    return NaturalOrder(s, pairs)
+    return frozenset(pairs)
 
 
 def outcome(fn, *args):
@@ -462,7 +464,7 @@ def test_natural_order_equals_the_reference_on_the_catalog():
     semigroups += [bisection_semigroup(catalog.load_groupoid(name))
                    for name in catalog.groupoid_names()]
     for s in semigroups:
-        assert natural_order(s).pairs == reference_natural_order(s).pairs
+        assert order_pairs(s) == reference_natural_order(s)
 
 
 I3, I4 = symmetric_inverse_monoid(range(3)), symmetric_inverse_monoid(range(4))
@@ -497,7 +499,7 @@ def assert_orders_agree(s):
     passed."""
     valid = validate_inverse_semigroup(s).ok
     if valid:
-        assert natural_order(s).pairs == reference_natural_order(s).pairs
+        assert order_pairs(s) == reference_natural_order(s)
     return valid
 
 
@@ -539,3 +541,46 @@ def test_random_small_natural_orders_equal_the_reference():
     assert passed > 100
     for _ in range(50):
         assert assert_orders_agree(random_inverse_subsemigroup(rng))
+
+
+# --- the ideal's generators from the label order ------------------------------
+
+def reference_ideal_generators(module):
+    """The generators by labels, as ideal_generators built them from the
+    natural order's label pairs: (s, x) and (t, x) for each s < t of
+    reference_natural_order and each x in X_s."""
+    alg = module.algebra_action
+    return [(module.label_index(s, x), module.label_index(t, x))
+            for s, t in reference_natural_order(alg.index) if s != t
+            for x in alg.domain_points(s)]
+
+
+def natural_action(s):
+    """An inverse semigroup of partial bijections acting on the union of
+    their images: f maps its domain onto X_f, its image."""
+    space = sorted(set().union(*(f.image for f in s.elements)))
+    return SemigroupPartialAction(
+        s, space, {f: f.image for f in s.elements},
+        {f: f.mapping for f in s.elements}, name=f"{s.name}@X")
+
+
+def test_ideal_generators_equal_the_label_order_builder(Q):
+    groupoids = [catalog.load_groupoid(name)
+                 for name in catalog.groupoid_names()]
+    groupoids += [parse(pair_groupoid_spec(n)) for n in (2, 3, 4)]
+    groupoids += [parse(cyclic_bundle_spec(ks)) for ks in CYCLIC_BUNDLES]
+    actions = [bisection_action(g) for g in groupoids]
+    rng = random.Random(24)
+    actions.append(natural_action(I3))
+    actions += [natural_action(random_inverse_subsemigroup(rng))
+                for _ in range(10)]
+    strict = 0
+    for action in actions:
+        assert validate_isg_partial_action(action).ok, action.name
+        module = CovarianceModule(induce_algebra_action(action, Q))
+        edges, expected = ideal_generators(module), \
+            reference_ideal_generators(module)
+        assert sorted(edges) == sorted(expected), action.name
+        assert build_ideal(module).generator_count == len(expected)
+        strict += bool(expected)
+    assert strict > len(groupoids)

@@ -4,13 +4,12 @@ import pytest
 
 from dense_oracle import (dense_table, ideal_rows, mul_basis, mul_vectors,
                           realize, skew_ring, to_vector)
-from families import mul
+from families import mul, order_pairs
 from formula_oracle import SkewElement, SpaceFunction, skew_multiply
 from test_factored_oracle import ladder_groupoids
 from test_phi_oracle import class_of
 
 from groupoidal import catalog
-from groupoidal.inverse_semigroups import natural_order
 from groupoidal.isomorphisms import bisection_action
 from groupoidal.partial_actions import induce_algebra_action
 from groupoidal.scalars import SpanTracker, ring_from_tag, zero_vector
@@ -223,17 +222,14 @@ def test_one_sided_congruence_is_refused(Q):
 
 
 def test_order_identified_classes_agree(Q):
-    from groupoidal.inverse_semigroups import natural_order
     module = module_for_groupoid("pair_groupoid_2", Q)
     quotient = build_quotient(module, build_ideal(module))
     alg = module.algebra_action
-    order = natural_order(alg.index)
-    for t in alg.index.elements:
-        for s in order.strictly_below(t):
-            for x in alg.domain_points(s):
-                vs = to_vector(module, SkewElement.basis(alg, s, x))
-                vt = to_vector(module, SkewElement.basis(alg, t, x))
-                assert class_of(quotient, vs) == class_of(quotient, vt)
+    for s, t in order_pairs(alg.index):
+        for x in alg.domain_points(s):
+            vs = to_vector(module, SkewElement.basis(alg, s, x))
+            vt = to_vector(module, SkewElement.basis(alg, t, x))
+            assert class_of(quotient, vs) == class_of(quotient, vt)
 
 
 def test_quotient_product_well_defined_on_representatives(Q):
@@ -362,13 +358,11 @@ def reference_pregrading(algebra):
                        for a in blocks[s] for b in blocks[t]):
                 violations.append(f"B_{{{stable(s)}}} B_{{{stable(t)}}} is "
                                   f"not contained in B_{{{stable(st)}}}")
-    order = natural_order(index)
-    for t in index.elements:
-        for s in order.strictly_below(t):
-            if not all(member(t, a) for a in blocks[s]):
-                violations.append(f"{stable(s)} <= {stable(t)} but "
-                                  f"B_{{{stable(s)}}} is not contained in "
-                                  f"B_{{{stable(t)}}}")
+    for s, t in order_pairs(index):
+        if not all(member(t, a) for a in blocks[s]):
+            violations.append(f"{stable(s)} <= {stable(t)} but "
+                              f"B_{{{stable(s)}}} is not contained in "
+                              f"B_{{{stable(t)}}}")
     rank = span_of(field, algebra.dim, [lift(vectors[k])
                                         for keys in blocks.values()
                                         for k in keys]).dimension
