@@ -52,11 +52,6 @@ def _string(value, path):
     _expect(isinstance(value, str), path, "a string", value)
 
 
-def _strings(values):
-    """Whether all values are strings, in one pass over their types."""
-    return set(map(type, values)) <= {str}
-
-
 def _bound(value, path):
     # The exact type: neither true nor 4.0 is a bound.
     _expect(type(value) is int and value >= 1, path, "an integer >= 1", value)
@@ -71,8 +66,6 @@ def _array(item, nonempty=False):
     def check(value, path):
         _expect(isinstance(value, list) and (value or not nonempty), path,
                 "a non-empty array" if nonempty else "an array", value)
-        if item is _string and _strings(value):
-            return
         for i, entry in enumerate(value):
             item(entry, path + (i,))
     return check
@@ -86,8 +79,6 @@ def _object(required=(), values=None, **fields):
         for key in required:
             if key not in value:
                 raise _ShapeFault(path, f"missing required field {key!r}")
-        if values is _string and _strings(value.values()):
-            return
         for key, entry in value.items():
             item = values or fields.get(key)
             if item is None:
@@ -161,20 +152,18 @@ class SpecDocument:
         self.bounds = bounds
 
 
-def _pair_entries(table, what, index, noun):
-    """The entries of a table keyed by "a b" strings, as (index[a],
-    index[b], index[value]); every name in a key and every value must be
-    a key of `index`."""
+def _pair_entries(table, what, names, noun):
+    """The entries (a, b, value) of a table keyed by "a b" strings; every
+    name in a key and every value must be one of `names`."""
     for key, value in table.items():
         parts = key.split()
         if len(parts) != 2:
             raise SpecFileError(f"{what}[{key!r}]: key must be two "
                                 "space-separated names")
-        try:
-            entry = index[parts[0]], index[parts[1]], index[value]
-        except KeyError:
-            raise SpecFileError(f"{what}[{key!r}]: unknown {noun}") from None
-        yield entry
+        a, b = parts
+        if a not in names or b not in names or value not in names:
+            raise SpecFileError(f"{what}[{key!r}]: unknown {noun}")
+        yield a, b, value
 
 
 def _parse_group(spec):
@@ -188,8 +177,7 @@ def _parse_group(spec):
     if len(set(elements)) != len(elements):
         raise SpecFileError("group.elements: duplicate names")
     table = {(a, b): c for a, b, c in _pair_entries(
-        spec["table"], "group.table", dict(zip(elements, elements)),
-        "element")}
+        spec["table"], "group.table", set(elements), "element")}
     try:
         return FiniteGroup(elements, table, name="group")
     except ValueError as exc:
@@ -202,17 +190,17 @@ def _parse_groupoid(data):
     arrows = data["arrows"]
     if len(set(arrows)) != len(arrows):
         raise SpecFileError("arrows: duplicate names")
-    names = dict(zip(arrows, arrows))
+    aset = set(arrows)
     for u in data["units"]:
-        if u not in names:
+        if u not in aset:
             raise SpecFileError(f"units: {u!r} is not a listed arrow")
     inverse = {}
     for key, value in data["inverse"].items():
-        if key not in names or value not in names:
+        if key not in aset or value not in aset:
             raise SpecFileError(f"inverse[{key!r}]: unknown arrow")
         inverse[key] = value
     compose = {(a, b): c for a, b, c in _pair_entries(
-        data["compose"], "compose", names, "arrow")}
+        data["compose"], "compose", aset, "arrow")}
     return FiniteGroupoid(arrows, data["units"], inverse, compose,
                           name=data.get("name", "groupoid"))
 
@@ -260,7 +248,7 @@ def _parse_semigroup(data):
     table = [blank[:] for _ in elements]
     for a, b, value in _pair_entries(data["table"], "table", index,
                                      "element"):
-        table[a][b] = value
+        table[index[a]][index[b]] = index[value]
     star = [-1] * len(elements)
     for key, value in data["star"].items():
         if key not in index or value not in index:
