@@ -195,9 +195,6 @@ class GroupoidProduct(BasedAlgebra):
                        for c in self.at_point.get(p, ())]
                       for b, p in zip(arrows, self.row_points)]
 
-    def _composite(self, i, j):
-        return self._rows[i][self.place[j]]
-
     def row_products(self, i):
         return self._rows[i]
 

@@ -15,11 +15,12 @@ class InverseSemigroup:
     pseudo-inverse of element i (-1 where the input left it out).
     Elements serve only as labels.
 
-    A subclass gives product(i, j), the index of the product of elements i
-    and j (-1 where the input left it out), row(i), the sequence of
-    product(i, j) over j, down_sets(), the natural order's down-set of
+    A subclass gives row(i), whose entry j is the index of the product of
+    elements i and j (-1 where the input left it out), column(j), the
+    entries j of the rows, down_sets(), the natural order's down-set of
     each element index (see natural_order), unit and generators, a list
-    of indices that generates the semigroup."""
+    of indices that generates the semigroup: products are read by rows
+    and columns only."""
 
     def __init__(self, elements, star_table, name):
         self.name = name
@@ -56,9 +57,6 @@ class FiniteInverseSemigroup(InverseSemigroup):
         self.table = table
         self._unit_cached = False
         self._unit = None
-
-    def product(self, i, j):
-        return self.table[i][j]
 
     def row(self, i):
         return self.table[i]
@@ -164,22 +162,22 @@ class BisectionSemigroup(InverseSemigroup):
     of arrows, in ascending bitmask order over the canonical arrow order,
     and masks[i] is the bitmask of element i.
 
-    A product is computed per entry on the bitmasks, only where it is
-    read.  BC is the union, over the arrows c of C, of bc for the one
-    arrow b of B with s(b) = r(c), if any; so with B fixed it is an OR of
-    one table entry per arrow of C, and likewise with C fixed.  The
-    generating set generators and its rows g t and columns t g are
-    computed at construction, 2 |generators| |S| products in all (the
-    search for the generators computes the columns); any other row is
-    computed when read."""
+    Products are computed a row or a column at a time on the bitmasks,
+    only where one is read.  BC is the union, over the arrows c of C, of
+    bc for the one arrow b of B with s(b) = r(c), if any; so with B fixed
+    it is an OR of one table entry per arrow of C, and likewise with C
+    fixed.  The generating set generators and its rows g t and columns
+    t g are computed at construction, 2 |generators| |S| products in all
+    (the search for the generators computes the columns); any other row
+    is computed when read."""
 
     def __init__(self, g, bisections, name):
         idx = g.index
         unit_id = {u: k for k, u in enumerate(g.sort_arrows(g.units))}
         self._range = [unit_id[g.range(a)] for a in g.arrows]
         self._source = [unit_id[g.source(a)] for a in g.arrows]
-        self._composites = {(idx(b), idx(c)): 1 << idx(d)
-                            for (b, c), d in g.compose_table.items()}
+        self._compose_bits = {(idx(b), idx(c)): 1 << idx(d)
+                              for (b, c), d in g.compose_table.items()}
         self._arrows = [sorted(map(idx, bis)) for bis in bisections]
         self.masks = [sum(1 << a for a in arrows) for arrows in self._arrows]
         self._position = {mask: i for i, mask in enumerate(self.masks)}
@@ -213,7 +211,7 @@ class BisectionSemigroup(InverseSemigroup):
     def _left_lut(self, i):
         """Arrow c -> the bit of bc for the arrow b of element i with
         s(b) = r(c), or 0: element i times any C is an OR over C."""
-        composite = self._composites
+        composite = self._compose_bits
         by_source = {self._source[b]: b for b in self._arrows[i]}
         return [composite[by_source[r], c] if r in by_source else 0
                 for c, r in enumerate(self._range)]
@@ -221,7 +219,7 @@ class BisectionSemigroup(InverseSemigroup):
     def _right_lut(self, j):
         """Arrow b -> the bit of bc for the arrow c of element j with
         r(c) = s(b), or 0: any B times element j is an OR over B."""
-        composite = self._composites
+        composite = self._compose_bits
         by_range = {self._range[c]: c for c in self._arrows[j]}
         return [composite[b, by_range[s]] if s in by_range else 0
                 for b, s in enumerate(self._source)]
@@ -268,15 +266,6 @@ class BisectionSemigroup(InverseSemigroup):
                 fresh = [p for k in range(len(generators))
                          for p in close(k, fresh)]
         return generators
-
-    def product(self, i, j):
-        row = self._rows.get(i)
-        if row is not None:
-            return row[j]
-        column = self._columns.get(j)
-        if column is not None:
-            return column[i]
-        return self.row(i)[j]
 
     def row(self, i):
         """The products of element i with every element, computed on the

@@ -28,10 +28,6 @@ class _PartialActionBase:
                 raise ValueError(f"domain of {s} is not a subset of the space")
         self.maps = {s: dict(m) for s, m in maps.items()}
 
-    def domain(self, s):
-        """X_s, the range of the partial bijection attached to s."""
-        return self.domains[s]
-
     def domain_points(self, s):
         return sorted(self.domains[s], key=self._order.__getitem__)
 

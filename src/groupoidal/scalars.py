@@ -109,12 +109,6 @@ class ScalarRing:
     def one(self):
         return self.scalar(1)
 
-    def elements(self):
-        """All ring elements; only defined for finite rings."""
-        if self.kind != "Zn":
-            raise ValueError(f"{self.tag()} is infinite")
-        return [self.scalar(v) for v in range(self.modulus)]
-
     def random(self, rng):
         """A pseudo-random scalar, for property tests."""
         return Scalar(self, self.random_value(rng))
@@ -241,13 +235,13 @@ def points_at(points):
 
 class BasedAlgebra:
     """A based algebra with 0/1 structure constants, factored by points:
-    e_i e_j is nonzero exactly when row_points[i] equals col_points[j],
-    and then it is e_k for k = _composite(i, j).  at_point maps a point to
-    the columns carrying it, in increasing order, and place[j] is the
-    position of column j there, so that e_i e_j is e_k for
-    k = row_products(i)[place[j]] where it is nonzero.  A subclass sets
-    the points with _set_points, the dimension dim, and defines
-    _composite, which is read only where the points match."""
+    e_i e_j is nonzero exactly when row_points[i] equals col_points[j].
+    at_point maps a point to the columns carrying it, in increasing
+    order, and place[j] is the position of column j there, so that
+    e_i e_j is e_k for k = row_products(i)[place[j]] where it is nonzero.
+    A subclass sets the points with _set_points, the dimension dim, and
+    defines row_products(i), the nonzero products of e_i, over
+    at_point[row_points[i]]: products are read only by rows."""
 
     def _set_points(self, row_points, col_points):
         self.row_points = row_points
@@ -257,17 +251,6 @@ class BasedAlgebra:
         for columns in self.at_point.values():
             for place, j in enumerate(columns):
                 self.place[j] = place
-
-    def product(self, i, j):
-        """The index of e_i e_j, or -1 when it is zero."""
-        if self.row_points[i] != self.col_points[j]:
-            return -1
-        return self._composite(i, j)
-
-    def row_products(self, i):
-        """The nonzero products of e_i, over at_point[row_points[i]]."""
-        return [self._composite(i, j)
-                for j in self.at_point.get(self.row_points[i], ())]
 
     def associativity_counterexample(self):
         """A basis triple (x, g, y) with (e_x e_g) e_y != e_x (e_g e_y),
@@ -324,9 +307,6 @@ class DenseTable(BasedAlgebra):
         self.table = table
         self.dim = len(table)
         self._set_points([0] * self.dim, [0] * self.dim)
-
-    def _composite(self, i, j):
-        return self.table[i][j]
 
     def row_products(self, i):
         return self.table[i]

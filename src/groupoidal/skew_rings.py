@@ -16,6 +16,9 @@ of a bisection semigroup.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
+
 from .inverse_semigroups import natural_order
 from .scalars import BasedAlgebra, SpanTracker, points_at, zero_vector
 from .validation import ValidationReport
@@ -83,13 +86,6 @@ class CovarianceModule(BasedAlgebra):
         if -1 in products:
             raise KeyError(f"{self.basis_labels[j]} has a product outside L")
         return products
-
-    def _composite(self, i, j):
-        st = self._index.product(self._element[i], self._element[j])
-        k = self._basis_at[self.col_points[i]][st]
-        if k < 0:
-            raise KeyError(f"{self.basis_labels[i]} has a product outside L")
-        return k
 
     def generator_basis(self):
         """Basis indices whose products generate L, in increasing order:
@@ -185,9 +181,18 @@ class IdealCongruence:
 
 
 def build_ideal(module):
-    """The span of the generators, by union-find over their index pairs:
-    dim I is dim L minus the number of classes.  Works over any ring.
-    That this span is a two-sided ideal is checked by build_quotient."""
+    """The span of the generators, by union-find: dim I is dim L minus the
+    number of classes.  Works over any ring.  That this span is a
+    two-sided ideal is checked by build_quotient.
+
+    Each (t, x) is joined only to the first (s, x) listed below it, which
+    gives the classes of all the generators.  For fixed x, D(t) = {s <= t :
+    x in X_s} is closed under meets: X_{te1} & X_{te2} = X_{te1e2}, as
+    X_{te} = theta_t(X_{t*} & X_e) (the intertwining law, X_{te} lying in
+    X_t) and X_e & X_f = X_{ef} (theta_e is the identity on X_e).  So D(t)
+    has a least element m(t), which is m(s) for every s in D(t).  A chain
+    of first generators runs strictly down the order to (m(t), x), and
+    every generator joins two (s, x) of one m(s)."""
     edges = ideal_generators(module)
     parent = list(range(module.dim))
 
@@ -197,8 +202,9 @@ def build_ideal(module):
             a = parent[a]
         return a
 
-    for a, b in edges:
-        ra, rb = find(a), find(b)
+    # ideal_generators lists the generators of each (t, x) together.
+    for b, pairs in groupby(edges, itemgetter(1)):
+        ra, rb = find(next(pairs)[0]), find(b)
         if ra != rb:
             # The larger root stays, so each root is the largest index of
             # its class.
@@ -231,9 +237,13 @@ class QuotientAlgebra(BasedAlgebra):
             [module.col_points[a] for a in self.representatives])
         self.representative_independence_verified = False
 
-    def _composite(self, q, r):
-        reps = self.representatives
-        return self._class[self.module._composite(reps[q], reps[r])]
+    def row_products(self, q):
+        """The classes of L's row at the representative of q, read at the
+        representatives of the classes at q's row point."""
+        row = self.module.row_products(self.representatives[q])
+        place, reps = self.module.place, self.representatives
+        return [self._class[row[place[reps[r]]]]
+                for r in self.at_point.get(self.row_points[q], ())]
 
     def diagonal_indices(self):
         unit = self.module.algebra_action.unit_element()
@@ -257,26 +267,43 @@ class QuotientAlgebra(BasedAlgebra):
         class column those of e_a e_k.  (e_a - e_rep(a)) e_k lies in I for
         all a iff the class column is unchanged when read through rep,
         and e_k (e_a - e_rep(a)) iff the class row is.  Each is zero off
-        the basis elements at one point, and a zero reads as None.  A
-        violation names the first generator, the right product first,
-        and the first a where the two readings differ."""
+        the basis elements at one point, and a zero reads as None, so only
+        the a that carry that point, or whose rep(a) does, are read.  A
+        violation names the first generator, the right product first, and
+        the first a where the two readings differ.  Over a validated
+        action a class keeps to one row and one column point (s = t e
+        gives theta_{s*}(x) = theta_{t*}(x)): these a are those at it."""
         module, cls, rep = self.module, self._class, self.ideal.rep
-        every = range(len(rep))
+        by_row = _members_at(module.row_points, rep)
+        by_column = _members_at(module.col_points, rep)
         for k in module.generator_basis():
             p, q = module.col_points[k], module.row_points[k]
             column = dict(zip(module._rows_at.get(p, ()),
                               map(cls.__getitem__, module.column_products(k))))
             row = dict(zip(module.at_point.get(q, ()),
                            map(cls.__getitem__, module.row_products(k))))
-            for classes, text in (
-                    (column, "(e_{a} - e_{r}) * e_{k} leaves the ideal"),
-                    (row, "e_{k} * (e_{a} - e_{r}) leaves the ideal")):
-                through_rep = list(map(classes.get, rep))
-                direct = list(map(classes.get, every))
+            for classes, members, text in (
+                    (column, by_row.get(p, ()),
+                     "(e_{a} - e_{r}) * e_{k} leaves the ideal"),
+                    (row, by_column.get(q, ()),
+                     "e_{k} * (e_{a} - e_{r}) leaves the ideal")):
+                through_rep = list(map(classes.get,
+                                       map(rep.__getitem__, members)))
+                direct = list(map(classes.get, members))
                 if through_rep != direct:
-                    a = next(a for a in every if through_rep[a] != direct[a])
+                    a = next(a for a, x, y in zip(members, through_rep, direct)
+                             if x != y)
                     return text.format(a=a, r=rep[a], k=k)
         return None
+
+
+def _members_at(points, rep):
+    """Point -> the a that carry it or whose rep(a) does, increasing."""
+    at = {}
+    for a, r in enumerate(rep):
+        for p in {points[a], points[r]}:
+            at.setdefault(p, []).append(a)
+    return at
 
 
 def build_quotient(module, ideal):

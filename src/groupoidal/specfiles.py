@@ -87,9 +87,16 @@ def _object(required=(), values=None, **fields):
     return check
 
 
+def _table(value, path):
+    """An object of strings: _string reads only a value that is not one."""
+    _expect(isinstance(value, dict), path, "an object", value)
+    for key, entry in value.items():
+        if not isinstance(entry, str):
+            _string(entry, path + (key,))
+
+
 _NAMES = _array(_string, nonempty=True)  # units and domain lists may be empty
-_TABLE = _object(values=_string)
-_GROUP_FIELDS = _object(preset=_string, elements=_NAMES, table=_TABLE)
+_GROUP_FIELDS = _object(preset=_string, elements=_NAMES, table=_table)
 
 
 def _group(value, path):
@@ -108,7 +115,7 @@ def _document(kind, required, **fields):
 _ACTION = _document("action", ("group", "space", "domains", "maps"),
                     group=_group, space=_NAMES,
                     domains=_object(values=_array(_string)),
-                    maps=_object(values=_TABLE))
+                    maps=_object(values=_table))
 
 
 def _side(value, path):
@@ -122,10 +129,10 @@ _SHAPES = {
     "groupoid": _document("groupoid", ("arrows", "units", "inverse",
                                        "compose"),
                           arrows=_NAMES, units=_array(_string),
-                          inverse=_TABLE, compose=_TABLE),
+                          inverse=_table, compose=_table),
     "action": _ACTION,
     "semigroup": _document("semigroup", ("elements", "table", "star"),
-                           elements=_NAMES, table=_TABLE, star=_TABLE),
+                           elements=_NAMES, table=_table, star=_table),
     "pair": _document("pair", ("left", "right"), left=_side, right=_side),
 }
 
@@ -152,18 +159,19 @@ class SpecDocument:
         self.bounds = bounds
 
 
-def _pair_entries(table, what, names, noun):
-    """The entries (a, b, value) of a table keyed by "a b" strings; every
-    name in a key and every value must be one of `names`."""
+def _pair_entries(table, what, index, noun):
+    """The entries (a, b, value) of a table keyed by "a b" strings, in
+    document order, as indices by `index`, a name -> index dict: every
+    name in a key and every value must be in it."""
     for key, value in table.items():
         parts = key.split()
         if len(parts) != 2:
             raise SpecFileError(f"{what}[{key!r}]: key must be two "
                                 "space-separated names")
-        a, b = parts
-        if a not in names or b not in names or value not in names:
+        entry = (index.get(parts[0]), index.get(parts[1]), index.get(value))
+        if None in entry:
             raise SpecFileError(f"{what}[{key!r}]: unknown {noun}")
-        yield a, b, value
+        yield entry
 
 
 def _parse_group(spec):
@@ -176,8 +184,9 @@ def _parse_group(spec):
     elements = spec["elements"]
     if len(set(elements)) != len(elements):
         raise SpecFileError("group.elements: duplicate names")
-    table = {(a, b): c for a, b, c in _pair_entries(
-        spec["table"], "group.table", set(elements), "element")}
+    index = {e: i for i, e in enumerate(elements)}
+    table = {(elements[a], elements[b]): elements[c] for a, b, c in
+             _pair_entries(spec["table"], "group.table", index, "element")}
     try:
         return FiniteGroup(elements, table, name="group")
     except ValueError as exc:
@@ -190,17 +199,17 @@ def _parse_groupoid(data):
     arrows = data["arrows"]
     if len(set(arrows)) != len(arrows):
         raise SpecFileError("arrows: duplicate names")
-    aset = set(arrows)
+    index = {a: i for i, a in enumerate(arrows)}
     for u in data["units"]:
-        if u not in aset:
+        if u not in index:
             raise SpecFileError(f"units: {u!r} is not a listed arrow")
     inverse = {}
     for key, value in data["inverse"].items():
-        if key not in aset or value not in aset:
+        if key not in index or value not in index:
             raise SpecFileError(f"inverse[{key!r}]: unknown arrow")
         inverse[key] = value
-    compose = {(a, b): c for a, b, c in _pair_entries(
-        data["compose"], "compose", aset, "arrow")}
+    compose = {(arrows[a], arrows[b]): arrows[c] for a, b, c in
+               _pair_entries(data["compose"], "compose", index, "arrow")}
     return FiniteGroupoid(arrows, data["units"], inverse, compose,
                           name=data.get("name", "groupoid"))
 
@@ -248,7 +257,7 @@ def _parse_semigroup(data):
     table = [blank[:] for _ in elements]
     for a, b, value in _pair_entries(data["table"], "table", index,
                                      "element"):
-        table[index[a]][index[b]] = index[value]
+        table[a][b] = value
     star = [-1] * len(elements)
     for key, value in data["star"].items():
         if key not in index or value not in index:

@@ -166,9 +166,8 @@ class SteinbergAlgebra(GroupoidProduct):
 
     def mul_basis(self, i, j):
         vec = zero_vector(self.ring, self.dim)
-        k = self.product(i, j)
-        if k >= 0:
-            vec[k] = self.ring.one()
+        if self.row_points[i] == self.col_points[j]:
+            vec[self._rows[i][self.place[j]]] = self.ring.one()
         return vec
 
     def mul_vectors(self, u, v):

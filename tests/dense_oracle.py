@@ -75,9 +75,16 @@ def composition_table(g):
 
 def product_rows(algebra):
     """The dense rows of a based algebra read through its factored
-    product: row i holds product(i, j) over all j, -1 where zero."""
-    return [[algebra.product(i, j) for j in range(algebra.dim)]
-            for i in range(algebra.dim)]
+    product: row i holds row_products(i) at the columns at_point gives
+    for its row point, and -1 elsewhere."""
+    rows = []
+    for i in range(algebra.dim):
+        row = [-1] * algebra.dim
+        for j, k in zip(algebra.at_point.get(algebra.row_points[i], ()),
+                        algebra.row_products(i)):
+            row[j] = k
+        rows.append(row)
+    return rows
 
 
 def closed(algebra):

@@ -137,8 +137,8 @@ def symmetric_inverse_monoid(points, name=None):
 
 def mul(s, a, b):
     """The product of two elements of a semigroup, by label, read off its
-    index product; KeyError where the table leaves it out."""
-    k = s.product(s.index(a), s.index(b))
+    index rows; KeyError where the table leaves it out."""
+    k = s.row(s.index(a))[s.index(b)]
     if k < 0:
         raise KeyError((a, b))
     return s.elements[k]

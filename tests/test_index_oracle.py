@@ -15,9 +15,12 @@ semigroup that passed `validate_inverse_semigroup`; on each one, among
 them random inverse subsemigroups of I(3) and I(4), it has the
 reference's pairs, and `ideal_generators`, which reads its index
 down-sets, gives the generators built from the reference's label pairs
-(`reference_ideal_generators`).  A failing two-sidedness check names a
-product that leaves the ideal on the dense rows; a failing action report
-names only violations in the reference's full list.
+(`reference_ideal_generators`), and `build_ideal`, which joins only the
+first generator of each (t, x), gives the classes of the union-find over
+all of them (`congruence`).  A failing two-sidedness check names a
+product that leaves the ideal on the dense rows, with the text of the
+check that read every index (`full_read_violation`); a failing action
+report names only violations in the reference's full list.
 """
 
 import copy
@@ -198,11 +201,35 @@ def corrupted_module(module, rng):
     return corrupted
 
 
+def full_read_violation(quotient):
+    """verify_representative_independence as it read every basis index a
+    for each generator and side, not only those at the generator's point:
+    the same verdict and the same text."""
+    module, cls, rep = quotient.module, quotient._class, quotient.ideal.rep
+    every = range(len(rep))
+    for k in module.generator_basis():
+        p, q = module.col_points[k], module.row_points[k]
+        column = dict(zip(module._rows_at.get(p, ()),
+                          map(cls.__getitem__, module.column_products(k))))
+        row = dict(zip(module.at_point.get(q, ()),
+                       map(cls.__getitem__, module.row_products(k))))
+        for classes, text in (
+                (column, "(e_{a} - e_{r}) * e_{k} leaves the ideal"),
+                (row, "e_{k} * (e_{a} - e_{r}) leaves the ideal")):
+            through_rep = list(map(classes.get, rep))
+            direct = list(map(classes.get, every))
+            if through_rep != direct:
+                a = next(a for a in every if through_rep[a] != direct[a])
+                return text.format(a=a, r=rep[a], k=k)
+    return None
+
+
 def assert_scan_verdict(quotient, table, edges=None):
     """verify_representative_independence gives the generator scan's
-    verdict, and the product it names leaves the ideal.  Returns both
-    texts."""
+    verdict and the full read's text, and the product it names leaves
+    the ideal.  Returns both texts."""
     text = quotient.verify_representative_independence()
+    assert text == full_read_violation(quotient)
     expected = reference_generator_scan(quotient, table, edges)
     assert (text is None) == (expected is None)
     assert text is None or leaves_ideal(quotient, text, table)
@@ -291,7 +318,9 @@ def test_generator_rows_give_the_full_scan_verdict(Q):
 
 
 def congruence(module, edges):
-    """The union-find congruence of build_ideal over the given edges."""
+    """The union-find congruence over all the given edges, the largest
+    index of each class its root, as build_ideal joined every generator
+    before it joined only the first of each (t, x)."""
     parent = list(range(module.dim))
 
     def find(a):
@@ -564,16 +593,26 @@ def natural_action(s):
         {f: f.mapping for f in s.elements}, name=f"{s.name}@X")
 
 
-def test_ideal_generators_equal_the_label_order_builder(Q):
+def ideal_actions(pairs):
+    """The bisection actions of every catalog groupoid, of the pair
+    groupoids on the given numbers of points and of the cyclic ladder
+    bundles, then I(3)'s natural action and those of 10 seeded inverse
+    subsemigroups of I(3) and I(4).  Returns the actions and the number
+    of groupoids."""
     groupoids = [catalog.load_groupoid(name)
                  for name in catalog.groupoid_names()]
-    groupoids += [parse(pair_groupoid_spec(n)) for n in (2, 3, 4)]
+    groupoids += [parse(pair_groupoid_spec(n)) for n in pairs]
     groupoids += [parse(cyclic_bundle_spec(ks)) for ks in CYCLIC_BUNDLES]
-    actions = [bisection_action(g) for g in groupoids]
+    actions = [bisection_action(g, bound=g.n_arrows) for g in groupoids]
     rng = random.Random(24)
     actions.append(natural_action(I3))
     actions += [natural_action(random_inverse_subsemigroup(rng))
                 for _ in range(10)]
+    return actions, len(groupoids)
+
+
+def test_ideal_generators_equal_the_label_order_builder(Q):
+    actions, groupoids = ideal_actions((2, 3, 4))
     strict = 0
     for action in actions:
         assert validate_isg_partial_action(action).ok, action.name
@@ -583,4 +622,21 @@ def test_ideal_generators_equal_the_label_order_builder(Q):
         assert sorted(edges) == sorted(expected), action.name
         assert build_ideal(module).generator_count == len(expected)
         strict += bool(expected)
-    assert strict > len(groupoids)
+    assert strict > groupoids
+
+
+def test_build_ideal_equals_the_union_find_over_every_generator(Q):
+    # build_ideal joins each (t, x) only to the first generator listed
+    # below it; the reference, congruence, joins every generator.
+    actions, _ = ideal_actions((2, 3, 4, 5))
+    several = 0
+    for action in actions:
+        assert validate_isg_partial_action(action).ok, action.name
+        module = CovarianceModule(induce_algebra_action(action, Q))
+        edges = ideal_generators(module)
+        ideal, expected = build_ideal(module), congruence(module, edges)
+        assert ideal.rep == expected.rep, action.name
+        assert ideal.dimension == expected.dimension, action.name
+        assert ideal.generator_count == expected.generator_count == len(edges)
+        several += len(edges) > len({b for _, b in edges})
+    assert several > 10

@@ -175,8 +175,9 @@ def function_space_action(action, ring):
     from itertools import product as iproduct
     alg = induce_algebra_action(action, ring)
     points = action.space
+    elements = [ring.scalar(v) for v in range(ring.modulus)]
     functions = [SpaceFunction(ring, dict(zip(points, combo)))
-                 for combo in iproduct(ring.elements(), repeat=len(points))]
+                 for combo in iproduct(elements, repeat=len(points))]
     domains = {}
     maps = {}
     for s in action.index.elements:

@@ -8,7 +8,9 @@ attribute or an imported name, in any module of `src/groupoidal` except
 `__init__.py`, outside the top-level statement that defines it.  A
 reference to a method is any attribute of its name there, outside the
 method itself; the receiver is not resolved, so one call of a name
-covers every method with that name.  Exempt are the names the
+covers every method with that name.  A plain method whose name is also a
+`self.<name> =` data attribute is reached only by a `.name(` call, as
+the attribute's own uses would otherwise mask it.  Exempt are the names the
 benchmark's tracer wraps (LAYERS in perfbench/layers.py, read as source
 so that nothing here imports the benchmark), the console entry point
 `cli.main`, the documented entry points in ALLOWED, and dunder methods,
@@ -106,17 +108,36 @@ def test_every_public_name_has_a_caller_in_the_package():
                            + ", ".join(orphans))
 
 
+def _is_property(method):
+    return any(isinstance(d, ast.Name) and d.id == "property"
+               for d in method.decorator_list)
+
+
+def _called(node):
+    """The attribute names called as `.name(` in a node."""
+    return [n.func.attr for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)]
+
+
 def methods_without_callers(package=PACKAGE):
     """(module, Class.method) of each public method of a module-level
     class of the package whose name no attribute in the package uses
-    outside the method itself."""
-    attributes, methods = Counter(), []
+    outside the method itself.  A plain method (not a property) whose
+    name is also a `self.<name> =` data attribute in the package needs a
+    `.name(` call outside itself, as the attribute's uses do not reach
+    it."""
+    attributes, calls, data, methods = Counter(), Counter(), set(), []
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
-        attributes.update(node.attr for node in ast.walk(tree)
-                          if isinstance(node, ast.Attribute))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes[node.attr] += 1
+                if isinstance(node.ctx, ast.Store) and \
+                        getattr(node.value, "id", None) == "self":
+                    data.add(node.attr)
+        calls.update(_called(tree))
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -126,9 +147,13 @@ def methods_without_callers(package=PACKAGE):
                     own = sum(isinstance(node, ast.Attribute)
                               and node.attr == method.name
                               for node in ast.walk(method))
-                    methods.append((path.stem, cls.name, method.name, own))
-    return [(module, f"{cls}.{name}") for module, cls, name, own in methods
-            if attributes[name] == own]
+                    own_calls = _called(method).count(method.name)
+                    methods.append((path.stem, cls.name, method.name,
+                                    _is_property(method), own, own_calls))
+    return [(module, f"{cls}.{name}")
+            for module, cls, name, prop, own, own_calls in methods
+            if attributes[name] == own
+            or (not prop and name in data and calls[name] == own_calls)]
 
 
 def test_every_public_method_has_a_caller_in_the_package():
