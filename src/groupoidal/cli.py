@@ -15,8 +15,8 @@ import sys
 from .groupoid_core import (DEFAULT_BISECTION_BOUND,
                             is_topologically_principal, validate_groupoid)
 from .inverse_semigroups import validate_inverse_semigroup
-from .isomorphisms import (DEFAULT_ISO_BOUND, DEFAULT_ORBIT_BOUND, psi,
-                           rho, search_groupoid_isomorphism,
+from .isomorphisms import (DEFAULT_ISO_BOUND, DEFAULT_ORBIT_BOUND, PHI_TRIALS,
+                           psi, rho, search_groupoid_isomorphism,
                            search_orbit_equivalence, steinberg_transport,
                            transported_skew_isomorphism,
                            verify_orbit_equivalence, verify_phi_additive,
@@ -29,8 +29,6 @@ from .skew_rings import CovarianceModule, check_pregrading
 from .transformation_groupoid import build_transformation_groupoid
 from .specfiles import SpecContentError, SpecFileError, load_document
 from .validation import BoundExceeded, stable
-
-PHI_TRIALS = 200
 
 
 def _flag_status(ok):
@@ -134,7 +132,7 @@ def cmd_theorem3(doc, ring, bounds, report):
     # Both premises pass: action_axioms, and the group's table_report.
     report.add("skew_associativity", _flag_status(module.associative))
 
-    rho_map = rho(action, ring, module=module, groupoid=groupoid)
+    rho_map = rho(action, ring, groupoid, module=module)
     for kind in ("homomorphism", "injective", "surjective"):
         flag, detail = rho_map.certificates[kind]
         report.add(f"rho_{kind}", _flag_status(flag), detail or "")
@@ -208,8 +206,7 @@ def cmd_theorem5(doc, ring, bounds, report):
     report.add("phi_left_inverse", _flag_status(ok),
                detail or "phi o psi~ = id on the full quotient basis")
 
-    ok, detail = verify_phi_additive(realization, random.Random(0),
-                                     trials=PHI_TRIALS)
+    ok, detail = verify_phi_additive(realization, random.Random(0))
     report.add("phi_additive_mod_ideal", _flag_status(ok),
                detail or f"{PHI_TRIALS} random pairs")
 
@@ -278,8 +275,8 @@ def cmd_equivalence(doc, ring, bounds, report):
 
     transported = None
     if iso is not None:
-        rho_left = rho(left, ring, groupoid=groupoids["left"])
-        rho_right = rho(right, ring, groupoid=groupoids["right"])
+        rho_left = rho(left, ring, groupoids["left"])
+        rho_right = rho(right, ring, groupoids["right"])
         gamma = steinberg_transport(iso, rho_left.codomain,
                                     rho_right.codomain)
         skew_phi = transported_skew_isomorphism(rho_left, rho_right, gamma)

@@ -32,8 +32,8 @@ class FiniteGroup(FiniteInverseSemigroup):
     inv = FiniteInverseSemigroup.star
 
     @classmethod
-    def trivial(cls, element="e"):
-        return cls([element], {(element, element): element}, name="trivial")
+    def trivial(cls):
+        return cls(["e"], {("e", "e"): "e"}, name="trivial")
 
     @classmethod
     def cyclic(cls, n):

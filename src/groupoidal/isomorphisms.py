@@ -24,7 +24,6 @@ from .scalars import points_at
 from .skew_rings import CovarianceModule, build_ideal, build_quotient
 from .steinberg_algebra import (GroupoidFunction, SteinbergAlgebra,
                                 split_levels)
-from .transformation_groupoid import build_transformation_groupoid
 from .validation import BoundExceeded
 
 DEFAULT_ISO_BOUND = 10
@@ -185,7 +184,7 @@ class AlgebraMap:
     def is_isomorphism(self):
         return self.is_homomorphism and self.is_injective and self.is_surjective
 
-    def inverse(self, name=None):
+    def inverse(self):
         """The inverse map, the inverse permutation of the targets;
         requires a bijective map."""
         n, m = self.codomain.dim, self.domain.dim
@@ -198,7 +197,7 @@ class AlgebraMap:
         for i, t in enumerate(self.targets):
             targets[t] = i
         return AlgebraMap(self.codomain, self.domain, targets,
-                          name=name or f"{self.name}^-1")
+                          name=f"{self.name}^-1")
 
     def compose(self, inner, name=None):
         """self o inner.  The middle algebras must agree structurally
@@ -220,15 +219,14 @@ class AlgebraMap:
 # group action.
 # ---------------------------------------------------------------------------
 
-def rho(action, ring, module=None, groupoid=None):
+def rho(action, ring, groupoid, module=None):
     """The isomorphism from the partial skew group ring onto the Steinberg
-    algebra of the transformation groupoid.  On basis elements it sends the
-    point mass at x in D_g (times delta_g) to the point mass at the arrow
-    (g, x).  All four certificates are computed exhaustively."""
+    algebra of groupoid, the transformation groupoid of the action.  On
+    basis elements it sends the point mass at x in D_g (times delta_g) to
+    the point mass at the arrow (g, x).  All four certificates are
+    computed exhaustively."""
     if module is None:
         module = CovarianceModule(induce_algebra_action(action, ring))
-    if groupoid is None:
-        groupoid = build_transformation_groupoid(action)
     algebra = SteinbergAlgebra(groupoid, ring)
     targets = [groupoid.index(label) for label in module.basis_labels]
     return AlgebraMap(module, algebra, targets, name="rho").certify_all()
@@ -496,19 +494,19 @@ def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
 # Transport of isomorphisms along a groupoid isomorphism.
 # ---------------------------------------------------------------------------
 
-def steinberg_transport(iso, algebra1, algebra2, name="Gamma"):
+def steinberg_transport(iso, algebra1, algebra2):
     """Pull a groupoid isomorphism back to a diagonal-preserving algebra
     isomorphism of the Steinberg algebras (point masses map to point
     masses)."""
     targets = [algebra2.groupoid.index(iso(a)) for a in algebra1.basis_labels]
-    return AlgebraMap(algebra1, algebra2, targets, name=name).certify_all()
+    return AlgebraMap(algebra1, algebra2, targets, name="Gamma").certify_all()
 
 
-def transported_skew_isomorphism(rho1, rho2, gamma, name="Phi"):
+def transported_skew_isomorphism(rho1, rho2, gamma):
     """The induced isomorphism of the partial skew group rings carrying the
     coefficient algebra onto the coefficient algebra: the composite of
     rho1, the Steinberg-level transport, and the inverse of rho2."""
-    composite = rho2.inverse().compose(gamma.compose(rho1), name=name)
+    composite = rho2.inverse().compose(gamma.compose(rho1), name="Phi")
     return composite.certify_all()
 
 
@@ -518,8 +516,9 @@ def transported_skew_isomorphism(rho1, rho2, gamma, name="Phi"):
 # Steinberg algebra.
 # ---------------------------------------------------------------------------
 
-def bisection_action(groupoid, semigroup=None, bound=DEFAULT_BISECTION_BOUND):
-    """The partial action of the bisection semigroup on the unit space:
+def bisection_action(groupoid, semigroup):
+    """The partial action of semigroup, the bisection semigroup of
+    groupoid (bisection_semigroup), on the unit space:
     a bisection B acts by source-fiber-to-range-fiber transport, sending
     s(b) to r(b) for each arrow b in B.  The domain attached to B is r(B).
 
@@ -535,8 +534,6 @@ def bisection_action(groupoid, semigroup=None, bound=DEFAULT_BISECTION_BOUND):
     has s(c) = x, so theta_B theta_C(x) = theta_B(r(c)) = r(b) = r(bc) =
     theta_{BC}(x).  The unit of S is G0, with domain X = G0, and it
     acts as the identity."""
-    if semigroup is None:
-        semigroup = bisection_semigroup(groupoid, bound)
     space = groupoid.sort_arrows(groupoid.units)
     domains = {}
     maps = {}
@@ -567,14 +564,10 @@ class SkewRealization:
         self.psi_map = psi_map
         self.psi_tilde = psi_tilde
         # For phi, on arrow indices: the range and source of each arrow
-        # as points of the space, and (bisection bitmask, point) -> the
-        # basis index of L of that bisection at that point.
+        # as points of the space.
         point = {x: p for p, x in enumerate(action.space)}
         self._ranges = [point[groupoid.range(a)] for a in groupoid.arrows]
         self._sources = [point[groupoid.source(a)] for a in groupoid.arrows]
-        masks = semigroup.masks
-        self._block_basis = {(masks[e], p): k for k, (e, p) in enumerate(
-            zip(module._element, module.col_points))}
 
     @property
     def dimension_ledger(self):
@@ -594,17 +587,19 @@ class SkewRealization:
         """phi of the function with the given nonzero values on arrow
         indices, as {quotient index: sum of values}, the sums not reduced
         in the ring and zeros kept.  Each block B of split_levels, with
-        value r, adds r at the class of (B, r(b)) for each arrow b of B.
-        The classes are read from the quotient on each call."""
-        basis, cls, ranges = self._block_basis, self.quotient._class, \
-            self._ranges
+        value r, adds r at the class of (B, r(b)) for each arrow b of B,
+        the basis index of L at the point r(b) and the element of bitmask
+        B.  The classes are read from the quotient on each call."""
+        basis_at, position = self.module._basis_at, self.semigroup._position
+        cls, ranges = self.quotient._class, self._ranges
         out = {}
         for block, value in split_levels(values, ranges, self._sources):
             mask = 0
             for i in block:
                 mask |= 1 << i
+            e = position[mask]
             for i in block:
-                q = cls[basis[mask, ranges[i]]]
+                q = cls[basis_at[ranges[i]][e]]
                 out[q] = out[q] + value if q in out else value
         return out
 
@@ -635,8 +630,10 @@ def psi(groupoid, ring, groupoid_report,
     module.verify_associativity((groupoid_report,))
     steinberg = SteinbergAlgebra(groupoid, ring)
 
-    targets = [groupoid.index(next(b for b in bis if groupoid.range(b) == u))
-               for (bis, u) in module.basis_labels]
+    # (B, u) goes to the arrow of B with range u, its column point.
+    arrows, ranges = semigroup._arrows, semigroup._range
+    targets = [next(a for a in arrows[e] if ranges[a] == p)
+               for e, p in zip(module._element, module.col_points)]
     psi_map = AlgebraMap(module, steinberg, targets, name="psi")
     # A_R(G) is associative as the groupoid is, and L by its premise, so
     # the generator rows of L suffice (module.generator_basis).
@@ -694,11 +691,15 @@ def verify_phi_left_inverse(realization):
     return (True, None)
 
 
-def verify_phi_additive(realization, rng, trials=200):
-    """phi(f + g) = phi(f) + phi(g) as classes, on random pairs.  Each
-    pair is drawn as values on arrow indices, by the calls of rng that
-    random GroupoidFunctions would make: for each arrow in order, a coin
-    and, on heads, ScalarRing.random's draw, kept when nonzero.  The
+PHI_TRIALS = 200
+
+
+def verify_phi_additive(realization, rng):
+    """phi(f + g) = phi(f) + phi(g) as classes, on PHI_TRIALS random
+    pairs.  Each pair is drawn as values on arrow indices, by the calls of
+    rng that random GroupoidFunctions would make: for each arrow in order,
+    a coin and, on heads, ScalarRing.random_value's draw, kept when
+    nonzero.  The
     pair's values are then scaled by the least common multiple of their
     denominators (1 outside Q), which keeps the answer of every sum,
     equality and zero test, so the trial runs on integers."""
@@ -720,7 +721,7 @@ def verify_phi_additive(realization, rng, trials=200):
         return {q: v for q, v in sums.items() if v}
 
     phi = realization.phi_values
-    for trial in range(trials):
+    for trial in range(PHI_TRIALS):
         f, g = draw(), draw()
         scale = lcm(*(v.denominator for v in (*f.values(), *g.values())))
         f, g = ({i: v.numerator * (scale // v.denominator)

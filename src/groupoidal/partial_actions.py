@@ -222,9 +222,6 @@ class AlgebraPartialAction:
         self.ring = ring
         self.domains = action.domains
 
-    def star(self, s):
-        return self.index.star(s)
-
     def unit_element(self):
         return self.index.unit
 

@@ -109,13 +109,8 @@ class ScalarRing:
     def one(self):
         return self.scalar(1)
 
-    def random(self, rng):
-        """A pseudo-random scalar, for property tests."""
-        return Scalar(self, self.random_value(rng))
-
     def random_value(self, rng):
-        """The value of random(rng), drawn by the same calls of rng,
-        without the Scalar."""
+        """A pseudo-random value of the ring, drawn from rng."""
         if self.kind == "Q":
             return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
         if self.kind == "Z":

@@ -41,7 +41,7 @@ class CovarianceModule(BasedAlgebra):
         self.ring = algebra_action.ring
         index, action = algebra_action.index, algebra_action.action
         self._index = index
-        point = {x: p for p, x in enumerate(action.space)}
+        self._point = point = {x: p for p, x in enumerate(action.space)}
         self.basis_labels, self._element = [], []
         row_points, col_points = [], []
         # _basis_at[p][e] is the basis index of (element e, point p), or
@@ -56,7 +56,6 @@ class CovarianceModule(BasedAlgebra):
                 col_points.append(point[x])
                 row_points.append(point[action.theta(s_star, x)])
         self.dim = len(self.basis_labels)
-        self._idx = {lbl: i for i, lbl in enumerate(self.basis_labels)}
         self._set_points(row_points, col_points)
         self._column_elements = {p: [self._element[j] for j in columns]
                                  for p, columns in self.at_point.items()}
@@ -64,7 +63,10 @@ class CovarianceModule(BasedAlgebra):
         self.premises = self.associative = None
 
     def label_index(self, s, x):
-        return self._idx[(s, x)]
+        i = self._basis_at[self._point[x]][self._index.index(s)]
+        if i < 0:
+            raise KeyError((s, x))
+        return i
 
     def row_products(self, i):
         by_point = self._basis_at[self.col_points[i]]
@@ -147,8 +149,9 @@ class CovarianceModule(BasedAlgebra):
 
 def ideal_generators(module):
     """The generators 1_x delta_s - 1_x delta_t of the ideal, for s < t in
-    the natural order and x in X_s, as basis index pairs (a, b) standing
-    for e_a - e_b.  L's basis is walked once: each (t, x) is paired with
+    the natural order and x in X_s, as an iterator of basis index pairs
+    (a, b) standing for e_a - e_b.  L's basis is walked once, as the pairs
+    are read: each (t, x) is paired with
     the (s, x) for s != t in the down-set of t, read by element index at
     the point of x in _basis_at, which is -1 exactly when x is not in X_s.
 
@@ -161,10 +164,10 @@ def ideal_generators(module):
     theta_s = theta_t theta_e, so X_s, the image of theta_s, lies in X_t,
     the image of theta_t."""
     below, basis_at = natural_order(module._index), module._basis_at
-    return [(a, b) for b, (t, p) in enumerate(zip(module._element,
+    return ((a, b) for b, (t, p) in enumerate(zip(module._element,
                                                   module.col_points))
             for a in map(basis_at[p].__getitem__, below[t])
-            if a >= 0 and a != b]
+            if a >= 0 and a != b)
 
 
 class IdealCongruence:
@@ -192,8 +195,8 @@ def build_ideal(module):
     X_t) and X_e & X_f = X_{ef} (theta_e is the identity on X_e).  So D(t)
     has a least element m(t), which is m(s) for every s in D(t).  A chain
     of first generators runs strictly down the order to (m(t), x), and
-    every generator joins two (s, x) of one m(s)."""
-    edges = ideal_generators(module)
+    every generator joins two (s, x) of one m(s).  The generators are
+    counted as they are read, and never held all at once."""
     parent = list(range(module.dim))
 
     def find(a):
@@ -202,14 +205,16 @@ def build_ideal(module):
             a = parent[a]
         return a
 
-    # ideal_generators lists the generators of each (t, x) together.
-    for b, pairs in groupby(edges, itemgetter(1)):
+    # ideal_generators yields the generators of each (t, x) together.
+    count = 0
+    for b, pairs in groupby(ideal_generators(module), itemgetter(1)):
         ra, rb = find(next(pairs)[0]), find(b)
+        count += 1 + sum(1 for _ in pairs)
         if ra != rb:
             # The larger root stays, so each root is the largest index of
             # its class.
             parent[min(ra, rb)] = max(ra, rb)
-    return IdealCongruence(module, len(edges),
+    return IdealCongruence(module, count,
                            [find(a) for a in range(module.dim)])
 
 

@@ -137,7 +137,7 @@ _SHAPES = {
 }
 
 _PRESETS = {
-    "trivial": lambda: FiniteGroup.trivial(),
+    "trivial": FiniteGroup.trivial,
     "Z2": lambda: FiniteGroup.cyclic(2),
     "Z3": lambda: FiniteGroup.cyclic(3),
     "Z4": lambda: FiniteGroup.cyclic(4),

@@ -33,13 +33,12 @@ class GroupoidFunction:
         return cls(parent, ring, {})
 
     @classmethod
-    def indicator(cls, parent, ring, arrows, coeff=None):
-        coeff = ring.one() if coeff is None else coeff
-        return cls(parent, ring, {a: coeff for a in arrows})
+    def indicator(cls, parent, ring, arrows):
+        return cls(parent, ring, dict.fromkeys(arrows, ring.one()))
 
     @classmethod
-    def point_mass(cls, parent, ring, arrow, coeff=None):
-        return cls.indicator(parent, ring, [arrow], coeff)
+    def point_mass(cls, parent, ring, arrow):
+        return cls.indicator(parent, ring, [arrow])
 
     def __call__(self, arrow):
         if arrow not in self.parent._index:

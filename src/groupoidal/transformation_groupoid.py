@@ -15,7 +15,7 @@ class TransformationGroupoid(FiniteGroupoid):
     composes to (st, y) exactly when theta_{s^-1}(y) = x.
     """
 
-    def __init__(self, action, name=None):
+    def __init__(self, action):
         group = action.group
         elements, table = group.elements, group.table
         # Each arrow (t, x) with the index of t, and the inverse of t.
@@ -45,11 +45,11 @@ class TransformationGroupoid(FiniteGroupoid):
                         "set; action is not a partial action")
                 compose[((s, y), c)] = target
         super().__init__(arrows, units, inverse, compose,
-                         name=name or f"{group.name}@{action.name}")
+                         name=f"{group.name}@{action.name}")
         self.action = action
 
 
-def build_transformation_groupoid(action, name=None):
+def build_transformation_groupoid(action):
     """Construct the transformation groupoid of a validated partial group
     action.  The arrow count is the sum of the domain sizes and the unit
     space is a copy of the acted-on space via x -> (e, x).
@@ -78,4 +78,4 @@ def build_transformation_groupoid(action, name=None):
       so the two sides of (ab)c = a(bc) are defined together, and then
       both are (rst, z) for a = (r, z), by the group's associativity.
     """
-    return TransformationGroupoid(action, name=name)
+    return TransformationGroupoid(action)

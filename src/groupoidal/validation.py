@@ -30,11 +30,11 @@ class ValidationReport:
     def first(self):
         return self.violations[0] if self.violations else None
 
-    def summary(self, limit=3):
+    def summary(self):
         if self.ok:
             return f"{self.subject}: ok"
-        shown = "; ".join(self.violations[:limit])
-        extra = len(self.violations) - limit
+        shown = "; ".join(self.violations[:3])
+        extra = len(self.violations) - 3
         if extra > 0:
             shown += f" (+{extra} more)"
         return f"{self.subject}: {shown}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import os
 
-from .specfiles import default_catalog_dir, load_document
+from groupoidal.specfiles import default_catalog_dir, load_document
 
 
 @functools.cache

@@ -1,17 +1,24 @@
 """Groupoid families beyond the catalog, as spec documents and as parsed
 groupoids: pair groupoids and bundles of cyclic groups; the regular
 actions of cyclic groups; the symmetric inverse monoids I(X) of
-partial bijections; and inverse semigroups built from dict tables."""
+partial bijections; and inverse semigroups built from dict tables.
+Also the structures the library builds from one argument that its calls
+always pass: rho on a freshly built transformation groupoid, the
+bisection action on a freshly built bisection semigroup, and random
+scalars."""
 
 import json
 from itertools import combinations, permutations
 
+from groupoidal.groupoid_core import DEFAULT_BISECTION_BOUND
 from groupoidal.groups import FiniteGroup
 from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
-                                           natural_order)
+                                           bisection_semigroup, natural_order)
+from groupoidal.isomorphisms import bisection_action, rho
 from groupoidal.partial_actions import GroupPartialAction
-from groupoidal.scalars import index_row
+from groupoidal.scalars import Scalar, index_row
 from groupoidal.specfiles import FORMAT_TAG, parse_document
+from groupoidal.transformation_groupoid import build_transformation_groupoid
 
 
 def pair_groupoid_spec(n):
@@ -65,6 +72,27 @@ def regular_action(n):
             for k, g in enumerate(group.elements)}
     return GroupPartialAction(group, space, {g: space for g in maps}, maps,
                               name=f"regular_z{n}")
+
+
+def regular_action_spec(n):
+    """The regular action of Z_n as a spec document, points 0 to n-1: by
+    the preset of Z_n up to order 6 (`trivial` for n = 1), above by an
+    explicit table on the preset's element names."""
+    names = ["e"] + ["g" if k == 1 else f"g{k}" for k in range(1, n)]
+    if n == 1:
+        group = {"preset": "trivial"}
+    elif n <= 6:
+        group = {"preset": f"Z{n}"}
+    else:
+        group = {"elements": names,
+                 "table": {f"{names[i]} {names[j]}": names[(i + j) % n]
+                           for i in range(n) for j in range(n)}}
+    space = [str(i) for i in range(n)]
+    return {"format": FORMAT_TAG, "kind": "action",
+            "name": f"regular_z{n}", "group": group, "space": space,
+            "domains": {g: space for g in names},
+            "maps": {g: {str(i): str((i + k) % n) for i in range(n)}
+                     for k, g in enumerate(names)}}
 
 
 class PartialBijection:
@@ -187,3 +215,19 @@ def semigroup_from_products(elements, products, star, name="semigroup"):
              for a in elements]
     star_table = [at(star.get(a), f"star of {a}") for a in elements]
     return FiniteInverseSemigroup(elements, table, star_table, name=name)
+
+
+def transformation_rho(action, ring):
+    """rho of the action, onto its transformation groupoid built here."""
+    return rho(action, ring, build_transformation_groupoid(action))
+
+
+def bisection_action_of(g, bound=DEFAULT_BISECTION_BOUND):
+    """The action of the bisection semigroup of g, built here, on the
+    units of g."""
+    return bisection_action(g, bisection_semigroup(g, bound))
+
+
+def random_scalar(ring, rng):
+    """A pseudo-random scalar, by ScalarRing.random_value's draw."""
+    return Scalar(ring, ring.random_value(rng))

@@ -147,9 +147,9 @@ def alpha(algebra_action, s, f):
     alg = algebra_action
     if f.ring != alg.ring:
         raise ValueError("function has the wrong scalar ring")
-    if not f.vanishes_off(alg.domains[alg.star(s)]):
-        raise ValueError(f"function is not in D_{{{alg.star(s)}}}")
-    theta_star = alg.action.maps[alg.star(s)]
+    if not f.vanishes_off(alg.domains[alg.index.star(s)]):
+        raise ValueError(f"function is not in D_{{{alg.index.star(s)}}}")
+    theta_star = alg.action.maps[alg.index.star(s)]
     return SpaceFunction(alg.ring,
                          {x: f(theta_star[x]) for x in alg.domains[s]})
 
@@ -229,7 +229,7 @@ def skew_multiply(x, y):
     for s, a_s in x.terms.items():
         for t, a_t in y.terms.items():
             st = mul(index, s, t)
-            coeff = alpha(alg, s, alpha(alg, alg.star(s), a_s) * a_t)
+            coeff = alpha(alg, s, alpha(alg, alg.index.star(s), a_s) * a_t)
             if coeff:
                 acc[st] = acc[st] + coeff if st in acc else coeff
     return SkewElement(alg, acc)

@@ -1,8 +1,25 @@
-"""Replay of a theorem5 report from the report and the input file alone.
+"""Replay of theorem3 and theorem5 reports from the report and the input
+file alone.
 
 The input is read with the `json` module, not through `specfiles`, and
 every expected value is recomputed from the set formulas, with no call
-into the engine:
+into the engine.
+
+For theorem3, on an action document:
+
+- the arrows (g, x) for x in X_g, in group-element order then space
+  order, the order of the basis of L; a preset group has the elements
+  that FiniteGroup.cyclic names (e, g, g2, ...), `trivial` only e, and
+  an explicit group its element list, with the identity the one element
+  e with e e = e;
+- the arrow count, in `transformation_groupoid_axioms` and
+  `dimension_match` (dim L = #arrows);
+- rho's image of each basis element (g, x): the arrow (g, x), as
+  `rho_basis_images` lists it, in order;
+- that each listed (e, x), e the identity, goes to a unit (e, y), and
+  that the units are covered.
+
+For theorem5, on a groupoid document:
 
 - the bisections, by brute force over all arrow subsets, in ascending
   bitmask order over the arrow list, and their count;
@@ -14,9 +31,9 @@ into the engine:
   dim A = #arrows;
 - `quotient_basis`: basis elements of L, in basis order, one per class.
 
-`replay_theorem5(formulas, text)` returns the mismatches, empty when the
-report replays.  `Formulas` holds what a groupoid gives and is kept per
-input by the caller.
+`replay_theorem3(doc, text)` and `replay_theorem5(formulas, text)` return
+the mismatches, empty when the report replays.  `Formulas` holds what a
+groupoid gives and is kept per input by the caller.
 """
 
 import re
@@ -95,6 +112,51 @@ def parse_rows(text):
     """Row name -> (status, detail) of a text report."""
     return {name: (status, detail or "")
             for name, status, detail in ROW.findall(text)}
+
+
+def action_arrows(doc):
+    """The identity of an action document's group, and the arrows (g, x)
+    for x in X_g, in group-element order then space order."""
+    group = doc["group"]
+    if "preset" in group:
+        order = 1 if group["preset"] == "trivial" else int(group["preset"][1:])
+        elements = ["e"] + ["g" if k == 1 else f"g{k}"
+                            for k in range(1, order)]
+        identity = "e"
+    else:
+        elements = list(group["elements"])
+        table = {tuple(key.split()): c for key, c in group["table"].items()}
+        identity = next(a for a in elements if table[a, a] == a)
+    arrows = []
+    for g in elements:
+        domain = set(doc["domains"].get(g, ()))
+        arrows += [(g, x) for x in doc["space"] if x in domain]
+    for g, x in arrows:
+        # The report renders labels unquoted.
+        assert re.fullmatch(r"\w+", g) and re.fullmatch(r"\w+", x), (g, x)
+    return identity, arrows
+
+
+def replay_theorem3(doc, text):
+    """The ways the passing theorem3 report disagrees with the set
+    formulas on its action document, as messages."""
+    rows = parse_rows(text)
+    identity, arrows = action_arrows(doc)
+    n = len(arrows)
+    problems = []
+    if rows.get("transformation_groupoid_axioms") != ("pass", f"{n} arrows"):
+        problems.append("arrow count")
+    if rows.get("dimension_match") != ("pass", f"dim L={n} arrows={n}"):
+        problems.append("dimension_match")
+    listed = rows.get("rho_basis_images", ("", ""))[1].split("; ")
+    if listed != [f"({g},{x})->({g},{x}):1" for g, x in arrows]:
+        problems.append("rho_basis_images")
+    images = dict(entry.split("->") for entry in listed if "->" in entry)
+    units = {f"({identity},{x}):1" for x in doc["space"]}
+    diagonal = [images.get(f"({identity},{x})") for x in doc["space"]]
+    if not units.issuperset(diagonal) or len(set(diagonal)) != len(units):
+        problems.append("the (e, x) do not go onto the units")
+    return problems
 
 
 def replay_theorem5(formulas, text):

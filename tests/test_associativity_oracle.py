@@ -32,7 +32,7 @@ from families import (family_groupoids, mul, pair_groupoid_spec, parse,
                       semigroup_from_products, symmetric_inverse_monoid,
                       tabulated)
 
-from groupoidal import catalog
+import catalog
 from groupoidal.inverse_semigroups import (bisection_semigroup,
                                            validate_inverse_semigroup)
 from groupoidal.isomorphisms import bisection_action

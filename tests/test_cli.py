@@ -9,7 +9,8 @@ from collections import Counter
 import pytest
 from families import pair_groupoid_spec
 
-from groupoidal import catalog, cli, groups
+import catalog
+from groupoidal import cli, groups
 from groupoidal.cli import main
 from groupoidal.inverse_semigroups import BisectionSemigroup
 

@@ -21,10 +21,11 @@ from dense_oracle import (closed, dense_associativity, dense_homomorphism,
                           dense_quotient_table, dense_table, premises,
                           product_rows, realize, reference_generator_scan,
                           triple_fails)
-from families import family_groupoids, regular_action, tabulated
+from families import (bisection_action_of, family_groupoids, regular_action,
+                      tabulated, transformation_rho)
 from formula_oracle import bisection_inverse, bisection_product
 
-from groupoidal import catalog
+import catalog
 from groupoidal.groupoid_core import FiniteGroupoid, composability_violation
 from groupoidal.groups import FiniteGroup
 from groupoidal.inverse_semigroups import bisection_semigroup
@@ -57,7 +58,7 @@ def ladder(Q):
     """(name, L) for the bisection action of every ladder groupoid and for
     every ladder action."""
     modules = [(g.name, CovarianceModule(induce_algebra_action(
-        bisection_action(g), Q))) for g in ladder_groupoids()]
+        bisection_action_of(g), Q))) for g in ladder_groupoids()]
     modules += [(a.name, CovarianceModule(induce_algebra_action(a, Q)))
                 for a in ladder_actions()]
     return modules
@@ -122,7 +123,7 @@ def transported_maps(ring):
             gamma = steinberg_transport(iso, SteinbergAlgebra(gl, ring),
                                         SteinbergAlgebra(gr, ring))
             maps += [gamma, transported_skew_isomorphism(
-                rho(left, ring, groupoid=gl), rho(right, ring, groupoid=gr),
+                rho(left, ring, gl), rho(right, ring, gr),
                 gamma)]
     return maps
 
@@ -132,7 +133,7 @@ def ladder_maps(ring):
     for g in ladder_groupoids():
         r = realize(g, ring)
         maps += [r.psi_map, r.psi_tilde]
-    maps += [rho(a, ring) for a in ladder_actions()]
+    maps += [transformation_rho(a, ring) for a in ladder_actions()]
     return maps + transported_maps(ring)
 
 
@@ -183,8 +184,8 @@ def test_mutated_maps_give_the_dense_scan_text(Q):
     assert bundle.name == "bundle_z4_z4"
     maps = [realize(catalog.load_groupoid("pair_groupoid_3"), Q).psi_map,
             realize(bundle, Q).psi_map, realize(bundle, Q).psi_tilde,
-            rho(catalog.load_action("z2_partial_3pt"), Q),
-            rho(regular_action(5), Q)] + transported_maps(Q)
+            transformation_rho(catalog.load_action("z2_partial_3pt"), Q),
+            transformation_rho(regular_action(5), Q)] + transported_maps(Q)
     failing = point_preserving = 0
     for m in maps:
         for mutant in mutants(m, rng, 40):

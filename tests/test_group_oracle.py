@@ -28,7 +28,8 @@ from families import (family_groupoids, idempotents, mul, order_pairs,
 from formula_oracle import isotropy_group
 from test_search_oracle import partial_actions
 
-from groupoidal import catalog, groups, specfiles
+import catalog
+from groupoidal import groups, specfiles
 from groupoidal.groups import FiniteGroup, validate_group_table
 from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
                                            validate_inverse_semigroup)

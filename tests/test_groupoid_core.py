@@ -7,7 +7,7 @@ from formula_oracle import (bisection_inverse, bisection_product,
                             is_bisection, isotropy_group, source_set)
 from test_factored_oracle import z4_actions
 
-from groupoidal import catalog
+import catalog
 from groupoidal.groupoid_core import (FiniteGroupoid, enumerate_bisections,
                                       is_topologically_principal,
                                       range_set, validate_groupoid)

@@ -15,7 +15,7 @@ import random
 
 from families import family_groupoids, regular_action
 
-from groupoidal import catalog
+import catalog
 from groupoidal.groupoid_core import FiniteGroupoid, validate_groupoid
 from groupoidal.transformation_groupoid import build_transformation_groupoid
 from groupoidal.validation import ValidationReport

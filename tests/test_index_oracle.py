@@ -29,16 +29,15 @@ from functools import partial
 
 from dense_oracle import (leaves_ideal, product_rows,
                           reference_generator_scan)
-from families import (CYCLIC_BUNDLES, cyclic_bundle_spec, idempotents, mul,
-                      order_pairs, pair_groupoid_spec, parse,
-                      symmetric_inverse_monoid)
+from families import (CYCLIC_BUNDLES, bisection_action_of, cyclic_bundle_spec,
+                      idempotents, mul, order_pairs, pair_groupoid_spec,
+                      parse, symmetric_inverse_monoid)
 
-from groupoidal import catalog
+import catalog
 from groupoidal.groupoid_core import validate_groupoid
 from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
                                            bisection_semigroup,
                                            validate_inverse_semigroup)
-from groupoidal.isomorphisms import bisection_action
 from groupoidal.partial_actions import (SemigroupPartialAction,
                                         _validate_maps,
                                         induce_algebra_action,
@@ -157,7 +156,7 @@ def reference_group(action):
 
 
 def bisection_module(g, ring):
-    action = bisection_action(g)
+    action = bisection_action_of(g)
     return CovarianceModule(induce_algebra_action(action, ring))
 
 
@@ -299,7 +298,7 @@ def test_generator_rows_give_the_full_scan_verdict(Q):
     for g in groupoids:
         module = premised_module(g, Q)
         fewer += len(module.generator_basis()) < module.dim
-        edges = ideal_generators(module)
+        edges = list(ideal_generators(module))
         table = product_rows(module)
         joined = edges + [pair for columns in points_at(
             module.row_points).values() for pair in zip(columns, columns[1:])]
@@ -340,7 +339,7 @@ def test_corrupted_ideals_give_the_generator_scan_violation(Q):
     # Extra generators merge classes: the class rows of a merged class
     # can differ, and a row read through rep can change.
     module = bisection_module(catalog.load_groupoid("pair_groupoid_3"), Q)
-    edges = ideal_generators(module)
+    edges = list(ideal_generators(module))
     table = product_rows(module)
     rng = random.Random(22)
     texts = []
@@ -360,7 +359,7 @@ def test_right_congruences_give_the_generator_scan_violation(Q):
     # its representative's; only the left products can leave the ideal.
     texts = []
     for module in catalog_modules(Q):
-        edges = ideal_generators(module)
+        edges = list(ideal_generators(module))
         for columns in points_at(module.row_points).values():
             edges += zip(columns, columns[1:])
         quotient = QuotientAlgebra(module, congruence(module, edges))
@@ -372,7 +371,7 @@ def test_right_congruences_give_the_generator_scan_violation(Q):
 
 
 def catalog_actions():
-    actions = [bisection_action(catalog.load_groupoid(name))
+    actions = [bisection_action_of(catalog.load_groupoid(name))
                for name in catalog.groupoid_names()]
     actions += [catalog.load_action(name) for name in catalog.action_names()]
     return actions
@@ -446,7 +445,7 @@ VIOLATION_KINDS = ("map of", "but X_", "escapes", "!= theta")
 
 
 def test_corrupted_bisection_actions_give_equal_reports():
-    base = [bisection_action(catalog.load_groupoid(name))
+    base = [bisection_action_of(catalog.load_groupoid(name))
             for name in ("pair_groupoid_2", "pair_groupoid_3", "two_z2",
                          "pair_plus_unit")]
     rng = random.Random(18)
@@ -603,7 +602,7 @@ def ideal_actions(pairs):
                  for name in catalog.groupoid_names()]
     groupoids += [parse(pair_groupoid_spec(n)) for n in pairs]
     groupoids += [parse(cyclic_bundle_spec(ks)) for ks in CYCLIC_BUNDLES]
-    actions = [bisection_action(g, bound=g.n_arrows) for g in groupoids]
+    actions = [bisection_action_of(g, g.n_arrows) for g in groupoids]
     rng = random.Random(24)
     actions.append(natural_action(I3))
     actions += [natural_action(random_inverse_subsemigroup(rng))
@@ -633,7 +632,7 @@ def test_build_ideal_equals_the_union_find_over_every_generator(Q):
     for action in actions:
         assert validate_isg_partial_action(action).ok, action.name
         module = CovarianceModule(induce_algebra_action(action, Q))
-        edges = ideal_generators(module)
+        edges = list(ideal_generators(module))
         ideal, expected = build_ideal(module), congruence(module, edges)
         assert ideal.rep == expected.rep, action.name
         assert ideal.dimension == expected.dimension, action.name

@@ -5,7 +5,7 @@ from formula_oracle import bisection_inverse, bisection_product
 from test_associativity_oracle import (DictSemigroup, real_violations,
                                        reference_validator)
 
-from groupoidal import catalog
+import catalog
 from groupoidal.groups import FiniteGroup
 from groupoidal.inverse_semigroups import (bisection_semigroup,
                                            validate_inverse_semigroup)

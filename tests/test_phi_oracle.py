@@ -17,13 +17,14 @@ import random
 import pytest
 
 from dense_oracle import phi, realize
-from families import pair_groupoid_spec, parse
+from families import (bisection_action_of, pair_groupoid_spec, parse,
+                      random_scalar)
 from formula_oracle import SpaceFunction, alpha, is_bisection
 
-from groupoidal import catalog, ring_from_tag
+import catalog
+from groupoidal import ring_from_tag
 from groupoidal.groupoid_core import range_set
-from groupoidal.isomorphisms import (bisection_action, phi_classes,
-                                     verify_phi_additive,
+from groupoidal.isomorphisms import (phi_classes, verify_phi_additive,
                                      verify_phi_left_inverse)
 from groupoidal.partial_actions import (AlgebraPartialAction,
                                         SemigroupPartialAction,
@@ -124,7 +125,7 @@ def reference_random_function(steinberg, rng):
     values = {}
     for a in g.arrows:
         if rng.random() < 0.5:
-            c = steinberg.ring.random(rng)
+            c = random_scalar(steinberg.ring, rng)
             if c:
                 values[a] = c
     return GroupoidFunction(g, steinberg.ring, values)
@@ -133,7 +134,7 @@ def reference_random_function(steinberg, rng):
 def reference_induce(action, ring):
     alg = AlgebraPartialAction(action, ring)
     for s in action.index.elements:
-        star = alg.star(s)
+        star = alg.index.star(s)
         images = set()
         for x in action.domain_points(star):
             image = alpha(alg, s, SpaceFunction.point_mass(ring, x))
@@ -222,7 +223,7 @@ def test_a_mutated_class_fails_alike(name, tag):
 
 
 def catalog_actions():
-    actions = [bisection_action(catalog.load_groupoid(name))
+    actions = [bisection_action_of(catalog.load_groupoid(name))
                for name in catalog.groupoid_names()]
     actions.append(realization("pair_groupoid_4", "Q").action)
     actions += [catalog.load_action(name) for name in catalog.action_names()]

@@ -10,11 +10,13 @@ reference to a method is any attribute of its name there, outside the
 method itself; the receiver is not resolved, so one call of a name
 covers every method with that name.  A plain method whose name is also a
 `self.<name> =` data attribute is reached only by a `.name(` call, as
-the attribute's own uses would otherwise mask it.  Exempt are the names the
-benchmark's tracer wraps (LAYERS in perfbench/layers.py, read as source
-so that nothing here imports the benchmark), the console entry point
-`cli.main`, the documented entry points in ALLOWED, and dunder methods,
-which Python calls."""
+the attribute's own uses would otherwise mask it.  Every parameter with a
+default, of a public function, method or class constructor, is passed by
+some call in the package: an option that no call sets is a constant.
+Exempt are the names the benchmark's tracer wraps (LAYERS in
+perfbench/layers.py, read as source so that nothing here imports the
+benchmark), the console entry point `cli.main`, and dunder methods, which
+Python calls."""
 
 import ast
 from collections import Counter
@@ -23,14 +25,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "groupoidal"
 LAYERS_PATH = ROOT / "perfbench" / "layers.py"
-
-# (module, name): why it stays without a caller in the package.  The CLI
-# reads catalog entries through specfiles; the catalog module is the
-# library's way to list and load them (see the README's CLI section).
-ALLOWED = {("catalog", name): "lists or loads the shipped catalog"
-           for name in ("action_names", "groupoid_names", "semigroup_names",
-                        "pair_names", "load", "load_action", "load_groupoid",
-                        "load_semigroup", "load_pair")}
 
 
 def layer_entries():
@@ -99,9 +93,9 @@ def definitions_and_uses(package=PACKAGE):
 
 def test_every_public_name_has_a_caller_in_the_package():
     definitions, uses = definitions_and_uses()
-    exempt = layer_names() | {("cli", "main")} | set(ALLOWED)
-    # An exemption must name a public definition, so none goes stale.
-    assert set(ALLOWED) | {("cli", "main")} <= set(definitions)
+    exempt = layer_names() | {("cli", "main")}
+    # The exemption must name a public definition, so it does not go stale.
+    assert ("cli", "main") in definitions
     orphans = [f"{module}.{name}" for module, name in definitions
                if name not in uses and (module, name) not in exempt]
     assert orphans == [], ("public names with no caller in src/groupoidal: "
@@ -161,3 +155,90 @@ def test_every_public_method_has_a_caller_in_the_package():
                if (module, name) not in layer_entries()]
     assert orphans == [], ("public methods with no caller in src/groupoidal: "
                            + ", ".join(orphans))
+
+
+def _calls_by_name(package=PACKAGE):
+    """Callee name -> the calls of that name in the package, a name or an
+    attribute; the receiver is not resolved."""
+    calls = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or \
+                    getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _defaulted(function, bound):
+    """(position or None, name) of each parameter with a default; the
+    position counts the positional arguments of a call, after the first
+    `bound` parameters (self or cls), and is None for keyword-only ones."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(i - bound, p.arg) for i, p in enumerate(positional)
+             if i >= first]
+            + [(None, p.arg) for p, default in zip(args.kwonlyargs,
+                                                   args.kw_defaults)
+               if default is not None])
+
+
+def _passes(call, position, name):
+    """Whether the call passes the parameter: by position, by keyword, or
+    possibly through * or **."""
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (None, name) for k in call.keywords)
+            or (position is not None and len(call.args) > position))
+
+
+def _signatures(package=PACKAGE):
+    """(module, what, function node, callee names, bound) of each public
+    function, public method and constructor of a public class.  what is
+    `name`, `Class.method` or `Class`; a constructor is called by the
+    class name or by `.__init__(` (super().__init__)."""
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                yield path.stem, node.name, node, (node.name,), 0
+            elif isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if not isinstance(method, ast.FunctionDef):
+                        continue
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in method.decorator_list)
+                    if method.name == "__init__":
+                        yield (path.stem, node.name, method,
+                               (node.name, "__init__"), 1)
+                    elif not method.name.startswith("_"):
+                        yield (path.stem, f"{node.name}.{method.name}",
+                               method, (method.name,), 0 if static else 1)
+
+
+def defaults_never_passed(package=PACKAGE):
+    """(module, what, parameter) of each parameter with a default that no
+    call in the package passes, outside the definition itself."""
+    calls = _calls_by_name(package)
+    unpassed = []
+    for module, what, function, names, bound in _signatures(package):
+        own = {id(n) for n in ast.walk(function)}
+        callers = [c for name in names for c in calls.get(name, ())
+                   if id(c) not in own]
+        unpassed += [(module, what, parameter)
+                     for position, parameter in _defaulted(function, bound)
+                     if not any(_passes(c, position, parameter)
+                                for c in callers)]
+    return unpassed
+
+
+def test_every_default_is_passed_by_a_call_in_the_package():
+    exempt = layer_entries() | {("cli", "main")}
+    constants = [f"{module}.{what}({parameter})"
+                 for module, what, parameter in defaults_never_passed()
+                 if (module, what) not in exempt]
+    assert constants == [], ("parameters no call in src/groupoidal passes: "
+                             + ", ".join(constants))

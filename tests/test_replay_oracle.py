@@ -1,35 +1,51 @@
-"""theorem5 reports replayed from the input file alone (replay_oracle),
-on every catalog groupoid and on pair groupoids on 2 to 4 points, over
-Q, Z and Z/4, and mutated reports that must fail the replay."""
+"""theorem3 and theorem5 reports replayed from the input file alone
+(replay_oracle), over Q, Z and Z/4: theorem3 on every catalog action and
+on the regular actions of Z_n for n <= 12, theorem5 on every catalog
+groupoid and on pair groupoids on 2 to 4 points; and mutated reports
+that must fail the replay."""
 
 import json
 
 import pytest
-from families import pair_groupoid_spec
-from replay_oracle import Formulas, parse_rows, replay_theorem5
+from families import pair_groupoid_spec, regular_action_spec
+from replay_oracle import (Formulas, parse_rows, replay_theorem3,
+                           replay_theorem5)
 
-from groupoidal import catalog
+import catalog
 from groupoidal.cli import main
 from groupoidal.specfiles import resolve_input
 
 RINGS = ("Q", "Z", "Z/4")
+# Input name -> its spec, for the inputs written here.
+GENERATED = {**{f"pair_groupoid_{n}_points": lambda n=n: pair_groupoid_spec(n)
+                for n in (2, 3, 4)},
+             **{f"regular_z{n}": lambda n=n: regular_action_spec(n)
+                for n in range(1, 13)}}
 INPUTS = tuple(catalog.groupoid_names()) + tuple(
-    f"pair_groupoid_{n}_points" for n in (2, 3, 4))
+    name for name in GENERATED if name.startswith("pair"))
+ACTIONS = tuple(catalog.action_names()) + tuple(
+    name for name in GENERATED if name.startswith("regular"))
 
 _FORMULAS = {}
 
 
 def input_file(name, tmp_path_factory):
     """The input's path and its document, read with json."""
-    if name.endswith("_points"):
-        n = int(name.split("_")[2])
+    if name in GENERATED:
         path = tmp_path_factory.mktemp("replay") / f"{name}.json"
-        path.write_text(json.dumps(pair_groupoid_spec(n)))
+        path.write_text(json.dumps(GENERATED[name]()))
         path = str(path)
     else:
         path = resolve_input(name)
     with open(path, encoding="utf-8") as handle:
         return path, json.load(handle)
+
+
+def theorem3_report(name, tag, tmp_path_factory, capsys):
+    """The report of theorem3 on the input, and its document."""
+    path, doc = input_file(name, tmp_path_factory)
+    assert main(["theorem3", path, "--ring", tag]) == 0
+    return capsys.readouterr().out, doc
 
 
 def replayed(name, tag, tmp_path_factory, capsys):
@@ -48,6 +64,13 @@ def replayed(name, tag, tmp_path_factory, capsys):
 def test_theorem5_reports_replay(name, tag, tmp_path_factory, capsys):
     text, formulas = replayed(name, tag, tmp_path_factory, capsys)
     assert replay_theorem5(formulas, text) == []
+
+
+@pytest.mark.parametrize("tag", RINGS)
+@pytest.mark.parametrize("name", ACTIONS)
+def test_theorem3_reports_replay(name, tag, tmp_path_factory, capsys):
+    text, doc = theorem3_report(name, tag, tmp_path_factory, capsys)
+    assert replay_theorem3(doc, text) == []
 
 
 def replace_detail(text, row, detail):
@@ -88,3 +111,27 @@ def test_mutated_reports_fail_the_replay(tmp_path_factory, capsys):
                               "; ".join(labels[k] for k in moved))
     assert replay_theorem5(formulas, replaced) == \
         ["quotient_basis is not one element per class"]
+
+
+def test_mutated_theorem3_reports_fail_the_replay(tmp_path_factory, capsys):
+    for name in ("z2_partial_3pt", "regular_z7"):
+        text, doc = theorem3_report(name, "Q", tmp_path_factory, capsys)
+        assert replay_theorem3(doc, text) == []
+        rows = parse_rows(text)
+        # Two images swapped: an (e, x) and a (g, x) with g not e.
+        entries = rows["rho_basis_images"][1].split("; ")
+        left, right = entries[0].split("->"), entries[-1].split("->")
+        entries[0] = f"{left[0]}->{right[1]}"
+        entries[-1] = f"{right[0]}->{left[1]}"
+        swapped = replace_detail(text, "rho_basis_images", "; ".join(entries))
+        assert replay_theorem3(doc, swapped) == \
+            ["rho_basis_images", "the (e, x) do not go onto the units"]
+        # The arrow count changed.
+        count = rows["transformation_groupoid_axioms"][1]
+        changed = replace_detail(text, "transformation_groupoid_axioms",
+                                 "1" + count)
+        assert replay_theorem3(doc, changed) == ["arrow count"]
+        match = rows["dimension_match"][1]
+        changed = replace_detail(text, "dimension_match",
+                                 match.replace("arrows=", "arrows=1"))
+        assert replay_theorem3(doc, changed) == ["dimension_match"]

@@ -15,7 +15,7 @@ import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import dense_oracle
-from groupoidal import catalog
+import catalog
 from groupoidal.cli import main
 from groupoidal.skew_rings import CovarianceModule, QuotientAlgebra
 

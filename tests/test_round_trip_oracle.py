@@ -15,7 +15,8 @@ import pytest
 from families import regular_action
 from formula_oracle import round_trip_rows
 
-from groupoidal import catalog, cli
+import catalog
+from groupoidal import cli
 from groupoidal.isomorphisms import AlgebraMap
 from groupoidal.report import PASS, VerificationReport
 from groupoidal.scalars import ring_from_tag
@@ -35,8 +36,8 @@ def swapped_rho(monkeypatch):
     in swap["pair"], when set, and records the map it hands out."""
     real_rho, swap = cli.rho, {"pair": None}
 
-    def rho(action, ring, module=None, groupoid=None):
-        m = real_rho(action, ring, module=module, groupoid=groupoid)
+    def rho(action, ring, groupoid, module=None):
+        m = real_rho(action, ring, groupoid, module=module)
         if swap["pair"] is not None:
             a, b = swap["pair"]
             targets = list(m.targets)

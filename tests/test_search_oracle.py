@@ -17,7 +17,8 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupoidal import catalog, isomorphisms
+import catalog
+from groupoidal import isomorphisms
 from groupoidal.groups import FiniteGroup
 from groupoidal.isomorphisms import (DEFAULT_ISO_BOUND, DEFAULT_ORBIT_BOUND,
                                      GroupoidIsomorphism,

@@ -22,7 +22,7 @@ from jsonschema.validators import validator_for
 from families import semigroup_from_products, symmetric_inverse_monoid
 
 import groupoidal
-from groupoidal import catalog
+import catalog
 from groupoidal.cli import main
 from groupoidal.specfiles import (FORMAT_TAG, SpecContentError, SpecFileError,
                                   _parse_semigroup, default_catalog_dir,

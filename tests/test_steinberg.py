@@ -4,7 +4,8 @@ import pytest
 from dense_oracle import product_rows, table_of
 from formula_oracle import bisection_product
 
-from groupoidal import catalog
+from families import random_scalar
+import catalog
 from groupoidal.groupoid_core import enumerate_bisections
 from groupoidal.steinberg_algebra import (GroupoidFunction, SteinbergAlgebra,
                                           convolve, disjoint_decomposition)
@@ -29,7 +30,7 @@ def random_function(g, ring, rng, density=0.6):
     values = {}
     for a in g.arrows:
         if rng.random() < density:
-            values[a] = ring.random(rng)
+            values[a] = random_scalar(ring, rng)
     return GroupoidFunction(g, ring, values)
 
 
@@ -100,8 +101,8 @@ def test_diagonal_elements_commute_and_multiply_pointwise(Q):
     rng = random.Random(3)
     units = g.sort_arrows(g.units)
     for _ in range(50):
-        f1 = GroupoidFunction(g, Q, {u: Q.random(rng) for u in units})
-        f2 = GroupoidFunction(g, Q, {u: Q.random(rng) for u in units})
+        f1 = GroupoidFunction(g, Q, {u: random_scalar(Q, rng) for u in units})
+        f2 = GroupoidFunction(g, Q, {u: random_scalar(Q, rng) for u in units})
         prod = convolve(f1, f2)
         assert prod == convolve(f2, f1)
         assert prod == GroupoidFunction(
@@ -119,7 +120,7 @@ def test_disjoint_decomposition_single_bisection(Q):
 def test_disjoint_decomposition_splits_level_set(Q):
     g = catalog.load_groupoid("z2_one_unit")
     two = Q.scalar(2)
-    f = GroupoidFunction.indicator(g, Q, ["u", "g"], coeff=two)
+    f = GroupoidFunction(g, Q, {"u": two, "g": two})
     pieces = disjoint_decomposition(f)
     assert pieces == [(two, frozenset({"u"})), (two, frozenset({"g"}))]
 
@@ -142,7 +143,7 @@ def test_disjoint_decomposition_reassembles(name, Q):
             assert coeff
             assert not (bis & seen)
             seen |= bis
-            total = total + GroupoidFunction.indicator(g, Q, bis, coeff)
+            total = total + GroupoidFunction(g, Q, dict.fromkeys(bis, coeff))
         assert total == f
 
 

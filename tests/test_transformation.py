@@ -5,7 +5,7 @@ from families import mul, regular_action
 from formula_oracle import isotropy_group
 from test_factored_oracle import partial_corruptions, z4_actions
 
-from groupoidal import catalog
+import catalog
 from groupoidal.groupoid_core import (is_topologically_principal,
                                       validate_groupoid)
 from groupoidal.isomorphisms import search_groupoid_isomorphism

@@ -30,9 +30,9 @@ from test_index_oracle import (assert_reference_outcome, assert_scan_verdict,
                                catalog_modules, congruence, corrupt_action,
                                validate)
 
-from groupoidal import catalog
+from families import bisection_action_of
+import catalog
 from groupoidal.groupoid_core import validate_groupoid
-from groupoidal.isomorphisms import bisection_action
 from groupoidal.partial_actions import induce_algebra_action
 from groupoidal.scalars import DenseTable
 from groupoidal.skew_rings import (CovarianceModule, QuotientAlgebra,
@@ -71,14 +71,14 @@ def tables(Q):
 
 @pytest.fixture(scope="module")
 def actions():
-    return [bisection_action(catalog.load_groupoid(name))
+    return [bisection_action_of(catalog.load_groupoid(name))
             for name in ("pair_groupoid_2", "pair_groupoid_3", "two_z2",
                          "pair_plus_unit")]
 
 
 @pytest.fixture(scope="module")
 def modules(Q):
-    return [(module, product_rows(module), ideal_generators(module))
+    return [(module, product_rows(module), list(ideal_generators(module)))
             for module in catalog_modules(Q) if module.dim > 1]
 
 
