@@ -16,7 +16,8 @@ from .groupoid_core import (DEFAULT_BISECTION_BOUND,
                             is_topologically_principal, validate_groupoid)
 from .inverse_semigroups import validate_inverse_semigroup
 from .isomorphisms import (DEFAULT_ISO_BOUND, DEFAULT_ORBIT_BOUND, PHI_TRIALS,
-                           psi, rho, search_groupoid_isomorphism,
+                           _unit_profiles, psi, rho,
+                           search_groupoid_isomorphism,
                            search_orbit_equivalence, steinberg_transport,
                            transported_skew_isomorphism,
                            verify_orbit_equivalence, verify_phi_additive,
@@ -290,8 +291,20 @@ def cmd_equivalence(doc, ring, bounds, report):
                    else "transport certification failed")
     else:
         transported = False
-        report.add("diagonal_preserving_isomorphism", PASS,
-                   "absent (no groupoid isomorphism to transport)")
+        # A diagonal-preserving isomorphism matches the units, keeping
+        # orbit sizes (the ranks of the corners 1_v A 1_u) and isotropy
+        # orders (the ranks of R[G_u]).  Without a groupoid isomorphism,
+        # absence is shown only when those multisets differ.
+        invariants = [sorted((fibre // order, order) for order, fibre, _
+                             in _unit_profiles(g).values())
+                      for g in groupoids.values()]
+        if invariants[0] != invariants[1]:
+            report.add("diagonal_preserving_isomorphism", PASS,
+                       "absent (no groupoid isomorphism to transport)")
+        else:
+            report.add("diagonal_preserving_isomorphism", INCONCLUSIVE,
+                       "undecided: no groupoid isomorphism, and the orbit "
+                       "sizes and isotropy orders agree")
 
     if both_free:
         values = {"orbit": orbit is not None, "iso": iso is not None,

@@ -151,8 +151,9 @@ def natural_order(s):
     commute, (t e)* (t e) = e t* t e = t* t e and so t (t e)* (t e) = t e.
     The down-set of t is therefore {t e : e idempotent}, which
     s.down_sets() gives.  In a partial action of s, s <= t gives
-    X_s <= X_t, which skew_rings.ideal_generators derives from s = t e
-    and relies on."""
+    X_s <= X_t.  No command reads it: over all bisections, where s <= t
+    iff s is a subset of t, skew_rings.build_ideal reads I's classes as
+    germs."""
     return s.down_sets()
 
 

@@ -6,8 +6,9 @@ L/I.
 L and L/I are based algebras with 0/1 structure constants, both kept
 factored by the row and column point of each basis element, with no
 product table.  I is spanned by differences of basis vectors, so it is a
-congruence on the basis, found by union-find over any scalar ring; L/I
-has one basis element per class.
+congruence on the basis; for the bisection action its classes are the
+germs, read off the bisections' masks over any scalar ring.  L/I has
+one basis element per class.
 
 The empty-domain convention: an index element with empty domain
 contributes no basis vectors (D_s = {0}), which covers the zero bisection
@@ -16,10 +17,6 @@ of a bisection semigroup.
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import itemgetter
-
-from .inverse_semigroups import natural_order
 from .scalars import BasedAlgebra, SpanTracker, points_at, zero_vector
 from .validation import ValidationReport
 
@@ -147,34 +144,12 @@ class CovarianceModule(BasedAlgebra):
         return self.associative
 
 
-def ideal_generators(module):
-    """The generators 1_x delta_s - 1_x delta_t of the ideal, for s < t in
-    the natural order and x in X_s, as an iterator of basis index pairs
-    (a, b) standing for e_a - e_b.  L's basis is walked once, as the pairs
-    are read: each (t, x) is paired with
-    the (s, x) for s != t in the down-set of t, read by element index at
-    the point of x in _basis_at, which is -1 exactly when x is not in X_s.
-
-    That finds every generator, as X_s lies in X_t for s <= t when the
-    action is validated or built from a validated groupoid
-    (bisection_action).  Write s = t e with e = s* s (see natural_order).
-    The intertwining law for (s*, s) reads theta_{s*}(X_s) = X_{s*} & X_e,
-    and theta_{s*} maps X_s onto X_{s*}, so X_{s*} lies in X_e.  On
-    X_{s*} = X_{e*} & X_{(te)*} the composition law gives
-    theta_s = theta_t theta_e, so X_s, the image of theta_s, lies in X_t,
-    the image of theta_t."""
-    below, basis_at = natural_order(module._index), module._basis_at
-    return ((a, b) for b, (t, p) in enumerate(zip(module._element,
-                                                  module.col_points))
-            for a in map(basis_at[p].__getitem__, below[t])
-            if a >= 0 and a != b)
-
-
 class IdealCongruence:
     """The ideal I as a congruence on the basis of L.  I is spanned by the
-    differences e_a - e_b of basis vectors in one class; rep[a] is the
-    largest index in the class of a; generator_count is the number of
-    generators the classes were built from."""
+    differences e_a - e_b of basis vectors in one class, a germ (see
+    build_ideal); rep[a] is the largest index in the class of a;
+    generator_count is the number of generators 1_x delta_s - 1_x delta_t
+    of I, for s < t and x in X_s."""
 
     def __init__(self, module, generator_count, rep):
         self.module = module
@@ -184,38 +159,41 @@ class IdealCongruence:
 
 
 def build_ideal(module):
-    """The span of the generators, by union-find: dim I is dim L minus the
-    number of classes.  Works over any ring.  That this span is a
-    two-sided ideal is checked by build_quotient.
+    """I for the bisection action of a validated groupoid on all its
+    bisections (bisection_semigroup, bisection_action), as its germ
+    classes: dim I is dim L minus the number of arrows.  Works over any
+    ring.  That this span is a two-sided ideal is checked by
+    build_quotient.
 
-    Each (t, x) is joined only to the first (s, x) listed below it, which
-    gives the classes of all the generators.  For fixed x, D(t) = {s <= t :
-    x in X_s} is closed under meets: X_{te1} & X_{te2} = X_{te1e2}, as
-    X_{te} = theta_t(X_{t*} & X_e) (the intertwining law, X_{te} lying in
-    X_t) and X_e & X_f = X_{ef} (theta_e is the identity on X_e).  So D(t)
-    has a least element m(t), which is m(s) for every s in D(t).  A chain
-    of first generators runs strictly down the order to (m(t), x), and
-    every generator joins two (s, x) of one m(s).  The generators are
-    counted as they are read, and never held all at once."""
-    parent = list(range(module.dim))
+    Here X_t = r(t), and s <= t iff s is a subset of t (see
+    BisectionSemigroup.down_sets).  For b = (t, x), let a be the arrow of
+    t with range x; the singleton {a} = e_x t, for the idempotent
+    e_x = {x}, is read off the masks as t's mask AND the arrows with
+    range x.  Each b is joined to ({a}, x): e_x t <= t and x lies in
+    X_{e_x t}, so each join of two elements is a generator of I, and the
+    span J of the joins lies in I by construction.  Its classes are the
+    germs, the (t, x) that share a, each holding one singleton, so rep is
+    the last b joined to each singleton, with no union-find.  Every
+    generator of I stays inside a germ, as s <= t holds the arrow of t
+    at x, so J = I; the certificates check this independently.  psi
+    sends (s, x) and (t, x) to the same arrow for s <= t, so I lies in
+    the kernel of psi; psi vanishing on J and psi~ injective on L/J
+    certify that the kernel is J.  build_ideal reads no psi target, so
+    those certificates do not rest on its construction.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    # ideal_generators yields the generators of each (t, x) together.
-    count = 0
-    for b, pairs in groupby(ideal_generators(module), itemgetter(1)):
-        ra, rb = find(next(pairs)[0]), find(b)
-        count += 1 + sum(1 for _ in pairs)
-        if ra != rb:
-            # The larger root stays, so each root is the largest index of
-            # its class.
-            parent[min(ra, rb)] = max(ra, rb)
-    return IdealCongruence(module, count,
-                           [find(a) for a in range(module.dim)])
+    generator_count is in closed form: the s < t with x in X_s are the
+    subsets of t that hold a, other than t, 2^{|t| - 1} - 1 of them."""
+    index, basis_at = module._index, module._basis_at
+    masks, position = index.masks, index._position
+    at_range = [0] * len(basis_at)
+    for arrow, p in enumerate(index._range):
+        at_range[p] |= 1 << arrow
+    germ = [basis_at[p][position[masks[e] & at_range[p]]]
+            for e, p in zip(module._element, module.col_points)]
+    # A later (b, a) overwrites an earlier one: the last b of each germ.
+    last = dict(zip(germ, range(module.dim)))
+    count = sum((1 << masks[e].bit_count() - 1) - 1 for e in module._element)
+    return IdealCongruence(module, count, list(map(last.__getitem__, germ)))
 
 
 class QuotientAlgebra(BasedAlgebra):

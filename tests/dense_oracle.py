@@ -8,8 +8,11 @@ Light's test on the whole table with its generator rule
 (`table_associativity_counterexample`, `table_light_generators`), the
 row-major homomorphism scan, and the two-sidedness scan, and the tests
 that a named witness fails there: `triple_fails` for a basis triple,
-`leaves_ideal` for a product of a difference in I.  The factored product
-must agree with these; `product_rows` reads it as dense rows, and
+`leaves_ideal` for a product of a difference in I.  `ideal_generators`
+walks every generator of the ideal, and `reference_build_ideal` is the
+union-find over them, the reference for `build_ideal`'s germ classes; it
+runs on any validated index, not only on bisections.  The factored
+product must agree with these; `product_rows` reads it as dense rows, and
 `closed` is the precondition of its Light's test.  `premises` gives the
 validator reports that `CovarianceModule.verify_associativity` takes;
 `realize` runs psi with the groupoid validator's report as its premise.
@@ -25,19 +28,21 @@ quotient coordinates.
 import re
 import weakref
 
+from itertools import groupby
 from operator import itemgetter
 
 from families import mul
 from formula_oracle import SkewElement, SpaceFunction
 from groupoidal.groupoid_core import validate_groupoid
-from groupoidal.inverse_semigroups import validate_inverse_semigroup
+from groupoidal.inverse_semigroups import (natural_order,
+                                           validate_inverse_semigroup)
 from groupoidal.isomorphisms import phi_classes, psi
 from groupoidal.partial_actions import (GroupPartialAction,
                                         validate_group_partial_action,
                                         validate_isg_partial_action)
 from groupoidal.scalars import DenseTable, index_row, zero_vector
-from groupoidal.skew_rings import (CovarianceModule, QuotientAlgebra,
-                                   ideal_generators)
+from groupoidal.skew_rings import (CovarianceModule, IdealCongruence,
+                                   QuotientAlgebra)
 from groupoidal.steinberg_algebra import GroupoidFunction
 from groupoidal.validation import ValidationReport
 
@@ -244,6 +249,64 @@ def dense_quotient_table(quotient):
     table, cls = dense_table(quotient.module), quotient._class
     reps = quotient.representatives
     return [[cls[table[a][b]] for b in reps] for a in reps]
+
+
+def ideal_generators(module):
+    """The generators 1_x delta_s - 1_x delta_t of the ideal, for s < t in
+    the natural order and x in X_s, as an iterator of basis index pairs
+    (a, b) standing for e_a - e_b.  L's basis is walked once, as the pairs
+    are read: each (t, x) is paired with the (s, x) for s != t in the
+    down-set of t, read by element index at the point of x in _basis_at,
+    which is -1 exactly when x is not in X_s.
+
+    That finds every generator, as X_s lies in X_t for s <= t when the
+    action is validated or built from a validated groupoid
+    (bisection_action).  Write s = t e with e = s* s (see natural_order).
+    The intertwining law for (s*, s) reads theta_{s*}(X_s) = X_{s*} & X_e,
+    and theta_{s*} maps X_s onto X_{s*}, so X_{s*} lies in X_e.  On
+    X_{s*} = X_{e*} & X_{(te)*} the composition law gives
+    theta_s = theta_t theta_e, so X_s, the image of theta_s, lies in X_t,
+    the image of theta_t."""
+    below, basis_at = natural_order(module._index), module._basis_at
+    return ((a, b) for b, (t, p) in enumerate(zip(module._element,
+                                                  module.col_points))
+            for a in map(basis_at[p].__getitem__, below[t])
+            if a >= 0 and a != b)
+
+
+def reference_build_ideal(module):
+    """The span of the generators, by union-find, on any validated index:
+    dim I is dim L minus the number of classes, and rep[a] is the largest
+    index of the class of a.
+
+    Each (t, x) is joined only to the first (s, x) listed below it, which
+    gives the classes of all the generators.  For fixed x, D(t) = {s <= t :
+    x in X_s} is closed under meets: X_{te1} & X_{te2} = X_{te1e2}, as
+    X_{te} = theta_t(X_{t*} & X_e) (the intertwining law, X_{te} lying in
+    X_t) and X_e & X_f = X_{ef} (theta_e is the identity on X_e).  So D(t)
+    has a least element m(t), which is m(s) for every s in D(t).  A chain
+    of first generators runs strictly down the order to (m(t), x), and
+    every generator joins two (s, x) of one m(s).  The generators are
+    counted as they are read, and never held all at once."""
+    parent = list(range(module.dim))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    # ideal_generators yields the generators of each (t, x) together.
+    count = 0
+    for b, pairs in groupby(ideal_generators(module), itemgetter(1)):
+        ra, rb = find(next(pairs)[0]), find(b)
+        count += 1 + sum(1 for _ in pairs)
+        if ra != rb:
+            # The larger root stays, so each root is the largest index of
+            # its class.
+            parent[min(ra, rb)] = max(ra, rb)
+    return IdealCongruence(module, count,
+                           [find(a) for a in range(module.dim)])
 
 
 def reference_generator_scan(quotient, table=None, edges=None):

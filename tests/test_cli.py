@@ -10,7 +10,7 @@ import pytest
 from families import pair_groupoid_spec
 
 import catalog
-from groupoidal import cli, groups
+from groupoidal import cli, groups, isomorphisms, skew_rings
 from groupoidal.cli import main
 from groupoidal.inverse_semigroups import BisectionSemigroup
 
@@ -74,9 +74,11 @@ def test_theorem5_bound_exceeded(capsys):
 
 ONCE_PER_THEOREM5 = [("groupoid_core", "validate_groupoid"),
                      ("inverse_semigroups", "bisection_semigroup"),
-                     ("inverse_semigroups", "natural_order"),
                      ("skew_rings", "check_pregrading")]
+# The ideal is read off the germs, so theorem5 neither reads the natural
+# order nor walks the generators of I.
 NEVER_IN_THEOREM5 = [("inverse_semigroups", "validate_inverse_semigroup"),
+                     ("inverse_semigroups", "natural_order"),
                      ("partial_actions", "validate_isg_partial_action")]
 
 
@@ -117,6 +119,65 @@ def test_theorem5_builds_each_structure_once(name, monkeypatch, capsys):
     assert rows[:3] == ["check groupoid_axioms",
                         "check bisection_semigroup_axioms",
                         "check bisection_action_axioms"]
+
+
+def drop_one_join(module, rep):
+    """Leave the first (t, x) with |t| > 1 out of its germ's class."""
+    b = next(b for b, (t, _) in enumerate(module.basis_labels) if len(t) > 1)
+    rest = [a for a, r in enumerate(rep) if r == rep[b] and a != b]
+    for a in rest:
+        rep[a] = max(rest)
+    rep[b] = b
+
+
+def join_another_germ(module, rep):
+    """Join the last (t, x) to the first basis element, of another germ."""
+    first, last = rep[0], rep[-1]
+    assert first != last
+    for a, r in enumerate(rep):
+        if r in (first, last):
+            rep[a] = max(first, last)
+
+
+def mutate_ideal(monkeypatch, mutate):
+    """theorem5 with build_ideal's classes changed by mutate."""
+    build = skew_rings.build_ideal
+
+    def mutant(module):
+        ideal = build(module)
+        rep = list(ideal.rep)
+        mutate(module, rep)
+        return skew_rings.IdealCongruence(module, ideal.generator_count, rep)
+
+    monkeypatch.setattr(isomorphisms, "build_ideal", mutant)
+
+
+@pytest.mark.parametrize("name, mutate, failing", [
+    ("two_isolated_units", drop_one_join,
+     ["dimension_ledger", "psi_tilde_isomorphism", "phi_left_inverse"]),
+    ("z2_one_unit", join_another_germ,
+     ["dimension_ledger", "psi_vanishes_on_ideal", "psi_tilde_isomorphism"])])
+def test_theorem5_fails_a_wrong_ideal(name, mutate, failing, monkeypatch,
+                                      capsys):
+    # build_ideal reads no psi target, so psi's certificates check it: a
+    # dropped join leaves psi~ with a kernel, and a join across germs
+    # puts a vector outside the kernel of psi into I.
+    mutate_ideal(monkeypatch, mutate)
+    code, out, _ = run_cli(capsys, "theorem5", name)
+    assert code == 1
+    assert [line.split(":")[0][len("check "):] for line in out.splitlines()
+            if line.startswith("check ") and ": fail" in line] == failing
+
+
+@pytest.mark.parametrize("mutate", [drop_one_join, join_another_germ])
+def test_theorem5_refuses_a_wrong_ideal_that_is_not_two_sided(
+        mutate, monkeypatch):
+    # On pair_groupoid_3, whose Steinberg algebra is M_3(Q), neither
+    # mutant is a two-sided ideal, so the quotient is refused before any
+    # row is written.
+    mutate_ideal(monkeypatch, mutate)
+    with pytest.raises(ValueError, match="ideal is not two-sided"):
+        main(["theorem5", "pair_groupoid_3"])
 
 
 def test_theorem5_computes_products_only_on_generator_rows(
@@ -335,6 +396,57 @@ def test_equivalence_invariant_mismatch_is_decided_inside_default_bounds(
     assert "bounds: bisection=16 iso=10 orbit=6" in out
     assert "check groupoid_isomorphism: pass  [exhausted]" in out
     assert "check orbit_equivalence: pass  [exhausted]" in out
+
+
+def one_point_pair(tmp_path, left, right):
+    """A pair file of two groups acting trivially on one point, each
+    group given by its elements and its product."""
+    def action(elements, product, name):
+        return {"format": "groupoidal/1", "kind": "action", "name": name,
+                "group": {"elements": elements,
+                          "table": {f"{a} {b}": product(a, b)
+                                    for a in elements for b in elements}},
+                "space": ["x"], "domains": {g: ["x"] for g in elements},
+                "maps": {g: {"x": "x"} for g in elements}}
+
+    path = tmp_path / "one_point_pair.json"
+    path.write_text(json.dumps({
+        "format": "groupoidal/1", "kind": "pair", "name": "one_point_pair",
+        "left": action(*left, "left"), "right": action(*right, "right")}))
+    return str(path)
+
+
+def cyclic_group(n):
+    return [f"g{r}" for r in range(n)], \
+        lambda a, b: f"g{(int(a[1:]) + int(b[1:])) % n}"
+
+
+def klein_group():
+    return ["e", "a", "b", "c"], \
+        lambda a, b: a if b == "e" else b if a == "e" else \
+        "e" if a == b else ({"a", "b", "c"} - {a, b}).pop()
+
+
+@pytest.mark.parametrize("tag", ["Z/5", "Q"])
+def test_equivalence_leaves_matching_invariants_undecided(tag, tmp_path,
+                                                          capsys):
+    # Z4 and Z2 x Z2 on one point: no groupoid isomorphism, but orbit
+    # sizes and isotropy orders agree, and over Z/5 both algebras are
+    # F_5^4, so absence is not shown.
+    path = one_point_pair(tmp_path, cyclic_group(4), klein_group())
+    code, out, _ = run_cli(capsys, "equivalence", path, "--ring", tag)
+    assert code == 3
+    assert "check groupoid_isomorphism: pass  [exhausted]" in out
+    assert "check diagonal_preserving_isomorphism: inconclusive" in out
+
+
+def test_equivalence_names_absence_when_isotropy_orders_differ(tmp_path,
+                                                               capsys):
+    path = one_point_pair(tmp_path, cyclic_group(2), cyclic_group(3))
+    code, out, _ = run_cli(capsys, "equivalence", path)
+    assert code == 0
+    assert ("check diagonal_preserving_isomorphism: pass  "
+            "[absent (no groupoid isomorphism to transport)]") in out
 
 
 def test_validate_exit_one_on_broken_groupoid(tmp_path, capsys):

@@ -13,22 +13,25 @@ index versions must give the same verdict, on the catalog, on the
 byte-equal, and so are exception texts.  The natural order needs a
 semigroup that passed `validate_inverse_semigroup`; on each one, among
 them random inverse subsemigroups of I(3) and I(4), it has the
-reference's pairs, and `ideal_generators`, which reads its index
-down-sets, gives the generators built from the reference's label pairs
-(`reference_ideal_generators`), and `build_ideal`, which joins only the
-first generator of each (t, x), gives the classes of the union-find over
-all of them (`congruence`).  A failing two-sidedness check names a
-product that leaves the ideal on the dense rows, with the text of the
-check that read every index (`full_read_violation`); a failing action
-report names only violations in the reference's full list.
+reference's pairs, and the oracle's `ideal_generators`, which reads its
+index down-sets, gives the generators built from the reference's label
+pairs (`reference_ideal_generators`).  The oracle's
+`reference_build_ideal`, which joins only the first generator of each
+(t, x), and, on bisection actions, `build_ideal`, which joins each
+(t, x) to the singleton of its germ, give the classes of the union-find
+over all of them (`congruence`), and their count.  A failing
+two-sidedness check names a product that leaves the ideal on the dense
+rows, with the text of the check that read every index
+(`full_read_violation`); a failing action report names only violations
+in the reference's full list.
 """
 
 import copy
 import random
 from functools import partial
 
-from dense_oracle import (leaves_ideal, product_rows,
-                          reference_generator_scan)
+from dense_oracle import (ideal_generators, leaves_ideal, product_rows,
+                          reference_build_ideal, reference_generator_scan)
 from families import (CYCLIC_BUNDLES, bisection_action_of, cyclic_bundle_spec,
                       idempotents, mul, order_pairs, pair_groupoid_spec,
                       parse, symmetric_inverse_monoid)
@@ -45,8 +48,7 @@ from groupoidal.partial_actions import (SemigroupPartialAction,
                                         validate_isg_partial_action)
 from groupoidal.scalars import index_row, points_at
 from groupoidal.skew_rings import (CovarianceModule, IdealCongruence,
-                                   QuotientAlgebra, build_ideal,
-                                   ideal_generators)
+                                   QuotientAlgebra, build_ideal)
 from groupoidal.validation import ValidationReport, stable
 
 
@@ -171,7 +173,7 @@ def catalog_modules(ring):
 def test_two_sidedness_equals_the_generator_scan_on_the_catalog(Q):
     modules = catalog_modules(Q)
     for module in modules:
-        quotient = QuotientAlgebra(module, build_ideal(module))
+        quotient = QuotientAlgebra(module, reference_build_ideal(module))
         assert quotient.verify_representative_independence() is None
         assert reference_generator_scan(quotient) is None
 
@@ -319,7 +321,8 @@ def test_generator_rows_give_the_full_scan_verdict(Q):
 def congruence(module, edges):
     """The union-find congruence over all the given edges, the largest
     index of each class its root, as build_ideal joined every generator
-    before it joined only the first of each (t, x)."""
+    before it joined only the first of each (t, x), and then only the
+    singleton of each germ."""
     parent = list(range(module.dim))
 
     def find(a):
@@ -619,23 +622,28 @@ def test_ideal_generators_equal_the_label_order_builder(Q):
         edges, expected = ideal_generators(module), \
             reference_ideal_generators(module)
         assert sorted(edges) == sorted(expected), action.name
-        assert build_ideal(module).generator_count == len(expected)
+        assert reference_build_ideal(module).generator_count == len(expected)
         strict += bool(expected)
     assert strict > groupoids
 
 
 def test_build_ideal_equals_the_union_find_over_every_generator(Q):
-    # build_ideal joins each (t, x) only to the first generator listed
-    # below it; the reference, congruence, joins every generator.
-    actions, _ = ideal_actions((2, 3, 4, 5))
+    # congruence joins every generator; the oracle joins each (t, x) only
+    # to the first generator listed below it, and, on the bisection
+    # actions, build_ideal joins it to the singleton of its germ.
+    actions, groupoids = ideal_actions((2, 3, 4, 5))
     several = 0
-    for action in actions:
+    for k, action in enumerate(actions):
         assert validate_isg_partial_action(action).ok, action.name
         module = CovarianceModule(induce_algebra_action(action, Q))
         edges = list(ideal_generators(module))
-        ideal, expected = build_ideal(module), congruence(module, edges)
-        assert ideal.rep == expected.rep, action.name
-        assert ideal.dimension == expected.dimension, action.name
-        assert ideal.generator_count == expected.generator_count == len(edges)
+        expected = congruence(module, edges)
+        ideals = [reference_build_ideal(module)]
+        if k < groupoids:
+            ideals.append(build_ideal(module))
+        for ideal in ideals:
+            assert ideal.rep == expected.rep, action.name
+            assert ideal.dimension == expected.dimension, action.name
+            assert ideal.generator_count == len(edges), action.name
         several += len(edges) > len({b for _, b in edges})
     assert several > 10

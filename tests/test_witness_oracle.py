@@ -18,8 +18,9 @@ product leaves the ideal on the dense rows of L.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_oracle import (closed, dense_table, premises, product_rows,
-                          table_associativity_counterexample, triple_fails)
+from dense_oracle import (closed, dense_table, ideal_generators, premises,
+                          product_rows, table_associativity_counterexample,
+                          triple_fails)
 from test_associativity_oracle import (corrupt, groupoid_tables,
                                        reference_cube)
 from test_factored_oracle import partial_corruptions, z4_actions
@@ -35,8 +36,7 @@ import catalog
 from groupoidal.groupoid_core import validate_groupoid
 from groupoidal.partial_actions import induce_algebra_action
 from groupoidal.scalars import DenseTable
-from groupoidal.skew_rings import (CovarianceModule, QuotientAlgebra,
-                                   ideal_generators)
+from groupoidal.skew_rings import CovarianceModule, QuotientAlgebra
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
                     database=None)
