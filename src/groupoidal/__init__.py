@@ -15,8 +15,8 @@ from .steinberg_algebra import (GroupoidFunction, SteinbergAlgebra, convolve,
                                 disjoint_decomposition)
 from .inverse_semigroups import (FiniteInverseSemigroup, bisection_semigroup,
                                  natural_order, validate_inverse_semigroup)
-from .partial_actions import (GroupPartialAction, SemigroupPartialAction,
-                              induce_algebra_action, is_topologically_free,
+from .partial_actions import (GroupPartialAction, induce_algebra_action,
+                              is_topologically_free,
                               validate_group_partial_action,
                               validate_isg_partial_action)
 from .skew_rings import (CovarianceModule, build_ideal, build_quotient,

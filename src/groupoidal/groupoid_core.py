@@ -213,8 +213,9 @@ def is_topologically_principal(g):
 
 
 def enumerate_bisections(g, bound=DEFAULT_BISECTION_BOUND):
-    """All bisections of g, in ascending bitmask order over the canonical
-    arrow order (so the empty set comes first and the result is stable).
+    """All bisections of g as bitmasks over the canonical arrow order (bit
+    i is arrow i), ascending, so the empty set comes first and the result
+    is stable.  BisectionSemigroup takes the masks as they are.
 
     Backtracks over the arrows in canonical order, taking an arrow only
     while its range and its source are unused, so every branch ends in a
@@ -240,9 +241,4 @@ def enumerate_bisections(g, bound=DEFAULT_BISECTION_BOUND):
             stack.append((i + 1, mask | 1 << i, used_r | ranges[i],
                           used_s | sources[i]))
     masks.sort()
-    return [frozenset(g.arrows[i] for i in range(n) if mask >> i & 1)
-            for mask in masks]
-
-
-def range_set(g, bis):
-    return frozenset(g.range(b) for b in bis)
+    return masks

@@ -159,9 +159,11 @@ def natural_order(s):
 
 class BisectionSemigroup(InverseSemigroup):
     """The inverse semigroup of all bisections of a validated groupoid,
-    with no product table.  Its elements are the bisections as frozensets
-    of arrows, in ascending bitmask order over the canonical arrow order,
-    and masks[i] is the bitmask of element i.
+    with no product table, on the ascending bitmasks of
+    enumerate_bisections.  masks[i] is the bitmask of element i, _arrows[i]
+    its arrow indices by increasing range, and its element, the one label,
+    the frozenset of those arrows; _range and _source are each arrow's
+    range and source as positions of the units in canonical order.
 
     Products are computed a row or a column at a time on the bitmasks,
     only where one is read.  BC is the union, over the arrows c of C, of
@@ -172,18 +174,21 @@ class BisectionSemigroup(InverseSemigroup):
     (the search for the generators computes the columns); any other row
     is computed when read."""
 
-    def __init__(self, g, bisections, name):
+    def __init__(self, g, masks, name):
         idx = g.index
         unit_id = {u: k for k, u in enumerate(g.sort_arrows(g.units))}
         self._range = [unit_id[g.range(a)] for a in g.arrows]
         self._source = [unit_id[g.source(a)] for a in g.arrows]
         self._compose_bits = {(idx(b), idx(c)): 1 << idx(d)
                               for (b, c), d in g.compose_table.items()}
-        self._arrows = [sorted(map(idx, bis)) for bis in bisections]
-        self.masks = [sum(1 << a for a in arrows) for arrows in self._arrows]
-        self._position = {mask: i for i, mask in enumerate(self.masks)}
+        self.masks = masks
+        by_range = sorted(range(g.n_arrows), key=self._range.__getitem__)
+        self._arrows = [[a for a in by_range if mask >> a & 1]
+                        for mask in masks]
+        self._position = {mask: i for i, mask in enumerate(masks)}
         inverse = [1 << idx(g.inverse(a)) for a in g.arrows]
-        super().__init__(bisections,
+        super().__init__([frozenset(map(g.arrows.__getitem__, arrows))
+                          for arrows in self._arrows],
                          [self._position[sum(map(inverse.__getitem__, arrows))]
                           for arrows in self._arrows], name)
         self.unit = self.elements[

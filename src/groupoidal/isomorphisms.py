@@ -17,9 +17,9 @@ from __future__ import annotations
 from collections import Counter
 from math import lcm
 
-from .groupoid_core import DEFAULT_BISECTION_BOUND, range_set
+from .groupoid_core import DEFAULT_BISECTION_BOUND
 from .inverse_semigroups import bisection_semigroup
-from .partial_actions import SemigroupPartialAction, induce_algebra_action
+from .partial_actions import induce_algebra_action
 from .scalars import points_at
 from .skew_rings import CovarianceModule, build_ideal, build_quotient
 from .steinberg_algebra import (GroupoidFunction, SteinbergAlgebra,
@@ -520,7 +520,8 @@ def bisection_action(groupoid, semigroup):
     """The partial action of semigroup, the bisection semigroup of
     groupoid (bisection_semigroup), on the unit space:
     a bisection B acts by source-fiber-to-range-fiber transport, sending
-    s(b) to r(b) for each arrow b in B.  The domain attached to B is r(B).
+    s(b) to r(b) for each arrow b in B.  The domain attached to B is r(B),
+    read off the semigroup's arrow indices (BisectionAction).
 
     For a groupoid that passed validate_groupoid this is a partial action
     of the inverse semigroup S that bisection_semigroup builds (Exel,
@@ -534,40 +535,42 @@ def bisection_action(groupoid, semigroup):
     has s(c) = x, so theta_B theta_C(x) = theta_B(r(c)) = r(b) = r(bc) =
     theta_{BC}(x).  The unit of S is G0, with domain X = G0, and it
     acts as the identity."""
-    space = groupoid.sort_arrows(groupoid.units)
-    domains = {}
-    maps = {}
-    for bis in semigroup.elements:
-        domains[bis] = range_set(groupoid, bis)
-        maps[bis] = {groupoid.source(b): groupoid.range(b) for b in bis}
-    return SemigroupPartialAction(semigroup, space, domains, maps,
-                                  name=f"bisections@{groupoid.name}")
+    return BisectionAction(groupoid, semigroup)
+
+
+class BisectionAction:
+    """The bisection action on the units of groupoid in canonical order,
+    with no per-bisection copy of the arrows that index keeps."""
+
+    def __init__(self, groupoid, semigroup):
+        self.groupoid = groupoid
+        self.index = semigroup
+        self.space = groupoid.sort_arrows(groupoid.units)
+
+    def star_graph(self, e):
+        """The pairs (r(b), s(b)) = (x, theta_{B*}(x)) over the arrows b of
+        element e, as positions of units, in increasing r(b)."""
+        index = self.index
+        return [(index._range[a], index._source[a]) for a in index._arrows[e]]
 
 
 class SkewRealization:
     """Everything produced while realizing a Steinberg algebra as a partial
-    skew inverse semigroup ring: the bisection semigroup, its action, the
-    covariance module L, the ideal I, the quotient L/I, and the certified
+    skew inverse semigroup ring: the bisection semigroup, the covariance
+    module L of its action, the ideal I, the quotient L/I, and the certified
     maps psi (on L) and psi_tilde (on L/I)."""
 
-    def __init__(self, groupoid, ring, semigroup, action, algebra_action,
-                 module, ideal, quotient, steinberg, psi_map, psi_tilde):
+    def __init__(self, groupoid, ring, semigroup, module, ideal, quotient,
+                 steinberg, psi_map, psi_tilde):
         self.groupoid = groupoid
         self.ring = ring
         self.semigroup = semigroup
-        self.action = action
-        self.algebra_action = algebra_action
         self.module = module
         self.ideal = ideal
         self.quotient = quotient
         self.steinberg = steinberg
         self.psi_map = psi_map
         self.psi_tilde = psi_tilde
-        # For phi, on arrow indices: the range and source of each arrow
-        # as points of the space.
-        point = {x: p for p, x in enumerate(action.space)}
-        self._ranges = [point[groupoid.range(a)] for a in groupoid.arrows]
-        self._sources = [point[groupoid.source(a)] for a in groupoid.arrows]
 
     @property
     def dimension_ledger(self):
@@ -590,10 +593,10 @@ class SkewRealization:
         value r, adds r at the class of (B, r(b)) for each arrow b of B,
         the basis index of L at the point r(b) and the element of bitmask
         B.  The classes are read from the quotient on each call."""
-        basis_at, position = self.module._basis_at, self.semigroup._position
-        cls, ranges = self.quotient._class, self._ranges
-        out = {}
-        for block, value in split_levels(values, ranges, self._sources):
+        semigroup, basis_at = self.semigroup, self.module._basis_at
+        position, ranges = semigroup._position, semigroup._range
+        cls, out = self.quotient._class, {}
+        for block, value in split_levels(values, ranges, semigroup._source):
             mask = 0
             for i in block:
                 mask |= 1 << i
@@ -624,16 +627,14 @@ def psi(groupoid, ring, groupoid_report,
     homomorphism is derived from them.  Works over any scalar ring.
     """
     semigroup = bisection_semigroup(groupoid, bisection_bound)
-    action = bisection_action(groupoid, semigroup)
-    algebra_action = induce_algebra_action(action, ring)
-    module = CovarianceModule(algebra_action)
+    module = CovarianceModule(induce_algebra_action(
+        bisection_action(groupoid, semigroup), ring))
     module.verify_associativity((groupoid_report,))
     steinberg = SteinbergAlgebra(groupoid, ring)
 
-    # (B, u) goes to the arrow of B with range u, its column point.
-    arrows, ranges = semigroup._arrows, semigroup._range
-    targets = [next(a for a in arrows[e] if ranges[a] == p)
-               for e, p in zip(module._element, module.col_points)]
+    # (B, u) goes to the arrow of B with range u, its column point: L
+    # lists the (B, r(b)) in the order of semigroup._arrows (star_graph).
+    targets = [a for arrows in semigroup._arrows for a in arrows]
     psi_map = AlgebraMap(module, steinberg, targets, name="psi")
     # A_R(G) is associative as the groupoid is, and L by its premise, so
     # the generator rows of L suffice (module.generator_basis).
@@ -647,15 +648,16 @@ def psi(groupoid, ring, groupoid_report,
     psi_tilde = AlgebraMap(quotient, steinberg,
                            [targets[a] for a in quotient.representatives],
                            name="psi~")
-    realization = SkewRealization(groupoid, ring, semigroup, action,
-                                  algebra_action, module, ideal, quotient,
-                                  steinberg, psi_map, psi_tilde)
+    realization = SkewRealization(groupoid, ring, semigroup, module, ideal,
+                                  quotient, steinberg, psi_map, psi_tilde)
     # psi~(pi(a) pi(b)) = psi~(pi(ab)) = psi(ab) = psi(a) psi(b): the
     # first step is representative independence, which build_quotient
-    # certified, the second is psi vanishing on I, the third psi's
+    # checked, the second is psi vanishing on I, the third psi's
     # homomorphism.
     psi_tilde.derive_homomorphism(
-        (("psi_homomorphism", psi_map.is_homomorphism),
+        (("representative_independence",
+          quotient.representative_independence_violation is None),
+         ("psi_homomorphism", psi_map.is_homomorphism),
          ("psi_vanishes_on_ideal", realization.psi_vanishes_on_ideal())))
     psi_tilde.certify_injective()
     psi_tilde.certify_surjective()

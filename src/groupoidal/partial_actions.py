@@ -1,6 +1,7 @@
-"""Partial actions of finite groups and finite inverse semigroups on
-finite sets, their exhaustive axiom validators, the induced actions on the
-function algebra of the space, and topological freeness.
+"""Partial actions of finite groups on finite sets, the exhaustive axiom
+validators of partial actions of groups and inverse semigroups, the
+induced actions on the function algebra of the space, and topological
+freeness.
 
 Conventions.  For an index element s, the set X_s is the RANGE of the
 partial bijection, which maps X_{s*} onto X_s.  Density in a finite
@@ -38,6 +39,14 @@ class _PartialActionBase:
         except KeyError:
             raise ValueError(f"{x} is not in the domain of the map of {s}") from None
 
+    def star_graph(self, e):
+        """The pairs (x, theta_{s*}(x)) over x in X_s, s the element of
+        index e, as positions in the space, in increasing x."""
+        s = self.index.elements[e]
+        s_star, order = self.index.star(s), self._order
+        return [(order[x], order[self.theta(s_star, x)])
+                for x in self.domain_points(s)]
+
 
 class GroupPartialAction(_PartialActionBase):
     """A partial action of a finite group: clopen (here: arbitrary) domain
@@ -47,15 +56,6 @@ class GroupPartialAction(_PartialActionBase):
     def __init__(self, group, space, domains, maps, name="action"):
         super().__init__(group, space, domains, maps)
         self.group = group
-        self.name = name
-
-
-class SemigroupPartialAction(_PartialActionBase):
-    """A partial action of a finite inverse semigroup on a finite set."""
-
-    def __init__(self, semigroup, space, domains, maps, name="action"):
-        super().__init__(semigroup, space, domains, maps)
-        self.semigroup = semigroup
         self.name = name
 
 
@@ -179,8 +179,7 @@ def validate_isg_partial_action(action):
     X_{ss*}.  For s <= t, s = ss* t, and the intertwining law on (ss*, t)
     gives X_{ss*} & X_t = X_{ss*} & X_s = X_s, so X_s lies in X_t."""
     report = ValidationReport(f"partial action {action.name}")
-    s = action.semigroup
-    unit = s.unit
+    unit = action.index.unit
     if unit is not None:
         if action.domains[unit] != frozenset(action.space):
             report.add("X_1 must be the whole space when the semigroup has a unit")
@@ -218,15 +217,7 @@ class AlgebraPartialAction:
     def __init__(self, action, ring):
         self.action = action
         self.index = action.index
-        self.space = action.space
         self.ring = ring
-        self.domains = action.domains
-
-    def unit_element(self):
-        return self.index.unit
-
-    def domain_points(self, s):
-        return self.action.domain_points(s)
 
 
 def induce_algebra_action(action, ring):

@@ -30,7 +30,9 @@ class CovarianceModule(BasedAlgebra):
     the row point theta_{s*}(x) and the column point x, as positions in
     the space, and a nonzero product is read off the index's product and
     the basis index of (st, x).  A row of L reads a row of the index, and
-    a column of L a column of the index.
+    a column of L a column of the index.  The basis is read off the
+    action's star_graph(e), from its maps or, for the bisection action,
+    from the arrows of each bisection.
     """
 
     def __init__(self, algebra_action):
@@ -38,20 +40,20 @@ class CovarianceModule(BasedAlgebra):
         self.ring = algebra_action.ring
         index, action = algebra_action.index, algebra_action.action
         self._index = index
-        self._point = point = {x: p for p, x in enumerate(action.space)}
+        self._point = {x: p for p, x in enumerate(action.space)}
         self.basis_labels, self._element = [], []
         row_points, col_points = [], []
         # _basis_at[p][e] is the basis index of (element e, point p), or
         # -1; the last slot answers a product the index table leaves out.
-        self._basis_at = [[-1] * (len(index.elements) + 1) for _ in point]
+        self._basis_at = [[-1] * (len(index.elements) + 1)
+                          for _ in action.space]
         for e, s in enumerate(index.elements):
-            s_star = index.star(s)
-            for x in algebra_action.domain_points(s):
-                self._basis_at[point[x]][e] = len(self.basis_labels)
-                self.basis_labels.append((s, x))
+            for p, q in action.star_graph(e):
+                self._basis_at[p][e] = len(self.basis_labels)
+                self.basis_labels.append((s, action.space[p]))
                 self._element.append(e)
-                col_points.append(point[x])
-                row_points.append(point[action.theta(s_star, x)])
+                col_points.append(p)
+                row_points.append(q)
         self.dim = len(self.basis_labels)
         self._set_points(row_points, col_points)
         self._column_elements = {p: [self._element[j] for j in columns]
@@ -111,7 +113,7 @@ class CovarianceModule(BasedAlgebra):
     def diagonal_indices(self):
         """Basis indices of the copy of the coefficient algebra sitting
         over the unit of the index (empty when there is no unit)."""
-        unit = self.algebra_action.unit_element()
+        unit = self._index.unit
         if unit is None:
             return []
         return [i for i, (s, _) in enumerate(self.basis_labels) if s == unit]
@@ -201,7 +203,8 @@ class QuotientAlgebra(BasedAlgebra):
     its representative, in increasing order: the class of e_a is basis
     element q when representatives[q] = rep(a).  Its points are those of
     the representatives in L, and the product of two classes is the
-    class of the product of their representatives."""
+    class of the product of their representatives, which build_quotient
+    checks, recording representative_independence_violation."""
 
     def __init__(self, module, ideal):
         self.module = module
@@ -218,7 +221,6 @@ class QuotientAlgebra(BasedAlgebra):
         self._set_points(
             [module.row_points[a] for a in self.representatives],
             [module.col_points[a] for a in self.representatives])
-        self.representative_independence_verified = False
 
     def row_products(self, q):
         """The classes of L's row at the representative of q, read at the
@@ -229,7 +231,7 @@ class QuotientAlgebra(BasedAlgebra):
                 for r in self.at_point.get(self.row_points[q], ())]
 
     def diagonal_indices(self):
-        unit = self.module.algebra_action.unit_element()
+        unit = self.module._index.unit
         return [i for i, (s, _) in enumerate(self.basis_labels) if s == unit]
 
     def verify_representative_independence(self):
@@ -291,12 +293,11 @@ def _members_at(points, rep):
 
 def build_quotient(module, ideal):
     """The partial skew inverse semigroup ring L/I; well-definedness of
-    the product is verified, not assumed."""
+    the product is verified, not assumed, and a violation is recorded on
+    the quotient for the report."""
     quotient = QuotientAlgebra(module, ideal)
-    violation = quotient.verify_representative_independence()
-    if violation is not None:
-        raise ValueError(f"ideal is not two-sided: {violation}")
-    quotient.representative_independence_verified = True
+    quotient.representative_independence_violation = \
+        quotient.verify_representative_independence()
     return quotient
 
 
@@ -310,15 +311,18 @@ def check_pregrading(quotient):
     representative independence: the class of e_(s,x) times the class of
     e_(t,y) is the class of (s,x)(t,y) = (st,x), or zero, so B_s B_t lies
     in B_st; and for s <= t the generator e_(s,x) - e_(t,x) of I puts the
-    class of e_(s,x) in B_t.  Spanning holds too: the e_(s,x) over every s
-    and x in X_s are L's basis, and each class of L/I has its
-    representative there.  Over a field the unit vectors of the classes
+    class of e_(s,x) in B_t; without it there is no product to pre-grade.
+    Spanning holds too: the e_(s,x) over every s and x in X_s are L's
+    basis, and each class of L/I has its representative there.  Over a field the unit vectors of the classes
     still go through a SpanTracker, whose span perfbench's trace expects
     (ROADMAP item 3); its rank is then dim L/I.
     """
     index = quotient.module.algebra_action.index
     report = ValidationReport(f"pre-grading over {getattr(index, 'name', 'index')}")
     ring = quotient.ring
+    if quotient.representative_independence_violation is not None:
+        report.add("B_s B_t is not defined: representative independence "
+                   "failed")
     if ring.is_field:
         span = SpanTracker(ring, quotient.dim)
         for i in range(quotient.dim):

@@ -16,6 +16,10 @@ product must agree with these; `product_rows` reads it as dense rows, and
 `closed` is the precondition of its Light's test.  `premises` gives the
 validator reports that `CovarianceModule.verify_associativity` takes;
 `realize` runs psi with the groupoid validator's report as its premise.
+`dense_replay_theorem5` reads psi from a theorem5 report's listing and
+checks it on the dense tables over the whole basis.  Where L is built on
+the engine's bisection action, the label-keyed readers take its label
+form (`families.label_view`).
 
 `mul_basis` and `mul_vectors` multiply vectors of any of the algebras
 through its dense table, so that references in the tests do not read the
@@ -31,20 +35,24 @@ import weakref
 from itertools import groupby
 from operator import itemgetter
 
-from families import mul
+from families import label_bisection_action, label_view, mul
 from formula_oracle import SkewElement, SpaceFunction
 from groupoidal.groupoid_core import validate_groupoid
-from groupoidal.inverse_semigroups import (natural_order,
+from groupoidal.inverse_semigroups import (bisection_semigroup,
+                                           natural_order,
                                            validate_inverse_semigroup)
-from groupoidal.isomorphisms import phi_classes, psi
+from groupoidal.isomorphisms import AlgebraMap, phi_classes, psi
 from groupoidal.partial_actions import (GroupPartialAction,
+                                        induce_algebra_action,
                                         validate_group_partial_action,
                                         validate_isg_partial_action)
-from groupoidal.scalars import DenseTable, index_row, zero_vector
+from groupoidal.scalars import (DenseTable, index_row, ring_from_tag,
+                                zero_vector)
 from groupoidal.skew_rings import (CovarianceModule, IdealCongruence,
                                    QuotientAlgebra)
-from groupoidal.steinberg_algebra import GroupoidFunction
-from groupoidal.validation import ValidationReport
+from groupoidal.steinberg_algebra import GroupoidFunction, SteinbergAlgebra
+from groupoidal.validation import ValidationReport, stable
+from replay_oracle import parse_rows
 
 
 def dense_table(module):
@@ -56,7 +64,7 @@ def dense_table(module):
     at_point = {}
     for j, (t, y) in enumerate(module.basis_labels):
         at_point.setdefault(y, []).append((j, t))
-    theta = alg.action.theta
+    theta = label_view(alg.action).theta
     blank = index_row(module.dim, [-1]) * module.dim
     table = []
     for s, x in module.basis_labels:
@@ -196,14 +204,14 @@ def triple_fails(table, triple):
 
 def premises(action):
     """The validator reports verify_associativity takes as premises, for
-    the index of the action and for the action; a validator that raises
-    gives a failing report."""
+    the index of the action and for the action in its label form
+    (label_view); a validator that raises gives a failing report."""
     check = (validate_group_partial_action
              if isinstance(action, GroupPartialAction)
              else validate_isg_partial_action)
     reports = []
     for validator, subject in ((validate_inverse_semigroup, action.index),
-                               (check, action)):
+                               (check, label_view(action))):
         try:
             reports.append(validator(subject))
         except (KeyError, ValueError) as exc:
@@ -452,3 +460,39 @@ def phi(f, realization):
     for q, c in phi_classes(f, realization).items():
         vec[q] = c
     return vec
+
+
+def dense_replay_theorem5(groupoid, text):
+    """The ways psi, as a passing theorem5 report lists it in
+    psi_basis_images, fails on the dense tables, as messages, empty when
+    it replays.  L is built on the label form of the bisection action
+    (label_bisection_action), I is reference_build_ideal's, and psi is
+    read from the listing alone.  Three checks, each on the whole basis
+    where the engine reads generator rows or derives: psi is
+    multiplicative on every basis pair of the dense tables of L and
+    A_R(G), psi vanishes on I, and psi~ sends one representative of each
+    class of I to each arrow."""
+    ring = ring_from_tag("Q")
+    semigroup = bisection_semigroup(groupoid, groupoid.n_arrows)
+    module = CovarianceModule(induce_algebra_action(
+        label_bisection_action(groupoid, semigroup), ring))
+    entries = [entry.rsplit(":", 1)[0].split("->") for entry in
+               parse_rows(text)["psi_basis_images"][1].split("; ")]
+    index = {a: i for i, a in enumerate(groupoid.arrows)}
+    if [label for label, _ in entries] != \
+            [stable(label) for label in module.basis_labels] or \
+            any(arrow not in index for _, arrow in entries):
+        return ["psi_basis_images does not list L's basis onto arrows"]
+    targets = [index[arrow] for _, arrow in entries]
+    problems = []
+    ok, detail = dense_homomorphism(AlgebraMap(
+        module, SteinbergAlgebra(groupoid, ring), targets))
+    if not ok:
+        problems.append(f"psi_homomorphism: {detail}")
+    rep = reference_build_ideal(module).rep
+    if any(targets[a] != targets[r] for a, r in enumerate(rep)):
+        problems.append("psi_vanishes_on_ideal")
+    if sorted(targets[a] for a, r in enumerate(rep) if a == r) != \
+            list(range(groupoid.n_arrows)):
+        problems.append("psi_tilde_bijective")
+    return problems

@@ -5,17 +5,28 @@ partial bijections; and inverse semigroups built from dict tables.
 Also the structures the library builds from one argument that its calls
 always pass: rho on a freshly built transformation groupoid, the
 bisection action on a freshly built bisection semigroup, and random
-scalars."""
+scalars.
+
+The label form of the bisection action is the oracle of the engine's,
+which is read off the semigroup's arrow indices:
+`SemigroupPartialAction`, a partial action given by domain sets and
+point maps keyed by element labels, `range_set`, and
+`label_bisection_action`, which builds a domain r(B) and a map
+s(b) -> r(b) per bisection B.  `label_view` gives any action in label
+form, for the oracles that read domains and maps; `bisection_sets`
+gives enumerate_bisections' masks as sets of arrows."""
 
 import json
+import weakref
 from itertools import combinations, permutations
 
-from groupoidal.groupoid_core import DEFAULT_BISECTION_BOUND
+from groupoidal.groupoid_core import (DEFAULT_BISECTION_BOUND,
+                                      enumerate_bisections)
 from groupoidal.groups import FiniteGroup
 from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
                                            bisection_semigroup, natural_order)
 from groupoidal.isomorphisms import bisection_action, rho
-from groupoidal.partial_actions import GroupPartialAction
+from groupoidal.partial_actions import GroupPartialAction, _PartialActionBase
 from groupoidal.scalars import Scalar, index_row
 from groupoidal.specfiles import FORMAT_TAG, parse_document
 from groupoidal.transformation_groupoid import build_transformation_groupoid
@@ -226,6 +237,64 @@ def bisection_action_of(g, bound=DEFAULT_BISECTION_BOUND):
     """The action of the bisection semigroup of g, built here, on the
     units of g."""
     return bisection_action(g, bisection_semigroup(g, bound))
+
+
+class SemigroupPartialAction(_PartialActionBase):
+    """A partial action of a finite inverse semigroup on a finite set."""
+
+    def __init__(self, semigroup, space, domains, maps, name="action"):
+        super().__init__(semigroup, space, domains, maps)
+        self.semigroup = semigroup
+        self.name = name
+
+
+def range_set(g, bis):
+    return frozenset(g.range(b) for b in bis)
+
+
+def label_bisection_action(groupoid, semigroup):
+    """The bisection action built from labels: for each bisection B, the
+    domain r(B) and the map s(b) -> r(b) over the arrows b of B."""
+    space = groupoid.sort_arrows(groupoid.units)
+    domains = {}
+    maps = {}
+    for bis in semigroup.elements:
+        domains[bis] = range_set(groupoid, bis)
+        maps[bis] = {groupoid.source(b): groupoid.range(b) for b in bis}
+    return SemigroupPartialAction(semigroup, space, domains, maps,
+                                  name=f"bisections@{groupoid.name}")
+
+
+_LABEL_VIEWS = weakref.WeakKeyDictionary()
+
+
+def label_view(action):
+    """The action with label domains and maps: the action itself when it
+    has them, else, for the engine's bisection action,
+    label_bisection_action on its groupoid and semigroup, built once."""
+    if hasattr(action, "maps"):
+        return action
+    view = _LABEL_VIEWS.get(action)
+    if view is None:
+        view = _LABEL_VIEWS[action] = label_bisection_action(action.groupoid,
+                                                             action.index)
+    return view
+
+
+def label_bisection_action_of(g, bound=DEFAULT_BISECTION_BOUND):
+    """label_bisection_action on a bisection semigroup of g built here."""
+    return label_bisection_action(g, bisection_semigroup(g, bound))
+
+
+def mask_arrows(g, mask):
+    """The bisection of bitmask mask over g's arrow order, as a set."""
+    return frozenset(a for i, a in enumerate(g.arrows) if mask >> i & 1)
+
+
+def bisection_sets(g, bound=DEFAULT_BISECTION_BOUND):
+    """The bisections of g as sets of arrows, in enumerate_bisections'
+    order."""
+    return [mask_arrows(g, mask) for mask in enumerate_bisections(g, bound)]
 
 
 def random_scalar(ring, rng):

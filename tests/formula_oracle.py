@@ -19,7 +19,7 @@ arithmetic of the engine.
   rho's targets, and must give the same rows.
 """
 
-from families import mul
+from families import label_view, mul
 from groupoidal.groups import FiniteGroup
 from groupoidal.steinberg_algebra import GroupoidFunction
 from groupoidal.validation import stable
@@ -147,11 +147,12 @@ def alpha(algebra_action, s, f):
     alg = algebra_action
     if f.ring != alg.ring:
         raise ValueError("function has the wrong scalar ring")
-    if not f.vanishes_off(alg.domains[alg.index.star(s)]):
+    action = label_view(alg.action)
+    if not f.vanishes_off(action.domains[alg.index.star(s)]):
         raise ValueError(f"function is not in D_{{{alg.index.star(s)}}}")
-    theta_star = alg.action.maps[alg.index.star(s)]
+    theta_star = action.maps[alg.index.star(s)]
     return SpaceFunction(alg.ring,
-                         {x: f(theta_star[x]) for x in alg.domains[s]})
+                         {x: f(theta_star[x]) for x in action.domains[s]})
 
 
 class SkewElement:
@@ -162,10 +163,11 @@ class SkewElement:
     def __init__(self, algebra_action, terms):
         self.algebra_action = algebra_action
         pruned = {}
+        domains = label_view(algebra_action.action).domains
         for s, f in terms.items():
             if f.ring != algebra_action.ring:
                 raise ValueError("coefficient has the wrong scalar ring")
-            if not f.vanishes_off(algebra_action.domains[s]):
+            if not f.vanishes_off(domains[s]):
                 raise ValueError(f"coefficient of delta_{stable(s)} does not "
                                  f"vanish off X_{{{stable(s)}}}")
             if f:

@@ -9,18 +9,18 @@ import time
 
 from dense_oracle import (apply, from_vector, product_rows, realize,
                           skew_ring, table_of, to_vector)
-from families import (family_groupoids, idempotents, order_pairs,
+from families import (bisection_sets, family_groupoids, idempotents,
+                      label_bisection_action, order_pairs,
                       transformation_rho)
 from formula_oracle import (bisection_inverse, bisection_product,
                             is_bisection, rho_inverse)
 
 import catalog
-from groupoidal.groupoid_core import (enumerate_bisections,
-                                      is_topologically_principal,
+from groupoidal.groupoid_core import (is_topologically_principal,
                                       validate_groupoid)
 from groupoidal.inverse_semigroups import (bisection_semigroup,
                                            validate_inverse_semigroup)
-from groupoidal.isomorphisms import (bisection_action, rho,
+from groupoidal.isomorphisms import (rho,
                                      search_groupoid_isomorphism,
                                      search_orbit_equivalence,
                                      steinberg_transport,
@@ -176,7 +176,7 @@ def test_criterion_6_structural_suites():
     for name in catalog.groupoid_names():
         g = catalog.load_groupoid(name)
         assert validate_groupoid(g).ok, name
-        bisections = enumerate_bisections(g)
+        bisections = bisection_sets(g)
         for b in bisections:
             assert is_bisection(g, bisection_inverse(g, b)), name
             assert bisection_product(
@@ -197,7 +197,7 @@ def test_criterion_6_structural_suites():
                 assert ((b, c) in order) == (b <= c), name
         assert set(idempotents(semigroup)) == \
             {b for b in semigroup.elements if b <= g.units}, name
-        assert validate_isg_partial_action(bisection_action(g, semigroup)).ok, name
+        assert validate_isg_partial_action(label_bisection_action(g, semigroup)).ok, name
 
         algebra = SteinbergAlgebra(g, Q)
         assert product_rows(algebra) == \
@@ -207,6 +207,6 @@ def test_criterion_6_structural_suites():
         semigroup = bisection_semigroup(g)
         assert validate_inverse_semigroup(semigroup).ok, g.name
         assert validate_isg_partial_action(
-            bisection_action(g, semigroup)).ok, g.name
+            label_bisection_action(g, semigroup)).ok, g.name
     report(6, "structural suites: bisection semigroups, orders, "
               "bisection action, convolution")

@@ -73,7 +73,9 @@ def test_theorem5_bound_exceeded(capsys):
 
 
 ONCE_PER_THEOREM5 = [("groupoid_core", "validate_groupoid"),
+                     ("groupoid_core", "enumerate_bisections"),
                      ("inverse_semigroups", "bisection_semigroup"),
+                     ("isomorphisms", "bisection_action"),
                      ("skew_rings", "check_pregrading")]
 # The ideal is read off the germs, so theorem5 neither reads the natural
 # order nor walks the generators of I.
@@ -169,15 +171,29 @@ def test_theorem5_fails_a_wrong_ideal(name, mutate, failing, monkeypatch,
             if line.startswith("check ") and ": fail" in line] == failing
 
 
-@pytest.mark.parametrize("mutate", [drop_one_join, join_another_germ])
+@pytest.mark.parametrize("mutate, violation", [
+    (drop_one_join, "(e_0 - e_60) * e_4 leaves the ideal"),
+    (join_another_germ, "(e_0 - e_62) * e_4 leaves the ideal")],
+    ids=["drop_one_join", "join_another_germ"])
 def test_theorem5_refuses_a_wrong_ideal_that_is_not_two_sided(
-        mutate, monkeypatch):
+        mutate, violation, monkeypatch, capsys):
     # On pair_groupoid_3, whose Steinberg algebra is M_3(Q), neither
-    # mutant is a two-sided ideal, so the quotient is refused before any
-    # row is written.
+    # mutant is a two-sided ideal.  The quotient records the violation,
+    # and the run writes every row of a passing report and exits 1.
+    code, passing, _ = run_cli(capsys, "theorem5", "pair_groupoid_3")
+    assert code == 0
     mutate_ideal(monkeypatch, mutate)
-    with pytest.raises(ValueError, match="ideal is not two-sided"):
-        main(["theorem5", "pair_groupoid_3"])
+    code, out, err = run_cli(capsys, "theorem5", "pair_groupoid_3")
+    assert code == 1 and err == ""
+    rows = dict(line.split(": ", 1) for line in out.splitlines()
+                if line.startswith("check "))
+    assert list(rows) == [line.split(": ", 1)[0]
+                          for line in passing.splitlines()
+                          if line.startswith("check ")]
+    assert rows["check representative_independence"] == \
+        f"fail  [{violation}]"
+    assert rows["check pregrading"].startswith("fail")
+    assert out.endswith("result: fail\n")
 
 
 def test_theorem5_computes_products_only_on_generator_rows(

@@ -21,8 +21,9 @@ from dense_oracle import (closed, dense_associativity, dense_homomorphism,
                           dense_quotient_table, dense_table, premises,
                           product_rows, realize, reference_generator_scan,
                           triple_fails)
-from families import (bisection_action_of, family_groupoids, regular_action,
-                      tabulated, transformation_rho)
+from families import (bisection_action_of, family_groupoids,
+                      label_bisection_action, regular_action, tabulated,
+                      transformation_rho)
 from formula_oracle import bisection_inverse, bisection_product
 
 import catalog
@@ -103,12 +104,34 @@ def test_bisection_builders_follow_the_set_formulas():
             assert s.star_table[i] == s.index(bisection_inverse(g, b)), g.name
             assert list(s.row(i)) == [s.index(bisection_product(g, b, c))
                                       for c in elements], g.name
+        # The action reads (r(b), s(b)) off the arrows of each B, as
+        # positions of units, in increasing r(b).
         action = bisection_action(g, s)
         assert set(action.space) == set(g.units), g.name
-        for b in s.elements:
-            assert action.domains[b] == {g.range(a) for a in b}, g.name
-            assert action.maps[b] == {g.source(a): g.range(a) for a in b}, \
-                g.name
+        point = {x: p for p, x in enumerate(action.space)}
+        for i, b in enumerate(s.elements):
+            assert action.star_graph(i) == sorted(
+                (point[g.range(a)], point[g.source(a)]) for a in b), g.name
+
+
+def test_mask_action_builds_the_label_actions_l(Q):
+    # theorem5 reads the bisection action off the semigroup's arrow
+    # indices; the label form, a domain r(B) and a map s(b) -> r(b) per
+    # bisection, is its oracle.  Both give the same L, and psi sends
+    # (B, u) to the arrow of B with range u.
+    for g in ladder_groupoids():
+        r = realize(g, Q)
+        label = CovarianceModule(induce_algebra_action(
+            label_bisection_action(g, r.semigroup), Q))
+        mask = r.module
+        assert mask.basis_labels == label.basis_labels, g.name
+        assert mask.row_points == label.row_points, g.name
+        assert mask.col_points == label.col_points, g.name
+        for i in range(mask.dim):
+            assert mask.row_products(i) == label.row_products(i), g.name
+        assert r.psi_map.targets == [
+            g.index(next(b for b in s if g.range(b) == x))
+            for s, x in label.basis_labels], g.name
 
 
 def transported_maps(ring):
@@ -278,7 +301,7 @@ def partial_corruptions(rng, count):
     changed, on a copy with its whole table."""
     def tabulated_action(name):
         g = catalog.load_groupoid(name)
-        return bisection_action(g, tabulated(bisection_semigroup(g)))
+        return label_bisection_action(g, tabulated(bisection_semigroup(g)))
 
     sources = ([lambda name=name: catalog.load_action(name)
                 for name in catalog.action_names()]

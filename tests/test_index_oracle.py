@@ -32,17 +32,18 @@ from functools import partial
 
 from dense_oracle import (ideal_generators, leaves_ideal, product_rows,
                           reference_build_ideal, reference_generator_scan)
-from families import (CYCLIC_BUNDLES, bisection_action_of, cyclic_bundle_spec,
-                      idempotents, mul, order_pairs, pair_groupoid_spec,
-                      parse, symmetric_inverse_monoid)
+from families import (CYCLIC_BUNDLES, SemigroupPartialAction,
+                      bisection_action_of, cyclic_bundle_spec, idempotents,
+                      label_bisection_action_of, label_view, mul,
+                      order_pairs, pair_groupoid_spec, parse,
+                      symmetric_inverse_monoid)
 
 import catalog
 from groupoidal.groupoid_core import validate_groupoid
 from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
                                            bisection_semigroup,
                                            validate_inverse_semigroup)
-from groupoidal.partial_actions import (SemigroupPartialAction,
-                                        _validate_maps,
+from groupoidal.partial_actions import (_validate_maps,
                                         induce_algebra_action,
                                         validate_group_partial_action,
                                         validate_isg_partial_action)
@@ -374,7 +375,7 @@ def test_right_congruences_give_the_generator_scan_violation(Q):
 
 
 def catalog_actions():
-    actions = [bisection_action_of(catalog.load_groupoid(name))
+    actions = [label_bisection_action_of(catalog.load_groupoid(name))
                for name in catalog.groupoid_names()]
     actions += [catalog.load_action(name) for name in catalog.action_names()]
     return actions
@@ -448,7 +449,7 @@ VIOLATION_KINDS = ("map of", "but X_", "escapes", "!= theta")
 
 
 def test_corrupted_bisection_actions_give_equal_reports():
-    base = [bisection_action_of(catalog.load_groupoid(name))
+    base = [label_bisection_action_of(catalog.load_groupoid(name))
             for name in ("pair_groupoid_2", "pair_groupoid_3", "two_z2",
                          "pair_plus_unit")]
     rng = random.Random(18)
@@ -583,7 +584,7 @@ def reference_ideal_generators(module):
     alg = module.algebra_action
     return [(module.label_index(s, x), module.label_index(t, x))
             for s, t in reference_natural_order(alg.index) if s != t
-            for x in alg.domain_points(s)]
+            for x in label_view(alg.action).domain_points(s)]
 
 
 def natural_action(s):
@@ -617,11 +618,12 @@ def test_ideal_generators_equal_the_label_order_builder(Q):
     actions, groupoids = ideal_actions((2, 3, 4))
     strict = 0
     for action in actions:
-        assert validate_isg_partial_action(action).ok, action.name
+        assert validate_isg_partial_action(label_view(action)).ok, \
+            action.index.name
         module = CovarianceModule(induce_algebra_action(action, Q))
         edges, expected = ideal_generators(module), \
             reference_ideal_generators(module)
-        assert sorted(edges) == sorted(expected), action.name
+        assert sorted(edges) == sorted(expected), action.index.name
         assert reference_build_ideal(module).generator_count == len(expected)
         strict += bool(expected)
     assert strict > groupoids
@@ -634,7 +636,8 @@ def test_build_ideal_equals_the_union_find_over_every_generator(Q):
     actions, groupoids = ideal_actions((2, 3, 4, 5))
     several = 0
     for k, action in enumerate(actions):
-        assert validate_isg_partial_action(action).ok, action.name
+        assert validate_isg_partial_action(label_view(action)).ok, \
+            action.index.name
         module = CovarianceModule(induce_algebra_action(action, Q))
         edges = list(ideal_generators(module))
         expected = congruence(module, edges)
@@ -642,8 +645,8 @@ def test_build_ideal_equals_the_union_find_over_every_generator(Q):
         if k < groupoids:
             ideals.append(build_ideal(module))
         for ideal in ideals:
-            assert ideal.rep == expected.rep, action.name
-            assert ideal.dimension == expected.dimension, action.name
-            assert ideal.generator_count == len(edges), action.name
+            assert ideal.rep == expected.rep, action.index.name
+            assert ideal.dimension == expected.dimension, action.index.name
+            assert ideal.generator_count == len(edges), action.index.name
         several += len(edges) > len({b for _, b in edges})
     assert several > 10

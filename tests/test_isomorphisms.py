@@ -5,13 +5,14 @@ import pytest
 
 from dense_oracle import (apply, from_vector, ideal_rows, mul_basis,
                           mul_vectors, phi, realize, skew_ring, to_vector)
-from families import order_pairs, random_scalar, transformation_rho
+from families import (order_pairs, random_scalar, range_set,
+                      transformation_rho)
 from formula_oracle import SkewElement, SpaceFunction, rho_inverse
 from test_phi_oracle import class_of
 from test_search_oracle import verify_groupoid_isomorphism
 
 import catalog
-from groupoidal.groupoid_core import FiniteGroupoid, range_set
+from groupoidal.groupoid_core import FiniteGroupoid
 from groupoidal.isomorphisms import (AlgebraMap, OrbitEquivalenceData,
                                      rho, search_groupoid_isomorphism,
                                      search_orbit_equivalence,
@@ -140,7 +141,7 @@ def test_rho_multiplicative_by_independent_paths(Q):
     module = skew_ring(induce_algebra_action(action, Q))
     tg = build_transformation_groupoid(action)
     alg = module.algebra_action
-    x = SkewElement(alg, {"g": SpaceFunction.indicator(Q, alg.space)})
+    x = SkewElement(alg, {"g": SpaceFunction.indicator(Q, alg.action.space)})
     lhs = rho_formula(x * x, tg)
     rhs = rho_formula(x, tg) * rho_formula(x, tg)
     assert lhs == rhs
@@ -329,7 +330,7 @@ def test_psi_on_indicator_of_range(Q):
     for name in ("z2_one_unit", "pair_groupoid_2", "two_z2"):
         g = catalog.load_groupoid(name)
         r = realize(g, Q)
-        alg = r.algebra_action
+        alg = r.module.algebra_action
         for bis in r.semigroup.elements:
             f = SpaceFunction.indicator(Q, range_set(g, bis))
             elem = SkewElement(alg, {bis: f}) if f else SkewElement.zero(alg)
@@ -386,7 +387,7 @@ def test_phi_examples(Q):
             continue
         f = GroupoidFunction.indicator(g, Q, bis)
         expected_elem = SkewElement(
-            r.algebra_action,
+            r.module.algebra_action,
             {bis: SpaceFunction.indicator(Q, range_set(g, bis))})
         expected = class_of(r.quotient, to_vector(r.module, expected_elem))
         assert phi(f, r) == expected

@@ -2,14 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from families import (bisection_action_of, mul, random_scalar,
-                      semigroup_from_products)
+from families import (SemigroupPartialAction, label_bisection_action_of, mul,
+                      random_scalar, semigroup_from_products)
 from formula_oracle import SpaceFunction, alpha
 
 import catalog
 from groupoidal.groups import FiniteGroup
 from groupoidal.partial_actions import (GroupPartialAction,
-                                        SemigroupPartialAction,
                                         induce_algebra_action,
                                         is_topologically_free,
                                         validate_group_partial_action,
@@ -76,7 +75,7 @@ def test_group_action_as_semigroup_action():
 @pytest.mark.parametrize("name", catalog.groupoid_names())
 def test_bisection_action_satisfies_axioms(name):
     g = catalog.load_groupoid(name)
-    action = bisection_action_of(g)
+    action = label_bisection_action_of(g)
     report = validate_isg_partial_action(action)
     assert report.ok, (name, report.first)
 
@@ -138,7 +137,7 @@ def test_alpha_partial_isometry_identity(Q):
             for _ in range(10):
                 f = SpaceFunction(
                     Q, {x: random_scalar(Q, rng)
-                        for x in alg.domain_points(star)})
+                        for x in action.domain_points(star)})
                 lhs = alpha(alg, s, alpha(alg, star, alpha(alg, s, f)))
                 assert lhs == alpha(alg, s, f)
 
@@ -183,10 +182,10 @@ def function_space_action(action, ring):
     maps = {}
     for s in action.index.elements:
         domains[s] = frozenset(f for f in functions
-                               if f.vanishes_off(alg.domains[s]))
+                               if f.vanishes_off(action.domains[s]))
         star = alg.index.star(s)
         maps[s] = {f: alpha(alg, s, f) for f in functions
-                   if f.vanishes_off(alg.domains[star])}
+                   if f.vanishes_off(action.domains[star])}
     if hasattr(action, "semigroup"):
         return SemigroupPartialAction(action.semigroup, functions, domains,
                                       maps, name="algebra-level")
@@ -207,7 +206,7 @@ def test_induced_action_satisfies_axioms_at_algebra_level(name):
 def test_bisection_algebra_action_satisfies_axioms_at_algebra_level():
     ring = ring_from_tag("Z/2")
     g = catalog.load_groupoid("two_isolated_units")
-    lifted = function_space_action(bisection_action_of(g), ring)
+    lifted = function_space_action(label_bisection_action_of(g), ring)
     report = validate_isg_partial_action(lifted)
     assert report.ok, report.first
 

@@ -17,17 +17,16 @@ import random
 import pytest
 
 from dense_oracle import phi, realize
-from families import (bisection_action_of, pair_groupoid_spec, parse,
-                      random_scalar)
+from families import (SemigroupPartialAction, label_bisection_action_of,
+                      label_view, pair_groupoid_spec, parse, random_scalar,
+                      range_set)
 from formula_oracle import SpaceFunction, alpha, is_bisection
 
 import catalog
 from groupoidal import ring_from_tag
-from groupoidal.groupoid_core import range_set
 from groupoidal.isomorphisms import (phi_classes, verify_phi_additive,
                                      verify_phi_left_inverse)
 from groupoidal.partial_actions import (AlgebraPartialAction,
-                                        SemigroupPartialAction,
                                         induce_algebra_action,
                                         validate_group_partial_action,
                                         validate_isg_partial_action)
@@ -138,10 +137,10 @@ def reference_induce(action, ring):
         images = set()
         for x in action.domain_points(star):
             image = alpha(alg, s, SpaceFunction.point_mass(ring, x))
-            if len(image.support) != 1 or not image.vanishes_off(alg.domains[s]):
+            if len(image.support) != 1 or not image.vanishes_off(action.domains[s]):
                 raise ValueError(f"alpha_{s} does not permute point masses")
             images.add(next(iter(image.support)))
-        if images != set(alg.domains[s]):
+        if images != set(action.domains[s]):
             raise ValueError(f"alpha_{s} is not onto D_{{{s}}}")
         for x in action.domain_points(star):
             for y in action.domain_points(star):
@@ -223,9 +222,10 @@ def test_a_mutated_class_fails_alike(name, tag):
 
 
 def catalog_actions():
-    actions = [bisection_action_of(catalog.load_groupoid(name))
+    actions = [label_bisection_action_of(catalog.load_groupoid(name))
                for name in catalog.groupoid_names()]
-    actions.append(realization("pair_groupoid_4", "Q").action)
+    actions.append(label_view(
+        realization("pair_groupoid_4", "Q").module.algebra_action.action))
     actions += [catalog.load_action(name) for name in catalog.action_names()]
     for name in catalog.pair_names():
         actions += catalog.load_pair(name)

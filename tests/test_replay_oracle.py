@@ -2,18 +2,24 @@
 (replay_oracle), over Q, Z and Z/4: theorem3 on every catalog action and
 on the regular actions of Z_n for n <= 12, theorem5 on every catalog
 groupoid and on pair groupoids on 2 to 4 points; and mutated reports
-that must fail the replay."""
+that must fail the replay.  theorem5's psi is also replayed on the dense
+tables (dense_oracle.dense_replay_theorem5), on every catalog groupoid
+and on pair groupoids on 2 to 4 points, and one wrong image, in a
+generator row of L or outside them, must fail it."""
 
 import json
 
 import pytest
+from dense_oracle import dense_replay_theorem5
 from families import pair_groupoid_spec, regular_action_spec
 from replay_oracle import (Formulas, parse_rows, replay_theorem3,
                            replay_theorem5)
 
 import catalog
 from groupoidal.cli import main
-from groupoidal.specfiles import resolve_input
+from groupoidal.inverse_semigroups import bisection_semigroup
+from groupoidal.specfiles import load_document, resolve_input
+from groupoidal.validation import stable
 
 RINGS = ("Q", "Z", "Z/4")
 # Input name -> its spec, for the inputs written here.
@@ -135,3 +141,42 @@ def test_mutated_theorem3_reports_fail_the_replay(tmp_path_factory, capsys):
         changed = replace_detail(text, "dimension_match",
                                  match.replace("arrows=", "arrows=1"))
         assert replay_theorem3(doc, changed) == ["dimension_match"]
+
+
+DENSE_INPUTS = tuple(catalog.groupoid_names()) + tuple(
+    name for name in GENERATED if name.startswith("pair"))
+
+
+def dense_replayed(name, tmp_path_factory, capsys):
+    """The theorem5 report on the input over Q, and its groupoid."""
+    path, _ = input_file(name, tmp_path_factory)
+    assert main(["theorem5", path]) == 0
+    return capsys.readouterr().out, load_document(path).payload
+
+
+@pytest.mark.parametrize("name", DENSE_INPUTS)
+def test_theorem5_reports_replay_densely(name, tmp_path_factory, capsys):
+    text, groupoid = dense_replayed(name, tmp_path_factory, capsys)
+    assert dense_replay_theorem5(groupoid, text) == []
+
+
+@pytest.mark.parametrize("generator_row", [False, True])
+def test_one_wrong_image_fails_the_dense_replay(generator_row,
+                                                tmp_path_factory, capsys):
+    # theorem5 certifies psi on the generator rows of L only, so a wrong
+    # image outside them is seen only by the dense check.
+    text, groupoid = dense_replayed("pair_groupoid_3", tmp_path_factory,
+                                    capsys)
+    semigroup = bisection_semigroup(groupoid)
+    generators = {semigroup.elements[k] for k in semigroup.generators}
+    labels = {stable(s): s for s in semigroup.elements}
+    entries = parse_rows(text)["psi_basis_images"][1].split("; ")
+    k = next(k for k, entry in enumerate(entries)
+             if (labels[entry[1:entry.index("}") + 1]] in generators)
+             == generator_row)
+    label, image = entries[k].split("->")
+    arrow = next(a for a in groupoid.arrows if f"{a}:1" != image)
+    entries[k] = f"{label}->{arrow}:1"
+    mutated = replace_detail(text, "psi_basis_images", "; ".join(entries))
+    problems = dense_replay_theorem5(groupoid, mutated)
+    assert problems[0].startswith("psi_homomorphism: fails on basis pair")

@@ -5,7 +5,8 @@ import pytest
 from dense_oracle import (dense_table, ideal_generators, ideal_rows,
                           mul_basis, mul_vectors, product_rows, realize,
                           reference_build_ideal, skew_ring, to_vector)
-from families import bisection_action_of, mul, order_pairs, random_scalar
+from families import (bisection_action_of, label_view, mul, order_pairs,
+                      random_scalar)
 from formula_oracle import SkewElement, SpaceFunction, skew_multiply
 from test_factored_oracle import ladder_groupoids
 from test_phi_oracle import class_of
@@ -41,8 +42,8 @@ def test_identity_block_multiplies_pointwise(Q):
     rng = random.Random(2)
     e = alg.index.identity
     for _ in range(20):
-        f = SpaceFunction(Q, {x: random_scalar(Q, rng) for x in alg.space})
-        g = SpaceFunction(Q, {x: random_scalar(Q, rng) for x in alg.space})
+        f = SpaceFunction(Q, {x: random_scalar(Q, rng) for x in alg.action.space})
+        g = SpaceFunction(Q, {x: random_scalar(Q, rng) for x in alg.action.space})
         lhs = skew_multiply(SkewElement(alg, {e: f}), SkewElement(alg, {e: g}))
         assert lhs == SkewElement(alg, {e: f * g})
 
@@ -50,7 +51,7 @@ def test_identity_block_multiplies_pointwise(Q):
 def test_global_swap_delta_g_squares_to_identity_block(Q):
     module = module_for_action("z2_global_swap", Q)
     alg = module.algebra_action
-    one_x = SpaceFunction.indicator(Q, alg.space)
+    one_x = SpaceFunction.indicator(Q, alg.action.space)
     dg = SkewElement(alg, {"g": one_x})
     assert dg * dg == SkewElement(alg, {"e": one_x})
 
@@ -75,7 +76,7 @@ def test_coefficient_containment_on_basis_pairs(Q):
                 st = mul(alg.index, s, t)
                 for u, f in product.terms.items():
                     assert u == st
-                    assert f.vanishes_off(alg.domains[st])
+                    assert f.vanishes_off(alg.action.domains[st])
 
 
 def test_mixed_actions_rejected(Q):
@@ -216,8 +217,10 @@ def test_one_sided_congruence_is_refused(Q):
     assert module.basis_labels[:2] == [(frozenset({"u"}), "u"),
                                        (frozenset({"v"}), "v")]
     fake = IdealCongruence(module, 1, [1, 1, 2, 3])
-    with pytest.raises(ValueError, match="not two-sided"):
-        build_quotient(module, fake)
+    quotient = build_quotient(module, fake)
+    assert quotient.representative_independence_violation == \
+        "(e_0 - e_1) * e_0 leaves the ideal"
+    assert not check_pregrading(quotient).ok
 
 
 def test_order_identified_classes_agree(Q):
@@ -225,7 +228,7 @@ def test_order_identified_classes_agree(Q):
     quotient = build_quotient(module, build_ideal(module))
     alg = module.algebra_action
     for s, t in order_pairs(alg.index):
-        for x in alg.domain_points(s):
+        for x in label_view(alg.action).domain_points(s):
             vs = to_vector(module, SkewElement.basis(alg, s, x))
             vt = to_vector(module, SkewElement.basis(alg, t, x))
             assert class_of(quotient, vs) == class_of(quotient, vt)
@@ -235,7 +238,7 @@ def test_quotient_product_well_defined_on_representatives(Q):
     module = module_for_groupoid("z2_one_unit", Q)
     ideal = build_ideal(module)
     quotient = build_quotient(module, ideal)
-    assert quotient.representative_independence_verified
+    assert quotient.representative_independence_violation is None
     rng = random.Random(23)
     for _ in range(50):
         u = [random_scalar(Q, rng) for _ in range(module.dim)]
@@ -281,7 +284,7 @@ def test_pregrading_quotient_case(Q):
     vec_small = class_of(
         quotient, to_vector(module, SkewElement.basis(alg, small, "u")))
     big_tracker = SpanTracker(Q, quotient.dim)
-    for x in alg.domain_points(big):
+    for x in label_view(alg.action).domain_points(big):
         big_tracker.add(class_of(
             quotient, to_vector(module, SkewElement.basis(alg, big, x))))
     assert big_tracker.contains(vec_small)
@@ -331,7 +334,7 @@ def reference_pregrading(algebra):
     for s in index.elements:
         units = [unit_vector(module.ring, module.dim,
                              module.label_index(s, x))
-                 for x in alg.domain_points(s)]
+                 for x in label_view(alg.action).domain_points(s)]
         blocks[s] = [keyed(class_of(quotient, v) if quotient else v)
                      for v in units]
     spans = {s: span_of(field, algebra.dim, [lift(vectors[k]) for k in keys])

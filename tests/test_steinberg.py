@@ -4,9 +4,8 @@ import pytest
 from dense_oracle import product_rows, table_of
 from formula_oracle import bisection_product
 
-from families import random_scalar
+from families import bisection_sets, random_scalar
 import catalog
-from groupoidal.groupoid_core import enumerate_bisections
 from groupoidal.steinberg_algebra import (GroupoidFunction, SteinbergAlgebra,
                                           convolve, disjoint_decomposition)
 
@@ -37,7 +36,7 @@ def random_function(g, ring, rng, density=0.6):
 @pytest.mark.parametrize("name", SMALL)
 def test_indicator_convolution_is_bisection_product(name, Q):
     g = catalog.load_groupoid(name)
-    bisections = enumerate_bisections(g)
+    bisections = bisection_sets(g)
     for b in bisections:
         fb = GroupoidFunction.indicator(g, Q, b)
         for c in bisections:
@@ -159,7 +158,7 @@ def test_disjoint_decomposition_deterministic(Q):
 def test_unit_checks(name, Q):
     g = catalog.load_groupoid(name)
     unit_fn = GroupoidFunction.indicator(g, Q, g.units)
-    for b in enumerate_bisections(g):
+    for b in bisection_sets(g):
         fb = GroupoidFunction.indicator(g, Q, b)
         assert convolve(unit_fn, fb) == fb
         assert convolve(fb, unit_fn) == fb

@@ -31,7 +31,7 @@ from test_index_oracle import (assert_reference_outcome, assert_scan_verdict,
                                catalog_modules, congruence, corrupt_action,
                                validate)
 
-from families import bisection_action_of
+from families import label_bisection_action_of
 import catalog
 from groupoidal.groupoid_core import validate_groupoid
 from groupoidal.partial_actions import induce_algebra_action
@@ -71,7 +71,7 @@ def tables(Q):
 
 @pytest.fixture(scope="module")
 def actions():
-    return [bisection_action_of(catalog.load_groupoid(name))
+    return [label_bisection_action_of(catalog.load_groupoid(name))
             for name in ("pair_groupoid_2", "pair_groupoid_3", "two_z2",
                          "pair_plus_unit")]
 
