@@ -23,7 +23,7 @@ from .skew_rings import (CovarianceModule, build_ideal, build_quotient,
                          check_pregrading)
 from .transformation_groupoid import build_transformation_groupoid
 from .isomorphisms import (AlgebraMap, OrbitEquivalenceData, bisection_action,
-                           phi_classes, psi, rho, search_groupoid_isomorphism,
+                           psi, rho, search_groupoid_isomorphism,
                            search_orbit_equivalence, steinberg_transport,
                            transported_skew_isomorphism,
                            verify_orbit_equivalence)

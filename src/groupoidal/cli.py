@@ -80,8 +80,11 @@ def _bounds(doc, args):
 
 
 def _ring(doc, args):
-    tag = args.ring or doc.ring_tag or "Q"
-    return ring_from_tag(tag)
+    """The flag's ring, else the file's, else Q; an empty tag is refused
+    by ring_from_tag like any other unknown tag."""
+    for tag in (args.ring, doc.ring_tag, "Q"):
+        if tag is not None:
+            return ring_from_tag(tag)
 
 
 def _new_report(command, doc, ring, bounds):
@@ -337,29 +340,25 @@ def build_parser():
         prog="groupoidal",
         description="Exact verification of finite groupoid / partial skew "
                     "ring structure theorems.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("validate", "run the structural validator for the input kind"),
-            ("theorem3", "skew group ring vs Steinberg algebra of the "
-                         "transformation groupoid"),
-            ("theorem5", "Steinberg algebra as a partial skew inverse "
-                         "semigroup ring"),
-            ("equivalence", "three-way orbit equivalence comparison "
-                            "for a pair of actions")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input",
-                       help="path to a spec file, or a catalog name")
-        p.add_argument("--ring", default=None,
-                       help="scalar ring tag: Q, Z, or Z/n "
-                            "(default: file setting, else Q)")
-        p.add_argument("--bisection-bound", type=positive_int, default=None)
-        p.add_argument("--iso-bound", type=positive_int, default=None)
-        p.add_argument("--orbit-bound", type=positive_int, default=None)
-        p.add_argument("--report", choices=("text", "machine"),
-                       default="text")
-        p.add_argument("--timings", action="store_true",
-                       help="include wall times in the rendered report "
-                            "(breaks byte-for-byte reproducibility)")
+    parser.add_argument(
+        "command", choices=COMMANDS,
+        help="validate: run the structural validator for the input kind; "
+             "theorem3: skew group ring vs Steinberg algebra of the "
+             "transformation groupoid; theorem5: Steinberg algebra as a "
+             "partial skew inverse semigroup ring; equivalence: three-way "
+             "orbit equivalence comparison for a pair of actions")
+    parser.add_argument("input", help="path to a spec file, or a catalog name")
+    parser.add_argument("--ring", default=None,
+                        help="scalar ring tag: Q, Z, or Z/n "
+                             "(default: file setting, else Q)")
+    parser.add_argument("--bisection-bound", type=positive_int, default=None)
+    parser.add_argument("--iso-bound", type=positive_int, default=None)
+    parser.add_argument("--orbit-bound", type=positive_int, default=None)
+    parser.add_argument("--report", choices=("text", "machine"),
+                        default="text")
+    parser.add_argument("--timings", action="store_true",
+                        help="include wall times in the rendered report "
+                             "(breaks byte-for-byte reproducibility)")
     return parser
 
 

@@ -22,8 +22,7 @@ from .inverse_semigroups import bisection_semigroup
 from .partial_actions import induce_algebra_action
 from .scalars import points_at
 from .skew_rings import CovarianceModule, build_ideal, build_quotient
-from .steinberg_algebra import (GroupoidFunction, SteinbergAlgebra,
-                                split_levels)
+from .steinberg_algebra import SteinbergAlgebra, split_levels
 from .validation import BoundExceeded
 
 DEFAULT_ISO_BOUND = 10
@@ -664,29 +663,23 @@ def psi(groupoid, ring, groupoid_report,
     return realization
 
 
-def phi_classes(f, realization):
-    """The left inverse of psi_tilde: decompose f canonically into disjoint
-    bisection indicators sum r_i 1_{B_i} and map it to the class of
-    sum r_i (indicator of r(B_i)) delta_{B_i}, as {quotient index:
-    coefficient} with zeros dropped (see SkewRealization.phi_values)."""
-    if f.parent is not realization.groupoid or f.ring != realization.ring:
-        raise ValueError("function does not live on the realized groupoid")
-    index, ring = realization.groupoid._index, f.ring
-    sums = realization.phi_values({index[a]: c.value
-                                   for a, c in f.values.items()})
-    out = {q: ring.scalar(v) for q, v in sums.items()}
-    return {q: c for q, c in out.items() if c}
+def _nonzero(sums, modulus):
+    """phi_values' sums reduced mod the ring's modulus (None outside Z/n),
+    zeros dropped."""
+    if modulus:
+        sums = {q: v % modulus for q, v in sums.items()}
+    return {q: v for q, v in sums.items() if v}
 
 
 def verify_phi_left_inverse(realization):
-    """phi o psi_tilde must fix every quotient basis class."""
+    """phi o psi_tilde must fix every quotient basis class: phi of the
+    point mass at each arrow psi~(e_q), read by phi_values, must be the
+    class q with coefficient 1."""
     labels = realization.quotient.basis_labels
-    one = realization.ring.one()
+    modulus = realization.ring.modulus
     for q, t in enumerate(realization.psi_tilde.targets):
-        f = GroupoidFunction.point_mass(realization.groupoid, realization.ring,
-                                        realization.steinberg.basis_labels[t])
-        got = phi_classes(f, realization)
-        if got != {q: one}:
+        got = _nonzero(realization.phi_values({t: 1}), modulus)
+        if got != {q: 1}:
             image = " + ".join(f"{c}*{labels[i]}"
                                for i, c in sorted(got.items()))
             return (False, f"phi(psi~(e_{q})) = {image or 0}")
@@ -718,9 +711,7 @@ def verify_phi_additive(realization, rng):
         return values
 
     def nonzero(sums):
-        if modulus:
-            sums = {q: v % modulus for q, v in sums.items()}
-        return {q: v for q, v in sums.items() if v}
+        return _nonzero(sums, modulus)
 
     phi = realization.phi_values
     for trial in range(PHI_TRIALS):

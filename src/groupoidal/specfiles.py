@@ -174,6 +174,22 @@ def _pair_entries(table, what, index, noun):
         yield entry
 
 
+def _table_rows(spec, where=""):
+    """The name -> index dict of spec's elements and the index rows of its
+    table, written while the "a b" keys are read; an entry the document
+    leaves out is -1.  where prefixes the fields in messages."""
+    elements = spec["elements"]
+    if len(set(elements)) != len(elements):
+        raise SpecFileError(f"{where}elements: duplicate names")
+    index = {e: i for i, e in enumerate(elements)}
+    blank = index_row(len(elements), [-1]) * len(elements)
+    rows = [blank[:] for _ in elements]
+    for a, b, value in _pair_entries(spec["table"], f"{where}table", index,
+                                     "element"):
+        rows[a][b] = value
+    return index, rows
+
+
 def _parse_group(spec):
     if "preset" in spec:
         preset = spec["preset"]
@@ -181,14 +197,9 @@ def _parse_group(spec):
             raise SpecFileError(f"group.preset: unknown preset {preset!r} "
                                 f"(known: {', '.join(sorted(_PRESETS))})")
         return _PRESETS[preset]()
-    elements = spec["elements"]
-    if len(set(elements)) != len(elements):
-        raise SpecFileError("group.elements: duplicate names")
-    index = {e: i for i, e in enumerate(elements)}
-    table = {(elements[a], elements[b]): elements[c] for a, b, c in
-             _pair_entries(spec["table"], "group.table", index, "element")}
+    _, rows = _table_rows(spec, "group.")
     try:
-        return FiniteGroup(elements, table, name="group")
+        return FiniteGroup(spec["elements"], rows, name="group")
     except ValueError as exc:
         # Duplicate names are refused above, so the one ValueError left
         # reads "not a group: <first violation>".
@@ -247,23 +258,14 @@ def _parse_action(data):
 
 
 def _parse_semigroup(data):
-    """The index tables, written while the "a b" keys are read; an entry
-    the document leaves out is -1."""
-    elements = data["elements"]
-    if len(set(elements)) != len(elements):
-        raise SpecFileError("elements: duplicate names")
-    index = {e: i for i, e in enumerate(elements)}
-    blank = index_row(len(elements), [-1]) * len(elements)
-    table = [blank[:] for _ in elements]
-    for a, b, value in _pair_entries(data["table"], "table", index,
-                                     "element"):
-        table[a][b] = value
-    star = [-1] * len(elements)
+    """The index tables; an entry the document leaves out is -1."""
+    index, table = _table_rows(data)
+    star = [-1] * len(index)
     for key, value in data["star"].items():
         if key not in index or value not in index:
             raise SpecFileError(f"star[{key!r}]: unknown element")
         star[index[key]] = index[value]
-    return FiniteInverseSemigroup(elements, table, star,
+    return FiniteInverseSemigroup(data["elements"], table, star,
                                   name=data.get("name", "semigroup"))
 
 

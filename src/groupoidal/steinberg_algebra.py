@@ -32,14 +32,6 @@ class GroupoidFunction:
     def zero(cls, parent, ring):
         return cls(parent, ring, {})
 
-    @classmethod
-    def indicator(cls, parent, ring, arrows):
-        return cls(parent, ring, dict.fromkeys(arrows, ring.one()))
-
-    @classmethod
-    def point_mass(cls, parent, ring, arrow):
-        return cls.indicator(parent, ring, [arrow])
-
     def __call__(self, arrow):
         if arrow not in self.parent._index:
             raise ValueError(f"{arrow} is not an arrow of {self.parent.name}")

@@ -25,8 +25,9 @@ form (`families.label_view`).
 through its dense table, so that references in the tests do not read the
 product they check.  The dense vectors of the algebras are here too: the
 coordinates of a formal sum or of a groupoid function, the image of a
-vector under an AlgebraMap, the spanning rows of the ideal I, and phi as
-quotient coordinates.
+vector under an AlgebraMap, the spanning rows of the ideal I, and phi on
+a groupoid function, as classes (`phi_classes`, the label form of
+`SkewRealization.phi_values`) and as quotient coordinates.
 """
 
 import re
@@ -41,7 +42,7 @@ from groupoidal.groupoid_core import validate_groupoid
 from groupoidal.inverse_semigroups import (bisection_semigroup,
                                            natural_order,
                                            validate_inverse_semigroup)
-from groupoidal.isomorphisms import AlgebraMap, phi_classes, psi
+from groupoidal.isomorphisms import AlgebraMap, psi
 from groupoidal.partial_actions import (GroupPartialAction,
                                         induce_algebra_action,
                                         validate_group_partial_action,
@@ -452,6 +453,20 @@ def ideal_rows(ideal):
             row[r] = -ring.one()
             rows.append(row)
     return rows
+
+
+def phi_classes(f, realization):
+    """The left inverse of psi_tilde: decompose f canonically into disjoint
+    bisection indicators sum r_i 1_{B_i} and map it to the class of
+    sum r_i (indicator of r(B_i)) delta_{B_i}, as {quotient index:
+    coefficient} with zeros dropped (see SkewRealization.phi_values)."""
+    if f.parent is not realization.groupoid or f.ring != realization.ring:
+        raise ValueError("function does not live on the realized groupoid")
+    index, ring = realization.groupoid._index, f.ring
+    sums = realization.phi_values({index[a]: c.value
+                                   for a, c in f.values.items()})
+    out = {q: ring.scalar(v) for q, v in sums.items()}
+    return {q: c for q, c in out.items() if c}
 
 
 def phi(f, realization):

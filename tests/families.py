@@ -1,8 +1,9 @@
 """Groupoid families beyond the catalog, as spec documents and as parsed
 groupoids: pair groupoids and bundles of cyclic groups; the regular
 actions of cyclic groups; the symmetric inverse monoids I(X) of
-partial bijections; and inverse semigroups built from dict tables.
-Also the structures the library builds from one argument that its calls
+partial bijections; inverse semigroups and groups built from dict
+tables; and the label constructors of groupoid functions, `indicator`
+and `point_mass`, which no command needs.  Also the structures the library builds from one argument that its calls
 always pass: rho on a freshly built transformation groupoid, the
 bisection action on a freshly built bisection semigroup, and random
 scalars.
@@ -29,6 +30,7 @@ from groupoidal.isomorphisms import bisection_action, rho
 from groupoidal.partial_actions import GroupPartialAction, _PartialActionBase
 from groupoidal.scalars import Scalar, index_row
 from groupoidal.specfiles import FORMAT_TAG, parse_document
+from groupoidal.steinberg_algebra import GroupoidFunction
 from groupoidal.transformation_groupoid import build_transformation_groupoid
 
 
@@ -206,26 +208,48 @@ def idempotents(s):
     return [e for e in s.elements if mul(s, e, e) == e]
 
 
-def semigroup_from_products(elements, products, star, name="semigroup"):
-    """A FiniteInverseSemigroup with its index tables built from a dict of
-    products keyed by element pairs and a dict of pseudo-inverses.  An
+def product_rows(elements, products):
+    """The index rows of a dict of products keyed by element pairs: an
     absent key becomes -1; a value that is not an element is refused."""
     elements = list(elements)
     index = {e: i for i, e in enumerate(elements)}
+    return [index_row(len(elements), [_at(index, products.get((a, b)),
+                                          f"product of ({a}, {b})")
+                                      for b in elements])
+            for a in elements]
 
-    def at(value, where):
-        if value is None:
-            return -1
-        if value not in index:
-            raise ValueError(f"{where} is {value}, not an element")
-        return index[value]
 
-    n = len(elements)
-    table = [index_row(n, [at(products.get((a, b)), f"product of ({a}, {b})")
-                           for b in elements])
-             for a in elements]
-    star_table = [at(star.get(a), f"star of {a}") for a in elements]
+def _at(index, value, where):
+    if value is None:
+        return -1
+    if value not in index:
+        raise ValueError(f"{where} is {value}, not an element")
+    return index[value]
+
+
+def semigroup_from_products(elements, products, star, name="semigroup"):
+    """A FiniteInverseSemigroup with its index tables built from a dict of
+    products keyed by element pairs and a dict of pseudo-inverses, as
+    product_rows reads them."""
+    table = product_rows(elements, products)
+    index = {e: i for i, e in enumerate(elements)}
+    star_table = [_at(index, star.get(a), f"star of {a}") for a in elements]
     return FiniteInverseSemigroup(elements, table, star_table, name=name)
+
+
+def group_from_products(elements, products, name="group"):
+    """A FiniteGroup on the index rows of a dict of products keyed by
+    element pairs (product_rows)."""
+    return FiniteGroup(elements, product_rows(elements, products), name=name)
+
+
+def indicator(parent, ring, arrows):
+    """The indicator function of a set of arrows of parent."""
+    return GroupoidFunction(parent, ring, dict.fromkeys(arrows, ring.one()))
+
+
+def point_mass(parent, ring, arrow):
+    return indicator(parent, ring, [arrow])
 
 
 def transformation_rho(action, ring):

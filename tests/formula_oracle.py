@@ -19,8 +19,7 @@ arithmetic of the engine.
   rho's targets, and must give the same rows.
 """
 
-from families import label_view, mul
-from groupoidal.groups import FiniteGroup
+from families import group_from_products, label_view, mul, point_mass
 from groupoidal.steinberg_algebra import GroupoidFunction
 from groupoidal.validation import stable
 
@@ -64,7 +63,7 @@ def isotropy_group(g, u):
             if c not in inside:
                 raise ValueError(f"isotropy at {u} is not closed on ({a}, {b})")
             table[(a, b)] = c
-    return FiniteGroup(members, table, name=f"isotropy@{u}")
+    return group_from_products(members, table, name=f"isotropy@{u}")
 
 
 class SpaceFunction:
@@ -257,7 +256,7 @@ def round_trip_rows(module, rho_map):
     ok = True
     for i, (g, x) in enumerate(module.basis_labels):
         # rho sends the basis element e_i to the point mass at targets[i].
-        image = GroupoidFunction.point_mass(
+        image = point_mass(
             algebra.groupoid, ring, algebra.basis_labels[rho_map.targets[i]])
         if rho_inverse(image, module) != SkewElement.basis(
                 module.algebra_action, g, x):
@@ -269,7 +268,7 @@ def round_trip_rows(module, rho_map):
 
     ok = True
     for arrow in algebra.basis_labels:
-        mass = GroupoidFunction.point_mass(algebra.groupoid, ring, arrow)
+        mass = point_mass(algebra.groupoid, ring, arrow)
         # rho maps each term c e_(g, x) to c times the point mass at
         # targets[label_index(g, x)].
         image = {}

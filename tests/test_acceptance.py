@@ -10,8 +10,8 @@ import time
 from dense_oracle import (apply, from_vector, product_rows, realize,
                           skew_ring, table_of, to_vector)
 from families import (bisection_sets, family_groupoids, idempotents,
-                      label_bisection_action, order_pairs,
-                      transformation_rho)
+                      indicator, label_bisection_action, order_pairs,
+                      point_mass, transformation_rho)
 from formula_oracle import (bisection_inverse, bisection_product,
                             is_bisection, rho_inverse)
 
@@ -31,8 +31,7 @@ from groupoidal.partial_actions import (induce_algebra_action,
                                         is_topologically_free,
                                         validate_isg_partial_action)
 from groupoidal.scalars import ring_from_tag
-from groupoidal.steinberg_algebra import (GroupoidFunction, SteinbergAlgebra,
-                                          convolve)
+from groupoidal.steinberg_algebra import SteinbergAlgebra, convolve
 from groupoidal.transformation_groupoid import build_transformation_groupoid
 
 Q = ring_from_tag("Q")
@@ -65,7 +64,7 @@ def test_criterion_1_skew_ring_isomorphism_per_action():
             f = from_vector(algebra, apply(rho_map, vec))
             assert to_vector(module, rho_inverse(f, module)) == vec, name
         for k, arrow in enumerate(algebra.basis_labels):
-            mass = GroupoidFunction.point_mass(groupoid, Q, arrow)
+            mass = point_mass(groupoid, Q, arrow)
             back = apply(rho_map, to_vector(module, rho_inverse(mass, module)))
             assert from_vector(algebra, back) == mass, name
         elapsed = time.perf_counter() - start
@@ -185,10 +184,10 @@ def test_criterion_6_structural_suites():
             for c in bisections:
                 bc = bisection_product(g, b, c)
                 assert is_bisection(g, bc), name
-                fb = GroupoidFunction.indicator(g, Q, b)
-                fc = GroupoidFunction.indicator(g, Q, c)
+                fb = indicator(g, Q, b)
+                fc = indicator(g, Q, c)
                 assert convolve(fb, fc) == \
-                    GroupoidFunction.indicator(g, Q, bc), name
+                    indicator(g, Q, bc), name
         semigroup = bisection_semigroup(g)
         assert validate_inverse_semigroup(semigroup).ok, name
         order = order_pairs(semigroup)

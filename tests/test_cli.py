@@ -332,6 +332,45 @@ def test_non_positive_bound_flag_is_an_input_error(flag, capsys):
         assert "must be at least 1" in capsys.readouterr().err
 
 
+FLAGS = [("--ring", "Z"), ("--bisection-bound", "3"), ("--iso-bound", "4"),
+         ("--orbit-bound", "5"), ("--report", "machine"), ("--timings",)]
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_command_parses_with_every_flag(command):
+    flags = [part for flag in FLAGS for part in flag]
+    # A flag may come before the command or after the input.
+    for argv in ([command, "two_z2", *flags], [*flags, command, "two_z2"]):
+        args = cli.build_parser().parse_args(argv)
+        assert (args.command, args.input, args.ring, args.bisection_bound,
+                args.iso_bound, args.orbit_bound, args.report,
+                args.timings) == (command, "two_z2", "Z", 3, 4, 5,
+                                  "machine", True)
+
+
+def test_an_unknown_command_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["theorem4", "two_z2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'theorem4'" in capsys.readouterr().err
+
+
+def test_an_empty_ring_tag_is_an_input_error(tmp_path, capsys):
+    error = (2, "", "groupoidal: input error: unknown ring tag ''\n")
+    assert run_cli(capsys, "validate", "trivial_groupoid", "--ring", "") \
+        == error
+    with open(os.path.join(catalog.default_catalog_dir(),
+                           "trivial_groupoid.json")) as f:
+        spec = json.load(f)
+    path = tmp_path / "empty_ring.json"
+    for tag in ("", "  "):
+        spec["ring"] = tag
+        path.write_text(json.dumps(spec))
+        assert run_cli(capsys, "validate", str(path)) == error
+        # The flag is read before the file.
+        assert run_cli(capsys, "validate", str(path), "--ring", "Z")[0] == 0
+
+
 def test_theorem5_over_any_commutative_ring(capsys):
     # Theorem 5 holds over a commutative unital ring: over Z and Z/4 every
     # catalog groupoid passes with the report it has over Q, the ring
@@ -463,6 +502,51 @@ def test_equivalence_names_absence_when_isotropy_orders_differ(tmp_path,
     assert code == 0
     assert ("check diagonal_preserving_isomorphism: pass  "
             "[absent (no groupoid isomorphism to transport)]") in out
+
+
+def one_point_action(tmp_path, elements, table):
+    """An action file of a group, given by its elements and its table of
+    "a b" keys, acting trivially on one point."""
+    path = tmp_path / "one_point_action.json"
+    path.write_text(json.dumps({
+        "format": "groupoidal/1", "kind": "action",
+        "group": {"elements": elements, "table": table},
+        "space": ["x"], "domains": {g: ["x"] for g in elements},
+        "maps": {g: {"x": "x"} for g in elements}}))
+    return str(path)
+
+
+def z3_table():
+    """The table of Z3, its keys in reverse row-major order."""
+    elements, product = cyclic_group(3)
+    return elements, {f"{a} {b}": product(a, b)
+                      for a in reversed(elements) for b in reversed(elements)}
+
+
+@pytest.mark.parametrize("command", ["validate", "theorem3"])
+def test_a_group_table_missing_entries_names_the_first_in_element_order(
+        command, tmp_path, capsys):
+    elements, table = z3_table()
+    # Row-major order names (g0, g2) first, column-major (g2, g0).
+    for key in ("g2 g0", "g1 g2", "g0 g2"):
+        del table[key]
+    path = one_point_action(tmp_path, elements, table)
+    code, out, err = run_cli(capsys, command, path)
+    assert (code, out) == (1, "")
+    assert err == ("groupoidal: invalid structure: group table is not a "
+                   "group: table missing entry (g0, g2)\n")
+
+
+@pytest.mark.parametrize("key, value", [("g1 g2", "g9"), ("g1 g9", "g0")])
+def test_an_unknown_name_in_a_group_table_is_an_input_error(
+        key, value, tmp_path, capsys):
+    elements, table = z3_table()
+    table[key] = value
+    path = one_point_action(tmp_path, elements, table)
+    code, out, err = run_cli(capsys, "validate", path)
+    assert (code, out) == (2, "")
+    assert err == (f"groupoidal: input error: group.table[{key!r}]: "
+                   "unknown element\n")
 
 
 def test_validate_exit_one_on_broken_groupoid(tmp_path, capsys):

@@ -8,11 +8,13 @@ Kept verbatim as references, apart from their names: the dict-table
 violation lists, except that an associativity violation may name another
 triple that fails, the same identity, inverses and index tables, and the
 same unit profiles, on the presets, the catalog, seeded corruptions,
-random small tables and generated partial actions.  The unit profiles
-must also be those read off each isotropy group as a validated
-`FiniteGroup` (`isotropy_unit_profiles`, the engine's code before the
-search read element orders off the composition table), on the catalog,
-regular Z_n and the groupoid families.
+random small tables and generated partial actions.  FiniteGroup takes
+index rows (`families.product_rows`); a dict table with a value outside
+the elements has none, and the parser refuses it as an input error.
+The unit profiles must also be those read off each isotropy group as a
+validated `FiniteGroup` (`isotropy_unit_profiles`, the engine's code
+before the search read element orders off the composition table), on
+the catalog, regular Z_n and the groupoid families.
 """
 
 import random
@@ -23,8 +25,8 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 
-from families import (family_groupoids, idempotents, mul, order_pairs,
-                      regular_action)
+from families import (family_groupoids, group_from_products, idempotents,
+                      mul, order_pairs, product_rows, regular_action)
 from formula_oracle import isotropy_group
 from test_search_oracle import partial_actions
 
@@ -285,11 +287,23 @@ def assert_same_violations(violations, expected, table):
         assert violations == expected
 
 
+def group_spec(elements, table):
+    return {"elements": elements,
+            "table": {f"{a} {b}": c for (a, b), c in table.items()}}
+
+
 def assert_same_group(elements, table):
-    assert_same_violations(
-        validate_group_table(elements, table).violations,
-        reference_validate_group_table(elements, table).violations, table)
-    new, old = outcome(FiniteGroup, elements, table), \
+    expected = reference_validate_group_table(elements, table).violations
+    try:
+        rows = product_rows(elements, table)
+    except ValueError:
+        assert any(v.endswith("is not an element") for v in expected)
+        with pytest.raises(specfiles.SpecFileError, match="unknown element"):
+            specfiles._parse_group(group_spec(elements, table))
+        return False
+    assert_same_violations(validate_group_table(elements, rows).violations,
+                           expected, table)
+    new, old = outcome(FiniteGroup, elements, rows), \
         outcome(ReferenceGroup, elements, table)
     if isinstance(old, str):
         prefix = "not a group: "
@@ -331,7 +345,8 @@ def test_a_group_is_an_inverse_semigroup():
         assert validate_inverse_semigroup(group).ok
         assert idempotents(group) == [group.identity] == [group.unit]
     for elements, table in TABLES.values():
-        assert validate_inverse_semigroup(FiniteGroup(elements, table)).ok
+        assert validate_inverse_semigroup(
+            group_from_products(elements, table)).ok
 
 
 def test_parse_group_validates_once(monkeypatch):
@@ -344,8 +359,7 @@ def test_parse_group_validates_once(monkeypatch):
 
     monkeypatch.setattr(groups, "validate_group_table", counted)
     elements, table = TABLES["S3"]
-    spec = {"elements": elements,
-            "table": {f"{a} {b}": c for (a, b), c in table.items()}}
+    spec = group_spec(elements, table)
     group = specfiles._parse_group(spec)
     assert len(calls) == 1
     assert group.order == 6

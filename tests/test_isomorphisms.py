@@ -5,8 +5,8 @@ import pytest
 
 from dense_oracle import (apply, from_vector, ideal_rows, mul_basis,
                           mul_vectors, phi, realize, skew_ring, to_vector)
-from families import (order_pairs, random_scalar, range_set,
-                      transformation_rho)
+from families import (indicator, order_pairs, point_mass, random_scalar,
+                      range_set, transformation_rho)
 from formula_oracle import SkewElement, SpaceFunction, rho_inverse
 from test_phi_oracle import class_of
 from test_search_oracle import verify_groupoid_isomorphism
@@ -173,7 +173,7 @@ def test_rho_inverse_examples(Q):
     tg = build_transformation_groupoid(action)
     zero = GroupoidFunction.zero(tg, Q)
     assert not rho_inverse(zero, module)
-    mass = GroupoidFunction.point_mass(tg, Q, ("g", "1"))
+    mass = point_mass(tg, Q, ("g", "1"))
     skew = rho_inverse(mass, module)
     assert skew == SkewElement.basis(module.algebra_action, "g", "1")
 
@@ -336,7 +336,7 @@ def test_psi_on_indicator_of_range(Q):
             elem = SkewElement(alg, {bis: f}) if f else SkewElement.zero(alg)
             image = from_vector(r.steinberg,
                                 apply(r.psi_map, to_vector(r.module, elem)))
-            assert image == GroupoidFunction.indicator(g, Q, bis)
+            assert image == indicator(g, Q, bis)
 
 
 def test_psi_over_prime_field(Z5):
@@ -385,7 +385,7 @@ def test_phi_examples(Q):
     for bis in r.semigroup.elements:
         if not bis:
             continue
-        f = GroupoidFunction.indicator(g, Q, bis)
+        f = indicator(g, Q, bis)
         expected_elem = SkewElement(
             r.module.algebra_action,
             {bis: SpaceFunction.indicator(Q, range_set(g, bis))})

@@ -9,6 +9,12 @@ values, the same verdicts and texts, and draw the same random numbers, on
 the catalog, on the 16-arrow pair groupoid and on seeded corruptions.  The
 induced action checks nothing, so it is compared on the actions that pass
 their validator.
+
+`label_left_inverse` is the left-inverse check as it ran on labels, a
+point mass per class of L/I read back through `dense_oracle.phi_classes`;
+the engine's reads `SkewRealization.phi_values` on arrow indices and
+must give the same verdict and text, also where a class is wrong or,
+over Z/2, where a sum of phi reduces to 0.
 """
 
 import copy
@@ -16,15 +22,16 @@ import random
 
 import pytest
 
-from dense_oracle import phi, realize
-from families import (SemigroupPartialAction, label_bisection_action_of,
-                      label_view, pair_groupoid_spec, parse, random_scalar,
+from dense_oracle import phi, phi_classes, realize
+from families import (SemigroupPartialAction, indicator,
+                      label_bisection_action_of, label_view,
+                      pair_groupoid_spec, parse, point_mass, random_scalar,
                       range_set)
 from formula_oracle import SpaceFunction, alpha, is_bisection
 
 import catalog
 from groupoidal import ring_from_tag
-from groupoidal.isomorphisms import (phi_classes, verify_phi_additive,
+from groupoidal.isomorphisms import (_nonzero, verify_phi_additive,
                                      verify_phi_left_inverse)
 from groupoidal.partial_actions import (AlgebraPartialAction,
                                         induce_algebra_action,
@@ -35,6 +42,7 @@ from groupoidal.steinberg_algebra import (GroupoidFunction,
                                           disjoint_decomposition)
 
 RING_TAGS = ("Q", "Z", "Z/4", "Z/5")
+EVERY_RING_TAG = ("Q", "Z", "Z/2", "Z/4", "Z/5")
 GROUPOIDS = tuple(catalog.groupoid_names()) + ("pair_groupoid_4",)
 
 
@@ -95,14 +103,29 @@ def reference_left_inverse(realization):
     quotient = realization.quotient
     steinberg = realization.steinberg
     for q, t in enumerate(realization.psi_tilde.targets):
-        f = GroupoidFunction.point_mass(realization.groupoid, realization.ring,
-                                        steinberg.basis_labels[t])
+        f = point_mass(realization.groupoid, realization.ring,
+                       steinberg.basis_labels[t])
         got = reference_phi(f, realization)
         expected = zero_vector(realization.ring, quotient.dim)
         expected[q] = realization.ring.one()
         if got != expected:
             return (False, f"phi(psi~(e_{q})) = "
                            f"{_vector_repr(quotient, got)}")
+    return (True, None)
+
+
+def label_left_inverse(realization):
+    """phi o psi_tilde must fix every quotient basis class."""
+    labels = realization.quotient.basis_labels
+    one = realization.ring.one()
+    for q, t in enumerate(realization.psi_tilde.targets):
+        f = point_mass(realization.groupoid, realization.ring,
+                       realization.steinberg.basis_labels[t])
+        got = phi_classes(f, realization)
+        if got != {q: one}:
+            image = " + ".join(f"{c}*{labels[i]}"
+                               for i, c in sorted(got.items()))
+            return (False, f"phi(psi~(e_{q})) = {image or 0}")
     return (True, None)
 
 
@@ -186,8 +209,8 @@ def test_phi_equals_the_reference_on_random_functions(name, tag):
 @pytest.mark.parametrize("name", GROUPOIDS)
 def test_phi_checks_equal_the_reference(name, tag):
     r = realization(name, tag)
-    assert verify_phi_left_inverse(r) == reference_left_inverse(r) \
-        == (True, None)
+    assert verify_phi_left_inverse(r) == label_left_inverse(r) \
+        == reference_left_inverse(r) == (True, None)
     fast_rng, slow_rng = random.Random(0), random.Random(0)
     assert verify_phi_additive(r, fast_rng) == \
         reference_additive(r, slow_rng) == (True, None)
@@ -209,7 +232,8 @@ def test_a_mutated_class_fails_alike(name, tag):
     for a in indices:
         old = cls[a]
         cls[a] = (old + 1) % dim
-        assert verify_phi_left_inverse(r) == reference_left_inverse(r)
+        assert verify_phi_left_inverse(r) == label_left_inverse(r) \
+            == reference_left_inverse(r)
         fast_rng, slow_rng = random.Random(a), random.Random(a)
         fast = verify_phi_additive(r, fast_rng)
         assert fast == reference_additive(r, slow_rng)
@@ -219,6 +243,54 @@ def test_a_mutated_class_fails_alike(name, tag):
             assert fast[1].startswith("additivity fails at trial ")
             failing += 1
     assert failing > 0
+
+
+def assert_phi_checks_agree(r, seed):
+    """The left-inverse check equals its label and vector forms, and the
+    additive check its vector form with the same draws, on r as it
+    stands; returns the left-inverse verdict."""
+    left = verify_phi_left_inverse(r)
+    assert left == label_left_inverse(r) == reference_left_inverse(r)
+    fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+    assert verify_phi_additive(r, fast_rng) == \
+        reference_additive(r, slow_rng)
+    assert fast_rng.getstate() == slow_rng.getstate()
+    return left
+
+
+@pytest.mark.parametrize("tag", EVERY_RING_TAG)
+def test_a_wrong_class_fails_alike_over_every_ring(tag):
+    """The basis element of L that phi sends psi~(e_q) to moves to the
+    next class: both paths fail at q and name that class."""
+    r = build_realization("pair_groupoid_3", tag)
+    module, quotient, q = r.module, r.quotient, 1
+    arrow = r.steinberg.basis_labels[r.psi_tilde.targets[q]]
+    a = module.label_index(frozenset([arrow]), r.groupoid.range(arrow))
+    assert quotient._class[a] == q
+    wrong = (q + 1) % quotient.dim
+    quotient._class[a] = wrong
+    assert assert_phi_checks_agree(r, q) == (
+        False, f"phi(psi~(e_{q})) = 1*{quotient.basis_labels[wrong]}")
+
+
+@pytest.mark.parametrize("tag", EVERY_RING_TAG)
+def test_a_sum_reducing_to_zero_is_dropped_alike(tag):
+    """The two points of a two-arrow bisection B go to one class, so
+    phi(1_B) adds 1 there twice: 2, or 0 and dropped over Z/2.  The
+    reduced sums of phi_values equal phi_classes, and both paths give
+    every check the same verdict.  A point mass adds 1 to one class, so
+    the left-inverse check itself never meets a zero sum."""
+    r = build_realization("pair_groupoid_3", tag)
+    g, module, cls = r.groupoid, r.module, r.quotient._class
+    bis = next(b for b in r.semigroup.elements if len(b) == 2)
+    first, second = (module.label_index(bis, g.range(b)) for b in bis)
+    cls[second] = cls[first]
+    sums = _nonzero(r.phi_values({g.index(b): 1 for b in bis}),
+                    r.ring.modulus)
+    assert sums == {q: c.value for q, c in
+                    phi_classes(indicator(g, r.ring, bis), r).items()}
+    assert sums == ({} if tag == "Z/2" else {cls[first]: 2})
+    assert_phi_checks_agree(r, 0)
 
 
 def catalog_actions():

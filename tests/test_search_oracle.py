@@ -16,10 +16,10 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from families import group_from_products
 
 import catalog
 from groupoidal import isomorphisms
-from groupoidal.groups import FiniteGroup
 from groupoidal.isomorphisms import (DEFAULT_ISO_BOUND, DEFAULT_ORBIT_BOUND,
                                      GroupoidIsomorphism,
                                      OrbitEquivalenceData,
@@ -192,9 +192,9 @@ def relabeled(action, order):
 
 def cyclic_group(n):
     elements = [f"g{r}" for r in range(n)]
-    return FiniteGroup(elements, {(f"g{a}", f"g{b}"): f"g{(a + b) % n}"
-                                  for a in range(n) for b in range(n)},
-                       name=f"Z{n}")
+    return group_from_products(
+        elements, {(f"g{a}", f"g{b}"): f"g{(a + b) % n}"
+                   for a in range(n) for b in range(n)}, name=f"Z{n}")
 
 
 def restricted_rotation(n, step, points):
@@ -242,7 +242,7 @@ def permutation_action(generators, points):
     perms = permutation_group(generators)
     names = [f"s{i}" for i in range(len(perms))]
     position = {p: i for i, p in enumerate(perms)}
-    group = FiniteGroup(names, {
+    group = group_from_products(names, {
         (names[i], names[j]): names[position[tuple(p[x] for x in q)]]
         for i, p in enumerate(perms) for j, q in enumerate(perms)},
         name=f"<{generators}>")
@@ -385,9 +385,10 @@ def trivial_action(group, n):
 
 
 def test_isotropy_element_orders_decide_without_backtracking(monkeypatch):
-    klein = FiniteGroup([f"g{a}" for a in range(4)],
-                        {(f"g{a}", f"g{b}"): f"g{a ^ b}"
-                         for a in range(4) for b in range(4)}, name="Z2xZ2")
+    klein = group_from_products([f"g{a}" for a in range(4)],
+                                {(f"g{a}", f"g{b}"): f"g{a ^ b}"
+                                 for a in range(4) for b in range(4)},
+                                name="Z2xZ2")
     g1 = build_transformation_groupoid(trivial_action(cyclic_group(4), 5))
     g2 = build_transformation_groupoid(trivial_action(klein, 5))
     # 20 arrows and five units of profile (4, 4) on both sides: only the

@@ -4,7 +4,7 @@ import pytest
 from dense_oracle import product_rows, table_of
 from formula_oracle import bisection_product
 
-from families import bisection_sets, random_scalar
+from families import bisection_sets, indicator, point_mass, random_scalar
 import catalog
 from groupoidal.steinberg_algebra import (GroupoidFunction, SteinbergAlgebra,
                                           convolve, disjoint_decomposition)
@@ -38,10 +38,10 @@ def test_indicator_convolution_is_bisection_product(name, Q):
     g = catalog.load_groupoid(name)
     bisections = bisection_sets(g)
     for b in bisections:
-        fb = GroupoidFunction.indicator(g, Q, b)
+        fb = indicator(g, Q, b)
         for c in bisections:
-            fc = GroupoidFunction.indicator(g, Q, c)
-            expected = GroupoidFunction.indicator(g, Q, bisection_product(g, b, c))
+            fc = indicator(g, Q, c)
+            expected = indicator(g, Q, bisection_product(g, b, c))
             assert convolve(fb, fc) == expected
 
 
@@ -55,11 +55,11 @@ def test_convolution_with_zero(Q):
 
 def test_pair_groupoid_point_mass_convolution(Q):
     g = catalog.load_groupoid("pair_groupoid_2")
-    fa = GroupoidFunction.point_mass(g, Q, "a")
-    fainv = GroupoidFunction.point_mass(g, Q, g.inverse("a"))
+    fa = point_mass(g, Q, "a")
+    fainv = point_mass(g, Q, g.inverse("a"))
     expected = convolve_oracle(fa, fainv)
     assert convolve(fa, fainv) == expected
-    assert expected == GroupoidFunction.point_mass(g, Q, g.range("a"))
+    assert expected == point_mass(g, Q, g.range("a"))
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -75,11 +75,11 @@ def test_mixed_parent_or_ring_rejected(Q, Z):
     g1 = catalog.load_groupoid("trivial_groupoid")
     g2 = catalog.load_groupoid("two_isolated_units")
     with pytest.raises(ValueError):
-        convolve(GroupoidFunction.indicator(g1, Q, ["u"]),
-                 GroupoidFunction.indicator(g2, Q, ["u"]))
+        convolve(indicator(g1, Q, ["u"]),
+                 indicator(g2, Q, ["u"]))
     with pytest.raises(ValueError):
-        convolve(GroupoidFunction.indicator(g1, Q, ["u"]),
-                 GroupoidFunction.indicator(g1, Z, ["u"]))
+        convolve(indicator(g1, Q, ["u"]),
+                 indicator(g1, Z, ["u"]))
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -112,7 +112,7 @@ def test_diagonal_elements_commute_and_multiply_pointwise(Q):
 def test_disjoint_decomposition_single_bisection(Q):
     g = catalog.load_groupoid("pair_groupoid_2")
     b = frozenset({"a", "b"})
-    f = GroupoidFunction.indicator(g, Q, b)
+    f = indicator(g, Q, b)
     assert disjoint_decomposition(f) == [(Q.one(), b)]
 
 
@@ -157,9 +157,9 @@ def test_disjoint_decomposition_deterministic(Q):
 @pytest.mark.parametrize("name", SMALL)
 def test_unit_checks(name, Q):
     g = catalog.load_groupoid(name)
-    unit_fn = GroupoidFunction.indicator(g, Q, g.units)
+    unit_fn = indicator(g, Q, g.units)
     for b in bisection_sets(g):
-        fb = GroupoidFunction.indicator(g, Q, b)
+        fb = indicator(g, Q, b)
         assert convolve(unit_fn, fb) == fb
         assert convolve(fb, unit_fn) == fb
 
@@ -170,7 +170,7 @@ def test_diagonal_idempotents_restrict(Q):
     units = g.sort_arrows(g.units)
     for k in range(1 << len(units)):
         subset = {u for i, u in enumerate(units) if k >> i & 1}
-        e = GroupoidFunction.indicator(g, Q, subset)
+        e = indicator(g, Q, subset)
         f = random_function(g, Q, rng)
         # 1_U * f and f * 1_U restrict f to the arrows with range, or
         # source, in U.
