@@ -49,9 +49,8 @@ def _image_listing(algebra_map):
     report itself.  A domain label is a pair (s, x), and each distinct s,
     x and image is rendered once."""
     arrows = algebra_map.codomain.basis_labels
-    one = algebra_map.codomain.ring.one()
     render = functools.cache(stable)
-    return "; ".join(f"({render(s)},{render(x)})->{render(arrows[t])}:{one}"
+    return "; ".join(f"({render(s)},{render(x)})->{render(arrows[t])}:1"
                      for (s, x), t in zip(algebra_map.domain.basis_labels,
                                           algebra_map.targets))
 
@@ -128,7 +127,7 @@ def cmd_theorem3(doc, ring, bounds, report):
     report.add("transformation_groupoid_axioms", PASS,
                f"{groupoid.n_arrows} arrows")
 
-    module = CovarianceModule(induce_algebra_action(action, ring))
+    module = CovarianceModule(induce_algebra_action(action))
     module.verify_associativity((action.group.table_report, result))
     report.add("dimension_match",
                _flag_status(module.dim == groupoid.n_arrows),
@@ -136,7 +135,7 @@ def cmd_theorem3(doc, ring, bounds, report):
     # Both premises pass: action_axioms, and the group's table_report.
     report.add("skew_associativity", _flag_status(module.associative))
 
-    rho_map = rho(action, ring, groupoid, module=module)
+    rho_map = rho(action, groupoid, module=module)
     for kind in ("homomorphism", "injective", "surjective"):
         flag, detail = rho_map.certificates[kind]
         report.add(f"rho_{kind}", _flag_status(flag), detail or "")
@@ -176,7 +175,7 @@ def cmd_theorem5(doc, ring, bounds, report):
 
     # Both bisection rows rest on groupoid_axioms: see bisection_semigroup
     # and bisection_action, read off the semigroup's arrow indices.
-    realization = psi(groupoid, ring, result,
+    realization = psi(groupoid, result,
                       bisection_bound=bounds["bisection"])
     report.add("bisection_semigroup_axioms", PASS,
                f"{realization.semigroup.order} bisections")
@@ -210,7 +209,7 @@ def cmd_theorem5(doc, ring, bounds, report):
     report.add("phi_left_inverse", _flag_status(ok),
                detail or "phi o psi~ = id on the full quotient basis")
 
-    ok, detail = verify_phi_additive(realization, random.Random(0))
+    ok, detail = verify_phi_additive(realization, ring, random.Random(0))
     report.add("phi_additive_mod_ideal", _flag_status(ok),
                detail or f"{PHI_TRIALS} random pairs")
 
@@ -279,8 +278,8 @@ def cmd_equivalence(doc, ring, bounds, report):
 
     transported = None
     if iso is not None:
-        rho_left = rho(left, ring, groupoids["left"])
-        rho_right = rho(right, ring, groupoids["right"])
+        rho_left = rho(left, groupoids["left"])
+        rho_right = rho(right, groupoids["right"])
         gamma = steinberg_transport(iso, rho_left.codomain,
                                     rho_right.codomain)
         skew_phi = transported_skew_isomorphism(rho_left, rho_right, gamma)

@@ -138,11 +138,10 @@ class AlgebraMap:
         for a, t in enumerate(self.targets):
             m = last[t]
             if m != a:
-                one = self.domain.ring.one()
                 labels = self.domain.basis_labels
                 return self._store("injective", False,
-                                   f"kernel vector {one}*{labels[a]} + "
-                                   f"{-one}*{labels[m]}")
+                                   f"kernel vector 1*{labels[a]} + "
+                                   f"-1*{labels[m]}")
         return self._store("injective", True, None)
 
     def certify_surjective(self):
@@ -200,9 +199,8 @@ class AlgebraMap:
 
     def compose(self, inner, name=None):
         """self o inner.  The middle algebras must agree structurally
-        (same ring and basis), not necessarily as objects."""
-        if (inner.codomain.ring != self.domain.ring
-                or inner.codomain.basis_labels != self.domain.basis_labels):
+        (same basis), not necessarily as objects."""
+        if inner.codomain.basis_labels != self.domain.basis_labels:
             raise ValueError("composition domains do not match")
         return AlgebraMap(inner.domain, self.codomain,
                           [self.targets[t] for t in inner.targets],
@@ -218,15 +216,15 @@ class AlgebraMap:
 # group action.
 # ---------------------------------------------------------------------------
 
-def rho(action, ring, groupoid, module=None):
+def rho(action, groupoid, module=None):
     """The isomorphism from the partial skew group ring onto the Steinberg
     algebra of groupoid, the transformation groupoid of the action.  On
     basis elements it sends the point mass at x in D_g (times delta_g) to
     the point mass at the arrow (g, x).  All four certificates are
     computed exhaustively."""
     if module is None:
-        module = CovarianceModule(induce_algebra_action(action, ring))
-    algebra = SteinbergAlgebra(groupoid, ring)
+        module = CovarianceModule(induce_algebra_action(action))
+    algebra = SteinbergAlgebra(groupoid)
     targets = [groupoid.index(label) for label in module.basis_labels]
     return AlgebraMap(module, algebra, targets, name="rho").certify_all()
 
@@ -559,10 +557,9 @@ class SkewRealization:
     module L of its action, the ideal I, the quotient L/I, and the certified
     maps psi (on L) and psi_tilde (on L/I)."""
 
-    def __init__(self, groupoid, ring, semigroup, module, ideal, quotient,
+    def __init__(self, groupoid, semigroup, module, ideal, quotient,
                  steinberg, psi_map, psi_tilde):
         self.groupoid = groupoid
-        self.ring = ring
         self.semigroup = semigroup
         self.module = module
         self.ideal = ideal
@@ -606,7 +603,7 @@ class SkewRealization:
         return out
 
 
-def psi(groupoid, ring, groupoid_report,
+def psi(groupoid, groupoid_report,
         bisection_bound=DEFAULT_BISECTION_BOUND):
     """Realize the Steinberg algebra of a finite groupoid as a partial skew
     inverse semigroup ring over its bisection semigroup.
@@ -627,9 +624,9 @@ def psi(groupoid, ring, groupoid_report,
     """
     semigroup = bisection_semigroup(groupoid, bisection_bound)
     module = CovarianceModule(induce_algebra_action(
-        bisection_action(groupoid, semigroup), ring))
+        bisection_action(groupoid, semigroup)))
     module.verify_associativity((groupoid_report,))
-    steinberg = SteinbergAlgebra(groupoid, ring)
+    steinberg = SteinbergAlgebra(groupoid)
 
     # (B, u) goes to the arrow of B with range u, its column point: L
     # lists the (B, r(b)) in the order of semigroup._arrows (star_graph).
@@ -647,7 +644,7 @@ def psi(groupoid, ring, groupoid_report,
     psi_tilde = AlgebraMap(quotient, steinberg,
                            [targets[a] for a in quotient.representatives],
                            name="psi~")
-    realization = SkewRealization(groupoid, ring, semigroup, module, ideal,
+    realization = SkewRealization(groupoid, semigroup, module, ideal,
                                   quotient, steinberg, psi_map, psi_tilde)
     # psi~(pi(a) pi(b)) = psi~(pi(ab)) = psi(ab) = psi(a) psi(b): the
     # first step is representative independence, which build_quotient
@@ -663,43 +660,31 @@ def psi(groupoid, ring, groupoid_report,
     return realization
 
 
-def _nonzero(sums, modulus):
-    """phi_values' sums reduced mod the ring's modulus (None outside Z/n),
-    zeros dropped."""
-    if modulus:
-        sums = {q: v % modulus for q, v in sums.items()}
-    return {q: v for q, v in sums.items() if v}
-
-
 def verify_phi_left_inverse(realization):
     """phi o psi_tilde must fix every quotient basis class: phi of the
     point mass at each arrow psi~(e_q), read by phi_values, must be the
-    class q with coefficient 1."""
+    class q with coefficient 1.  A point mass is one block of split_levels,
+    so phi_values gives it one class with coefficient 1 over every ring."""
     labels = realization.quotient.basis_labels
-    modulus = realization.ring.modulus
     for q, t in enumerate(realization.psi_tilde.targets):
-        got = _nonzero(realization.phi_values({t: 1}), modulus)
-        if got != {q: 1}:
-            image = " + ".join(f"{c}*{labels[i]}"
-                               for i, c in sorted(got.items()))
-            return (False, f"phi(psi~(e_{q})) = {image or 0}")
+        (got, c), = realization.phi_values({t: 1}).items()
+        if got != q:
+            return (False, f"phi(psi~(e_{q})) = {c}*{labels[got]}")
     return (True, None)
 
 
 PHI_TRIALS = 200
 
 
-def verify_phi_additive(realization, rng):
+def verify_phi_additive(realization, ring, rng):
     """phi(f + g) = phi(f) + phi(g) as classes, on PHI_TRIALS random
-    pairs.  Each pair is drawn as values on arrow indices, by the calls of
-    rng that random GroupoidFunctions would make: for each arrow in order,
-    a coin and, on heads, ScalarRing.random_value's draw, kept when
-    nonzero.  The
-    pair's values are then scaled by the least common multiple of their
-    denominators (1 outside Q), which keeps the answer of every sum,
-    equality and zero test, so the trial runs on integers."""
-    ring, n = realization.ring, realization.steinberg.dim
-    modulus = ring.modulus
+    pairs over ring.  Each pair is drawn as values on arrow indices, by
+    the calls of rng that random GroupoidFunctions would make: for each
+    arrow in order, a coin and, on heads, ring.random_value's draw, kept
+    when nonzero.  The pair's values are then scaled by the least common
+    multiple of their denominators (1 outside Q), which keeps the answer
+    of every sum, equality and zero test, so the trial runs on integers."""
+    n, modulus = realization.steinberg.dim, ring.modulus
 
     def draw():
         values = {}
@@ -711,7 +696,10 @@ def verify_phi_additive(realization, rng):
         return values
 
     def nonzero(sums):
-        return _nonzero(sums, modulus)
+        # Reduced mod the modulus (None outside Z/n), zeros dropped.
+        if modulus:
+            sums = {q: v % modulus for q, v in sums.items()}
+        return {q: v for q, v in sums.items() if v}
 
     phi = realization.phi_values
     for trial in range(PHI_TRIALS):

@@ -214,13 +214,12 @@ class AlgebraPartialAction:
     D_s is the ideal of functions vanishing off X_s, and the isomorphism
     alpha_s: D_{s*} -> D_s is f -> f o theta_{s*} on X_s, zero elsewhere."""
 
-    def __init__(self, action, ring):
+    def __init__(self, action):
         self.action = action
         self.index = action.index
-        self.ring = ring
 
 
-def induce_algebra_action(action, ring):
+def induce_algebra_action(action):
     """The algebra-level action of an action that is validated
     (validate_isg_partial_action or validate_group_partial_action), or
     built from a validated groupoid (bisection_action).
@@ -229,4 +228,4 @@ def induce_algebra_action(action, ring):
     theta_s.  Composing with it is a ring isomorphism from the functions
     vanishing off X_{s*} onto those vanishing off X_s, which is what
     alpha_s: D_{s*} -> D_s must be."""
-    return AlgebraPartialAction(action, ring)
+    return AlgebraPartialAction(action)

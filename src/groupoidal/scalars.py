@@ -5,6 +5,20 @@ exact linear algebra over fields.
 All arithmetic is arbitrary precision; no value is ever rounded.  Rationals
 are stored as ``fractions.Fraction`` (lowest terms, positive denominator),
 integers as Python ints, and residues mod n as ints in [0, n).
+
+Base change.  A_R(G), the covariance module L and the quotient L/I are
+built once, over Z, with no scalar ring (for A_R(G), see Steinberg, A
+groupoid approach to discrete inverse semigroup algebras, 2010).  Each
+has a basis whose nonzero products are basis elements, I is spanned by
+the differences e_a - e_rep(a), and rho, psi, psi~, Gamma and Phi send
+basis elements to basis elements.  So over every R each algebra is
+R (x)_Z of its Z-form, L/I is free on the classes, and each map has the
+same targets.  Every certificate compares basis indices, and a failure
+names basis elements or the kernel vector e_a - e_m, nonzero over Q, Z
+and Z/n, so each verdict is the same over every R.  The ring is read
+only by the command line (the report header and equivalence's
+integral-domain guard), by the random draws of phi's additivity trials,
+and by GroupoidFunction.
 """
 
 from __future__ import annotations
@@ -67,15 +81,8 @@ class ScalarRing:
             raise ValueError(f"ring {kind} takes no modulus")
         self.kind = kind
         self.modulus = modulus
-        if kind == "Q":
-            self.is_field = True
-            self.is_integral_domain = True
-        elif kind == "Z":
-            self.is_field = False
-            self.is_integral_domain = True
-        else:
-            self.is_field = _is_prime(modulus)
-            self.is_integral_domain = self.is_field
+        self.is_field = kind == "Q" or (kind == "Zn" and _is_prime(modulus))
+        self.is_integral_domain = self.is_field or kind == "Z"
 
     def __eq__(self, other):
         return (isinstance(other, ScalarRing)
@@ -119,14 +126,16 @@ class ScalarRing:
 
 
 def ring_from_tag(tag):
-    """Build a ring from its input-file tag: "Q", "Z" or "Z/n"."""
+    """Build a ring from its input-file tag, outer whitespace stripped:
+    "Q", "Z", or "Z/" and ASCII digits; any other tag is unknown."""
     tag = tag.strip()
     if tag == "Q":
         return ScalarRing("Q")
     if tag == "Z":
         return ScalarRing("Z")
-    if tag.startswith("Z/"):
-        return ScalarRing("Zn", int(tag[2:]))
+    digits = tag[2:]
+    if tag.startswith("Z/") and digits.isascii() and digits.isdigit():
+        return ScalarRing("Zn", int(digits))
     raise ValueError(f"unknown ring tag {tag!r}")
 
 

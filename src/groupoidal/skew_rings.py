@@ -7,8 +7,8 @@ L and L/I are based algebras with 0/1 structure constants, both kept
 factored by the row and column point of each basis element, with no
 product table.  I is spanned by differences of basis vectors, so it is a
 congruence on the basis; for the bisection action its classes are the
-germs, read off the bisections' masks over any scalar ring.  L/I has
-one basis element per class.
+germs, read off the bisections' masks.  L/I has one basis element per
+class.  L, I and L/I carry no scalar ring (see the scalars module).
 
 The empty-domain convention: an index element with empty domain
 contributes no basis vectors (D_s = {0}), which covers the zero bisection
@@ -17,7 +17,8 @@ of a bisection semigroup.
 
 from __future__ import annotations
 
-from .scalars import BasedAlgebra, SpanTracker, points_at, zero_vector
+from .scalars import (BasedAlgebra, ScalarRing, SpanTracker, points_at,
+                      zero_vector)
 from .validation import ValidationReport
 
 
@@ -37,7 +38,6 @@ class CovarianceModule(BasedAlgebra):
 
     def __init__(self, algebra_action):
         self.algebra_action = algebra_action
-        self.ring = algebra_action.ring
         index, action = algebra_action.index, algebra_action.action
         self._index = index
         self._point = {x: p for p, x in enumerate(action.space)}
@@ -209,7 +209,6 @@ class QuotientAlgebra(BasedAlgebra):
     def __init__(self, module, ideal):
         self.module = module
         self.ideal = ideal
-        self.ring = module.ring
         self.representatives = [a for a, r in enumerate(ideal.rep) if a == r]
         position = {a: q for q, a in enumerate(self.representatives)}
         # _class[a] is the quotient index of e_a; the trailing -1 sends a
@@ -313,23 +312,22 @@ def check_pregrading(quotient):
     in B_st; and for s <= t the generator e_(s,x) - e_(t,x) of I puts the
     class of e_(s,x) in B_t; without it there is no product to pre-grade.
     Spanning holds too: the e_(s,x) over every s and x in X_s are L's
-    basis, and each class of L/I has its representative there.  Over a field the unit vectors of the classes
-    still go through a SpanTracker, whose span perfbench's trace expects
-    (ROADMAP item 3); its rank is then dim L/I.
+    basis, and each class of L/I has its representative there.  The
+    unit vectors of the classes still go through a SpanTracker over Q,
+    whose span perfbench's trace expects (ROADMAP item 3); being unit
+    vectors, they span over every ring as they do over Q.
     """
     index = quotient.module.algebra_action.index
     report = ValidationReport(f"pre-grading over {getattr(index, 'name', 'index')}")
-    ring = quotient.ring
     if quotient.representative_independence_violation is not None:
         report.add("B_s B_t is not defined: representative independence "
                    "failed")
-    if ring.is_field:
-        span = SpanTracker(ring, quotient.dim)
-        for i in range(quotient.dim):
-            vec = zero_vector(ring, quotient.dim)
-            vec[i] = ring.one()
-            span.add(vec)
-        if span.dimension != quotient.dim:
-            report.add(f"the union of the B_s spans only {span.dimension} "
-                       f"of {quotient.dim} dimensions")
+    span = SpanTracker(ScalarRing("Q"), quotient.dim)
+    for i in range(quotient.dim):
+        vec = zero_vector(span.ring, quotient.dim)
+        vec[i] = span.ring.one()
+        span.add(vec)
+    if span.dimension != quotient.dim:
+        report.add(f"the union of the B_s spans only {span.dimension} "
+                   f"of {quotient.dim} dimensions")
     return report

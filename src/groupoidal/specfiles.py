@@ -4,10 +4,12 @@ partial group actions, inverse semigroups, and pairs of actions.
 Before any table is read, one shape check walks the whole document: the
 required and allowed fields of each kind (unknown fields are rejected),
 strings where names go, non-empty name lists, objects of strings for
-tables, and integer bounds >= 1.  Its faults read ``schema violation at
-<json/path>``.  Malformed documents (bad JSON, shape faults, unresolved
-names) raise SpecFileError and map to exit code 2; mathematically broken
-but well-formed content is left for the validators (exit code 1).
+tables, names with no whitespace for the arrows and elements that "a b"
+table keys hold, and integer bounds >= 1.  Its faults read ``schema
+violation at <json/path>``.  Malformed documents (bad JSON, shape
+faults, unresolved names) raise SpecFileError and map to exit code 2;
+mathematically broken but well-formed content is left for the
+validators (exit code 1).
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ def _expect(ok, path, expected, value):
 
 def _string(value, path):
     _expect(isinstance(value, str), path, "a string", value)
+
+
+def _key_name(value, path):
+    # A name in an "a b" table key must split back out of it.
+    _expect(isinstance(value, str) and value.split() == [value], path,
+            "a non-empty string without whitespace", value)
 
 
 def _bound(value, path):
@@ -96,7 +104,8 @@ def _table(value, path):
 
 
 _NAMES = _array(_string, nonempty=True)  # units and domain lists may be empty
-_GROUP_FIELDS = _object(preset=_string, elements=_NAMES, table=_table)
+_KEY_NAMES = _array(_key_name, nonempty=True)
+_GROUP_FIELDS = _object(preset=_string, elements=_KEY_NAMES, table=_table)
 
 
 def _group(value, path):
@@ -128,11 +137,11 @@ def _side(value, path):
 _SHAPES = {
     "groupoid": _document("groupoid", ("arrows", "units", "inverse",
                                        "compose"),
-                          arrows=_NAMES, units=_array(_string),
+                          arrows=_KEY_NAMES, units=_array(_string),
                           inverse=_table, compose=_table),
     "action": _ACTION,
     "semigroup": _document("semigroup", ("elements", "table", "star"),
-                           elements=_NAMES, table=_table, star=_table),
+                           elements=_KEY_NAMES, table=_table, star=_table),
     "pair": _document("pair", ("left", "right"), left=_side, right=_side),
 }
 

@@ -5,7 +5,6 @@ function into disjoint bisection indicators."""
 from __future__ import annotations
 
 from .groupoid_core import GroupoidProduct
-from .scalars import zero_vector
 
 
 class GroupoidFunction:
@@ -147,22 +146,19 @@ def disjoint_decomposition(f):
 class SteinbergAlgebra(GroupoidProduct):
     """Coordinate view of the convolution algebra in the point-mass basis,
     the canonical arrow order: e_b e_c = e_{bc} when s(b) = r(c), and 0
-    otherwise, as in GroupoidProduct.  groupoid must be validated
-    (validate_groupoid, which runs composability_violation), or built
-    from a validated action (build_transformation_groupoid)."""
-
-    def __init__(self, groupoid, ring):
-        super().__init__(groupoid)
-        self.ring = ring
+    otherwise, as in GroupoidProduct.  This is the Z-form of A_R(G) (see
+    the scalars module), so vectors are lists of integers.  groupoid must
+    be validated (validate_groupoid, which runs composability_violation),
+    or built from a validated action (build_transformation_groupoid)."""
 
     def mul_basis(self, i, j):
-        vec = zero_vector(self.ring, self.dim)
+        vec = [0] * self.dim
         if self.row_points[i] == self.col_points[j]:
-            vec[self._rows[i][self.place[j]]] = self.ring.one()
+            vec[self._rows[i][self.place[j]]] = 1
         return vec
 
     def mul_vectors(self, u, v):
-        out = zero_vector(self.ring, self.dim)
+        out = [0] * self.dim
         for i, a in enumerate(u):
             if not a:
                 continue
@@ -170,7 +166,7 @@ class SteinbergAlgebra(GroupoidProduct):
                             self._rows[i]):
                 b = v[j]
                 if b:
-                    out[k] = out[k] + a * b
+                    out[k] += a * b
         return out
 
     def diagonal_indices(self):

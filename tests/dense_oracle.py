@@ -17,19 +17,24 @@ product must agree with these; `product_rows` reads it as dense rows, and
 validator reports that `CovarianceModule.verify_associativity` takes;
 `realize` runs psi with the groupoid validator's report as its premise.
 `dense_replay_theorem5` reads psi from a theorem5 report's listing and
-checks it on the dense tables over the whole basis.  Where L is built on
+checks it on the dense tables over the whole basis, and
+`dense_replay_theorem3` does the same for rho, with A_R(G)'s table read
+off the action document.  Where L is built on
 the engine's bisection action, the label-keyed readers take its label
 form (`families.label_view`).
 
 `mul_basis` and `mul_vectors` multiply vectors of any of the algebras
-through its dense table, so that references in the tests do not read the
-product they check.  The dense vectors of the algebras are here too: the
-coordinates of a formal sum or of a groupoid function, the image of a
-vector under an AlgebraMap, the spanning rows of the ideal I, and phi on
-a groupoid function, as classes (`phi_classes`, the label form of
-`SkewRealization.phi_values`) and as quotient coordinates.
+over a given ring through its dense table, so that references in the
+tests do not read the product they check.  The dense vectors of the
+algebras are here too: the coordinates of a formal sum or of a groupoid
+function, the image of a vector under an AlgebraMap, the spanning rows
+of the ideal I, and phi on a groupoid function, as classes
+(`phi_classes`, the label form of `SkewRealization.phi_values`) and as
+quotient coordinates.  The algebras carry no ring, so each vector helper
+takes the ring its caller holds.
 """
 
+import json
 import re
 import weakref
 
@@ -47,13 +52,13 @@ from groupoidal.partial_actions import (GroupPartialAction,
                                         induce_algebra_action,
                                         validate_group_partial_action,
                                         validate_isg_partial_action)
-from groupoidal.scalars import (DenseTable, index_row, ring_from_tag,
-                                zero_vector)
+from groupoidal.scalars import DenseTable, index_row, zero_vector
 from groupoidal.skew_rings import (CovarianceModule, IdealCongruence,
                                    QuotientAlgebra)
+from groupoidal.specfiles import parse_document
 from groupoidal.steinberg_algebra import GroupoidFunction, SteinbergAlgebra
 from groupoidal.validation import ValidationReport, stable
-from replay_oracle import parse_rows
+from replay_oracle import action_arrows, action_group, parse_rows
 
 
 def dense_table(module):
@@ -229,9 +234,9 @@ def skew_ring(algebra_action):
     return module
 
 
-def realize(groupoid, ring):
+def realize(groupoid):
     """psi of a groupoid, with its validator's report as the premise."""
-    return psi(groupoid, ring, validate_groupoid(groupoid))
+    return psi(groupoid, validate_groupoid(groupoid))
 
 
 def dense_homomorphism(m, rows=None):
@@ -390,17 +395,17 @@ def table_mul_vectors(table, ring, u, v):
     return out
 
 
-def mul_basis(algebra, i, j):
-    return table_mul_basis(_table(algebra), algebra.ring, i, j)
+def mul_basis(algebra, ring, i, j):
+    return table_mul_basis(_table(algebra), ring, i, j)
 
 
-def mul_vectors(algebra, u, v):
-    return table_mul_vectors(_table(algebra), algebra.ring, u, v)
+def mul_vectors(algebra, ring, u, v):
+    return table_mul_vectors(_table(algebra), ring, u, v)
 
 
-def apply(algebra_map, vec):
-    """The image of a coordinate vector: e_i goes to e_{targets[i]}."""
-    ring = algebra_map.codomain.ring
+def apply(algebra_map, ring, vec):
+    """The image of a coordinate vector over ring: e_i goes to
+    e_{targets[i]}."""
     out = [ring.zero()] * algebra_map.codomain.dim
     for t, c in zip(algebra_map.targets, vec):
         if c:
@@ -408,10 +413,10 @@ def apply(algebra_map, vec):
     return out
 
 
-def to_vector(algebra, element):
-    """Coordinates of a SkewElement in L, or of a GroupoidFunction in
-    A_R(G)."""
-    vec = zero_vector(algebra.ring, algebra.dim)
+def to_vector(algebra, ring, element):
+    """Coordinates over ring of a SkewElement in L, or of a
+    GroupoidFunction in A_R(G)."""
+    vec = zero_vector(ring, algebra.dim)
     if isinstance(algebra, CovarianceModule):
         if element.algebra_action is not algebra.algebra_action:
             raise ValueError("element does not belong to this module")
@@ -419,15 +424,16 @@ def to_vector(algebra, element):
             for x, c in f.values.items():
                 vec[algebra.label_index(s, x)] = c
         return vec
-    if element.parent is not algebra.groupoid or element.ring != algebra.ring:
+    if element.parent is not algebra.groupoid or element.ring != ring:
         raise ValueError("function does not belong to this algebra")
     for a, c in element.values.items():
         vec[algebra.groupoid.index(a)] = c
     return vec
 
 
-def from_vector(algebra, vec):
-    """The SkewElement or GroupoidFunction with the given coordinates."""
+def from_vector(algebra, ring, vec):
+    """The SkewElement or GroupoidFunction with the given coordinates over
+    ring."""
     if isinstance(algebra, CovarianceModule):
         terms = {}
         for i, c in enumerate(vec):
@@ -435,16 +441,17 @@ def from_vector(algebra, vec):
                 s, x = algebra.basis_labels[i]
                 terms.setdefault(s, {})[x] = c
         return SkewElement(algebra.algebra_action,
-                           {s: SpaceFunction(algebra.ring, vals)
+                           {s: SpaceFunction(ring, vals)
                             for s, vals in terms.items()})
     values = {algebra.basis_labels[i]: c for i, c in enumerate(vec) if c}
-    return GroupoidFunction(algebra.groupoid, algebra.ring, values)
+    return GroupoidFunction(algebra.groupoid, ring, values)
 
 
-def ideal_rows(ideal):
-    """The spanning rows of the congruence I: e_a - e_rep(a) for each a
-    that does not represent its class, in increasing order of a."""
-    ring, dim = ideal.module.ring, ideal.module.dim
+def ideal_rows(ideal, ring):
+    """The spanning rows over ring of the congruence I: e_a - e_rep(a)
+    for each a that does not represent its class, in increasing order of
+    a."""
+    dim = ideal.module.dim
     rows = []
     for a, r in enumerate(ideal.rep):
         if a != r:
@@ -459,8 +466,9 @@ def phi_classes(f, realization):
     """The left inverse of psi_tilde: decompose f canonically into disjoint
     bisection indicators sum r_i 1_{B_i} and map it to the class of
     sum r_i (indicator of r(B_i)) delta_{B_i}, as {quotient index:
-    coefficient} with zeros dropped (see SkewRealization.phi_values)."""
-    if f.parent is not realization.groupoid or f.ring != realization.ring:
+    coefficient} over f's ring, with zeros dropped (see
+    SkewRealization.phi_values)."""
+    if f.parent is not realization.groupoid:
         raise ValueError("function does not live on the realized groupoid")
     index, ring = realization.groupoid._index, f.ring
     sums = realization.phi_values({index[a]: c.value
@@ -470,8 +478,8 @@ def phi_classes(f, realization):
 
 
 def phi(f, realization):
-    """phi_classes as quotient coordinates."""
-    vec = zero_vector(realization.ring, realization.quotient.dim)
+    """phi_classes as quotient coordinates over f's ring."""
+    vec = zero_vector(f.ring, realization.quotient.dim)
     for q, c in phi_classes(f, realization).items():
         vec[q] = c
     return vec
@@ -487,10 +495,9 @@ def dense_replay_theorem5(groupoid, text):
     multiplicative on every basis pair of the dense tables of L and
     A_R(G), psi vanishes on I, and psi~ sends one representative of each
     class of I to each arrow."""
-    ring = ring_from_tag("Q")
     semigroup = bisection_semigroup(groupoid, groupoid.n_arrows)
     module = CovarianceModule(induce_algebra_action(
-        label_bisection_action(groupoid, semigroup), ring))
+        label_bisection_action(groupoid, semigroup)))
     entries = [entry.rsplit(":", 1)[0].split("->") for entry in
                parse_rows(text)["psi_basis_images"][1].split("; ")]
     index = {a: i for i, a in enumerate(groupoid.arrows)}
@@ -501,7 +508,7 @@ def dense_replay_theorem5(groupoid, text):
     targets = [index[arrow] for _, arrow in entries]
     problems = []
     ok, detail = dense_homomorphism(AlgebraMap(
-        module, SteinbergAlgebra(groupoid, ring), targets))
+        module, SteinbergAlgebra(groupoid), targets))
     if not ok:
         problems.append(f"psi_homomorphism: {detail}")
     rep = reference_build_ideal(module).rep
@@ -510,4 +517,49 @@ def dense_replay_theorem5(groupoid, text):
     if sorted(targets[a] for a, r in enumerate(rep) if a == r) != \
             list(range(groupoid.n_arrows)):
         problems.append("psi_tilde_bijective")
+    return problems
+
+
+def dense_replay_theorem3(doc, text):
+    """The ways rho, as a passing theorem3 report lists it in
+    rho_basis_images, fails on the dense tables, as messages, empty when
+    it replays.  doc is the action document as json reads it.  L's table
+    is dense_table on the action parsed from doc.  A_R(G)'s is read off
+    doc by the pair formulas (s, y)(t, theta_{s^-1}(y)) = (st, y), on the
+    arrows (g, x) for x in X_g as replay_oracle reads them, not off the
+    transformation groupoid's table.  rho is read from the listing alone
+    and checked multiplicative on every basis pair, and bijective."""
+    module = CovarianceModule(induce_algebra_action(
+        parse_document(json.dumps(doc).encode()).payload))
+    elements, product = action_group(doc)
+    identity, arrows = action_arrows(doc)
+    index = {arrow: k for k, arrow in enumerate(arrows)}
+    rendered = {f"({g},{x})": k for k, (g, x) in enumerate(arrows)}
+    entries = [entry.rsplit(":", 1)[0].split("->") for entry in
+               parse_rows(text)["rho_basis_images"][1].split("; ")]
+    if [label for label, _ in entries] != \
+            [stable(label) for label in module.basis_labels] or \
+            any(arrow not in rendered for _, arrow in entries):
+        return ["rho_basis_images does not list L's basis onto arrows"]
+    targets = [rendered[arrow] for _, arrow in entries]
+    inverse = {s: next(t for t in elements if product[s, t] == identity)
+               for s in elements}
+    algebra = [[-1] * len(arrows) for _ in arrows]
+    for k, (s, y) in enumerate(arrows):
+        z = doc["maps"][inverse[s]][y]
+        for t in elements:
+            if (t, z) in index:
+                algebra[k][index[t, z]] = index[product[s, t], y]
+    problems = []
+    image = targets + [-1]
+    for i, row in enumerate(dense_table(module)):
+        j = next((j for j, k in enumerate(row)
+                  if image[k] != algebra[targets[i]][targets[j]]), None)
+        if j is not None:
+            problems.append(f"rho_homomorphism: fails on basis pair "
+                            f"({module.basis_labels[i]}, "
+                            f"{module.basis_labels[j]})")
+            break
+    if sorted(targets) != list(range(len(arrows))):
+        problems.append("rho_bijective")
     return problems

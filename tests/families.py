@@ -252,9 +252,9 @@ def point_mass(parent, ring, arrow):
     return indicator(parent, ring, [arrow])
 
 
-def transformation_rho(action, ring):
+def transformation_rho(action):
     """rho of the action, onto its transformation groupoid built here."""
-    return rho(action, ring, build_transformation_groupoid(action))
+    return rho(action, build_transformation_groupoid(action))
 
 
 def bisection_action_of(g, bound=DEFAULT_BISECTION_BOUND):

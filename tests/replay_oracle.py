@@ -9,9 +9,9 @@ For theorem3, on an action document:
 
 - the arrows (g, x) for x in X_g, in group-element order then space
   order, the order of the basis of L; a preset group has the elements
-  that FiniteGroup.cyclic names (e, g, g2, ...), `trivial` only e, and
-  an explicit group its element list, with the identity the one element
-  e with e e = e;
+  that FiniteGroup.cyclic names (e, g, g2, ...) and the product of Z_n,
+  `trivial` only e, and an explicit group its element list and table,
+  with the identity the one element e with e e = e (`action_group`);
 - the arrow count, in `transformation_groupoid_axioms` and
   `dimension_match` (dim L = #arrows);
 - rho's image of each basis element (g, x): the arrow (g, x), as
@@ -114,19 +114,25 @@ def parse_rows(text):
             for name, status, detail in ROW.findall(text)}
 
 
+def action_group(doc):
+    """The elements of an action document's group, in order, and its
+    product as {(a, b): ab}."""
+    group = doc["group"]
+    if "preset" not in group:
+        return list(group["elements"]), {
+            tuple(key.split()): c for key, c in group["table"].items()}
+    order = 1 if group["preset"] == "trivial" else int(group["preset"][1:])
+    elements = ["e"] + ["g" if k == 1 else f"g{k}" for k in range(1, order)]
+    return elements, {(a, b): elements[(i + j) % order]
+                      for i, a in enumerate(elements)
+                      for j, b in enumerate(elements)}
+
+
 def action_arrows(doc):
     """The identity of an action document's group, and the arrows (g, x)
     for x in X_g, in group-element order then space order."""
-    group = doc["group"]
-    if "preset" in group:
-        order = 1 if group["preset"] == "trivial" else int(group["preset"][1:])
-        elements = ["e"] + ["g" if k == 1 else f"g{k}"
-                            for k in range(1, order)]
-        identity = "e"
-    else:
-        elements = list(group["elements"])
-        table = {tuple(key.split()): c for key, c in group["table"].items()}
-        identity = next(a for a in elements if table[a, a] == a)
+    elements, product = action_group(doc)
+    identity = next(a for a in elements if product[a, a] == a)
     arrows = []
     for g in elements:
         domain = set(doc["domains"].get(g, ()))

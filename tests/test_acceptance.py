@@ -50,9 +50,9 @@ def test_criterion_1_skew_ring_isomorphism_per_action():
     for name in names:
         action = catalog.load_action(name)
         start = time.perf_counter()
-        module = skew_ring(induce_algebra_action(action, Q))
+        module = skew_ring(induce_algebra_action(action))
         groupoid = build_transformation_groupoid(action)
-        rho_map = rho(action, Q, groupoid, module=module)
+        rho_map = rho(action, groupoid, module=module)
         assert rho_map.is_homomorphism, name
         assert rho_map.is_injective, name
         assert rho_map.is_surjective, name
@@ -61,12 +61,13 @@ def test_criterion_1_skew_ring_isomorphism_per_action():
         algebra = rho_map.codomain
         for i in range(module.dim):
             vec = [Q.one() if k == i else Q.zero() for k in range(module.dim)]
-            f = from_vector(algebra, apply(rho_map, vec))
-            assert to_vector(module, rho_inverse(f, module)) == vec, name
+            f = from_vector(algebra, Q, apply(rho_map, Q, vec))
+            assert to_vector(module, Q, rho_inverse(f, module)) == vec, name
         for k, arrow in enumerate(algebra.basis_labels):
             mass = point_mass(groupoid, Q, arrow)
-            back = apply(rho_map, to_vector(module, rho_inverse(mass, module)))
-            assert from_vector(algebra, back) == mass, name
+            back = apply(rho_map, Q,
+                         to_vector(module, Q, rho_inverse(mass, module)))
+            assert from_vector(algebra, Q, back) == mass, name
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, (name, elapsed)
 
@@ -90,7 +91,7 @@ def test_criterion_1_skew_ring_isomorphism_per_action():
 
 def test_criterion_2_coefficient_algebra_is_the_diagonal():
     for name in catalog.action_names():
-        rho_map = transformation_rho(catalog.load_action(name), Q)
+        rho_map = transformation_rho(catalog.load_action(name))
         assert rho_map.preserves_diagonal, name
     report(2, "coefficient algebra maps onto the diagonal, as exact spans")
 
@@ -101,13 +102,13 @@ def test_criterion_3_skew_realization_per_groupoid():
         groupoid = catalog.load_groupoid(name)
         assert groupoid.n_arrows <= 12
         start = time.perf_counter()
-        realization = realize(groupoid, Q)
+        realization = realize(groupoid)
         dim_l, dim_i, dim_q, dim_a = realization.dimension_ledger
         assert dim_l - dim_i == dim_q == dim_a == groupoid.n_arrows, name
         assert realization.psi_vanishes_on_ideal(), name
         ok, why = verify_phi_left_inverse(realization)
         assert ok, (name, why)
-        ok, why = verify_phi_additive(realization, random.Random(0))
+        ok, why = verify_phi_additive(realization, Q, random.Random(0))
         assert ok, (name, why)
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, (name, elapsed)
@@ -121,7 +122,7 @@ def test_criterion_3_skew_realization_per_groupoid():
 def test_criterion_4_quotient_necessity():
     witnesses = 0
     for name in catalog.groupoid_names():
-        realization = realize(catalog.load_groupoid(name), Q)
+        realization = realize(catalog.load_groupoid(name))
         if realization.ideal.dimension > 0:
             witnesses += 1
             assert realization.module.dim > realization.steinberg.dim, name
@@ -149,10 +150,10 @@ def test_criterion_5_equivalence_three_ways():
         if iso is None:
             transported = False
         else:
-            gamma = steinberg_transport(iso, SteinbergAlgebra(gl, Q),
-                                        SteinbergAlgebra(gr, Q))
+            gamma = steinberg_transport(iso, SteinbergAlgebra(gl),
+                                        SteinbergAlgebra(gr))
             skew_map = transported_skew_isomorphism(
-                rho(left, Q, gl), rho(right, Q, gr), gamma)
+                rho(left, gl), rho(right, gr), gamma)
             transported = (gamma.is_isomorphism and gamma.preserves_diagonal
                            and skew_map.is_isomorphism
                            and skew_map.preserves_diagonal)
@@ -198,7 +199,7 @@ def test_criterion_6_structural_suites():
             {b for b in semigroup.elements if b <= g.units}, name
         assert validate_isg_partial_action(label_bisection_action(g, semigroup)).ok, name
 
-        algebra = SteinbergAlgebra(g, Q)
+        algebra = SteinbergAlgebra(g)
         assert product_rows(algebra) == \
             [list(row) for row in table_of(algebra)], name
         assert algebra.associativity_counterexample() is None, name

@@ -230,61 +230,60 @@ def assert_algebra_agrees(algebra):
     return found
 
 
-def bisection_module(g, ring):
+def bisection_module(g):
     semigroup = bisection_semigroup(g)
-    alg = induce_algebra_action(bisection_action(g, semigroup), ring)
+    alg = induce_algebra_action(bisection_action(g, semigroup))
     return semigroup, CovarianceModule(alg)
 
 
-def groupoid_algebras(name, g, ring):
+def groupoid_algebras(name, g):
     """(name, algebra) for A_R(G), L, L/I and the bisection semigroup."""
-    semigroup, module = bisection_module(g, ring)
+    semigroup, module = bisection_module(g)
     quotient = build_quotient(module, build_ideal(module))
-    return [(f"{name} A", SteinbergAlgebra(g, ring)),
+    return [(f"{name} A", SteinbergAlgebra(g)),
             (f"{name} L", module),
             (f"{name} L/I", quotient),
             (f"{name} S", DenseTable(tabulated(semigroup).table))]
 
 
-def groupoid_tables(name, g, ring):
+def groupoid_tables(name, g):
     """(name, dense table) for A_R(G), L, L/I and the bisection
     semigroup."""
     return [(label, table_of(algebra))
-            for label, algebra in groupoid_algebras(name, g, ring)]
+            for label, algebra in groupoid_algebras(name, g)]
 
 
-def catalog_algebras(ring):
+def catalog_algebras():
     """(name, algebra) for A_R(G), L, L/I and the bisection semigroup of
     every catalog groupoid, A_R(G) and L of every catalog action, and
     every catalog semigroup."""
     algebras = []
     for name in catalog.groupoid_names():
-        algebras += groupoid_algebras(name, catalog.load_groupoid(name),
-                                      ring)
+        algebras += groupoid_algebras(name, catalog.load_groupoid(name))
     for name in catalog.action_names():
         action = catalog.load_action(name)
         g = build_transformation_groupoid(action)
-        algebras += [(f"{name} A", SteinbergAlgebra(g, ring)),
+        algebras += [(f"{name} A", SteinbergAlgebra(g)),
                      (f"{name} L", CovarianceModule(
-                         induce_algebra_action(action, ring)))]
+                         induce_algebra_action(action)))]
     for name in catalog.semigroup_names():
         algebras.append((name, DenseTable(catalog.load_semigroup(name).table)))
     return algebras
 
 
-def test_catalog_tables_agree_with_the_cube(Q):
-    algebras = catalog_algebras(Q)
+def test_catalog_tables_agree_with_the_cube():
+    algebras = catalog_algebras()
     assert len(algebras) > 50
     for name, algebra in algebras:
         assert all(isinstance(row, array) for row in table_of(algebra)), name
         assert assert_algebra_agrees(algebra) is None, name
 
 
-def test_generators_generate_and_are_no_more_than_before(Q):
-    algebras = catalog_algebras(Q)
+def test_generators_generate_and_are_no_more_than_before():
+    algebras = catalog_algebras()
     for n in range(1, 5):
         algebras += groupoid_algebras(f"pair_groupoid_{n}",
-                                      parse(pair_groupoid_spec(n)), Q)
+                                      parse(pair_groupoid_spec(n)))
     for name, algebra in algebras:
         table = table_of(algebra)
         generators = light_generators(algebra)
@@ -293,8 +292,8 @@ def test_generators_generate_and_are_no_more_than_before(Q):
         assert len(generators) <= len(smallest_missing_generators(table)), name
 
 
-def test_generator_counts_on_the_rung(Q):
-    semigroup, module = bisection_module(parse(pair_groupoid_spec(4)), Q)
+def test_generator_counts_on_the_rung():
+    semigroup, module = bisection_module(parse(pair_groupoid_spec(4)))
     assert (semigroup.order, module.dim) == (209, 544)
     # 99 and 46 under smallest_missing_generators.
     assert len(light_generators(module)) <= 16
@@ -334,8 +333,8 @@ def corrupt(table, rng):
     return rows
 
 
-def test_corrupted_l_tables_agree_with_the_cube(Q):
-    _, module = bisection_module(catalog.load_groupoid("pair_groupoid_3"), Q)
+def test_corrupted_l_tables_agree_with_the_cube():
+    _, module = bisection_module(catalog.load_groupoid("pair_groupoid_3"))
     assert module.dim == 63
     rng = random.Random(6)
     verdicts = []

@@ -371,17 +371,102 @@ def test_an_empty_ring_tag_is_an_input_error(tmp_path, capsys):
         assert run_cli(capsys, "validate", str(path), "--ring", "Z")[0] == 0
 
 
-def test_theorem5_over_any_commutative_ring(capsys):
-    # Theorem 5 holds over a commutative unital ring: over Z and Z/4 every
-    # catalog groupoid passes with the report it has over Q, the ring
-    # line aside.
-    for name in catalog.groupoid_names():
-        code, over_q, _ = run_cli(capsys, "theorem5", name)
-        assert code == 0
-        for tag in ("Z", "Z/4"):
-            code, out, _ = run_cli(capsys, "theorem5", name, "--ring", tag)
-            assert code == 0, (name, tag)
-            assert out == over_q.replace("ring: Q\n", f"ring: {tag}\n")
+@pytest.mark.parametrize("tag", ["Z/1_0", "Z/+7", "Z/ 7", "Z/\u0667", "Z/",
+                                 "Z/-5", "Z/7.0", "z/7", "Q/2"])
+def test_a_ring_tag_is_q_z_or_z_slash_ascii_digits(tag, tmp_path, capsys):
+    # int() reads "Z/1_0" as Z/10, and "Z/+7", "Z/ 7" and "Z/\u0667" (an
+    # Arabic-Indic seven) as Z/7.
+    error = (2, "", f"groupoidal: input error: unknown ring tag {tag!r}\n")
+    assert run_cli(capsys, "validate", "trivial_groupoid", "--ring", tag) \
+        == error
+    with open(os.path.join(catalog.default_catalog_dir(),
+                           "trivial_groupoid.json")) as f:
+        spec = json.load(f)
+    path = tmp_path / "ring_tag.json"
+    path.write_text(json.dumps(dict(spec, ring=tag)))
+    assert run_cli(capsys, "validate", str(path)) == error
+
+
+def test_a_ring_tag_keeps_its_outer_whitespace_stripped(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "validate", "trivial_groupoid",
+                           "--ring", " Z/07\n")
+    assert code == 0 and "ring: Z/7\n" in out
+
+
+def write_spec(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(spec, format="groupoidal/1")))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["a b", "", "a\tb", "a\u00a0b", "a\n"])
+def test_a_name_table_keys_hold_is_non_empty_without_whitespace(
+        name, tmp_path, capsys):
+    # Tables are keyed "a b", so an arrow or an element named with
+    # whitespace, or empty, could never be written into one.
+    expected = "expected a non-empty string without whitespace, got "
+    fault = {
+        "arrows/0": {"kind": "groupoid", "arrows": [name], "units": [name],
+                     "inverse": {name: name},
+                     "compose": {f"{name} {name}": name}},
+        "group/elements/1": {
+            "kind": "action", "group": {"elements": ["e", name],
+                                        "table": {"e e": "e"}},
+            "space": ["x"], "domains": {"e": ["x"], name: []},
+            "maps": {"e": {"x": "x"}, name: {}}},
+        "elements/0": {"kind": "semigroup", "elements": [name],
+                       "table": {f"{name} {name}": name},
+                       "star": {name: name}},
+    }
+    for at, spec in fault.items():
+        code, out, err = run_cli(capsys, "validate",
+                                 write_spec(tmp_path, spec))
+        assert (code, out) == (2, ""), at
+        assert err == ("groupoidal: input error: spec.json: schema "
+                       f"violation at {at}: {expected}"
+                       f"{json.dumps(name)}\n"), at
+
+
+def test_a_point_name_is_free_form(tmp_path, capsys):
+    # Points never appear in a pair key.
+    spec = {"kind": "action", "group": {"preset": "trivial"},
+            "space": ["x y", ""], "domains": {"e": ["x y", ""]},
+            "maps": {"e": {"x y": "x y", "": ""}}}
+    code, out, _ = run_cli(capsys, "validate", write_spec(tmp_path, spec))
+    assert code == 0 and out.endswith("result: pass\n")
+
+
+COMMAND_FOR_KIND = {"groupoid": "theorem5", "action": "theorem3",
+                    "pair": "equivalence", "semigroup": "validate"}
+CATALOG_ENTRIES = [(kind, name) for kind, names in (
+    ("groupoid", catalog.groupoid_names()), ("action", catalog.action_names()),
+    ("pair", catalog.pair_names()), ("semigroup", catalog.semigroup_names()))
+    for name in names]
+
+
+def test_every_report_is_ring_independent(capsys):
+    # Every algebra and map is built once, on its Z-form (see the scalars
+    # module), so each catalog entry, under validate and under the
+    # command for its kind, gives over Z, Z/2, Z/4 and Z/5 the report it
+    # gives over Q, the ring line aside.  Equivalence alone refuses Z/4,
+    # which is not an integral domain.
+    runs = 0
+    for kind, name in CATALOG_ENTRIES:
+        for command in sorted({"validate", COMMAND_FOR_KIND[kind]}):
+            code, over_q, err = run_cli(capsys, command, name)
+            assert (code, err) == (0, ""), (command, name)
+            for tag in ("Z", "Z/2", "Z/4", "Z/5"):
+                got = run_cli(capsys, command, name, "--ring", tag)
+                runs += 1
+                if command == "equivalence" and tag == "Z/4":
+                    assert got == (2, "", (
+                        "groupoidal: input error: equivalence requires an "
+                        "integral domain (Q, Z or Z/p), got Z/4\n")), name
+                    continue
+                assert got == (0, over_q.replace(
+                    "ring: Q\n", f"ring: {tag}\n"), ""), (command, name, tag)
+    assert runs == 4 * (2 * len(CATALOG_ENTRIES)
+                        - len(catalog.semigroup_names()))
 
 
 def test_theorem5_over_prime_field(capsys):

@@ -55,12 +55,12 @@ def ladder_actions():
 
 
 @pytest.fixture(scope="module")
-def ladder(Q):
+def ladder():
     """(name, L) for the bisection action of every ladder groupoid and for
     every ladder action."""
     modules = [(g.name, CovarianceModule(induce_algebra_action(
-        bisection_action_of(g), Q))) for g in ladder_groupoids()]
-    modules += [(a.name, CovarianceModule(induce_algebra_action(a, Q)))
+        bisection_action_of(g)))) for g in ladder_groupoids()]
+    modules += [(a.name, CovarianceModule(induce_algebra_action(a)))
                 for a in ladder_actions()]
     return modules
 
@@ -114,15 +114,15 @@ def test_bisection_builders_follow_the_set_formulas():
                 (point[g.range(a)], point[g.source(a)]) for a in b), g.name
 
 
-def test_mask_action_builds_the_label_actions_l(Q):
+def test_mask_action_builds_the_label_actions_l():
     # theorem5 reads the bisection action off the semigroup's arrow
     # indices; the label form, a domain r(B) and a map s(b) -> r(b) per
     # bisection, is its oracle.  Both give the same L, and psi sends
     # (B, u) to the arrow of B with range u.
     for g in ladder_groupoids():
-        r = realize(g, Q)
+        r = realize(g)
         label = CovarianceModule(induce_algebra_action(
-            label_bisection_action(g, r.semigroup), Q))
+            label_bisection_action(g, r.semigroup)))
         mask = r.module
         assert mask.basis_labels == label.basis_labels, g.name
         assert mask.row_points == label.row_points, g.name
@@ -134,7 +134,7 @@ def test_mask_action_builds_the_label_actions_l(Q):
             for s, x in label.basis_labels], g.name
 
 
-def transported_maps(ring):
+def transported_maps():
     """Gamma and Phi for every catalog pair with isomorphic groupoids."""
     maps = []
     for name in catalog.pair_names():
@@ -143,34 +143,34 @@ def transported_maps(ring):
         gr = build_transformation_groupoid(right)
         iso = search_groupoid_isomorphism(gl, gr)
         if iso is not None:
-            gamma = steinberg_transport(iso, SteinbergAlgebra(gl, ring),
-                                        SteinbergAlgebra(gr, ring))
+            gamma = steinberg_transport(iso, SteinbergAlgebra(gl),
+                                        SteinbergAlgebra(gr))
             maps += [gamma, transported_skew_isomorphism(
-                rho(left, ring, gl), rho(right, ring, gr),
+                rho(left, gl), rho(right, gr),
                 gamma)]
     return maps
 
 
-def ladder_maps(ring):
+def ladder_maps():
     maps = []
     for g in ladder_groupoids():
-        r = realize(g, ring)
+        r = realize(g)
         maps += [r.psi_map, r.psi_tilde]
-    maps += [transformation_rho(a, ring) for a in ladder_actions()]
-    return maps + transported_maps(ring)
+    maps += [transformation_rho(a) for a in ladder_actions()]
+    return maps + transported_maps()
 
 
-def test_quotient_tables_equal_the_dense_oracle(Q):
+def test_quotient_tables_equal_the_dense_oracle():
     for g in ladder_groupoids():
-        quotient = realize(g, Q).quotient
+        quotient = realize(g).quotient
         assert product_rows(quotient) == dense_quotient_table(quotient), \
             g.name
         assert quotient.verify_representative_independence() is None
         assert reference_generator_scan(quotient) is None
 
 
-def test_homomorphism_certificates_equal_the_dense_scan(Q):
-    maps = ladder_maps(Q)
+def test_homomorphism_certificates_equal_the_dense_scan():
+    maps = ladder_maps()
     assert {type(m.domain).__name__ for m in maps} == \
         {"CovarianceModule", "QuotientAlgebra", "SteinbergAlgebra"}
     assert any(isinstance(m.codomain, CovarianceModule) for m in maps)
@@ -201,14 +201,14 @@ def mutants(m, rng, count):
             yield AlgebraMap(dom, m.codomain, targets, name="swap")
 
 
-def test_mutated_maps_give_the_dense_scan_text(Q):
+def test_mutated_maps_give_the_dense_scan_text():
     rng = random.Random(31)
     bundle = family_groupoids(0)[3]
     assert bundle.name == "bundle_z4_z4"
-    maps = [realize(catalog.load_groupoid("pair_groupoid_3"), Q).psi_map,
-            realize(bundle, Q).psi_map, realize(bundle, Q).psi_tilde,
-            transformation_rho(catalog.load_action("z2_partial_3pt"), Q),
-            transformation_rho(regular_action(5), Q)] + transported_maps(Q)
+    maps = [realize(catalog.load_groupoid("pair_groupoid_3")).psi_map,
+            realize(bundle).psi_map, realize(bundle).psi_tilde,
+            transformation_rho(catalog.load_action("z2_partial_3pt")),
+            transformation_rho(regular_action(5))] + transported_maps()
     failing = point_preserving = 0
     for m in maps:
         for mutant in mutants(m, rng, 40):
@@ -221,7 +221,7 @@ def test_mutated_maps_give_the_dense_scan_text(Q):
     assert point_preserving > 20
 
 
-def test_generator_rows_give_the_dense_homomorphism_verdict(Q):
+def test_generator_rows_give_the_dense_homomorphism_verdict():
     # psi's certificate reads only the generator rows of L, which is
     # certified associative, as A_R(G) is: on any map of the same
     # algebras, such as the mutants of psi, that gives the verdict of the
@@ -231,7 +231,7 @@ def test_generator_rows_give_the_dense_homomorphism_verdict(Q):
     failing = 0
     for g in (catalog.load_groupoid("pair_groupoid_3"),
               catalog.load_groupoid("pair_plus_unit"), bundle):
-        r = realize(g, Q)
+        r = realize(g)
         rows = r.module.generator_basis()
         assert 0 < len(rows) < r.module.dim
         assert r.psi_map.certificates["homomorphism"] == \
@@ -253,13 +253,13 @@ def outcome(fn, *args):
         return "KeyError"
 
 
-def compare(action, ring):
+def compare(action):
     """(premises hold, certified, dense verdict, factored verdict), or
     None when L cannot be built at all.  The factored verdict is Light's
     test on L's factored product where L's products are closed, and None
     where they are not."""
     try:
-        module = CovarianceModule(induce_algebra_action(action, ring))
+        module = CovarianceModule(induce_algebra_action(action))
     except (KeyError, ValueError):
         return None
     reports = premises(action)
@@ -325,10 +325,10 @@ def partial_corruptions(rng, count):
         yield action
 
 
-def test_corrupted_actions_give_the_dense_verdicts(Q):
+def test_corrupted_actions_give_the_dense_verdicts():
     rng = random.Random(41)
-    results = [compare(a, Q) for a in z4_actions(rng, 60)]
-    results += [compare(a, Q) for a in partial_corruptions(rng, 300)]
+    results = [compare(a) for a in z4_actions(rng, 60)]
+    results += [compare(a) for a in partial_corruptions(rng, 300)]
     results = [r for r in results if r is not None]
     for holds, certified, dense, _ in results:
         # L is certified exactly when the premises hold, and then the
@@ -379,12 +379,12 @@ def test_transformation_groupoids_compose_on_matched_points():
             build_transformation_groupoid(action)) is None
 
 
-def test_products_outside_l_raise_as_in_the_dense_table(Q):
+def test_products_outside_l_raise_as_in_the_dense_table():
     rng = random.Random(43)
     raised = 0
     for action in partial_corruptions(rng, 200):
         try:
-            module = CovarianceModule(induce_algebra_action(action, Q))
+            module = CovarianceModule(induce_algebra_action(action))
         except (KeyError, ValueError):
             continue
         rows = outcome(lambda: [module.row_products(i)

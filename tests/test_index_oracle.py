@@ -158,29 +158,29 @@ def reference_group(action):
     return report
 
 
-def bisection_module(g, ring):
+def bisection_module(g):
     action = bisection_action_of(g)
-    return CovarianceModule(induce_algebra_action(action, ring))
+    return CovarianceModule(induce_algebra_action(action))
 
 
-def catalog_modules(ring):
-    modules = [bisection_module(catalog.load_groupoid(name), ring)
+def catalog_modules():
+    modules = [bisection_module(catalog.load_groupoid(name))
                for name in catalog.groupoid_names()]
     modules += [CovarianceModule(induce_algebra_action(
-        catalog.load_action(name), ring)) for name in catalog.action_names()]
+        catalog.load_action(name))) for name in catalog.action_names()]
     return modules
 
 
-def test_two_sidedness_equals_the_generator_scan_on_the_catalog(Q):
-    modules = catalog_modules(Q)
+def test_two_sidedness_equals_the_generator_scan_on_the_catalog():
+    modules = catalog_modules()
     for module in modules:
         quotient = QuotientAlgebra(module, reference_build_ideal(module))
         assert quotient.verify_representative_independence() is None
         assert reference_generator_scan(quotient) is None
 
 
-def test_two_sidedness_equals_the_generator_scan_on_the_rung(Q):
-    module = bisection_module(parse(pair_groupoid_spec(4)), Q)
+def test_two_sidedness_equals_the_generator_scan_on_the_rung():
+    module = bisection_module(parse(pair_groupoid_spec(4)))
     ideal = build_ideal(module)
     assert (module.dim, ideal.dimension, ideal.generator_count) == \
         (544, 528, 1680)
@@ -249,9 +249,9 @@ def assert_both_sides_reached(results):
     return len(failing)
 
 
-def test_corrupted_l_tables_give_the_generator_scan_violation(Q):
+def test_corrupted_l_tables_give_the_generator_scan_violation():
     # L has no table; its product is corrupted where it is stored.
-    module = bisection_module(catalog.load_groupoid("pair_groupoid_3"), Q)
+    module = bisection_module(catalog.load_groupoid("pair_groupoid_3"))
     ideal = build_ideal(module)
     assert module.dim == 63
     rng = random.Random(17)
@@ -263,30 +263,30 @@ def test_corrupted_l_tables_give_the_generator_scan_violation(Q):
     assert assert_both_sides_reached(texts) > 180
 
 
-def premised_module(g, ring):
+def premised_module(g):
     """The bisection module with L certified associative from the
     groupoid's report, so that two-sidedness reads only the rows and
     columns of the generators."""
-    module = bisection_module(g, ring)
+    module = bisection_module(g)
     module.verify_associativity((validate_groupoid(g),))
     return module
 
 
-def test_without_the_premise_every_row_is_read(Q):
+def test_without_the_premise_every_row_is_read():
     g = catalog.load_groupoid("pair_groupoid_3")
-    module = bisection_module(g, Q)
+    module = bisection_module(g)
     assert list(module.generator_basis()) == list(range(module.dim))
     failing = ValidationReport("premise")
     failing.add("not a groupoid")
     module.verify_associativity((failing,))
     assert list(module.generator_basis()) == list(range(module.dim))
     generators = set(module.algebra_action.index.generators)
-    assert premised_module(g, Q).generator_basis() == \
+    assert premised_module(g).generator_basis() == \
         [i for i, (s, _) in enumerate(module.basis_labels)
          if module.algebra_action.index.index(s) in generators]
 
 
-def test_generator_rows_give_the_full_scan_verdict(Q):
+def test_generator_rows_give_the_full_scan_verdict():
     # On an associative L, {x : x I in I} and {x : I x in I} are closed
     # under products for any subspace I, so the generator rows and
     # columns give the full scan's verdict on every congruence: the
@@ -299,7 +299,7 @@ def test_generator_rows_give_the_full_scan_verdict(Q):
     groupoids.append(parse(pair_groupoid_spec(4)))
     fewer = 0
     for g in groupoids:
-        module = premised_module(g, Q)
+        module = premised_module(g)
         fewer += len(module.generator_basis()) < module.dim
         edges = list(ideal_generators(module))
         table = product_rows(module)
@@ -339,10 +339,10 @@ def congruence(module, edges):
                            [find(a) for a in range(module.dim)])
 
 
-def test_corrupted_ideals_give_the_generator_scan_violation(Q):
+def test_corrupted_ideals_give_the_generator_scan_violation():
     # Extra generators merge classes: the class rows of a merged class
     # can differ, and a row read through rep can change.
-    module = bisection_module(catalog.load_groupoid("pair_groupoid_3"), Q)
+    module = bisection_module(catalog.load_groupoid("pair_groupoid_3"))
     edges = list(ideal_generators(module))
     table = product_rows(module)
     rng = random.Random(22)
@@ -357,12 +357,12 @@ def test_corrupted_ideals_give_the_generator_scan_violation(Q):
     assert assert_both_sides_reached(texts) > 50
 
 
-def test_right_congruences_give_the_generator_scan_violation(Q):
+def test_right_congruences_give_the_generator_scan_violation():
     # Elements with one row point have their products at one row point,
     # so joining I with "same row point" keeps every class row equal to
     # its representative's; only the left products can leave the ideal.
     texts = []
-    for module in catalog_modules(Q):
+    for module in catalog_modules():
         edges = list(ideal_generators(module))
         for columns in points_at(module.row_points).values():
             edges += zip(columns, columns[1:])
@@ -614,13 +614,13 @@ def ideal_actions(pairs):
     return actions, len(groupoids)
 
 
-def test_ideal_generators_equal_the_label_order_builder(Q):
+def test_ideal_generators_equal_the_label_order_builder():
     actions, groupoids = ideal_actions((2, 3, 4))
     strict = 0
     for action in actions:
         assert validate_isg_partial_action(label_view(action)).ok, \
             action.index.name
-        module = CovarianceModule(induce_algebra_action(action, Q))
+        module = CovarianceModule(induce_algebra_action(action))
         edges, expected = ideal_generators(module), \
             reference_ideal_generators(module)
         assert sorted(edges) == sorted(expected), action.index.name
@@ -629,7 +629,7 @@ def test_ideal_generators_equal_the_label_order_builder(Q):
     assert strict > groupoids
 
 
-def test_build_ideal_equals_the_union_find_over_every_generator(Q):
+def test_build_ideal_equals_the_union_find_over_every_generator():
     # congruence joins every generator; the oracle joins each (t, x) only
     # to the first generator listed below it, and, on the bisection
     # actions, build_ideal joins it to the singleton of its germ.
@@ -638,7 +638,7 @@ def test_build_ideal_equals_the_union_find_over_every_generator(Q):
     for k, action in enumerate(actions):
         assert validate_isg_partial_action(label_view(action)).ok, \
             action.index.name
-        module = CovarianceModule(induce_algebra_action(action, Q))
+        module = CovarianceModule(induce_algebra_action(action))
         edges = list(ideal_generators(module))
         expected = congruence(module, edges)
         ideals = [reference_build_ideal(module)]

@@ -114,7 +114,7 @@ def test_unit_convention_for_semigroup_actions():
 
 def test_induced_action_identity_component(Q):
     action = catalog.load_action("z2_partial_3pt")
-    alg = induce_algebra_action(action, Q)
+    alg = induce_algebra_action(action)
     e = action.group.identity
     f = SpaceFunction(Q, {"1": Q.scalar(3), "3": Q.scalar(Fraction(1, 2))})
     assert alpha(alg, e, f) == f
@@ -122,7 +122,7 @@ def test_induced_action_identity_component(Q):
 
 def test_induced_action_swaps_point_masses(Q):
     action = catalog.load_action("z2_global_swap")
-    alg = induce_algebra_action(action, Q)
+    alg = induce_algebra_action(action)
     one = SpaceFunction.point_mass(Q, "1")
     assert alpha(alg, "g", one) == SpaceFunction.point_mass(Q, "2")
 
@@ -131,7 +131,7 @@ def test_alpha_partial_isometry_identity(Q):
     rng = random.Random(17)
     for name in catalog.action_names():
         action = catalog.load_action(name)
-        alg = induce_algebra_action(action, Q)
+        alg = induce_algebra_action(action)
         for s in action.group.elements:
             star = action.group.inv(s)
             for _ in range(10):
@@ -173,7 +173,7 @@ def function_space_action(action, ring):
     """The induced maps alpha_s, viewed as a partial action on the finite
     set of ALL ring-valued functions on the space (finite ring only)."""
     from itertools import product as iproduct
-    alg = induce_algebra_action(action, ring)
+    alg = induce_algebra_action(action)
     points = action.space
     elements = [ring.scalar(v) for v in range(ring.modulus)]
     functions = [SpaceFunction(ring, dict(zip(points, combo)))

@@ -31,7 +31,7 @@ from formula_oracle import SpaceFunction, alpha, is_bisection
 
 import catalog
 from groupoidal import ring_from_tag
-from groupoidal.isomorphisms import (_nonzero, verify_phi_additive,
+from groupoidal.isomorphisms import (verify_phi_additive,
                                      verify_phi_left_inverse)
 from groupoidal.partial_actions import (AlgebraPartialAction,
                                         induce_algebra_action,
@@ -46,8 +46,8 @@ EVERY_RING_TAG = ("Q", "Z", "Z/2", "Z/4", "Z/5")
 GROUPOIDS = tuple(catalog.groupoid_names()) + ("pair_groupoid_4",)
 
 
-def class_of(quotient, vec):
-    out = zero_vector(quotient.ring, quotient.dim)
+def class_of(quotient, ring, vec):
+    out = zero_vector(ring, quotient.dim)
     for a, c in enumerate(vec):
         if c:
             q = quotient._class[a]
@@ -83,15 +83,15 @@ def reference_decomposition(f):
 
 
 def reference_phi(f, realization):
-    if f.parent is not realization.groupoid or f.ring != realization.ring:
+    if f.parent is not realization.groupoid:
         raise ValueError("function does not live on the realized groupoid")
     module = realization.module
-    vec = zero_vector(realization.ring, module.dim)
+    vec = zero_vector(f.ring, module.dim)
     for coeff, bis in reference_decomposition(f):
         for u in range_set(realization.groupoid, bis):
             k = module.label_index(bis, u)
             vec[k] = vec[k] + coeff
-    return class_of(realization.quotient, vec)
+    return class_of(realization.quotient, f.ring, vec)
 
 
 def _vector_repr(algebra, vec):
@@ -99,27 +99,26 @@ def _vector_repr(algebra, vec):
     return " + ".join(parts) if parts else "0"
 
 
-def reference_left_inverse(realization):
+def reference_left_inverse(realization, ring):
     quotient = realization.quotient
     steinberg = realization.steinberg
     for q, t in enumerate(realization.psi_tilde.targets):
-        f = point_mass(realization.groupoid, realization.ring,
-                       steinberg.basis_labels[t])
+        f = point_mass(realization.groupoid, ring, steinberg.basis_labels[t])
         got = reference_phi(f, realization)
-        expected = zero_vector(realization.ring, quotient.dim)
-        expected[q] = realization.ring.one()
+        expected = zero_vector(ring, quotient.dim)
+        expected[q] = ring.one()
         if got != expected:
             return (False, f"phi(psi~(e_{q})) = "
                            f"{_vector_repr(quotient, got)}")
     return (True, None)
 
 
-def label_left_inverse(realization):
+def label_left_inverse(realization, ring):
     """phi o psi_tilde must fix every quotient basis class."""
     labels = realization.quotient.basis_labels
-    one = realization.ring.one()
+    one = ring.one()
     for q, t in enumerate(realization.psi_tilde.targets):
-        f = point_mass(realization.groupoid, realization.ring,
+        f = point_mass(realization.groupoid, ring,
                        realization.steinberg.basis_labels[t])
         got = phi_classes(f, realization)
         if got != {q: one}:
@@ -129,11 +128,11 @@ def label_left_inverse(realization):
     return (True, None)
 
 
-def reference_additive(realization, rng, trials=200):
+def reference_additive(realization, ring, rng, trials=200):
     steinberg = realization.steinberg
     for trial in range(trials):
-        f = reference_random_function(steinberg, rng)
-        g = reference_random_function(steinberg, rng)
+        f = reference_random_function(steinberg, ring, rng)
+        g = reference_random_function(steinberg, ring, rng)
         lhs = reference_phi(f + g, realization)
         rhs = [a + b for a, b in zip(reference_phi(f, realization),
                                      reference_phi(g, realization))]
@@ -142,19 +141,21 @@ def reference_additive(realization, rng, trials=200):
     return (True, None)
 
 
-def reference_random_function(steinberg, rng):
+def reference_random_function(steinberg, ring, rng):
     g = steinberg.groupoid
     values = {}
     for a in g.arrows:
         if rng.random() < 0.5:
-            c = random_scalar(steinberg.ring, rng)
+            c = random_scalar(ring, rng)
             if c:
                 values[a] = c
-    return GroupoidFunction(g, steinberg.ring, values)
+    return GroupoidFunction(g, ring, values)
 
 
 def reference_induce(action, ring):
-    alg = AlgebraPartialAction(action, ring)
+    """The induced action, its alpha_s checked on the point masses over
+    ring."""
+    alg = AlgebraPartialAction(action)
     for s in action.index.elements:
         star = alg.index.star(s)
         images = set()
@@ -175,30 +176,31 @@ def reference_induce(action, ring):
     return alg
 
 
-def build_realization(name, tag):
+def build_realization(name):
     """psi of a catalog groupoid, or of the pair groupoid on 4 points."""
     g = (parse(pair_groupoid_spec(4)) if name == "pair_groupoid_4"
          else catalog.load_groupoid(name))
-    return realize(g, ring_from_tag(tag))
+    return realize(g)
 
 
 _REALIZATIONS = {}
 
 
-def realization(name, tag):
-    """build_realization, once per session; callers must not change it."""
-    if (name, tag) not in _REALIZATIONS:
-        _REALIZATIONS[name, tag] = build_realization(name, tag)
-    return _REALIZATIONS[name, tag]
+def realization(name):
+    """build_realization, once per session; callers must not change it.
+    It has no ring: each test runs it over the ring it draws from."""
+    if name not in _REALIZATIONS:
+        _REALIZATIONS[name] = build_realization(name)
+    return _REALIZATIONS[name]
 
 
 @pytest.mark.parametrize("tag", RING_TAGS)
 @pytest.mark.parametrize("name", GROUPOIDS)
 def test_phi_equals_the_reference_on_random_functions(name, tag):
-    r = realization(name, tag)
+    r, ring = realization(name), ring_from_tag(tag)
     rng = random.Random(f"{name}/{tag}")
     for _ in range(200):
-        f = reference_random_function(r.steinberg, rng)
+        f = reference_random_function(r.steinberg, ring, rng)
         assert disjoint_decomposition(f) == reference_decomposition(f)
         dense = reference_phi(f, r)
         assert phi(f, r) == dense
@@ -208,12 +210,12 @@ def test_phi_equals_the_reference_on_random_functions(name, tag):
 @pytest.mark.parametrize("tag", RING_TAGS)
 @pytest.mark.parametrize("name", GROUPOIDS)
 def test_phi_checks_equal_the_reference(name, tag):
-    r = realization(name, tag)
-    assert verify_phi_left_inverse(r) == label_left_inverse(r) \
-        == reference_left_inverse(r) == (True, None)
+    r, ring = realization(name), ring_from_tag(tag)
+    assert verify_phi_left_inverse(r) == label_left_inverse(r, ring) \
+        == reference_left_inverse(r, ring) == (True, None)
     fast_rng, slow_rng = random.Random(0), random.Random(0)
-    assert verify_phi_additive(r, fast_rng) == \
-        reference_additive(r, slow_rng) == (True, None)
+    assert verify_phi_additive(r, ring, fast_rng) == \
+        reference_additive(r, ring, slow_rng) == (True, None)
     assert fast_rng.getstate() == slow_rng.getstate()
 
 
@@ -224,7 +226,7 @@ def test_phi_checks_equal_the_reference(name, tag):
 def test_a_mutated_class_fails_alike(name, tag):
     """Moving one basis element of L into another class breaks phi; both
     paths must fail at the same trial with the same text."""
-    r = build_realization(name, tag)
+    r, ring = build_realization(name), ring_from_tag(tag)
     cls, dim = r.quotient._class, r.quotient.dim
     # About four evenly spaced basis indices of L.
     indices = range(0, r.module.dim, max(1, r.module.dim // 4))
@@ -232,11 +234,11 @@ def test_a_mutated_class_fails_alike(name, tag):
     for a in indices:
         old = cls[a]
         cls[a] = (old + 1) % dim
-        assert verify_phi_left_inverse(r) == label_left_inverse(r) \
-            == reference_left_inverse(r)
+        assert verify_phi_left_inverse(r) == label_left_inverse(r, ring) \
+            == reference_left_inverse(r, ring)
         fast_rng, slow_rng = random.Random(a), random.Random(a)
-        fast = verify_phi_additive(r, fast_rng)
-        assert fast == reference_additive(r, slow_rng)
+        fast = verify_phi_additive(r, ring, fast_rng)
+        assert fast == reference_additive(r, ring, slow_rng)
         assert fast_rng.getstate() == slow_rng.getstate()
         cls[a] = old
         if not fast[0]:
@@ -245,15 +247,16 @@ def test_a_mutated_class_fails_alike(name, tag):
     assert failing > 0
 
 
-def assert_phi_checks_agree(r, seed):
-    """The left-inverse check equals its label and vector forms, and the
-    additive check its vector form with the same draws, on r as it
-    stands; returns the left-inverse verdict."""
+def assert_phi_checks_agree(r, ring, seed):
+    """The left-inverse check equals its label and vector forms over
+    ring, and the additive check its vector form with the same draws, on
+    r as it stands; returns the left-inverse verdict."""
     left = verify_phi_left_inverse(r)
-    assert left == label_left_inverse(r) == reference_left_inverse(r)
+    assert left == label_left_inverse(r, ring) == \
+        reference_left_inverse(r, ring)
     fast_rng, slow_rng = random.Random(seed), random.Random(seed)
-    assert verify_phi_additive(r, fast_rng) == \
-        reference_additive(r, slow_rng)
+    assert verify_phi_additive(r, ring, fast_rng) == \
+        reference_additive(r, ring, slow_rng)
     assert fast_rng.getstate() == slow_rng.getstate()
     return left
 
@@ -262,14 +265,14 @@ def assert_phi_checks_agree(r, seed):
 def test_a_wrong_class_fails_alike_over_every_ring(tag):
     """The basis element of L that phi sends psi~(e_q) to moves to the
     next class: both paths fail at q and name that class."""
-    r = build_realization("pair_groupoid_3", tag)
+    r = build_realization("pair_groupoid_3")
     module, quotient, q = r.module, r.quotient, 1
     arrow = r.steinberg.basis_labels[r.psi_tilde.targets[q]]
     a = module.label_index(frozenset([arrow]), r.groupoid.range(arrow))
     assert quotient._class[a] == q
     wrong = (q + 1) % quotient.dim
     quotient._class[a] = wrong
-    assert assert_phi_checks_agree(r, q) == (
+    assert assert_phi_checks_agree(r, ring_from_tag(tag), q) == (
         False, f"phi(psi~(e_{q})) = 1*{quotient.basis_labels[wrong]}")
 
 
@@ -280,33 +283,34 @@ def test_a_sum_reducing_to_zero_is_dropped_alike(tag):
     reduced sums of phi_values equal phi_classes, and both paths give
     every check the same verdict.  A point mass adds 1 to one class, so
     the left-inverse check itself never meets a zero sum."""
-    r = build_realization("pair_groupoid_3", tag)
+    r, ring = build_realization("pair_groupoid_3"), ring_from_tag(tag)
     g, module, cls = r.groupoid, r.module, r.quotient._class
     bis = next(b for b in r.semigroup.elements if len(b) == 2)
     first, second = (module.label_index(bis, g.range(b)) for b in bis)
     cls[second] = cls[first]
-    sums = _nonzero(r.phi_values({g.index(b): 1 for b in bis}),
-                    r.ring.modulus)
+    sums = {q: ring.scalar(v).value for q, v in
+            r.phi_values({g.index(b): 1 for b in bis}).items()}
+    sums = {q: v for q, v in sums.items() if v}
     assert sums == {q: c.value for q, c in
-                    phi_classes(indicator(g, r.ring, bis), r).items()}
+                    phi_classes(indicator(g, ring, bis), r).items()}
     assert sums == ({} if tag == "Z/2" else {cls[first]: 2})
-    assert_phi_checks_agree(r, 0)
+    assert_phi_checks_agree(r, ring, 0)
 
 
 def catalog_actions():
     actions = [label_bisection_action_of(catalog.load_groupoid(name))
                for name in catalog.groupoid_names()]
     actions.append(label_view(
-        realization("pair_groupoid_4", "Q").module.algebra_action.action))
+        realization("pair_groupoid_4").module.algebra_action.action))
     actions += [catalog.load_action(name) for name in catalog.action_names()]
     for name in catalog.pair_names():
         actions += catalog.load_pair(name)
     return actions
 
 
-def induced(build, action, ring):
+def induced(build, *args):
     try:
-        build(action, ring)
+        build(*args)
     except (KeyError, ValueError) as exc:
         return (type(exc).__name__, str(exc))
     return ("ok",)
@@ -318,7 +322,7 @@ def test_induced_action_equals_the_reference_on_the_catalog(Q):
     assert kinds == {"SemigroupPartialAction", "GroupPartialAction"}
     for ring in (Q, ring_from_tag("Z/4")):
         for action in actions:
-            fast = induced(induce_algebra_action, action, ring)
+            fast = induced(induce_algebra_action, action)
             assert fast == induced(reference_induce, action, ring), action.name
             assert fast[0] == "ok", action.name
 
@@ -371,7 +375,7 @@ def test_corrupted_actions_raise_the_reference_texts(Q):
                      if isinstance(action, SemigroupPartialAction)
                      else validate_group_partial_action)
         if validator(action).ok:
-            assert induced(induce_algebra_action, action, Q) == \
+            assert induced(induce_algebra_action, action) == \
                 induced(reference_induce, action, Q) == ("ok",), trial
             passed += 1
     assert passed > 40

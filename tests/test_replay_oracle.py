@@ -5,12 +5,14 @@ groupoid and on pair groupoids on 2 to 4 points; and mutated reports
 that must fail the replay.  theorem5's psi is also replayed on the dense
 tables (dense_oracle.dense_replay_theorem5), on every catalog groupoid
 and on pair groupoids on 2 to 4 points, and one wrong image, in a
-generator row of L or outside them, must fail it."""
+generator row of L or outside them, must fail it.  So is theorem3's rho
+(dense_oracle.dense_replay_theorem3), on the theorem3 inputs over each
+ring, where one wrong image must fail it too."""
 
 import json
 
 import pytest
-from dense_oracle import dense_replay_theorem5
+from dense_oracle import dense_replay_theorem3, dense_replay_theorem5
 from families import pair_groupoid_spec, regular_action_spec
 from replay_oracle import (Formulas, parse_rows, replay_theorem3,
                            replay_theorem5)
@@ -77,6 +79,14 @@ def test_theorem5_reports_replay(name, tag, tmp_path_factory, capsys):
 def test_theorem3_reports_replay(name, tag, tmp_path_factory, capsys):
     text, doc = theorem3_report(name, tag, tmp_path_factory, capsys)
     assert replay_theorem3(doc, text) == []
+
+
+@pytest.mark.parametrize("tag", RINGS)
+@pytest.mark.parametrize("name", ACTIONS)
+def test_theorem3_reports_replay_densely(name, tag, tmp_path_factory,
+                                         capsys):
+    text, doc = theorem3_report(name, tag, tmp_path_factory, capsys)
+    assert dense_replay_theorem3(doc, text) == []
 
 
 def replace_detail(text, row, detail):
@@ -180,3 +190,16 @@ def test_one_wrong_image_fails_the_dense_replay(generator_row,
     mutated = replace_detail(text, "psi_basis_images", "; ".join(entries))
     problems = dense_replay_theorem5(groupoid, mutated)
     assert problems[0].startswith("psi_homomorphism: fails on basis pair")
+
+
+@pytest.mark.parametrize("name", ["z2_partial_3pt", "regular_z7"])
+def test_one_wrong_image_fails_the_dense_theorem3_replay(
+        name, tmp_path_factory, capsys):
+    text, doc = theorem3_report(name, "Q", tmp_path_factory, capsys)
+    entries = parse_rows(text)["rho_basis_images"][1].split("; ")
+    label, image = entries[-1].split("->")
+    entries[-1] = f"{label}->{entries[0].split('->')[1]}"
+    mutated = replace_detail(text, "rho_basis_images", "; ".join(entries))
+    problems = dense_replay_theorem3(doc, mutated)
+    assert problems[0].startswith("rho_homomorphism: fails on basis pair")
+    assert problems[1:] == ["rho_bijective"]

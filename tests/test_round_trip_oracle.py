@@ -36,8 +36,8 @@ def swapped_rho(monkeypatch):
     in swap["pair"], when set, and records the map it hands out."""
     real_rho, swap = cli.rho, {"pair": None}
 
-    def rho(action, ring, groupoid, module=None):
-        m = real_rho(action, ring, groupoid, module=module)
+    def rho(action, groupoid, module=None):
+        m = real_rho(action, groupoid, module=module)
         if swap["pair"] is not None:
             a, b = swap["pair"]
             targets = list(m.targets)
@@ -60,7 +60,7 @@ def command_rows(action, ring, swap):
     rows = [(c.name, c.status == PASS, c.detail) for c in report.checks
             if c.name in ROWS]
     m = swap["map"]
-    return rows, round_trip_rows(m.domain, m)
+    return rows, round_trip_rows(m.domain, m, ring)
 
 
 @pytest.mark.parametrize("tag", ["Q", "Z/4"])

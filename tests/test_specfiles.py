@@ -44,6 +44,12 @@ _BOUNDS_SCHEMA = {
 
 _NAME_TABLE = {"type": "object", "additionalProperties": {"type": "string"}}
 
+# An arrow or an element of a group or semigroup appears in "a b" table
+# keys, so its name must split back out of a key as one name.
+_KEY_NAMES = {"type": "array", "minItems": 1,
+              "items": {"type": "string", "minLength": 1,
+                        "not": {"type": "string", "pattern": "\\s"}}}
+
 _GROUP_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -53,8 +59,7 @@ _GROUP_SCHEMA = {
     ],
     "properties": {
         "preset": {"type": "string"},
-        "elements": {"type": "array", "items": {"type": "string"},
-                     "minItems": 1},
+        "elements": _KEY_NAMES,
         "table": _NAME_TABLE,
     },
 }
@@ -92,8 +97,7 @@ SCHEMAS = {
             "name": {"type": "string"},
             "ring": {"type": "string"},
             "bounds": _BOUNDS_SCHEMA,
-            "arrows": {"type": "array", "items": {"type": "string"},
-                       "minItems": 1},
+            "arrows": _KEY_NAMES,
             "units": {"type": "array", "items": {"type": "string"}},
             "inverse": _NAME_TABLE,
             "compose": _NAME_TABLE,
@@ -110,8 +114,7 @@ SCHEMAS = {
             "name": {"type": "string"},
             "ring": {"type": "string"},
             "bounds": _BOUNDS_SCHEMA,
-            "elements": {"type": "array", "items": {"type": "string"},
-                         "minItems": 1},
+            "elements": _KEY_NAMES,
             "table": _NAME_TABLE,
             "star": _NAME_TABLE,
         },
@@ -303,7 +306,7 @@ INLINE_BASES = [
     inline_pair(catalog_json("z2_global_swap"), EXPLICIT_GROUP_ACTION),
     inline_pair("z2_trivial_2pt", EXPLICIT_GROUP_ACTION),
 ]
-SWAPS = [5, [None], {}, "", True, [], 4.0]
+SWAPS = [5, [None], {}, "", "a b", True, [], 4.0]
 ADDED_KEYS = ["extra", "name", "bounds", "iso", "preset", "elements",
               "table", "left"]
 

@@ -183,9 +183,9 @@ def test_diagonal_idempotents_restrict(Q):
 
 
 @pytest.mark.parametrize("name", SMALL)
-def test_algebra_dimension_and_point_mass_products(name, Q):
+def test_algebra_dimension_and_point_mass_products(name):
     g = catalog.load_groupoid(name)
-    algebra = SteinbergAlgebra(g, Q)
+    algebra = SteinbergAlgebra(g)
     assert algebra.dim == g.n_arrows
     assert product_rows(algebra) == [list(row) for row in table_of(algebra)]
     assert algebra.associativity_counterexample() is None

@@ -59,11 +59,11 @@ def groupoids():
 
 
 @pytest.fixture(scope="module")
-def tables(Q):
+def tables():
     found = []
     for name in ("pair_groupoid_2", "pair_groupoid_3", "two_z2",
                  "z3_one_unit"):
-        found += groupoid_tables(name, catalog.load_groupoid(name), Q)
+        found += groupoid_tables(name, catalog.load_groupoid(name))
     found += [(name, catalog.load_semigroup(name).table)
               for name in catalog.semigroup_names()]
     return [table for _, table in found]
@@ -77,9 +77,9 @@ def actions():
 
 
 @pytest.fixture(scope="module")
-def modules(Q):
+def modules():
     return [(module, product_rows(module), list(ideal_generators(module)))
-            for module in catalog_modules(Q) if module.dim > 1]
+            for module in catalog_modules() if module.dim > 1]
 
 
 @SETTINGS
@@ -119,10 +119,10 @@ def test_action_violations_are_in_the_reference_list(actions, data, rng):
 @SETTINGS
 @given(st.sampled_from([z4_actions, partial_corruptions]),
        st.randoms(use_true_random=False))
-def test_l_triples_fail_in_the_dense_table(Q, corruptions, rng):
+def test_l_triples_fail_in_the_dense_table(corruptions, rng):
     action = next(corruptions(rng, 1))
     try:
-        module = CovarianceModule(induce_algebra_action(action, Q))
+        module = CovarianceModule(induce_algebra_action(action))
     except (KeyError, ValueError):
         return
     reports = premises(action)
