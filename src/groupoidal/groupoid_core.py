@@ -17,29 +17,30 @@ DEFAULT_BISECTION_BOUND = 16
 
 
 class FiniteGroupoid:
-    """A finite groupoid with arrows as opaque ids.
+    """A finite groupoid on arrow indices 0 .. n-1.
 
-    arrows fixes the canonical order; compose is an explicit partial table
-    keyed by composable pairs.  Range and source are derived from the
-    tables (r(b) = b b^{-1}, s(b) = b^{-1} b), so a raw candidate can be
-    constructed and then judged by validate_groupoid.
+    arrows names the arrows in the canonical order, for reports and for
+    index(a); units is a set of arrow indices, inverse[a] the index of
+    the inverse of arrow a (-1 where the input left it out), and compose
+    an explicit partial table from composable index pairs to an index.
+    Range and source are derived from the tables once (r(b) = b b^{-1},
+    s(b) = b^{-1} b, -1 where that pair has no composite), so a raw
+    candidate can be constructed and then judged by validate_groupoid.
     """
 
     def __init__(self, arrows, units, inverse, compose, name="groupoid"):
         self.name = name
         self.arrows = list(arrows)
-        if len(set(self.arrows)) != len(self.arrows):
-            raise ValueError("duplicate arrows")
         self._index = {a: i for i, a in enumerate(self.arrows)}
+        if len(self._index) != len(self.arrows):
+            raise ValueError("duplicate arrows")
         self.units = frozenset(units)
-        self.inverse_table = dict(inverse)
-        self.compose_table = dict(compose)
-        self._range = {}
-        self._source = {}
-        for a in self.arrows:
-            ainv = self.inverse_table.get(a)
-            self._range[a] = self.compose_table.get((a, ainv))
-            self._source[a] = self.compose_table.get((ainv, a))
+        self.inverse = list(inverse)
+        self.compose = dict(compose)
+        self.range = [self.compose.get((a, b), -1)
+                      for a, b in enumerate(self.inverse)]
+        self.source = [self.compose.get((b, a), -1)
+                       for a, b in enumerate(self.inverse)]
 
     @property
     def n_arrows(self):
@@ -48,39 +49,17 @@ class FiniteGroupoid:
     def index(self, a):
         return self._index[a]
 
-    def is_unit(self, a):
-        return a in self.units
-
-    def inverse(self, a):
-        return self.inverse_table[a]
-
-    def source(self, a):
-        return self._source[a]
-
-    def range(self, a):
-        return self._range[a]
-
-    def composable(self, b, c):
-        return (b, c) in self.compose_table
-
-    def compose(self, b, c):
-        try:
-            return self.compose_table[(b, c)]
-        except KeyError:
-            raise ValueError(f"arrows {b} and {c} are not composable") from None
-
-    def sort_arrows(self, subset):
-        return sorted(subset, key=self._index.__getitem__)
-
     def __repr__(self):
         return f"FiniteGroupoid({self.name}, arrows={self.n_arrows})"
 
 
 def validate_groupoid(g):
-    """Exhaustively check the groupoid axioms.  The checks on units,
-    inverses, range, source and the table's entries report every
-    violation; composability, cancellation and associativity each report
-    one, where their check failed.
+    """Exhaustively check the groupoid axioms on arrow indices, naming
+    arrows by their labels only in messages.  The checks on inverses,
+    range, source and units report every violation; composability,
+    cancellation and associativity each report one, where their check
+    failed.  Unknown arrow names never reach here: the parser refuses
+    them.
 
     The unit laws need no check of their own once composability and
     cancellation hold.  Cancellation on (b, b^-1), whose composite is
@@ -91,42 +70,33 @@ def validate_groupoid(g):
     u^-1 u = u^-1, and u^-1 u = s(u) = u, so u^-1 = u.  Every unit is
     some r(b), as the units are the image of range and source."""
     report = ValidationReport(f"groupoid {g.name}")
-    arrows = g.arrows
-    aset = set(arrows)
+    arrows, inverse = g.arrows, g.inverse
 
-    for u in g.units:
-        if u not in aset:
-            report.add(f"unit {u} is not an arrow")
-    for a in arrows:
-        ainv = g.inverse_table.get(a)
-        if ainv is None or ainv not in aset:
-            report.add(f"inverse not closed: arrow {a} has no inverse arrow")
-    for a, b in g.inverse_table.items():
-        if a in aset and b in aset and g.inverse_table.get(b) != a:
-            report.add(f"inverse is not an involution on {a}")
+    for a, b in enumerate(inverse):
+        if b < 0:
+            report.add(f"inverse not closed: arrow {arrows[a]} has no "
+                       "inverse arrow")
+    for a, b in enumerate(inverse):
+        if b >= 0 and inverse[b] != a:
+            report.add(f"inverse is not an involution on {arrows[a]}")
     if not report.ok:
         return report
 
     # r(b) = b b^{-1} and s(b) = b^{-1} b must exist before anything else.
-    for a in arrows:
-        if g.range(a) is None:
-            report.add(f"range undefined: ({a}, {g.inverse(a)}) not composable")
-        if g.source(a) is None:
-            report.add(f"source undefined: ({g.inverse(a)}, {a}) not composable")
+    for a, b in enumerate(inverse):
+        if g.range[a] < 0:
+            report.add(f"range undefined: ({arrows[a]}, {arrows[b]}) "
+                       "not composable")
+        if g.source[a] < 0:
+            report.add(f"source undefined: ({arrows[b]}, {arrows[a]}) "
+                       "not composable")
     if not report.ok:
         return report
 
-    image = {g.range(a) for a in arrows} | {g.source(a) for a in arrows}
+    image = set(g.range) | set(g.source)
     if image != g.units:
         report.add(f"units must be the common image of range and source; "
-                   f"image is {sorted(map(str, image))}")
-
-    for (b, c), d in g.compose_table.items():
-        if b not in aset or c not in aset:
-            report.add(f"compose key ({b}, {c}) uses unknown arrows")
-        elif d not in aset:
-            report.add(f"compose value {d} for ({b}, {c}) is not an arrow")
-    if not report.ok:
+                   f"image is {sorted(str(arrows[a]) for a in image)}")
         return report
 
     # Each check names the violation at which it failed; cancellation
@@ -147,31 +117,34 @@ def composability_violation(g):
     of the composition table is such a pair, and there are as many keys
     as such pairs.  Otherwise a violation: a key off the points, or a
     matched pair with no composite."""
-    source, range_, compose = g._source, g._range, g.compose_table
+    source, range_, compose, arrows = g.source, g.range, g.compose, g.arrows
     off = next(((b, c) for b, c in compose if source[b] != range_[c]), None)
     if off is not None:
-        b, c = off
+        b, c = (arrows[i] for i in off)
         return f"({b}, {c}) composed but s({b}) != r({c})"
-    ends, starts = Counter(source.values()), Counter(range_.values())
+    ends, starts = Counter(source), Counter(range_)
     if len(compose) == sum(ends[u] * starts[u] for u in ends):
         return None
     # Every key is a matched pair, so some unit has fewer keys than
     # matched pairs.
     keys = Counter(source[b] for b, _ in compose)
     u = next(u for u in ends if keys[u] != ends[u] * starts[u])
-    b, c = next((b, c) for b in g.arrows if source[b] == u
-                for c in g.arrows if range_[c] == u and (b, c) not in compose)
+    b, c = next((arrows[b], arrows[c]) for b, s in enumerate(source)
+                if s == u for c, r in enumerate(range_)
+                if r == u and (b, c) not in compose)
     return f"({b}, {c}) has s({b}) = r({c}) but no composite"
 
 
 def _cancellation_violation(g):
     """None when b^-1 (bc) = c and (bc) c^-1 = b for every composable
     pair, else the first failure.  Then r(bc) = r(b) and s(bc) = s(c)."""
-    compose, inverse = g.compose_table, g.inverse_table
+    compose, inverse, arrows = g.compose, g.inverse, g.arrows
     for (b, c), d in compose.items():
         if compose.get((inverse[b], d)) != c:
+            b, c = arrows[b], arrows[c]
             return f"cancellation fails: {b}^-1 ({b}{c}) != {c}"
         if compose.get((d, inverse[c])) != b:
+            b, c = arrows[b], arrows[c]
             return f"cancellation fails: ({b}{c}) {c}^-1 != {b}"
     return None
 
@@ -186,14 +159,12 @@ class GroupoidProduct(BasedAlgebra):
 
     def __init__(self, g):
         self.groupoid = g
-        arrows = self.basis_labels = list(g.arrows)
-        self.dim = len(arrows)
-        self._set_points([g.source(a) for a in arrows],
-                         [g.range(a) for a in arrows])
-        index, compose = g._index, g.compose_table
-        self._rows = [[index[compose[(b, arrows[c])]]
-                       for c in self.at_point.get(p, ())]
-                      for b, p in zip(arrows, self.row_points)]
+        self.basis_labels = g.arrows
+        self.dim = g.n_arrows
+        self._set_points(g.source, g.range)
+        compose = g.compose
+        self._rows = [[compose[b, c] for c in self.at_point.get(p, ())]
+                      for b, p in enumerate(self.row_points)]
 
     def row_products(self, i):
         return self._rows[i]
@@ -201,15 +172,14 @@ class GroupoidProduct(BasedAlgebra):
 
 def is_topologically_principal(g):
     """True iff every unit has trivial isotropy (dense = all, finitely).
+    In a groupoid u has range and source u, so its isotropy is trivial
+    iff u is the only such arrow, counted in one pass over the arrows.
 
     Returns (flag, offending_units) with offenders in canonical order.
     """
-    offenders = []
-    for u in g.sort_arrows(g.units):
-        iso = [b for b in g.arrows if g.range(b) == u and g.source(b) == u]
-        if iso != [u]:
-            offenders.append(u)
-    return (not offenders, tuple(offenders))
+    loops = Counter(r for r, s in zip(g.range, g.source) if r == s)
+    offenders = tuple(g.arrows[u] for u in sorted(g.units) if loops[u] != 1)
+    return (not offenders, offenders)
 
 
 def enumerate_bisections(g, bound=DEFAULT_BISECTION_BOUND):
@@ -226,9 +196,9 @@ def enumerate_bisections(g, bound=DEFAULT_BISECTION_BOUND):
     if n > bound:
         raise BoundExceeded(
             f"groupoid too large: {n} arrows exceeds bisection bound {bound}")
-    bit = {}
-    ranges = [1 << bit.setdefault(g.range(a), len(bit)) for a in g.arrows]
-    sources = [1 << bit.setdefault(g.source(a), len(bit)) for a in g.arrows]
+    # A unit's bit is its arrow index.
+    ranges = [1 << r for r in g.range]
+    sources = [1 << s for s in g.source]
     masks = []
     stack = [(0, 0, 0, 0)]
     while stack:

@@ -175,24 +175,21 @@ class BisectionSemigroup(InverseSemigroup):
     is computed when read."""
 
     def __init__(self, g, masks, name):
-        idx = g.index
-        unit_id = {u: k for k, u in enumerate(g.sort_arrows(g.units))}
-        self._range = [unit_id[g.range(a)] for a in g.arrows]
-        self._source = [unit_id[g.source(a)] for a in g.arrows]
-        self._compose_bits = {(idx(b), idx(c)): 1 << idx(d)
-                              for (b, c), d in g.compose_table.items()}
+        unit_id = {u: k for k, u in enumerate(sorted(g.units))}
+        self._range = list(map(unit_id.__getitem__, g.range))
+        self._source = list(map(unit_id.__getitem__, g.source))
+        self._compose_bits = {bc: 1 << d for bc, d in g.compose.items()}
         self.masks = masks
         by_range = sorted(range(g.n_arrows), key=self._range.__getitem__)
         self._arrows = [[a for a in by_range if mask >> a & 1]
                         for mask in masks]
         self._position = {mask: i for i, mask in enumerate(masks)}
-        inverse = [1 << idx(g.inverse(a)) for a in g.arrows]
+        inverse = [1 << b for b in g.inverse]
         super().__init__([frozenset(map(g.arrows.__getitem__, arrows))
                           for arrows in self._arrows],
                          [self._position[sum(map(inverse.__getitem__, arrows))]
                           for arrows in self._arrows], name)
-        self.unit = self.elements[
-            self._position[sum(1 << idx(u) for u in g.units)]]
+        self.unit = self.elements[self._position[sum(1 << u for u in g.units)]]
         self._rows, self._columns = {}, {}
         self.generators = self._generating_set()
         for c in self.generators:

@@ -366,39 +366,25 @@ def search_orbit_equivalence(theta, gamma, bound=DEFAULT_ORBIT_BOUND):
 # Groupoid isomorphism search.
 # ---------------------------------------------------------------------------
 
-class GroupoidIsomorphism:
-    """An arrow bijection carrying units to units, preserving range and
-    source, and multiplicative on composable pairs."""
-
-    def __init__(self, mapping):
-        self.mapping = dict(mapping)
-
-    def __call__(self, arrow):
-        return self.mapping[arrow]
-
-    def __repr__(self):
-        return f"GroupoidIsomorphism({len(self.mapping)} arrows)"
-
-
 def _unit_profiles(g):
-    """Unit -> (isotropy group order, number of arrows with that range,
-    sorted element orders of the isotropy group).  g must pass
+    """Unit index -> (isotropy group order, number of arrows with that
+    range, sorted element orders of the isotropy group).  g must pass
     validate_groupoid, so the isotropy at u, the arrows b with
     r(b) = s(b) = u, is a group with identity u, and the order of b is
     the least k <= |H| with b^k = u, read off the composition table."""
-    fibre = Counter(g.range(b) for b in g.arrows)
+    fibre = Counter(g.range)
     isotropy = {u: [] for u in g.units}
-    for b in g.arrows:
-        if g.range(b) == g.source(b):
-            isotropy[g.range(b)].append(b)
-    compose = g.compose_table
+    for b, (r, s) in enumerate(zip(g.range, g.source)):
+        if r == s:
+            isotropy[r].append(b)
+    compose = g.compose
     profiles = {}
     for u, members in isotropy.items():
         orders = []
         for b in members:
             power, k = b, 1
             while power != u:
-                power, k = compose[(power, b)], k + 1
+                power, k = compose[power, b], k + 1
             orders.append(k)
         profiles[u] = (len(members), fibre[u], tuple(sorted(orders)))
     return profiles
@@ -407,7 +393,8 @@ def _unit_profiles(g):
 def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
     """Backtracking over arrow bijections, units first, pruned by the
     unit/range/source/inverse/composition constraints; sound and complete
-    within the bound.  Returns the lexicographically first witness or None.
+    within the bound.  Returns the lexicographically first witness, as
+    the list of the image index of each arrow index of g1, or None.
 
     An isomorphism preserves range and source, so it maps the isotropy
     group and the range fibre of each unit u bijectively onto those of its
@@ -432,59 +419,50 @@ def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
         raise BoundExceeded(f"groupoids too large: {g1.n_arrows} arrows "
                             f"exceeds iso bound {bound}")
 
-    order1 = g1.sort_arrows(g1.units) + \
-        [a for a in g1.arrows if not g1.is_unit(a)]
-    units2 = [a for a in g2.arrows if g2.is_unit(a)]
-    nonunits2 = [a for a in g2.arrows if not g2.is_unit(a)]
+    n = g1.n_arrows
+    order1 = sorted(g1.units) + [a for a in range(n) if a not in g1.units]
+    units2 = sorted(g2.units)
+    nonunits2 = [b for b in range(n) if b not in g2.units]
+    compose1, compose2 = g1.compose, g2.compose
 
-    mapping = {}
-    used = set()
+    image = [-1] * n  # image[a] is the image of arrow a, or -1
+    used = [False] * n
 
-    def consistent(a, b):
-        if g1.is_unit(a) != g2.is_unit(b):
+    def agrees(a, b):
+        # The image of a, where it has one, is b.
+        return image[a] < 0 or image[a] == b
+
+    def consistent(pos, b):
+        # Arrow order1[pos] against the arrows mapped before it.
+        a = order1[pos]
+        if not (agrees(g1.range[a], g2.range[b])
+                and agrees(g1.source[a], g2.source[b])
+                and agrees(g1.inverse[a], g2.inverse[b])):
             return False
-        ra, sa = g1.range(a), g1.source(a)
-        if ra in mapping and mapping[ra] != g2.range(b):
-            return False
-        if sa in mapping and mapping[sa] != g2.source(b):
-            return False
-        inv_a = g1.inverse(a)
-        if inv_a in mapping and mapping[inv_a] != g2.inverse(b):
-            return False
-        for a2, b2 in mapping.items():
-            if g1.composable(a, a2) != g2.composable(b, b2):
-                return False
-            if g1.composable(a2, a) != g2.composable(b2, b):
-                return False
-            if g1.composable(a, a2):
-                c = g1.compose(a, a2)
-                if c in mapping and mapping[c] != g2.compose(b, b2):
+        for a2 in order1[:pos]:
+            b2 = image[a2]
+            for c, d in ((compose1.get((a, a2)), compose2.get((b, b2))),
+                         (compose1.get((a2, a)), compose2.get((b2, b)))):
+                if (c is None) != (d is None):
                     return False
-            if g1.composable(a2, a):
-                c = g1.compose(a2, a)
-                if c in mapping and mapping[c] != g2.compose(b2, b):
+                if c is not None and not agrees(c, d):
                     return False
         return True
 
     def backtrack(pos):
-        if pos == len(order1):
+        if pos == n:
             return True
         a = order1[pos]
-        candidates = units2 if g1.is_unit(a) else nonunits2
-        for b in candidates:
-            if b in used or not consistent(a, b):
+        for b in units2 if a in g1.units else nonunits2:
+            if used[b] or not consistent(pos, b):
                 continue
-            mapping[a] = b
-            used.add(b)
+            image[a], used[b] = b, True
             if backtrack(pos + 1):
                 return True
-            del mapping[a]
-            used.discard(b)
+            image[a], used[b] = -1, False
         return False
 
-    if backtrack(0):
-        return GroupoidIsomorphism(mapping)
-    return None
+    return image if backtrack(0) else None
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +470,11 @@ def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
 # ---------------------------------------------------------------------------
 
 def steinberg_transport(iso, algebra1, algebra2):
-    """Pull a groupoid isomorphism back to a diagonal-preserving algebra
-    isomorphism of the Steinberg algebras (point masses map to point
-    masses)."""
-    targets = [algebra2.groupoid.index(iso(a)) for a in algebra1.basis_labels]
-    return AlgebraMap(algebra1, algebra2, targets, name="Gamma").certify_all()
+    """Pull a groupoid isomorphism, given by the image index of each arrow
+    index (search_groupoid_isomorphism), back to a diagonal-preserving
+    algebra isomorphism of the Steinberg algebras: the point mass at
+    arrow a goes to the point mass at arrow iso[a]."""
+    return AlgebraMap(algebra1, algebra2, iso, name="Gamma").certify_all()
 
 
 def transported_skew_isomorphism(rho1, rho2, gamma):
@@ -542,7 +520,7 @@ class BisectionAction:
     def __init__(self, groupoid, semigroup):
         self.groupoid = groupoid
         self.index = semigroup
-        self.space = groupoid.sort_arrows(groupoid.units)
+        self.space = [groupoid.arrows[u] for u in sorted(groupoid.units)]
 
     def star_graph(self, e):
         """The pairs (r(b), s(b)) = (x, theta_{B*}(x)) over the arrows b of

@@ -125,9 +125,15 @@ class ScalarRing:
         return rng.randrange(self.modulus)
 
 
+# The most digits of a Z/n modulus: the interpreter's default limit on
+# int() of a decimal string, so no tag reaches that limit's own error.
+MAX_MODULUS_DIGITS = 4300
+
+
 def ring_from_tag(tag):
     """Build a ring from its input-file tag, outer whitespace stripped:
-    "Q", "Z", or "Z/" and ASCII digits; any other tag is unknown."""
+    "Q", "Z", or "Z/" and ASCII digits, at most MAX_MODULUS_DIGITS of
+    them; any other tag is unknown."""
     tag = tag.strip()
     if tag == "Q":
         return ScalarRing("Q")
@@ -135,6 +141,9 @@ def ring_from_tag(tag):
         return ScalarRing("Z")
     digits = tag[2:]
     if tag.startswith("Z/") and digits.isascii() and digits.isdigit():
+        if len(digits) > MAX_MODULUS_DIGITS:
+            raise ValueError(f"ring modulus has {len(digits)} digits, more "
+                             f"than the {MAX_MODULUS_DIGITS} allowed")
         return ScalarRing("Zn", int(digits))
     raise ValueError(f"unknown ring tag {tag!r}")
 

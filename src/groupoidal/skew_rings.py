@@ -229,10 +229,6 @@ class QuotientAlgebra(BasedAlgebra):
         return [self._class[row[place[reps[r]]]]
                 for r in self.at_point.get(self.row_points[q], ())]
 
-    def diagonal_indices(self):
-        unit = self.module._index.unit
-        return [i for i, (s, _) in enumerate(self.basis_labels) if s == unit]
-
     def verify_representative_independence(self):
         """The induced product is well defined iff I is a two-sided ideal,
         that is iff e_k (e_a - e_b) and (e_a - e_b) e_k lie in I for every

@@ -216,21 +216,25 @@ def _parse_group(spec):
 
 
 def _parse_groupoid(data):
+    """The groupoid on the arrow indices of the document's names; an
+    inverse the document leaves out is -1."""
     arrows = data["arrows"]
     if len(set(arrows)) != len(arrows):
         raise SpecFileError("arrows: duplicate names")
     index = {a: i for i, a in enumerate(arrows)}
+    units = []
     for u in data["units"]:
         if u not in index:
             raise SpecFileError(f"units: {u!r} is not a listed arrow")
-    inverse = {}
+        units.append(index[u])
+    inverse = [-1] * len(arrows)
     for key, value in data["inverse"].items():
         if key not in index or value not in index:
             raise SpecFileError(f"inverse[{key!r}]: unknown arrow")
-        inverse[key] = value
-    compose = {(arrows[a], arrows[b]): arrows[c] for a, b, c in
+        inverse[index[key]] = index[value]
+    compose = {(a, b): c for a, b, c in
                _pair_entries(data["compose"], "compose", index, "arrow")}
-    return FiniteGroupoid(arrows, data["units"], inverse, compose,
+    return FiniteGroupoid(arrows, units, inverse, compose,
                           name=data.get("name", "groupoid"))
 
 

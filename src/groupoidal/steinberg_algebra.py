@@ -78,11 +78,13 @@ def convolve(f, g):
     """(f * g)(b) = sum of f(c) g(d) over all factorizations b = cd."""
     f._compatible(g)
     parent, ring = f.parent, f.ring
+    index, compose, arrows = parent._index, parent.compose, parent.arrows
     acc = {}
     for c, fc in f.values.items():
         for d, gd in g.values.items():
-            if parent.composable(c, d):
-                b = parent.compose(c, d)
+            b = compose.get((index[c], index[d]))
+            if b is not None:
+                b = arrows[b]
                 acc[b] = acc.get(b, ring.zero()) + fc * gd
     return GroupoidFunction(parent, ring, acc)
 
@@ -134,8 +136,7 @@ def disjoint_decomposition(f):
         # f has one ring, so the raw values key the level sets.
         values[index[arrow]] = value.value
         scalars.setdefault(value.value, value)
-    blocks = split_levels(values, [g._range[a] for a in g.arrows],
-                          [g._source[a] for a in g.arrows])
+    blocks = split_levels(values, g.range, g.source)
     # A block's key is its ascending index list; blocks are disjoint, so
     # their first indices order them as their keys do.
     blocks.sort(key=lambda bv: bv[0][0])
@@ -170,5 +171,4 @@ class SteinbergAlgebra(GroupoidProduct):
         return out
 
     def diagonal_indices(self):
-        return [i for i, a in enumerate(self.basis_labels)
-                if self.groupoid.is_unit(a)]
+        return sorted(self.groupoid.units)

@@ -1,6 +1,6 @@
-"""The transformation groupoid of a partial group action: arrows are the
-literal pairs (t, x) with x in X_t, so the isomorphism formulas can read
-coordinates directly."""
+"""The transformation groupoid of a partial group action: arrows are named
+by the literal pairs (t, x) with x in X_t, so the isomorphism formulas can
+read coordinates directly, and its tables are on arrow indices."""
 
 from __future__ import annotations
 
@@ -12,40 +12,43 @@ class TransformationGroupoid(FiniteGroupoid):
     with a provenance link to the acting partial action.
 
     (t, x) runs from (e, theta_{t^-1}(x)) to (e, x); the pair (s, y), (t, x)
-    composes to (st, y) exactly when theta_{s^-1}(y) = x.
+    composes to (st, y) exactly when theta_{s^-1}(y) = x.  The units are
+    the arrows (e, x), one per point of X_e = X.
     """
 
     def __init__(self, action):
         group = action.group
-        elements, table = group.elements, group.table
-        # Each arrow (t, x) with the index of t, and the inverse of t.
-        indexed = [(i, t, x, elements[group.star_table[i]])
-                   for i, t in enumerate(elements)
-                   for x in action.domain_points(t)]
-        arrows = [(t, x) for _, t, x, _ in indexed]
-        arrow_set = set(arrows)
-        units = [(group.identity, x) for x in action.space]
-        inverse = {(t, x): (t_inv, action.theta(t_inv, x))
-                   for _, t, x, t_inv in indexed}
-        # The arrows (t, x) at each point x, in arrow order: t in group
-        # order, with the index of t.  (s, y) composes with exactly those
-        # at theta_{s^-1}(y), and the composite (st, y) reads st off the
+        elements, table, star = group.elements, group.table, group.star_table
+        # The index of arrow (t, x), keyed by the index of t and x, in
+        # arrow order: t in group order, x in the order of the space.
+        at = {}
+        for i, t in enumerate(elements):
+            for x in action.domain_points(t):
+                at[i, x] = len(at)
+        e = group.index(group.identity)
+        # (t, x) runs from (e, theta_{t^-1}(x)) to (e, x).
+        back = [action.theta(elements[star[i]], x) for i, x in at]
+        inverse = [at.get((star[i], x), -1) for (i, _), x in zip(at, back)]
+        # The arrows (t, x) at each point x, in arrow order, with the
+        # index of t.  (s, y) composes with exactly those at
+        # theta_{s^-1}(y), and the composite (st, y) reads st off the
         # group's index table.
         arrows_at = {}
-        for j, t, x, _ in indexed:
-            arrows_at.setdefault(x, []).append((j, (t, x)))
+        for (j, x), c in at.items():
+            arrows_at.setdefault(x, []).append((j, c))
         compose = {}
-        for i, s, y, s_inv in indexed:
+        for ((i, y), b), x in zip(at.items(), back):
             row = table[i]
-            for j, c in arrows_at.get(action.theta(s_inv, y), ()):
-                target = (elements[row[j]], y)
-                if target not in arrow_set:
+            for j, c in arrows_at.get(x, ()):
+                d = at.get((row[j], y))
+                if d is None:
                     raise ValueError(
-                        f"composite ({target[0]}, {y}) escapes the arrow "
-                        "set; action is not a partial action")
-                compose[((s, y), c)] = target
-        super().__init__(arrows, units, inverse, compose,
-                         name=f"{group.name}@{action.name}")
+                        f"composite ({elements[row[j]]}, {y}) escapes the "
+                        "arrow set; action is not a partial action")
+                compose[b, c] = d
+        super().__init__([(elements[i], x) for i, x in at],
+                         [k for (i, _), k in at.items() if i == e],
+                         inverse, compose, name=f"{group.name}@{action.name}")
         self.action = action
 
 

@@ -84,11 +84,10 @@ def dense_table(module):
 def composition_table(g):
     """The contracted semigroup G u {0} on arrow indices: row b holds the
     index of bc at c, and -1 where (b, c) is not composable."""
-    idx = g._index
     blank = index_row(g.n_arrows, [-1]) * g.n_arrows
     table = [blank[:] for _ in g.arrows]
-    for (b, c), d in g.compose_table.items():
-        table[idx[b]][idx[c]] = idx[d]
+    for (b, c), d in g.compose.items():
+        table[b][c] = d
     return table
 
 

@@ -2,11 +2,15 @@
 groupoids: pair groupoids and bundles of cyclic groups; the regular
 actions of cyclic groups; the symmetric inverse monoids I(X) of
 partial bijections; inverse semigroups and groups built from dict
-tables; and the label constructors of groupoid functions, `indicator`
-and `point_mass`, which no command needs.  Also the structures the library builds from one argument that its calls
-always pass: rho on a freshly built transformation groupoid, the
-bisection action on a freshly built bisection semigroup, and random
-scalars.
+tables; the label constructors of groupoid functions, `indicator`
+and `point_mass`, which no command needs; and groupoids in label form:
+`LabelGroupoid`, the tables keyed by arrow labels that FiniteGroupoid
+held before it moved to arrow indices, `label_groupoid`, which reads a
+FiniteGroupoid through its labels, and `groupoid_from_labels`, which
+builds one from label tables.  Also the structures the library builds
+from one argument that its calls always pass: rho on a freshly built
+transformation groupoid, the bisection action on a freshly built
+bisection semigroup, and random scalars.
 
 The label form of the bisection action is the oracle of the engine's,
 which is read off the semigroup's arrow indices:
@@ -22,7 +26,7 @@ import weakref
 from itertools import combinations, permutations
 
 from groupoidal.groupoid_core import (DEFAULT_BISECTION_BOUND,
-                                      enumerate_bisections)
+                                      FiniteGroupoid, enumerate_bisections)
 from groupoidal.groups import FiniteGroup
 from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
                                            bisection_semigroup, natural_order)
@@ -273,12 +277,14 @@ class SemigroupPartialAction(_PartialActionBase):
 
 
 def range_set(g, bis):
+    g = label_groupoid(g)
     return frozenset(g.range(b) for b in bis)
 
 
 def label_bisection_action(groupoid, semigroup):
     """The bisection action built from labels: for each bisection B, the
     domain r(B) and the map s(b) -> r(b) over the arrows b of B."""
+    groupoid = label_groupoid(groupoid)
     space = groupoid.sort_arrows(groupoid.units)
     domains = {}
     maps = {}
@@ -319,6 +325,94 @@ def bisection_sets(g, bound=DEFAULT_BISECTION_BOUND):
     """The bisections of g as sets of arrows, in enumerate_bisections'
     order."""
     return [mask_arrows(g, mask) for mask in enumerate_bisections(g, bound)]
+
+
+class LabelGroupoid:
+    """A finite groupoid on arrow labels: the form FiniteGroupoid had
+    before its tables moved to arrow indices, kept as the reference of
+    the oracles that read labels.  inverse and compose are dicts keyed
+    by labels; range and source are derived (r(b) = b b^{-1},
+    s(b) = b^{-1} b, None where that pair has no composite)."""
+
+    def __init__(self, arrows, units, inverse, compose, name="groupoid"):
+        self.name = name
+        self.arrows = list(arrows)
+        if len(set(self.arrows)) != len(self.arrows):
+            raise ValueError("duplicate arrows")
+        self._index = {a: i for i, a in enumerate(self.arrows)}
+        self.units = frozenset(units)
+        self.inverse_table = dict(inverse)
+        self.compose_table = dict(compose)
+        self._range = {}
+        self._source = {}
+        for a in self.arrows:
+            ainv = self.inverse_table.get(a)
+            self._range[a] = self.compose_table.get((a, ainv))
+            self._source[a] = self.compose_table.get((ainv, a))
+
+    @property
+    def n_arrows(self):
+        return len(self.arrows)
+
+    def index(self, a):
+        return self._index[a]
+
+    def is_unit(self, a):
+        return a in self.units
+
+    def inverse(self, a):
+        return self.inverse_table[a]
+
+    def source(self, a):
+        return self._source[a]
+
+    def range(self, a):
+        return self._range[a]
+
+    def composable(self, b, c):
+        return (b, c) in self.compose_table
+
+    def compose(self, b, c):
+        try:
+            return self.compose_table[(b, c)]
+        except KeyError:
+            raise ValueError(f"arrows {b} and {c} are not composable") from None
+
+    def sort_arrows(self, subset):
+        return sorted(subset, key=self._index.__getitem__)
+
+
+_LABEL_GROUPOIDS = weakref.WeakKeyDictionary()
+
+
+def label_groupoid(g):
+    """The tables of a FiniteGroupoid read through its arrow labels, as a
+    LabelGroupoid built once per groupoid (a LabelGroupoid is returned as
+    it is).  An inverse left out stays out."""
+    if isinstance(g, LabelGroupoid):
+        return g
+    view = _LABEL_GROUPOIDS.get(g)
+    if view is None:
+        names = g.arrows
+        view = _LABEL_GROUPOIDS[g] = LabelGroupoid(
+            names, [names[u] for u in g.units],
+            {names[a]: names[b] for a, b in enumerate(g.inverse) if b >= 0},
+            {(names[b], names[c]): names[d]
+             for (b, c), d in g.compose.items()}, name=g.name)
+    return view
+
+
+def groupoid_from_labels(arrows, units, inverse, compose, name="groupoid"):
+    """A FiniteGroupoid from tables on arrow labels: units a collection of
+    arrows, inverse and compose dicts keyed by arrows and pairs of arrows.
+    An arrow with no inverse entry gets -1; a unit, inverse or composite
+    that is not an arrow raises KeyError, as the parser refuses it."""
+    index = {a: i for i, a in enumerate(arrows)}
+    return FiniteGroupoid(
+        arrows, [index[u] for u in units],
+        [index[inverse[a]] if a in inverse else -1 for a in arrows],
+        {(index[b], index[c]): index[d] for (b, c), d in compose.items()},
+        name=name)
 
 
 def random_scalar(ring, rng):

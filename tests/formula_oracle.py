@@ -19,13 +19,15 @@ arithmetic of the engine.
   rho's targets, and must give the same rows.
 """
 
-from families import group_from_products, label_view, mul, point_mass
+from families import (group_from_products, label_groupoid, label_view, mul,
+                      point_mass)
 from groupoidal.steinberg_algebra import GroupoidFunction
 from groupoidal.validation import stable
 
 
 def is_bisection(g, arrow_set):
     """True iff range and source are both injective on the subset."""
+    g = label_groupoid(g)
     ranges = [g.range(a) for a in arrow_set]
     sources = [g.source(a) for a in arrow_set]
     return len(set(ranges)) == len(ranges) and len(set(sources)) == len(sources)
@@ -33,6 +35,7 @@ def is_bisection(g, arrow_set):
 
 def bisection_product(g, bis_b, bis_c):
     """BC = {bc : b in B, c in C, s(b) = r(c)}; a bisection, possibly empty."""
+    g = label_groupoid(g)
     out = {g.compose(b, c) for b in bis_b for c in bis_c if g.composable(b, c)}
     out = frozenset(out)
     if not is_bisection(g, out):
@@ -42,16 +45,19 @@ def bisection_product(g, bis_b, bis_c):
 
 
 def bisection_inverse(g, bis):
+    g = label_groupoid(g)
     return frozenset(g.inverse(b) for b in bis)
 
 
 def source_set(g, bis):
+    g = label_groupoid(g)
     return frozenset(g.source(b) for b in bis)
 
 
 def isotropy_group(g, u):
     """The isotropy group at a unit: all arrows with range = source = u,
     as a FiniteGroup with identity u, read off the composition table."""
+    g = label_groupoid(g)
     if u not in g.units:
         raise ValueError(f"{u} is not a unit")
     members = [b for b in g.arrows if g.range(b) == u and g.source(b) == u]

@@ -10,8 +10,8 @@ import time
 from dense_oracle import (apply, from_vector, product_rows, realize,
                           skew_ring, table_of, to_vector)
 from families import (bisection_sets, family_groupoids, idempotents,
-                      indicator, label_bisection_action, order_pairs,
-                      point_mass, transformation_rho)
+                      indicator, label_bisection_action, label_groupoid,
+                      order_pairs, point_mass, transformation_rho)
 from formula_oracle import (bisection_inverse, bisection_product,
                             is_bisection, rho_inverse)
 
@@ -196,7 +196,8 @@ def test_criterion_6_structural_suites():
             for c in semigroup.elements:
                 assert ((b, c) in order) == (b <= c), name
         assert set(idempotents(semigroup)) == \
-            {b for b in semigroup.elements if b <= g.units}, name
+            {b for b in semigroup.elements
+             if b <= label_groupoid(g).units}, name
         assert validate_isg_partial_action(label_bisection_action(g, semigroup)).ok, name
 
         algebra = SteinbergAlgebra(g)

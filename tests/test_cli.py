@@ -123,6 +123,34 @@ def test_theorem5_builds_each_structure_once(name, monkeypatch, capsys):
                         "check bisection_action_axioms"]
 
 
+# The calls theorem3 and equivalence make: the transformation groupoid is
+# a groupoid by construction (build_transformation_groupoid), so neither
+# validates it, and equivalence induces the algebra actions only to
+# transport a groupoid isomorphism it found.
+ACTION_CALLS = [("partial_actions", "validate_group_partial_action"),
+                ("transformation_groupoid", "build_transformation_groupoid"),
+                ("partial_actions", "induce_algebra_action"),
+                ("isomorphisms", "search_groupoid_isomorphism"),
+                ("groupoid_core", "validate_groupoid")]
+
+
+@pytest.mark.parametrize("command, name, iso, counts", [
+    ("theorem3", "z2_partial_3pt", None, (1, 1, 1, 0, 0)),
+    ("theorem3", "z3_cycle_3pt", None, (1, 1, 1, 0, 0)),
+    ("equivalence", "pair_swap_vs_relabeled", "found", (2, 2, 2, 1, 0)),
+    ("equivalence", "pair_swap_vs_empty", "exhausted", (2, 2, 0, 1, 0)),
+])
+def test_action_commands_build_each_structure_once(command, name, iso,
+                                                   counts, monkeypatch,
+                                                   capsys):
+    calls, _ = count_calls(monkeypatch, ACTION_CALLS)
+    code, out, _ = run_cli(capsys, command, name)
+    assert code == 0
+    assert [calls[function] for _, function in ACTION_CALLS] == list(counts)
+    if iso is not None:
+        assert f"check groupoid_isomorphism: pass  [{iso}]" in out
+
+
 def drop_one_join(module, rep):
     """Leave the first (t, x) with |t| > 1 out of its germ's class."""
     b = next(b for b, (t, _) in enumerate(module.basis_labels) if len(t) > 1)
@@ -271,9 +299,9 @@ def test_theorem3_reports_a_wrong_composite(monkeypatch, capsys):
 
     def wrong_composite(action):
         groupoid = build(action)
-        key = next((b, c) for b, c in groupoid.compose_table
-                   if not groupoid.is_unit(b) and not groupoid.is_unit(c))
-        groupoid.compose_table[key] = key[0]
+        key = next((b, c) for b, c in groupoid.compose
+                   if b not in groupoid.units and c not in groupoid.units)
+        groupoid.compose[key] = key[0]
         return groupoid
 
     monkeypatch.setattr(cli, "build_transformation_groupoid",
@@ -291,8 +319,8 @@ def test_equivalence_reports_a_wrong_witness(monkeypatch, capsys):
 
     def swapped(g1, g2, bound):
         iso = search(g1, g2, bound)
-        a, b = [arrow for arrow in g1.arrows if not g1.is_unit(arrow)][:2]
-        iso.mapping[a], iso.mapping[b] = iso.mapping[b], iso.mapping[a]
+        a, b = [a for a in range(g1.n_arrows) if a not in g1.units][:2]
+        iso[a], iso[b] = iso[b], iso[a]
         return iso
 
     monkeypatch.setattr(cli, "search_groupoid_isomorphism", swapped)
@@ -680,6 +708,25 @@ def test_undecidable_modulus_is_an_input_error(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == ("groupoidal: input error: cannot decide whether the "
                    f"modulus {prime} is prime\n")
+
+
+def test_a_modulus_past_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    # Refused before int(), whose own limit would name
+    # sys.set_int_max_str_digits() instead.
+    tag = "Z/" + "7" * 4301
+    message = ("groupoidal: input error: ring modulus has 4301 digits, "
+               "more than the 4300 allowed\n")
+    code, out, err = run_cli(capsys, "validate", "trivial_groupoid",
+                             "--ring", tag)
+    assert (code, out, err) == (2, "", message)
+    with open(os.path.join(catalog.default_catalog_dir(),
+                           "trivial_groupoid.json")) as f:
+        spec = json.load(f)
+    spec["ring"] = tag
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out, err) == (2, "", message)
 
 
 def pair_document(left):

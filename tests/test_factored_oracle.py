@@ -22,8 +22,8 @@ from dense_oracle import (closed, dense_associativity, dense_homomorphism,
                           product_rows, realize, reference_generator_scan,
                           triple_fails)
 from families import (bisection_action_of, family_groupoids,
-                      label_bisection_action, regular_action, tabulated,
-                      transformation_rho)
+                      label_bisection_action, label_groupoid, regular_action,
+                      tabulated, transformation_rho)
 from formula_oracle import bisection_inverse, bisection_product
 
 import catalog
@@ -107,11 +107,13 @@ def test_bisection_builders_follow_the_set_formulas():
         # The action reads (r(b), s(b)) off the arrows of each B, as
         # positions of units, in increasing r(b).
         action = bisection_action(g, s)
-        assert set(action.space) == set(g.units), g.name
+        labels = label_groupoid(g)
+        assert set(action.space) == set(labels.units), g.name
         point = {x: p for p, x in enumerate(action.space)}
         for i, b in enumerate(s.elements):
             assert action.star_graph(i) == sorted(
-                (point[g.range(a)], point[g.source(a)]) for a in b), g.name
+                (point[labels.range(a)], point[labels.source(a)])
+                for a in b), g.name
 
 
 def test_mask_action_builds_the_label_actions_l():
@@ -129,8 +131,9 @@ def test_mask_action_builds_the_label_actions_l():
         assert mask.col_points == label.col_points, g.name
         for i in range(mask.dim):
             assert mask.row_products(i) == label.row_products(i), g.name
+        labels = label_groupoid(g)
         assert r.psi_map.targets == [
-            g.index(next(b for b in s if g.range(b) == x))
+            g.index(next(b for b in s if labels.range(b) == x))
             for s, x in label.basis_labels], g.name
 
 
@@ -354,10 +357,11 @@ def test_composability_violation_names_a_composite_off_the_points():
     # names it; validate_groupoid runs it before any SteinbergAlgebra is
     # built, which assumes the points.
     g = catalog.load_groupoid("pair_groupoid_2")
-    b = next(a for a in g.arrows if g.source(a) != g.range(a))
-    compose = dict(g.compose_table)
-    compose[(b, b)] = g.range(b)
-    bad = FiniteGroupoid(g.arrows, g.units, g.inverse_table, compose)
+    b = next(a for a in range(g.n_arrows) if g.source[a] != g.range[a])
+    compose = dict(g.compose)
+    compose[b, b] = g.range[b]
+    bad = FiniteGroupoid(g.arrows, g.units, g.inverse, compose)
+    b = g.arrows[b]
     violation = f"({b}, {b}) composed but s({b}) != r({b})"
     assert composability_violation(bad) == violation
 

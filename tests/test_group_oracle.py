@@ -14,7 +14,9 @@ the elements has none, and the parser refuses it as an input error.
 The unit profiles must also be those read off each isotropy group as a
 validated `FiniteGroup` (`isotropy_unit_profiles`, the engine's code
 before the search read element orders off the composition table), on
-the catalog, regular Z_n and the groupoid families.
+the catalog, regular Z_n and the groupoid families.  The references
+read the groupoid through its labels (`label_groupoid`); the engine's
+profiles, keyed by unit index, are compared through the labels too.
 """
 
 import random
@@ -26,7 +28,8 @@ import pytest
 from hypothesis import given, settings
 
 from families import (family_groupoids, group_from_products, idempotents,
-                      mul, order_pairs, product_rows, regular_action)
+                      label_groupoid, mul, order_pairs, product_rows,
+                      regular_action)
 from formula_oracle import isotropy_group
 from test_search_oracle import partial_actions
 
@@ -158,6 +161,7 @@ def reference_element_order(g, u, b, limit):
 def reference_unit_profiles(g):
     """Unit -> (isotropy group order, number of arrows with that range,
     sorted element orders of the isotropy group)."""
+    g = label_groupoid(g)
     fibre = Counter(g.range(b) for b in g.arrows)
     isotropy = {u: [] for u in g.units}
     for b in g.arrows:
@@ -170,10 +174,16 @@ def reference_unit_profiles(g):
             for u, group in isotropy.items()}
 
 
+def unit_profiles(g):
+    """The engine's unit profiles, keyed by the units' labels."""
+    return {g.arrows[u]: profile for u, profile in _unit_profiles(g).items()}
+
+
 def isotropy_unit_profiles(g):
     """The unit profiles as the search computed them through the
     isotropy group as a validated FiniteGroup: the order of b is the
     least k >= 1 with b^k = 1, read off the group's index table."""
+    g = label_groupoid(g)
     fibre = Counter(g.range(b) for b in g.arrows)
     profiles = {}
     for u in g.units:
@@ -386,9 +396,9 @@ def test_unit_profiles_agree_on_the_catalog():
                  + [build_transformation_groupoid(a) for a in actions]
                  + family_groupoids())
     for g in groupoids:
-        assert _unit_profiles(g) == reference_unit_profiles(g) \
+        assert unit_profiles(g) == reference_unit_profiles(g) \
             == isotropy_unit_profiles(g), g.name
-        for u in g.units:
+        for u in label_groupoid(g).units:
             assert isotropy_group(g, u).identity == u
 
 
@@ -396,4 +406,4 @@ def test_unit_profiles_agree_on_the_catalog():
 @given(partial_actions())
 def test_unit_profiles_agree_on_partial_cyclic_actions(action):
     g = build_transformation_groupoid(action)
-    assert _unit_profiles(g) == reference_unit_profiles(g)
+    assert unit_profiles(g) == reference_unit_profiles(g)

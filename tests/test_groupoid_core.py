@@ -2,14 +2,14 @@ import random
 import tracemalloc
 
 import pytest
-from families import (bisection_sets, family_groupoids, mask_arrows,
-                      range_set, regular_action)
+from families import (bisection_sets, family_groupoids, groupoid_from_labels,
+                      label_groupoid, mask_arrows, range_set, regular_action)
 from formula_oracle import (bisection_inverse, bisection_product,
                             is_bisection, isotropy_group, source_set)
 from test_factored_oracle import z4_actions
 
 import catalog
-from groupoidal.groupoid_core import (FiniteGroupoid, enumerate_bisections,
+from groupoidal.groupoid_core import (enumerate_bisections,
                                       is_topologically_principal,
                                       validate_groupoid)
 from groupoidal.partial_actions import validate_group_partial_action
@@ -34,9 +34,9 @@ def test_trivial_groupoid_valid():
 
 
 def test_missing_inverse_reported():
-    g = FiniteGroupoid(["u", "v", "a"], ["u", "v"],
-                       {"u": "u", "v": "v"},
-                       {("u", "u"): "u", ("v", "v"): "v"})
+    g = groupoid_from_labels(["u", "v", "a"], ["u", "v"],
+                             {"u": "u", "v": "v"},
+                             {("u", "u"): "u", ("v", "v"): "v"})
     report = validate_groupoid(g)
     assert not report.ok
     assert "inverse not closed" in report.first
@@ -44,7 +44,7 @@ def test_missing_inverse_reported():
 
 def test_broken_associativity_reported():
     # one unit, two loops with a deliberately wrong product table
-    g = FiniteGroupoid(
+    g = groupoid_from_labels(
         ["u", "g", "h"], ["u"],
         {"u": "u", "g": "h", "h": "g"},
         {("u", "u"): "u", ("u", "g"): "g", ("u", "h"): "h",
@@ -56,9 +56,9 @@ def test_broken_associativity_reported():
 
 def test_compose_iff_matching_units():
     g = pair_2()
-    for b in g.arrows:
-        for c in g.arrows:
-            assert g.composable(b, c) == (g.source(b) == g.range(c))
+    for b in range(g.n_arrows):
+        for c in range(g.n_arrows):
+            assert ((b, c) in g.compose) == (g.source[b] == g.range[c])
 
 
 def test_transformation_groupoids_always_valid():
@@ -92,7 +92,7 @@ def test_isotropy_examples():
 
 def test_isotropy_closed_for_catalog():
     for name in catalog.groupoid_names():
-        g = catalog.load_groupoid(name)
+        g = label_groupoid(catalog.load_groupoid(name))
         for u in g.sort_arrows(g.units):
             grp = isotropy_group(g, u)
             assert grp.identity == u
@@ -159,7 +159,7 @@ def test_enumeration_bound_refusal():
 
 
 def test_bisection_product_examples():
-    g = pair_2()
+    g = label_groupoid(pair_2())
     empty = frozenset()
     a = frozenset({"a"})
     assert bisection_product(g, a, empty) == empty
@@ -187,7 +187,8 @@ def test_bisection_identities(name):
         # and B^-1 B
         assert bisection_product(g, b, binv) == range_set(g, b)
         assert bisection_product(g, binv, b) == source_set(g, b)
-        assert range_set(g, b) <= g.units and source_set(g, b) <= g.units
+        units = label_groupoid(g).units
+        assert range_set(g, b) <= units and source_set(g, b) <= units
     for b in bisections:
         for c in bisections:
             bc = bisection_product(g, b, c)

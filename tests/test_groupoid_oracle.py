@@ -1,22 +1,25 @@
 """validate_groupoid against the label-based validator it replaced.
 
 `reference_validate_groupoid` is the validator that ran every check on
-arrow labels, kept verbatim.  The index version decides composability,
-cancellation, closure and associativity on the contracted table, and a
-failing check names one violation where it failed.  So its reports must
-give the same verdict, and every violation it names must be in the
-reference's full list: on the catalog, the transformation groupoids, the
-ladder, groupoids over a non-associative loop, and seeded corruptions.
-Passing reports are byte-equal.
+arrow labels, kept verbatim, and reads the groupoid through its labels
+(`label_groupoid`).  The index version decides every check on arrow
+indices, and a failing composability, cancellation or associativity
+check names one violation where it failed.  So its reports must give the
+same verdict, and every violation it names must be in the reference's
+full list: on the catalog, the transformation groupoids, the ladder,
+groupoids over a non-associative loop, and seeded corruptions.  Passing
+reports are byte-equal.  A name that is not an arrow has no index, and
+the parser refuses it, so the corruptions use arrows only.
 """
 
 import itertools
 import random
 
-from families import family_groupoids, regular_action
+from families import (family_groupoids, groupoid_from_labels, label_groupoid,
+                      regular_action)
 
 import catalog
-from groupoidal.groupoid_core import FiniteGroupoid, validate_groupoid
+from groupoidal.groupoid_core import validate_groupoid
 from groupoidal.transformation_groupoid import build_transformation_groupoid
 from groupoidal.validation import ValidationReport
 
@@ -24,6 +27,7 @@ from groupoidal.validation import ValidationReport
 def reference_validate_groupoid(g):
     """Exhaustively check the groupoid axioms; the report names every
     failing pair/triple."""
+    g = label_groupoid(g)
     report = ValidationReport(f"groupoid {g.name}")
     arrows = g.arrows
     aset = set(arrows)
@@ -140,7 +144,7 @@ def steiner_loop_groupoid(units=1):
 
     arrows = [arrow(i, j, x) for i in range(units) for j in range(units)
               for x in names]
-    return FiniteGroupoid(
+    return groupoid_from_labels(
         arrows, [arrow(i, i, "e") for i in range(units)],
         {arrow(i, j, x): arrow(j, i, x) for i in range(units)
          for j in range(units) for x in names},
@@ -190,7 +194,9 @@ def test_non_associative_loops_give_the_reference_report():
 
 def corrupted(g, rng):
     """A copy of g with 1 to 3 of its tables' entries changed, removed,
-    added or swapped."""
+    added or swapped, each to an arrow.  The draws are those of the
+    label form, where a changed entry could also be a stray name."""
+    g = label_groupoid(g)
     inverse, compose = dict(g.inverse_table), dict(g.compose_table)
     units = set(g.units)
     arrows = list(g.arrows)
@@ -198,7 +204,10 @@ def corrupted(g, rng):
         kind = rng.randrange(6) if compose else 2
         key = rng.choice(list(compose)) if compose else None
         if kind == 0:
-            compose[key] = rng.choice(arrows + ["stray"])
+            # A "stray" name is not an arrow: that draw changes nothing.
+            value = rng.choice(arrows + ["stray"])
+            if value != "stray":
+                compose[key] = value
         elif kind == 1:
             del compose[key]
         elif kind == 2:
@@ -211,12 +220,12 @@ def corrupted(g, rng):
             inverse[rng.choice(arrows)] = rng.choice(arrows)
         else:
             units ^= {rng.choice(arrows)}
-    return FiniteGroupoid(arrows, units, inverse, compose, name=g.name)
+    return groupoid_from_labels(arrows, units, inverse, compose, name=g.name)
 
 
 def test_corrupted_groupoids_give_the_reference_report():
     rng = random.Random(51)
-    bases = [g for g in ladder() if g.compose_table]
+    bases = [g for g in ladder() if g.compose]
     bases = bases[:40] + [steiner_loop_groupoid(1)]
     seen, reached = set(), set()
     for _ in range(600):

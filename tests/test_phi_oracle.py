@@ -24,7 +24,7 @@ import pytest
 
 from dense_oracle import phi, phi_classes, realize
 from families import (SemigroupPartialAction, indicator,
-                      label_bisection_action_of, label_view,
+                      label_bisection_action_of, label_groupoid, label_view,
                       pair_groupoid_spec, parse, point_mass, random_scalar,
                       range_set)
 from formula_oracle import SpaceFunction, alpha, is_bisection
@@ -56,7 +56,7 @@ def class_of(quotient, ring, vec):
 
 
 def reference_decomposition(f):
-    g = f.parent
+    g = label_groupoid(f.parent)
     levels = {}
     for arrow, value in f.values.items():
         levels.setdefault(value, []).append(arrow)
@@ -268,7 +268,8 @@ def test_a_wrong_class_fails_alike_over_every_ring(tag):
     r = build_realization("pair_groupoid_3")
     module, quotient, q = r.module, r.quotient, 1
     arrow = r.steinberg.basis_labels[r.psi_tilde.targets[q]]
-    a = module.label_index(frozenset([arrow]), r.groupoid.range(arrow))
+    a = module.label_index(frozenset([arrow]),
+                           label_groupoid(r.groupoid).range(arrow))
     assert quotient._class[a] == q
     wrong = (q + 1) % quotient.dim
     quotient._class[a] = wrong
@@ -286,7 +287,8 @@ def test_a_sum_reducing_to_zero_is_dropped_alike(tag):
     r, ring = build_realization("pair_groupoid_3"), ring_from_tag(tag)
     g, module, cls = r.groupoid, r.module, r.quotient._class
     bis = next(b for b in r.semigroup.elements if len(b) == 2)
-    first, second = (module.label_index(bis, g.range(b)) for b in bis)
+    first, second = (module.label_index(bis, label_groupoid(g).range(b))
+                     for b in bis)
     cls[second] = cls[first]
     sums = {q: ring.scalar(v).value for q, v in
             r.phi_values({g.index(b): 1 for b in bis}).items()}

@@ -24,6 +24,12 @@ def test_ring_tags():
         ring_from_tag("R")
     with pytest.raises(ValueError):
         ring_from_tag("Z/1")
+    # The interpreter's int() limit is 4300 digits; the tag is read up to
+    # it and refused past it, with the engine's message.
+    assert ring_from_tag("Z/1" + "0" * 4299).modulus == 10 ** 4299
+    with pytest.raises(ValueError, match="^ring modulus has 4301 digits, "
+                       "more than the 4300 allowed$"):
+        ring_from_tag("Z/1" + "0" * 4300)
 
 
 def test_field_flags():

@@ -2,26 +2,27 @@
 against the plain searches.
 
 The two reference searches below are the brute-force versions without
-the invariant checks, kept verbatim apart from their names.  The engine
-must give the same verdict and the same (lexicographically first)
-witness on every input: on the catalog, on relabeled copies, on
-generated partial Z_n actions, and, for orbit equivalence, on
-restrictions of permutation-group actions.  The reference groupoid
-search checks its witness with `verify_groupoid_isomorphism`, the
-label-level check the engine's search ran on its own witness before it
-left that to the certificates of the transported map.
+the invariant checks, kept verbatim apart from their names; the groupoid
+search reads labels (`label_groupoid`) and returns its witness as a
+dict of labels.  The engine must give the same verdict and the same
+(lexicographically first) witness, read through the arrow labels, on
+every input: on the catalog, on relabeled copies, on generated partial
+Z_n actions, and, for orbit equivalence, on restrictions of
+permutation-group actions.  The reference groupoid search checks its
+witness with `verify_groupoid_isomorphism`, the label-level check the
+engine's search ran on its own witness before it left that to the
+certificates of the transported map.
 """
 
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from families import group_from_products
+from families import group_from_products, label_groupoid
 
 import catalog
 from groupoidal import isomorphisms
 from groupoidal.isomorphisms import (DEFAULT_ISO_BOUND, DEFAULT_ORBIT_BOUND,
-                                     GroupoidIsomorphism,
                                      OrbitEquivalenceData,
                                      search_groupoid_isomorphism,
                                      search_orbit_equivalence,
@@ -84,8 +85,10 @@ def reference_orbit_equivalence(theta, gamma, bound=DEFAULT_ORBIT_BOUND):
     return None
 
 
-def verify_groupoid_isomorphism(g1, g2, iso):
-    m = iso.mapping
+def verify_groupoid_isomorphism(g1, g2, m):
+    """Whether m, a dict from the arrows of g1 to those of g2, is a
+    groupoid isomorphism."""
+    g1, g2 = label_groupoid(g1), label_groupoid(g2)
     if set(m) != set(g1.arrows) or set(m.values()) != set(g2.arrows) \
             or len(set(m.values())) != len(m):
         return (False, "not an arrow bijection")
@@ -109,6 +112,7 @@ def reference_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
     """Backtracking over arrow bijections, units first, pruned by the
     unit/range/source/inverse/composition constraints; sound and complete
     within the bound.  Returns the lexicographically first witness or None."""
+    g1, g2 = label_groupoid(g1), label_groupoid(g2)
     if max(g1.n_arrows, g2.n_arrows) > bound:
         raise BoundExceeded(f"groupoids too large: "
                             f"{max(g1.n_arrows, g2.n_arrows)} arrows exceeds "
@@ -167,11 +171,10 @@ def reference_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
         return False
 
     if backtrack(0):
-        iso = GroupoidIsomorphism(mapping)
-        ok, why = verify_groupoid_isomorphism(g1, g2, iso)
+        ok, why = verify_groupoid_isomorphism(g1, g2, mapping)
         if not ok:
             raise AssertionError(f"search produced a non-isomorphism: {why}")
-        return iso
+        return mapping
     return None
 
 
@@ -275,8 +278,10 @@ def orbit_witness(data):
     return None if data is None else (data.phi, data.a, data.b)
 
 
-def iso_witness(iso):
-    return None if iso is None else iso.mapping
+def iso_witness(g1, g2, iso):
+    """The engine's witness, image indices, as a dict of arrow labels."""
+    return None if iso is None else {g1.arrows[a]: g2.arrows[b]
+                                     for a, b in enumerate(iso)}
 
 
 def assert_orbit_searches_agree(left, right):
@@ -289,8 +294,8 @@ def assert_searches_agree(left, right):
     assert_orbit_searches_agree(left, right)
     g1 = build_transformation_groupoid(left)
     g2 = build_transformation_groupoid(right)
-    assert (iso_witness(search_groupoid_isomorphism(g1, g2, NO_BOUND))
-            == iso_witness(reference_groupoid_isomorphism(g1, g2, NO_BOUND)))
+    assert (iso_witness(g1, g2, search_groupoid_isomorphism(g1, g2, NO_BOUND))
+            == reference_groupoid_isomorphism(g1, g2, NO_BOUND))
 
 
 @pytest.mark.parametrize("name", catalog.pair_names())
@@ -314,9 +319,9 @@ def test_pruned_searches_agree_on_catalog_groupoids():
     groupoids = [catalog.load_groupoid(name) for name in names]
     for g1 in groupoids:
         for g2 in groupoids:
-            assert (iso_witness(search_groupoid_isomorphism(g1, g2, NO_BOUND))
-                    == iso_witness(reference_groupoid_isomorphism(
-                        g1, g2, NO_BOUND)))
+            assert (iso_witness(g1, g2, search_groupoid_isomorphism(
+                g1, g2, NO_BOUND))
+                    == reference_groupoid_isomorphism(g1, g2, NO_BOUND))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -360,6 +365,17 @@ def refuse(*args):
     raise AssertionError("the search ran")
 
 
+class RefusingTable(dict):
+    """A composition table whose get, which the backtracking reads and
+    the unit profiles do not, refuses."""
+
+    get = refuse
+
+
+def refuse_search(monkeypatch, g):
+    monkeypatch.setattr(g, "compose", RefusingTable(g.compose))
+
+
 def test_profile_mismatch_returns_without_backtracking(monkeypatch):
     swap = build_transformation_groupoid(catalog.load_action("z2_global_swap"))
     trivial = build_transformation_groupoid(
@@ -367,8 +383,7 @@ def test_profile_mismatch_returns_without_backtracking(monkeypatch):
     assert (swap.n_arrows, len(swap.units)) == (trivial.n_arrows,
                                                 len(trivial.units))
     for g in (swap, trivial):
-        monkeypatch.setattr(g, "composable", refuse)
-        monkeypatch.setattr(g, "compose", refuse)
+        refuse_search(monkeypatch, g)
     # Isotropy order 1 against 2 at every unit; decided before the bound.
     assert search_groupoid_isomorphism(swap, trivial, bound=1) is None
     assert search_groupoid_isomorphism(trivial, swap) is None
@@ -395,8 +410,7 @@ def test_isotropy_element_orders_decide_without_backtracking(monkeypatch):
     # element orders (1, 2, 4, 4) against (1, 2, 2, 2) tell them apart.
     assert (g1.n_arrows, len(g1.units)) == (g2.n_arrows, len(g2.units))
     for g in (g1, g2):
-        monkeypatch.setattr(g, "composable", refuse)
-        monkeypatch.setattr(g, "compose", refuse)
+        refuse_search(monkeypatch, g)
     assert search_groupoid_isomorphism(g1, g2, bound=100) is None
     assert search_groupoid_isomorphism(g2, g1, bound=1) is None
 

@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -19,13 +20,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
-from families import semigroup_from_products, symmetric_inverse_monoid
+from families import (LabelGroupoid, label_groupoid, pair_groupoid_spec,
+                      semigroup_from_products, symmetric_inverse_monoid)
 
 import groupoidal
 import catalog
 from groupoidal.cli import main
 from groupoidal.specfiles import (FORMAT_TAG, SpecContentError, SpecFileError,
-                                  _parse_semigroup, default_catalog_dir,
+                                  _parse_groupoid, _parse_semigroup,
+                                  default_catalog_dir,
                                   load_document, parse_document,
                                   resolve_input)
 
@@ -690,3 +693,102 @@ def test_semigroup_tables_equal_the_dict_parser():
             texts.add(expected.split(": ")[1])
     assert texts == {"unknown element", "key must be two space-separated "
                      "names"}
+
+
+# --- groupoid documents straight onto arrow indices -------------------------
+
+def reference_groupoid(data):
+    """The groupoid parser that read the tables into dicts keyed by arrow
+    labels, kept as it was apart from building a LabelGroupoid, the label
+    form it handed to FiniteGroupoid, and reading the "a b" keys inline."""
+    arrows = data["arrows"]
+    if len(set(arrows)) != len(arrows):
+        raise SpecFileError("arrows: duplicate names")
+    index = {a: i for i, a in enumerate(arrows)}
+    for u in data["units"]:
+        if u not in index:
+            raise SpecFileError(f"units: {u!r} is not a listed arrow")
+    inverse = {}
+    for key, value in data["inverse"].items():
+        if key not in index or value not in index:
+            raise SpecFileError(f"inverse[{key!r}]: unknown arrow")
+        inverse[key] = value
+    compose = {}
+    for key, value in data["compose"].items():
+        parts = key.split()
+        if len(parts) != 2:
+            raise SpecFileError(f"compose[{key!r}]: key must be two "
+                                "space-separated names")
+        if parts[0] not in index or parts[1] not in index \
+                or value not in index:
+            raise SpecFileError(f"compose[{key!r}]: unknown arrow")
+        compose[tuple(parts)] = value
+    return LabelGroupoid(arrows, data["units"], inverse, compose,
+                         name=data.get("name", "groupoid"))
+
+
+def groupoid_outcome(parse, data):
+    """The error text, or the tables read through the labels, the
+    composites in table order."""
+    try:
+        g = label_groupoid(parse(data))
+    except SpecFileError as exc:
+        return str(exc)
+    return (g.name, g.arrows, g.units, g.inverse_table,
+            list(g.compose_table.items()))
+
+
+def mutated_groupoid(data, rng):
+    """data with one entry changed: a name that is not an arrow in units,
+    an inverse key or value, or a compose key or value; a compose key
+    that is not two names; a duplicate arrow; or an entry removed or
+    pointed at another arrow, which leaves a document the parser reads."""
+    arrows = data["arrows"]
+    change = rng.randrange(9)
+    section = rng.choice(["inverse", "compose"])
+    table = data[section]
+    key = rng.choice(sorted(table)) if table else None
+    if change == 0:
+        data["units"].insert(rng.randrange(len(data["units"]) + 1), "nope")
+    elif change == 1 and key is not None:
+        table["nope" if section == "inverse" else key + "?"] = table.pop(key)
+    elif change == 2 and key is not None:
+        table[key] = "nope"
+    elif change == 3 and section == "compose" and key is not None:
+        table[key.replace(" ", "  ") + " x"] = table.pop(key)
+    elif change == 4 and section == "compose" and key is not None:
+        table[key.replace(" ", "")] = table.pop(key)
+    elif change == 5:
+        arrows.append(rng.choice(arrows))
+    elif change == 6 and key is not None:
+        del table[key]
+    elif key is not None:
+        table[key] = rng.choice(arrows)
+    return data
+
+
+def test_groupoid_tables_equal_the_label_parser():
+    docs = [catalog_json(name) for name in catalog.groupoid_names()]
+    docs += [pair_groupoid_spec(n) for n in (1, 2, 3, 4)]
+    rng = random.Random(67)
+    mutated = []
+    for _ in range(200):
+        data = copy.deepcopy(rng.choice(docs))
+        for _ in range(rng.randint(1, 2)):
+            data = mutated_groupoid(data, rng)
+        mutated.append(data)
+    texts, valid = set(), 0
+    for data in docs + mutated:
+        expected = groupoid_outcome(reference_groupoid, data)
+        assert groupoid_outcome(_parse_groupoid, data) == expected
+        if isinstance(expected, str):
+            # The message with the offending key or name left out.
+            texts.add(re.sub(r"\[.*?\]: |: '.*?' ", ": ", expected))
+        else:
+            valid += 1
+    assert texts == {"arrows: duplicate names",
+                     "units: is not a listed arrow",
+                     "inverse: unknown arrow",
+                     "compose: unknown arrow",
+                     "compose: key must be two space-separated names"}
+    assert valid > 50

@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from families import mul, regular_action
+from families import label_groupoid, mul, regular_action
 from formula_oracle import isotropy_group
 from test_factored_oracle import partial_corruptions, z4_actions
+from test_search_oracle import permutation_action
 
 import catalog
 from groupoidal.groupoid_core import (is_topologically_principal,
@@ -24,7 +25,7 @@ def unit_isotropy_orders(action):
 def test_trivial_action_gives_isolated_units():
     tg = build_transformation_groupoid(catalog.load_action("trivial_3pt"))
     assert tg.n_arrows == 3
-    assert tg.units == frozenset(tg.arrows)
+    assert tg.units == frozenset(range(3))
     assert validate_groupoid(tg).ok
 
 
@@ -48,7 +49,7 @@ def test_arrow_count_is_sum_of_domains():
         assert tg.n_arrows == sum(len(action.domains[t])
                                   for t in action.group.elements)
         e = action.group.identity
-        assert tg.units == {(e, x) for x in action.space}
+        assert label_groupoid(tg).units == {(e, x) for x in action.space}
 
 
 def test_structure_formulas():
@@ -61,14 +62,14 @@ def test_structure_formulas():
     for action in actions:
         group = action.group
         e = group.identity
-        tg = build_transformation_groupoid(action)
+        tg = label_groupoid(build_transformation_groupoid(action))
         for (t, x) in tg.arrows:
             back = action.theta(group.inv(t), x)
             assert tg.range((t, x)) == (e, x), action.name
             assert tg.source((t, x)) == (e, back), action.name
             assert tg.inverse((t, x)) == (group.inv(t), back), action.name
     action = catalog.load_action("z2_partial_3pt")
-    tg = build_transformation_groupoid(action)
+    tg = label_groupoid(build_transformation_groupoid(action))
     assert tg.inverse(("g", "1")) == (action.group.inv("g"), "2")
     assert tg.compose(("g", "1"), ("g", "2")) == ("e", "1")
 
@@ -162,6 +163,15 @@ def misdirected(rng, count):
         yield action
 
 
+def symmetric_group_actions():
+    """S3 on three points and its restrictions to two and to one point:
+    in a non-abelian group st and ts differ, so the composites tell them
+    apart."""
+    generators = [(1, 0, 2), (0, 2, 1)]
+    return [permutation_action(generators, points)
+            for points in ({0, 1, 2}, {0, 1}, {2})]
+
+
 def test_compose_table_equals_the_all_pairs_construction():
     rng = random.Random(47)
     actions = ([catalog.load_action(name) for name in catalog.action_names()]
@@ -169,12 +179,14 @@ def test_compose_table_equals_the_all_pairs_construction():
                + list(z4_actions(rng, 40))
                + [a for a in partial_corruptions(rng, 200)
                   if isinstance(a, GroupPartialAction)]
-               + list(misdirected(rng, 200)))
+               + list(misdirected(rng, 200))
+               + symmetric_group_actions())
     outcomes = []
     for action in actions:
         expected = outcome(all_pairs_compose_table, action)
-        assert outcome(lambda a: list(build_transformation_groupoid(
-            a).compose_table.items()), action) == expected, action.name
+        assert outcome(lambda a: list(label_groupoid(
+            build_transformation_groupoid(a)).compose_table.items()),
+            action) == expected, action.name
         outcomes.append(expected)
     errors = [o[1] for o in outcomes if isinstance(o, tuple)]
     assert sum("escapes" in text for text in errors) > 10
