@@ -26,8 +26,6 @@ class FiniteGroup(FiniteInverseSemigroup):
         self.identity = self.elements[e]
         self.table_report = report
 
-    inv = FiniteInverseSemigroup.star
-
     @classmethod
     def trivial(cls):
         return cls(["e"], [index_row(1, [0])], name="trivial")

@@ -34,12 +34,6 @@ class InverseSemigroup:
     def order(self):
         return len(self.elements)
 
-    def star(self, s):
-        k = self.star_table[self._index[s]]
-        if k < 0:
-            raise KeyError(s)
-        return self.elements[k]
-
     def index(self, s):
         return self._index[s]
 

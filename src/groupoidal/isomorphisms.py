@@ -234,78 +234,78 @@ def rho(action, groupoid, module=None):
 # ---------------------------------------------------------------------------
 
 class OrbitEquivalenceData:
-    """A bijection of the spaces plus the two pointwise cocycles."""
+    """A bijection of the spaces plus the two pointwise cocycles, on
+    indices: phi[x] is the position of the image of the point at position
+    x, and a[i, x], b[i, x] are element indices."""
 
     def __init__(self, phi, a, b):
-        self.phi = dict(phi)
-        self.a = dict(a)
-        self.b = dict(b)
+        self.phi = phi
+        self.a = a
+        self.b = b
 
     def __repr__(self):
         return f"OrbitEquivalenceData(phi={self.phi})"
 
 
+def _cocycle_violation(theta, gamma, phi, cocycle, words):
+    """The first failure of gamma_h(phi(x)) = phi(theta_g(x)), with its
+    containment, for h = cocycle[g, x], in the order of g and x; words
+    names the cocycle, phi and the actions in the message.  The star
+    graph of g^-1 is that of theta_g on X_{g^-1}."""
+    c, f, left, right = words
+    g_grp, h_grp = theta.group, gamma.group
+    for i, g in enumerate(g_grp.elements):
+        for x, y in theta.star_graph(g_grp.star_table[i]):
+            h, p = cocycle.get((i, x)), theta.space[x]
+            if h not in range(len(h_grp.elements)):
+                return f"cocycle {c} undefined on ({g}, {p})"
+            k = h_grp.elements[h]
+            if phi[x] not in gamma.domains[h_grp.star_table[h]]:
+                return (f"{c}({g}, {p}) = {k} but {f}({p}) is outside the "
+                        f"domain of {right}_{k}")
+            if gamma.maps[h][phi[x]] != phi[y]:
+                return f"{f}({left}_{g}({p})) != {right}_{k}({f}({p}))"
+    return None
+
+
 def verify_orbit_equivalence(theta, gamma, data):
     """Exhaustively check both intertwining identities and the implicit
     containments; returns (ok, first violation or None)."""
-    x_space, y_space = set(theta.space), set(gamma.space)
-    phi = data.phi
-    if set(phi) != x_space or set(phi.values()) != y_space \
-            or len(set(phi.values())) != len(phi):
+    phi, n = data.phi, len(gamma.space)
+    if len(phi) != len(theta.space) or sorted(phi) != list(range(n)):
         return (False, "phi is not a bijection between the spaces")
-    g_grp, h_grp = theta.group, gamma.group
-    g_set, h_set = set(g_grp.elements), set(h_grp.elements)
-    for g in g_grp.elements:
-        for x in theta.domain_points(g_grp.inv(g)):
-            h = data.a.get((g, x))
-            if h is None or h not in h_set:
-                return (False, f"cocycle a undefined on ({g}, {x})")
-            if phi[x] not in gamma.domains[h_grp.inv(h)]:
-                return (False, f"a({g}, {x}) = {h} but phi({x}) is outside "
-                               f"the domain of gamma_{h}")
-            if gamma.theta(h, phi[x]) != phi[theta.theta(g, x)]:
-                return (False, f"phi(theta_{g}({x})) != "
-                               f"gamma_{h}(phi({x}))")
-    phi_inv = {y: x for x, y in phi.items()}
-    for h in h_grp.elements:
-        for y in gamma.domain_points(h_grp.inv(h)):
-            g = data.b.get((h, y))
-            if g is None or g not in g_set:
-                return (False, f"cocycle b undefined on ({h}, {y})")
-            if phi_inv[y] not in theta.domains[g_grp.inv(g)]:
-                return (False, f"b({h}, {y}) = {g} but phi^-1({y}) is outside "
-                               f"the domain of theta_{g}")
-            if theta.theta(g, phi_inv[y]) != phi_inv[gamma.theta(h, y)]:
-                return (False, f"phi^-1(gamma_{h}({y})) != "
-                               f"theta_{g}(phi^-1({y}))")
-    return (True, None)
+    # phi is a permutation of range(n), and this is its inverse.
+    phi_inv = sorted(range(n), key=phi.__getitem__)
+    why = (_cocycle_violation(theta, gamma, phi, data.a,
+                              ("a", "phi", "theta", "gamma"))
+           or _cocycle_violation(gamma, theta, phi_inv, data.b,
+                                 ("b", "phi^-1", "gamma", "theta")))
+    return (why is None, why)
 
 
 def _orbits(action):
     """Point -> its orbit {theta_g(x) : g in G, x in X_{g^-1}}, as a
-    frozenset."""
-    group = action.group
-    orbits = {x: {x} for x in action.space}
-    for g in group.elements:
-        for x in action.domain_points(group.inv(g)):
-            orbits[x].add(action.theta(g, x))
-    return {x: frozenset(orbit) for x, orbit in orbits.items()}
+    frozenset, on positions."""
+    orbits = [{x} for x in range(len(action.space))]
+    for i in action.group.star_table:
+        for x, y in action.star_graph(i):
+            orbits[x].add(y)
+    return list(map(frozenset, orbits))
 
 
 def _cocycle(theta, gamma, phi):
-    """(g, x) -> the first h with gamma_h(phi(x)) = phi(theta_g(x)), for
-    every g and x in X_{g^-1}; None when some pair has no such h."""
-    g_grp, h_grp = theta.group, gamma.group
+    """(i, x) -> the first h with gamma_h(phi(x)) = phi(theta_g(x)), for
+    g of index i and x in X_{g^-1}; None when some pair has none.  In a
+    validated gamma, gamma_h is defined exactly on X_{h^-1}."""
+    maps = gamma.maps
     cocycle = {}
-    for g in g_grp.elements:
-        for x in theta.domain_points(g_grp.inv(g)):
-            target = phi[theta.theta(g, x)]
-            h = next((h for h in h_grp.elements
-                      if phi[x] in gamma.domains[h_grp.inv(h)]
-                      and gamma.theta(h, phi[x]) == target), None)
+    for i, inverse in enumerate(theta.group.star_table):
+        for x, y in theta.star_graph(inverse):
+            target, p = phi[y], phi[x]
+            h = next((h for h, m in enumerate(maps) if m[p] == target), None)
             if h is None:
                 return None
-            cocycle[(g, x)] = h
+            cocycle[i, x] = h
     return cocycle
 
 
@@ -329,27 +329,27 @@ def search_orbit_equivalence(theta, gamma, bound=DEFAULT_ORBIT_BOUND):
     orbit is unmatched and of the same size.  Each choice leaves the rest
     completable, as the unmatched orbits on the two sides keep equal
     size lists, so phi is the first orbit-preserving bijection in
-    permutations order.  On input that is not a partial action the
-    construction can fail; then the result is None."""
+    permutations order.  The witness is on indices
+    (OrbitEquivalenceData).  On input that is not a partial action the
+    construction can fail; then the result is None, or a witness that
+    verify_orbit_equivalence refuses."""
     n = len(theta.space)
     if n != len(gamma.space):
         return None
     x_orbits, y_orbits = _orbits(theta), _orbits(gamma)
-    if sorted(map(len, x_orbits.values())) != \
-            sorted(map(len, y_orbits.values())):
+    if sorted(map(len, x_orbits)) != sorted(map(len, y_orbits)):
         return None
     if n > bound:
         raise BoundExceeded(f"spaces too large: {n} points "
                             f"exceeds orbit bound {bound}")
-    phi, phi_inv, matched, images = {}, {}, {}, set()
-    for x in theta.space:
-        orbit = x_orbits[x]
+    phi, phi_inv, matched, images = [-1] * n, [-1] * n, {}, set()
+    for x, orbit in enumerate(x_orbits):
         if orbit in matched:
-            fits = (y for y in gamma.space if y_orbits[y] == matched[orbit])
+            fits = (y for y in range(n) if y_orbits[y] == matched[orbit])
         else:
-            fits = (y for y in gamma.space if y_orbits[y] not in images
+            fits = (y for y in range(n) if y_orbits[y] not in images
                     and len(y_orbits[y]) == len(orbit))
-        y = next((y for y in fits if y not in phi_inv), None)
+        y = next((y for y in fits if phi_inv[y] < 0), None)
         if y is None:
             return None
         phi[x], phi_inv[y] = y, x
@@ -392,9 +392,16 @@ def _unit_profiles(g):
 
 def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
     """Backtracking over arrow bijections, units first, pruned by the
-    unit/range/source/inverse/composition constraints; sound and complete
-    within the bound.  Returns the lexicographically first witness, as
-    the list of the image index of each arrow index of g1, or None.
+    unit/range/source/composition constraints; sound and complete within
+    the bound.  Returns the lexicographically first witness, as the list
+    of the image index of each arrow index of g1, or None.
+
+    Inverses need no constraint of their own, as the others imply it at
+    the same step.  Say a is placed at b, after a^-1 was placed at b2.
+    A unit is its own inverse, so a is not one, and r(a), a unit, is
+    placed.  Composition makes (b, b2) composable in g2, with b b2 the
+    image of a a^-1 = r(a), and range makes that image r(b).  So
+    b2 = b^-1 (b b2) = b^-1 r(b) = b^-1 in g2, which is validated.
 
     An isomorphism preserves range and source, so it maps the isotropy
     group and the range fibre of each unit u bijectively onto those of its
@@ -436,8 +443,7 @@ def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
         # Arrow order1[pos] against the arrows mapped before it.
         a = order1[pos]
         if not (agrees(g1.range[a], g2.range[b])
-                and agrees(g1.source[a], g2.source[b])
-                and agrees(g1.inverse[a], g2.inverse[b])):
+                and agrees(g1.source[a], g2.source[b])):
             return False
         for a2 in order1[:pos]:
             b2 = image[a2]

@@ -15,37 +15,33 @@ from .validation import ValidationReport, stable
 
 
 class _PartialActionBase:
-    def __init__(self, index, space, domains, maps):
+    """A partial action on point indices: domains[i] lists the positions
+    of the points of X_s in the space, s the element of index i, in
+    increasing order, and maps[i][x] is the position of theta_s(x), or -1
+    off the map.  The space names the points in messages only."""
+
+    def __init__(self, index, space, domains, maps, name):
         self.index = index
-        self.space = list(space)
-        if len(set(self.space)) != len(self.space):
-            raise ValueError("duplicate points in the space")
-        self._order = {x: i for i, x in enumerate(self.space)}
-        if set(domains) != set(index.elements) or set(maps) != set(index.elements):
-            raise ValueError("domains and maps must be keyed by every index element")
-        self.domains = {s: frozenset(d) for s, d in domains.items()}
-        for s, d in self.domains.items():
-            if not d <= set(self.space):
-                raise ValueError(f"domain of {s} is not a subset of the space")
-        self.maps = {s: dict(m) for s, m in maps.items()}
+        self.space = space
+        self.domains = domains
+        self.maps = maps
+        self.name = name
 
-    def domain_points(self, s):
-        return sorted(self.domains[s], key=self._order.__getitem__)
-
-    def theta(self, s, x):
-        """Apply the partial bijection of s (defined on X_{s*})."""
-        try:
-            return self.maps[s][x]
-        except KeyError:
-            raise ValueError(f"{x} is not in the domain of the map of {s}") from None
+    def _missing(self, x, i):
+        return ValueError(f"{self.space[x]} is not in the domain of the "
+                          f"map of {self.index.elements[i]}")
 
     def star_graph(self, e):
         """The pairs (x, theta_{s*}(x)) over x in X_s, s the element of
         index e, as positions in the space, in increasing x."""
-        s = self.index.elements[e]
-        s_star, order = self.index.star(s), self._order
-        return [(order[x], order[self.theta(s_star, x)])
-                for x in self.domain_points(s)]
+        star = self.index.star_table[e]
+        if star < 0:
+            raise KeyError(self.index.elements[e])
+        pairs = [(x, self.maps[star][x]) for x in self.domains[e]]
+        for x, y in pairs:
+            if y < 0:
+                raise self._missing(x, star)
+        return pairs
 
 
 class GroupPartialAction(_PartialActionBase):
@@ -54,36 +50,41 @@ class GroupPartialAction(_PartialActionBase):
     globally."""
 
     def __init__(self, group, space, domains, maps, name="action"):
-        super().__init__(group, space, domains, maps)
+        super().__init__(group, space, domains, maps, name)
         self.group = group
-        self.name = name
+
+
+def _points(action, positions):
+    return stable({action.space[x] for x in positions})
 
 
 def _validate_maps(action, report):
     """Each map must be a bijection from X_{s*} onto X_s, and the map of
     s* must be its inverse."""
-    index = action.index
-    for s in index.elements:
-        m = action.maps[s]
-        dom_expected = action.domains[index.star(s)]
-        if set(m) != dom_expected:
-            report.add(f"map of {stable(s)} is defined on "
-                       f"{stable(set(m))}, expected "
-                       f"X_{{{stable(index.star(s))}}} = {stable(dom_expected)}")
-            continue
-        values = list(m.values())
-        if len(set(values)) != len(values):
-            report.add(f"map of {stable(s)} is not injective")
-            continue
-        if set(values) != action.domains[s]:
-            report.add(f"map of {stable(s)} is not onto X_{{{stable(s)}}}")
+    elements, star = action.index.elements, action.index.star_table
+    if -1 in star:
+        raise KeyError(elements[star.index(-1)])
+    for i, m in enumerate(action.maps):
+        s, source = stable(elements[i]), action.domains[star[i]]
+        defined = [x for x, y in enumerate(m) if y >= 0]
+        values = [m[x] for x in defined]
+        if defined != source:
+            report.add(f"map of {s} is defined on {_points(action, defined)}"
+                       f", expected X_{{{stable(elements[star[i]])}}} = "
+                       f"{_points(action, source)}")
+        elif len(set(values)) != len(values):
+            report.add(f"map of {s} is not injective")
+        elif sorted(values) != action.domains[i]:
+            report.add(f"map of {s} is not onto X_{{{s}}}")
     if not report.ok:
         return
-    for s in index.elements:
-        inv = {y: x for x, y in action.maps[s].items()}
-        if action.maps[index.star(s)] != inv:
-            report.add(f"map of {stable(index.star(s))} is not the inverse "
-                       f"of the map of {stable(s)}")
+    for i, m in enumerate(action.maps):
+        inverse = [-1] * len(m)
+        for x in action.domains[star[i]]:
+            inverse[m[x]] = x
+        if action.maps[star[i]] != inverse:
+            report.add(f"map of {stable(elements[star[i]])} is not the "
+                       f"inverse of the map of {stable(elements[i])}")
 
 
 def _validate_composition(action, report):
@@ -96,21 +97,21 @@ def _validate_composition(action, report):
     (X_t, X_{st}) in the row of s; the composition law names every
     failing point.
 
-    Runs on the rows of the index's product; elements are looked up only
-    for the domains, the maps and the messages.  A product the table
-    leaves out raises KeyError.
+    Runs on the rows of the index's product and on point positions;
+    labels are read only for the messages.  A product the table leaves
+    out raises KeyError.
     """
-    index = action.index
+    index, space, maps = action.index, action.space, action.maps
     elements, star = index.elements, index.star_table
     table = list(map(index.row, range(len(elements))))
-    domains = [action.domains[s] for s in elements]
-    maps = [action.maps[s] for s in elements]
     # The intertwining law for (s, t) reads only s, X_t and X_{st}, so a
-    # row is checked once per distinct pair of domains; a failing pair
-    # names the first t giving it.
+    # row is checked once per distinct pair of domains, numbered in
+    # element order; a failing pair names the first t giving it.
     ids = {}
-    domain_id = [ids.setdefault(d, len(ids)) for d in domains]
+    domain_id = [ids.setdefault(frozenset(d), len(ids))
+                 for d in action.domains]
     distinct = list(ids)
+    domains = [distinct[k] for k in domain_id]
     for i, s in enumerate(elements):
         row, theta_s, source = table[i], maps[i], domains[star[i]]
         if -1 in row:
@@ -123,30 +124,26 @@ def _validate_composition(action, report):
                          if domain_id[j] == a and domain_id[st] == b)
                 report.add(
                     f"theta_{stable(s)}(X_{{{stable(elements[star[i]])}}} & "
-                    f"X_{{{stable(elements[j])}}}) = {stable(lhs)} but "
-                    f"X_{{{stable(s)}}} & X_{{{stable(elements[row[j]])}}} = "
-                    f"{stable(rhs)}")
-    points = [action.domain_points(s) for s in elements]
+                    f"X_{{{stable(elements[j])}}}) = {_points(action, lhs)} "
+                    f"but X_{{{stable(s)}}} & X_{{{stable(elements[row[j]])}}}"
+                    f" = {_points(action, rhs)}")
     for i, s in enumerate(elements):
         row, theta_s, source = table[i], maps[i], domains[star[i]]
         for j, t in enumerate(elements):
-            st = row[j]
-            theta_t, theta_st = maps[j], maps[st]
+            st, theta_t = row[j], maps[j]
             inside = domains[table[star[j]][star[i]]]
-            for x in points[star[j]]:
+            for x in action.domains[star[j]]:
                 if x not in inside:
                     continue
-                y = theta_t[x]
+                y, p = theta_t[x], stable(space[x])
                 if y not in source:
-                    report.add(f"theta_{stable(t)}({stable(x)}) = {stable(y)} "
+                    report.add(f"theta_{stable(t)}({p}) = {stable(space[y])} "
                                f"escapes the domain of theta_{stable(s)}")
-                    continue
-                if x not in theta_st:
-                    # Raises the ValueError that names the missing point.
-                    action.theta(elements[st], x)
-                if theta_s[y] != theta_st[x]:
-                    report.add(f"theta_{stable(s)}(theta_{stable(t)}({stable(x)})) "
-                               f"!= theta_{{{stable(elements[st])}}}({stable(x)})")
+                elif maps[st][x] < 0:
+                    raise action._missing(x, st)
+                elif theta_s[y] != maps[st][x]:
+                    report.add(f"theta_{stable(s)}(theta_{stable(t)}({p})) "
+                               f"!= theta_{{{stable(elements[st])}}}({p})")
 
 
 def validate_group_partial_action(action):
@@ -154,10 +151,11 @@ def validate_group_partial_action(action):
     specialization of the inverse semigroup characterization, with the
     intertwining law in equality form)."""
     report = ValidationReport(f"partial action {action.name}")
-    g = action.group
-    if action.domains[g.identity] != frozenset(action.space):
+    g, everywhere = action.group, list(range(len(action.space)))
+    e = g.index(g.identity)
+    if action.domains[e] != everywhere:
         report.add("X_e must be the whole space")
-    elif action.maps[g.identity] != {x: x for x in action.space}:
+    elif action.maps[e] != everywhere:
         report.add("the identity must act as the identity map")
     _validate_maps(action, report)
     if not report.ok:
@@ -179,11 +177,12 @@ def validate_isg_partial_action(action):
     X_{ss*}.  For s <= t, s = ss* t, and the intertwining law on (ss*, t)
     gives X_{ss*} & X_t = X_{ss*} & X_s = X_s, so X_s lies in X_t."""
     report = ValidationReport(f"partial action {action.name}")
-    unit = action.index.unit
-    if unit is not None:
-        if action.domains[unit] != frozenset(action.space):
+    index, everywhere = action.index, list(range(len(action.space)))
+    if index.unit is not None:
+        unit = index.index(index.unit)
+        if action.domains[unit] != everywhere:
             report.add("X_1 must be the whole space when the semigroup has a unit")
-        elif action.maps[unit] != {x: x for x in action.space}:
+        elif action.maps[unit] != everywhere:
             report.add("the unit must act as the identity map")
     _validate_maps(action, report)
     if not report.ok:
@@ -196,16 +195,14 @@ def is_topologically_free(action):
     """True iff no non-identity group element fixes a point of its domain.
 
     Returns (flag, witnesses) where witnesses lists the fixed pairs (g, x)
-    in canonical order.
+    in canonical order, by their labels; the star graph of g^-1 is that
+    of theta_g on X_{g^-1}.
     """
     g = action.group
-    witnesses = []
-    for t in g.elements:
-        if t == g.identity:
-            continue
-        for x in action.domain_points(g.inv(t)):
-            if action.theta(t, x) == x:
-                witnesses.append((t, x))
+    e = g.index(g.identity)
+    witnesses = [(t, action.space[x]) for i, t in enumerate(g.elements)
+                 if i != e for x, y in action.star_graph(g.star_table[i])
+                 if y == x]
     return (not witnesses, tuple(witnesses))
 
 

@@ -239,11 +239,13 @@ def _parse_groupoid(data):
 
 
 def _parse_action(data):
+    """The action on element and point indices; a point the document
+    leaves out of a map is -1 there."""
     group = _parse_group(data["group"])
     space = data["space"]
     if len(set(space)) != len(space):
         raise SpecFileError("space: duplicate points")
-    pset = set(space)
+    position = {x: p for p, x in enumerate(space)}
     gset = set(group.elements)
     for section in ("domains", "maps"):
         keys = set(data[section])
@@ -251,21 +253,20 @@ def _parse_action(data):
             raise SpecFileError(
                 f"{section}: keys {sorted(keys)} must be exactly the group "
                 f"elements {sorted(map(str, gset))}")
-    domains = {}
+    domains, maps = [None] * len(gset), [None] * len(gset)
     for g, points in data["domains"].items():
         for x in points:
-            if x not in pset:
+            if x not in position:
                 raise SpecFileError(f"domains[{g!r}]: unknown point {x!r}")
-        domains[g] = frozenset(points)
-    maps = {}
+        domains[group.index(g)] = sorted({position[x] for x in points})
     for g, table in data["maps"].items():
-        entry = {}
+        entry = [-1] * len(space)
         for x, y in table.items():
-            if x not in pset or y not in pset:
+            if x not in position or y not in position:
                 raise SpecFileError(f"maps[{g!r}]: unknown point in "
                                     f"{x!r} -> {y!r}")
-            entry[x] = y
-        maps[g] = entry
+            entry[position[x]] = position[y]
+        maps[group.index(g)] = entry
     return GroupPartialAction(group, space, domains, maps,
                               name=data.get("name", "action"))
 

@@ -17,17 +17,17 @@ class TransformationGroupoid(FiniteGroupoid):
     """
 
     def __init__(self, action):
-        group = action.group
+        group, space = action.group, action.space
         elements, table, star = group.elements, group.table, group.star_table
-        # The index of arrow (t, x), keyed by the index of t and x, in
+        # The index of arrow (t, x), keyed by the indices of t and x, in
         # arrow order: t in group order, x in the order of the space.
-        at = {}
-        for i, t in enumerate(elements):
-            for x in action.domain_points(t):
-                at[i, x] = len(at)
-        e = group.index(group.identity)
         # (t, x) runs from (e, theta_{t^-1}(x)) to (e, x).
-        back = [action.theta(elements[star[i]], x) for i, x in at]
+        at, back = {}, []
+        for i in range(len(elements)):
+            for x, y in action.star_graph(i):
+                at[i, x] = len(at)
+                back.append(y)
+        e = group.index(group.identity)
         inverse = [at.get((star[i], x), -1) for (i, _), x in zip(at, back)]
         # The arrows (t, x) at each point x, in arrow order, with the
         # index of t.  (s, y) composes with exactly those at
@@ -43,10 +43,10 @@ class TransformationGroupoid(FiniteGroupoid):
                 d = at.get((row[j], y))
                 if d is None:
                     raise ValueError(
-                        f"composite ({elements[row[j]]}, {y}) escapes the "
-                        "arrow set; action is not a partial action")
+                        f"composite ({elements[row[j]]}, {space[y]}) escapes "
+                        "the arrow set; action is not a partial action")
                 compose[b, c] = d
-        super().__init__([(elements[i], x) for i, x in at],
+        super().__init__([(elements[i], space[x]) for i, x in at],
                          [k for (i, _), k in at.items() if i == e],
                          inverse, compose, name=f"{group.name}@{action.name}")
         self.action = action

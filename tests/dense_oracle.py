@@ -41,7 +41,7 @@ import weakref
 from itertools import groupby
 from operator import itemgetter
 
-from families import label_bisection_action, label_view, mul
+from families import label_bisection_action, label_view, mul, star_of
 from formula_oracle import SkewElement, SpaceFunction
 from groupoidal.groupoid_core import validate_groupoid
 from groupoidal.inverse_semigroups import (bisection_semigroup,
@@ -75,7 +75,7 @@ def dense_table(module):
     table = []
     for s, x in module.basis_labels:
         row = blank[:]
-        for j, t in at_point.get(theta(index.star(s), x), ()):
+        for j, t in at_point.get(theta(star_of(index, s), x), ()):
             row[j] = module.label_index(mul(index, s, t), x)
         table.append(row)
     return table
@@ -209,14 +209,15 @@ def triple_fails(table, triple):
 
 def premises(action):
     """The validator reports verify_associativity takes as premises, for
-    the index of the action and for the action in its label form
-    (label_view); a validator that raises gives a failing report."""
+    the index of the action and for the action read through its label
+    form (label_view), which the bisection action needs, back in the
+    validators' form; a validator that raises gives a failing report."""
     check = (validate_group_partial_action
              if isinstance(action, GroupPartialAction)
              else validate_isg_partial_action)
     reports = []
     for validator, subject in ((validate_inverse_semigroup, action.index),
-                               (check, label_view(action))):
+                               (check, label_view(action).indexed())):
         try:
             reports.append(validator(subject))
         except (KeyError, ValueError) as exc:
@@ -487,8 +488,8 @@ def phi(f, realization):
 def dense_replay_theorem5(groupoid, text):
     """The ways psi, as a passing theorem5 report lists it in
     psi_basis_images, fails on the dense tables, as messages, empty when
-    it replays.  L is built on the label form of the bisection action
-    (label_bisection_action), I is reference_build_ideal's, and psi is
+    it replays.  L is built from the label form of the bisection action
+    (label_bisection_action, indexed), I is reference_build_ideal's, and psi is
     read from the listing alone.  Three checks, each on the whole basis
     where the engine reads generator rows or derives: psi is
     multiplicative on every basis pair of the dense tables of L and
@@ -496,7 +497,7 @@ def dense_replay_theorem5(groupoid, text):
     class of I to each arrow."""
     semigroup = bisection_semigroup(groupoid, groupoid.n_arrows)
     module = CovarianceModule(induce_algebra_action(
-        label_bisection_action(groupoid, semigroup)))
+        label_bisection_action(groupoid, semigroup).indexed()))
     entries = [entry.rsplit(":", 1)[0].split("->") for entry in
                parse_rows(text)["psi_basis_images"][1].split("; ")]
     index = {a: i for i, a in enumerate(groupoid.arrows)}

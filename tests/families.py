@@ -12,14 +12,18 @@ from one argument that its calls always pass: rho on a freshly built
 transformation groupoid, the bisection action on a freshly built
 bisection semigroup, and random scalars.
 
-The label form of the bisection action is the oracle of the engine's,
-which is read off the semigroup's arrow indices:
-`SemigroupPartialAction`, a partial action given by domain sets and
-point maps keyed by element labels, `range_set`, and
-`label_bisection_action`, which builds a domain r(B) and a map
-s(b) -> r(b) per bisection B.  `label_view` gives any action in label
-form, for the oracles that read domains and maps; `bisection_sets`
-gives enumerate_bisections' masks as sets of arrows."""
+Partial actions in label form, the oracle of the engine's, which holds
+domains and maps on point indices: `LabelPartialAction`, domain sets and
+point maps keyed by element labels, the form the engine's actions had
+before, with `LabelGroupAction` and `SemigroupPartialAction` over a
+group and over an inverse semigroup; `action_from_labels`, which builds
+the engine's form from label tables; and `label_view`, which reads any
+action in label form.  The label form of the bisection action is the
+oracle of the engine's, which is read off the semigroup's arrow indices:
+`range_set`, and `label_bisection_action`, which builds a domain r(B)
+and a map s(b) -> r(b) per bisection B.  `bisection_sets` gives
+enumerate_bisections' masks as sets of arrows; `star_of` reads a
+pseudo-inverse by label."""
 
 import json
 import weakref
@@ -87,7 +91,7 @@ def regular_action(n):
     space = [str(i) for i in range(n)]
     maps = {g: {str(i): str((i + k) % n) for i in range(n)}
             for k, g in enumerate(group.elements)}
-    return GroupPartialAction(group, space, {g: space for g in maps}, maps,
+    return action_from_labels(group, space, {g: space for g in maps}, maps,
                               name=f"regular_z{n}")
 
 
@@ -189,6 +193,16 @@ def mul(s, a, b):
     return s.elements[k]
 
 
+def star_of(s, a):
+    """The pseudo-inverse of an element of a semigroup (the inverse, in a
+    group), by label, read off its star table; KeyError where the table
+    leaves it out."""
+    k = s.star_table[s.index(a)]
+    if k < 0:
+        raise KeyError(a)
+    return s.elements[k]
+
+
 def order_pairs(s):
     """The natural order of s as the set of label pairs (a, b) with
     a <= b, read off the index down-sets of natural_order."""
@@ -267,13 +281,84 @@ def bisection_action_of(g, bound=DEFAULT_BISECTION_BOUND):
     return bisection_action(g, bisection_semigroup(g, bound))
 
 
-class SemigroupPartialAction(_PartialActionBase):
-    """A partial action of a finite inverse semigroup on a finite set."""
+class LabelPartialAction:
+    """A partial action keyed by labels: domains[s] the set X_s and
+    maps[s] the dict x -> theta_s(x), for each element s of the index.
+    The constructor checks the keys and that the domains lie in the
+    space, as the engine's constructor did before the parser took those
+    checks over."""
+
+    def __init__(self, index, space, domains, maps, name="action"):
+        self.index = index
+        self.space = list(space)
+        if len(set(self.space)) != len(self.space):
+            raise ValueError("duplicate points in the space")
+        self._order = {x: i for i, x in enumerate(self.space)}
+        if set(domains) != set(index.elements) or set(maps) != set(index.elements):
+            raise ValueError("domains and maps must be keyed by every index element")
+        self.domains = {s: frozenset(d) for s, d in domains.items()}
+        for s, d in self.domains.items():
+            if not d <= set(self.space):
+                raise ValueError(f"domain of {s} is not a subset of the space")
+        self.maps = {s: dict(m) for s, m in maps.items()}
+        self.name = name
+
+    def domain_points(self, s):
+        return sorted(self.domains[s], key=self._order.__getitem__)
+
+    def theta(self, s, x):
+        """Apply the partial bijection of s (defined on X_{s*})."""
+        try:
+            return self.maps[s][x]
+        except KeyError:
+            raise ValueError(f"{x} is not in the domain of the map of {s}") from None
+
+    def copy(self):
+        """A copy whose domains and maps can be changed."""
+        return type(self)(self.index, self.space, self.domains, self.maps,
+                          name=self.name)
+
+    def indexed(self):
+        """The action in the engine's form (action_from_labels)."""
+        return action_from_labels(self.index, self.space, self.domains,
+                                  self.maps, name=self.name)
+
+
+class LabelGroupAction(LabelPartialAction):
+    """A partial action of a finite group, keyed by labels."""
+
+    def __init__(self, group, space, domains, maps, name="action"):
+        super().__init__(group, space, domains, maps, name)
+        self.group = group
+
+
+class SemigroupPartialAction(LabelPartialAction):
+    """A partial action of a finite inverse semigroup on a finite set,
+    keyed by labels."""
 
     def __init__(self, semigroup, space, domains, maps, name="action"):
-        super().__init__(semigroup, space, domains, maps)
+        super().__init__(semigroup, space, domains, maps, name)
         self.semigroup = semigroup
-        self.name = name
+
+
+def action_from_labels(index, space, domains, maps, name="action"):
+    """The engine's form of the partial action of index given by label
+    tables: a GroupPartialAction when index is a group, else the index
+    form over an inverse semigroup.  domains[s] is the set X_s and
+    maps[s] the dict x -> theta_s(x); an unknown point raises KeyError."""
+    space = list(space)
+    position = {x: p for p, x in enumerate(space)}
+    point_domains, point_maps = [], []
+    for s in index.elements:
+        point_domains.append(sorted({position[x] for x in domains[s]}))
+        entry = [-1] * len(space)
+        for x, y in maps[s].items():
+            entry[position[x]] = position[y]
+        point_maps.append(entry)
+    if isinstance(index, FiniteGroup):
+        return GroupPartialAction(index, space, point_domains, point_maps,
+                                  name=name)
+    return _PartialActionBase(index, space, point_domains, point_maps, name)
 
 
 def range_set(g, bis):
@@ -299,15 +384,29 @@ _LABEL_VIEWS = weakref.WeakKeyDictionary()
 
 
 def label_view(action):
-    """The action with label domains and maps: the action itself when it
-    has them, else, for the engine's bisection action,
-    label_bisection_action on its groupoid and semigroup, built once."""
-    if hasattr(action, "maps"):
+    """The action in label form, built once per action: the action itself
+    when it is in label form; for the engine's bisection action,
+    label_bisection_action on its groupoid and semigroup; else the
+    engine's domains and maps read through the labels of the points and
+    elements, each map in the order of the space.  The view is shared:
+    change a copy()."""
+    if isinstance(action, LabelPartialAction):
         return action
     view = _LABEL_VIEWS.get(action)
     if view is None:
-        view = _LABEL_VIEWS[action] = label_bisection_action(action.groupoid,
-                                                             action.index)
+        if hasattr(action, "maps"):
+            space, elements = action.space, action.index.elements
+            kind = (LabelGroupAction if isinstance(action, GroupPartialAction)
+                    else SemigroupPartialAction)
+            view = kind(action.index, space,
+                        {s: {space[x] for x in d}
+                         for s, d in zip(elements, action.domains)},
+                        {s: {space[x]: space[y] for x, y in enumerate(m)
+                             if y >= 0} for s, m in zip(elements, action.maps)},
+                        name=action.name)
+        else:
+            view = label_bisection_action(action.groupoid, action.index)
+        _LABEL_VIEWS[action] = view
     return view
 
 

@@ -20,7 +20,7 @@ arithmetic of the engine.
 """
 
 from families import (group_from_products, label_groupoid, label_view, mul,
-                      point_mass)
+                      point_mass, star_of)
 from groupoidal.steinberg_algebra import GroupoidFunction
 from groupoidal.validation import stable
 
@@ -152,9 +152,10 @@ def alpha(algebra_action, s, f):
     over f's ring."""
     alg = algebra_action
     action = label_view(alg.action)
-    if not f.vanishes_off(action.domains[alg.index.star(s)]):
-        raise ValueError(f"function is not in D_{{{alg.index.star(s)}}}")
-    theta_star = action.maps[alg.index.star(s)]
+    star = star_of(alg.index, s)
+    if not f.vanishes_off(action.domains[star]):
+        raise ValueError(f"function is not in D_{{{star}}}")
+    theta_star = action.maps[star]
     return SpaceFunction(f.ring,
                          {x: f(theta_star[x]) for x in action.domains[s]})
 
@@ -236,7 +237,7 @@ def skew_multiply(x, y):
     for s, a_s in x.terms.items():
         for t, a_t in y.terms.items():
             st = mul(index, s, t)
-            coeff = alpha(alg, s, alpha(alg, alg.index.star(s), a_s) * a_t)
+            coeff = alpha(alg, s, alpha(alg, star_of(index, s), a_s) * a_t)
             if coeff:
                 acc[st] = acc[st] + coeff if st in acc else coeff
     return SkewElement(alg, acc)

@@ -57,7 +57,7 @@ def test_criterion_1_skew_ring_isomorphism_per_action():
         assert rho_map.is_injective, name
         assert rho_map.is_surjective, name
         assert module.dim == groupoid.n_arrows == \
-            sum(len(action.domains[t]) for t in action.group.elements), name
+            sum(map(len, action.domains)), name
         algebra = rho_map.codomain
         for i in range(module.dim):
             vec = [Q.one() if k == i else Q.zero() for k in range(module.dim)]
@@ -74,14 +74,12 @@ def test_criterion_1_skew_ring_isomorphism_per_action():
         free, _ = is_topologically_free(action)
         if action.group.order == 1:
             kinds["trivial"] = True
-        elif all(len(action.domains[t]) == len(action.space)
-                 for t in action.group.elements):
+        elif all(len(d) == len(action.space) for d in action.domains):
             if free:
                 kinds["global_free"] = True
             else:
                 kinds["nonfree"] = True
-        elif any(0 < len(action.domains[t]) < len(action.space)
-                 for t in action.group.elements):
+        elif any(0 < len(d) < len(action.space) for d in action.domains):
             kinds["partial"] = True
         if not free:
             kinds["nonfree"] = True
@@ -198,7 +196,8 @@ def test_criterion_6_structural_suites():
         assert set(idempotents(semigroup)) == \
             {b for b in semigroup.elements
              if b <= label_groupoid(g).units}, name
-        assert validate_isg_partial_action(label_bisection_action(g, semigroup)).ok, name
+        assert validate_isg_partial_action(
+            label_bisection_action(g, semigroup).indexed()).ok, name
 
         algebra = SteinbergAlgebra(g)
         assert product_rows(algebra) == \
@@ -208,6 +207,6 @@ def test_criterion_6_structural_suites():
         semigroup = bisection_semigroup(g)
         assert validate_inverse_semigroup(semigroup).ok, g.name
         assert validate_isg_partial_action(
-            label_bisection_action(g, semigroup)).ok, g.name
+            label_bisection_action(g, semigroup).indexed()).ok, g.name
     report(6, "structural suites: bisection semigroups, orders, "
               "bisection action, convolution")

@@ -21,9 +21,10 @@ from dense_oracle import (closed, dense_associativity, dense_homomorphism,
                           dense_quotient_table, dense_table, premises,
                           product_rows, realize, reference_generator_scan,
                           triple_fails)
-from families import (bisection_action_of, family_groupoids,
-                      label_bisection_action, label_groupoid, regular_action,
-                      tabulated, transformation_rho)
+from families import (LabelGroupAction, action_from_labels,
+                      bisection_action_of, family_groupoids,
+                      label_bisection_action, label_groupoid, label_view,
+                      regular_action, star_of, tabulated, transformation_rho)
 from formula_oracle import bisection_inverse, bisection_product
 
 import catalog
@@ -124,7 +125,7 @@ def test_mask_action_builds_the_label_actions_l():
     for g in ladder_groupoids():
         r = realize(g)
         label = CovarianceModule(induce_algebra_action(
-            label_bisection_action(g, r.semigroup)))
+            label_bisection_action(g, r.semigroup).indexed()))
         mask = r.module
         assert mask.basis_labels == label.basis_labels, g.name
         assert mask.row_points == label.row_points, g.name
@@ -293,7 +294,7 @@ def z4_actions(rng, count):
                 "g": dict(zip(points, perm)),
                 "g3": dict(zip(perm, points)),
                 "g2": dict(zip(points, rng.choice(involutions)))}
-        yield GroupPartialAction(group, points,
+        yield action_from_labels(group, points,
                                  {g: points for g in group.elements}, maps)
 
 
@@ -301,7 +302,8 @@ def partial_corruptions(rng, count):
     """Catalog actions, regular Z_n and bisection actions with the map of
     one element and of its inverse changed together, so that they stay
     inverse bijections, and bisection semigroups with one product
-    changed, on a copy with its whole table."""
+    changed, on a copy with its whole table.  The maps are changed on
+    the label form."""
     def tabulated_action(name):
         g = catalog.load_groupoid(name)
         return label_bisection_action(g, tabulated(bisection_semigroup(g)))
@@ -312,9 +314,9 @@ def partial_corruptions(rng, count):
                + [lambda name=name: tabulated_action(name)
                   for name in ("pair_groupoid_2", "two_z2", "z3_one_unit")])
     for _ in range(count):
-        action = rng.choice(sources)()
+        action = label_view(rng.choice(sources)()).copy()
         index = action.index
-        if rng.random() < 0.3 and not isinstance(action, GroupPartialAction):
+        if rng.random() < 0.3 and not isinstance(action, LabelGroupAction):
             n = len(index.elements)
             index.table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
         else:
@@ -324,8 +326,8 @@ def partial_corruptions(rng, count):
             rng.shuffle(images)
             new = dict(zip(old, images))
             action.maps[s] = new
-            action.maps[index.star(s)] = {y: x for x, y in new.items()}
-        yield action
+            action.maps[star_of(index, s)] = {y: x for x, y in new.items()}
+        yield action.indexed()
 
 
 def test_corrupted_actions_give_the_dense_verdicts():

@@ -220,7 +220,7 @@ def test_trivial_group_image_is_whole_diagonal():
 def test_identity_orbit_equivalence_verifies():
     action = catalog.load_action("z2_partial_3pt")
     data = search_orbit_equivalence(action, action)
-    assert data.phi == {x: x for x in action.space}
+    assert data.phi == list(range(len(action.space)))
     ok, why = verify_orbit_equivalence(action, action, data)
     assert ok, why
 
@@ -228,12 +228,14 @@ def test_identity_orbit_equivalence_verifies():
 def test_relabeled_orbit_equivalence_verifies():
     left = catalog.load_action("z2_global_swap")
     right = catalog.load_action("z2_global_swap_relabeled")
-    phi_map = {"1": "a", "2": "b"}
-    a = {(g, x): g for g in left.group.elements
-         for x in left.domain_points(left.group.inv(g))}
-    b = {(h, y): h for h in right.group.elements
-         for y in right.domain_points(right.group.inv(h))}
-    data = OrbitEquivalenceData(phi_map, a, b)
+    # phi sends 1 to a and 2 to b, and each cocycle is the identity.
+    assert (left.space, right.space) == (["1", "2"], ["a", "b"])
+    star = left.group.star_table
+    a = {(i, x): i for i in range(left.group.order)
+         for x in left.domains[star[i]]}
+    b = {(i, y): i for i in range(right.group.order)
+         for y in right.domains[star[i]]}
+    data = OrbitEquivalenceData([0, 1], a, b)
     ok, why = verify_orbit_equivalence(left, right, data)
     assert ok, why
 
@@ -241,11 +243,12 @@ def test_relabeled_orbit_equivalence_verifies():
 def test_corrupted_cocycle_rejected():
     action = catalog.load_action("z2_global_swap")
     data = search_orbit_equivalence(action, action)
-    assert data.phi == {x: x for x in action.space}
-    data.a[("g", "1")] = "e"  # wrong: gamma_e(1) = 1 != theta_g(1) = 2
+    assert data.phi == [0, 1]
+    assert action.group.elements == ["e", "g"]
+    data.a[1, 0] = 0  # wrong: gamma_e(1) = 1 != theta_g(1) = 2
     ok, why = verify_orbit_equivalence(action, action, data)
     assert not ok
-    assert why
+    assert why == "phi(theta_g(1)) != gamma_e(phi(1))"
 
 
 def test_search_orbit_equivalence_self():

@@ -2,14 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from families import (SemigroupPartialAction, label_bisection_action_of, mul,
-                      random_scalar, semigroup_from_products)
+from families import (action_from_labels, label_bisection_action_of,
+                      label_view, mul, random_scalar, semigroup_from_products,
+                      star_of)
 from formula_oracle import SpaceFunction, alpha
 
 import catalog
 from groupoidal.groups import FiniteGroup
-from groupoidal.partial_actions import (GroupPartialAction,
-                                        induce_algebra_action,
+from groupoidal.partial_actions import (induce_algebra_action,
                                         is_topologically_free,
                                         validate_group_partial_action,
                                         validate_isg_partial_action)
@@ -32,7 +32,7 @@ def test_global_swap_valid():
 
 
 def test_mismatched_map_domain_invalid():
-    action = GroupPartialAction(
+    action = action_from_labels(
         z2(), ["1", "2"],
         {"e": ["1", "2"], "g": ["1", "2"]},
         {"e": {"1": "1", "2": "2"}, "g": {"1": "2"}})
@@ -42,7 +42,7 @@ def test_mismatched_map_domain_invalid():
 
 
 def test_identity_must_act_globally():
-    action = GroupPartialAction(
+    action = action_from_labels(
         z2(), ["1", "2"],
         {"e": ["1"], "g": []},
         {"e": {"1": "1"}, "g": {}})
@@ -55,7 +55,7 @@ def test_intertwining_equality_enforced():
     # X_g = {1}, theta_g = id on {1}: then theta_g(X_g & X_g) = {1} but the
     # composition rule with h = g forces theta_g theta_g = theta_e on {1},
     # which holds; breaking bijectivity instead: image outside X_g
-    action = GroupPartialAction(
+    action = action_from_labels(
         z2(), ["1", "2", "3"],
         {"e": ["1", "2", "3"], "g": ["1", "2"]},
         {"e": {"1": "1", "2": "2", "3": "3"}, "g": {"1": "2", "2": "3"}})
@@ -64,18 +64,16 @@ def test_intertwining_equality_enforced():
 
 
 def test_group_action_as_semigroup_action():
+    # The index form is the same over a group and over a semigroup.
     for name in ("z2_global_swap", "z2_partial_3pt", "z3_cycle_3pt"):
-        a = catalog.load_action(name)
-        isg = SemigroupPartialAction(a.group, a.space, dict(a.domains),
-                                     {g: dict(m) for g, m in a.maps.items()},
-                                     name=a.name)
-        assert validate_isg_partial_action(isg).ok, name
+        action = catalog.load_action(name)
+        assert validate_isg_partial_action(action).ok, name
 
 
 @pytest.mark.parametrize("name", catalog.groupoid_names())
 def test_bisection_action_satisfies_axioms(name):
     g = catalog.load_groupoid(name)
-    action = label_bisection_action_of(g)
+    action = label_bisection_action_of(g).indexed()
     report = validate_isg_partial_action(action)
     assert report.ok, (name, report.first)
 
@@ -91,7 +89,7 @@ def test_monotonicity_violation_detected():
         for b in elements:
             table[(a, b)] = a if a == b else "0"
     s = semigroup_from_products(elements, table, {a: a for a in elements})
-    action = SemigroupPartialAction(
+    action = action_from_labels(
         s, ["p", "q"],
         {"0": ["p"], "x": ["p"], "y": ["q"]},
         {"0": {"p": "p"}, "x": {"p": "p"}, "y": {"q": "q"}})
@@ -103,7 +101,7 @@ def test_monotonicity_violation_detected():
 
 def test_unit_convention_for_semigroup_actions():
     s = catalog.load_semigroup("semilattice_2")
-    action = SemigroupPartialAction(
+    action = action_from_labels(
         s, ["p", "q"],
         {"0": ["p"], "1": ["p"]},
         {"0": {"p": "p"}, "1": {"p": "p"}})
@@ -132,8 +130,9 @@ def test_alpha_partial_isometry_identity(Q):
     for name in catalog.action_names():
         action = catalog.load_action(name)
         alg = induce_algebra_action(action)
+        action = label_view(action)
         for s in action.group.elements:
-            star = action.group.inv(s)
+            star = star_of(action.group, s)
             for _ in range(10):
                 f = SpaceFunction(
                     Q, {x: random_scalar(Q, rng)
@@ -144,12 +143,12 @@ def test_alpha_partial_isometry_identity(Q):
 
 def test_intertwining_equality_exhaustive(Q):
     for name in catalog.action_names():
-        action = catalog.load_action(name)
+        action = label_view(catalog.load_action(name))
         grp = action.group
         for g in grp.elements:
             for h in grp.elements:
-                lhs = {action.theta(g, x)
-                       for x in action.domains[grp.inv(g)] & action.domains[h]}
+                lhs = {action.theta(g, x) for x in
+                       action.domains[star_of(grp, g)] & action.domains[h]}
                 rhs = action.domains[g] & action.domains[mul(grp, g, h)]
                 assert lhs == rhs, (name, g, h)
 
@@ -171,9 +170,11 @@ def test_topological_freeness_examples():
 
 def function_space_action(action, ring):
     """The induced maps alpha_s, viewed as a partial action on the finite
-    set of ALL ring-valued functions on the space (finite ring only)."""
+    set of ALL ring-valued functions on the space (finite ring only), in
+    the engine's form."""
     from itertools import product as iproduct
     alg = induce_algebra_action(action)
+    action = label_view(action)
     points = action.space
     elements = [ring.scalar(v) for v in range(ring.modulus)]
     functions = [SpaceFunction(ring, dict(zip(points, combo)))
@@ -183,13 +184,10 @@ def function_space_action(action, ring):
     for s in action.index.elements:
         domains[s] = frozenset(f for f in functions
                                if f.vanishes_off(action.domains[s]))
-        star = alg.index.star(s)
+        star = star_of(alg.index, s)
         maps[s] = {f: alpha(alg, s, f) for f in functions
                    if f.vanishes_off(action.domains[star])}
-    if hasattr(action, "semigroup"):
-        return SemigroupPartialAction(action.semigroup, functions, domains,
-                                      maps, name="algebra-level")
-    return GroupPartialAction(action.group, functions, domains, maps,
+    return action_from_labels(action.index, functions, domains, maps,
                               name="algebra-level")
 
 
@@ -206,7 +204,8 @@ def test_induced_action_satisfies_axioms_at_algebra_level(name):
 def test_bisection_algebra_action_satisfies_axioms_at_algebra_level():
     ring = ring_from_tag("Z/2")
     g = catalog.load_groupoid("two_isolated_units")
-    lifted = function_space_action(label_bisection_action_of(g), ring)
+    lifted = function_space_action(label_bisection_action_of(g).indexed(),
+                                   ring)
     report = validate_isg_partial_action(lifted)
     assert report.ok, report.first
 

@@ -2,9 +2,9 @@
 against the plain searches.
 
 The two reference searches below are the brute-force versions without
-the invariant checks, kept verbatim apart from their names; the groupoid
-search reads labels (`label_groupoid`) and returns its witness as a
-dict of labels.  The engine must give the same verdict and the same
+the invariant checks, kept verbatim apart from their names; both read
+labels (`label_view`, `label_groupoid`) and return their witnesses as
+dicts of labels.  The engine must give the same verdict and the same
 (lexicographically first) witness, read through the arrow labels, on
 every input: on the catalog, on relabeled copies, on generated partial
 Z_n actions, and, for orbit equivalence, on restrictions of
@@ -18,16 +18,15 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from families import group_from_products, label_groupoid
+from families import (action_from_labels, group_from_products,
+                      label_groupoid, label_view, star_of)
 
 import catalog
 from groupoidal import isomorphisms
 from groupoidal.isomorphisms import (DEFAULT_ISO_BOUND, DEFAULT_ORBIT_BOUND,
-                                     OrbitEquivalenceData,
                                      search_groupoid_isomorphism,
                                      search_orbit_equivalence,
                                      verify_orbit_equivalence)
-from groupoidal.partial_actions import GroupPartialAction
 from groupoidal.transformation_groupoid import build_transformation_groupoid
 from groupoidal.validation import BoundExceeded
 
@@ -40,7 +39,9 @@ NO_BOUND = 10 ** 6
 def reference_orbit_equivalence(theta, gamma, bound=DEFAULT_ORBIT_BOUND):
     """Brute-force search over space bijections with pointwise cocycle
     choices; sound and complete within the bound.  Returns the
-    lexicographically first witness, or None when exhausted."""
+    lexicographically first witness, as (phi, a, b), or None when
+    exhausted."""
+    theta, gamma = label_view(theta), label_view(gamma)
     nx, ny = len(theta.space), len(gamma.space)
     if max(nx, ny) > bound:
         raise BoundExceeded(f"spaces too large: {max(nx, ny)} points "
@@ -55,10 +56,10 @@ def reference_orbit_equivalence(theta, gamma, bound=DEFAULT_ORBIT_BOUND):
         for g in g_grp.elements:
             if not feasible:
                 break
-            for x in theta.domain_points(g_grp.inv(g)):
+            for x in theta.domain_points(star_of(g_grp, g)):
                 target = phi[theta.theta(g, x)]
                 h = next((h for h in h_grp.elements
-                          if phi[x] in gamma.domains[h_grp.inv(h)]
+                          if phi[x] in gamma.domains[star_of(h_grp, h)]
                           and gamma.theta(h, phi[x]) == target), None)
                 if h is None:
                     feasible = False
@@ -71,17 +72,17 @@ def reference_orbit_equivalence(theta, gamma, bound=DEFAULT_ORBIT_BOUND):
         for h in h_grp.elements:
             if not feasible:
                 break
-            for y in gamma.domain_points(h_grp.inv(h)):
+            for y in gamma.domain_points(star_of(h_grp, h)):
                 target = phi_inv[gamma.theta(h, y)]
                 g = next((g for g in g_grp.elements
-                          if phi_inv[y] in theta.domains[g_grp.inv(g)]
+                          if phi_inv[y] in theta.domains[star_of(g_grp, g)]
                           and theta.theta(g, phi_inv[y]) == target), None)
                 if g is None:
                     feasible = False
                     break
                 b[(h, y)] = g
         if feasible:
-            return OrbitEquivalenceData(phi, a, b)
+            return (phi, a, b)
     return None
 
 
@@ -183,9 +184,10 @@ def reference_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
 def relabeled(action, order):
     """A copy of the action whose space lists the renamed points in the
     given order (a permutation of range(len(space)))."""
+    action = label_view(action)
     names = {x: f"r{i}" for i, x in enumerate(action.space)}
     space = [names[action.space[i]] for i in order]
-    return GroupPartialAction(
+    return action_from_labels(
         action.group, space,
         {g: {names[x] for x in d} for g, d in action.domains.items()},
         {g: {names[x]: names[y] for x, y in m.items()}
@@ -213,7 +215,7 @@ def restricted_rotation(n, step, points):
         maps[g] = {f"p{x}": f"p{(x + move) % n}"
                    for x in ys if (x + move) % n in points}
         domains[g] = set(maps[g].values())
-    return GroupPartialAction(group, [f"p{x}" for x in ys], domains, maps,
+    return action_from_labels(group, [f"p{x}" for x in ys], domains, maps,
                               name=f"z{n}*{step}|{ys}")
 
 
@@ -252,7 +254,7 @@ def permutation_action(generators, points):
     ys = sorted(points)
     maps = {name: {f"p{x}": f"p{p[x]}" for x in ys if p[x] in points}
             for name, p in zip(names, perms)}
-    return GroupPartialAction(group, [f"p{x}" for x in ys],
+    return action_from_labels(group, [f"p{x}" for x in ys],
                               {g: set(m.values()) for g, m in maps.items()},
                               maps, name=f"{group.name}|{ys}")
 
@@ -274,8 +276,15 @@ def restricted_permutation_actions(draw):
 
 # --- comparison ---------------------------------------------------------------
 
-def orbit_witness(data):
-    return None if data is None else (data.phi, data.a, data.b)
+def orbit_witness(theta, gamma, data):
+    """The engine's witness, on indices, as dicts of labels."""
+    if data is None:
+        return None
+    xs, ys = theta.space, gamma.space
+    gs, hs = theta.group.elements, gamma.group.elements
+    return ({xs[x]: ys[y] for x, y in enumerate(data.phi)},
+            {(gs[i], xs[x]): hs[h] for (i, x), h in data.a.items()},
+            {(hs[i], ys[y]): gs[g] for (i, y), g in data.b.items()})
 
 
 def iso_witness(g1, g2, iso):
@@ -285,9 +294,9 @@ def iso_witness(g1, g2, iso):
 
 
 def assert_orbit_searches_agree(left, right):
-    assert (orbit_witness(search_orbit_equivalence(left, right, NO_BOUND))
-            == orbit_witness(reference_orbit_equivalence(left, right,
-                                                         NO_BOUND)))
+    assert (orbit_witness(left, right,
+                          search_orbit_equivalence(left, right, NO_BOUND))
+            == reference_orbit_equivalence(left, right, NO_BOUND))
 
 
 def assert_searches_agree(left, right):
@@ -393,7 +402,7 @@ def test_profile_mismatch_returns_without_backtracking(monkeypatch):
 
 def trivial_action(group, n):
     space = [f"p{x}" for x in range(n)]
-    return GroupPartialAction(
+    return action_from_labels(
         group, space, {g: set(space) for g in group.elements},
         {g: {x: x for x in space} for g in group.elements},
         name=f"{group.name} trivial on {n}")

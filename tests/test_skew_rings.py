@@ -76,7 +76,7 @@ def test_coefficient_containment_on_basis_pairs(Q):
                 st = mul(alg.index, s, t)
                 for u, f in product.terms.items():
                     assert u == st
-                    assert f.vanishes_off(alg.action.domains[st])
+                    assert f.vanishes_off(label_view(alg.action).domains[st])
 
 
 def test_mixed_actions_rejected(Q):

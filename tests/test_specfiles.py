@@ -20,13 +20,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
-from families import (LabelGroupoid, label_groupoid, pair_groupoid_spec,
+from families import (LabelGroupAction, LabelGroupoid, label_groupoid,
+                      label_view, pair_groupoid_spec, regular_action_spec,
                       semigroup_from_products, symmetric_inverse_monoid)
+from test_transformation import symmetric_group_actions
 
 import groupoidal
 import catalog
 from groupoidal.cli import main
 from groupoidal.specfiles import (FORMAT_TAG, SpecContentError, SpecFileError,
+                                  _parse_action, _parse_group,
                                   _parse_groupoid, _parse_semigroup,
                                   default_catalog_dir,
                                   load_document, parse_document,
@@ -792,3 +795,126 @@ def test_groupoid_tables_equal_the_label_parser():
                      "compose: unknown arrow",
                      "compose: key must be two space-separated names"}
     assert valid > 50
+
+
+# --- action documents straight onto point indices ---------------------------
+
+def reference_action(data):
+    """The action parser that read domains and maps into dicts keyed by
+    element and point labels, kept as it was apart from building a
+    LabelGroupAction, the label form it handed to the action."""
+    group = _parse_group(data["group"])
+    space = data["space"]
+    if len(set(space)) != len(space):
+        raise SpecFileError("space: duplicate points")
+    pset = set(space)
+    gset = set(group.elements)
+    for section in ("domains", "maps"):
+        keys = set(data[section])
+        if keys != gset:
+            raise SpecFileError(
+                f"{section}: keys {sorted(keys)} must be exactly the group "
+                f"elements {sorted(map(str, gset))}")
+    domains = {}
+    for g, points in data["domains"].items():
+        for x in points:
+            if x not in pset:
+                raise SpecFileError(f"domains[{g!r}]: unknown point {x!r}")
+        domains[g] = frozenset(points)
+    maps = {}
+    for g, table in data["maps"].items():
+        entry = {}
+        for x, y in table.items():
+            if x not in pset or y not in pset:
+                raise SpecFileError(f"maps[{g!r}]: unknown point in "
+                                    f"{x!r} -> {y!r}")
+            entry[x] = y
+        maps[g] = entry
+    return LabelGroupAction(group, space, domains, maps,
+                            name=data.get("name", "action"))
+
+
+def action_outcome(parse, data):
+    """The error text, or the action read through its labels."""
+    try:
+        a = label_view(parse(data))
+    except SpecFileError as exc:
+        return str(exc)
+    return (a.name, a.space, a.group.elements, a.domains, a.maps)
+
+
+def action_document(action):
+    """An action in the engine's form as a document, its group by an
+    explicit table."""
+    group, a = action.group, label_view(action)
+    names = group.elements
+    return {"format": FORMAT_TAG, "kind": "action", "name": a.name,
+            "group": {"elements": names,
+                      "table": {f"{names[i]} {names[j]}": names[k]
+                                for i, row in enumerate(group.table)
+                                for j, k in enumerate(row)}},
+            "space": a.space,
+            "domains": {g: a.domain_points(g) for g in names},
+            "maps": a.maps}
+
+
+def mutated_action(data, rng):
+    """data with one change: an unknown point in a domain, a map key or a
+    map value; a domains or maps key left out or added; a point listed
+    twice in the space or in a domain; or a map entry added or moved,
+    which may leave the domain of the map and which the parser reads."""
+    space, domains, maps = data["space"], data["domains"], data["maps"]
+    keys = sorted(set(domains) & set(maps))
+    if not keys:
+        return data
+    g, change = rng.choice(keys), rng.randrange(10)
+    if change == 0:
+        domains[g].insert(rng.randrange(len(domains[g]) + 1), "nope")
+    elif change == 1:
+        maps[g]["nope"] = rng.choice(space)
+    elif change == 2 and maps[g]:
+        maps[g][rng.choice(sorted(maps[g]))] = "nope"
+    elif change == 3:
+        del data[rng.choice(["domains", "maps"])][g]
+    elif change == 4:
+        section = rng.choice(["domains", "maps"])
+        data[section]["nope"] = [] if section == "domains" else {}
+    elif change == 5:
+        space.append(rng.choice(space))
+    elif change == 6:
+        domains[g].append(rng.choice(space))
+    elif change == 7 and maps[g]:
+        maps[g][rng.choice(sorted(maps[g]))] = rng.choice(space)
+    else:
+        maps[g][rng.choice(space)] = rng.choice(space)
+    return data
+
+
+def test_action_tables_equal_the_label_parser():
+    docs = [catalog_json(name) for name in catalog.action_names()]
+    for name in catalog.pair_names():
+        docs += [catalog_json(side) if isinstance(side, str) else side
+                 for side in map(catalog_json(name).get, ("left", "right"))]
+    docs += [regular_action_spec(n) for n in range(1, 13)]
+    docs += [action_document(a) for a in symmetric_group_actions()]
+    rng = random.Random(71)
+    mutated = []
+    for _ in range(240):
+        data = copy.deepcopy(rng.choice(docs))
+        for _ in range(rng.randint(1, 2)):
+            data = mutated_action(data, rng)
+        mutated.append(data)
+    texts, valid = set(), 0
+    for data in docs + mutated:
+        expected = action_outcome(reference_action, data)
+        assert action_outcome(_parse_action, data) == expected
+        if isinstance(expected, str):
+            # The message with the offending keys, names or points left out.
+            texts.add(re.sub(r"\[.*?\] ?|'.*", "", expected))
+        else:
+            valid += 1
+    assert texts == {"space: duplicate points",
+                     "domains: keys must be exactly the group elements ",
+                     "maps: keys must be exactly the group elements ",
+                     "domains: unknown point ", "maps: unknown point in "}
+    assert valid > 100

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from families import label_groupoid, mul, regular_action
+from families import label_groupoid, label_view, mul, regular_action, star_of
 from formula_oracle import isotropy_group
 from test_factored_oracle import partial_corruptions, z4_actions
 from test_search_oracle import permutation_action
@@ -46,8 +46,7 @@ def test_arrow_count_is_sum_of_domains():
     for name in catalog.action_names():
         action = catalog.load_action(name)
         tg = build_transformation_groupoid(action)
-        assert tg.n_arrows == sum(len(action.domains[t])
-                                  for t in action.group.elements)
+        assert tg.n_arrows == sum(map(len, action.domains))
         e = action.group.identity
         assert label_groupoid(tg).units == {(e, x) for x in action.space}
 
@@ -64,13 +63,13 @@ def test_structure_formulas():
         e = group.identity
         tg = label_groupoid(build_transformation_groupoid(action))
         for (t, x) in tg.arrows:
-            back = action.theta(group.inv(t), x)
+            back = label_view(action).theta(star_of(group, t), x)
             assert tg.range((t, x)) == (e, x), action.name
             assert tg.source((t, x)) == (e, back), action.name
-            assert tg.inverse((t, x)) == (group.inv(t), back), action.name
+            assert tg.inverse((t, x)) == (star_of(group, t), back), action.name
     action = catalog.load_action("z2_partial_3pt")
     tg = label_groupoid(build_transformation_groupoid(action))
-    assert tg.inverse(("g", "1")) == (action.group.inv("g"), "2")
+    assert tg.inverse(("g", "1")) == (star_of(action.group, "g"), "2")
     assert tg.compose(("g", "1"), ("g", "2")) == ("e", "1")
 
 
@@ -95,11 +94,11 @@ def test_isotropy_matches_groupoid_isotropy():
     for name in catalog.action_names():
         action = catalog.load_action(name)
         tg = build_transformation_groupoid(action)
-        group = action.group
+        group, action = action.group, label_view(action)
         for x in action.space:
             # The stabilizer {t : x in X_t and theta_{t^-1}(x) = x}.
             stab = {t for t in group.elements if x in action.domains[t]
-                    and action.theta(group.inv(t), x) == x}
+                    and action.theta(star_of(group, t), x) == x}
             iso = isotropy_group(tg, (group.identity, x))
             assert iso.order == len(stab)
             assert {t for (t, _) in iso.elements} == stab
@@ -117,17 +116,17 @@ def test_freeness_iff_principal_on_catalog():
 def all_pairs_compose_table(action):
     """The composition table as the constructor built it by trying every
     pair of arrows, in its insertion order, with the inverse table built
-    first, as there."""
-    group = action.group
+    first, as there, on the label form of the action."""
+    group, action = action.group, label_view(action)
     arrows = [(t, x) for t in group.elements
               for x in action.domain_points(t)]
     arrow_set = set(arrows)
     for t, x in arrows:
-        action.theta(group.inv(t), x)
+        action.theta(star_of(group, t), x)
     compose = {}
     for (s, y) in arrows:
         for (t, x) in arrows:
-            if action.theta(group.inv(s), y) == x:
+            if action.theta(star_of(group, s), y) == x:
                 st = mul(group, s, t)
                 target = (st, y)
                 if target not in arrow_set:
@@ -148,19 +147,20 @@ def outcome(build, action):
 def misdirected(rng, count):
     """Catalog actions and regular Z_n with one image of one map moved to
     a random point, so that composites escape, or dropped, so that a
-    point of a domain is outside the map."""
+    point of a domain is outside the map.  The change is made on the
+    label form."""
     sources = ([lambda name=name: catalog.load_action(name)
                 for name in catalog.action_names()]
                + [lambda n=n: regular_action(n) for n in (3, 4, 5)])
     for _ in range(count):
-        action = rng.choice(sources)()
+        action = label_view(rng.choice(sources)()).copy()
         s = rng.choice([g for g in action.group.elements if action.maps[g]])
         x = rng.choice(sorted(action.maps[s]))
         if rng.random() < 0.5:
             action.maps[s][x] = rng.choice(action.space)
         else:
             del action.maps[s][x]
-        yield action
+        yield action.indexed()
 
 
 def symmetric_group_actions():
