@@ -3,12 +3,16 @@ that applies to its kind, over Q, Z, Z/4 and Z/5, run in-process.  Also
 of a fixed, seeded set of corrupted action and pair documents, made from
 the catalog's by JSON edits alone, under the commands that apply to
 their kind over Q: they reach the failing validator paths, which no
-catalog entry does.
+catalog entry does.  And of relabeled groupoids, under validate and
+theorem5 over Q: arrows named by numbers whose string order is not
+their order in the document, which pins how a report sorts the labels
+of a bisection.
 
 report_digests.json holds, per run, the exit code and the sha256 of the
 text report with the input-digest line blanked, as perfbench blanks it.
 A change that alters any report byte shows here.  To record the file
-afresh, the catalog and the corrupted documents together, run
+afresh, the catalog, the corrupted and the relabeled documents together,
+run
 ``python tests/test_report_digests.py``.
 """
 
@@ -24,6 +28,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import dense_oracle
 import catalog
+from families import cyclic_bundle_spec, pair_groupoid_spec
 from groupoidal.cli import main
 from groupoidal.skew_rings import CovarianceModule, QuotientAlgebra
 from groupoidal.specfiles import resolve_input
@@ -153,11 +158,49 @@ def corrupted_digests():
     return digests
 
 
+def relabeled_documents():
+    """(name, document) of pair groupoids 3 and 4 and a bundle of cyclic
+    groups with arrow k, in document order, renamed str(k + 7): "10" sorts
+    before "7"."""
+    documents = []
+    for spec in (pair_groupoid_spec(3), pair_groupoid_spec(4),
+                 cyclic_bundle_spec((2, 3, 5))):
+        name = dict(zip(spec["arrows"], map(str, range(7, 7 + len(
+            spec["arrows"])))))
+        pairs = (key.split() for key in spec["compose"])
+        documents.append((f"relabeled_{spec['name']}", {
+            **spec, "name": f"relabeled_{spec['name']}",
+            "arrows": [name[a] for a in spec["arrows"]],
+            "units": [name[u] for u in spec["units"]],
+            "inverse": {name[a]: name[b] for a, b in spec["inverse"].items()},
+            "compose": {f"{name[b]} {name[c]}": name[d] for (b, c), d in
+                        zip(pairs, spec["compose"].values())}}))
+    return documents
+
+
+def relabeled_digests():
+    """The digests of each relabeled document under validate and
+    theorem5 over Q."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as directory:
+        for name, data in relabeled_documents():
+            path = os.path.join(directory, name + ".json")
+            with open(path, "w") as handle:
+                json.dump(data, handle)
+            for command in ("validate", "theorem5"):
+                digests[f"{command} {name} Q"] = _digest(command, path, "Q")
+    return digests
+
+
+def _catalog_run(key):
+    return not key.split()[1].startswith(("corrupted_", "relabeled_"))
+
+
 def test_reports_match_recorded_digests():
     with open(DIGESTS) as handle:
         recorded = json.load(handle)
     assert report_digests() == {key: value for key, value in recorded.items()
-                                if "corrupted_" not in key}
+                                if _catalog_run(key)}
 
 
 def test_corrupted_documents_match_recorded_digests():
@@ -170,6 +213,16 @@ def test_corrupted_documents_match_recorded_digests():
     # The edits reach failing validators, input errors and passing runs.
     codes = [code for code, _ in digests.values()]
     assert codes.count(1) > 30 and codes.count(2) > 0 and codes.count(0) > 5
+
+
+def test_relabeled_documents_match_recorded_digests():
+    with open(DIGESTS) as handle:
+        recorded = json.load(handle)
+    digests = relabeled_digests()
+    assert len(digests) == 6
+    assert digests == {key: value for key, value in recorded.items()
+                       if "relabeled_" in key}
+    assert all(code == 0 for code, _ in digests.values())
 
 
 def test_commands_never_build_a_dense_l(monkeypatch):
@@ -190,14 +243,14 @@ def test_commands_never_build_a_dense_l(monkeypatch):
     assert len(digests) == 4 * sum(command in commands
                                    for command, _ in _runs())
     assert digests == {key: value for key, value in recorded.items()
-                       if key.split()[0] in commands
-                       and "corrupted_" not in key}
+                       if key.split()[0] in commands and _catalog_run(key)}
 
 
 if __name__ == "__main__":
     # One run per line, so a re-recorded run shows as one changed line.
     rows = [f"{json.dumps(key)}: {json.dumps(value)}"
             for key, value in sorted({**report_digests(),
-                                      **corrupted_digests()}.items())]
+                                      **corrupted_digests(),
+                                      **relabeled_digests()}.items())]
     with open(DIGESTS, "w") as handle:
         handle.write("{\n" + ",\n".join(rows) + "\n}\n")
