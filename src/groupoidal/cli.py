@@ -47,12 +47,19 @@ def _image_listing(algebra_map):
     """The images of the domain basis, each a point mass with coefficient
     1, so every certificate in the report can be recomputed from the
     report itself.  A domain label is a pair (s, x), and each distinct s,
-    x and image is rendered once."""
-    arrows = algebra_map.codomain.basis_labels
-    render = functools.cache(stable)
-    return "; ".join(f"({render(s)},{render(x)})->{render(arrows[t])}:1"
-                     for (s, x), t in zip(algebra_map.domain.basis_labels,
-                                          algebra_map.targets))
+    x and image is rendered once, by index."""
+    basis = _basis_renderer(algebra_map.domain)
+    arrow = functools.cache(lambda t: stable(algebra_map.codomain.label(t)))
+    return "; ".join(f"{basis(i)}->{arrow(t)}:1"
+                     for i, t in enumerate(algebra_map.targets))
+
+
+def _basis_renderer(module):
+    """Basis index of L -> its pair (s, x) by stable, each s rendered once."""
+    elements, points = module._element, module.col_points
+    element = functools.cache(lambda e: stable(module._index.label(e)))
+    point = list(map(stable, module.algebra_action.action.space))
+    return lambda i: f"({element(elements[i])},{point[points[i]]})"
 
 
 def positive_int(text):
@@ -142,19 +149,18 @@ def cmd_theorem3(doc, ring, bounds, report):
     report.add("rho_basis_images", PASS, _image_listing(rho_map))
 
     # The inverse of rho reads the arrow (g, x) as the basis element
-    # (g, x), so both round trips compare labels through the targets.
-    algebra, targets = rho_map.codomain, rho_map.targets
-    first = next((i for i, label in enumerate(module.basis_labels)
-                  if algebra.basis_labels[targets[i]] != label), None)
+    # (g, x), through their keys (index of g, position of x).
+    targets, basis_at = rho_map.targets, module._basis_at
+    back = [basis_at[x][i] for i, x in groupoid.arrow_at]
+    first = next((i for i, t in enumerate(targets) if back[t] != i), None)
     report.add("round_trip_skew_to_steinberg", _flag_status(first is None),
                "rho_inverse(rho(e)) = e on the full basis" if first is None
-               else f"round trip fails on basis {module.basis_labels[first]}")
-    arrow = next((a for a in algebra.basis_labels
-                  if targets[module.label_index(*a)] != groupoid.index(a)),
+               else f"round trip fails on basis {module.label(first)}")
+    arrow = next((a for a, i in enumerate(back) if i < 0 or targets[i] != a),
                  None)
     report.add("round_trip_steinberg_to_skew", _flag_status(arrow is None),
                "rho(rho_inverse(f)) = f on the full basis" if arrow is None
-               else f"round trip fails on arrow {arrow}")
+               else f"round trip fails on arrow {groupoid.arrows[arrow]}")
 
     flag, detail = rho_map.certificates["diagonal"]
     report.add("diagonal_correspondence", _flag_status(flag), detail or
@@ -193,9 +199,9 @@ def cmd_theorem5(doc, ring, bounds, report):
         flag, detail = realization.psi_map.certificates[kind]
         report.add(f"psi_{kind}", _flag_status(flag), detail or "")
     report.add("psi_basis_images", PASS, _image_listing(realization.psi_map))
+    basis = _basis_renderer(realization.module)
     report.add("quotient_basis", PASS,
-               "; ".join(stable(lbl)
-                         for lbl in realization.quotient.basis_labels))
+               "; ".join(map(basis, realization.quotient.representatives)))
     report.add("psi_vanishes_on_ideal",
                _flag_status(realization.psi_vanishes_on_ideal()),
                f"checked on {dim_i} ideal basis vectors")

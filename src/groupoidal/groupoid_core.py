@@ -36,7 +36,7 @@ class FiniteGroupoid:
             raise ValueError("duplicate arrows")
         self.units = frozenset(units)
         self.inverse = list(inverse)
-        self.compose = dict(compose)
+        self.compose = compose
         self.range = [self.compose.get((a, b), -1)
                       for a, b in enumerate(self.inverse)]
         self.source = [self.compose.get((b, a), -1)
@@ -159,12 +159,14 @@ class GroupoidProduct(BasedAlgebra):
 
     def __init__(self, g):
         self.groupoid = g
-        self.basis_labels = g.arrows
         self.dim = g.n_arrows
         self._set_points(g.source, g.range)
         compose = g.compose
         self._rows = [[compose[b, c] for c in self.at_point.get(p, ())]
                       for b, p in enumerate(self.row_points)]
+
+    def label(self, i):
+        return self.groupoid.arrows[i]
 
     def row_products(self, i):
         return self._rows[i]

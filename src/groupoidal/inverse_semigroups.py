@@ -10,47 +10,51 @@ from .validation import ValidationReport
 
 
 class InverseSemigroup:
-    """What the inverse semigroups here share: the element list, which
-    fixes the canonical order, star_table[i], the index of the
-    pseudo-inverse of element i (-1 where the input left it out).
-    Elements serve only as labels.
+    """What the inverse semigroups here share: star_table[i], the index of
+    the pseudo-inverse of element i (-1 where the input left it out), one
+    entry per element in the canonical order.  label(i) names element i,
+    in reports and messages only.
 
     A subclass gives row(i), whose entry j is the index of the product of
     elements i and j (-1 where the input left it out), column(j), the
     entries j of the rows, down_sets(), the natural order's down-set of
-    each element index (see natural_order), unit and generators, a list
-    of indices that generates the semigroup: products are read by rows
-    and columns only."""
+    each element index (see natural_order), unit, the index of the
+    two-sided identity or None, and generators, a list of indices that
+    generates the semigroup: products are read by rows and columns only."""
 
-    def __init__(self, elements, star_table, name):
+    def __init__(self, star_table, name):
         self.name = name
-        self.elements = list(elements)
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise ValueError("duplicate semigroup elements")
         self.star_table = star_table
 
     @property
     def order(self):
-        return len(self.elements)
-
-    def index(self, s):
-        return self._index[s]
+        return len(self.star_table)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name}, order={self.order})"
 
 
 class FiniteInverseSemigroup(InverseSemigroup):
-    """An inverse semigroup given by index tables over its element list:
-    table[i][j] is the index of the product of elements i and j, and -1
-    marks an entry the input left out."""
+    """An inverse semigroup given by index tables over its element list,
+    the labels of the input: table[i][j] is the index of the product of
+    elements i and j, and -1 marks an entry the input left out."""
 
     def __init__(self, elements, table, star_table, name="semigroup"):
-        super().__init__(elements, star_table, name)
+        super().__init__(star_table, name)
+        self.elements = list(elements)
+        self._index = {e: i for i, e in enumerate(self.elements)}
+        if len(self._index) != len(self.elements):
+            raise ValueError("duplicate semigroup elements")
         self.table = table
-        self._unit_cached = False
-        self._unit = None
+        n = len(self.elements)
+        self.unit = next((e for e in range(n) if all(
+            table[e][x] == x == table[x][e] for x in range(n))), None)
+
+    def index(self, s):
+        return self._index[s]
+
+    def label(self, i):
+        return self.elements[i]
 
     def row(self, i):
         return self.table[i]
@@ -63,18 +67,6 @@ class FiniteInverseSemigroup(InverseSemigroup):
         """Every element: the table names no smaller generating set, so a
         check on generator rows reads every row."""
         return range(self.order)
-
-    @property
-    def unit(self):
-        """The two-sided identity, or None when the semigroup has none."""
-        if not self._unit_cached:
-            table, n = self.table, self.order
-            self._unit = next(
-                (self.elements[e] for e in range(n)
-                 if all(table[e][x] == x == table[x][e] for x in range(n))),
-                None)
-            self._unit_cached = True
-        return self._unit
 
     def down_sets(self):
         """For each element t, the distinct indices of t e over the
@@ -98,29 +90,29 @@ def validate_inverse_semigroup(s):
     Theory, Thm 5.1.1), so its inverses are unique and a* is the inverse
     of a."""
     report = ValidationReport(f"inverse semigroup {s.name}")
-    elems, star = s.elements, s.star_table
+    label, star = s.label, s.star_table
     table = list(map(s.row, range(s.order)))
     for i, row in enumerate(table):
         if -1 in row:
             for j, k in enumerate(row):
                 if k < 0:
                     report.add(f"multiplication missing entry "
-                               f"({elems[i]}, {elems[j]})")
+                               f"({label(i)}, {label(j)})")
     for i, t in enumerate(star):
         if t < 0:
-            report.add(f"star missing or not an element for {elems[i]}")
+            report.add(f"star missing or not an element for {label(i)}")
     if not report.ok:
         return report
 
     counter = DenseTable(table).associativity_counterexample()
     if counter is not None:
-        a, b, c = (elems[i] for i in counter)
+        a, b, c = map(label, counter)
         report.add(f"associativity fails on ({a}, {b}, {c})")
         return report
 
     for i, t in enumerate(star):
         if table[table[i][t]][i] != i or table[table[t][i]][t] != t:
-            report.add(f"star table names {elems[t]} for {elems[i]}, "
+            report.add(f"star table names {label(t)} for {label(i)}, "
                        f"which is not an inverse of it")
     if not report.ok:
         return report
@@ -129,7 +121,7 @@ def validate_inverse_semigroup(s):
     for e in idem:
         for f in idem:
             if table[e][f] != table[f][e]:
-                report.add(f"idempotents {elems[e]} and {elems[f]} "
+                report.add(f"idempotents {label(e)} and {label(f)} "
                            f"do not commute")
     return report
 
@@ -155,9 +147,9 @@ class BisectionSemigroup(InverseSemigroup):
     """The inverse semigroup of all bisections of a validated groupoid,
     with no product table, on the ascending bitmasks of
     enumerate_bisections.  masks[i] is the bitmask of element i, _arrows[i]
-    its arrow indices by increasing range, and its element, the one label,
-    the frozenset of those arrows; _range and _source are each arrow's
-    range and source as positions of the units in canonical order.
+    its arrow indices by increasing range, and label(i), built when read,
+    the set of their labels; _range and _source are each arrow's range and
+    source as positions of the units in canonical order.
 
     Products are computed a row or a column at a time on the bitmasks,
     only where one is read.  BC is the union, over the arrows c of C, of
@@ -169,6 +161,7 @@ class BisectionSemigroup(InverseSemigroup):
     is computed when read."""
 
     def __init__(self, g, masks, name):
+        self.groupoid = g
         unit_id = {u: k for k, u in enumerate(sorted(g.units))}
         self._range = list(map(unit_id.__getitem__, g.range))
         self._source = list(map(unit_id.__getitem__, g.source))
@@ -179,15 +172,17 @@ class BisectionSemigroup(InverseSemigroup):
                         for mask in masks]
         self._position = {mask: i for i, mask in enumerate(masks)}
         inverse = [1 << b for b in g.inverse]
-        super().__init__([frozenset(map(g.arrows.__getitem__, arrows))
-                          for arrows in self._arrows],
-                         [self._position[sum(map(inverse.__getitem__, arrows))]
+        super().__init__([self._position[sum(map(inverse.__getitem__, arrows))]
                           for arrows in self._arrows], name)
-        self.unit = self.elements[self._position[sum(1 << u for u in g.units)]]
+        self.unit = self._position[sum(1 << u for u in g.units)]
         self._rows, self._columns = {}, {}
         self.generators = self._generating_set()
         for c in self.generators:
             self.row(c)
+
+    def label(self, i):
+        return frozenset(map(self.groupoid.arrows.__getitem__,
+                             self._arrows[i]))
 
     def _products(self, lut, factors):
         """The indices of the products read through lut, one per element

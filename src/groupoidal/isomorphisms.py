@@ -23,7 +23,7 @@ from .partial_actions import induce_algebra_action
 from .scalars import points_at
 from .skew_rings import CovarianceModule, build_ideal, build_quotient
 from .steinberg_algebra import SteinbergAlgebra, split_levels
-from .validation import BoundExceeded
+from .validation import BoundExceeded, stable
 
 DEFAULT_ISO_BOUND = 10
 DEFAULT_ORBIT_BOUND = 6
@@ -36,7 +36,7 @@ class AlgebraMap:
     the certificates (homomorphism, injective, surjective,
     diagonal-preserving) are exhaustive integer checks on the targets and
     the factored products, the same over every ring.  They are computed on
-    demand and cached with their counterexample."""
+    demand and cached with their counterexample, named by stable(label(i))."""
 
     def __init__(self, domain, codomain, targets, name="map"):
         self.domain = domain
@@ -116,8 +116,8 @@ class AlgebraMap:
                         if left.get(j) != right.get(j))
                 return self._store(
                     "homomorphism", False,
-                    f"fails on basis pair ({dom.basis_labels[i]}, "
-                    f"{dom.basis_labels[j]})")
+                    f"fails on basis pair ({stable(dom.label(i))}, "
+                    f"{stable(dom.label(j))})")
         return self._store("homomorphism", True, None)
 
     def derive_homomorphism(self, premises):
@@ -138,10 +138,10 @@ class AlgebraMap:
         for a, t in enumerate(self.targets):
             m = last[t]
             if m != a:
-                labels = self.domain.basis_labels
+                label = self.domain.label
                 return self._store("injective", False,
-                                   f"kernel vector 1*{labels[a]} + "
-                                   f"-1*{labels[m]}")
+                                   f"kernel vector 1*{stable(label(a))} + "
+                                   f"-1*{stable(label(m))}")
         return self._store("injective", True, None)
 
     def certify_surjective(self):
@@ -162,8 +162,8 @@ class AlgebraMap:
             if t not in cod_diag:
                 return self._store(
                     "diagonal", False,
-                    f"image of diagonal basis {self.domain.basis_labels[i]} "
-                    f"leaks to {self.codomain.basis_labels[t]}")
+                    f"image of diagonal basis {stable(self.domain.label(i))} "
+                    f"leaks to {stable(self.codomain.label(t))}")
             covered.add(t)
         if len(covered) != len(cod_diag):
             return self._store(
@@ -200,7 +200,8 @@ class AlgebraMap:
     def compose(self, inner, name=None):
         """self o inner.  The middle algebras must agree structurally
         (same basis), not necessarily as objects."""
-        if inner.codomain.basis_labels != self.domain.basis_labels:
+        if list(map(inner.codomain.label, range(inner.codomain.dim))) != \
+                list(map(self.domain.label, range(self.domain.dim))):
             raise ValueError("composition domains do not match")
         return AlgebraMap(inner.domain, self.codomain,
                           [self.targets[t] for t in inner.targets],
@@ -220,12 +221,13 @@ def rho(action, groupoid, module=None):
     """The isomorphism from the partial skew group ring onto the Steinberg
     algebra of groupoid, the transformation groupoid of the action.  On
     basis elements it sends the point mass at x in D_g (times delta_g) to
-    the point mass at the arrow (g, x).  All four certificates are
-    computed exhaustively."""
+    the point mass at the arrow (g, x), found by its key in arrow_at.  All
+    four certificates are computed exhaustively."""
     if module is None:
         module = CovarianceModule(induce_algebra_action(action))
     algebra = SteinbergAlgebra(groupoid)
-    targets = [groupoid.index(label) for label in module.basis_labels]
+    targets = list(map(groupoid.arrow_at.__getitem__,
+                       zip(module._element, module.col_points)))
     return AlgebraMap(module, algebra, targets, name="rho").certify_all()
 
 
@@ -649,11 +651,11 @@ def verify_phi_left_inverse(realization):
     point mass at each arrow psi~(e_q), read by phi_values, must be the
     class q with coefficient 1.  A point mass is one block of split_levels,
     so phi_values gives it one class with coefficient 1 over every ring."""
-    labels = realization.quotient.basis_labels
+    label = realization.quotient.label
     for q, t in enumerate(realization.psi_tilde.targets):
         (got, c), = realization.phi_values({t: 1}).items()
         if got != q:
-            return (False, f"phi(psi~(e_{q})) = {c}*{labels[got]}")
+            return (False, f"phi(psi~(e_{q})) = {c}*{stable(label(got))}")
     return (True, None)
 
 

@@ -151,8 +151,7 @@ def validate_group_partial_action(action):
     specialization of the inverse semigroup characterization, with the
     intertwining law in equality form)."""
     report = ValidationReport(f"partial action {action.name}")
-    g, everywhere = action.group, list(range(len(action.space)))
-    e = g.index(g.identity)
+    e, everywhere = action.group.unit, list(range(len(action.space)))
     if action.domains[e] != everywhere:
         report.add("X_e must be the whole space")
     elif action.maps[e] != everywhere:
@@ -177,9 +176,8 @@ def validate_isg_partial_action(action):
     X_{ss*}.  For s <= t, s = ss* t, and the intertwining law on (ss*, t)
     gives X_{ss*} & X_t = X_{ss*} & X_s = X_s, so X_s lies in X_t."""
     report = ValidationReport(f"partial action {action.name}")
-    index, everywhere = action.index, list(range(len(action.space)))
-    if index.unit is not None:
-        unit = index.index(index.unit)
+    unit, everywhere = action.index.unit, list(range(len(action.space)))
+    if unit is not None:
         if action.domains[unit] != everywhere:
             report.add("X_1 must be the whole space when the semigroup has a unit")
         elif action.maps[unit] != everywhere:
@@ -199,9 +197,8 @@ def is_topologically_free(action):
     of theta_g on X_{g^-1}.
     """
     g = action.group
-    e = g.index(g.identity)
     witnesses = [(t, action.space[x]) for i, t in enumerate(g.elements)
-                 if i != e for x, y in action.star_graph(g.star_table[i])
+                 if i != g.unit for x, y in action.star_graph(g.star_table[i])
                  if y == x]
     return (not witnesses, tuple(witnesses))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .scalars import (BasedAlgebra, ScalarRing, SpanTracker, points_at,
                       zero_vector)
-from .validation import ValidationReport
+from .validation import ValidationReport, stable
 
 
 class CovarianceModule(BasedAlgebra):
@@ -40,32 +40,27 @@ class CovarianceModule(BasedAlgebra):
         self.algebra_action = algebra_action
         index, action = algebra_action.index, algebra_action.action
         self._index = index
-        self._point = {x: p for p, x in enumerate(action.space)}
-        self.basis_labels, self._element = [], []
-        row_points, col_points = [], []
+        self._element, row_points, col_points = [], [], []
         # _basis_at[p][e] is the basis index of (element e, point p), or
         # -1; the last slot answers a product the index table leaves out.
-        self._basis_at = [[-1] * (len(index.elements) + 1)
-                          for _ in action.space]
-        for e, s in enumerate(index.elements):
+        self._basis_at = [[-1] * (index.order + 1) for _ in action.space]
+        for e in range(index.order):
             for p, q in action.star_graph(e):
-                self._basis_at[p][e] = len(self.basis_labels)
-                self.basis_labels.append((s, action.space[p]))
+                self._basis_at[p][e] = len(self._element)
                 self._element.append(e)
                 col_points.append(p)
                 row_points.append(q)
-        self.dim = len(self.basis_labels)
+        self.dim = len(self._element)
         self._set_points(row_points, col_points)
         self._column_elements = {p: [self._element[j] for j in columns]
                                  for p, columns in self.at_point.items()}
         self._rows_at = points_at(row_points)
         self.premises = self.associative = None
 
-    def label_index(self, s, x):
-        i = self._basis_at[self._point[x]][self._index.index(s)]
-        if i < 0:
-            raise KeyError((s, x))
-        return i
+    def label(self, i):
+        """The pair (s, x) of basis element i, named by index and space."""
+        return (self._index.label(self._element[i]),
+                self.algebra_action.action.space[self.col_points[i]])
 
     def row_products(self, i):
         by_point = self._basis_at[self.col_points[i]]
@@ -73,7 +68,7 @@ class CovarianceModule(BasedAlgebra):
             self._index.row(self._element[i]).__getitem__,
             self._column_elements.get(self.row_points[i], ()))))
         if -1 in products:
-            raise KeyError(f"{self.basis_labels[i]} has a product outside L")
+            raise KeyError(f"{stable(self.label(i))} has a product outside L")
         return products
 
     def column_products(self, j):
@@ -85,7 +80,7 @@ class CovarianceModule(BasedAlgebra):
         products = [basis_at[col_points[a]][column[self._element[a]]]
                     for a in self._rows_at.get(col_points[j], ())]
         if -1 in products:
-            raise KeyError(f"{self.basis_labels[j]} has a product outside L")
+            raise KeyError(f"{stable(self.label(j))} has a product outside L")
         return products
 
     def generator_basis(self):
@@ -114,9 +109,7 @@ class CovarianceModule(BasedAlgebra):
         """Basis indices of the copy of the coefficient algebra sitting
         over the unit of the index (empty when there is no unit)."""
         unit = self._index.unit
-        if unit is None:
-            return []
-        return [i for i, (s, _) in enumerate(self.basis_labels) if s == unit]
+        return [i for i, e in enumerate(self._element) if e == unit]
 
     def verify_associativity(self, premises):
         """Certify (e_i e_j) e_k = e_i (e_j e_k) on all basis triples from
@@ -214,12 +207,14 @@ class QuotientAlgebra(BasedAlgebra):
         # _class[a] is the quotient index of e_a; the trailing -1 sends a
         # zero product (index -1) to zero.
         self._class = [position[r] for r in ideal.rep] + [-1]
-        self.basis_labels = [module.basis_labels[a]
-                             for a in self.representatives]
         self.dim = len(self.representatives)
         self._set_points(
             [module.row_points[a] for a in self.representatives],
             [module.col_points[a] for a in self.representatives])
+
+    def label(self, q):
+        """The pair (s, x) of q's representative in L."""
+        return self.module.label(self.representatives[q])
 
     def row_products(self, q):
         """The classes of L's row at the representative of q, read at the

@@ -27,7 +27,7 @@ class TransformationGroupoid(FiniteGroupoid):
             for x, y in action.star_graph(i):
                 at[i, x] = len(at)
                 back.append(y)
-        e = group.index(group.identity)
+        e = group.unit
         inverse = [at.get((star[i], x), -1) for (i, _), x in zip(at, back)]
         # The arrows (t, x) at each point x, in arrow order, with the
         # index of t.  (s, y) composes with exactly those at
@@ -50,6 +50,7 @@ class TransformationGroupoid(FiniteGroupoid):
                          [k for (i, _), k in at.items() if i == e],
                          inverse, compose, name=f"{group.name}@{action.name}")
         self.action = action
+        self.arrow_at = at
 
 
 def build_transformation_groupoid(action):

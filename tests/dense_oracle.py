@@ -41,7 +41,8 @@ import weakref
 from itertools import groupby
 from operator import itemgetter
 
-from families import label_bisection_action, label_view, mul, star_of
+from families import (basis_labels, label_bisection_action, label_index,
+                      label_view, mul, star_of)
 from formula_oracle import SkewElement, SpaceFunction
 from groupoidal.groupoid_core import validate_groupoid
 from groupoidal.inverse_semigroups import (bisection_semigroup,
@@ -68,15 +69,15 @@ def dense_table(module):
     alg = module.algebra_action
     index = alg.index
     at_point = {}
-    for j, (t, y) in enumerate(module.basis_labels):
+    for j, (t, y) in enumerate(basis_labels(module)):
         at_point.setdefault(y, []).append((j, t))
     theta = label_view(alg.action).theta
     blank = index_row(module.dim, [-1]) * module.dim
     table = []
-    for s, x in module.basis_labels:
+    for s, x in basis_labels(module):
         row = blank[:]
         for j, t in at_point.get(theta(star_of(index, s), x), ()):
-            row[j] = module.label_index(mul(index, s, t), x)
+            row[j] = label_index(module, mul(index, s, t), x)
         table.append(row)
     return table
 
@@ -253,8 +254,9 @@ def dense_homomorphism(m, rows=None):
         rhs = [cod_row[t] for t in targets]
         if lhs != rhs:
             j = next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-            return (False, f"fails on basis pair ({m.domain.basis_labels[i]}, "
-                           f"{m.domain.basis_labels[j]})")
+            labels = basis_labels(m.domain)
+            return (False, f"fails on basis pair ({stable(labels[i])}, "
+                           f"{stable(labels[j])})")
     return (True, None)
 
 
@@ -422,7 +424,7 @@ def to_vector(algebra, ring, element):
             raise ValueError("element does not belong to this module")
         for s, f in element.terms.items():
             for x, c in f.values.items():
-                vec[algebra.label_index(s, x)] = c
+                vec[label_index(algebra, s, x)] = c
         return vec
     if element.parent is not algebra.groupoid or element.ring != ring:
         raise ValueError("function does not belong to this algebra")
@@ -438,12 +440,12 @@ def from_vector(algebra, ring, vec):
         terms = {}
         for i, c in enumerate(vec):
             if c:
-                s, x = algebra.basis_labels[i]
+                s, x = basis_labels(algebra)[i]
                 terms.setdefault(s, {})[x] = c
         return SkewElement(algebra.algebra_action,
                            {s: SpaceFunction(ring, vals)
                             for s, vals in terms.items()})
-    values = {algebra.basis_labels[i]: c for i, c in enumerate(vec) if c}
+    values = {basis_labels(algebra)[i]: c for i, c in enumerate(vec) if c}
     return GroupoidFunction(algebra.groupoid, ring, values)
 
 
@@ -502,7 +504,7 @@ def dense_replay_theorem5(groupoid, text):
                parse_rows(text)["psi_basis_images"][1].split("; ")]
     index = {a: i for i, a in enumerate(groupoid.arrows)}
     if [label for label, _ in entries] != \
-            [stable(label) for label in module.basis_labels] or \
+            [stable(label) for label in basis_labels(module)] or \
             any(arrow not in index for _, arrow in entries):
         return ["psi_basis_images does not list L's basis onto arrows"]
     targets = [index[arrow] for _, arrow in entries]
@@ -538,7 +540,7 @@ def dense_replay_theorem3(doc, text):
     entries = [entry.rsplit(":", 1)[0].split("->") for entry in
                parse_rows(text)["rho_basis_images"][1].split("; ")]
     if [label for label, _ in entries] != \
-            [stable(label) for label in module.basis_labels] or \
+            [stable(label) for label in basis_labels(module)] or \
             any(arrow not in rendered for _, arrow in entries):
         return ["rho_basis_images does not list L's basis onto arrows"]
     targets = [rendered[arrow] for _, arrow in entries]
@@ -557,8 +559,8 @@ def dense_replay_theorem3(doc, text):
                   if image[k] != algebra[targets[i]][targets[j]]), None)
         if j is not None:
             problems.append(f"rho_homomorphism: fails on basis pair "
-                            f"({module.basis_labels[i]}, "
-                            f"{module.basis_labels[j]})")
+                            f"({stable(basis_labels(module)[i])}, "
+                            f"{stable(basis_labels(module)[j])})")
             break
     if sorted(targets) != list(range(len(arrows))):
         problems.append("rho_bijective")

@@ -23,7 +23,15 @@ oracle of the engine's, which is read off the semigroup's arrow indices:
 `range_set`, and `label_bisection_action`, which builds a domain r(B)
 and a map s(b) -> r(b) per bisection B.  `bisection_sets` gives
 enumerate_bisections' masks as sets of arrows; `star_of` reads a
-pseudo-inverse by label."""
+pseudo-inverse by label.
+
+The semigroups and algebras of theorems 3 and 5 in label form, the
+oracle of the engine's, which holds them on indices and builds a label
+only for a report: `label_semigroup` gives a bisection semigroup the
+frozenset of arrows of each bisection and the label -> index dict it
+held before; `basis_labels` is the (s, x) list of a covariance module
+(the representatives' pairs for L/I, the arrows for A_R(G)), and
+`label_index` reads it back."""
 
 import json
 import weakref
@@ -187,6 +195,7 @@ def symmetric_inverse_monoid(points, name=None):
 def mul(s, a, b):
     """The product of two elements of a semigroup, by label, read off its
     index rows; KeyError where the table leaves it out."""
+    s = label_semigroup(s)
     k = s.row(s.index(a))[s.index(b)]
     if k < 0:
         raise KeyError((a, b))
@@ -197,6 +206,7 @@ def star_of(s, a):
     """The pseudo-inverse of an element of a semigroup (the inverse, in a
     group), by label, read off its star table; KeyError where the table
     leaves it out."""
+    s = label_semigroup(s)
     k = s.star_table[s.index(a)]
     if k < 0:
         raise KeyError(a)
@@ -206,7 +216,7 @@ def star_of(s, a):
 def order_pairs(s):
     """The natural order of s as the set of label pairs (a, b) with
     a <= b, read off the index down-sets of natural_order."""
-    elems = s.elements
+    elems = label_semigroup(s).elements
     return frozenset((elems[a], elems[b])
                      for b, below in enumerate(natural_order(s))
                      for a in below)
@@ -217,13 +227,14 @@ def tabulated(s):
     semigroup, as a FiniteInverseSemigroup with its whole table, so that
     tests can read or corrupt entries."""
     return FiniteInverseSemigroup(
-        s.elements, [index_row(s.order, s.row(i)) for i in range(s.order)],
+        label_semigroup(s).elements,
+        [index_row(s.order, s.row(i)) for i in range(s.order)],
         list(s.star_table), name=s.name)
 
 
 def idempotents(s):
     """The elements e of an inverse semigroup with e e = e."""
-    return [e for e in s.elements if mul(s, e, e) == e]
+    return [e for e in label_semigroup(s).elements if mul(s, e, e) == e]
 
 
 def product_rows(elements, products):
@@ -369,7 +380,7 @@ def range_set(g, bis):
 def label_bisection_action(groupoid, semigroup):
     """The bisection action built from labels: for each bisection B, the
     domain r(B) and the map s(b) -> r(b) over the arrows b of B."""
-    groupoid = label_groupoid(groupoid)
+    groupoid, semigroup = label_groupoid(groupoid), label_semigroup(semigroup)
     space = groupoid.sort_arrows(groupoid.units)
     domains = {}
     maps = {}
@@ -517,3 +528,74 @@ def groupoid_from_labels(arrows, units, inverse, compose, name="groupoid"):
 def random_scalar(ring, rng):
     """A pseudo-random scalar, by ScalarRing.random_value's draw."""
     return Scalar(ring, ring.random_value(rng))
+
+
+class LabelSemigroup:
+    """A bisection semigroup with the labels it held before it moved to
+    indices: elements, the frozenset of arrows of each bisection, read off
+    its mask, and index(), the label -> index dict.  Everything else is
+    read from the semigroup it views, the unit too, an element index."""
+
+    def __init__(self, semigroup):
+        self._semigroup = semigroup
+        self.elements = [mask_arrows(semigroup.groupoid, mask)
+                         for mask in semigroup.masks]
+        self._labels = {e: i for i, e in enumerate(self.elements)}
+
+    def index(self, s):
+        return self._labels[s]
+
+    def __getattr__(self, name):
+        return getattr(self._semigroup, name)
+
+
+_LABEL_SEMIGROUPS = weakref.WeakKeyDictionary()
+
+
+def label_semigroup(s):
+    """s in label form: s itself when it lists its elements, else its
+    LabelSemigroup, built once per semigroup."""
+    if hasattr(s, "elements"):
+        return s
+    view = _LABEL_SEMIGROUPS.get(s)
+    if view is None:
+        view = _LABEL_SEMIGROUPS[s] = LabelSemigroup(s)
+    return view
+
+
+_BASIS_LABELS = weakref.WeakKeyDictionary()
+
+
+def basis_labels(algebra):
+    """The labels of an algebra's basis, in order, built once per algebra
+    as the engine built them before it moved to indices: for L, the pair
+    (s, x) per point x of X_s, for s in the index's order and x in the
+    order of star_graph; for L/I, the pairs of the representatives; for
+    A_R(G), the arrows."""
+    labels = _BASIS_LABELS.get(algebra)
+    if labels is None:
+        if hasattr(algebra, "groupoid"):
+            labels = list(algebra.groupoid.arrows)
+        elif hasattr(algebra, "representatives"):
+            module = basis_labels(algebra.module)
+            labels = [module[a] for a in algebra.representatives]
+        else:
+            action = algebra.algebra_action.action
+            labels = [(s, action.space[p]) for e, s in
+                      enumerate(label_semigroup(action.index).elements)
+                      for p, _ in action.star_graph(e)]
+        _BASIS_LABELS[algebra] = labels
+    return labels
+
+
+_LABEL_INDEX = weakref.WeakKeyDictionary()
+
+
+def label_index(algebra, s, x):
+    """The basis index of the label (s, x) in basis_labels(algebra);
+    KeyError for a pair that is not a basis element."""
+    index = _LABEL_INDEX.get(algebra)
+    if index is None:
+        index = _LABEL_INDEX[algebra] = {
+            label: i for i, label in enumerate(basis_labels(algebra))}
+    return index[s, x]

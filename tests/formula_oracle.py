@@ -19,8 +19,8 @@ arithmetic of the engine.
   rho's targets, and must give the same rows.
 """
 
-from families import (group_from_products, label_groupoid, label_view, mul,
-                      point_mass, star_of)
+from families import (basis_labels, group_from_products, label_groupoid,
+                      label_index, label_view, mul, point_mass, star_of)
 from groupoidal.steinberg_algebra import GroupoidFunction
 from groupoidal.validation import stable
 
@@ -261,28 +261,28 @@ def round_trip_rows(module, rho_map, ring):
     by object over ring through rho_inverse and SkewElement."""
     algebra = rho_map.codomain
     ok = True
-    for i, (g, x) in enumerate(module.basis_labels):
+    for i, (g, x) in enumerate(basis_labels(module)):
         # rho sends the basis element e_i to the point mass at targets[i].
         image = point_mass(
-            algebra.groupoid, ring, algebra.basis_labels[rho_map.targets[i]])
+            algebra.groupoid, ring, basis_labels(algebra)[rho_map.targets[i]])
         if rho_inverse(image, module) != SkewElement.basis(
                 module.algebra_action, ring, g, x):
             ok = False
             break
     rows = [("round_trip_skew_to_steinberg", ok,
              "rho_inverse(rho(e)) = e on the full basis" if ok else
-             f"round trip fails on basis {module.basis_labels[i]}")]
+             f"round trip fails on basis {basis_labels(module)[i]}")]
 
     ok = True
-    for arrow in algebra.basis_labels:
+    for arrow in basis_labels(algebra):
         mass = point_mass(algebra.groupoid, ring, arrow)
         # rho maps each term c e_(g, x) to c times the point mass at
         # targets[label_index(g, x)].
         image = {}
         for g, f in rho_inverse(mass, module).terms.items():
             for x, c in f.values.items():
-                target = algebra.basis_labels[
-                    rho_map.targets[module.label_index(g, x)]]
+                target = basis_labels(algebra)[
+                    rho_map.targets[label_index(module, g, x)]]
                 image[target] = image[target] + c if target in image else c
         if GroupoidFunction(algebra.groupoid, ring, image) != mass:
             ok = False

@@ -9,9 +9,10 @@ import time
 
 from dense_oracle import (apply, from_vector, product_rows, realize,
                           skew_ring, table_of, to_vector)
-from families import (bisection_sets, family_groupoids, idempotents,
-                      indicator, label_bisection_action, label_groupoid,
-                      order_pairs, point_mass, transformation_rho)
+from families import (basis_labels, bisection_sets, family_groupoids,
+                      idempotents, indicator, label_bisection_action,
+                      label_groupoid, label_semigroup, order_pairs, point_mass,
+                      transformation_rho)
 from formula_oracle import (bisection_inverse, bisection_product,
                             is_bisection, rho_inverse)
 
@@ -63,7 +64,7 @@ def test_criterion_1_skew_ring_isomorphism_per_action():
             vec = [Q.one() if k == i else Q.zero() for k in range(module.dim)]
             f = from_vector(algebra, Q, apply(rho_map, Q, vec))
             assert to_vector(module, Q, rho_inverse(f, module)) == vec, name
-        for k, arrow in enumerate(algebra.basis_labels):
+        for k, arrow in enumerate(basis_labels(algebra)):
             mass = point_mass(groupoid, Q, arrow)
             back = apply(rho_map, Q,
                          to_vector(module, Q, rho_inverse(mass, module)))
@@ -187,7 +188,7 @@ def test_criterion_6_structural_suites():
                 fc = indicator(g, Q, c)
                 assert convolve(fb, fc) == \
                     indicator(g, Q, bc), name
-        semigroup = bisection_semigroup(g)
+        semigroup = label_semigroup(bisection_semigroup(g))
         assert validate_inverse_semigroup(semigroup).ok, name
         order = order_pairs(semigroup)
         for b in semigroup.elements:

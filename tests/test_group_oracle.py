@@ -354,7 +354,8 @@ def test_a_group_is_an_inverse_semigroup():
         group = FiniteGroup.cyclic(n)
         assert isinstance(group, FiniteInverseSemigroup)
         assert validate_inverse_semigroup(group).ok
-        assert idempotents(group) == [group.identity] == [group.unit]
+        assert idempotents(group) == [group.identity] == \
+            [group.elements[group.unit]]
     for elements, table in TABLES.values():
         assert validate_inverse_semigroup(
             group_from_products(elements, table)).ok

@@ -26,7 +26,11 @@ over all of them (`congruence`), and their count.  A failing
 two-sidedness check names a product that leaves the ideal on the dense
 rows, with the text of the check that read every index
 (`full_read_violation`); a failing action report names only violations
-in the reference's full list.
+in the reference's full list.  The bisection semigroups, L, L/I and
+A_R(G) hold no labels: read by index, their labels are those of the
+label construction in `families` (`label_semigroup`, `basis_labels`,
+`label_index`), in order, and so are the unit, the diagonal and rho's
+targets.
 """
 
 import copy
@@ -36,14 +40,16 @@ from functools import partial
 from dense_oracle import (ideal_generators, leaves_ideal, product_rows,
                           reference_build_ideal, reference_generator_scan)
 from families import (CYCLIC_BUNDLES, SemigroupPartialAction,
-                      action_from_labels, bisection_action_of,
-                      cyclic_bundle_spec, idempotents,
-                      label_bisection_action_of, label_view, mul,
-                      order_pairs, pair_groupoid_spec, parse, star_of,
-                      symmetric_inverse_monoid)
+                      action_from_labels, basis_labels, bisection_action_of,
+                      cyclic_bundle_spec, family_groupoids, idempotents,
+                      label_bisection_action_of, label_groupoid, label_index,
+                      label_semigroup, label_view, mul, order_pairs,
+                      pair_groupoid_spec, parse, regular_action, star_of,
+                      symmetric_inverse_monoid, transformation_rho)
 
 import catalog
 from groupoidal.groupoid_core import validate_groupoid
+from groupoidal.isomorphisms import psi
 from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
                                            bisection_semigroup,
                                            validate_inverse_semigroup)
@@ -122,6 +128,7 @@ def reference_monotonicity(action, order, report):
 
 
 def reference_natural_order(s):
+    s = label_semigroup(s)
     pairs = set()
     for a in s.elements:
         for b in s.elements:
@@ -158,8 +165,8 @@ def reference_isg(action):
     """validate_isg_partial_action with the label-based loops."""
     report = ValidationReport(f"partial action {action.name}")
     s = action.semigroup
-    unit = s.unit
-    if unit is not None:
+    if s.unit is not None:
+        unit = s.elements[s.unit]
         if action.domains[unit] != frozenset(action.space):
             report.add("X_1 must be the whole space when the semigroup has a unit")
         elif action.maps[unit] != {x: x for x in action.space}:
@@ -227,8 +234,8 @@ def corrupted_module(module, rng):
     corrupted._basis_at = [list(at) for at in module._basis_at]
     for _ in range(rng.randint(1, 3)):
         k = rng.randrange(module.dim)
-        (u, x), p = module.basis_labels[k], module.col_points[k]
-        e = module.algebra_action.index.index(u)
+        (u, x), p = basis_labels(module)[k], module.col_points[k]
+        e = label_semigroup(module.algebra_action.index).index(u)
         corrupted._basis_at[p][e] = rng.choice(
             [v for v in range(module.dim) if v != k])
     return corrupted
@@ -313,8 +320,9 @@ def test_without_the_premise_every_row_is_read():
     assert list(module.generator_basis()) == list(range(module.dim))
     generators = set(module.algebra_action.index.generators)
     assert premised_module(g).generator_basis() == \
-        [i for i, (s, _) in enumerate(module.basis_labels)
-         if module.algebra_action.index.index(s) in generators]
+        [i for i, (s, _) in enumerate(basis_labels(module))
+         if label_semigroup(module.algebra_action.index).index(s)
+         in generators]
 
 
 def test_generator_rows_give_the_full_scan_verdict():
@@ -614,7 +622,7 @@ def reference_ideal_generators(module):
     natural order's label pairs: (s, x) and (t, x) for each s < t of
     reference_natural_order and each x in X_s."""
     alg = module.algebra_action
-    return [(module.label_index(s, x), module.label_index(t, x))
+    return [(label_index(module, s, x), label_index(module, t, x))
             for s, t in reference_natural_order(alg.index) if s != t
             for x in label_view(alg.action).domain_points(s)]
 
@@ -682,3 +690,39 @@ def test_build_ideal_equals_the_union_find_over_every_generator():
             assert ideal.generator_count == len(edges), action.index.name
         several += len(edges) > len({b for _, b in edges})
     assert several > 10
+
+
+def assert_module_reads_as_labels(module, unit):
+    """L's labels by index are basis_labels, label_index reads each back,
+    and the diagonal is the basis over the unit label."""
+    labels = basis_labels(module)
+    assert list(map(module.label, range(module.dim))) == labels
+    assert [label_index(module, s, x) for s, x in labels] == \
+        list(range(module.dim))
+    assert module.diagonal_indices() == \
+        [i for i, (s, _) in enumerate(labels) if s == unit]
+
+
+def test_index_forms_read_as_the_label_construction():
+    groupoids = [catalog.load_groupoid(name)
+                 for name in catalog.groupoid_names()] + family_groupoids(4)
+    for g in groupoids:
+        r = psi(g, validate_groupoid(g))
+        s, view = r.semigroup, label_semigroup(r.semigroup)
+        assert list(map(s.label, range(s.order))) == view.elements, g.name
+        assert [view.index(b) for b in view.elements] == list(range(s.order))
+        unit = view.elements[s.unit]
+        assert unit == label_groupoid(g).units, g.name
+        assert_module_reads_as_labels(r.module, unit)
+        assert list(map(r.quotient.label, range(r.quotient.dim))) == \
+            basis_labels(r.quotient), g.name
+        assert list(map(r.steinberg.label, range(r.steinberg.dim))) == \
+            basis_labels(r.steinberg) == g.arrows
+    actions = [catalog.load_action(name) for name in catalog.action_names()]
+    actions += [regular_action(n) for n in range(1, 13)]
+    for action in actions:
+        m = transformation_rho(action)
+        assert_module_reads_as_labels(m.domain, action.group.identity)
+        groupoid = m.codomain.groupoid
+        assert m.targets == [groupoid.index(label)
+                             for label in basis_labels(m.domain)], action.name

@@ -1,6 +1,7 @@
 import pytest
-from families import (PartialBijection, idempotents, label_groupoid, mul,
-                      order_pairs, semigroup_from_products, star_of,
+from families import (PartialBijection, idempotents, label_groupoid,
+                      label_semigroup, mul, order_pairs,
+                      semigroup_from_products, star_of,
                       symmetric_inverse_monoid)
 from formula_oracle import bisection_inverse, bisection_product
 from test_associativity_oracle import (DictSemigroup, real_violations,
@@ -119,18 +120,18 @@ def test_partial_bijection_basics():
 
 def test_bisection_semigroup_two_isolated_units():
     g = catalog.load_groupoid("two_isolated_units")
-    s = bisection_semigroup(g)
+    s = label_semigroup(bisection_semigroup(g))
     assert s.order == 4
     # all products are intersections on the semilattice of unit subsets
     for b in s.elements:
         for c in s.elements:
             assert mul(s, b, c) == b & c
-    assert s.unit == label_groupoid(g).units
+    assert s.elements[s.unit] == label_groupoid(g).units
 
 
 def test_bisection_semigroup_z2():
     g = catalog.load_groupoid("z2_one_unit")
-    s = bisection_semigroup(g)
+    s = label_semigroup(bisection_semigroup(g))
     assert s.order == 3
     gg = frozenset({"g"})
     assert mul(s, gg, gg) == frozenset({"u"})
@@ -143,7 +144,7 @@ def test_bisection_semigroup_z2():
 @pytest.mark.parametrize("name", catalog.groupoid_names())
 def test_bisection_semigroup_structure(name):
     g = catalog.load_groupoid(name)
-    s = bisection_semigroup(g)
+    s = label_semigroup(bisection_semigroup(g))
     assert validate_inverse_semigroup(s).ok
     order = order_pairs(s)
     for b in s.elements:
@@ -151,7 +152,7 @@ def test_bisection_semigroup_structure(name):
             assert ((b, c) in order) == (b <= c)
     units = label_groupoid(g).units
     assert set(idempotents(s)) == {b for b in s.elements if b <= units}
-    assert s.unit == units
+    assert s.elements[s.unit] == units
     for b in s.elements:
         assert star_of(s, b) == bisection_inverse(g, b)
         for c in s.elements:

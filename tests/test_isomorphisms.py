@@ -1,18 +1,22 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, product
 
 import pytest
 
 from dense_oracle import (apply, from_vector, ideal_rows, mul_basis,
                           mul_vectors, phi, realize, skew_ring, to_vector)
-from families import (groupoid_from_labels, indicator, label_groupoid,
-                      order_pairs, point_mass, random_scalar, range_set,
-                      transformation_rho)
+from families import (basis_labels, groupoid_from_labels, indicator,
+                      label_groupoid, label_semigroup, order_pairs, point_mass,
+                      random_scalar, range_set, transformation_rho)
 from formula_oracle import SkewElement, SpaceFunction, rho_inverse
 from test_phi_oracle import class_of
 from test_search_oracle import iso_witness, verify_groupoid_isomorphism
 
 import catalog
+import groupoidal
 from groupoidal.isomorphisms import (AlgebraMap, OrbitEquivalenceData,
                                      rho, search_groupoid_isomorphism,
                                      search_orbit_equivalence,
@@ -25,7 +29,7 @@ from groupoidal.partial_actions import induce_algebra_action
 from groupoidal.scalars import SpanTracker, ring_from_tag, zero_vector
 from groupoidal.steinberg_algebra import GroupoidFunction, SteinbergAlgebra
 from groupoidal.transformation_groupoid import build_transformation_groupoid
-from groupoidal.validation import BoundExceeded
+from groupoidal.validation import BoundExceeded, stable
 
 
 def rho_formula(skew, tg, ring):
@@ -77,8 +81,8 @@ def reference_certificates(m, ring, kinds=CERTIFICATES):
         if apply(m, ring, mul_basis(dom, ring, i, j)) != \
                 mul_vectors(cod, ring, images[i], images[j]):
             certs["homomorphism"] = (
-                False, f"fails on basis pair ({dom.basis_labels[i]}, "
-                       f"{dom.basis_labels[j]})")
+                False, f"fails on basis pair ({stable(basis_labels(dom)[i])}, "
+                       f"{stable(basis_labels(dom)[j])})")
             break
     aug = SpanTracker(ring, n + dom.dim)
     for i, img in enumerate(images):
@@ -87,7 +91,7 @@ def reference_certificates(m, ring, kinds=CERTIFICATES):
                    if piv >= n), None)
     certs["injective"] = (True, None) if kernel is None else (
         False, "kernel vector " + " + ".join(
-            f"{lift(c)}*{dom.basis_labels[i]}"
+            f"{lift(c)}*{stable(basis_labels(dom)[i])}"
             for i, c in enumerate(kernel) if c))
     rank = span_rank(ring, n, images)
     certs["surjective"] = (rank == n, None if rank == n else
@@ -100,8 +104,9 @@ def reference_certificates(m, ring, kinds=CERTIFICATES):
                 None)
     if leak is not None:
         certs["diagonal"] = (
-            False, f"image of diagonal basis {dom.basis_labels[leak[0]]} "
-                   f"leaks to {cod.basis_labels[leak[1]]}")
+            False, f"image of diagonal basis "
+                   f"{stable(basis_labels(dom)[leak[0]])} "
+                   f"leaks to {stable(basis_labels(cod)[leak[1]])}")
     else:
         rank = span_rank(ring, n, [images[i] for i in dom_diag])
         certs["diagonal"] = (rank == len(cod_diag),
@@ -135,7 +140,7 @@ def test_rho_z2_swap_sends_basis_to_arrow_masses(Q):
     m = transformation_rho(action)
     assert m.domain.dim == 4 and m.codomain.dim == 4
     tg = m.codomain.groupoid
-    for i, (g, x) in enumerate(m.domain.basis_labels):
+    for i, (g, x) in enumerate(basis_labels(m.domain)):
         assert m.targets[i] == tg.index((g, x))
         expected = [Q.one() if k == tg.index((g, x)) else Q.zero()
                     for k in range(4)]
@@ -204,7 +209,7 @@ def test_non_diagonal_basis_image_not_diagonal(Q):
     action = catalog.load_action("z2_global_swap")
     m = transformation_rho(action)
     algebra = m.codomain
-    i = m.domain.basis_labels.index(("g", "1"))
+    i = basis_labels(m.domain).index(("g", "1"))
     image = from_vector(algebra, Q, apply(m, Q, unit(Q, m.domain.dim, i)))
     assert not set(image.values) <= label_groupoid(algebra.groupoid).units
 
@@ -351,7 +356,7 @@ def test_psi_on_indicator_of_range(Q):
         g = catalog.load_groupoid(name)
         r = realize(g)
         alg = r.module.algebra_action
-        for bis in r.semigroup.elements:
+        for bis in label_semigroup(r.semigroup).elements:
             f = SpaceFunction.indicator(Q, range_set(g, bis))
             elem = SkewElement(alg, {bis: f}) if f else SkewElement.zero(alg)
             image = from_vector(r.steinberg, Q, apply(
@@ -390,9 +395,9 @@ def test_quotient_necessity_witnesses():
         g = catalog.load_groupoid(name)
         r = realize(g)
         order = order_pairs(r.semigroup)
-        comparable = any(
-            s != t and s and (s, t) in order
-            for s in r.semigroup.elements for t in r.semigroup.elements)
+        elements = label_semigroup(r.semigroup).elements
+        comparable = any(s != t and s and (s, t) in order
+                         for s in elements for t in elements)
         if comparable:
             found += 1
             assert r.ideal.dimension > 0, name
@@ -408,7 +413,7 @@ def test_phi_examples(Q):
     r = realize(g)
     zero_class = phi(GroupoidFunction.zero(g, Q), r)
     assert not any(zero_class)
-    for bis in r.semigroup.elements:
+    for bis in label_semigroup(r.semigroup).elements:
         if not bis:
             continue
         f = indicator(g, Q, bis)
@@ -556,7 +561,7 @@ def test_every_transposition_of_rho_agrees_with_vector_computation(Q):
 
 def test_repeated_target_fails_injectivity(Q):
     m = transformation_rho(catalog.load_action("z2_partial_3pt"))
-    labels = m.domain.basis_labels
+    labels = basis_labels(m.domain)
     for a, b in combinations(range(m.domain.dim), 2):
         repeated = list(m.targets)
         repeated[b] = repeated[a]
@@ -564,7 +569,7 @@ def test_repeated_target_fails_injectivity(Q):
         assert_certificates_agree(mutant, Q)
         assert not mutant.is_injective and not mutant.is_surjective
         assert mutant.certificates["injective"][1] == \
-            f"kernel vector 1*{labels[a]} + -1*{labels[b]}"
+            f"kernel vector 1*{stable(labels[a])} + -1*{stable(labels[b])}"
         with pytest.raises(ValueError):
             mutant.inverse()
 
@@ -596,6 +601,25 @@ def test_inverse_and_compose_are_permutation_arithmetic(Q):
         assert apply(outer.compose(inner), Q, vec) == \
             apply(outer, Q, apply(inner, Q, vec))
         assert apply(outer.inverse(), Q, apply(outer, Q, vec)) == vec
+
+
+def test_certificate_details_do_not_depend_on_the_hash_seed():
+    # psi is not injective on pair_groupoid_3, and its kernel vector
+    # names two bisections, sets of arrows whose order is each process's
+    # own.  Under two hash seeds the detail reads the same.
+    src = os.path.dirname(os.path.dirname(groupoidal.__file__))
+    probe = ("from groupoidal.groupoid_core import validate_groupoid\n"
+             "from groupoidal.isomorphisms import psi\n"
+             "from groupoidal.specfiles import load_document\n"
+             "g = load_document('pair_groupoid_3').payload\n"
+             "r = psi(g, validate_groupoid(g))\n"
+             "print(r.psi_map.certificates['injective'][1])\n")
+    details = {subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
+        for seed in ("1", "2")}
+    assert details == {"kernel vector 1*({u},u) + -1*({u,v,w},u)\n"}
 
 
 def test_psi_not_vanishing_on_the_ideal_is_detected(Q):

@@ -13,7 +13,8 @@ import json
 
 import pytest
 from dense_oracle import dense_replay_theorem3, dense_replay_theorem5
-from families import pair_groupoid_spec, regular_action_spec
+from families import (label_semigroup, pair_groupoid_spec,
+                      regular_action_spec)
 from replay_oracle import (Formulas, parse_rows, replay_theorem3,
                            replay_theorem5)
 
@@ -177,7 +178,7 @@ def test_one_wrong_image_fails_the_dense_replay(generator_row,
     # image outside them is seen only by the dense check.
     text, groupoid = dense_replayed("pair_groupoid_3", tmp_path_factory,
                                     capsys)
-    semigroup = bisection_semigroup(groupoid)
+    semigroup = label_semigroup(bisection_semigroup(groupoid))
     generators = {semigroup.elements[k] for k in semigroup.generators}
     labels = {stable(s): s for s in semigroup.elements}
     entries = parse_rows(text)["psi_basis_images"][1].split("; ")
