@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .scalars import BasedAlgebra
+from .scalars import BasedAlgebra, point_places
 from .validation import BoundExceeded, ValidationReport
 
 DEFAULT_BISECTION_BOUND = 16
@@ -21,14 +21,17 @@ class FiniteGroupoid:
 
     arrows names the arrows in the canonical order, for reports and for
     index(a); units is a set of arrow indices, inverse[a] the index of
-    the inverse of arrow a (-1 where the input left it out), and compose
-    an explicit partial table from composable index pairs to an index.
-    Range and source are derived from the tables once (r(b) = b b^{-1},
-    s(b) = b^{-1} b, -1 where that pair has no composite), so a raw
-    candidate can be constructed and then judged by validate_groupoid.
+    the inverse of arrow a (-1 where the input left it out).  rows[b]
+    lists bc over the arrows c at at_range[s(b)], so bc is
+    rows[b][place[c]].  A builder passes ends = (range, source) and the
+    rows.  The parser passes compose, a raw candidate table from index
+    pairs to an index, read only in this module: range and source are
+    derived from it (r(b) = b b^{-1}, s(b) = b^{-1} b) and the rows read
+    off it, -1 where a pair has no composite, for validate_groupoid.
     """
 
-    def __init__(self, arrows, units, inverse, compose, name="groupoid"):
+    def __init__(self, arrows, units, inverse, compose, name="groupoid",
+                 ends=None, rows=None):
         self.name = name
         self.arrows = list(arrows)
         self._index = {a: i for i, a in enumerate(self.arrows)}
@@ -37,10 +40,19 @@ class FiniteGroupoid:
         self.units = frozenset(units)
         self.inverse = list(inverse)
         self.compose = compose
-        self.range = [self.compose.get((a, b), -1)
-                      for a, b in enumerate(self.inverse)]
-        self.source = [self.compose.get((b, a), -1)
-                       for a, b in enumerate(self.inverse)]
+        self.range, self.source = ends or (
+            [compose.get((a, b), -1) for a, b in enumerate(self.inverse)],
+            [compose.get((b, a), -1) for a, b in enumerate(self.inverse)])
+        self.at_range, self.place = point_places(self.range)
+        self.rows = rows if compose is None else [
+            [compose.get((b, c), -1) for c in self.at_range.get(p, ())]
+            for b, p in enumerate(self.source)]
+
+    def composite(self, b, c):
+        """The index of bc, or -1 where there is none."""
+        if self.source[b] != self.range[c]:
+            return -1
+        return self.rows[b][self.place[c]]
 
     @property
     def n_arrows(self):
@@ -116,8 +128,10 @@ def composability_violation(g):
     """None when (b, c) is composable exactly when s(b) = r(c): every key
     of the composition table is such a pair, and there are as many keys
     as such pairs.  Otherwise a violation: a key off the points, or a
-    matched pair with no composite."""
+    matched pair with no composite.  Rows alone pass by construction."""
     source, range_, compose, arrows = g.source, g.range, g.compose, g.arrows
+    if compose is None:
+        return None
     off = next(((b, c) for b, c in compose if source[b] != range_[c]), None)
     if off is not None:
         b, c = (arrows[i] for i in off)
@@ -138,12 +152,16 @@ def composability_violation(g):
 def _cancellation_violation(g):
     """None when b^-1 (bc) = c and (bc) c^-1 = b for every composable
     pair, else the first failure.  Then r(bc) = r(b) and s(bc) = s(c)."""
-    compose, inverse, arrows = g.compose, g.inverse, g.arrows
-    for (b, c), d in compose.items():
-        if compose.get((inverse[b], d)) != c:
+    inverse, arrows, composite = g.inverse, g.arrows, g.composite
+    # The pairs of the raw table in its order, else b-major over the rows.
+    pairs = g.compose or ((b, c) for b, p in enumerate(g.source)
+                          for c in g.at_range.get(p, ()))
+    for b, c in pairs:
+        d = composite(b, c)
+        if composite(inverse[b], d) != c:
             b, c = arrows[b], arrows[c]
             return f"cancellation fails: {b}^-1 ({b}{c}) != {c}"
-        if compose.get((d, inverse[c])) != b:
+        if composite(d, inverse[c]) != b:
             b, c = arrows[b], arrows[c]
             return f"cancellation fails: ({b}{c}) {c}^-1 != {b}"
     return None
@@ -153,17 +171,15 @@ class GroupoidProduct(BasedAlgebra):
     """The contracted semigroup G u {0} as a based algebra on the arrow
     indices, in the canonical arrow order: e_b e_c = e_{bc} when
     s(b) = r(c), and 0 otherwise.  So the row point of b is s(b) and the
-    column point of c is r(c), and each row keeps only its nonzero
-    composites, |compose| entries in all.  g must pass
-    composability_violation: every matched pair has a composite."""
+    column point of c is r(c), and the rows and point tables are the
+    groupoid's own, not copies.  g must pass composability_violation:
+    every matched pair has a composite."""
 
     def __init__(self, g):
         self.groupoid = g
         self.dim = g.n_arrows
-        self._set_points(g.source, g.range)
-        compose = g.compose
-        self._rows = [[compose[b, c] for c in self.at_point.get(p, ())]
-                      for b, p in enumerate(self.row_points)]
+        self.row_points, self.col_points = g.source, g.range
+        self.at_point, self.place, self._rows = g.at_range, g.place, g.rows
 
     def label(self, i):
         return self.groupoid.arrows[i]

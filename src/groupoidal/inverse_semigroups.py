@@ -165,7 +165,6 @@ class BisectionSemigroup(InverseSemigroup):
         unit_id = {u: k for k, u in enumerate(sorted(g.units))}
         self._range = list(map(unit_id.__getitem__, g.range))
         self._source = list(map(unit_id.__getitem__, g.source))
-        self._compose_bits = {bc: 1 << d for bc, d in g.compose.items()}
         self.masks = masks
         by_range = sorted(range(g.n_arrows), key=self._range.__getitem__)
         self._arrows = [[a for a in by_range if mask >> a & 1]
@@ -203,17 +202,17 @@ class BisectionSemigroup(InverseSemigroup):
     def _left_lut(self, i):
         """Arrow c -> the bit of bc for the arrow b of element i with
         s(b) = r(c), or 0: element i times any C is an OR over C."""
-        composite = self._compose_bits
-        by_source = {self._source[b]: b for b in self._arrows[i]}
-        return [composite[by_source[r], c] if r in by_source else 0
+        rows, place = self.groupoid.rows, self.groupoid.place
+        by_source = {self._source[b]: rows[b] for b in self._arrows[i]}
+        return [1 << by_source[r][place[c]] if r in by_source else 0
                 for c, r in enumerate(self._range)]
 
     def _right_lut(self, j):
         """Arrow b -> the bit of bc for the arrow c of element j with
         r(c) = s(b), or 0: any B times element j is an OR over B."""
-        composite = self._compose_bits
-        by_range = {self._range[c]: c for c in self._arrows[j]}
-        return [composite[b, by_range[s]] if s in by_range else 0
+        rows, place = self.groupoid.rows, self.groupoid.place
+        by_range = {self._range[c]: place[c] for c in self._arrows[j]}
+        return [1 << rows[b][by_range[s]] if s in by_range else 0
                 for b, s in enumerate(self._source)]
 
     def _generating_set(self):

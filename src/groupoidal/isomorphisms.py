@@ -373,20 +373,19 @@ def _unit_profiles(g):
     range, sorted element orders of the isotropy group).  g must pass
     validate_groupoid, so the isotropy at u, the arrows b with
     r(b) = s(b) = u, is a group with identity u, and the order of b is
-    the least k <= |H| with b^k = u, read off the composition table."""
+    the least k <= |H| with b^k = u, read off the composites."""
     fibre = Counter(g.range)
     isotropy = {u: [] for u in g.units}
     for b, (r, s) in enumerate(zip(g.range, g.source)):
         if r == s:
             isotropy[r].append(b)
-    compose = g.compose
     profiles = {}
     for u, members in isotropy.items():
         orders = []
         for b in members:
             power, k = b, 1
             while power != u:
-                power, k = compose[power, b], k + 1
+                power, k = g.composite(power, b), k + 1
             orders.append(k)
         profiles[u] = (len(members), fibre[u], tuple(sorted(orders)))
     return profiles
@@ -427,12 +426,20 @@ def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
     if g1.n_arrows > bound:
         raise BoundExceeded(f"groupoids too large: {g1.n_arrows} arrows "
                             f"exceeds iso bound {bound}")
+    return _first_isomorphism(g1, g2)
 
+
+def _first_isomorphism(g1, g2):
+    """The backtracking of search_groupoid_isomorphism, over arrows of
+    equal count: units first, each arrow against the arrows placed
+    before it, composites read off the rows."""
     n = g1.n_arrows
     order1 = sorted(g1.units) + [a for a in range(n) if a not in g1.units]
     units2 = sorted(g2.units)
     nonunits2 = [b for b in range(n) if b not in g2.units]
-    compose1, compose2 = g1.compose, g2.compose
+    candidates = [units2 if a in g1.units else nonunits2 for a in order1]
+    range1, source1, rows1, place1 = g1.range, g1.source, g1.rows, g1.place
+    range2, source2, rows2, place2 = g2.range, g2.source, g2.rows, g2.place
 
     image = [-1] * n  # image[a] is the image of arrow a, or -1
     used = [False] * n
@@ -444,33 +451,45 @@ def search_groupoid_isomorphism(g1, g2, bound=DEFAULT_ISO_BOUND):
     def consistent(pos, b):
         # Arrow order1[pos] against the arrows mapped before it.
         a = order1[pos]
-        if not (agrees(g1.range[a], g2.range[b])
-                and agrees(g1.source[a], g2.source[b])):
+        r1, s1, r2, s2 = range1[a], source1[a], range2[b], source2[b]
+        if not (agrees(r1, r2) and agrees(s1, s2)):
             return False
         for a2 in order1[:pos]:
             b2 = image[a2]
-            for c, d in ((compose1.get((a, a2)), compose2.get((b, b2))),
-                         (compose1.get((a2, a)), compose2.get((b2, b)))):
-                if (c is None) != (d is None):
+            for c, d in ((rows1[a][place1[a2]] if s1 == range1[a2] else -1,
+                          rows2[b][place2[b2]] if s2 == range2[b2] else -1),
+                         (rows1[a2][place1[a]] if source1[a2] == r1 else -1,
+                          rows2[b2][place2[b]] if source2[b2] == r2 else -1)):
+                if (c < 0) != (d < 0):
                     return False
-                if c is not None and not agrees(c, d):
+                if c >= 0 and not agrees(c, d):
                     return False
         return True
 
-    def backtrack(pos):
-        if pos == n:
-            return True
+    # Depth-first over the positions with an explicit stack: tried[pos]
+    # counts the candidates of order1[pos] tried so far, so the first
+    # complete assignment is the lexicographically first witness.
+    tried = [0] * n
+    pos = 0
+    while pos < n:
         a = order1[pos]
-        for b in units2 if a in g1.units else nonunits2:
-            if used[b] or not consistent(pos, b):
-                continue
-            image[a], used[b] = b, True
-            if backtrack(pos + 1):
-                return True
-            image[a], used[b] = -1, False
-        return False
-
-    return image if backtrack(0) else None
+        if image[a] >= 0:
+            used[image[a]], image[a] = False, -1
+        options, k = candidates[pos], tried[pos]
+        while k < len(options) and (used[options[k]]
+                                    or not consistent(pos, options[k])):
+            k += 1
+        if k == len(options):
+            if pos == 0:
+                return None
+            tried[pos] = 0
+            pos -= 1
+            continue
+        b = options[k]
+        tried[pos] = k + 1
+        image[a], used[b] = b, True
+        pos += 1
+    return image
 
 
 # ---------------------------------------------------------------------------

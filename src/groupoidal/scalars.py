@@ -246,6 +246,17 @@ def points_at(points):
     return at
 
 
+def point_places(points):
+    """points_at(points), and the position of each index among the
+    indices carrying its point."""
+    at = points_at(points)
+    place = [0] * len(points)
+    for indices in at.values():
+        for k, j in enumerate(indices):
+            place[j] = k
+    return at, place
+
+
 class BasedAlgebra:
     """A based algebra with 0/1 structure constants, factored by points:
     e_i e_j is nonzero exactly when row_points[i] equals col_points[j].
@@ -259,11 +270,7 @@ class BasedAlgebra:
     def _set_points(self, row_points, col_points):
         self.row_points = row_points
         self.col_points = col_points
-        self.at_point = points_at(col_points)
-        self.place = [0] * len(col_points)
-        for columns in self.at_point.values():
-            for place, j in enumerate(columns):
-                self.place[j] = place
+        self.at_point, self.place = point_places(col_points)
 
     def associativity_counterexample(self):
         """A basis triple (x, g, y) with (e_x e_g) e_y != e_x (e_g e_y),

@@ -78,12 +78,12 @@ def convolve(f, g):
     """(f * g)(b) = sum of f(c) g(d) over all factorizations b = cd."""
     f._compatible(g)
     parent, ring = f.parent, f.ring
-    index, compose, arrows = parent._index, parent.compose, parent.arrows
+    index, arrows = parent._index, parent.arrows
     acc = {}
     for c, fc in f.values.items():
         for d, gd in g.values.items():
-            b = compose.get((index[c], index[d]))
-            if b is not None:
+            b = parent.composite(index[c], index[d])
+            if b >= 0:
                 b = arrows[b]
                 acc[b] = acc.get(b, ring.zero()) + fc * gd
     return GroupoidFunction(parent, ring, acc)

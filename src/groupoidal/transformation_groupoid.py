@@ -29,26 +29,28 @@ class TransformationGroupoid(FiniteGroupoid):
                 back.append(y)
         e = group.unit
         inverse = [at.get((star[i], x), -1) for (i, _), x in zip(at, back)]
-        # The arrows (t, x) at each point x, in arrow order, with the
-        # index of t.  (s, y) composes with exactly those at
-        # theta_{s^-1}(y), and the composite (st, y) reads st off the
-        # group's index table.
-        arrows_at = {}
-        for (j, x), c in at.items():
-            arrows_at.setdefault(x, []).append((j, c))
-        compose = {}
-        for ((i, y), b), x in zip(at.items(), back):
+        # The element indices t of the arrows (t, x) at each point x, in
+        # arrow order.  The row of (s, y) lists its composites (st, y) with
+        # those at theta_{s^-1}(y), st read off the group's index table.
+        elements_at = {}
+        for j, x in at:
+            elements_at.setdefault(x, []).append(j)
+        rows = []
+        for (i, y), x in zip(at, back):
             row = table[i]
-            for j, c in arrows_at.get(x, ()):
-                d = at.get((row[j], y))
-                if d is None:
-                    raise ValueError(
-                        f"composite ({elements[row[j]]}, {space[y]}) escapes "
-                        "the arrow set; action is not a partial action")
-                compose[b, c] = d
+            try:
+                rows.append([at[row[j], y] for j in elements_at.get(x, ())])
+            except KeyError as escaped:
+                st, _ = escaped.args[0]
+                raise ValueError(
+                    f"composite ({elements[st]}, {space[y]}) escapes the "
+                    "arrow set; action is not a partial action") from None
         super().__init__([(elements[i], space[x]) for i, x in at],
-                         [k for (i, _), k in at.items() if i == e],
-                         inverse, compose, name=f"{group.name}@{action.name}")
+                         [k for (i, _), k in at.items() if i == e], inverse,
+                         None, name=f"{group.name}@{action.name}",
+                         ends=([at.get((e, x), -1) for _, x in at],
+                               [at.get((e, y), -1) for y in back]),
+                         rows=rows)
         self.action = action
         self.arrow_at = at
 

@@ -41,8 +41,8 @@ import weakref
 from itertools import groupby
 from operator import itemgetter
 
-from families import (basis_labels, label_bisection_action, label_index,
-                      label_view, mul, star_of)
+from families import (basis_labels, compose_table, label_bisection_action,
+                      label_index, label_view, mul, star_of)
 from formula_oracle import SkewElement, SpaceFunction
 from groupoidal.groupoid_core import validate_groupoid
 from groupoidal.inverse_semigroups import (bisection_semigroup,
@@ -87,7 +87,7 @@ def composition_table(g):
     index of bc at c, and -1 where (b, c) is not composable."""
     blank = index_row(g.n_arrows, [-1]) * g.n_arrows
     table = [blank[:] for _ in g.arrows]
-    for (b, c), d in g.compose.items():
+    for (b, c), d in compose_table(g).items():
         table[b][c] = d
     return table
 

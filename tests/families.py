@@ -508,8 +508,27 @@ def label_groupoid(g):
             names, [names[u] for u in g.units],
             {names[a]: names[b] for a, b in enumerate(g.inverse) if b >= 0},
             {(names[b], names[c]): names[d]
-             for (b, c), d in g.compose.items()}, name=g.name)
+             for (b, c), d in compose_table(g).items()}, name=g.name)
     return view
+
+
+def compose_table(g):
+    """g's composites as a dict from index pairs to an index: the parser's
+    raw table as it was read, or, where g holds only its rows (a
+    transformation groupoid), the table read off the rows, b-major and in
+    increasing c."""
+    if g.compose is not None:
+        return g.compose
+    return {(b, c): d for b, (p, row) in enumerate(zip(g.source, g.rows))
+            for c, d in zip(g.at_range.get(p, ()), row)}
+
+
+def table_groupoid(g):
+    """g as the parser builds a groupoid: its composites as a raw table
+    (compose_table), range and source derived from that table, so that
+    composability_violation judges the composites as a raw table."""
+    return FiniteGroupoid(g.arrows, g.units, g.inverse, compose_table(g),
+                          name=g.name)
 
 
 def groupoid_from_labels(arrows, units, inverse, compose, name="groupoid"):

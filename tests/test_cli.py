@@ -1,13 +1,14 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 from collections import Counter
 
 import pytest
-from families import basis_labels, pair_groupoid_spec
+from families import basis_labels, pair_groupoid_spec, regular_action_spec
 
 import catalog
 from groupoidal import cli, groups, isomorphisms, skew_rings
@@ -294,14 +295,18 @@ def test_equivalence_builds_no_group_after_loading(monkeypatch, capsys):
 def test_theorem3_reports_a_wrong_composite(monkeypatch, capsys):
     # rho's homomorphism certificate compares every composite the builder
     # made with L's product, so a wrong one fails there, with no
-    # traceback.
+    # traceback.  The first composite bc of two non-units, in the rows, is
+    # set to b.
     build = cli.build_transformation_groupoid
 
     def wrong_composite(action):
         groupoid = build(action)
-        key = next((b, c) for b, c in groupoid.compose
-                   if b not in groupoid.units and c not in groupoid.units)
-        groupoid.compose[key] = key[0]
+        units, at = groupoid.units, groupoid.at_range
+        b, k = next((b, k) for b, row in enumerate(groupoid.rows)
+                    if b not in units
+                    for k, c in enumerate(at[groupoid.source[b]])
+                    if c not in units)
+        groupoid.rows[b][k] = b
         return groupoid
 
     monkeypatch.setattr(cli, "build_transformation_groupoid",
@@ -518,6 +523,30 @@ def test_equivalence_negative_pair(capsys):
     assert "check orbit_equivalence: pass  [exhausted]" in out
     assert "check groupoid_isomorphism: pass  [exhausted]" in out
     assert "three_way_agreement: pass  [orbit=no iso=no transport=no]" in out
+
+
+def test_equivalence_searches_past_the_recursion_limit(tmp_path, capsys):
+    # Regular Z32 against a copy with its points renamed by a shuffle:
+    # 1,024 arrows a side, one search step per arrow, more steps than
+    # Python's default recursion limit of 1,000.
+    left = regular_action_spec(32)
+    perm = list(range(32))
+    random.Random(1).shuffle(perm)
+    name = {str(x): str(perm[x]) for x in range(32)}
+    right = dict(left, name="regular_z32_relabeled",
+                 space=sorted(name.values(), key=int),
+                 domains={g: [name[x] for x in xs]
+                          for g, xs in left["domains"].items()},
+                 maps={g: {name[x]: name[y] for x, y in m.items()}
+                       for g, m in left["maps"].items()})
+    path = tmp_path / "z32_vs_relabeled.json"
+    path.write_text(json.dumps({"format": left["format"], "kind": "pair",
+                                "name": "z32_vs_relabeled",
+                                "left": left, "right": right}))
+    code, out, _ = run_cli(capsys, "equivalence", str(path),
+                           "--iso-bound", "1024", "--orbit-bound", "32")
+    assert code == 0
+    assert "check groupoid_isomorphism: pass  [found]" in out
 
 
 def test_equivalence_nonfree_pair_runs_general_direction(capsys):

@@ -24,8 +24,8 @@ from dense_oracle import (closed, dense_associativity, dense_homomorphism,
 from families import (LabelGroupAction, action_from_labels, basis_labels,
                       bisection_action_of, family_groupoids,
                       label_bisection_action, label_groupoid, label_semigroup,
-                      label_view, regular_action, star_of, tabulated,
-                      transformation_rho)
+                      label_view, regular_action, star_of, table_groupoid,
+                      tabulated, transformation_rho)
 from formula_oracle import bisection_inverse, bisection_product
 
 import catalog
@@ -372,7 +372,8 @@ def test_composability_violation_names_a_composite_off_the_points():
 def test_transformation_groupoids_compose_on_matched_points():
     # SteinbergAlgebra is built on the transformation groupoid of every
     # action that passes action_axioms, unvalidated, so each must
-    # compose exactly on matched points.
+    # compose exactly on matched points: checked on the table read off
+    # its rows.
     rng = random.Random(41)
     actions = ([catalog.load_action(name) for name in catalog.action_names()]
                + [regular_action(n) for n in REGULAR])
@@ -383,7 +384,7 @@ def test_transformation_groupoids_compose_on_matched_points():
     assert len(actions) > 100
     for action in actions:
         assert composability_violation(
-            build_transformation_groupoid(action)) is None
+            table_groupoid(build_transformation_groupoid(action))) is None
 
 
 def test_products_outside_l_raise_as_in_the_dense_table():

@@ -3,7 +3,8 @@ import tracemalloc
 
 import pytest
 from families import (bisection_sets, family_groupoids, groupoid_from_labels,
-                      label_groupoid, mask_arrows, range_set, regular_action)
+                      label_groupoid, mask_arrows, range_set, regular_action,
+                      table_groupoid)
 from formula_oracle import (bisection_inverse, bisection_product,
                             is_bisection, isotropy_group, source_set)
 from test_factored_oracle import z4_actions
@@ -13,6 +14,7 @@ from groupoidal.groupoid_core import (enumerate_bisections,
                                       is_topologically_principal,
                                       validate_groupoid)
 from groupoidal.partial_actions import validate_group_partial_action
+from groupoidal.steinberg_algebra import SteinbergAlgebra
 from groupoidal.transformation_groupoid import build_transformation_groupoid
 from groupoidal.validation import BoundExceeded
 
@@ -65,12 +67,16 @@ def test_transformation_groupoids_always_valid():
     # theorem3 does not validate the transformation groupoid: it is a
     # groupoid when the action passes its validator (the derivation is in
     # build_transformation_groupoid).  The Z4 actions break only the
-    # composition law, and the groupoid then fails cancellation.
+    # composition law, and the groupoid then fails cancellation.  The
+    # range and source derived from the table of composites are the ones
+    # the builder wrote.
     actions = ([catalog.load_action(name) for name in catalog.action_names()]
                + [regular_action(n) for n in range(1, 13)])
     for action in actions:
         tg = build_transformation_groupoid(action)
         assert validate_groupoid(tg).ok, action.name
+        table = table_groupoid(tg)
+        assert (table.range, table.source) == (tg.range, tg.source)
     verdicts = []
     for action in z4_actions(random.Random(19), 40):
         ok = validate_group_partial_action(action).ok
@@ -222,4 +228,19 @@ def test_validator_keeps_no_dense_table():
     finally:
         tracemalloc.stop()
     assert report.ok
+    assert peak < 2 * 2 ** 20
+
+
+def test_transformation_groupoid_and_its_algebra_hold_no_pair_table():
+    # The regular Z40 action: 1,600 arrows and 64,000 composites, held
+    # once, in the groupoid's rows, which A_R(G) reads without a copy.  A
+    # table keyed by arrow pairs alone takes several MiB.
+    action = regular_action(40)
+    tracemalloc.start()
+    try:
+        algebra = SteinbergAlgebra(build_transformation_groupoid(action))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert algebra.dim == 1600
     assert peak < 2 * 2 ** 20

@@ -225,7 +225,7 @@ def corrupted(g, rng):
 
 def test_corrupted_groupoids_give_the_reference_report():
     rng = random.Random(51)
-    bases = [g for g in ladder() if g.compose]
+    bases = [g for g in ladder() if g.arrows]
     bases = bases[:40] + [steiner_loop_groupoid(1)]
     seen, reached = set(), set()
     for _ in range(600):

@@ -242,3 +242,38 @@ def test_every_default_is_passed_by_a_call_in_the_package():
                  if (module, what) not in exempt]
     assert constants == [], ("parameters no call in src/groupoidal passes: "
                              + ", ".join(constants))
+
+
+def composite_table_reads(package=PACKAGE):
+    """(module, line) of each read of a groupoid's `compose` table outside
+    groupoid_core.  `x.compose` counts unless it is called, as the
+    AlgebraMap.compose method is; a name `compose` counts outside
+    specfiles, and there unless it is only passed to the FiniteGroupoid
+    constructor that the parser builds."""
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "groupoid_core":
+            continue
+        tree = ast.parse(path.read_text())
+        called = {id(node.func) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)}
+        built = {id(arg) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "FiniteGroupoid"
+                 for arg in node.args}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "compose" \
+                    and id(node) not in called:
+                reads.append((path.stem, node.lineno))
+            elif isinstance(node, ast.Name) and node.id == "compose" and not (
+                    path.stem == "specfiles"
+                    and (isinstance(node.ctx, ast.Store) or id(node) in built)):
+                reads.append((path.stem, node.lineno))
+    return reads
+
+
+def test_only_groupoid_core_reads_the_composite_table():
+    # Every other reader takes the composites from the point-factored
+    # rows (FiniteGroupoid.rows and composite); the parser builds the raw
+    # table and hands it over.
+    assert composite_table_reads() == []
