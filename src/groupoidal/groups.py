@@ -3,8 +3,9 @@ whose table is total and which have one idempotent, the identity."""
 
 from __future__ import annotations
 
-from .inverse_semigroups import FiniteInverseSemigroup
-from .scalars import DenseTable, index_row
+from .inverse_semigroups import (FiniteInverseSemigroup, check_associativity,
+                                 check_entries)
+from .scalars import index_row
 from .validation import ValidationReport
 
 
@@ -44,23 +45,15 @@ class FiniteGroup(FiniteInverseSemigroup):
 def validate_group_table(elements, rows):
     """Exhaustively check that (elements, rows) is a finite group, given
     distinct element names and an index table with -1 for a missing
-    entry: every entry present, then associativity (by Light's test on
-    the table's one-point view, see
-    BasedAlgebra.associativity_counterexample), one two-sided identity,
-    and an inverse for every element."""
+    entry: every entry present, then associativity (check_associativity),
+    one two-sided identity, and an inverse for every element."""
     report = ValidationReport("group table")
     elems = list(elements)
-    for i, row in enumerate(rows):
-        if -1 in row:
-            for j, k in enumerate(row):
-                if k < 0:
-                    report.add(f"table missing entry ({elems[i]}, {elems[j]})")
+    check_entries(report, rows, elems.__getitem__, "table")
     if not report.ok:
         return report
-    counter = DenseTable(rows).associativity_counterexample()
-    if counter is not None:
-        a, b, c = (elems[i] for i in counter)
-        report.add(f"associativity fails on ({a}, {b}, {c})")
+    check_associativity(report, rows, elems.__getitem__)
+    if not report.ok:
         return report
     n = len(elems)
     identities = [e for e in range(n)

@@ -5,7 +5,7 @@ semigroup of bisections of a finite groupoid."""
 from __future__ import annotations
 
 from .groupoid_core import enumerate_bisections, DEFAULT_BISECTION_BOUND
-from .scalars import DenseTable
+from .scalars import DenseTable, generating_set
 from .validation import ValidationReport
 
 
@@ -64,8 +64,11 @@ class FiniteInverseSemigroup(InverseSemigroup):
 
     @property
     def generators(self):
-        """Every element: the table names no smaller generating set, so a
-        check on generator rows reads every row."""
+        """Every element.  CovarianceModule.generator_basis reads the rows
+        (g, x) of L with g a generator, by a lemma that needs X_{st}
+        inside X_s.  That holds for bisections, but not for a partial
+        group action: on z2_empty_domains, g alone generates Z2, yet X_g
+        is empty, so no row (g, x) exists.  So every row of L is read."""
         return range(self.order)
 
     def down_sets(self):
@@ -79,9 +82,28 @@ def _idempotent_indices(table):
     return [i for i, row in enumerate(table) if row[i] == i]
 
 
+def check_entries(report, rows, label, noun):
+    """Add a violation for each entry -1 of the index rows of a Cayley
+    table, the elements named by label."""
+    for i, row in enumerate(rows):
+        if -1 in row:
+            for j, k in enumerate(row):
+                if k < 0:
+                    report.add(f"{noun} missing entry ({label(i)}, {label(j)})")
+
+
+def check_associativity(report, rows, label):
+    """Light's test on the one-point view of a total Cayley table (see
+    BasedAlgebra.associativity_counterexample): add the triple where it
+    fails, if any."""
+    counter = DenseTable(rows).associativity_counterexample()
+    if counter is not None:
+        a, b, c = map(label, counter)
+        report.add(f"associativity fails on ({a}, {b}, {c})")
+
+
 def validate_inverse_semigroup(s):
-    """Check associativity (by Light's test on the table's one-point view,
-    see BasedAlgebra.associativity_counterexample), that the star table
+    """Check associativity (check_associativity), that the star table
     names an inverse of each element (a a* a = a and a* a a* = a*), and
     that the idempotents commute, all on the index tables.
 
@@ -92,22 +114,14 @@ def validate_inverse_semigroup(s):
     report = ValidationReport(f"inverse semigroup {s.name}")
     label, star = s.label, s.star_table
     table = list(map(s.row, range(s.order)))
-    for i, row in enumerate(table):
-        if -1 in row:
-            for j, k in enumerate(row):
-                if k < 0:
-                    report.add(f"multiplication missing entry "
-                               f"({label(i)}, {label(j)})")
+    check_entries(report, table, label, "multiplication")
     for i, t in enumerate(star):
         if t < 0:
             report.add(f"star missing or not an element for {label(i)}")
     if not report.ok:
         return report
-
-    counter = DenseTable(table).associativity_counterexample()
-    if counter is not None:
-        a, b, c = map(label, counter)
-        report.add(f"associativity fails on ({a}, {b}, {c})")
+    check_associativity(report, table, label)
+    if not report.ok:
         return report
 
     for i, t in enumerate(star):
@@ -216,47 +230,29 @@ class BisectionSemigroup(InverseSemigroup):
                 for b, s in enumerate(self._source)]
 
     def _generating_set(self):
-        """A generating set, found with no table: candidates are taken by
-        decreasing size, ties by index, as a product BC has at most
-        min(|B|, |C|) arrows, and a candidate already in the closure is
-        skipped.  The closure of the generators is their closure under
-        right multiplication by them, as a product g1 g2 ... gk is
-        ((g1 g2) ...) gk.  Each member is multiplied by each generator
+        """A generating set, found with no table (see generating_set):
+        candidates are taken by decreasing size, ties by index, as a
+        product BC has at most min(|B|, |C|) arrows.  As S is
+        associative, the left-normed products of the generators are all
+        their products.  Each member is multiplied by each generator
         once, so the products found are the columns t g."""
         n = self.order
-        candidates = sorted(range(n), key=lambda i: -len(self._arrows[i]))
-        inside = bytearray(n)
-        members, generators, luts = [], [], []
 
-        def close(k, factors):
-            """The factors times generator k, kept in its column; returns
-            the products not inside before."""
-            column = self._columns[generators[k]]
-            new = []
-            for t, p in zip(factors, self._products(luts[k], factors)):
-                column[t] = p
-                if not inside[p]:
-                    inside[p] = 1
-                    new.append(p)
-            return new
+        def times(g):
+            """t -> t g over a list of elements t, written into the column
+            of g."""
+            lut, column = self._right_lut(g), [-1] * n
+            self._columns[g] = column
 
-        for c in candidates:
-            if len(members) == n:
-                break
-            if inside[c]:
-                continue
-            generators.append(c)
-            luts.append(self._right_lut(c))
-            self._columns[c] = [-1] * n
-            inside[c] = 1
-            # The members so far times the new generator, then each new
-            # member times every generator, until none is new.
-            fresh = [c] + close(len(generators) - 1, members)
-            while fresh:
-                members += fresh
-                fresh = [p for k in range(len(generators))
-                         for p in close(k, fresh)]
-        return generators
+            def products(factors):
+                out = self._products(lut, factors)
+                for t, p in zip(factors, out):
+                    column[t] = p
+                return out
+            return products
+
+        return generating_set(
+            n, sorted(range(n), key=lambda i: -len(self._arrows[i])), times)
 
     def row(self, i):
         """The products of element i with every element, computed on the

@@ -619,13 +619,13 @@ def psi(groupoid, groupoid_report,
     the certified isomorphism psi_tilde on the quotient.
 
     groupoid_report is the report of validate_groupoid on groupoid, the
-    one premise of L's associativity (module.premises): the bisections
-    form an inverse semigroup and act partially on the unit space by
-    construction (see bisection_semigroup and bisection_action), so
-    neither is validated again.  When it passes, module.associative is
-    True, and psi's certificate and the two-sidedness of I read only the
-    generator rows of L (CovarianceModule.generator_basis); psi_tilde's
-    homomorphism is derived from them.  Works over any scalar ring.
+    one premise of L's associativity: the bisections form an inverse
+    semigroup and act partially on the unit space by construction (see
+    bisection_semigroup and bisection_action), so neither is validated
+    again.  When it passes, module.associative is True, and psi's
+    certificate and the two-sidedness of I read only the generator rows
+    of L (CovarianceModule.generator_basis); psi_tilde's homomorphism is
+    derived from them.  Works over any scalar ring.
     """
     semigroup = bisection_semigroup(groupoid, bisection_bound)
     module = CovarianceModule(induce_algebra_action(

@@ -146,21 +146,28 @@ def _validate_composition(action, report):
                                f"!= theta_{{{stable(elements[st])}}}({p})")
 
 
+def _validate_action(action, whole_domain, identity_map):
+    """The partial action axioms; a unit of the index must act globally
+    (else whole_domain) as the identity (else identity_map)."""
+    report = ValidationReport(f"partial action {action.name}")
+    unit, everywhere = action.index.unit, list(range(len(action.space)))
+    if unit is not None:
+        if action.domains[unit] != everywhere:
+            report.add(whole_domain)
+        elif action.maps[unit] != everywhere:
+            report.add(identity_map)
+    _validate_maps(action, report)
+    if report.ok:
+        _validate_composition(action, report)
+    return report
+
+
 def validate_group_partial_action(action):
     """Exhaustively check the partial group action axioms (the group
     specialization of the inverse semigroup characterization, with the
     intertwining law in equality form)."""
-    report = ValidationReport(f"partial action {action.name}")
-    e, everywhere = action.group.unit, list(range(len(action.space)))
-    if action.domains[e] != everywhere:
-        report.add("X_e must be the whole space")
-    elif action.maps[e] != everywhere:
-        report.add("the identity must act as the identity map")
-    _validate_maps(action, report)
-    if not report.ok:
-        return report
-    _validate_composition(action, report)
-    return report
+    return _validate_action(action, "X_e must be the whole space",
+                            "the identity must act as the identity map")
 
 
 def validate_isg_partial_action(action):
@@ -175,18 +182,9 @@ def validate_isg_partial_action(action):
     (s, s*) gives X_s = theta_s(X_{s*}) = X_s & X_{ss*}, so X_s lies in
     X_{ss*}.  For s <= t, s = ss* t, and the intertwining law on (ss*, t)
     gives X_{ss*} & X_t = X_{ss*} & X_s = X_s, so X_s lies in X_t."""
-    report = ValidationReport(f"partial action {action.name}")
-    unit, everywhere = action.index.unit, list(range(len(action.space)))
-    if unit is not None:
-        if action.domains[unit] != everywhere:
-            report.add("X_1 must be the whole space when the semigroup has a unit")
-        elif action.maps[unit] != everywhere:
-            report.add("the unit must act as the identity map")
-    _validate_maps(action, report)
-    if not report.ok:
-        return report
-    _validate_composition(action, report)
-    return report
+    return _validate_action(
+        action, "X_1 must be the whole space when the semigroup has a unit",
+        "the unit must act as the identity map")
 
 
 def is_topologically_free(action):

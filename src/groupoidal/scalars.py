@@ -283,9 +283,11 @@ class BasedAlgebra:
         adjoined, and A the set of b in M with (x b) y = x (b y) for all
         x, y in M.  0 is in A, and A is closed under products: for b, c
         in A, (x (bc)) y = ((x b) c) y = (x b)(c y) = x (b (c y)) =
-        x ((b c) y).  So if the generators light_generators(self) of M
-        lie in A, M is associative; as products with 0 are 0, x and y
-        range over the basis.
+        x ((b c) y).  So A holds every left-normed product
+        (..(g1 g2)..) gk of its members, and if the generators
+        light_generators(self) of M, of which every element is such a
+        product, lie in A, M is associative; as products with 0 are 0, x
+        and y range over the basis.
 
         With closure, (e_x e_g) e_y is nonzero iff the row point of x is
         the column point of g and the column point of y is the row point
@@ -332,55 +334,61 @@ class DenseTable(BasedAlgebra):
         return self.table[i]
 
 
+def generating_set(n, candidates, times):
+    """A generating set of the products on the indices below n: the
+    candidates in order, skipping any that is already a left-normed
+    product (..(g1 g2)..) gk of those taken.  times(g) returns the
+    function from a list of indices to their products with g on the
+    right, -1 for zero.  Each index reached is multiplied by each
+    generator once."""
+    inside = bytearray(n)
+    members, generators, products = [], [], []
+
+    def reach(times_g, factors):
+        """The products of the factors with a generator that were not
+        reached before, now marked."""
+        new = []
+        for p in times_g(factors):
+            if p >= 0 and not inside[p]:
+                inside[p] = 1
+                new.append(p)
+        return new
+
+    for c in candidates:
+        if len(members) == n:
+            break
+        if inside[c]:
+            continue
+        generators.append(c)
+        products.append(times(c))
+        inside[c] = 1
+        fresh = [c] + reach(products[-1], members)
+        while fresh:
+            members += fresh
+            fresh = [p for times_g in products for p in reach(times_g, fresh)]
+    return generators
+
+
 def light_generators(algebra):
-    """A generating set G of the magma on the basis indices of a based
-    algebra, read off its nonzero products.  Candidates are taken in
-    ascending order of how often they occur as a product, ties by index,
-    so the indices that are no product come first; a candidate already
-    inside the magma closure of G is skipped.  Rarely produced indices
-    are the ones few products reach, and once they are in, their products
-    tend to cover the common ones."""
+    """generating_set on the basis indices of a based algebra, read off
+    its nonzero products, the candidates in ascending order of how often
+    they occur as a product, ties by index, so the non-products first.
+    Rarely produced indices are the ones few products reach, and once
+    they are in, their products tend to cover the common ones."""
     n = algebra.dim
     # The rows as the algebra keeps them, or built once each.
     rows = list(map(algebra.row_products, range(n)))
     counts = Counter()
     for row in rows:
         counts.update(row)
-    candidates = sorted(range(n), key=counts.__getitem__)
-    row_points, col_points = algebra.row_points, algebra.col_points
-    place = algebra.place
-    generators = []
-    inside = set()
-    members = []
-    # The members multiplied so far: places by column point, members by
-    # row point.
-    places_at, by_row = {}, {}
-    done = 0
-    for candidate in candidates:
-        if len(inside) == n:
-            break
-        if candidate in inside:
-            continue
-        generators.append(candidate)
-        inside.add(candidate)
-        members.append(candidate)
-        # Each pair of members is multiplied, both ways, once the later of
-        # the two is reached, until every index is inside: z h is nonzero
-        # when the row point of z is the column point of h, and h z when
-        # the row point of h is the column point of z.
-        while done < len(members) and len(inside) < n:
-            z = members[done]
-            p, q = row_points[z], col_points[z]
-            places_at.setdefault(q, []).append(place[z])
-            by_row.setdefault(p, []).append(z)
-            fresh = set(map(rows[z].__getitem__, places_at.get(p, ())))
-            fresh.update(map(itemgetter(place[z]),
-                             map(rows.__getitem__, by_row.get(q, ()))))
-            fresh -= inside
-            inside |= fresh
-            members.extend(fresh)
-            done += 1
-    return generators
+    points = algebra.row_points
+
+    def times(g):
+        # x g is nonzero when the row point of x is the column point of g.
+        p, k = algebra.col_points[g], algebra.place[g]
+        return lambda xs: [rows[x][k] if points[x] == p else -1 for x in xs]
+
+    return generating_set(n, sorted(range(n), key=counts.__getitem__), times)
 
 
 def is_zero_vector(vec):

@@ -55,7 +55,7 @@ class CovarianceModule(BasedAlgebra):
         self._column_elements = {p: [self._element[j] for j in columns]
                                  for p, columns in self.at_point.items()}
         self._rows_at = points_at(row_points)
-        self.premises = self.associative = None
+        self.associative = None
 
     def label(self, i):
         """The pair (s, x) of basis element i, named by index and space."""
@@ -133,8 +133,7 @@ class CovarianceModule(BasedAlgebra):
         an inverse semigroup, so this covers the partial skew group ring
         too.  When a premise fails, L is not certified and nothing is
         searched: without the premises its product need not even be
-        closed.  The premises are kept on the module."""
-        self.premises = premises
+        closed."""
         self.associative = all(report.ok for report in premises)
         return self.associative
 

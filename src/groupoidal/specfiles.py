@@ -183,6 +183,17 @@ def _pair_entries(table, what, index, noun):
         yield entry
 
 
+def _name_map(names, what, index, noun):
+    """A name -> name object as a list on the indices of `index`: entry i
+    the index of the name given for the name of i, -1 where none is."""
+    out = [-1] * len(index)
+    for key, value in names.items():
+        if key not in index or value not in index:
+            raise SpecFileError(f"{what}[{key!r}]: unknown {noun}")
+        out[index[key]] = index[value]
+    return out
+
+
 def _table_rows(spec, where=""):
     """The name -> index dict of spec's elements and the index rows of its
     table, written while the "a b" keys are read; an entry the document
@@ -227,11 +238,7 @@ def _parse_groupoid(data):
         if u not in index:
             raise SpecFileError(f"units: {u!r} is not a listed arrow")
         units.append(index[u])
-    inverse = [-1] * len(arrows)
-    for key, value in data["inverse"].items():
-        if key not in index or value not in index:
-            raise SpecFileError(f"inverse[{key!r}]: unknown arrow")
-        inverse[index[key]] = index[value]
+    inverse = _name_map(data["inverse"], "inverse", index, "arrow")
     compose = {(a, b): c for a, b, c in
                _pair_entries(data["compose"], "compose", index, "arrow")}
     return FiniteGroupoid(arrows, units, inverse, compose,
@@ -274,11 +281,7 @@ def _parse_action(data):
 def _parse_semigroup(data):
     """The index tables; an entry the document leaves out is -1."""
     index, table = _table_rows(data)
-    star = [-1] * len(index)
-    for key, value in data["star"].items():
-        if key not in index or value not in index:
-            raise SpecFileError(f"star[{key!r}]: unknown element")
-        star[index[key]] = index[value]
+    star = _name_map(data["star"], "star", index, "element")
     return FiniteInverseSemigroup(data["elements"], table, star,
                                   name=data.get("name", "semigroup"))
 

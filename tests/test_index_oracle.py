@@ -325,6 +325,25 @@ def test_without_the_premise_every_row_is_read():
          in generators]
 
 
+def test_group_actions_read_every_row_of_l():
+    # generator_basis's lemma needs X_{st} inside X_s, which a partial
+    # group action need not have: on z2_empty_domains g alone generates
+    # Z2, yet X_g is empty, so no row (g, x) exists.  So for every group
+    # action L is certified on all of its rows.
+    for name in catalog.action_names():
+        action = catalog.load_action(name)
+        module = CovarianceModule(induce_algebra_action(action))
+        assert module.verify_associativity(
+            (action.group.table_report,
+             validate_group_partial_action(action))), name
+        assert list(module.generator_basis()) == list(range(module.dim)), \
+            name
+    action = catalog.load_action("z2_empty_domains")
+    g = action.group.index("g")
+    assert action.group.row(g)[g] == action.group.unit
+    assert action.domains[g] == []
+
+
 def test_generator_rows_give_the_full_scan_verdict():
     # On an associative L, {x : x I in I} and {x : I x in I} are closed
     # under products for any subspace I, so the generator rows and
