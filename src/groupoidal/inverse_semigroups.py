@@ -4,6 +4,8 @@ semigroup of bisections of a finite groupoid."""
 
 from __future__ import annotations
 
+from functools import partial
+
 from .groupoid_core import enumerate_bisections, DEFAULT_BISECTION_BOUND
 from .scalars import DenseTable, generating_set
 from .validation import ValidationReport
@@ -16,11 +18,11 @@ class InverseSemigroup:
     in reports and messages only.
 
     A subclass gives row(i), whose entry j is the index of the product of
-    elements i and j (-1 where the input left it out), column(j), the
-    entries j of the rows, down_sets(), the natural order's down-set of
-    each element index (see natural_order), unit, the index of the
-    two-sided identity or None, and generators, a list of indices that
-    generates the semigroup: products are read by rows and columns only."""
+    elements i and j (-1 where the input left it out), down_sets(), the
+    natural order's down-set of each element index (see natural_order),
+    unit, the index of the two-sided identity or None, and generators, a
+    list of indices that generates the semigroup: products are read by
+    rows only."""
 
     def __init__(self, star_table, name):
         self.name = name
@@ -58,9 +60,6 @@ class FiniteInverseSemigroup(InverseSemigroup):
 
     def row(self, i):
         return self.table[i]
-
-    def column(self, j):
-        return [row[j] for row in self.table]
 
     @property
     def generators(self):
@@ -165,14 +164,14 @@ class BisectionSemigroup(InverseSemigroup):
     the set of their labels; _range and _source are each arrow's range and
     source as positions of the units in canonical order.
 
-    Products are computed a row or a column at a time on the bitmasks,
-    only where one is read.  BC is the union, over the arrows c of C, of
-    bc for the one arrow b of B with s(b) = r(c), if any; so with B fixed
-    it is an OR of one table entry per arrow of C, and likewise with C
-    fixed.  The generating set generators and its rows g t and columns
-    t g are computed at construction, 2 |generators| |S| products in all
-    (the search for the generators computes the columns); any other row
-    is computed when read."""
+    Products are computed on the bitmasks, only where they are read.  BC
+    is the union, over the arrows c of C, of bc for the one arrow b of B
+    with s(b) = r(c), if any; so with B fixed it is an OR of one table
+    entry per arrow of C, and likewise with C fixed.  The search for the
+    generating set generators computes the products t g, which it does
+    not keep, and the rows g t are computed at construction: 2
+    |generators| |S| products in all.  Any other row is computed when
+    read."""
 
     def __init__(self, g, masks, name):
         self.groupoid = g
@@ -188,7 +187,7 @@ class BisectionSemigroup(InverseSemigroup):
         super().__init__([self._position[sum(map(inverse.__getitem__, arrows))]
                           for arrows in self._arrows], name)
         self.unit = self._position[sum(1 << u for u in g.units)]
-        self._rows, self._columns = {}, {}
+        self._rows = {}
         self.generators = self._generating_set()
         for c in self.generators:
             self.row(c)
@@ -234,22 +233,12 @@ class BisectionSemigroup(InverseSemigroup):
         candidates are taken by decreasing size, ties by index, as a
         product BC has at most min(|B|, |C|) arrows.  As S is
         associative, the left-normed products of the generators are all
-        their products.  Each member is multiplied by each generator
-        once, so the products found are the columns t g."""
+        their products.  Each member t is multiplied by each generator g
+        once, as t g."""
         n = self.order
 
         def times(g):
-            """t -> t g over a list of elements t, written into the column
-            of g."""
-            lut, column = self._right_lut(g), [-1] * n
-            self._columns[g] = column
-
-            def products(factors):
-                out = self._products(lut, factors)
-                for t, p in zip(factors, out):
-                    column[t] = p
-                return out
-            return products
+            return partial(self._products, self._right_lut(g))
 
         return generating_set(
             n, sorted(range(n), key=lambda i: -len(self._arrows[i])), times)
@@ -262,15 +251,6 @@ class BisectionSemigroup(InverseSemigroup):
             row = self._rows[i] = self._products(self._left_lut(i),
                                                  range(self.order))
         return row
-
-    def column(self, j):
-        """The products of every element with element j, computed on the
-        first read and kept."""
-        column = self._columns.get(j)
-        if column is None:
-            column = self._columns[j] = self._products(self._right_lut(j),
-                                                       range(self.order))
-        return column
 
     def down_sets(self):
         """For each bisection t, the indices of t e over the idempotents e,

@@ -623,9 +623,12 @@ def psi(groupoid, groupoid_report,
     semigroup and act partially on the unit space by construction (see
     bisection_semigroup and bisection_action), so neither is validated
     again.  When it passes, module.associative is True, and psi's
-    certificate and the two-sidedness of I read only the generator rows
-    of L (CovarianceModule.generator_basis); psi_tilde's homomorphism is
-    derived from them.  Works over any scalar ring.
+    certificate reads only the generator rows of L
+    (CovarianceModule.generator_basis).  The two-sidedness of I is read
+    off psi's targets as I = ker psi, the kernel of that certified
+    homomorphism (QuotientAlgebra.verify_representative_independence),
+    and psi_tilde's homomorphism is derived from them.  Works over any
+    scalar ring.
     """
     semigroup = bisection_semigroup(groupoid, bisection_bound)
     module = CovarianceModule(induce_algebra_action(
@@ -644,7 +647,7 @@ def psi(groupoid, groupoid_report,
     psi_map.certify_surjective()
 
     ideal = build_ideal(module)
-    quotient = build_quotient(module, ideal)
+    quotient = build_quotient(module, ideal, psi_map)
     # The class of a basis element goes where its representative goes.
     psi_tilde = AlgebraMap(quotient, steinberg,
                            [targets[a] for a in quotient.representatives],
@@ -653,8 +656,8 @@ def psi(groupoid, groupoid_report,
                                   quotient, steinberg, psi_map, psi_tilde)
     # psi~(pi(a) pi(b)) = psi~(pi(ab)) = psi(ab) = psi(a) psi(b): the
     # first step is representative independence, which build_quotient
-    # checked, the second is psi vanishing on I, the third psi's
-    # homomorphism.
+    # certified as I = ker psi, the second is psi vanishing on I, the
+    # third psi's homomorphism.
     psi_tilde.derive_homomorphism(
         (("representative_independence",
           quotient.representative_independence_violation is None),

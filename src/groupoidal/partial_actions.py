@@ -135,13 +135,15 @@ def _validate_composition(action, report):
             for x in action.domains[star[j]]:
                 if x not in inside:
                     continue
-                y, p = theta_t[x], stable(space[x])
+                y = theta_t[x]
                 if y not in source:
-                    report.add(f"theta_{stable(t)}({p}) = {stable(space[y])} "
-                               f"escapes the domain of theta_{stable(s)}")
+                    report.add(f"theta_{stable(t)}({stable(space[x])}) = "
+                               f"{stable(space[y])} escapes the domain of "
+                               f"theta_{stable(s)}")
                 elif maps[st][x] < 0:
                     raise action._missing(x, st)
                 elif theta_s[y] != maps[st][x]:
+                    p = stable(space[x])
                     report.add(f"theta_{stable(s)}(theta_{stable(t)}({p})) "
                                f"!= theta_{{{stable(elements[st])}}}({p})")
 

@@ -17,8 +17,7 @@ of a bisection semigroup.
 
 from __future__ import annotations
 
-from .scalars import (BasedAlgebra, ScalarRing, SpanTracker, points_at,
-                      zero_vector)
+from .scalars import BasedAlgebra, ScalarRing, SpanTracker, zero_vector
 from .validation import ValidationReport, stable
 
 
@@ -30,10 +29,9 @@ class CovarianceModule(BasedAlgebra):
     y = theta_{s*}(x) and zero otherwise.  So basis index i = (s, x) has
     the row point theta_{s*}(x) and the column point x, as positions in
     the space, and a nonzero product is read off the index's product and
-    the basis index of (st, x).  A row of L reads a row of the index, and
-    a column of L a column of the index.  The basis is read off the
-    action's star_graph(e), from its maps or, for the bisection action,
-    from the arrows of each bisection.
+    the basis index of (st, x).  A row of L reads a row of the index.  The
+    basis is read off the action's star_graph(e), from its maps or, for
+    the bisection action, from the arrows of each bisection.
     """
 
     def __init__(self, algebra_action):
@@ -54,7 +52,6 @@ class CovarianceModule(BasedAlgebra):
         self._set_points(row_points, col_points)
         self._column_elements = {p: [self._element[j] for j in columns]
                                  for p, columns in self.at_point.items()}
-        self._rows_at = points_at(row_points)
         self.associative = None
 
     def label(self, i):
@@ -69,18 +66,6 @@ class CovarianceModule(BasedAlgebra):
             self._column_elements.get(self.row_points[i], ()))))
         if -1 in products:
             raise KeyError(f"{stable(self.label(i))} has a product outside L")
-        return products
-
-    def column_products(self, j):
-        """The nonzero products e_a e_j, over the a whose row point is the
-        column point of e_j, in increasing order: (s, x)(t, y) = (st, x)
-        reads the column of t in the index."""
-        basis_at, col_points = self._basis_at, self.col_points
-        column = self._index.column(self._element[j])
-        products = [basis_at[col_points[a]][column[self._element[a]]]
-                    for a in self._rows_at.get(col_points[j], ())]
-        if -1 in products:
-            raise KeyError(f"{stable(self.label(j))} has a product outside L")
         return products
 
     def generator_basis(self):
@@ -156,8 +141,8 @@ def build_ideal(module):
     """I for the bisection action of a validated groupoid on all its
     bisections (bisection_semigroup, bisection_action), as its germ
     classes: dim I is dim L minus the number of arrows.  Works over any
-    ring.  That this span is a two-sided ideal is checked by
-    build_quotient.
+    ring.  That this span is ker psi, and so a two-sided ideal, is checked
+    by build_quotient.
 
     Here X_t = r(t), and s <= t iff s is a subset of t (see
     BisectionSemigroup.down_sets).  For b = (t, x), let a be the arrow of
@@ -171,9 +156,9 @@ def build_ideal(module):
     generator of I stays inside a germ, as s <= t holds the arrow of t
     at x, so J = I; the certificates check this independently.  psi
     sends (s, x) and (t, x) to the same arrow for s <= t, so I lies in
-    the kernel of psi; psi vanishing on J and psi~ injective on L/J
-    certify that the kernel is J.  build_ideal reads no psi target, so
-    those certificates do not rest on its construction.
+    the kernel of psi; build_quotient certifies that the kernel is J, as
+    do psi vanishing on J and psi~ injective on L/J.  build_ideal reads no
+    psi target, so those certificates do not rest on its construction.
 
     generator_count is in closed form: the s < t with x in X_s are the
     subsets of t that hold a, other than t, 2^{|t| - 1} - 1 of them."""
@@ -195,8 +180,9 @@ class QuotientAlgebra(BasedAlgebra):
     its representative, in increasing order: the class of e_a is basis
     element q when representatives[q] = rep(a).  Its points are those of
     the representatives in L, and the product of two classes is the
-    class of the product of their representatives, which build_quotient
-    checks, recording representative_independence_violation."""
+    class of the product of their representatives.  That is well defined
+    when I is a two-sided ideal, which build_quotient certifies as
+    I = ker psi, recording representative_independence_violation."""
 
     def __init__(self, module, ideal):
         self.module = module
@@ -223,70 +209,46 @@ class QuotientAlgebra(BasedAlgebra):
         return [self._class[row[place[reps[r]]]]
                 for r in self.at_point.get(self.row_points[q], ())]
 
-    def verify_representative_independence(self):
-        """The induced product is well defined iff I is a two-sided ideal,
-        that is iff e_k (e_a - e_b) and (e_a - e_b) e_k lie in I for every
-        (a, b) in a spanning set of I and every e_k in a generating set
-        of L: the two products are both zero or basis vectors of one
-        class.  Returns a violation, or None.
+    def verify_representative_independence(self, psi_map):
+        """The induced product is well defined iff I is a two-sided ideal.
+        Here it is decided as I = ker psi, for psi_map a map out of L whose
+        homomorphism certificate has been computed: the kernel of a
+        multiplicative map is a two-sided ideal, as psi(x k) =
+        psi(x) psi(k) = 0 = psi(k x) for k in it.  Returns a violation, or
+        None; when psi's certificate failed, nothing is derived.
 
-        For a subspace I of an associative L, {x : x I in I} is closed
-        under products, as (x y) I = x (y I) lies in x I, and so is
-        {x : I x in I}.  So the check reads only the generator rows and
-        columns, module.generator_basis(), which is the whole basis
-        unless L is certified associative.
-
-        The spanning rows are e_a - e_rep(a).  For a generator e_k, let
-        its class row be the classes of e_k e_a, over all a, and its
-        class column those of e_a e_k.  (e_a - e_rep(a)) e_k lies in I for
-        all a iff the class column is unchanged when read through rep,
-        and e_k (e_a - e_rep(a)) iff the class row is.  Each is zero off
-        the basis elements at one point, and a zero reads as None, so only
-        the a that carry that point, or whose rep(a) does, are read.  A
-        violation names the first generator, the right product first, and
-        the first a where the two readings differ.  Over a validated
-        action a class keeps to one row and one column point (s = t e
-        gives theta_{s*}(x) = theta_{t*}(x)): these a are those at it."""
-        module, cls, rep = self.module, self._class, self.ideal.rep
-        by_row = _members_at(module.row_points, rep)
-        by_column = _members_at(module.col_points, rep)
-        for k in module.generator_basis():
-            p, q = module.col_points[k], module.row_points[k]
-            column = dict(zip(module._rows_at.get(p, ()),
-                              map(cls.__getitem__, module.column_products(k))))
-            row = dict(zip(module.at_point.get(q, ()),
-                           map(cls.__getitem__, module.row_products(k))))
-            for classes, members, text in (
-                    (column, by_row.get(p, ()),
-                     "(e_{a} - e_{r}) * e_{k} leaves the ideal"),
-                    (row, by_column.get(q, ()),
-                     "e_{k} * (e_{a} - e_{r}) leaves the ideal")):
-                through_rep = list(map(classes.get,
-                                       map(rep.__getitem__, members)))
-                direct = list(map(classes.get, members))
-                if through_rep != direct:
-                    a = next(a for a, x, y in zip(members, through_rep, direct)
-                             if x != y)
-                    return text.format(a=a, r=rep[a], k=k)
+        psi sends each e_a to a basis vector e_{t(a)}, so over every ring
+        a vector lies in its kernel iff its coefficients sum to zero over
+        each target fibre, and such a vector is the sum of its coefficient
+        at a times e_a - e_m, over its a, for m one element of a's fibre:
+        the kernel is spanned by the differences inside each fibre.  I is
+        spanned by the differences e_a - e_rep(a) inside each class.  So I
+        lies in ker psi iff every a shares rep(a)'s target, which makes
+        each fibre a union of classes, and then ker psi lies in I iff each
+        fibre holds one class, that is iff no two representatives share a
+        target.  One pass over the basis reads both halves; a violation
+        names the basis pair where a half first fails, by increasing a."""
+        if not psi_map.is_homomorphism:
+            return "not derived: psi_homomorphism failed"
+        targets, first = psi_map.targets, {}
+        for a, r in enumerate(self.ideal.rep):
+            if targets[a] != targets[r]:
+                return f"e_{a} - e_{r} lies in I but not in ker psi"
+            if a == r:
+                b = first.setdefault(targets[a], a)
+                if b != a:
+                    return f"e_{b} - e_{a} lies in ker psi but not in I"
         return None
 
 
-def _members_at(points, rep):
-    """Point -> the a that carry it or whose rep(a) does, increasing."""
-    at = {}
-    for a, r in enumerate(rep):
-        for p in {points[a], points[r]}:
-            at.setdefault(p, []).append(a)
-    return at
-
-
-def build_quotient(module, ideal):
+def build_quotient(module, ideal, psi_map):
     """The partial skew inverse semigroup ring L/I; well-definedness of
-    the product is verified, not assumed, and a violation is recorded on
-    the quotient for the report."""
+    the product is verified, not assumed, as I = ker psi for psi_map (see
+    QuotientAlgebra.verify_representative_independence), and a violation
+    is recorded on the quotient for the report."""
     quotient = QuotientAlgebra(module, ideal)
     quotient.representative_independence_violation = \
-        quotient.verify_representative_independence()
+        quotient.verify_representative_independence(psi_map)
     return quotient
 
 
@@ -296,11 +258,12 @@ def check_pregrading(quotient):
     order, and jointly spanning.
 
     B_s is spanned by the classes of the e_(s,x), so B_s is a set of basis
-    indices.  The rest holds once build_quotient has certified
-    representative independence: the class of e_(s,x) times the class of
-    e_(t,y) is the class of (s,x)(t,y) = (st,x), or zero, so B_s B_t lies
-    in B_st; and for s <= t the generator e_(s,x) - e_(t,x) of I puts the
-    class of e_(s,x) in B_t; without it there is no product to pre-grade.
+    indices.  The rest holds once build_quotient has certified I = ker psi,
+    a two-sided ideal, so that the product of classes is well defined: the
+    class of e_(s,x) times the class of e_(t,y) is the class of
+    (s,x)(t,y) = (st,x), or zero, so B_s B_t lies in B_st; and for s <= t
+    the generator e_(s,x) - e_(t,x) of I puts the class of e_(s,x) in B_t;
+    without it there is no product to pre-grade.
     Spanning holds too: the e_(s,x) over every s and x in X_s are L's
     basis, and each class of L/I has its representative there.  The
     unit vectors of the classes still go through a SpanTracker over Q,

@@ -8,7 +8,9 @@ Light's test on the whole table with its generator rule
 (`table_associativity_counterexample`, `table_light_generators`), the
 row-major homomorphism scan, and the two-sidedness scan, and the tests
 that a named witness fails there: `triple_fails` for a basis triple,
-`leaves_ideal` for a product of a difference in I.  `ideal_generators`
+`breaks_kernel` for a basis pair where a half of I = ker psi fails.  `psi_of` is psi on a
+bisection module, its targets read off the basis labels, with its
+homomorphism certificate computed; `quotient_of` builds L/I with it.  `ideal_generators`
 walks every generator of the ideal, and `reference_build_ideal` is the
 union-find over them, the reference for `build_ideal`'s germ classes; it
 runs on any validated index, not only on bisections.  The factored
@@ -42,7 +44,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from families import (basis_labels, compose_table, label_bisection_action,
-                      label_index, label_view, mul, star_of)
+                      label_groupoid, label_index, label_view, mul, star_of)
 from formula_oracle import SkewElement, SpaceFunction
 from groupoidal.groupoid_core import validate_groupoid
 from groupoidal.inverse_semigroups import (bisection_semigroup,
@@ -55,7 +57,7 @@ from groupoidal.partial_actions import (GroupPartialAction,
                                         validate_isg_partial_action)
 from groupoidal.scalars import DenseTable, index_row, zero_vector
 from groupoidal.skew_rings import (CovarianceModule, IdealCongruence,
-                                   QuotientAlgebra)
+                                   QuotientAlgebra, build_quotient)
 from groupoidal.specfiles import parse_document
 from groupoidal.steinberg_algebra import GroupoidFunction, SteinbergAlgebra
 from groupoidal.validation import ValidationReport, stable
@@ -344,25 +346,42 @@ def reference_generator_scan(quotient, table=None, edges=None):
     return None
 
 
-_LEFT = re.compile(r"e_(\d+) \* \(e_(\d+) - e_(\d+)\) leaves the ideal")
-_RIGHT = re.compile(r"\(e_(\d+) - e_(\d+)\) \* e_(\d+) leaves the ideal")
+def psi_of(module):
+    """psi on L of a bisection action, with its homomorphism certificate
+    computed on module.generator_basis(): (B, x) goes to the arrow of B
+    with range x, read off the labels."""
+    g = module.algebra_action.index.groupoid
+    labels = label_groupoid(g)
+    targets = [g.index(next(b for b in s if labels.range(b) == x))
+               for s, x in basis_labels(module)]
+    psi_map = AlgebraMap(module, SteinbergAlgebra(g), targets, name="psi")
+    psi_map.certify_homomorphism(module.generator_basis())
+    return psi_map
 
 
-def leaves_ideal(quotient, text, table=None):
-    """Whether the violation text names a difference e_a - e_b that lies
-    in I and a basis element e_k whose product with it, on the side
-    named, does not, on the dense table of L."""
-    if table is None:
-        table = dense_table(quotient.module)
-    cls = quotient._class
-    left, right = _LEFT.fullmatch(text), _RIGHT.fullmatch(text)
-    if left:
-        k, a, b = map(int, left.groups())
-        ka, kb = table[k][a], table[k][b]
-    else:
-        a, b, k = map(int, right.groups())
-        ka, kb = table[a][k], table[b][k]
-    return cls[a] == cls[b] and cls[ka] != cls[kb]
+def quotient_of(module, ideal):
+    """L/I for a bisection module, built by build_quotient with psi_of."""
+    return build_quotient(module, ideal, psi_of(module))
+
+
+_IN_I = re.compile(r"e_(\d+) - e_(\d+) lies in I but not in ker psi")
+_IN_KERNEL = re.compile(r"e_(\d+) - e_(\d+) lies in ker psi but not in I")
+
+
+def breaks_kernel(quotient, psi_map, text):
+    """Whether the violation text of verify_representative_independence
+    holds: psi's homomorphism certificate failed, or the pair e_a - e_b
+    named lies in I and not in the kernel of psi, or the other way round.
+    A difference of basis vectors lies in I iff they share a class, and
+    in the kernel iff they share a target."""
+    if text == "not derived: psi_homomorphism failed":
+        return not psi_map.is_homomorphism
+    in_i, in_kernel = _IN_I.fullmatch(text), _IN_KERNEL.fullmatch(text)
+    a, b = map(int, (in_i or in_kernel).groups())
+    same_class = quotient._class[a] == quotient._class[b]
+    same_target = psi_map.targets[a] == psi_map.targets[b]
+    return (same_class, same_target) == ((True, False) if in_i
+                                         else (False, True))
 
 
 _TABLES = weakref.WeakKeyDictionary()

@@ -185,14 +185,18 @@ def mutate_ideal(monkeypatch, mutate):
 
 @pytest.mark.parametrize("name, mutate, failing", [
     ("two_isolated_units", drop_one_join,
-     ["dimension_ledger", "psi_tilde_isomorphism", "phi_left_inverse"]),
+     ["dimension_ledger", "psi_tilde_isomorphism", "phi_left_inverse",
+      "representative_independence", "pregrading"]),
     ("z2_one_unit", join_another_germ,
-     ["dimension_ledger", "psi_vanishes_on_ideal", "psi_tilde_isomorphism"])])
+     ["dimension_ledger", "psi_vanishes_on_ideal", "psi_tilde_isomorphism",
+      "representative_independence", "pregrading"])])
 def test_theorem5_fails_a_wrong_ideal(name, mutate, failing, monkeypatch,
                                       capsys):
     # build_ideal reads no psi target, so psi's certificates check it: a
     # dropped join leaves psi~ with a kernel, and a join across germs
-    # puts a vector outside the kernel of psi into I.
+    # puts a vector outside the kernel of psi into I.  Either way I is
+    # not ker psi, so its two-sidedness is not certified and the
+    # quotient is not pre-graded.
     mutate_ideal(monkeypatch, mutate)
     code, out, _ = run_cli(capsys, "theorem5", name)
     assert code == 1
@@ -201,14 +205,15 @@ def test_theorem5_fails_a_wrong_ideal(name, mutate, failing, monkeypatch,
 
 
 @pytest.mark.parametrize("mutate, violation", [
-    (drop_one_join, "(e_0 - e_60) * e_4 leaves the ideal"),
-    (join_another_germ, "(e_0 - e_62) * e_4 leaves the ideal")],
+    (drop_one_join, "e_4 - e_55 lies in ker psi but not in I"),
+    (join_another_germ, "e_0 - e_62 lies in I but not in ker psi")],
     ids=["drop_one_join", "join_another_germ"])
 def test_theorem5_refuses_a_wrong_ideal_that_is_not_two_sided(
         mutate, violation, monkeypatch, capsys):
     # On pair_groupoid_3, whose Steinberg algebra is M_3(Q), neither
     # mutant is a two-sided ideal.  The quotient records the violation,
-    # and the run writes every row of a passing report and exits 1.
+    # the basis pair where a half of I = ker psi fails, and the run
+    # writes every row of a passing report and exits 1.
     code, passing, _ = run_cli(capsys, "theorem5", "pair_groupoid_3")
     assert code == 0
     mutate_ideal(monkeypatch, mutate)

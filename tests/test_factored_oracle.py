@@ -91,17 +91,19 @@ def test_associativity_verdicts_equal_the_dense_oracle(ladder):
 def test_bisection_builders_follow_the_set_formulas():
     # theorem5 does not validate the bisection semigroup or its action:
     # both are derived from the groupoid axioms through these formulas
-    # (see bisection_semigroup and bisection_action).  The rows and
-    # columns of the generators, which theorem5 reads, are checked as
-    # kept, then every other row.
+    # (see bisection_semigroup and bisection_action).  The rows of the
+    # generators, which theorem5 reads, are checked as kept, and their
+    # products b g as the search for them computes them, then every
+    # other row.
     for g in ladder_groupoids():
         s = label_semigroup(bisection_semigroup(g))
         elements = s.elements
         for k in s.generators:
             assert s.row(k) == [s.index(bisection_product(
                 g, elements[k], c)) for c in elements], g.name
-            assert s.column(k) == [s.index(bisection_product(
-                g, b, elements[k])) for b in elements], g.name
+            assert s._products(s._right_lut(k), range(s.order)) == [
+                s.index(bisection_product(g, b, elements[k]))
+                for b in elements], g.name
         for i, b in enumerate(elements):
             assert s.star_table[i] == s.index(bisection_inverse(g, b)), g.name
             assert list(s.row(i)) == [s.index(bisection_product(g, b, c))
@@ -167,10 +169,12 @@ def ladder_maps():
 
 def test_quotient_tables_equal_the_dense_oracle():
     for g in ladder_groupoids():
-        quotient = realize(g).quotient
+        r = realize(g)
+        quotient = r.quotient
         assert product_rows(quotient) == dense_quotient_table(quotient), \
             g.name
-        assert quotient.verify_representative_independence() is None
+        assert quotient.verify_representative_independence(r.psi_map) \
+            is None
         assert reference_generator_scan(quotient) is None
 
 

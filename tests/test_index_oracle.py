@@ -22,11 +22,11 @@ pairs (`reference_ideal_generators`).  The oracle's
 `reference_build_ideal`, which joins only the first generator of each
 (t, x), and, on bisection actions, `build_ideal`, which joins each
 (t, x) to the singleton of its germ, give the classes of the union-find
-over all of them (`congruence`), and their count.  A failing
-two-sidedness check names a product that leaves the ideal on the dense
-rows, with the text of the check that read every index
-(`full_read_violation`); a failing action report names only violations
-in the reference's full list.  The bisection semigroups, L, L/I and
+over all of them (`congruence`), and their count.  The two-sidedness
+check, decided as I = ker psi, refuses every congruence that the dense
+scan refuses, and the basis pair it names breaks a half of
+I = ker psi (`assert_kernel_verdict`); a failing action report names
+only violations in the reference's full list.  The bisection semigroups, L, L/I and
 A_R(G) hold no labels: read by index, their labels are those of the
 label construction in `families` (`label_semigroup`, `basis_labels`,
 `label_index`), in order, and so are the unit, the diagonal and rho's
@@ -35,10 +35,12 @@ targets.
 
 import copy
 import random
+from collections import Counter
 from functools import partial
 
-from dense_oracle import (ideal_generators, leaves_ideal, product_rows,
-                          reference_build_ideal, reference_generator_scan)
+from dense_oracle import (breaks_kernel, ideal_generators, product_rows,
+                          psi_of, reference_build_ideal,
+                          reference_generator_scan)
 from families import (CYCLIC_BUNDLES, SemigroupPartialAction,
                       action_from_labels, basis_labels, bisection_action_of,
                       cyclic_bundle_spec, family_groupoids, idempotents,
@@ -46,6 +48,8 @@ from families import (CYCLIC_BUNDLES, SemigroupPartialAction,
                       label_semigroup, label_view, mul, order_pairs,
                       pair_groupoid_spec, parse, regular_action, star_of,
                       symmetric_inverse_monoid, transformation_rho)
+from test_cli import drop_one_join, join_another_germ
+from test_factored_oracle import ladder_groupoids
 
 import catalog
 from groupoidal.groupoid_core import validate_groupoid
@@ -210,10 +214,15 @@ def catalog_modules():
 
 
 def test_two_sidedness_equals_the_generator_scan_on_the_catalog():
-    modules = catalog_modules()
-    for module in modules:
+    # A bisection action's I is certified as ker psi.  A group action has
+    # no psi; its ideal, zero, is judged by the dense scan alone.
+    for module in catalog_modules():
         quotient = QuotientAlgebra(module, reference_build_ideal(module))
-        assert quotient.verify_representative_independence() is None
+        if hasattr(module.algebra_action.index, "groupoid"):
+            assert quotient.verify_representative_independence(
+                psi_of(module)) is None
+        else:
+            assert quotient.dim == module.dim
         assert reference_generator_scan(quotient) is None
 
 
@@ -223,7 +232,8 @@ def test_two_sidedness_equals_the_generator_scan_on_the_rung():
     assert (module.dim, ideal.dimension, ideal.generator_count) == \
         (544, 528, 1680)
     quotient = QuotientAlgebra(module, ideal)
-    assert quotient.verify_representative_independence() is None
+    assert quotient.verify_representative_independence(psi_of(module)) \
+        is None
     assert reference_generator_scan(quotient) is None
 
 
@@ -241,54 +251,38 @@ def corrupted_module(module, rng):
     return corrupted
 
 
-def full_read_violation(quotient):
-    """verify_representative_independence as it read every basis index a
-    for each generator and side, not only those at the generator's point:
-    the same verdict and the same text."""
-    module, cls, rep = quotient.module, quotient._class, quotient.ideal.rep
-    every = range(len(rep))
-    for k in module.generator_basis():
-        p, q = module.col_points[k], module.row_points[k]
-        column = dict(zip(module._rows_at.get(p, ()),
-                          map(cls.__getitem__, module.column_products(k))))
-        row = dict(zip(module.at_point.get(q, ()),
-                       map(cls.__getitem__, module.row_products(k))))
-        for classes, text in (
-                (column, "(e_{a} - e_{r}) * e_{k} leaves the ideal"),
-                (row, "e_{k} * (e_{a} - e_{r}) leaves the ideal")):
-            through_rep = list(map(classes.get, rep))
-            direct = list(map(classes.get, every))
-            if through_rep != direct:
-                a = next(a for a in every if through_rep[a] != direct[a])
-                return text.format(a=a, r=rep[a], k=k)
-    return None
-
-
-def assert_scan_verdict(quotient, table, edges=None):
-    """verify_representative_independence gives the generator scan's
-    verdict and the full read's text, and the product it names leaves
-    the ideal.  Returns both texts."""
-    text = quotient.verify_representative_independence()
-    assert text == full_read_violation(quotient)
+def assert_kernel_verdict(quotient, psi_map, table, edges=None):
+    """verify_representative_independence is sound: it refuses every
+    congruence whose span the dense scan finds not two-sided, and what a
+    refusal names holds (breaks_kernel).  Returns both texts."""
+    text = quotient.verify_representative_independence(psi_map)
     expected = reference_generator_scan(quotient, table, edges)
-    assert (text is None) == (expected is None)
-    assert text is None or leaves_ideal(quotient, text, table)
+    assert text is not None or expected is None
+    assert text is None or breaks_kernel(quotient, psi_map, text)
     return text, expected
 
 
-def assert_both_sides_reached(results):
-    """Most results fail; the scan reaches products on both sides, and
-    the check, which compares the right products first, names a right
-    product."""
-    failing = [(t, e) for t, e in results if t is not None]
-    assert any(t.startswith("(") for t, _ in failing)
-    assert any(e.startswith("(") for _, e in failing)
-    assert any(e.startswith("e_") for _, e in failing)
-    return len(failing)
+def refusals(results):
+    """How many kernel verdicts name each reason: "not derived", "not in
+    ker psi" (I outside the kernel) and "not in I" (the kernel outside
+    I); "scan left" and "scan right" count the dense scan's refusals by
+    the side of the product it names."""
+    kinds = Counter()
+    for text, expected in results:
+        if text is not None:
+            kinds["not derived" if text.startswith("not derived")
+                  else text.split(" but ")[1]] += 1
+        if expected is not None:
+            kinds["scan left" if expected.startswith("e_")
+                  else "scan right"] += 1
+    return kinds
 
 
 def test_corrupted_l_tables_give_the_generator_scan_violation():
-    # L has no table; its product is corrupted where it is stored.
+    # L has no table; its product is corrupted where it is stored.  The
+    # corrupted L is not certified associative, so psi's certificate
+    # reads every row of it, and the kernel of a multiplicative psi is
+    # two-sided in the corrupted product too.
     module = bisection_module(catalog.load_groupoid("pair_groupoid_3"))
     ideal = build_ideal(module)
     assert module.dim == 63
@@ -297,14 +291,18 @@ def test_corrupted_l_tables_give_the_generator_scan_violation():
     for _ in range(240):
         corrupted = corrupted_module(module, rng)
         quotient = QuotientAlgebra(corrupted, ideal)
-        texts.append(assert_scan_verdict(quotient, product_rows(corrupted)))
-    assert assert_both_sides_reached(texts) > 180
+        texts.append(assert_kernel_verdict(
+            quotient, psi_of(corrupted), product_rows(corrupted)))
+    kinds = refusals(texts)
+    assert kinds["scan left"] + kinds["scan right"] > 180
+    assert min(kinds["scan left"], kinds["scan right"]) > 0
+    assert kinds["not derived"] > 180
 
 
 def premised_module(g):
     """The bisection module with L certified associative from the
-    groupoid's report, so that two-sidedness reads only the rows and
-    columns of the generators."""
+    groupoid's report, so that psi's certificate reads only the
+    generator rows."""
     module = bisection_module(g)
     module.verify_associativity((validate_groupoid(g),))
     return module
@@ -344,37 +342,61 @@ def test_group_actions_read_every_row_of_l():
     assert action.domains[g] == []
 
 
-def test_generator_rows_give_the_full_scan_verdict():
-    # On an associative L, {x : x I in I} and {x : I x in I} are closed
-    # under products for any subspace I, so the generator rows and
-    # columns give the full scan's verdict on every congruence: the
-    # ideal, the ideal with extra generators, and the ideal joined with
-    # "same row point", where only left products can leave it.
+def mutated(module, ideal, mutate):
+    """The congruence of build_ideal's classes changed by a mutant of the
+    theorem5 tests, and its spanning pairs (a, rep(a)); None where the
+    mutant needs two germs or a bisection of two arrows."""
+    rep = list(ideal.rep)
+    if len(set(rep)) < 2 or module.dim == len(set(rep)):
+        return None
+    mutate(module, rep)
+    return (IdealCongruence(module, ideal.generator_count, rep),
+            [(a, r) for a, r in enumerate(rep) if a != r])
+
+
+def test_kernel_verdict_is_sound_on_the_ladder():
+    # I = ker psi for a certified homomorphism psi is a two-sided ideal,
+    # so on every congruence the kernel verdict refuses what the dense
+    # scan refuses.  On each ladder groupoid, with L premised so that psi
+    # is certified on the generator rows only: the ideal, which passes;
+    # a germ split (drop_one_join) and two germs joined
+    # (join_another_germ); the ideal joined with "same row point"; and
+    # the ideal with random extra generators.  A psi whose certificate
+    # is forced to fail derives nothing.
     rng = random.Random(23)
     texts = []
-    groupoids = [catalog.load_groupoid(name)
-                 for name in catalog.groupoid_names()]
-    groupoids.append(parse(pair_groupoid_spec(4)))
     fewer = 0
-    for g in groupoids:
+    for g in ladder_groupoids():
         module = premised_module(g)
         fewer += len(module.generator_basis()) < module.dim
+        psi_map, table = psi_of(module), product_rows(module)
+        ideal = build_ideal(module)
+        quotient = QuotientAlgebra(module, ideal)
+        assert assert_kernel_verdict(quotient, psi_map, table) == \
+            (None, None), g.name
+        forced = copy.copy(psi_map)
+        forced.certificates = {"homomorphism": (False, "forced")}
+        assert quotient.verify_representative_independence(forced) == \
+            "not derived: psi_homomorphism failed"
         edges = list(ideal_generators(module))
-        table = product_rows(module)
+        congruences = [mutated(module, ideal, mutate)
+                       for mutate in (drop_one_join, join_another_germ)]
+        congruences = [c for c in congruences if c is not None]
         joined = edges + [pair for columns in points_at(
             module.row_points).values() for pair in zip(columns, columns[1:])]
-        congruences = [edges, joined]
-        for _ in range(20 if module.dim > 1 else 0):
+        congruences.append((congruence(module, joined), joined))
+        for _ in range(10 if module.dim > 1 else 0):
             extra = [tuple(rng.sample(range(module.dim), 2))
                      for _ in range(rng.randint(1, 2))]
-            position = rng.randrange(len(edges) + 1)
-            congruences.append(edges[:position] + extra + edges[position:])
-        for merged in congruences:
-            quotient = QuotientAlgebra(module, congruence(module, merged))
-            texts.append(assert_scan_verdict(quotient, table, merged))
-        assert texts[-len(congruences)] == (None, None), g.name
+            merged = edges + extra
+            congruences.append((congruence(module, merged), merged))
+        for classes, spanning in congruences:
+            texts.append(assert_kernel_verdict(
+                QuotientAlgebra(module, classes), psi_map, table, spanning))
     assert fewer > 4
-    assert assert_both_sides_reached(texts) > 60
+    kinds = refusals(texts)
+    assert kinds["not in ker psi"] > 60 and kinds["not in I"] > 5
+    assert min(kinds["scan left"], kinds["scan right"]) > 0
 
 
 def congruence(module, edges):
@@ -398,9 +420,10 @@ def congruence(module, edges):
 
 
 def test_corrupted_ideals_give_the_generator_scan_violation():
-    # Extra generators merge classes: the class rows of a merged class
-    # can differ, and a row read through rep can change.
+    # Extra generators merge classes, of two targets of psi, and the
+    # verdict names a pair in I outside ker psi.
     module = bisection_module(catalog.load_groupoid("pair_groupoid_3"))
+    psi_map = psi_of(module)
     edges = list(ideal_generators(module))
     table = product_rows(module)
     rng = random.Random(22)
@@ -411,25 +434,30 @@ def test_corrupted_ideals_give_the_generator_scan_violation():
         position = rng.randrange(len(edges) + 1)
         merged = edges[:position] + extra + edges[position:]
         quotient = QuotientAlgebra(module, congruence(module, merged))
-        texts.append(assert_scan_verdict(quotient, table, merged))
-    assert assert_both_sides_reached(texts) > 50
+        texts.append(assert_kernel_verdict(quotient, psi_map, table, merged))
+    kinds = refusals(texts)
+    assert kinds["not in ker psi"] > 50
+    assert min(kinds["scan left"], kinds["scan right"]) > 0
 
 
 def test_right_congruences_give_the_generator_scan_violation():
     # Elements with one row point have their products at one row point,
     # so joining I with "same row point" keeps every class row equal to
     # its representative's; only the left products can leave the ideal.
+    # The kernel verdict refuses each such join that is not I itself,
+    # also where the join is a two-sided ideal larger than I.
     texts = []
-    for module in catalog_modules():
+    for g in ladder_groupoids():
+        module = bisection_module(g)
         edges = list(ideal_generators(module))
         for columns in points_at(module.row_points).values():
             edges += zip(columns, columns[1:])
         quotient = QuotientAlgebra(module, congruence(module, edges))
-        texts.append(assert_scan_verdict(quotient, product_rows(module),
-                                         edges))
-    failing = [(t, e) for t, e in texts if t is not None]
-    assert len(failing) > 5
-    assert all(t.startswith("e_") and e.startswith("e_") for t, e in failing)
+        texts.append(assert_kernel_verdict(quotient, psi_of(module),
+                                           product_rows(module), edges))
+    kinds = refusals(texts)
+    assert kinds["scan left"] > 5 and kinds["scan right"] == 0
+    assert kinds["not in ker psi"] >= kinds["scan left"]
 
 
 def catalog_actions():

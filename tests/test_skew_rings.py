@@ -3,8 +3,9 @@ import random
 import pytest
 
 from dense_oracle import (dense_table, ideal_generators, ideal_rows,
-                          mul_basis, mul_vectors, product_rows, realize,
-                          reference_build_ideal, skew_ring, to_vector)
+                          mul_basis, mul_vectors, product_rows, quotient_of,
+                          realize, reference_build_ideal,
+                          reference_generator_scan, skew_ring, to_vector)
 from families import (basis_labels, bisection_action_of, label_index,
                       label_semigroup, label_view, mul, order_pairs,
                       random_scalar)
@@ -17,7 +18,7 @@ from groupoidal.partial_actions import induce_algebra_action
 from groupoidal.scalars import SpanTracker, ring_from_tag, zero_vector
 from groupoidal.skew_rings import (CovarianceModule, IdealCongruence,
                                    QuotientAlgebra, build_ideal,
-                                   build_quotient, check_pregrading)
+                                   check_pregrading)
 from groupoidal.validation import stable
 
 
@@ -142,8 +143,11 @@ def test_group_ideal_is_zero():
     assert list(ideal_generators(module)) == []
     ideal = reference_build_ideal(module)
     assert ideal.dimension == 0
-    quotient = build_quotient(module, ideal)
+    # A group action has no psi: its quotient is built directly, and the
+    # dense scan finds the zero ideal two-sided.
+    quotient = QuotientAlgebra(module, ideal)
     assert quotient.dim == module.dim
+    assert reference_generator_scan(quotient) is None
 
 
 def test_two_isolated_units_ideal():
@@ -154,15 +158,8 @@ def test_two_isolated_units_ideal():
     assert len(gens) == 2
     ideal = build_ideal(module)
     assert ideal.dimension == 2
-    quotient = build_quotient(module, ideal)
+    quotient = quotient_of(module, ideal)
     assert quotient.dim == 2
-
-
-def ledger(module):
-    ideal = build_ideal(module)
-    quotient = build_quotient(module, ideal)
-    return (module.dim, ideal.generator_count, ideal.dimension, quotient.dim,
-            basis_labels(quotient))
 
 
 def test_ideal_generators_work_over_non_fields(Q, Z):
@@ -174,7 +171,7 @@ def test_ideal_generators_work_over_non_fields(Q, Z):
     for name in catalog.groupoid_names():
         module = module_for_groupoid(name)
         ideal = build_ideal(module)
-        quotient = build_quotient(module, ideal)
+        quotient = quotient_of(module, ideal)
         for ring in (Q, Z, ring_from_tag("Z/4")):
             rows = ideal_rows(ideal, ring)
             assert len(rows) == ideal.dimension, name
@@ -232,16 +229,20 @@ def test_one_sided_congruence_is_refused():
     # Identify ({u},u) with ({v},v): e_0 e_0 = e_0 but e_0 e_1 = 0.
     assert basis_labels(module)[:2] == [(frozenset({"u"}), "u"),
                                        (frozenset({"v"}), "v")]
+    # psi sends them to the arrows u and v, so the refusal names the half
+    # I <= ker psi; the dense scan finds a product leaving the span.
     fake = IdealCongruence(module, 1, [1, 1, 2, 3])
-    quotient = build_quotient(module, fake)
+    quotient = quotient_of(module, fake)
     assert quotient.representative_independence_violation == \
-        "(e_0 - e_1) * e_0 leaves the ideal"
+        "e_0 - e_1 lies in I but not in ker psi"
+    assert reference_generator_scan(quotient, edges=[(0, 1)]) == \
+        "e_0 * (e_0 - e_1) leaves the ideal"
     assert not check_pregrading(quotient).ok
 
 
 def test_order_identified_classes_agree(Q):
     module = module_for_groupoid("pair_groupoid_2")
-    quotient = build_quotient(module, build_ideal(module))
+    quotient = quotient_of(module, build_ideal(module))
     alg = module.algebra_action
     for s, t in order_pairs(alg.index):
         for x in label_view(alg.action).domain_points(s):
@@ -253,7 +254,7 @@ def test_order_identified_classes_agree(Q):
 def test_quotient_product_well_defined_on_representatives(Q):
     module = module_for_groupoid("z2_one_unit")
     ideal = build_ideal(module)
-    quotient = build_quotient(module, ideal)
+    quotient = quotient_of(module, ideal)
     assert quotient.representative_independence_violation is None
     rng = random.Random(23)
     for _ in range(50):
@@ -290,7 +291,7 @@ def test_pregrading_module_fails_for_strict_order(Q):
 
 def test_pregrading_quotient_case(Q):
     module = module_for_groupoid("two_isolated_units")
-    quotient = build_quotient(module, build_ideal(module))
+    quotient = quotient_of(module, build_ideal(module))
     report = check_pregrading(quotient)
     assert report.ok
     # the block of {u} sits inside the block of {u, v} with nonzero overlap
@@ -398,7 +399,7 @@ def test_pregrading_agrees_with_span_membership(Q):
     for name in catalog.groupoid_names():
         module = module_for_groupoid(name)
         failing += bool(reference_pregrading(module, Q))
-        quotient = build_quotient(module, build_ideal(module))
+        quotient = quotient_of(module, build_ideal(module))
         assert check_pregrading(quotient).violations == \
             reference_pregrading(quotient, Q), name
     assert failing > 0
@@ -411,7 +412,7 @@ def test_quotient_pregrading_over_non_fields_matches_q(tag, Q):
     ring = ring_from_tag(tag)
     for name in catalog.groupoid_names():
         module = module_for_groupoid(name)
-        quotient = build_quotient(module, build_ideal(module))
+        quotient = quotient_of(module, build_ideal(module))
         report = check_pregrading(quotient)
         assert report.ok, name
         assert report.violations == reference_pregrading(quotient, ring) \
@@ -437,5 +438,5 @@ def test_quotient_dimension_formula():
                  "pair_groupoid_2", "two_z2", "pair_plus_unit"]:
         module = module_for_groupoid(name)
         ideal = build_ideal(module)
-        quotient = build_quotient(module, ideal)
+        quotient = quotient_of(module, ideal)
         assert quotient.dim == module.dim - ideal.dimension

@@ -9,26 +9,27 @@ one-point view where the table stays total), a bisection action (its
 validator), an action with a map permuted or a Z4 action that breaks
 the composition law (L's associativity certificate, and Light's test on
 L where its products stay closed) and an ideal with extra generators
-(two-sidedness).  The verdict must equal the reference's, and each
-violation named must fail in the dense oracle: it is in the reference
-validator's full list, its triple fails in the dense table, or its
-product leaves the ideal on the dense rows of L.
+(two-sidedness, decided as I = ker psi).  The verdict must equal the
+reference's, or, for two-sidedness, refuse whatever the dense scan
+refuses, and each violation named must fail in the dense oracle: it is
+in the reference validator's full list, its triple fails in the dense
+table, or its basis pair lies in one of I and ker psi but not the other.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import (closed, dense_table, ideal_generators, premises,
-                          product_rows, table_associativity_counterexample,
-                          triple_fails)
+                          product_rows, psi_of,
+                          table_associativity_counterexample, triple_fails)
 from test_associativity_oracle import (corrupt, groupoid_tables,
                                        reference_cube)
 from test_factored_oracle import partial_corruptions, z4_actions
 from test_groupoid_oracle import (assert_reference_violations, corrupted,
                                   ladder, reference_validate_groupoid,
                                   steiner_loop_groupoid)
-from test_index_oracle import (assert_reference_outcome, assert_scan_verdict,
-                               catalog_modules, congruence, corrupt_action,
+from test_index_oracle import (assert_kernel_verdict, assert_reference_outcome,
+                               bisection_module, congruence, corrupt_action,
                                validate)
 
 from families import label_bisection_action_of
@@ -78,8 +79,11 @@ def actions():
 
 @pytest.fixture(scope="module")
 def modules():
-    return [(module, product_rows(module), list(ideal_generators(module)))
-            for module in catalog_modules() if module.dim > 1]
+    found = [bisection_module(catalog.load_groupoid(name))
+             for name in catalog.groupoid_names()]
+    return [(module, psi_of(module), product_rows(module),
+             list(ideal_generators(module)))
+            for module in found if module.dim > 1]
 
 
 @SETTINGS
@@ -145,10 +149,10 @@ def test_l_triples_fail_in_the_dense_table(corruptions, rng):
 @SETTINGS
 @given(st.data(), st.randoms(use_true_random=False))
 def test_ideal_violations_leave_the_ideal(modules, data, rng):
-    module, table, edges = data.draw(st.sampled_from(modules))
+    module, psi_map, table, edges = data.draw(st.sampled_from(modules))
     extra = [tuple(rng.sample(range(module.dim), 2))
              for _ in range(rng.randint(1, 2))]
     merged = edges + extra
     rng.shuffle(merged)
     quotient = QuotientAlgebra(module, congruence(module, merged))
-    assert_scan_verdict(quotient, table, merged)
+    assert_kernel_verdict(quotient, psi_map, table, merged)
