@@ -230,6 +230,71 @@ def test_theorem5_refuses_a_wrong_ideal_that_is_not_two_sided(
     assert out.endswith("result: fail\n")
 
 
+def move_psi_target(monkeypatch):
+    """theorem5 with psi's target of the first basis element outside its
+    class's representative moved to another arrow."""
+    init = isomorphisms.AlgebraMap.__init__
+
+    def mutant(self, domain, codomain, targets, name="map"):
+        if name == "psi":
+            rep = skew_rings.build_ideal(domain).rep
+            a = next(a for a, r in enumerate(rep) if a != r)
+            targets = list(targets)
+            targets[a] = next(t for t in range(codomain.dim)
+                              if t != targets[a])
+        init(self, domain, codomain, targets, name)
+
+    monkeypatch.setattr(isomorphisms.AlgebraMap, "__init__", mutant)
+
+
+def fail_psi_homomorphism(monkeypatch):
+    """theorem5 with psi's computed homomorphism certificate forced false."""
+    certify = isomorphisms.AlgebraMap.certify_homomorphism
+
+    def mutant(self, rows=None):
+        certify(self, rows)
+        if self.name != "psi":
+            return self.is_homomorphism
+        return self._store("homomorphism", False, "forced to fail")
+
+    monkeypatch.setattr(isomorphisms.AlgebraMap, "certify_homomorphism",
+                        mutant)
+
+
+# The sha256 of whole failing theorem5 reports, text then machine form,
+# for mutants that reach every row read off psi's targets and I's classes.
+FAILING_THEOREM5 = {
+    "drop_one_join": (
+        "pair_groupoid_3", lambda mp: mutate_ideal(mp, drop_one_join),
+        "e6d81e1bb9e34a9988af4637f1c669dcdc0fbf7fbad751a51817a1f07b0bb6fc",
+        "9c94e596734584d8e05021b7ece0b8aafa0b213b03915fbfa79a6ac5914c704e"),
+    "join_another_germ": (
+        "pair_groupoid_3", lambda mp: mutate_ideal(mp, join_another_germ),
+        "effe916889dfdacaeff10165ab3c0bcb46291c68931b172d18a1841d7a2f2f1a",
+        "670b862bf6b60958a3af3c3c5c3063a13d50803d97de693e9c996cc29df25696"),
+    "move_psi_target": (
+        "two_isolated_units", move_psi_target,
+        "8bea28013b81bc8a9307a802454d31f4442f6f506dd5bd7d62898812da16f381",
+        "9abe667d5a6048a2d77e858715728efed9cc07eb043ac26e68847327566c4dc3"),
+    "fail_psi_homomorphism": (
+        "pair_groupoid_3", fail_psi_homomorphism,
+        "741049ffd23f54d609a81060c142676f062b511df31ed2afb3afbde5998742ec",
+        "a3058807d13684317ee9c22e2787a22616212cbd1a5c46cb53555104da1ba146"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(FAILING_THEOREM5))
+def test_failing_theorem5_reports_are_pinned(mutant, monkeypatch, capsys):
+    name, install, *digests = FAILING_THEOREM5[mutant]
+    install(monkeypatch)
+    got = []
+    for form in ("text", "machine"):
+        code, out, err = run_cli(capsys, "theorem5", name, "--report", form)
+        assert code == 1 and err == ""
+        got.append(hashlib.sha256(out.encode()).hexdigest())
+    assert got == digests
+
+
 def test_theorem5_computes_products_only_on_generator_rows(
         tmp_path, monkeypatch, capsys):
     # S has no product table: the search for its generating set computes
