@@ -169,9 +169,9 @@ class BisectionSemigroup(InverseSemigroup):
     with s(b) = r(c), if any; so with B fixed it is an OR of one table
     entry per arrow of C, and likewise with C fixed.  The search for the
     generating set generators computes the products t g, which it does
-    not keep, and the rows g t are computed at construction: 2
-    |generators| |S| products in all.  Any other row is computed when
-    read."""
+    not keep.  A row is computed when first read: theorem5 reads the rows
+    g t of the generators with an arrow, for L's generator rows, so it
+    computes at most 2 |generators| |S| products in all."""
 
     def __init__(self, g, masks, name):
         self.groupoid = g
@@ -189,8 +189,6 @@ class BisectionSemigroup(InverseSemigroup):
         self.unit = self._position[sum(1 << u for u in g.units)]
         self._rows = {}
         self.generators = self._generating_set()
-        for c in self.generators:
-            self.row(c)
 
     def label(self, i):
         return frozenset(map(self.groupoid.arrows.__getitem__,

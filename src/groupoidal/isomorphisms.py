@@ -579,14 +579,6 @@ class SkewRealization:
         return (self.module.dim, self.ideal.dimension,
                 self.quotient.dim, self.steinberg.dim)
 
-    def psi_vanishes_on_ideal(self):
-        """Check psi = 0 on the ideal.  I is a congruence on the basis of
-        L, spanned by the rows e_a - e_rep(a); psi sends each row to zero
-        iff a and rep(a) share a target."""
-        targets = self.psi_map.targets
-        return all(targets[a] == targets[r]
-                   for a, r in enumerate(self.ideal.rep) if a != r)
-
     def phi_values(self, values):
         """phi of the function with the given nonzero values on arrow
         indices, as {quotient index: sum of values}, the sums not reduced
@@ -615,8 +607,10 @@ def psi(groupoid, groupoid_report,
 
     The map psi sends the basis element (point mass at u) delta_B to the
     point mass at the unique arrow of B with range u; it is certified
-    multiplicative and surjective, vanishes on the ideal, and descends to
-    the certified isomorphism psi_tilde on the quotient.
+    multiplicative and surjective, its kernel is certified to be the ideal
+    I, and by the first isomorphism theorem it descends to the isomorphism
+    psi_tilde from L/I = L/ker psi onto A_R(G).  psi's own injectivity is
+    not computed: no row reads it, and the kernel pass decides its kernel.
 
     groupoid_report is the report of validate_groupoid on groupoid, the
     one premise of L's associativity: the bisections form an inverse
@@ -626,9 +620,9 @@ def psi(groupoid, groupoid_report,
     certificate reads only the generator rows of L
     (CovarianceModule.generator_basis).  The two-sidedness of I is read
     off psi's targets as I = ker psi, the kernel of that certified
-    homomorphism (QuotientAlgebra.verify_representative_independence),
-    and psi_tilde's homomorphism is derived from them.  Works over any
-    scalar ring.
+    homomorphism, in one pass that also records whether I lies in ker psi
+    (QuotientAlgebra.verify_representative_independence), and psi_tilde's
+    homomorphism is derived from it.  Works over any scalar ring.
     """
     semigroup = bisection_semigroup(groupoid, bisection_bound)
     module = CovarianceModule(induce_algebra_action(
@@ -643,7 +637,6 @@ def psi(groupoid, groupoid_report,
     # A_R(G) is associative as the groupoid is, and L by its premise, so
     # the generator rows of L suffice (module.generator_basis).
     psi_map.certify_homomorphism(module.generator_basis())
-    psi_map.certify_injective()
     psi_map.certify_surjective()
 
     ideal = build_ideal(module)
@@ -655,14 +648,13 @@ def psi(groupoid, groupoid_report,
     realization = SkewRealization(groupoid, semigroup, module, ideal,
                                   quotient, steinberg, psi_map, psi_tilde)
     # psi~(pi(a) pi(b)) = psi~(pi(ab)) = psi(ab) = psi(a) psi(b): the
-    # first step is representative independence, which build_quotient
-    # certified as I = ker psi, the second is psi vanishing on I, the
-    # third psi's homomorphism.
+    # first step is representative independence, the second psi vanishing
+    # on I, the third psi's homomorphism.  build_quotient's verdict of
+    # None certifies I = ker psi for a certified homomorphism psi, which
+    # implies the other two, so neither can be the first premise to fail.
     psi_tilde.derive_homomorphism(
         (("representative_independence",
-          quotient.representative_independence_violation is None),
-         ("psi_homomorphism", psi_map.is_homomorphism),
-         ("psi_vanishes_on_ideal", realization.psi_vanishes_on_ideal())))
+          quotient.representative_independence_violation is None),))
     psi_tilde.certify_injective()
     psi_tilde.certify_surjective()
     return realization

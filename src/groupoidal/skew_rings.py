@@ -3,12 +3,14 @@ a_s delta_s, with its twisted product; the partial skew group ring; the
 ideal I identifying a delta_s with a delta_t for s <= t; and the quotient
 L/I.
 
-L and L/I are based algebras with 0/1 structure constants, both kept
-factored by the row and column point of each basis element, with no
-product table.  I is spanned by differences of basis vectors, so it is a
-congruence on the basis; for the bisection action its classes are the
-germs, read off the bisections' masks.  L/I has one basis element per
-class.  L, I and L/I carry no scalar ring (see the scalars module).
+L is a based algebra with 0/1 structure constants, kept factored by the
+row and column point of each basis element, with no product table.  I is
+spanned by differences of basis vectors, so it is a congruence on the
+basis; for the bisection action its classes are the germs, read off the
+bisections' masks.  L/I is held as its classes, one basis element each,
+with no product of its own: once I = ker psi is certified, psi~ carries
+it isomorphically onto A_R(G), the first isomorphism theorem.  L, I and
+L/I carry no scalar ring (see the scalars module).
 
 The empty-domain convention: an index element with empty domain
 contributes no basis vectors (D_s = {0}), which covers the zero bisection
@@ -142,7 +144,7 @@ def build_ideal(module):
     bisections (bisection_semigroup, bisection_action), as its germ
     classes: dim I is dim L minus the number of arrows.  Works over any
     ring.  That this span is ker psi, and so a two-sided ideal, is checked
-    by build_quotient.
+    by build_quotient, in one pass over psi's targets.
 
     Here X_t = r(t), and s <= t iff s is a subset of t (see
     BisectionSemigroup.down_sets).  For b = (t, x), let a be the arrow of
@@ -156,9 +158,10 @@ def build_ideal(module):
     generator of I stays inside a germ, as s <= t holds the arrow of t
     at x, so J = I; the certificates check this independently.  psi
     sends (s, x) and (t, x) to the same arrow for s <= t, so I lies in
-    the kernel of psi; build_quotient certifies that the kernel is J, as
-    do psi vanishing on J and psi~ injective on L/J.  build_ideal reads no
-    psi target, so those certificates do not rest on its construction.
+    the kernel of psi; build_quotient certifies that the kernel is J, and
+    psi~'s injectivity on L/J checks the second half again.  build_ideal
+    reads no psi target, so those certificates do not rest on its
+    construction.
 
     generator_count is in closed form: the s < t with x in X_s are the
     subsets of t that hold a, other than t, 2^{|t| - 1} - 1 of them."""
@@ -175,39 +178,27 @@ def build_ideal(module):
     return IdealCongruence(module, count, list(map(last.__getitem__, germ)))
 
 
-class QuotientAlgebra(BasedAlgebra):
-    """L/I with one basis element per class of the congruence, labelled by
-    its representative, in increasing order: the class of e_a is basis
-    element q when representatives[q] = rep(a).  Its points are those of
-    the representatives in L, and the product of two classes is the
-    class of the product of their representatives.  That is well defined
-    when I is a two-sided ideal, which build_quotient certifies as
-    I = ker psi, recording representative_independence_violation."""
+class QuotientAlgebra:
+    """L/I as its classes: one basis element per class of the congruence,
+    labelled by its representative, in increasing order, so e_a lies in
+    class q = _class[a] with representatives[q] = rep(a).  The product of
+    two classes, the class of their representatives' product, is well
+    defined when I is two-sided, which build_quotient certifies as
+    I = ker psi (recording representative_independence_violation and
+    ideal_in_kernel); then psi~ carries L/I = L/ker psi onto A_R(G), and
+    no product of L/I is computed."""
 
     def __init__(self, module, ideal):
         self.module = module
         self.ideal = ideal
         self.representatives = [a for a, r in enumerate(ideal.rep) if a == r]
         position = {a: q for q, a in enumerate(self.representatives)}
-        # _class[a] is the quotient index of e_a; the trailing -1 sends a
-        # zero product (index -1) to zero.
-        self._class = [position[r] for r in ideal.rep] + [-1]
+        self._class = [position[r] for r in ideal.rep]
         self.dim = len(self.representatives)
-        self._set_points(
-            [module.row_points[a] for a in self.representatives],
-            [module.col_points[a] for a in self.representatives])
 
     def label(self, q):
         """The pair (s, x) of q's representative in L."""
         return self.module.label(self.representatives[q])
-
-    def row_products(self, q):
-        """The classes of L's row at the representative of q, read at the
-        representatives of the classes at q's row point."""
-        row = self.module.row_products(self.representatives[q])
-        place, reps = self.module.place, self.representatives
-        return [self._class[row[place[reps[r]]]]
-                for r in self.at_point.get(self.row_points[q], ())]
 
     def verify_representative_independence(self, psi_map):
         """The induced product is well defined iff I is a two-sided ideal.
@@ -226,26 +217,32 @@ class QuotientAlgebra(BasedAlgebra):
         lies in ker psi iff every a shares rep(a)'s target, which makes
         each fibre a union of classes, and then ker psi lies in I iff each
         fibre holds one class, that is iff no two representatives share a
-        target.  One pass over the basis reads both halves; a violation
-        names the basis pair where a half first fails, by increasing a."""
-        if not psi_map.is_homomorphism:
-            return "not derived: psi_homomorphism failed"
-        targets, first = psi_map.targets, {}
+        target.  One pass over the basis reads both halves, whatever psi's
+        certificate says, and records whether I lies in ker psi as
+        ideal_in_kernel; a violation names the basis pair where a half
+        first fails, by increasing a."""
+        targets, first, violation = psi_map.targets, {}, None
+        self.ideal_in_kernel = True
         for a, r in enumerate(self.ideal.rep):
             if targets[a] != targets[r]:
-                return f"e_{a} - e_{r} lies in I but not in ker psi"
-            if a == r:
+                self.ideal_in_kernel = False
+                violation = violation or \
+                    f"e_{a} - e_{r} lies in I but not in ker psi"
+                break
+            if a == r and violation is None:
                 b = first.setdefault(targets[a], a)
                 if b != a:
-                    return f"e_{b} - e_{a} lies in ker psi but not in I"
-        return None
+                    violation = f"e_{b} - e_{a} lies in ker psi but not in I"
+        if not psi_map.is_homomorphism:
+            return "not derived: psi_homomorphism failed"
+        return violation
 
 
 def build_quotient(module, ideal, psi_map):
     """The partial skew inverse semigroup ring L/I; well-definedness of
     the product is verified, not assumed, as I = ker psi for psi_map (see
-    QuotientAlgebra.verify_representative_independence), and a violation
-    is recorded on the quotient for the report."""
+    QuotientAlgebra.verify_representative_independence), and its verdict
+    and ideal_in_kernel are recorded on the quotient for the report."""
     quotient = QuotientAlgebra(module, ideal)
     quotient.representative_independence_violation = \
         quotient.verify_representative_independence(psi_map)
@@ -259,7 +256,8 @@ def check_pregrading(quotient):
 
     B_s is spanned by the classes of the e_(s,x), so B_s is a set of basis
     indices.  The rest holds once build_quotient has certified I = ker psi,
-    a two-sided ideal, so that the product of classes is well defined: the
+    a two-sided ideal, so that the product of classes is well defined; no
+    product of L/I is computed, as each inclusion is read off L's: the
     class of e_(s,x) times the class of e_(t,y) is the class of
     (s,x)(t,y) = (st,x), or zero, so B_s B_t lies in B_st; and for s <= t
     the generator e_(s,x) - e_(t,x) of I puts the class of e_(s,x) in B_t;

@@ -1,29 +1,33 @@
 """Dense product tables of the three algebras, built without reading the
 factored product they check: L's from the basis labels as
-`CovarianceModule` built it before L was kept factored, A_R(G)'s from the
-groupoid's composition table (`composition_table`, the contracted table
-the groupoid validator built before it read `GroupoidProduct`), and L/I's
-from L's dense table.  On top of them, the checks that ran on dense rows:
-Light's test on the whole table with its generator rule
-(`table_associativity_counterexample`, `table_light_generators`), the
-row-major homomorphism scan, and the two-sidedness scan, and the tests
-that a named witness fails there: `triple_fails` for a basis triple,
-`breaks_kernel` for a basis pair where a half of I = ker psi fails.  `psi_of` is psi on a
-bisection module, its targets read off the basis labels, with its
-homomorphism certificate computed; `quotient_of` builds L/I with it.  `ideal_generators`
-walks every generator of the ideal, and `reference_build_ideal` is the
-union-find over them, the reference for `build_ideal`'s germ classes; it
-runs on any validated index, not only on bisections.  The factored
-product must agree with these; `product_rows` reads it as dense rows, and
-`closed` is the precondition of its Light's test.  `premises` gives the
-validator reports that `CovarianceModule.verify_associativity` takes;
-`realize` runs psi with the groupoid validator's report as its premise.
-`dense_replay_theorem5` reads psi from a theorem5 report's listing and
-checks it on the dense tables over the whole basis, and
-`dense_replay_theorem3` does the same for rho, with A_R(G)'s table read
-off the action document.  Where L is built on
-the engine's bisection action, the label-keyed readers take its label
-form (`families.label_view`).
+`CovarianceModule` built it before L was kept factored, A_R(G)'s from
+the groupoid's composition table (`composition_table`, the contracted
+table the groupoid validator built before it read `GroupoidProduct`),
+and L/I's from L's dense table, a zero product sent to zero
+(`zero_or_class`).  The engine holds L/I as its classes only;
+`FactoredQuotient` keeps the factored product it had, for the tests that
+run Light's test or a computed homomorphism certificate on L/I.  On top
+of them, the checks that ran on dense rows: Light's test on the whole
+table with its generator rule (`table_associativity_counterexample`,
+`table_light_generators`), the row-major homomorphism scan, and the
+two-sidedness scan, and the tests that a named witness fails there:
+`triple_fails` for a basis triple, `breaks_kernel` for a basis pair
+where a half of I = ker psi fails.  `psi_of` is psi on a bisection
+module, its targets read off the basis labels, with its homomorphism
+certificate computed; `quotient_of` builds L/I with
+it.  `ideal_generators` walks every generator of the ideal, and
+`reference_build_ideal` is the union-find over them, the reference for
+`build_ideal`'s germ classes; it runs on any validated index, not only
+on bisections.  The factored product must agree with these;
+`product_rows` reads it as dense rows, and `closed` is the precondition
+of its Light's test.  `premises` gives the validator reports that
+`CovarianceModule.verify_associativity` takes; `realize` runs psi with
+the groupoid validator's report as its premise.  `dense_replay_theorem5`
+reads psi from a theorem5 report's listing and checks it on the dense
+tables over the whole basis, and `dense_replay_theorem3` does the same
+for rho, with A_R(G)'s table read off the action document.  Where L is
+built on the engine's bisection action, the label-keyed readers take its
+label form (`families.label_view`).
 
 `mul_basis` and `mul_vectors` multiply vectors of any of the algebras
 over a given ring through its dense table, so that references in the
@@ -55,7 +59,7 @@ from groupoidal.partial_actions import (GroupPartialAction,
                                         induce_algebra_action,
                                         validate_group_partial_action,
                                         validate_isg_partial_action)
-from groupoidal.scalars import DenseTable, index_row, zero_vector
+from groupoidal.scalars import BasedAlgebra, DenseTable, index_row, zero_vector
 from groupoidal.skew_rings import (CovarianceModule, IdealCongruence,
                                    QuotientAlgebra, build_quotient)
 from groupoidal.specfiles import parse_document
@@ -186,6 +190,8 @@ def table_of(algebra):
     table's one-point view."""
     if isinstance(algebra, CovarianceModule):
         return dense_table(algebra)
+    if isinstance(algebra, FactoredQuotient):
+        algebra = algebra.quotient
     if isinstance(algebra, QuotientAlgebra):
         return [index_row(algebra.dim, row)
                 for row in dense_quotient_table(algebra)]
@@ -262,11 +268,42 @@ def dense_homomorphism(m, rows=None):
     return (True, None)
 
 
+def zero_or_class(quotient):
+    """quotient._class extended to a zero product: index -1 of L's dense
+    table reads -1, never the last class."""
+    return quotient._class + [-1]
+
+
 def dense_quotient_table(quotient):
     """The table of L/I read off the dense table of L."""
-    table, cls = dense_table(quotient.module), quotient._class
+    table, cls = dense_table(quotient.module), zero_or_class(quotient)
     reps = quotient.representatives
     return [[cls[table[a][b]] for b in reps] for a in reps]
+
+
+class FactoredQuotient(BasedAlgebra):
+    """L/I as a based algebra with a product of its own, as QuotientAlgebra
+    kept it before L/I was held as its classes alone: the reference for
+    the tests that run Light's test or a computed homomorphism
+    certificate on L/I.  Its points are those of the representatives in
+    L, and a row is the classes of L's row at q's representative, read
+    at the representatives of the classes at q's row point; L's rows hold
+    no zero product, so no class is read at -1."""
+
+    def __init__(self, quotient):
+        self.quotient = quotient
+        self.module, self.representatives = (quotient.module,
+                                             quotient.representatives)
+        self.dim, self.label = quotient.dim, quotient.label
+        self._set_points(
+            [self.module.row_points[a] for a in self.representatives],
+            [self.module.col_points[a] for a in self.representatives])
+
+    def row_products(self, q):
+        row = self.module.row_products(self.representatives[q])
+        place, reps = self.module.place, self.representatives
+        return [self.quotient._class[row[place[reps[r]]]]
+                for r in self.at_point.get(self.row_points[q], ())]
 
 
 def ideal_generators(module):
@@ -335,7 +372,7 @@ def reference_generator_scan(quotient, table=None, edges=None):
         table = dense_table(quotient.module)
     if edges is None:
         edges = ideal_generators(quotient.module)
-    cls = quotient._class
+    cls = zero_or_class(quotient)
     for a, b in edges:
         row_a, row_b = table[a], table[b]
         for k, row_k in enumerate(table):

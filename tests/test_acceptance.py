@@ -104,7 +104,10 @@ def test_criterion_3_skew_realization_per_groupoid():
         realization = realize(groupoid)
         dim_l, dim_i, dim_q, dim_a = realization.dimension_ledger
         assert dim_l - dim_i == dim_q == dim_a == groupoid.n_arrows, name
-        assert realization.psi_vanishes_on_ideal(), name
+        targets = realization.psi_map.targets
+        assert all(targets[a] == targets[r]
+                   for a, r in enumerate(realization.ideal.rep)), name
+        assert realization.quotient.ideal_in_kernel, name
         ok, why = verify_phi_left_inverse(realization)
         assert ok, (name, why)
         ok, why = verify_phi_additive(realization, Q, random.Random(0))
@@ -125,7 +128,7 @@ def test_criterion_4_quotient_necessity():
         if realization.ideal.dimension > 0:
             witnesses += 1
             assert realization.module.dim > realization.steinberg.dim, name
-            assert not realization.psi_map.is_injective, name
+            assert not realization.psi_map.certify_injective(), name
     assert witnesses >= 1
     report(4, "the quotient is necessary: some catalog groupoid has "
               "dim I > 0 and a non-injective pre-quotient map")

@@ -13,6 +13,7 @@ from families import basis_labels, pair_groupoid_spec, regular_action_spec
 import catalog
 from groupoidal import cli, groups, isomorphisms, skew_rings
 from groupoidal.cli import main
+from groupoidal.groupoid_core import validate_groupoid
 from groupoidal.inverse_semigroups import BisectionSemigroup
 
 
@@ -230,6 +231,27 @@ def test_theorem5_refuses_a_wrong_ideal_that_is_not_two_sided(
     assert out.endswith("result: fail\n")
 
 
+@pytest.mark.parametrize("name", ["two_z2", "pair_groupoid_3"])
+def test_theorem5_reads_the_kernel_once(name, monkeypatch, capsys):
+    # I = ker psi is decided in one pass over psi's targets, which every
+    # row on the quotient reads; psi~ is the only map whose injectivity
+    # is computed.
+    calls = []
+    for cls, method in ((skew_rings.QuotientAlgebra,
+                         "verify_representative_independence"),
+                        (isomorphisms.AlgebraMap, "certify_injective")):
+        def counted(self, *args, original=getattr(cls, method),
+                    method=method):
+            calls.append((method, getattr(self, "name", None)))
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, method, counted)
+    code, _, _ = run_cli(capsys, "theorem5", name)
+    assert code == 0
+    assert calls == [("verify_representative_independence", None),
+                     ("certify_injective", "psi~")]
+
+
 def move_psi_target(monkeypatch):
     """theorem5 with psi's target of the first basis element outside its
     class's representative moved to another arrow."""
@@ -284,6 +306,21 @@ FAILING_THEOREM5 = {
 
 
 @pytest.mark.parametrize("mutant", sorted(FAILING_THEOREM5))
+def test_psi_tilde_rests_on_representative_independence(mutant,
+                                                        monkeypatch):
+    # Each mutant breaks I = ker psi or psi's certificate, so psi~'s
+    # homomorphism, derived from representative independence alone, is
+    # not derived.
+    name, install, *_ = FAILING_THEOREM5[mutant]
+    install(monkeypatch)
+    g = catalog.load_groupoid(name)
+    r = isomorphisms.psi(g, validate_groupoid(g))
+    assert r.quotient.representative_independence_violation is not None
+    assert r.psi_tilde.certificates["homomorphism"] == \
+        (False, "not derived: representative_independence failed")
+
+
+@pytest.mark.parametrize("mutant", sorted(FAILING_THEOREM5))
 def test_failing_theorem5_reports_are_pinned(mutant, monkeypatch, capsys):
     name, install, *digests = FAILING_THEOREM5[mutant]
     install(monkeypatch)
@@ -298,8 +335,9 @@ def test_failing_theorem5_reports_are_pinned(mutant, monkeypatch, capsys):
 def test_theorem5_computes_products_only_on_generator_rows(
         tmp_path, monkeypatch, capsys):
     # S has no product table: the search for its generating set computes
-    # the columns t g, and the rows g t follow, so on 4 points theorem5
-    # computes 2 |generators| |S| products of the |S|^2 = 43,681.
+    # the columns t g, and L's generator rows read the rows g t, each
+    # computed when first read, so on 4 points theorem5 computes at most
+    # 2 |generators| |S| products of the |S|^2 = 43,681.
     path = tmp_path / "pair_groupoid_4.json"
     path.write_text(json.dumps(pair_groupoid_spec(4)))
     counts = Counter()

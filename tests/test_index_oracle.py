@@ -53,7 +53,7 @@ from test_factored_oracle import ladder_groupoids
 
 import catalog
 from groupoidal.groupoid_core import validate_groupoid
-from groupoidal.isomorphisms import psi
+from groupoidal.isomorphisms import AlgebraMap, psi
 from groupoidal.inverse_semigroups import (FiniteInverseSemigroup,
                                            bisection_semigroup,
                                            validate_inverse_semigroup)
@@ -257,6 +257,9 @@ def assert_kernel_verdict(quotient, psi_map, table, edges=None):
     refusal names holds (breaks_kernel).  Returns both texts."""
     text = quotient.verify_representative_independence(psi_map)
     expected = reference_generator_scan(quotient, table, edges)
+    # I lies in ker psi iff psi is constant on each class.
+    assert quotient.ideal_in_kernel == (
+        len(set(zip(quotient._class, psi_map.targets))) == quotient.dim)
     assert text is not None or expected is None
     assert text is None or breaks_kernel(quotient, psi_map, text)
     return text, expected
@@ -397,6 +400,35 @@ def test_kernel_verdict_is_sound_on_the_ladder():
     kinds = refusals(texts)
     assert kinds["not in ker psi"] > 60 and kinds["not in I"] > 5
     assert min(kinds["scan left"], kinds["scan right"]) > 0
+
+
+def test_the_kernel_pass_reads_both_halves_past_a_violation():
+    # The first class takes the second's target, so the kernel leaves I
+    # at the second representative; the last basis element outside its
+    # representative then leaves its class's target, so I leaves the
+    # kernel later.  The verdict names the first violation, and the
+    # record that I is not in ker psi, which the psi_vanishes_on_ideal
+    # row reads, comes from the rest of the pass, whatever psi's
+    # certificate says.
+    module = premised_module(catalog.load_groupoid("pair_groupoid_3"))
+    psi_map, ideal = psi_of(module), build_ideal(module)
+    quotient = QuotientAlgebra(module, ideal)
+    first, second = quotient.representatives[:2]
+    late = max(a for a, r in enumerate(ideal.rep) if a != r)
+    assert late > second
+    targets = list(psi_map.targets)
+    for a, r in enumerate(ideal.rep):
+        if r == first:
+            targets[a] = psi_map.targets[second]
+    targets[late] = next(t for t in range(psi_map.codomain.dim)
+                         if t != targets[ideal.rep[late]])
+    mutant = AlgebraMap(module, psi_map.codomain, targets, name="psi'")
+    for flag, text in ((True, f"e_{first} - e_{second} lies in ker psi "
+                              "but not in I"),
+                       (False, "not derived: psi_homomorphism failed")):
+        mutant.certificates = {"homomorphism": (flag, None)}
+        assert quotient.verify_representative_independence(mutant) == text
+        assert quotient.ideal_in_kernel is False
 
 
 def congruence(module, edges):

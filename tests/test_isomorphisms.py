@@ -346,8 +346,10 @@ def test_psi_two_isolated_units_ledger():
     r = realize(catalog.load_groupoid("two_isolated_units"))
     assert r.dimension_ledger == (4, 2, 2, 2)
     assert r.psi_map.is_homomorphism and r.psi_map.is_surjective
-    assert not r.psi_map.is_injective
-    assert r.psi_vanishes_on_ideal()
+    # theorem5 does not compute psi's injectivity; the kernel is I.
+    assert "injective" not in r.psi_map.certificates
+    assert not r.psi_map.certify_injective()
+    assert r.quotient.ideal_in_kernel
     assert r.psi_tilde.is_isomorphism
 
 
@@ -402,7 +404,7 @@ def test_quotient_necessity_witnesses():
             found += 1
             assert r.ideal.dimension > 0, name
             assert r.module.dim > r.steinberg.dim
-            assert not r.psi_map.is_injective
+            assert not r.psi_map.certify_injective()
         else:
             assert r.ideal.dimension == 0, name
     assert found >= 1
@@ -469,15 +471,15 @@ def test_flags_require_certificates():
 
 
 def test_psi_tilde_homomorphism_is_derived_from_its_premises():
-    # psi~ is a homomorphism once psi is one, vanishes on I and I is
-    # two-sided; it gets no pass of its own.
+    # psi~ is a homomorphism once I = ker psi is certified for a
+    # homomorphism psi; it gets no pass of its own.
     r = realize(catalog.load_groupoid("pair_groupoid_2"))
     assert r.psi_tilde.certificates["homomorphism"] == (True, None)
     m = AlgebraMap(r.quotient, r.steinberg, r.psi_tilde.targets)
-    assert not m.derive_homomorphism((("psi_homomorphism", True),
-                                      ("psi_vanishes_on_ideal", False)))
+    assert not m.derive_homomorphism((("representative_independence",
+                                       False),))
     assert m.certificates["homomorphism"] == \
-        (False, "not derived: psi_vanishes_on_ideal failed")
+        (False, "not derived: representative_independence failed")
 
 
 def test_inverse_requires_square():
@@ -499,14 +501,18 @@ def test_rho_certificates_agree_with_vector_computation(name, Q):
 def test_psi_certificates_agree_with_vector_computation(name, tag):
     r, ring = realize(catalog.load_groupoid(name)), ring_from_tag(tag)
     assert_certificates_agree(r.psi_map, ring)
-    # psi~ certifies no diagonal: L/I names no diagonal of its own.
-    assert_certificates_agree(r.psi_tilde, ring, CERTIFICATES[:3])
+    # psi~ certifies no diagonal: L/I names no diagonal of its own.  Its
+    # homomorphism is derived, as L/I computes no product, and its
+    # injectivity and surjectivity are computed by psi itself.
+    kinds = CERTIFICATES[:3]
+    assert {kind: r.psi_tilde.certificates[kind] for kind in kinds} == \
+        reference_certificates(r.psi_tilde, ring, kinds)
     # psi~ is psi on the class representatives, and vanishing on I is
     # psi(row) = 0 on every row of the echelon basis of I.
     for q, a in enumerate(r.quotient.representatives):
         assert apply(r.psi_tilde, ring, unit(ring, r.quotient.dim, q)) == \
             apply(r.psi_map, ring, unit(ring, r.module.dim, a))
-    assert r.psi_vanishes_on_ideal() == all(
+    assert r.quotient.ideal_in_kernel == all(
         not any(apply(r.psi_map, ring, row))
         for row in ideal_rows(r.ideal, ring))
 
@@ -613,6 +619,7 @@ def test_certificate_details_do_not_depend_on_the_hash_seed():
              "from groupoidal.specfiles import load_document\n"
              "g = load_document('pair_groupoid_3').payload\n"
              "r = psi(g, validate_groupoid(g))\n"
+             "r.psi_map.certify_injective()\n"
              "print(r.psi_map.certificates['injective'][1])\n")
     details = {subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
@@ -628,6 +635,9 @@ def test_psi_not_vanishing_on_the_ideal_is_detected(Q):
     targets = list(r.psi_map.targets)
     targets[a] = next(t for t in range(r.steinberg.dim) if t != targets[a])
     r.psi_map = AlgebraMap(r.module, r.steinberg, targets, name="psi'")
-    assert not r.psi_vanishes_on_ideal()
+    r.psi_map.certify_homomorphism()
+    assert r.quotient.verify_representative_independence(r.psi_map) \
+        is not None
+    assert not r.quotient.ideal_in_kernel
     assert any(any(apply(r.psi_map, Q, row))
                for row in ideal_rows(r.ideal, Q))
