@@ -6,10 +6,10 @@ as a partial skew inverse semigroup ring.
 Every map built here (rho, psi, psi~, and the transported Gamma and Phi)
 sends point masses to point masses with coefficient 1, so an AlgebraMap
 is given by target indices: targets[i] is the codomain basis index of the
-image of e_i.  Every structural flag on an AlgebraMap is backed by an
-exhaustive integer certificate on those indices and the factored products
-of the two algebras, the same over every scalar ring; a flag is never
-asserted without one.
+image of e_i.  Every structural flag on an AlgebraMap is written by a
+certify_* pass, an exhaustive integer check on those indices and the
+factored products of the two algebras, the same over every scalar ring.
+psi~ carries no flag: its isomorphism is read off psi's (see psi).
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ class AlgebraMap:
     Every map of the paper (rho, psi, psi~, Gamma, Phi) has this form, so
     the certificates (homomorphism, injective, surjective,
     diagonal-preserving) are exhaustive integer checks on the targets and
-    the factored products, the same over every ring.  They are computed on
-    demand and cached with their counterexample, named by stable(label(i))."""
+    the factored products, the same over every ring.  The certify_*
+    methods compute them and cache each with its counterexample, named by
+    stable(label(i)); reading one not computed raises RuntimeError."""
 
     def __init__(self, domain, codomain, targets, name="map"):
         self.domain = domain
@@ -119,15 +120,6 @@ class AlgebraMap:
                     f"fails on basis pair ({stable(dom.label(i))}, "
                     f"{stable(dom.label(j))})")
         return self._store("homomorphism", True, None)
-
-    def derive_homomorphism(self, premises):
-        """Record the homomorphism certificate as derived, not computed:
-        premises are (name, flag) pairs from which the caller has shown
-        that the map is a homomorphism.  It passes when every premise
-        does; otherwise the detail names the first that failed."""
-        failed = next((name for name, flag in premises if not flag), None)
-        return self._store("homomorphism", failed is None, None if failed
-                           is None else f"not derived: {failed} failed")
 
     def certify_injective(self):
         """Distinct targets.  Otherwise the kernel vector reported is
@@ -559,8 +551,9 @@ class BisectionAction:
 class SkewRealization:
     """Everything produced while realizing a Steinberg algebra as a partial
     skew inverse semigroup ring: the bisection semigroup, the covariance
-    module L of its action, the ideal I, the quotient L/I, and the certified
-    maps psi (on L) and psi_tilde (on L/I)."""
+    module L of its action, the ideal I, the quotient L/I, the certified
+    map psi (on L), and psi_tilde (on L/I), which carries no certificate
+    of its own (see psi)."""
 
     def __init__(self, groupoid, semigroup, module, ideal, quotient,
                  steinberg, psi_map, psi_tilde):
@@ -607,10 +600,21 @@ def psi(groupoid, groupoid_report,
 
     The map psi sends the basis element (point mass at u) delta_B to the
     point mass at the unique arrow of B with range u; it is certified
-    multiplicative and surjective, its kernel is certified to be the ideal
-    I, and by the first isomorphism theorem it descends to the isomorphism
-    psi_tilde from L/I = L/ker psi onto A_R(G).  psi's own injectivity is
-    not computed: no row reads it, and the kernel pass decides its kernel.
+    multiplicative and surjective.  psi_tilde sends each class of L/I to
+    its representative's target and computes no certificate (reading one
+    of its flags raises RuntimeError): by the first isomorphism theorem it
+    is an isomorphism onto A_R(G) iff
+    - I = ker psi for the homomorphism psi.  One pass over psi's targets
+      decides it and records whether I lies in ker psi
+      (QuotientAlgebra.verify_representative_independence); its verdict
+      is None exactly when psi's certificate passed and both halves
+      held.  Then psi_tilde o pi = psi, multiplicative and injective;
+    - psi is onto: once I lies in ker psi, each class shares its
+      representative's target, so psi_tilde has psi's image.
+    Conversely psi induces a map on L/I only when I lies in ker psi, and
+    then it is injective only when ker psi lies in I, multiplicative only
+    when psi is, and onto only when psi is.  psi's own injectivity is not
+    computed: no row reads it, and the kernel pass decides its kernel.
 
     groupoid_report is the report of validate_groupoid on groupoid, the
     one premise of L's associativity: the bisections form an inverse
@@ -618,11 +622,7 @@ def psi(groupoid, groupoid_report,
     bisection_semigroup and bisection_action), so neither is validated
     again.  When it passes, module.associative is True, and psi's
     certificate reads only the generator rows of L
-    (CovarianceModule.generator_basis).  The two-sidedness of I is read
-    off psi's targets as I = ker psi, the kernel of that certified
-    homomorphism, in one pass that also records whether I lies in ker psi
-    (QuotientAlgebra.verify_representative_independence), and psi_tilde's
-    homomorphism is derived from it.  Works over any scalar ring.
+    (CovarianceModule.generator_basis).  Works over any scalar ring.
     """
     semigroup = bisection_semigroup(groupoid, bisection_bound)
     module = CovarianceModule(induce_algebra_action(
@@ -645,19 +645,8 @@ def psi(groupoid, groupoid_report,
     psi_tilde = AlgebraMap(quotient, steinberg,
                            [targets[a] for a in quotient.representatives],
                            name="psi~")
-    realization = SkewRealization(groupoid, semigroup, module, ideal,
-                                  quotient, steinberg, psi_map, psi_tilde)
-    # psi~(pi(a) pi(b)) = psi~(pi(ab)) = psi(ab) = psi(a) psi(b): the
-    # first step is representative independence, the second psi vanishing
-    # on I, the third psi's homomorphism.  build_quotient's verdict of
-    # None certifies I = ker psi for a certified homomorphism psi, which
-    # implies the other two, so neither can be the first premise to fail.
-    psi_tilde.derive_homomorphism(
-        (("representative_independence",
-          quotient.representative_independence_violation is None),))
-    psi_tilde.certify_injective()
-    psi_tilde.certify_surjective()
-    return realization
+    return SkewRealization(groupoid, semigroup, module, ideal, quotient,
+                           steinberg, psi_map, psi_tilde)
 
 
 def verify_phi_left_inverse(realization):

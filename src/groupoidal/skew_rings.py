@@ -8,9 +8,9 @@ row and column point of each basis element, with no product table.  I is
 spanned by differences of basis vectors, so it is a congruence on the
 basis; for the bisection action its classes are the germs, read off the
 bisections' masks.  L/I is held as its classes, one basis element each,
-with no product of its own: once I = ker psi is certified, psi~ carries
-it isomorphically onto A_R(G), the first isomorphism theorem.  L, I and
-L/I carry no scalar ring (see the scalars module).
+with no product of its own: by the first isomorphism theorem, psi~ is an
+isomorphism onto A_R(G) once I = ker psi and psi is onto.  L, I and L/I
+carry no scalar ring (see the scalars module).
 
 The empty-domain convention: an index element with empty domain
 contributes no basis vectors (D_s = {0}), which covers the zero bisection
@@ -158,10 +158,9 @@ def build_ideal(module):
     generator of I stays inside a germ, as s <= t holds the arrow of t
     at x, so J = I; the certificates check this independently.  psi
     sends (s, x) and (t, x) to the same arrow for s <= t, so I lies in
-    the kernel of psi; build_quotient certifies that the kernel is J, and
-    psi~'s injectivity on L/J checks the second half again.  build_ideal
-    reads no psi target, so those certificates do not rest on its
-    construction.
+    the kernel of psi; build_quotient certifies that the kernel is J.
+    build_ideal reads no psi target, so that certificate does not rest on
+    its construction.
 
     generator_count is in closed form: the s < t with x in X_s are the
     subsets of t that hold a, other than t, 2^{|t| - 1} - 1 of them."""
@@ -185,8 +184,8 @@ class QuotientAlgebra:
     two classes, the class of their representatives' product, is well
     defined when I is two-sided, which build_quotient certifies as
     I = ker psi (recording representative_independence_violation and
-    ideal_in_kernel); then psi~ carries L/I = L/ker psi onto A_R(G), and
-    no product of L/I is computed."""
+    ideal_in_kernel); then L/I = L/ker psi, so psi~ is an isomorphism when
+    psi is onto, and no product of L/I or certificate of psi~ is computed."""
 
     def __init__(self, module, ideal):
         self.module = module

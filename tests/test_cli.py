@@ -15,6 +15,7 @@ from groupoidal import cli, groups, isomorphisms, skew_rings
 from groupoidal.cli import main
 from groupoidal.groupoid_core import validate_groupoid
 from groupoidal.inverse_semigroups import BisectionSemigroup
+from groupoidal.scalars import MAX_MODULUS_DIGITS
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +185,12 @@ def mutate_ideal(monkeypatch, mutate):
     monkeypatch.setattr(isomorphisms, "build_ideal", mutant)
 
 
+def failing_rows(out):
+    """The names of a text report's failing rows, in order."""
+    return [line.split(":")[0][len("check "):] for line in out.splitlines()
+            if line.startswith("check ") and ": fail" in line]
+
+
 @pytest.mark.parametrize("name, mutate, failing", [
     ("two_isolated_units", drop_one_join,
      ["dimension_ledger", "psi_tilde_isomorphism", "phi_left_inverse",
@@ -201,8 +208,7 @@ def test_theorem5_fails_a_wrong_ideal(name, mutate, failing, monkeypatch,
     mutate_ideal(monkeypatch, mutate)
     code, out, _ = run_cli(capsys, "theorem5", name)
     assert code == 1
-    assert [line.split(":")[0][len("check "):] for line in out.splitlines()
-            if line.startswith("check ") and ": fail" in line] == failing
+    assert failing_rows(out) == failing
 
 
 @pytest.mark.parametrize("mutate, violation", [
@@ -234,12 +240,13 @@ def test_theorem5_refuses_a_wrong_ideal_that_is_not_two_sided(
 @pytest.mark.parametrize("name", ["two_z2", "pair_groupoid_3"])
 def test_theorem5_reads_the_kernel_once(name, monkeypatch, capsys):
     # I = ker psi is decided in one pass over psi's targets, which every
-    # row on the quotient reads; psi~ is the only map whose injectivity
-    # is computed.
+    # row on the quotient reads.  No injectivity is computed, and the only
+    # surjectivity is psi's: psi~ has psi's image once I lies in ker psi.
     calls = []
     for cls, method in ((skew_rings.QuotientAlgebra,
                          "verify_representative_independence"),
-                        (isomorphisms.AlgebraMap, "certify_injective")):
+                        (isomorphisms.AlgebraMap, "certify_injective"),
+                        (isomorphisms.AlgebraMap, "certify_surjective")):
         def counted(self, *args, original=getattr(cls, method),
                     method=method):
             calls.append((method, getattr(self, "name", None)))
@@ -248,8 +255,8 @@ def test_theorem5_reads_the_kernel_once(name, monkeypatch, capsys):
         monkeypatch.setattr(cls, method, counted)
     code, _, _ = run_cli(capsys, "theorem5", name)
     assert code == 0
-    assert calls == [("verify_representative_independence", None),
-                     ("certify_injective", "psi~")]
+    assert calls == [("certify_surjective", "psi"),
+                     ("verify_representative_independence", None)]
 
 
 def move_psi_target(monkeypatch):
@@ -283,6 +290,19 @@ def fail_psi_homomorphism(monkeypatch):
                         mutant)
 
 
+def fail_psi_surjective(monkeypatch):
+    """theorem5 with psi's computed surjectivity certificate forced false."""
+    certify = isomorphisms.AlgebraMap.certify_surjective
+
+    def mutant(self):
+        certify(self)
+        if self.name != "psi":
+            return self.is_surjective
+        return self._store("surjective", False, "forced to fail")
+
+    monkeypatch.setattr(isomorphisms.AlgebraMap, "certify_surjective", mutant)
+
+
 # The sha256 of whole failing theorem5 reports, text then machine form,
 # for mutants that reach every row read off psi's targets and I's classes.
 FAILING_THEOREM5 = {
@@ -307,17 +327,30 @@ FAILING_THEOREM5 = {
 
 @pytest.mark.parametrize("mutant", sorted(FAILING_THEOREM5))
 def test_psi_tilde_rests_on_representative_independence(mutant,
-                                                        monkeypatch):
-    # Each mutant breaks I = ker psi or psi's certificate, so psi~'s
-    # homomorphism, derived from representative independence alone, is
-    # not derived.
+                                                        monkeypatch, capsys):
+    # Each mutant breaks I = ker psi or psi's certificate, so the kernel
+    # pass returns a violation and psi~ is not certified an isomorphism,
+    # though psi is onto; psi~ itself holds no certificate.
     name, install, *_ = FAILING_THEOREM5[mutant]
     install(monkeypatch)
     g = catalog.load_groupoid(name)
     r = isomorphisms.psi(g, validate_groupoid(g))
     assert r.quotient.representative_independence_violation is not None
-    assert r.psi_tilde.certificates["homomorphism"] == \
-        (False, "not derived: representative_independence failed")
+    assert r.psi_map.is_surjective and r.psi_tilde.certificates == {}
+    code, out, _ = run_cli(capsys, "theorem5", name)
+    assert code == 1
+    assert "check psi_tilde_isomorphism: fail  [certificate failed]" in \
+        out.splitlines()
+
+
+def test_psi_tilde_rests_on_psi_surjective(monkeypatch, capsys):
+    # With I = ker psi certified, psi~ is an isomorphism iff psi is onto:
+    # a failing psi_surjective fails the row, and no other.
+    fail_psi_surjective(monkeypatch)
+    code, out, _ = run_cli(capsys, "theorem5", "pair_groupoid_3")
+    assert code == 1
+    assert failing_rows(out) == ["psi_surjective", "psi_tilde_isomorphism"]
+    assert "check psi_surjective: fail  [forced to fail]" in out
 
 
 @pytest.mark.parametrize("mutant", sorted(FAILING_THEOREM5))
@@ -848,11 +881,12 @@ def test_undecidable_modulus_is_an_input_error(tmp_path, capsys):
 
 
 def test_a_modulus_past_the_digit_limit_is_an_input_error(tmp_path, capsys):
-    # Refused before int(), whose own limit would name
-    # sys.set_int_max_str_digits() instead.
-    tag = "Z/" + "7" * 4301
-    message = ("groupoidal: input error: ring modulus has 4301 digits, "
-               "more than the 4300 allowed\n")
+    # Refused before int() and before the primality test, whose cost
+    # grows with the digits.
+    n = MAX_MODULUS_DIGITS
+    tag = "Z/" + "7" * (n + 1)
+    message = (f"groupoidal: input error: ring modulus has {n + 1} digits, "
+               f"more than the {n} allowed\n")
     code, out, err = run_cli(capsys, "validate", "trivial_groupoid",
                              "--ring", tag)
     assert (code, out, err) == (2, "", message)

@@ -181,14 +181,18 @@ def test_quotient_tables_equal_the_dense_oracle():
 
 
 def test_homomorphism_certificates_equal_the_dense_scan():
-    # psi~'s certificate is derived, and the dense scan reads L/I's table
-    # off L's, a zero product included.
+    # psi~ computes no certificate: on the ladder, where theorem5 passes,
+    # the dense scan, reading L/I's table off L's (a zero product
+    # included), must find it a homomorphism too.
     maps = ladder_maps()
     assert {type(m.domain).__name__ for m in maps} == \
         {"CovarianceModule", "QuotientAlgebra", "SteinbergAlgebra"}
     assert any(isinstance(m.codomain, CovarianceModule) for m in maps)
     for m in maps:
-        assert m.certificates["homomorphism"] == (True, None), m.name
+        if m.name == "psi~":
+            assert m.certificates == {}
+        else:
+            assert m.certificates["homomorphism"] == (True, None), m.name
         assert dense_homomorphism(m) == (True, None), m.name
 
 

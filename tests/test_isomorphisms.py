@@ -336,10 +336,17 @@ def test_distinct_isotropy_not_isomorphic():
 
 # --- the skew realization of a Steinberg algebra ----------------------------
 
+def psi_tilde_is_isomorphism(r):
+    """The two premises of psi~'s isomorphism by the first isomorphism
+    theorem: I = ker psi for the homomorphism psi, and psi onto."""
+    return r.quotient.representative_independence_violation is None and \
+        r.psi_map.is_surjective
+
+
 def test_psi_trivial_groupoid_ledger():
     r = realize(catalog.load_groupoid("trivial_groupoid"))
     assert r.dimension_ledger == (1, 0, 1, 1)
-    assert r.psi_tilde.is_isomorphism
+    assert psi_tilde_is_isomorphism(r)
 
 
 def test_psi_two_isolated_units_ledger():
@@ -350,7 +357,7 @@ def test_psi_two_isolated_units_ledger():
     assert "injective" not in r.psi_map.certificates
     assert not r.psi_map.certify_injective()
     assert r.quotient.ideal_in_kernel
-    assert r.psi_tilde.is_isomorphism
+    assert psi_tilde_is_isomorphism(r)
 
 
 def test_psi_on_indicator_of_range(Q):
@@ -369,7 +376,7 @@ def test_psi_on_indicator_of_range(Q):
 def test_psi_over_prime_field(Z5):
     r = realize(catalog.load_groupoid("two_isolated_units"))
     assert r.dimension_ledger == (4, 2, 2, 2)
-    assert r.psi_tilde.is_isomorphism
+    assert psi_tilde_is_isomorphism(r)
     assert verify_phi_additive(r, Z5, random.Random(0)) == (True, None)
 
 
@@ -471,15 +478,16 @@ def test_flags_require_certificates():
 
 
 def test_psi_tilde_homomorphism_is_derived_from_its_premises():
-    # psi~ is a homomorphism once I = ker psi is certified for a
-    # homomorphism psi; it gets no pass of its own.
+    # psi~ is an isomorphism once I = ker psi is certified for a
+    # homomorphism psi and psi is onto; it gets no pass of its own, so
+    # reading any of its flags raises.
     r = realize(catalog.load_groupoid("pair_groupoid_2"))
-    assert r.psi_tilde.certificates["homomorphism"] == (True, None)
-    m = AlgebraMap(r.quotient, r.steinberg, r.psi_tilde.targets)
-    assert not m.derive_homomorphism((("representative_independence",
-                                       False),))
-    assert m.certificates["homomorphism"] == \
-        (False, "not derived: representative_independence failed")
+    assert psi_tilde_is_isomorphism(r)
+    assert r.psi_tilde.certificates == {}
+    for flag in ("is_homomorphism", "is_injective", "is_surjective",
+                 "preserves_diagonal", "is_isomorphism"):
+        with pytest.raises(RuntimeError):
+            getattr(r.psi_tilde, flag)
 
 
 def test_inverse_requires_square():
@@ -501,12 +509,14 @@ def test_rho_certificates_agree_with_vector_computation(name, Q):
 def test_psi_certificates_agree_with_vector_computation(name, tag):
     r, ring = realize(catalog.load_groupoid(name)), ring_from_tag(tag)
     assert_certificates_agree(r.psi_map, ring)
-    # psi~ certifies no diagonal: L/I names no diagonal of its own.  Its
-    # homomorphism is derived, as L/I computes no product, and its
-    # injectivity and surjectivity are computed by psi itself.
+    # psi~ computes no certificate: its isomorphism is read off the kernel
+    # pass and psi's surjectivity.  The dense computation of its
+    # homomorphism, injectivity and surjectivity must each agree with that
+    # verdict (L/I names no diagonal of its own).
     kinds = CERTIFICATES[:3]
-    assert {kind: r.psi_tilde.certificates[kind] for kind in kinds} == \
-        reference_certificates(r.psi_tilde, ring, kinds)
+    verdict = psi_tilde_is_isomorphism(r)
+    assert {flag for flag, _ in reference_certificates(
+        r.psi_tilde, ring, kinds).values()} == {verdict}
     # psi~ is psi on the class representatives, and vanishing on I is
     # psi(row) = 0 on every row of the echelon basis of I.
     for q, a in enumerate(r.quotient.representatives):

@@ -8,8 +8,8 @@ from dense_oracle import (table_associativity_counterexample,
                           table_mul_vectors, triple_fails)
 
 from families import random_scalar
-from groupoidal.scalars import (_MR_EXACT_BELOW, _is_prime, ring_from_tag,
-                                SpanTracker)
+from groupoidal.scalars import (_MR_EXACT_BELOW, MAX_MODULUS_DIGITS,
+                                _is_prime, ring_from_tag, SpanTracker)
 
 
 def vec(ring, *values):
@@ -24,12 +24,13 @@ def test_ring_tags():
         ring_from_tag("R")
     with pytest.raises(ValueError):
         ring_from_tag("Z/1")
-    # The interpreter's int() limit is 4300 digits; the tag is read up to
-    # it and refused past it, with the engine's message.
-    assert ring_from_tag("Z/1" + "0" * 4299).modulus == 10 ** 4299
-    with pytest.raises(ValueError, match="^ring modulus has 4301 digits, "
-                       "more than the 4300 allowed$"):
-        ring_from_tag("Z/1" + "0" * 4300)
+    # The tag is read up to MAX_MODULUS_DIGITS digits and refused past it,
+    # with the engine's message.
+    n = MAX_MODULUS_DIGITS
+    assert ring_from_tag("Z/1" + "0" * (n - 1)).modulus == 10 ** (n - 1)
+    with pytest.raises(ValueError, match=f"^ring modulus has {n + 1} "
+                       f"digits, more than the {n} allowed$"):
+        ring_from_tag("Z/1" + "0" * n)
 
 
 def test_field_flags():
